@@ -9,8 +9,8 @@
 //! * [`gemm_batched_varied`] — per-problem descriptors with independent
 //!   shapes and offsets (`cublasGemmBatched` with pointer arrays), used when
 //!   the off-diagonal ranks vary;
-//! * [`gemm_batched_aliased`] — the same as the varied flavour except that
-//!   the `A` operand lives in the *same* device buffer as the output `C`
+//! * [`gemm_batched_aliased`] — the varied flavour with `A` read in place
+//!   from the *same* device buffer as the output `C`, above every `C` window
 //!   (the in-place update `Ybig(:,1:rl) -= Y ⊙ W` of Algorithm 3, line 10).
 
 use crate::buffer::DeviceBuffer;
@@ -295,9 +295,14 @@ pub fn gemm_batched_varied<T: Scalar>(
 /// output `C` (used for the in-place low-rank update of Algorithm 3/4:
 /// `Ybig(:, 1:rl) <- Ybig(:, 1:rl) - Y^{l+1} ⊙ W`).
 ///
-/// The `A` windows are copied into thread-local scratch before the product
-/// is accumulated into `C`, so `A` and `C` windows may interleave freely in
-/// the shared buffer as long as the `C` windows themselves do not overlap.
+/// The buffer is split at the smallest `A` offset: every `C` window must end
+/// at or before it, and each product reads its `A` window in place above the
+/// split, with its stored `lda`.  In `Ybig` the split is the column boundary
+/// between the prefix (the `C` windows) and the next level's block (`A`).
+///
+/// # Panics
+/// Panics if any window is out of bounds, a `C` window reaches past the
+/// smallest `A` offset, or the `C` windows overlap.
 pub fn gemm_batched_aliased<T: Scalar>(
     device: &Device,
     stream: Stream,
@@ -305,9 +310,9 @@ pub fn gemm_batched_aliased<T: Scalar>(
     ac: &mut DeviceBuffer<'_, T>,
     b: &DeviceBuffer<'_, T>,
 ) {
-    if descs.is_empty() {
+    let Some(split) = descs.iter().map(|d| d.a_offset).min() else {
         return;
-    }
+    };
     for d in descs {
         assert!(
             d.a_offset + d.a_span() <= ac.len(),
@@ -320,6 +325,10 @@ pub fn gemm_batched_aliased<T: Scalar>(
         assert!(
             d.c_offset + d.c_span() <= ac.len(),
             "gemm_batched_aliased: C out of bounds"
+        );
+        assert!(
+            d.c_offset + d.c_span() <= split,
+            "gemm_batched_aliased: C window reaches past the smallest A offset {split}"
         );
     }
     let flops: u64 = descs.iter().map(|d| d.flops()).sum();
@@ -336,14 +345,6 @@ pub fn gemm_batched_aliased<T: Scalar>(
     }
 
     let b_data = b.data();
-
-    // Copy the A windows out first (cheap: they are rank-sized), then write
-    // into disjoint C windows in parallel.
-    let a_copies: Vec<Vec<T>> = descs
-        .iter()
-        .map(|d| ac.data()[d.a_offset..d.a_offset + d.a_span()].to_vec())
-        .collect();
-
     let windows: Vec<MatWindow> = descs
         .iter()
         .map(|d| MatWindow {
@@ -353,20 +354,17 @@ pub fn gemm_batched_aliased<T: Scalar>(
             ld: d.ldc,
         })
         .collect();
-    process_windows_mut(
-        ac.data_mut(),
-        &windows,
-        device.is_parallel(),
-        |i, c_view| {
-            let d = &descs[i];
-            gemm_into(
-                d,
-                &a_copies[i],
-                &b_data[d.b_offset..d.b_offset + d.b_span()],
-                c_view,
-            );
-        },
-    );
+    let (c_data, a_data) = ac.data_mut().split_at_mut(split);
+    process_windows_mut(c_data, &windows, device.is_parallel(), |i, c_view| {
+        let d = &descs[i];
+        let a_off = d.a_offset - split;
+        gemm_into(
+            d,
+            &a_data[a_off..a_off + d.a_span()],
+            &b_data[d.b_offset..d.b_offset + d.b_span()],
+            c_view,
+        );
+    });
     if poison {
         for d in descs {
             poison_span(ac.data_mut(), d.c_offset, d.c_span());
@@ -556,6 +554,81 @@ mod tests {
         let upd = a.matmul(&b);
         expect.axpy(-1.0, &upd);
         assert!(got.sub(&expect).norm_max() < 1e-12);
+    }
+
+    /// The `Ybig` update of Algorithm 3: a tall buffer whose leading
+    /// dimension is much larger than any window, row-block `C` windows over
+    /// the first `prefix` columns and their `A` windows in the next `w`
+    /// columns.  Reading `A` in place must give exactly the bits of the
+    /// varied kernel with `A` copied into a separate buffer.
+    #[test]
+    fn aliased_ybig_update_matches_varied_bitwise() {
+        let (ld, prefix, w) = (96, 5, 3);
+        let ranges = [0..10, 10..24, 24..48, 48..96];
+        let mut rng = StdRng::seed_from_u64(10);
+        // One spare column after the A block, so the A windows do not end
+        // the buffer.
+        let host: DenseMatrix<f64> = random_matrix(&mut rng, ld, prefix + w + 1);
+        // Two parents, each with its children's (w x prefix) blocks stacked.
+        let w_host: DenseMatrix<f64> = random_matrix(&mut rng, 2 * w, 2 * prefix);
+        let descs: Vec<GemmDesc<f64>> = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, range)| GemmDesc {
+                m: range.len(),
+                n: prefix,
+                k: w,
+                alpha: -1.0,
+                beta: 1.0,
+                op_a: Op::None,
+                op_b: Op::None,
+                a_offset: prefix * ld + range.start,
+                lda: ld,
+                b_offset: (i / 2) * 2 * w * prefix + (i % 2) * w,
+                ldb: 2 * w,
+                c_offset: range.start,
+                ldc: ld,
+            })
+            .collect();
+
+        for dev in [Device::new(), Device::sequential()] {
+            let b_buf = DeviceBuffer::from_host(&dev, w_host.data());
+            let mut ac_buf = DeviceBuffer::from_host(&dev, host.data());
+            gemm_batched_aliased(&dev, Stream::default(), &descs, &mut ac_buf, &b_buf);
+
+            let a_buf = DeviceBuffer::from_host(&dev, host.data());
+            let mut c_buf = DeviceBuffer::from_host(&dev, host.data());
+            gemm_batched_varied(&dev, Stream::default(), &descs, &a_buf, &b_buf, &mut c_buf);
+
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(ac_buf.download()), bits(c_buf.download()));
+            assert_ne!(ac_buf.download(), host.data(), "the update wrote C");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the smallest A offset")]
+    fn aliased_c_window_past_a_offset_panics() {
+        let dev = Device::new();
+        // Buffer layout: [ C (8x3) | A (8x2) ], but C claims four columns.
+        let mut ac_buf = DeviceBuffer::<f64>::zeros(&dev, 8 * 5);
+        let b_buf = DeviceBuffer::<f64>::zeros(&dev, 2 * 4);
+        let descs = vec![GemmDesc {
+            m: 8,
+            n: 4,
+            k: 2,
+            alpha: -1.0,
+            beta: 1.0,
+            op_a: Op::None,
+            op_b: Op::None,
+            a_offset: 8 * 3,
+            lda: 8,
+            b_offset: 0,
+            ldb: 2,
+            c_offset: 0,
+            ldc: 8,
+        }];
+        gemm_batched_aliased(&dev, Stream::default(), &descs, &mut ac_buf, &b_buf);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   pointer-array `gemmBatched` path), mirroring the two code paths of the
 //!   paper's Section III-C.
 //!
-//! The substitution (real GPU → virtual device) is documented in DESIGN.md:
+//! The substitution (real GPU → virtual device) is documented in
+//! ARCHITECTURE.md, section "The virtual device (`hodlr-batch`)":
 //! the paper's contribution is the *mapping* of the HODLR factorization onto
 //! large batched kernels, and that mapping — launch counts, batch sizes, flop
 //! counts, memory traffic — is preserved exactly here; only the absolute

@@ -29,7 +29,8 @@
 //! `hodlr-batch`; absolute numbers therefore reflect CPU execution, while
 //! the *shape* — scaling slopes, memory footprints, residuals, who wins and
 //! where the crossovers are among the CPU solvers — is what reproduces the
-//! paper (see DESIGN.md for the substitution argument).
+//! paper (see ARCHITECTURE.md, section "The virtual device (`hodlr-batch`)",
+//! for the substitution argument).
 //!
 //! Every row records the rayon pool size in a `threads` column (set
 //! `HODLR_NUM_THREADS` to sweep it), and every binary additionally emits a

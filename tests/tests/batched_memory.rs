@@ -1,0 +1,96 @@
+//! Host-memory regression test for the batched factorizations.
+//!
+//! The virtual device lives in host memory, so every transient buffer a
+//! batched kernel allocates shows up on the heap.  A counting global
+//! allocator tracks the peak of live heap bytes, and each factorization may
+//! grow the heap by less than the matrix's own storage: its per-level work
+//! is O(n·w), never a copy of the `lda = n` span of every window.  This file
+//! is its own test binary, so the allocator counts only these tests, and
+//! they take turns so that neither measures the other.
+
+use hodlr_batch::Device;
+use hodlr_core::matrix::{random_hodlr, random_hodlr_spd};
+use hodlr_core::{GpuSolver, GpuSymmetricSolver, HodlrMatrix, Symmetry};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+const N: usize = 8192;
+const LEVELS: usize = 8;
+const RANK: usize = 8;
+
+/// The system allocator plus a count of live bytes and its high-water mark.
+struct PeakCounter {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counters only observe the sizes.
+unsafe impl GlobalAlloc for PeakCounter {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            let live = self.live.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
+            self.peak.fetch_max(live, Ordering::SeqCst);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        self.live.fetch_sub(layout.size(), Ordering::SeqCst);
+    }
+}
+
+#[global_allocator]
+static HEAP: PeakCounter = PeakCounter {
+    live: AtomicUsize::new(0),
+    peak: AtomicUsize::new(0),
+};
+
+/// Held for the whole of each test, so one test's allocations never land
+/// in the other's measurement.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Peak heap growth over the live bytes at entry while `f` runs.
+fn peak_heap_growth(f: impl FnOnce()) -> usize {
+    let start = HEAP.live.load(Ordering::SeqCst);
+    HEAP.peak.store(start, Ordering::SeqCst);
+    f();
+    HEAP.peak.load(Ordering::SeqCst) - start
+}
+
+fn assert_below_storage(what: &str, growth: usize, matrix: &HodlrMatrix<f64>) {
+    let bound = matrix.storage_entries() * std::mem::size_of::<f64>();
+    assert!(growth > 0, "{what}: the counting allocator saw nothing");
+    assert!(
+        growth < bound,
+        "{what} grew the heap by {growth} bytes, not below the matrix storage of {bound} bytes"
+    );
+}
+
+#[test]
+fn batched_lu_factorization_heap_growth_stays_below_storage() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(12);
+    let matrix: HodlrMatrix<f64> = random_hodlr(&mut rng, N, LEVELS, RANK);
+    let device = Device::new();
+    let mut solver = GpuSolver::new(&device, &matrix);
+    let growth = peak_heap_growth(|| solver.factorize().expect("batched LU factorization"));
+    assert_below_storage("GpuSolver::factorize", growth, &matrix);
+}
+
+#[test]
+fn batched_symmetric_factorization_heap_growth_stays_below_storage() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(13);
+    let matrix: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, N, LEVELS, RANK);
+    let device = Device::new();
+    let mut solver = GpuSymmetricSolver::new(&device, &matrix, Symmetry::PositiveDefinite)
+        .expect("solver construction");
+    let growth = peak_heap_growth(|| solver.factorize().expect("batched SPD factorization"));
+    assert_below_storage("GpuSymmetricSolver::factorize", growth, &matrix);
+}

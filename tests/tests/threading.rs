@@ -103,6 +103,12 @@ fn pipeline_is_bitwise_deterministic_across_thread_counts() {
             "{threads}-thread device counters"
         );
     }
+    // Serial and batched LU paths agree bitwise, as the symmetric twin
+    // below asserts for its pair.
+    let serial = test_matrix()
+        .factorize_serial()
+        .expect("serial factorization");
+    assert_eq!(serial.solve(&rhs_block()[0]), base.x_gpu);
     // Sanity: the metering actually measured something.
     assert!(base.counters.kernel_launches > 0);
     assert!(base.counters.flops > 0);
