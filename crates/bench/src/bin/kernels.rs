@@ -17,6 +17,7 @@ fn main() {
         KernelBenchConfig::full()
     };
     let rows = run_kernel_bench(&config);
+    println!("isa level: {}", hodlr_la::isa_level());
     print_kernel_table(&rows);
 
     // Headline summary: blocked vs reference f64 gemm at the largest size.

@@ -14,7 +14,7 @@
 //!   factor/solve times, memory, residual, metered GFLOP/s);
 //! * the `kernels` binary emits [`KernelRow`]s (kernel, scalar type, dims,
 //!   threads, GFLOP/s, blocked-vs-reference speedup, bitwise-determinism
-//!   verdict);
+//!   verdict, and the ISA level the dispatched kernels ran at);
 //! * the `gp` binary emits [`GpRow`]s (kernel family, backend, size,
 //!   compression tolerance, factor/log-det/log-likelihood times, the
 //!   likelihood value, its error against the dense Cholesky oracle, and
@@ -191,12 +191,13 @@ pub fn kernel_rows_to_json(rows: &[KernelRow]) -> String {
             opt_number(row.speedup_vs_reference)
         ));
         out.push_str(&format!(
-            "\"bitwise_vs_1thread\": {}",
+            "\"bitwise_vs_1thread\": {}, ",
             match row.bitwise_vs_1thread {
                 Some(b) => b.to_string(),
                 None => "null".to_string(),
             }
         ));
+        out.push_str(&format!("\"isa\": \"{}\"", escape(row.isa)));
         out.push('}');
         if i + 1 < rows.len() {
             out.push(',');
@@ -493,6 +494,7 @@ mod tests {
             gflops: 8.6,
             speedup_vs_reference: Some(5.0),
             bitwise_vs_1thread: Some(true),
+            isa: "x86-64-v3",
         };
         let json = kernel_rows_to_json(&[row]);
         for key in [
@@ -502,6 +504,7 @@ mod tests {
             "\"threads\": 8",
             "\"speedup_vs_reference\": 5e0",
             "\"bitwise_vs_1thread\": true",
+            "\"isa\": \"x86-64-v3\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

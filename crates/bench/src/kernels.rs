@@ -12,7 +12,7 @@ use hodlr_la::blas::{gemm_flops, gemm_reference};
 use hodlr_la::lu::getrf_in_place;
 use hodlr_la::qr::thin_qr;
 use hodlr_la::random::random_matrix;
-use hodlr_la::{gemm, Complex64, DenseMatrix, Op, Scalar};
+use hodlr_la::{gemm, isa_level, Complex64, DenseMatrix, Op, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -42,6 +42,9 @@ pub struct KernelRow {
     /// `Some(true)` when this row's output was bitwise identical to the
     /// 1-thread run of the same problem.
     pub bitwise_vs_1thread: Option<bool>,
+    /// Instruction-set level the dispatched kernels ran at
+    /// ([`hodlr_la::isa_level`]).
+    pub isa: &'static str,
 }
 
 /// Real-flop multiplier (complex multiply-add = 4 real multiply-adds).
@@ -202,6 +205,7 @@ impl KernelBenchConfig {
 fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>) {
     let scalar = scalar_name::<T>().to_string();
     let ff = flop_factor::<T>();
+    let isa = isa_level();
 
     // GEMM: reference baseline (1 thread), then the blocked kernel over the
     // thread sweep with bitwise comparison against its own 1-thread output.
@@ -220,6 +224,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 gflops: flops / t / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: None,
+                isa,
             });
             Some(t)
         } else {
@@ -249,6 +254,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     None
                 },
                 bitwise_vs_1thread: bitwise,
+                isa,
             });
         }
     }
@@ -273,6 +279,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 gflops: ff * getrf_flops(s) / t / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
+                isa,
             });
         }
     }
@@ -297,6 +304,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 gflops: ff * qr_flops(m, n) / t / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
+                isa,
             });
         }
     }

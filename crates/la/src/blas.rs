@@ -9,7 +9,8 @@
 //!    held in unrolled accumulators (`[[T; MR]; NR]` locals) while streaming
 //!    one column of packed `A` and one row of packed `B` per `k` step.  The
 //!    fixed-size inner loops autovectorize for `f32`/`f64` and stay correct
-//!    (scalar) for complex fields.
+//!    (scalar) for complex fields.  Accumulation is unfused
+//!    (`acc += a * b`).
 //! 2. **Packing** — `op_a(A)` is repacked into column-major micro-panels of
 //!    [`GEMM_MR`] rows and `op_b(B)` into row-major micro-panels of
 //!    [`GEMM_NR`] columns, so the microkernel reads both operands
@@ -55,8 +56,28 @@
 //! The old axpy-per-column kernel is retained as [`gemm_reference`]: it is
 //! the oracle for property tests and the baseline the `kernels` bench bin
 //! (BENCH_kernels.json) measures speedups against.
+//!
+//! # ISA dispatch
+//!
+//! The workspace builds for baseline x86-64, where every `mul_add` in
+//! [`axpy_slice`] is an out-of-line call into the `fma` routine and loops
+//! vectorize only to SSE2.  The kernels that carry the flops — one `gemm`
+//! tile, the direct path, [`gemv`] and [`axpy_slice`] here; the unblocked
+//! LU, Cholesky, `L D L^H` and Bunch-Kaufman kernels and the Bunch-Kaufman
+//! solve elsewhere in the crate — are each compiled a second time for
+//! AVX2 + FMA (x86-64-v3), and every call picks the copy the running CPU
+//! supports ([`crate::isa_level`] names it).  Inside a dispatched kernel the
+//! inner loops call the non-dispatching `axpy` body, so the whole kernel
+//! runs in one copy with `vfmadd` and no per-element call.  For `gemm` the
+//! dispatch sits in the per-tile function that the parallel tile closure
+//! calls, not around `gemm` itself: a closure is compiled with the target
+//! features of the function it is written in, so dispatching `gemm` alone
+//! would leave the microkernel at SSE2.  The copies differ only in
+//! instruction selection, so results are bitwise identical at every ISA
+//! level.
 
 use crate::dense::{MatMut, MatRef};
+use crate::isa::multiversion;
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 
@@ -173,15 +194,13 @@ pub fn gemm<T: Scalar>(
     }
 
     if m * n * k < GEMM_DIRECT_THRESHOLD {
-        gemm_direct(alpha, &a, op_a, &b, op_b, &mut c, m, n, k);
+        gemm_direct(alpha, &a, op_a, &b, op_b, &mut c);
     } else if T::IS_COMPLEX {
         // Complex accumulators are twice as wide; a smaller register tile
         // avoids spilling the accumulator block to the stack.
-        gemm_blocked::<T, GEMM_MR_COMPLEX, GEMM_NR_COMPLEX>(
-            alpha, &a, op_a, &b, op_b, &mut c, m, n, k,
-        );
+        gemm_blocked::<T, GEMM_MR_COMPLEX, GEMM_NR_COMPLEX>(alpha, &a, op_a, &b, op_b, &mut c);
     } else {
-        gemm_blocked::<T, GEMM_MR, GEMM_NR>(alpha, &a, op_a, &b, op_b, &mut c, m, n, k);
+        gemm_blocked::<T, GEMM_MR, GEMM_NR>(alpha, &a, op_a, &b, op_b, &mut c);
     }
 }
 
@@ -189,23 +208,33 @@ pub fn gemm<T: Scalar>(
 // Direct path: small products, no packing.
 // ---------------------------------------------------------------------------
 
-/// Unpacked kernel for small products (C already beta-scaled).
-///
-/// For `op_a == Op::None` the columns of `A` are used in place — no repack.
-/// For transposed `A` the product is computed in dot form over the
-/// contiguous columns of `A` as stored.
-#[allow(clippy::too_many_arguments)]
-fn gemm_direct<T: Scalar>(
+multiversion! {
+    /// Unpacked kernel for small products (C already beta-scaled).
+    ///
+    /// For `op_a == Op::None` the columns of `A` are used in place — no
+    /// repack.  For transposed `A` the product is computed in dot form over
+    /// the contiguous columns of `A` as stored.
+    pub(crate) fn gemm_direct<T: Scalar>(
+        alpha: T,
+        a: &MatRef<'_, T>,
+        op_a: Op,
+        b: &MatRef<'_, T>,
+        op_b: Op,
+        c: &mut MatMut<'_, T>,
+    ) = gemm_direct_body;
+}
+
+#[inline(always)]
+pub(crate) fn gemm_direct_body<T: Scalar>(
     alpha: T,
     a: &MatRef<'_, T>,
     op_a: Op,
     b: &MatRef<'_, T>,
     op_b: Op,
     c: &mut MatMut<'_, T>,
-    _m: usize,
-    n: usize,
-    k: usize,
 ) {
+    let n = c.cols();
+    let k = op_a.cols_of(a);
     match op_a {
         Op::None => {
             for j in 0..n {
@@ -215,7 +244,7 @@ fn gemm_direct<T: Scalar>(
                     if scale == T::zero() {
                         continue;
                     }
-                    axpy_slice(scale, a.col(p), c_col);
+                    axpy_slice_body(scale, a.col(p), c_col);
                 }
             }
         }
@@ -250,20 +279,49 @@ fn gemm_direct<T: Scalar>(
 // Blocked path: packed panels + register microkernel.
 // ---------------------------------------------------------------------------
 
-/// A raw pointer that may be sent across rayon worker threads.  Safety is
-/// established at the use site: each task writes a disjoint region.
-#[derive(Copy, Clone)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 #[inline]
 fn round_up(x: usize, to: usize) -> usize {
     x.div_ceil(to) * to
 }
 
+/// One tile of the fixed grid over `C`: its first row `i0` and column `j0`,
+/// and its column segments `C[i0..i0 + ib, j]`, one per tile column `j`.
+pub(crate) struct CTile<'c, T> {
+    i0: usize,
+    j0: usize,
+    cols: Vec<&'c mut [T]>,
+}
+
+/// Split `C` into the grid of `GEMM_MC x GEMM_NC` tiles.  Tile boundaries
+/// depend only on `(m, n)`, never on the thread count, so the
+/// floating-point accumulation order per entry of `C` is invariant under
+/// the pool size.  The tiles partition `C`, so their column segments are
+/// disjoint and each tile can go to its own task.
+pub(crate) fn c_tiles<'c, T: Scalar>(c: &'c mut MatMut<'_, T>) -> Vec<CTile<'c, T>> {
+    let (m, n) = (c.rows(), c.cols());
+    let row_tiles = m.div_ceil(GEMM_MC);
+    let col_tiles = n.div_ceil(GEMM_NC);
+    let mut tiles: Vec<CTile<'c, T>> = (0..row_tiles * col_tiles)
+        .map(|t| {
+            let j0 = (t % col_tiles) * GEMM_NC;
+            CTile {
+                i0: (t / col_tiles) * GEMM_MC,
+                j0,
+                cols: Vec::with_capacity(GEMM_NC.min(n - j0)),
+            }
+        })
+        .collect();
+    for (j, mut col) in c.reborrow().into_cols().enumerate() {
+        for r in 0..row_tiles {
+            let (segment, rest) = col.split_at_mut(GEMM_MC.min(col.len()));
+            tiles[r * col_tiles + j / GEMM_NC].cols.push(segment);
+            col = rest;
+        }
+    }
+    tiles
+}
+
 /// Blocked kernel (C already beta-scaled, `alpha != 0`, `k > 0`).
-#[allow(clippy::too_many_arguments)]
 fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     alpha: T,
     a: &MatRef<'_, T>,
@@ -271,83 +329,75 @@ fn gemm_blocked<T: Scalar, const MR: usize, const NR: usize>(
     b: &MatRef<'_, T>,
     op_b: Op,
     c: &mut MatMut<'_, T>,
-    m: usize,
-    n: usize,
-    k: usize,
 ) {
-    // Fixed tile grid over C: boundaries depend only on (m, n), never on the
-    // thread count, so the floating-point accumulation order per entry of C
-    // is invariant under the pool size.
-    let mut tiles: Vec<(usize, usize, usize, usize)> = Vec::new();
-    let mut i0 = 0;
-    while i0 < m {
-        let ib = GEMM_MC.min(m - i0);
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = GEMM_NC.min(n - j0);
-            tiles.push((i0, ib, j0, jb));
-            j0 += jb;
-        }
-        i0 += ib;
-    }
-
-    let ld_c = c.ld();
-    // SAFETY: the tiles index disjoint (row, column) windows of C, so the
-    // raw pointer writes in `run_tile` never alias.  The pointer wrapper is
-    // confined to this scope.
-    let c_ptr = SendPtr(c.col_mut(0).as_mut_ptr());
-
-    let run_tile = move |&(i0, ib, j0, jb): &(usize, usize, usize, usize)| {
-        // Rebound by value so each worker captures its own copy of the
-        // pointer wrapper rather than a shared borrow.
-        #[allow(clippy::redundant_locals)]
-        let c_ptr = c_ptr;
-        let kc = GEMM_KC.min(k);
-        // Per-task pack workspaces, reused across every k slab of the tile.
-        let mut a_buf = vec![T::zero(); round_up(ib, MR) * kc];
-        let mut b_buf = vec![T::zero(); round_up(jb, NR) * kc];
-
-        let mut p0 = 0;
-        while p0 < k {
-            let pb = GEMM_KC.min(k - p0);
-            pack_a::<T, MR>(a, op_a, i0, ib, p0, pb, &mut a_buf);
-            pack_b::<T, NR>(b, op_b, p0, pb, j0, jb, &mut b_buf);
-
-            let mut jr = 0;
-            while jr < jb {
-                let nrv = NR.min(jb - jr);
-                let bp = &b_buf[(jr / NR) * pb * NR..][..pb * NR];
-                let mut ir = 0;
-                while ir < ib {
-                    let mrv = MR.min(ib - ir);
-                    let ap = &a_buf[(ir / MR) * pb * MR..][..pb * MR];
-                    let acc = microkernel::<T, MR, NR>(pb, ap, bp);
-                    // C[i0+ir.., j0+jr..] += alpha * acc (valid region only).
-                    for (jj, acc_col) in acc.iter().enumerate().take(nrv) {
-                        // SAFETY: this column segment lies inside the tile's
-                        // disjoint window of C.
-                        let col = unsafe {
-                            std::slice::from_raw_parts_mut(
-                                c_ptr.0.add((j0 + jr + jj) * ld_c + i0 + ir),
-                                mrv,
-                            )
-                        };
-                        for (ci, &v) in col.iter_mut().zip(acc_col) {
-                            *ci += alpha * v;
-                        }
-                    }
-                    ir += MR;
-                }
-                jr += NR;
-            }
-            p0 += pb;
-        }
-    };
-
+    let mut tiles = c_tiles(c);
+    // The closure only forwards: the dispatch sits in `gemm_tile`, because a
+    // closure is compiled with the target features of the function it is
+    // written in.
+    let run_tile = |tile: &mut CTile<'_, T>| gemm_tile::<T, MR, NR>(alpha, a, op_a, b, op_b, tile);
     if tiles.len() > 1 {
-        tiles.par_iter().for_each(run_tile);
+        tiles.par_iter_mut().for_each(run_tile);
     } else {
-        tiles.iter().for_each(run_tile);
+        tiles.iter_mut().for_each(run_tile);
+    }
+}
+
+multiversion! {
+    /// `tile += alpha * op_a(A)[tile rows, :] * op_b(B)[:, tile columns]`,
+    /// one `k` slab at a time in ascending order.
+    pub(crate) fn gemm_tile<T: Scalar, const MR: usize, const NR: usize>(
+        alpha: T,
+        a: &MatRef<'_, T>,
+        op_a: Op,
+        b: &MatRef<'_, T>,
+        op_b: Op,
+        tile: &mut CTile<'_, T>,
+    ) = gemm_tile_body;
+}
+
+#[inline(always)]
+pub(crate) fn gemm_tile_body<T: Scalar, const MR: usize, const NR: usize>(
+    alpha: T,
+    a: &MatRef<'_, T>,
+    op_a: Op,
+    b: &MatRef<'_, T>,
+    op_b: Op,
+    tile: &mut CTile<'_, T>,
+) {
+    let (i0, j0) = (tile.i0, tile.j0);
+    let ib = tile.cols[0].len();
+    let jb = tile.cols.len();
+    let k = op_a.cols_of(a);
+    let kc = GEMM_KC.min(k);
+    // Per-task pack workspaces, reused across every k slab of the tile.
+    let mut a_buf = vec![T::zero(); round_up(ib, MR) * kc];
+    let mut b_buf = vec![T::zero(); round_up(jb, NR) * kc];
+
+    let mut p0 = 0;
+    while p0 < k {
+        let pb = GEMM_KC.min(k - p0);
+        pack_a::<T, MR>(a, op_a, i0, ib, p0, pb, &mut a_buf);
+        pack_b::<T, NR>(b, op_b, p0, pb, j0, jb, &mut b_buf);
+
+        let mut jr = 0;
+        while jr < jb {
+            let bp = &b_buf[(jr / NR) * pb * NR..][..pb * NR];
+            let mut ir = 0;
+            while ir < ib {
+                let mrv = MR.min(ib - ir);
+                let ap = &a_buf[(ir / MR) * pb * MR..][..pb * MR];
+                let acc = microkernel::<T, MR, NR>(pb, ap, bp);
+                // C[i0+ir.., j0+jr..] += alpha * acc (valid region only).
+                for (col, acc_col) in tile.cols[jr..].iter_mut().zip(&acc) {
+                    for (ci, &v) in col[ir..ir + mrv].iter_mut().zip(acc_col) {
+                        *ci += alpha * v;
+                    }
+                }
+                ir += MR;
+            }
+            jr += NR;
+        }
+        p0 += pb;
     }
 }
 
@@ -532,9 +582,14 @@ pub fn gemm_reference<T: Scalar>(
     }
 }
 
-/// `y += alpha * x` over slices of equal length (the hot inner loop).
-#[inline]
-pub fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+multiversion! {
+    /// `y += alpha * x` over slices of equal length (the hot inner loop).
+    pub fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) = axpy_slice_body;
+}
+
+/// The body of [`axpy_slice`], for kernels that are dispatched as a whole.
+#[inline(always)]
+pub(crate) fn axpy_slice_body<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi = xi.mul_add(alpha, *yi);
@@ -563,8 +618,27 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     acc
 }
 
-/// General matrix-vector multiply `y <- alpha * op(A) * x + beta * y`.
-pub fn gemv<T: Scalar>(alpha: T, a: MatRef<'_, T>, op: Op, x: &[T], beta: T, y: &mut [T]) {
+multiversion! {
+    /// General matrix-vector multiply `y <- alpha * op(A) * x + beta * y`.
+    pub fn gemv<T: Scalar>(
+        alpha: T,
+        a: MatRef<'_, T>,
+        op: Op,
+        x: &[T],
+        beta: T,
+        y: &mut [T],
+    ) = gemv_body;
+}
+
+#[inline(always)]
+pub(crate) fn gemv_body<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    op: Op,
+    x: &[T],
+    beta: T,
+    y: &mut [T],
+) {
     let m = op.rows_of(&a);
     let k = op.cols_of(&a);
     assert_eq!(x.len(), k, "gemv: x has wrong length");
@@ -588,7 +662,7 @@ pub fn gemv<T: Scalar>(alpha: T, a: MatRef<'_, T>, op: Op, x: &[T], beta: T, y: 
                 if scale == T::zero() {
                     continue;
                 }
-                axpy_slice(scale, a.col(p), y);
+                axpy_slice_body(scale, a.col(p), y);
             }
         }
         Op::Trans => {

@@ -13,9 +13,10 @@
 //! place on views, and are deterministic at every thread count because their
 //! blocked updates route through [`crate::blas::gemm`].
 
-use crate::blas::Op;
+use crate::blas::{axpy_slice_body, Op};
 use crate::dense::{DenseMatrix, MatMut, MatRef};
 use crate::error::HodlrError;
+use crate::isa::multiversion;
 use crate::scalar::{RealScalar, Scalar};
 use crate::triangular::{solve_triangular_in_place, Diag, Triangle};
 
@@ -141,11 +142,18 @@ pub fn potrf_in_place<T: Scalar>(mut a: MatMut<'_, T>) -> Result<(), SymmetricEr
     Ok(())
 }
 
-/// The unblocked kernel (also the panel factorization of the blocked path):
-/// for an `m x n` panel with `n <= m`, computes the lower-trapezoidal `L`
-/// with `panel = L_panel L11^H`, sweeping columns left to right with one
-/// contiguous axpy per trailing column.
-fn potf2_unblocked<T: Scalar>(mut a: MatMut<'_, T>) -> Result<(), SymmetricError> {
+multiversion! {
+    /// The unblocked kernel (also the panel factorization of the blocked
+    /// path): for an `m x n` panel with `n <= m`, computes the
+    /// lower-trapezoidal `L` with `panel = L_panel L11^H`, sweeping columns
+    /// left to right with one contiguous axpy per trailing column.
+    pub(crate) fn potf2_unblocked<T: Scalar>(
+        a: MatMut<'_, T>,
+    ) -> Result<(), SymmetricError> = potf2_unblocked_body;
+}
+
+#[inline(always)]
+pub(crate) fn potf2_unblocked_body<T: Scalar>(mut a: MatMut<'_, T>) -> Result<(), SymmetricError> {
     let m = a.rows();
     let n = a.cols();
     debug_assert!(n <= m, "potf2: panel must be at least as tall as wide");
@@ -175,7 +183,7 @@ fn potf2_unblocked<T: Scalar>(mut a: MatMut<'_, T>) -> Result<(), SymmetricError
                 continue;
             }
             let col_j = a.col_mut(j);
-            crate::blas::axpy_slice(-ljk.conj(), &lcol[j - k - 1..], &mut col_j[j..]);
+            axpy_slice_body(-ljk.conj(), &lcol[j - k - 1..], &mut col_j[j..]);
         }
     }
     Ok(())
@@ -230,9 +238,17 @@ pub fn ldlt_in_place<T: Scalar>(a: MatMut<'_, T>) -> Result<(), SymmetricError> 
     ldlt_guarded_in_place(a, T::Real::INFINITY)
 }
 
-/// The guarded worker behind [`ldlt_in_place`]: fails (for the ladder to
-/// catch) when any computed multiplier exceeds `growth_limit`.
-fn ldlt_guarded_in_place<T: Scalar>(
+multiversion! {
+    /// The guarded worker behind [`ldlt_in_place`]: fails (for the ladder
+    /// to catch) when any computed multiplier exceeds `growth_limit`.
+    pub(crate) fn ldlt_guarded_in_place<T: Scalar>(
+        a: MatMut<'_, T>,
+        growth_limit: T::Real,
+    ) -> Result<(), SymmetricError> = ldlt_guarded_in_place_body;
+}
+
+#[inline(always)]
+pub(crate) fn ldlt_guarded_in_place_body<T: Scalar>(
     mut a: MatMut<'_, T>,
     growth_limit: T::Real,
 ) -> Result<(), SymmetricError> {
@@ -264,7 +280,7 @@ fn ldlt_guarded_in_place<T: Scalar>(
             }
             let alpha = -ljk.conj().scale(d);
             let col_j = a.col_mut(j);
-            crate::blas::axpy_slice(alpha, &lcol[j - k - 1..], &mut col_j[j..]);
+            axpy_slice_body(alpha, &lcol[j - k - 1..], &mut col_j[j..]);
         }
     }
     Ok(())
@@ -299,16 +315,23 @@ pub enum BkPivot {
     Double(usize),
 }
 
-/// In-place Bunch-Kaufman factorization `A = P L D L^H P^T` with partial
-/// (rook-free) pivoting, `uplo = 'L'` (LAPACK `hetf2` / `sytf2`): `D` is
-/// block diagonal with 1x1 and 2x2 blocks, `L` is unit lower triangular.
-/// Only the lower triangle is referenced.
-///
-/// # Errors
-/// [`SymmetricError::Singular`] when a diagonal block of `D` is exactly
-/// singular (the trailing submatrix was identically zero, or a 2x2 block
-/// has zero determinant).
-pub fn bunch_kaufman_in_place<T: Scalar>(
+multiversion! {
+    /// In-place Bunch-Kaufman factorization `A = P L D L^H P^T` with partial
+    /// (rook-free) pivoting, `uplo = 'L'` (LAPACK `hetf2` / `sytf2`): `D` is
+    /// block diagonal with 1x1 and 2x2 blocks, `L` is unit lower triangular.
+    /// Only the lower triangle is referenced.
+    ///
+    /// # Errors
+    /// [`SymmetricError::Singular`] when a diagonal block of `D` is exactly
+    /// singular (the trailing submatrix was identically zero, or a 2x2 block
+    /// has zero determinant).
+    pub fn bunch_kaufman_in_place<T: Scalar>(
+        a: MatMut<'_, T>,
+    ) -> Result<Vec<BkPivot>, SymmetricError> = bunch_kaufman_in_place_body;
+}
+
+#[inline(always)]
+pub(crate) fn bunch_kaufman_in_place_body<T: Scalar>(
     mut a: MatMut<'_, T>,
 ) -> Result<Vec<BkPivot>, SymmetricError> {
     let n = a.rows();
@@ -403,7 +426,7 @@ pub fn bunch_kaufman_in_place<T: Scalar>(
                 if ajk != T::zero() {
                     let beta = -ajk.conj().scale(r1);
                     let col_j = a.col_mut(j);
-                    crate::blas::axpy_slice(beta, &col[j - k - 1..], &mut col_j[j..]);
+                    axpy_slice_body(beta, &col[j - k - 1..], &mut col_j[j..]);
                 }
             }
             for v in a.col_mut(k)[k + 1..].iter_mut() {
@@ -449,9 +472,18 @@ pub fn bunch_kaufman_in_place<T: Scalar>(
     Ok(piv)
 }
 
-/// Solve `A X = B` in place given packed Bunch-Kaufman factors and their
-/// pivot steps (LAPACK `hetrs`, `uplo = 'L'`).
-pub fn bunch_kaufman_solve_in_place<T: Scalar>(
+multiversion! {
+    /// Solve `A X = B` in place given packed Bunch-Kaufman factors and their
+    /// pivot steps (LAPACK `hetrs`, `uplo = 'L'`).
+    pub fn bunch_kaufman_solve_in_place<T: Scalar>(
+        f: MatRef<'_, T>,
+        piv: &[BkPivot],
+        b: MatMut<'_, T>,
+    ) = bunch_kaufman_solve_in_place_body;
+}
+
+#[inline(always)]
+pub(crate) fn bunch_kaufman_solve_in_place_body<T: Scalar>(
     f: MatRef<'_, T>,
     piv: &[BkPivot],
     mut b: MatMut<'_, T>,
@@ -472,7 +504,7 @@ pub fn bunch_kaufman_solve_in_place<T: Scalar>(
                     let x = b.col_mut(c);
                     let xk = x[k];
                     if xk != T::zero() {
-                        crate::blas::axpy_slice(-xk, &f.col(k)[k + 1..], &mut x[k + 1..]);
+                        axpy_slice_body(-xk, &f.col(k)[k + 1..], &mut x[k + 1..]);
                     }
                     x[k] = x[k].scale(d);
                 }
@@ -491,10 +523,10 @@ pub fn bunch_kaufman_solve_in_place<T: Scalar>(
                     let xk = x[k];
                     let xk1 = x[k + 1];
                     if xk != T::zero() {
-                        crate::blas::axpy_slice(-xk, &f.col(k)[k + 2..], &mut x[k + 2..]);
+                        axpy_slice_body(-xk, &f.col(k)[k + 2..], &mut x[k + 2..]);
                     }
                     if xk1 != T::zero() {
-                        crate::blas::axpy_slice(-xk1, &f.col(k + 1)[k + 2..], &mut x[k + 2..]);
+                        axpy_slice_body(-xk1, &f.col(k + 1)[k + 2..], &mut x[k + 2..]);
                     }
                     let bkm1 = xk * akm1k.conj().recip();
                     let bk = xk1 * akm1k.recip();

@@ -583,6 +583,17 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         )
     }
 
+    /// Consume the view into its columns, each a contiguous slice of length
+    /// `rows` (the view must have at least one row).  The slices are
+    /// disjoint, so different tasks may own them.
+    pub(crate) fn into_cols(self) -> impl Iterator<Item = &'a mut [T]> {
+        let rows = self.rows;
+        self.data
+            .chunks_mut(self.ld)
+            .take(self.cols)
+            .map(move |col| &mut col[..rows])
+    }
+
     /// Copy entries from a view of the same shape.
     pub fn copy_from(&mut self, src: MatRef<'_, T>) {
         assert_eq!(self.rows, src.rows());

@@ -29,6 +29,7 @@ pub mod demote;
 pub mod dense;
 pub mod error;
 pub mod evd;
+mod isa;
 pub mod lu;
 pub mod meter;
 pub mod norms;
@@ -50,6 +51,7 @@ pub use demote::{demote_dense, DemoteScalar};
 pub use dense::{DenseMatrix, MatMut, MatRef};
 pub use error::HodlrError;
 pub use evd::{steqr, symmetric_evd, tridiagonalize, SymmetricEvd, Tridiagonal};
+pub use isa::isa_level;
 pub use lu::{log_det_from_parts, LuFactor};
 pub use meter::AllocMeter;
 pub use scalar::{RealScalar, Scalar};

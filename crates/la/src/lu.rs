@@ -6,8 +6,9 @@
 //! the batched engine in `hodlr-batch` can run them on sub-blocks of one big
 //! buffer, mirroring cuBLAS `getrfBatched`/`getrsBatched`.
 
-use crate::blas::Op;
+use crate::blas::{axpy_slice_body, Op};
 use crate::dense::{DenseMatrix, MatMut, MatRef};
+use crate::isa::multiversion;
 use crate::scalar::{RealScalar, Scalar};
 
 /// Error returned when a factorization encounters an exactly singular pivot.
@@ -121,9 +122,18 @@ pub fn getrf_in_place<T: Scalar>(mut a: MatMut<'_, T>) -> Result<Vec<usize>, Sin
     Ok(piv)
 }
 
-/// The unblocked right-looking kernel (also the panel factorization of the
-/// blocked path).  Pivot rows are local to the view.
-fn getrf_unblocked<T: Scalar>(mut a: MatMut<'_, T>) -> Result<Vec<usize>, SingularError> {
+multiversion! {
+    /// The unblocked right-looking kernel (also the panel factorization of
+    /// the blocked path).  Pivot rows are local to the view.
+    pub(crate) fn getrf_unblocked<T: Scalar>(
+        a: MatMut<'_, T>,
+    ) -> Result<Vec<usize>, SingularError> = getrf_unblocked_body;
+}
+
+#[inline(always)]
+pub(crate) fn getrf_unblocked_body<T: Scalar>(
+    mut a: MatMut<'_, T>,
+) -> Result<Vec<usize>, SingularError> {
     let m = a.rows();
     let n = m.min(a.cols());
     let mut piv = Vec::with_capacity(n);
@@ -165,7 +175,7 @@ fn getrf_unblocked<T: Scalar>(mut a: MatMut<'_, T>) -> Result<Vec<usize>, Singul
             if ukj == T::zero() {
                 continue;
             }
-            crate::blas::axpy_slice(-ukj, &lcol, &mut col_j[k + 1..]);
+            axpy_slice_body(-ukj, &lcol, &mut col_j[k + 1..]);
         }
     }
     Ok(piv)

@@ -176,7 +176,10 @@ pub trait Scalar:
     fn sqrt(self) -> Self;
     /// Multiplicative inverse.
     fn recip(self) -> Self;
-    /// Fused multiply-add `self * a + b` (used by the GEMM micro-kernel).
+    /// Multiply-add `self * a + b`: one correctly rounded fused operation
+    /// for real fields, the unfused complex product and sum for complex
+    /// fields.  Used by [`axpy_slice`](crate::blas::axpy_slice); the GEMM
+    /// microkernel accumulates unfused (`acc += a * b`).
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// `true` when both parts are finite.
     fn is_finite(self) -> bool;
