@@ -9,6 +9,12 @@ use hodlr_la::{DenseMatrix, MatMut, Scalar};
 /// formed densely — only the entries the compression algorithm actually
 /// touches are evaluated.  Everything is `Sync` so blocks can be compressed
 /// in parallel.
+///
+/// A compressor evaluates all of one block's entries on the thread that
+/// called it, even when it spreads its own arithmetic over the rayon pool,
+/// so a source that serves a single block sees its entry calls from one
+/// thread only.  A build still compresses different blocks of one source
+/// on different threads at once.
 pub trait MatrixEntrySource<T: Scalar>: Sync {
     /// Number of rows of the block.
     fn nrows(&self) -> usize;

@@ -8,13 +8,15 @@
 //! which is exactly what the per-node concatenation of `Ubig` / `Vbig`
 //! needs.
 //!
-//! The build streams: it walks the tree level by level, compressing the
-//! sibling blocks of one level in parallel directly from the entry source
-//! (the compressors themselves stream through bounded scratch — see
-//! `hodlr-compress`), so no off-diagonal block is ever materialised
-//! densely; only leaf diagonal blocks are.  Every allocation the build
-//! retains is recorded on an optional [`AllocMeter`], and an optional byte
-//! budget is enforced between levels with a typed
+//! The build streams: it walks the tree level by level, compressing every
+//! off-diagonal block of one level as its own parallel task directly from
+//! the entry source (the compressors themselves stream through bounded
+//! scratch — see `hodlr-compress`), so no off-diagonal block is ever
+//! materialised densely; only leaf diagonal blocks are.  A block's entries
+//! are evaluated on the thread that compresses it; the compressor spreads
+//! only the arithmetic of long blocks over the pool.  Every allocation the
+//! build retains is recorded on an optional [`AllocMeter`], and an optional
+//! byte budget is enforced between levels with a typed
 //! [`HodlrError::BudgetExceeded`] naming the level or stage that crossed
 //! it.
 
@@ -70,6 +72,37 @@ fn check_budget(
         }
     }
     Ok(())
+}
+
+/// Compress the off-diagonal block `A(I_row, I_col)` and record the bytes
+/// of its factors on the meter.
+fn compress_block<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized>(
+    source: &S,
+    tree: &ClusterTree,
+    row: NodeId,
+    col: NodeId,
+    config: &CompressionConfig<T::Real>,
+    meter: Option<&AllocMeter>,
+) -> Result<LowRank<T>, HodlrError> {
+    let (rows, cols) = (tree.range(row), tree.range(col));
+    let block = BlockSource::new(source, rows.start, cols.start, rows.len(), cols.len())?;
+    let lr = compress_metered(&block, config, meter).map_err(|e| annotate_block(e, row, col))?;
+    if let Some(meter) = meter {
+        meter.record_alloc(lowrank_bytes(&lr));
+    }
+    Ok(lr)
+}
+
+/// Copy the columns of `factor` into `big[rows, col0..]`.
+fn place_columns<T: Scalar>(
+    big: &mut DenseMatrix<T>,
+    factor: &DenseMatrix<T>,
+    rows: std::ops::Range<usize>,
+    col0: usize,
+) {
+    for j in 0..factor.cols() {
+        big.col_mut(col0 + j)[rows.clone()].copy_from_slice(factor.col(j));
+    }
 }
 
 /// Name the widest sibling block hanging off the given parents, for budget
@@ -213,9 +246,10 @@ pub fn build_from_source_with<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized
     let mut node_ranks = vec![0usize; num_nodes + 1];
     let mut factor_bytes = 0u64;
 
-    // Walk the tree level by level, compressing the two off-diagonal blocks
-    // of every sibling pair of one level in parallel.  Each internal node
-    // gamma produces (U_alpha, V_beta) and (U_beta, V_alpha) where (alpha,
+    // Walk the tree level by level, compressing both off-diagonal blocks of
+    // every sibling pair of one level, each block its own parallel task.
+    // Each internal node gamma produces (U_alpha, V_beta) from A(I_alpha,
+    // I_beta) and (U_beta, V_alpha) from A(I_beta, I_alpha), where (alpha,
     // beta) are its children.  The level-wise order bounds the live set and
     // gives the budget check a natural granularity.
     let levels = tree.levels();
@@ -227,34 +261,24 @@ pub fn build_from_source_with<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized
         if parents.is_empty() {
             continue;
         }
-        let compressed: Vec<(NodeId, LowRank<T>, LowRank<T>)> = parents
-            .par_iter()
-            .map(|&gamma| {
+        let blocks: Vec<(NodeId, NodeId)> = parents
+            .iter()
+            .flat_map(|&gamma| {
                 let (alpha, beta) = tree.children(gamma).expect("internal node");
-                let ra = tree.range(alpha);
-                let rb = tree.range(beta);
-                let ab = BlockSource::new(source, ra.start, rb.start, ra.len(), rb.len())?;
-                let ba = BlockSource::new(source, rb.start, ra.start, rb.len(), ra.len())?;
-                let lr_ab = compress_metered(&ab, config, meter)
-                    .map_err(|e| annotate_block(e, alpha, beta))?;
-                let lr_ba = compress_metered(&ba, config, meter)
-                    .map_err(|e| annotate_block(e, beta, alpha))?;
-                if let Some(meter) = meter {
-                    meter.record_alloc(lowrank_bytes(&lr_ab) + lowrank_bytes(&lr_ba));
-                }
-                Ok((gamma, lr_ab, lr_ba))
+                [(alpha, beta), (beta, alpha)]
             })
+            .collect();
+        let compressed: Vec<LowRank<T>> = blocks
+            .par_iter()
+            .map(|&(row, col)| compress_block(source, &tree, row, col, config, meter))
             .collect::<Result<Vec<_>, HodlrError>>()?;
-        for (gamma, lr_ab, lr_ba) in compressed {
-            let (alpha, beta) = tree.children(gamma).expect("internal node");
-            let pair_rank = lr_ab.rank().max(lr_ba.rank());
-            node_ranks[alpha] = pair_rank;
-            node_ranks[beta] = pair_rank;
-            factor_bytes += lowrank_bytes(&lr_ab) + lowrank_bytes(&lr_ba);
-            u_of[alpha] = Some(lr_ab.u);
-            v_of[beta] = Some(lr_ab.v);
-            u_of[beta] = Some(lr_ba.u);
-            v_of[alpha] = Some(lr_ba.v);
+        for (&(row, col), lr) in blocks.iter().zip(compressed) {
+            let rank = lr.rank();
+            node_ranks[row] = node_ranks[row].max(rank);
+            node_ranks[col] = node_ranks[col].max(rank);
+            factor_bytes += lowrank_bytes(&lr);
+            u_of[row] = Some(lr.u);
+            v_of[col] = Some(lr.v);
         }
         check_budget(meter, budget, || {
             format!(
@@ -299,22 +323,14 @@ pub fn build_from_source_with<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized
     let mut ubig = DenseMatrix::zeros(n, total);
     let mut vbig = DenseMatrix::zeros(n, total);
     for level in 1..=levels {
-        let cols = layout.col_range(level);
+        let col0 = layout.col_range(level).start;
         for node in tree.level_nodes(level) {
             let rows = tree.range(node);
             if let Some(u) = &u_of[node] {
-                for j in 0..u.cols() {
-                    for (local_i, i) in rows.clone().enumerate() {
-                        ubig[(i, cols.start + j)] = u[(local_i, j)];
-                    }
-                }
+                place_columns(&mut ubig, u, rows.clone(), col0);
             }
             if let Some(v) = &v_of[node] {
-                for j in 0..v.cols() {
-                    for (local_i, i) in rows.clone().enumerate() {
-                        vbig[(i, cols.start + j)] = v[(local_i, j)];
-                    }
-                }
+                place_columns(&mut vbig, v, rows, col0);
             }
         }
     }
@@ -415,14 +431,7 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
             .par_iter()
             .map(|&gamma| {
                 let (alpha, beta) = tree.children(gamma).expect("internal node");
-                let ra = tree.range(alpha);
-                let rb = tree.range(beta);
-                let ab = BlockSource::new(source, ra.start, rb.start, ra.len(), rb.len())?;
-                let lr = compress_metered(&ab, config, meter)
-                    .map_err(|e| annotate_block(e, alpha, beta))?;
-                if let Some(meter) = meter {
-                    meter.record_alloc(lowrank_bytes(&lr));
-                }
+                let lr = compress_block(source, &tree, alpha, beta, config, meter)?;
                 Ok((gamma, lr))
             })
             .collect::<Result<Vec<_>, HodlrError>>()?;
@@ -471,15 +480,10 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
     }
     let mut ubig = DenseMatrix::zeros(n, total);
     for level in 1..=levels {
-        let cols = layout.col_range(level);
+        let col0 = layout.col_range(level).start;
         for node in tree.level_nodes(level) {
-            let rows = tree.range(node);
             if let Some(u) = &u_of[node] {
-                for j in 0..u.cols() {
-                    for (local_i, i) in rows.clone().enumerate() {
-                        ubig[(i, cols.start + j)] = u[(local_i, j)];
-                    }
-                }
+                place_columns(&mut ubig, u, tree.range(node), col0);
             }
         }
     }

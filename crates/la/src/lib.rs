@@ -12,6 +12,8 @@
 //!   `Ubig`/`Vbig`/`Dbig` matrices can be addressed without copies;
 //! * level-3 BLAS style kernels ([`gemm`], triangular solves) with
 //!   cache blocking and optional rayon parallelism;
+//! * level-2 kernels over a list of columns ([`columns`]): the per-cross
+//!   arithmetic of adaptive cross approximation, spread over the pool;
 //! * LAPACK-style factorizations: LU with partial pivoting ([`lu`]),
 //!   symmetric Cholesky / LDL^H / Bunch-Kaufman ([`cholesky`]),
 //!   Householder QR and column-pivoted QR ([`qr`]), and a one-sided Jacobi
@@ -23,6 +25,7 @@
 pub mod bidiag;
 pub mod blas;
 pub mod cholesky;
+pub mod columns;
 pub mod complex;
 pub mod condition;
 pub mod demote;

@@ -230,6 +230,67 @@ fn symmetric_pipeline_is_bitwise_deterministic_across_thread_counts() {
     assert!(base.counters.flops > 0);
 }
 
+/// Everything a build produces, bit for bit.
+#[derive(PartialEq)]
+struct BuildBits {
+    /// `Ubig`, `Vbig` (unless the bases are shared), then the leaf blocks.
+    bits: Vec<u64>,
+    ranks: Vec<usize>,
+}
+
+impl BuildBits {
+    fn of(matrix: &HodlrMatrix<f64>) -> Self {
+        let mut parts = vec![matrix.ubig().data()];
+        if !matrix.shares_bases() {
+            parts.push(matrix.vbig().data());
+        }
+        parts.extend(matrix.diag_blocks().iter().map(|d| d.data()));
+        BuildBits {
+            bits: parts
+                .iter()
+                .flat_map(|p| p.iter().map(|x| x.to_bits()))
+                .collect(),
+            ranks: matrix.rank_profile(),
+        }
+    }
+}
+
+/// At N = 4096 the top-level blocks are two output chunks of the
+/// compressor's per-cross arithmetic long, so that arithmetic runs split
+/// over the pool; the general and the symmetric build must still be
+/// bitwise identical in 1-, 2- and 8-thread pools.
+#[test]
+fn long_block_builds_are_bitwise_deterministic_across_thread_counts() {
+    const N_LONG: usize = 4096;
+    let mut rng = StdRng::seed_from_u64(4096);
+    let cloud = uniform_cube_points(&mut rng, N_LONG, 3);
+    let part = partition_points(&cloud, 64).unwrap();
+    let (alpha, _) = part.tree.children(part.tree.root()).unwrap();
+    assert!(part.tree.node_size(alpha) >= 2 * hodlr_la::columns::COLUMN_CHUNK);
+    let source =
+        ScalarKernelSource::with_shift(GaussianKernel { length_scale: 0.8 }, &part.points, 1.0);
+    let config = CompressionConfig::with_tol(1e-6);
+    let run = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            let general = build_from_source(&source, part.tree.clone(), &config).unwrap();
+            let symmetric =
+                build_from_source_symmetric(&source, part.tree.clone(), &config).unwrap();
+            (BuildBits::of(&general), BuildBits::of(&symmetric))
+        })
+    };
+    let (general, symmetric) = run(1);
+    assert!(general.ranks[0] > 0 && symmetric.ranks[0] > 0);
+    for threads in [2, 8] {
+        let (g, s) = run(threads);
+        assert!(g == general, "{threads}-thread general build");
+        assert!(s == symmetric, "{threads}-thread symmetric build");
+    }
+}
+
 /// The block-sparse comparator's parallel Schur updates are computed on the
 /// pool but applied in fixed order: parallel and sequential factorizations
 /// of the same extended system solve to bitwise-equal vectors.
