@@ -1,7 +1,8 @@
 //! Batched symmetric factorization and solve (`potrfBatched` and friends).
 //!
-//! The symmetric counterpart of [`crate::lu`]: every block described by a
-//! descriptor is factorized in place by the *same* ladder the serial path
+//! The symmetric counterpart of [`crate::lu`], on the same [`LuDesc`] /
+//! [`LuSolveDesc`] descriptors: every block described by a descriptor is
+//! factorized in place by the *same* ladder the serial path
 //! uses — [`hodlr_la::cholesky::factorize_symmetric_in_place`], `L L^H` →
 //! guarded `L D L^H` → Bunch-Kaufman — so batched and serial factors are
 //! bitwise identical and a shared `log_det` fold gives bitwise-equal
@@ -16,6 +17,7 @@ use crate::buffer::DeviceBuffer;
 use crate::device::Device;
 use crate::fault::{poison_span, FaultAction, LaunchFault};
 use crate::gemm::scalar_flop_factor;
+use crate::lu::{LuDesc, LuSolveDesc};
 use crate::stream::Stream;
 use crate::windows::{process_windows_mut, MatWindow};
 use hodlr_la::cholesky::{
@@ -26,69 +28,10 @@ use hodlr_la::{MatRef, Scalar};
 use parking_lot::Mutex;
 use std::fmt;
 
-/// Descriptor of one square Hermitian block to factorize in place.
-#[derive(Copy, Clone, Debug)]
-pub struct SymDesc {
-    /// Order of the block.
-    pub n: usize,
-    /// Element offset of the block in the buffer.
-    pub offset: usize,
-    /// Leading dimension of the block as stored.
-    pub ld: usize,
-}
-
-impl SymDesc {
-    fn span(&self) -> usize {
-        if self.n == 0 {
-            0
-        } else {
-            self.ld * (self.n - 1) + self.n
-        }
-    }
-
-    fn flops<T: Scalar>(&self) -> u64 {
-        let n = self.n as u64;
-        scalar_flop_factor::<T>() * n * n * n / 3
-    }
-}
-
-/// Descriptor of one solve `A X = B` with precomputed symmetric factors.
-#[derive(Copy, Clone, Debug)]
-pub struct SymSolveDesc {
-    /// Order of the factorized block.
-    pub n: usize,
-    /// Number of right-hand sides.
-    pub nrhs: usize,
-    /// Element offset of the factors in the factor buffer.
-    pub a_offset: usize,
-    /// Leading dimension of the factors.
-    pub lda: usize,
-    /// Element offset of the right-hand sides in the RHS buffer.
-    pub b_offset: usize,
-    /// Leading dimension of the right-hand sides.
-    pub ldb: usize,
-}
-
-impl SymSolveDesc {
-    fn a_span(&self) -> usize {
-        if self.n == 0 {
-            0
-        } else {
-            self.lda * (self.n - 1) + self.n
-        }
-    }
-
-    fn b_span(&self) -> usize {
-        if self.n == 0 || self.nrhs == 0 {
-            0
-        } else {
-            self.ldb * (self.nrhs - 1) + self.n
-        }
-    }
-
-    fn flops<T: Scalar>(&self) -> u64 {
-        scalar_flop_factor::<T>() * 2 * (self.n as u64) * (self.n as u64) * self.nrhs as u64
-    }
+/// Cholesky flops of one block: `n^3/3`, half of LU's `2n^3/3`.
+fn potrf_flops<T: Scalar>(d: &LuDesc) -> u64 {
+    let n = d.n as u64;
+    scalar_flop_factor::<T>() * n * n * n / 3
 }
 
 /// A batch entry whose block could not be factorized symmetrically.
@@ -193,7 +136,7 @@ impl SymBatchError {
 pub fn potrf_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
-    descs: &[SymDesc],
+    descs: &[LuDesc],
     policy: SymmetricPolicy,
     a: &mut DeviceBuffer<'_, T>,
 ) -> Result<Vec<SymmetricKind>, SymBatchError> {
@@ -206,7 +149,7 @@ pub fn potrf_batched_varied<T: Scalar>(
             "potrf_batched: block out of bounds"
         );
     }
-    let flops: u64 = descs.iter().map(|d| d.flops::<T>()).sum();
+    let flops: u64 = descs.iter().map(potrf_flops::<T>).sum();
     device.record_launch("potrf_batched", descs.len(), flops, stream.id());
     let mut poison = false;
     match device.take_launch_fault("potrf_batched") {
@@ -271,7 +214,7 @@ pub fn potrf_batched_varied<T: Scalar>(
 pub fn potrs_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
-    descs: &[SymSolveDesc],
+    descs: &[LuSolveDesc],
     a: &DeviceBuffer<'_, T>,
     kinds: &[SymmetricKind],
     b: &mut DeviceBuffer<'_, T>,
@@ -351,7 +294,7 @@ pub fn potrs_batched_varied<T: Scalar>(
 pub fn extract_tridiagonals_batched<T: Scalar>(
     device: &Device,
     stream: Stream,
-    descs: &[SymDesc],
+    descs: &[LuDesc],
     a: &DeviceBuffer<'_, T>,
 ) -> Vec<(Vec<T>, Vec<T>)> {
     if descs.is_empty() {
@@ -433,8 +376,8 @@ mod tests {
         let mut a_buf = DeviceBuffer::from_host(&dev, &a_host);
         let mut b_buf = DeviceBuffer::from_host(&dev, &b_host);
 
-        let descs: Vec<SymDesc> = (0..batch)
-            .map(|i| SymDesc {
+        let descs: Vec<LuDesc> = (0..batch)
+            .map(|i| LuDesc {
                 n,
                 offset: i * n * n,
                 ld: n,
@@ -450,8 +393,8 @@ mod tests {
         .expect("SPD blocks factor under the strict policy");
         assert!(kinds.iter().all(|k| matches!(k, SymmetricKind::Llt)));
 
-        let solve_descs: Vec<SymSolveDesc> = (0..batch)
-            .map(|i| SymSolveDesc {
+        let solve_descs: Vec<LuSolveDesc> = (0..batch)
+            .map(|i| LuSolveDesc {
                 n,
                 nrhs,
                 a_offset: i * n * n,
@@ -500,7 +443,7 @@ mod tests {
         let a: DenseMatrix<f64> = spd(&mut rng, n);
         let dev = Device::new();
         let mut buf = DeviceBuffer::from_host(&dev, a.data());
-        let descs = [SymDesc {
+        let descs = [LuDesc {
             n,
             offset: 0,
             ld: n,
@@ -536,12 +479,12 @@ mod tests {
         host.extend_from_slice(bad.data());
         let mut buf = DeviceBuffer::from_host(&dev, &host);
         let descs = [
-            SymDesc {
+            LuDesc {
                 n: 3,
                 offset: 0,
                 ld: 3,
             },
-            SymDesc {
+            LuDesc {
                 n: 3,
                 offset: 9,
                 ld: 3,
@@ -571,7 +514,7 @@ mod tests {
         dev.arm_faults(crate::FaultPlan::new().fail_launch(1));
         let a = spd::<f64>(&mut StdRng::seed_from_u64(44), 4);
         let mut buf = DeviceBuffer::from_host(&dev, a.data());
-        let descs = [SymDesc {
+        let descs = [LuDesc {
             n: 4,
             offset: 0,
             ld: 4,
@@ -596,7 +539,7 @@ mod tests {
         let dev = Device::new();
         let a = spd::<f64>(&mut StdRng::seed_from_u64(33), 8);
         let mut buf = DeviceBuffer::from_host(&dev, a.data());
-        let descs = [SymDesc {
+        let descs = [LuDesc {
             n: 8,
             offset: 0,
             ld: 8,
@@ -625,7 +568,7 @@ mod tests {
             vec![0.0, 5.0, 3.0],
         ]);
         let buf = DeviceBuffer::from_host(&dev, a.data());
-        let descs = [SymDesc {
+        let descs = [LuDesc {
             n: 3,
             offset: 0,
             ld: 3,

@@ -67,7 +67,7 @@ pub mod windows;
 pub use buffer::DeviceBuffer;
 pub use cholesky::{
     extract_tridiagonals_batched, potrf_batched_varied, potrs_batched_varied, BatchSymmetricError,
-    SymBatchError, SymDesc, SymSolveDesc,
+    SymBatchError,
 };
 pub use device::{CounterSnapshot, Device, TransferDirection};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, LaunchFault};

@@ -17,7 +17,8 @@ use hodlr_la::{MatRef, Scalar};
 use parking_lot::Mutex;
 use std::fmt;
 
-/// Descriptor of one square block to factorize in place.
+/// Descriptor of one square block to factorize in place — by the LU
+/// kernels here and the symmetric ones in [`crate::cholesky`] alike.
 #[derive(Copy, Clone, Debug)]
 pub struct LuDesc {
     /// Order of the block.
@@ -29,7 +30,7 @@ pub struct LuDesc {
 }
 
 impl LuDesc {
-    fn span(&self) -> usize {
+    pub(crate) fn span(&self) -> usize {
         if self.n == 0 {
             0
         } else {
@@ -43,7 +44,8 @@ impl LuDesc {
     }
 }
 
-/// Descriptor of one triangular solve `A X = B` with precomputed LU factors.
+/// Descriptor of one solve `A X = B` with precomputed factors (LU or
+/// symmetric).
 #[derive(Copy, Clone, Debug)]
 pub struct LuSolveDesc {
     /// Order of the factorized block.
@@ -61,7 +63,7 @@ pub struct LuSolveDesc {
 }
 
 impl LuSolveDesc {
-    fn a_span(&self) -> usize {
+    pub(crate) fn a_span(&self) -> usize {
         if self.n == 0 {
             0
         } else {
@@ -69,7 +71,7 @@ impl LuSolveDesc {
         }
     }
 
-    fn b_span(&self) -> usize {
+    pub(crate) fn b_span(&self) -> usize {
         if self.n == 0 || self.nrhs == 0 {
             0
         } else {
@@ -77,7 +79,7 @@ impl LuSolveDesc {
         }
     }
 
-    fn flops<T: Scalar>(&self) -> u64 {
+    pub(crate) fn flops<T: Scalar>(&self) -> u64 {
         scalar_flop_factor::<T>() * 2 * (self.n as u64) * (self.n as u64) * self.nrhs as u64
     }
 }

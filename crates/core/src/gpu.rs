@@ -4,20 +4,26 @@
 //! The solver uploads `Dbig`, `Ubig` and `Vbig` to the device once (the
 //! paper measures this PCIe copy separately from the factorization), then
 //! runs exactly the kernel sequence of Algorithm 3: per level, two batched
-//! gemms to form the coupling matrices and the work matrix `W`, a batched LU
-//! factorization, a batched LU solve, and one batched gemm update of `Ybig`.
+//! gemms to form the coupling matrices and the work matrix `W`, a batched
+//! factorization, a batched solve, and one batched gemm update of `Ybig`.
 //! The solve stage (Algorithm 4) reuses the stored factors with one batched
-//! LU solve and two batched gemms per level.  At the top few levels, where
+//! solve and two batched gemms per level.  At the top few levels, where
 //! the batch size is tiny, launches are issued on a round-robin pool of
 //! streams, mirroring the paper's use of CUDA streams.
+//!
+//! The sweep is written once, generic over the [`FactorKind`] whose batched
+//! kernels factorize and solve with each block: `getrf` / `getrs` for
+//! [`GpuSolver`], `potrf` / `potrs` for [`GpuSymmetricSolver`].  The
+//! per-entry pivots or ladder rungs stay host-side.
 
 use crate::layout::LevelLayout;
 use crate::matrix::HodlrMatrix;
+use crate::symmetric::{Block, FactorKind, Lu, Symmetric};
 use hodlr_batch::{
-    extract_diagonals_batched, gemm_batched_aliased, gemm_batched_varied, getrf_batched_varied,
-    getrs_batched_varied, Device, DeviceBuffer, GemmDesc, LuDesc, LuSolveDesc, Stream, StreamPool,
+    gemm_batched_aliased, gemm_batched_varied, Device, DeviceBuffer, GemmDesc, LuDesc, LuSolveDesc,
+    Stream, StreamPool,
 };
-use hodlr_la::{log_det_from_parts, DenseMatrix, HodlrError, Op, Scalar};
+use hodlr_la::{DenseMatrix, HodlrError, Op, Scalar};
 use hodlr_tree::ClusterTree;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -28,35 +34,41 @@ const STREAM_THRESHOLD: usize = 4;
 
 /// The GPU-style HODLR solver: device-resident data plus the stored
 /// factorization state.
-pub struct GpuSolver<'d, T: Scalar> {
+pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     device: &'d Device,
+    pub(crate) kind: K,
     tree: ClusterTree,
     layout: LevelLayout,
     /// Row range of every leaf, in leaf order.
     leaf_ranges: Vec<Range<usize>>,
     /// Element offset of every leaf block inside `dbig`.
     diag_offsets: Vec<usize>,
-    /// Leaf diagonal blocks, factorized in place by [`GpuSolver::factorize`].
+    /// Leaf diagonal blocks, factorized in place by
+    /// [`BatchedSolver::factorize`].
     dbig: DeviceBuffer<'d, T>,
     /// The flattened bases; overwritten with `Ybig` by the factorization.
     ybig: DeviceBuffer<'d, T>,
     /// The flattened right bases.
     vbig: DeviceBuffer<'d, T>,
-    /// Pivots of the leaf diagonal blocks.
-    diag_pivots: Vec<Vec<usize>>,
+    /// Host-side metadata (pivots or ladder rungs) of the leaf factors.
+    pub(crate) diag_meta: Vec<K::Meta>,
     /// Per level: the coupling matrices `Kbig` (factorized in place).
     k_bufs: Vec<DeviceBuffer<'d, T>>,
-    /// Per level: pivots of every coupling matrix.
-    k_pivots: Vec<Vec<Vec<usize>>>,
+    /// Per level: host-side metadata of every coupling factor.
+    k_meta: Vec<Vec<K::Meta>>,
     factored: bool,
     streams: StreamPool,
 }
 
-impl<'d, T: Scalar> GpuSolver<'d, T> {
-    /// Upload a HODLR matrix to the device.  The transferred bytes are
-    /// metered by the device counters (the paper reports using ~12 GB/s of
-    /// the PCIe link for this copy).
-    pub fn new(device: &'d Device, matrix: &HodlrMatrix<T>) -> Self {
+/// Algorithms 3–4 with batched LU (`getrf` / `getrs`).
+pub type GpuSolver<'d, T> = BatchedSolver<'d, T, Lu>;
+
+/// Algorithms 3–4 with batched symmetric factors (`potrf` / `potrs`).
+pub type GpuSymmetricSolver<'d, T> = BatchedSolver<'d, T, Symmetric>;
+
+impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
+    /// Upload a HODLR matrix to the device, metering the transferred bytes.
+    pub(crate) fn upload(device: &'d Device, matrix: &HodlrMatrix<T>, kind: K) -> Self {
         let tree = matrix.tree().clone();
         let layout = matrix.layout().clone();
         let n = matrix.n();
@@ -72,12 +84,16 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
         }
 
         let dbig = DeviceBuffer::from_host(device, &dbig_host);
+        // Ybig is overwritten by the factorization while Vbig must stay
+        // pristine for the solve sweep, so shared (Hermitian) bases are
+        // uploaded twice even though the host matrix stores them once.
         let ybig = DeviceBuffer::from_host(device, matrix.ubig().data());
         let vbig = DeviceBuffer::from_host(device, matrix.vbig().data());
         debug_assert_eq!(ybig.len(), n * total_cols);
 
-        GpuSolver {
+        BatchedSolver {
             device,
+            kind,
             tree,
             layout,
             leaf_ranges,
@@ -85,9 +101,9 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
             dbig,
             ybig,
             vbig,
-            diag_pivots: Vec::new(),
+            diag_meta: Vec::new(),
             k_bufs: Vec::new(),
-            k_pivots: Vec::new(),
+            k_meta: Vec::new(),
             factored: false,
             streams: StreamPool::new(4),
         }
@@ -98,7 +114,7 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
         self.device
     }
 
-    /// `true` once [`GpuSolver::factorize`] has completed successfully.
+    /// `true` once [`BatchedSolver::factorize`] has completed successfully.
     pub fn is_factored(&self) -> bool {
         self.factored
     }
@@ -111,17 +127,13 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
     /// Scalar entries resident in device buffers: the packed diagonal
     /// blocks, both basis stacks, and (after factorization) the per-level
     /// coupling factors.  Mirrors
-    /// [`SerialFactorization::storage_entries`](crate::SerialFactorization::storage_entries)
+    /// [`SerialSolver::storage_entries`](crate::SerialSolver::storage_entries)
     /// so cache layers can budget either backend the same way.
     pub fn storage_entries(&self) -> usize {
         self.dbig.len()
             + self.ybig.len()
             + self.vbig.len()
             + self.k_bufs.iter().map(|b| b.len()).sum::<usize>()
-    }
-
-    fn n_rows(&self) -> usize {
-        self.tree.n()
     }
 
     /// Stream to issue a launch of `batch` problems on: the default stream
@@ -134,61 +146,148 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
         }
     }
 
-    /// Algorithm 3: batched factorization.
-    ///
-    /// # Errors
-    /// Returns [`HodlrError::SingularPivot`] naming the batch entry whose
-    /// block was singular.
-    pub fn factorize(&mut self) -> Result<(), HodlrError> {
-        let n = self.n_rows();
-        let levels = self.tree.levels();
-        let total_cols = self.layout.total_cols();
-
-        // --- leaf level (lines 2-3) ----------------------------------------
-        let leaf_descs: Vec<LuDesc> = self
-            .leaf_ranges
+    /// One descriptor per leaf diagonal block in `dbig`.
+    fn leaf_descs(&self) -> Vec<LuDesc> {
+        self.leaf_ranges
             .iter()
-            .zip(self.diag_offsets.iter())
+            .zip(&self.diag_offsets)
             .map(|(range, &offset)| LuDesc {
                 n: range.len(),
                 offset,
                 ld: range.len(),
             })
-            .collect();
+            .collect()
+    }
+
+    /// Solve descriptors pairing every leaf factor with its rows of an
+    /// `N x nrhs` right-hand side.
+    fn leaf_solve_descs(&self, nrhs: usize) -> Vec<LuSolveDesc> {
+        self.leaf_ranges
+            .iter()
+            .zip(&self.diag_offsets)
+            .map(|(range, &offset)| LuSolveDesc {
+                n: range.len(),
+                nrhs,
+                a_offset: offset,
+                lda: range.len(),
+                b_offset: range.start,
+                ldb: self.n(),
+            })
+            .collect()
+    }
+
+    /// One gemm descriptor per child of every parent, in (parent, child)
+    /// order; `desc` receives the parent's batch index, the child's index
+    /// within the pair, and the child's row range.
+    fn per_child(
+        &self,
+        parents: &[usize],
+        desc: impl Fn(usize, usize, Range<usize>) -> GemmDesc<T>,
+    ) -> Vec<GemmDesc<T>> {
+        let mut descs = Vec::with_capacity(2 * parents.len());
+        for (p, &gamma) in parents.iter().enumerate() {
+            let (alpha, beta) = self.tree.children(gamma).expect("internal node");
+            for (child_idx, child) in [alpha, beta].into_iter().enumerate() {
+                descs.push(desc(p, child_idx, self.tree.range(child)));
+            }
+        }
+        descs
+    }
+
+    /// `W = V^* ⊙ X` for the `cols` columns of an `N`-row `X`, stacked
+    /// child-over-child per parent so each parent's right-hand side is a
+    /// contiguous `2w x cols` block.
+    fn project_descs(
+        &self,
+        parents: &[usize],
+        child_level: usize,
+        cols: usize,
+    ) -> Vec<GemmDesc<T>> {
+        let n = self.n();
+        let w = self.layout.width(child_level);
+        let col_start = self.layout.col_range(child_level).start;
+        self.per_child(parents, |p, child_idx, range| GemmDesc {
+            m: w,
+            n: cols,
+            k: range.len(),
+            alpha: T::one(),
+            beta: T::zero(),
+            op_a: Op::ConjTrans,
+            op_b: Op::None,
+            a_offset: col_start * n + range.start,
+            lda: n,
+            b_offset: range.start,
+            ldb: n,
+            c_offset: p * 2 * w * cols + child_idx * w,
+            ldc: 2 * w,
+        })
+    }
+
+    /// `X -= Y ⊙ W`, the update reading the stacked `W` of
+    /// [`project_descs`](Self::project_descs).
+    fn update_descs(&self, parents: &[usize], child_level: usize, cols: usize) -> Vec<GemmDesc<T>> {
+        let n = self.n();
+        let w = self.layout.width(child_level);
+        let col_start = self.layout.col_range(child_level).start;
+        self.per_child(parents, |p, child_idx, range| GemmDesc {
+            m: range.len(),
+            n: cols,
+            k: w,
+            alpha: -T::one(),
+            beta: T::one(),
+            op_a: Op::None,
+            op_b: Op::None,
+            a_offset: col_start * n + range.start,
+            lda: n,
+            b_offset: p * 2 * w * cols + child_idx * w,
+            ldb: 2 * w,
+            c_offset: range.start,
+            ldc: n,
+        })
+    }
+
+    /// Algorithm 3: batched factorization.
+    ///
+    /// # Errors
+    /// [`HodlrError::SingularPivot`] naming the batch entry whose block was
+    /// singular; for [`GpuSymmetricSolver`] with
+    /// [`Symmetry::PositiveDefinite`](crate::Symmetry::PositiveDefinite),
+    /// [`HodlrError::NotPositiveDefinite`] if a leaf Cholesky pivot fails.
+    pub fn factorize(&mut self) -> Result<(), HodlrError> {
+        let n = self.n();
+        let levels = self.tree.levels();
+        let total_cols = self.layout.total_cols();
+
+        // --- leaf level (lines 2-3) ----------------------------------------
+        let leaf_descs = self.leaf_descs();
         let stream = self.stream_for(leaf_descs.len());
-        self.diag_pivots = getrf_batched_varied(self.device, stream, &leaf_descs, &mut self.dbig)
-            .map_err(|e| e.into_hodlr("leaf diagonal block"))?;
+        self.diag_meta = self.kind.factor_batched(
+            self.device,
+            stream,
+            Block::Leaf,
+            &leaf_descs,
+            &mut self.dbig,
+            || "leaf diagonal block".into(),
+        )?;
 
         if total_cols > 0 {
-            let solve_descs: Vec<LuSolveDesc> = self
-                .leaf_ranges
-                .iter()
-                .zip(self.diag_offsets.iter())
-                .map(|(range, &offset)| LuSolveDesc {
-                    n: range.len(),
-                    nrhs: total_cols,
-                    a_offset: offset,
-                    lda: range.len(),
-                    b_offset: range.start,
-                    ldb: n,
-                })
-                .collect();
+            let solve_descs = self.leaf_solve_descs(total_cols);
             let stream = self.stream_for(solve_descs.len());
-            getrs_batched_varied(
+            K::solve_batched(
                 self.device,
                 stream,
                 &solve_descs,
                 &self.dbig,
-                &self.diag_pivots,
+                &self.diag_meta,
                 &mut self.ybig,
             );
         }
 
         // --- internal levels, deepest first (lines 4-11) -------------------
-        self.k_bufs = Vec::with_capacity(levels);
-        self.k_pivots = Vec::with_capacity(levels);
+        self.k_bufs.clear();
+        self.k_meta.clear();
         let mut k_bufs_rev: Vec<DeviceBuffer<'d, T>> = Vec::with_capacity(levels);
-        let mut k_pivots_rev: Vec<Vec<Vec<usize>>> = Vec::with_capacity(levels);
+        let mut k_meta_rev: Vec<Vec<K::Meta>> = Vec::with_capacity(levels);
 
         for level in (0..levels).rev() {
             let child_level = level + 1;
@@ -200,7 +299,7 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
 
             if w == 0 {
                 k_bufs_rev.push(DeviceBuffer::zeros(self.device, 0));
-                k_pivots_rev.push(vec![Vec::new(); batch]);
+                k_meta_rev.push(Vec::new());
                 continue;
             }
 
@@ -212,29 +311,21 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
 
             // Line 5: T = V^* ⊙ Y for every child, written straight into the
             // diagonal blocks of K.
-            let mut t_descs = Vec::with_capacity(2 * batch);
-            for (p, &gamma) in parents.iter().enumerate() {
-                let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                for (child_idx, child) in [alpha, beta].into_iter().enumerate() {
-                    let range = self.tree.range(child);
-                    let c_offset = p * k_stride + child_idx * (w * 2 * w + w);
-                    t_descs.push(GemmDesc {
-                        m: w,
-                        n: w,
-                        k: range.len(),
-                        alpha: T::one(),
-                        beta: T::zero(),
-                        op_a: Op::ConjTrans,
-                        op_b: Op::None,
-                        a_offset: child_col_start * n + range.start,
-                        lda: n,
-                        b_offset: child_col_start * n + range.start,
-                        ldb: n,
-                        c_offset,
-                        ldc: 2 * w,
-                    });
-                }
-            }
+            let t_descs = self.per_child(&parents, |p, child_idx, range| GemmDesc {
+                m: w,
+                n: w,
+                k: range.len(),
+                alpha: T::one(),
+                beta: T::zero(),
+                op_a: Op::ConjTrans,
+                op_b: Op::None,
+                a_offset: child_col_start * n + range.start,
+                lda: n,
+                b_offset: child_col_start * n + range.start,
+                ldb: n,
+                c_offset: p * k_stride + child_idx * (w * 2 * w + w),
+                ldc: 2 * w,
+            });
             let stream = self.stream_for(batch);
             gemm_batched_varied(
                 self.device,
@@ -245,32 +336,10 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
                 &mut k_buf,
             );
 
-            // Line 6: W = V^* ⊙ Ybig(:, 1:prefix), stacked child-over-child
-            // per parent so each parent's right-hand side is contiguous.
+            // Line 6: W = V^* ⊙ Ybig(:, 1:prefix).
             let mut w_buf = DeviceBuffer::<T>::zeros(self.device, batch * 2 * w * prefix);
             if prefix > 0 {
-                let mut w_descs = Vec::with_capacity(2 * batch);
-                for (p, &gamma) in parents.iter().enumerate() {
-                    let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                    for (child_idx, child) in [alpha, beta].into_iter().enumerate() {
-                        let range = self.tree.range(child);
-                        w_descs.push(GemmDesc {
-                            m: w,
-                            n: prefix,
-                            k: range.len(),
-                            alpha: T::one(),
-                            beta: T::zero(),
-                            op_a: Op::ConjTrans,
-                            op_b: Op::None,
-                            a_offset: child_col_start * n + range.start,
-                            lda: n,
-                            b_offset: range.start,
-                            ldb: n,
-                            c_offset: p * 2 * w * prefix + child_idx * w,
-                            ldc: 2 * w,
-                        });
-                    }
-                }
+                let w_descs = self.project_descs(&parents, child_level, prefix);
                 let stream = self.stream_for(batch);
                 gemm_batched_varied(
                     self.device,
@@ -282,95 +351,59 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
                 );
             }
 
-            // Line 8: batched LU of the coupling matrices.
-            let k_descs: Vec<LuDesc> = (0..batch)
-                .map(|p| LuDesc {
-                    n: 2 * w,
-                    offset: p * k_stride,
-                    ld: 2 * w,
-                })
-                .collect();
+            // Line 8: batched factorization of the coupling matrices.
+            let k_descs = coupling_descs(batch, w);
             let stream = self.stream_for(batch);
-            let pivots = getrf_batched_varied(self.device, stream, &k_descs, &mut k_buf)
-                .map_err(|e| e.into_hodlr(format!("coupling matrix at level {level}")))?;
+            let meta = self.kind.factor_batched(
+                self.device,
+                stream,
+                Block::Coupling,
+                &k_descs,
+                &mut k_buf,
+                || format!("coupling matrix at level {level}"),
+            )?;
 
             if prefix > 0 {
                 // Line 9: W <- K^{-1} ⊙ W.
-                let solve_descs: Vec<LuSolveDesc> = (0..batch)
-                    .map(|p| LuSolveDesc {
-                        n: 2 * w,
-                        nrhs: prefix,
-                        a_offset: p * k_stride,
-                        lda: 2 * w,
-                        b_offset: p * 2 * w * prefix,
-                        ldb: 2 * w,
-                    })
-                    .collect();
+                let solve_descs = coupling_solve_descs(batch, w, prefix);
                 let stream = self.stream_for(batch);
-                getrs_batched_varied(
-                    self.device,
-                    stream,
-                    &solve_descs,
-                    &k_buf,
-                    &pivots,
-                    &mut w_buf,
-                );
+                K::solve_batched(self.device, stream, &solve_descs, &k_buf, &meta, &mut w_buf);
 
                 // Line 10: Ybig(:, 1:prefix) -= Y^{l+1} ⊙ W (A and C alias Ybig).
-                let mut update_descs = Vec::with_capacity(2 * batch);
-                for (p, &gamma) in parents.iter().enumerate() {
-                    let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                    for (child_idx, child) in [alpha, beta].into_iter().enumerate() {
-                        let range = self.tree.range(child);
-                        update_descs.push(GemmDesc {
-                            m: range.len(),
-                            n: prefix,
-                            k: w,
-                            alpha: -T::one(),
-                            beta: T::one(),
-                            op_a: Op::None,
-                            op_b: Op::None,
-                            a_offset: child_col_start * n + range.start,
-                            lda: n,
-                            b_offset: p * 2 * w * prefix + child_idx * w,
-                            ldb: 2 * w,
-                            c_offset: range.start,
-                            ldc: n,
-                        });
-                    }
-                }
+                let update_descs = self.update_descs(&parents, child_level, prefix);
                 let stream = self.stream_for(batch);
                 gemm_batched_aliased(self.device, stream, &update_descs, &mut self.ybig, &w_buf);
             }
 
             k_bufs_rev.push(k_buf);
-            k_pivots_rev.push(pivots);
+            k_meta_rev.push(meta);
         }
 
         // Stored deepest-level first in the loop above; store per level index.
         k_bufs_rev.reverse();
-        k_pivots_rev.reverse();
+        k_meta_rev.reverse();
         self.k_bufs = k_bufs_rev;
-        self.k_pivots = k_pivots_rev;
+        self.k_meta = k_meta_rev;
         self.factored = true;
         Ok(())
     }
 
     /// Log-determinant of the factorized matrix via the product form of
-    /// Section III-E (a), evaluated from the batched LU factors: the `U`
-    /// diagonals of every leaf block and coupling matrix are gathered with
-    /// one [`extract_diagonals_batched`] launch per buffer, then folded with
-    /// the *same* per-factor recursion as
-    /// [`SerialFactorization::log_det`](crate::SerialFactorization::log_det)
-    /// — same factor order (leaves first, then coupling levels from the top
-    /// of the tree down), same pivot-parity handling, same `(-1)^w`
-    /// Sylvester correction — so the two backends agree **bitwise**.
+    /// Section III-E (a), evaluated from the batched factors: the
+    /// determinant parts of every leaf block and coupling matrix are
+    /// gathered with one launch per buffer, then folded with the *same*
+    /// per-factor accumulation as
+    /// [`SerialSolver::log_det`](crate::SerialSolver::log_det) — same
+    /// factor order (leaves first, then coupling levels from the top of the
+    /// tree down), same `(-1)^w` Sylvester correction — so the two backends
+    /// agree **bitwise**.
     ///
-    /// Returns `(log|det(A)|, sign)` where `sign` is a unit-modulus scalar.
+    /// Returns `(log|det(A)|, sign)` where `sign` is a unit-modulus scalar
+    /// (`1` for a positive-definite matrix).
     ///
     /// # Errors
-    /// [`HodlrError::NotFactorized`] when [`GpuSolver::factorize`] has not
-    /// completed yet.
+    /// [`HodlrError::NotFactorized`] when [`BatchedSolver::factorize`] has
+    /// not completed yet.
     pub fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
         if !self.factored {
             return Err(HodlrError::NotFactorized);
@@ -379,53 +412,47 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
         let mut sign = T::one();
 
         // Leaf diagonal blocks, in leaf order.
-        let leaf_descs: Vec<LuDesc> = self
-            .leaf_ranges
-            .iter()
-            .zip(self.diag_offsets.iter())
-            .map(|(range, &offset)| LuDesc {
-                n: range.len(),
-                offset,
-                ld: range.len(),
-            })
-            .collect();
+        let leaf_descs = self.leaf_descs();
         let stream = self.stream_for(leaf_descs.len());
-        let leaf_diags = extract_diagonals_batched(self.device, stream, &leaf_descs, &self.dbig);
-        for (diag, piv) in leaf_diags.iter().zip(&self.diag_pivots) {
-            let (la, s) = log_det_from_parts(diag.iter().copied(), piv);
-            log_abs += la;
-            sign *= s;
-        }
+        K::log_det_batched(
+            self.device,
+            stream,
+            &leaf_descs,
+            &self.dbig,
+            &self.diag_meta,
+            |la, s| {
+                log_abs += la;
+                sign *= s;
+            },
+        );
 
         // Coupling matrices, level 0 (top split) downwards, node order
-        // within a level — the iteration order of the serial recursion.
+        // within a level — the iteration order of the serial sweep.
         for level in 0..self.tree.levels() {
             let w = self.layout.width(level + 1);
             if w == 0 {
                 continue;
             }
-            let batch = self.k_pivots[level].len();
-            let k_stride = 4 * w * w;
-            let descs: Vec<LuDesc> = (0..batch)
-                .map(|p| LuDesc {
-                    n: 2 * w,
-                    offset: p * k_stride,
-                    ld: 2 * w,
-                })
-                .collect();
-            let stream = self.stream_for(batch);
-            let diags = extract_diagonals_batched(self.device, stream, &descs, &self.k_bufs[level]);
-            for (diag, piv) in diags.iter().zip(&self.k_pivots[level]) {
-                let (la, s) = log_det_from_parts(diag.iter().copied(), piv);
-                log_abs += la;
-                sign *= s;
-                // det([[A, I], [I, B]]) = (-1)^w det(K): the 2x2 coupling
-                // block's determinant differs from det(K_gamma) by the
-                // permutation that swaps the two identity blocks.
-                if w % 2 == 1 {
-                    sign = -sign;
-                }
-            }
+            let meta = &self.k_meta[level];
+            let descs = coupling_descs(meta.len(), w);
+            let stream = self.stream_for(meta.len());
+            K::log_det_batched(
+                self.device,
+                stream,
+                &descs,
+                &self.k_bufs[level],
+                meta,
+                |la, s| {
+                    log_abs += la;
+                    sign *= s;
+                    // det([[A, I], [I, B]]) = (-1)^w det(K): the 2x2
+                    // coupling block's determinant differs from det(K_gamma)
+                    // by the permutation that swaps the two identity blocks.
+                    if w % 2 == 1 {
+                        sign = -sign;
+                    }
+                },
+            );
         }
         Ok((log_abs, sign))
     }
@@ -433,46 +460,46 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
     /// Algorithm 4: batched solve of `A x = b` for one right-hand side.
     ///
     /// # Errors
-    /// [`HodlrError::NotFactorized`] before [`GpuSolver::factorize`], and
-    /// [`HodlrError::DimensionMismatch`] when `b` has length `!= n`.
+    /// [`HodlrError::NotFactorized`] before [`BatchedSolver::factorize`],
+    /// and [`HodlrError::DimensionMismatch`] when `b` has length `!= n`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, HodlrError> {
         if !self.factored {
             return Err(HodlrError::NotFactorized);
         }
-        HodlrError::check_dims("right-hand side", self.n_rows(), b.len())?;
+        HodlrError::check_dims("right-hand side", self.n(), b.len())?;
         Ok(self.solve_matrix_host(b, 1))
     }
 
     /// Algorithm 4 with multiple right-hand sides given as an `N x k` matrix.
     ///
     /// # Errors
-    /// [`HodlrError::NotFactorized`] before [`GpuSolver::factorize`], and
-    /// [`HodlrError::DimensionMismatch`] when `b` has `!= n` rows.
+    /// [`HodlrError::NotFactorized`] before [`BatchedSolver::factorize`],
+    /// and [`HodlrError::DimensionMismatch`] when `b` has `!= n` rows.
     pub fn solve_matrix(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, HodlrError> {
         if !self.factored {
             return Err(HodlrError::NotFactorized);
         }
-        HodlrError::check_dims("right-hand side block rows", self.n_rows(), b.rows())?;
+        HodlrError::check_dims("right-hand side block rows", self.n(), b.rows())?;
         let data = self.solve_matrix_host(b.data(), b.cols());
         Ok(DenseMatrix::from_col_major(b.rows(), b.cols(), data))
     }
 
     /// Blocked multi-RHS solve: pack `rhs` into one `N x k` device matrix
     /// and run a single Algorithm-4 sweep.  Every level then issues one
-    /// batched gemm / batched LU-solve launch covering all `k` right-hand
+    /// batched gemm / batched solve launch covering all `k` right-hand
     /// sides, instead of the `k` separate launch sequences a per-RHS
-    /// [`GpuSolver::solve`] loop would issue — the difference is visible in
-    /// the [`Device`] launch counters.
+    /// [`BatchedSolver::solve`] loop would issue — the difference is
+    /// visible in the [`Device`] launch counters.
     ///
     /// # Errors
-    /// [`HodlrError::NotFactorized`] before [`GpuSolver::factorize`], and
-    /// [`HodlrError::DimensionMismatch`] naming the first right-hand side
-    /// whose length is `!= n`.
+    /// [`HodlrError::NotFactorized`] before [`BatchedSolver::factorize`],
+    /// and [`HodlrError::DimensionMismatch`] naming the first right-hand
+    /// side whose length is `!= n`.
     pub fn solve_block(&self, rhs: &[impl AsRef<[T]> + Sync]) -> Result<Vec<Vec<T>>, HodlrError> {
         if !self.factored {
             return Err(HodlrError::NotFactorized);
         }
-        let n = self.n_rows();
+        let n = self.n();
         let k = rhs.len();
         for (j, col) in rhs.iter().enumerate() {
             HodlrError::check_dims(format!("right-hand side {j}"), n, col.as_ref().len())?;
@@ -494,36 +521,28 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
 
     /// The shared Algorithm-4 sweep; the public entry points have already
     /// validated the factorization state and the right-hand-side shape.
+    /// No right-hand sides means no launch and no transfer.
     fn solve_matrix_host(&self, b: &[T], nrhs: usize) -> Vec<T> {
         debug_assert!(self.factored);
-        let n = self.n_rows();
+        let n = self.n();
         debug_assert_eq!(b.len(), n * nrhs);
+        if nrhs == 0 {
+            return Vec::new();
+        }
         let levels = self.tree.levels();
 
         // Upload the right-hand side (metered H2D transfer).
         let mut x_buf = DeviceBuffer::from_host(self.device, b);
 
         // Leaf sweep (line 2).
-        let solve_descs: Vec<LuSolveDesc> = self
-            .leaf_ranges
-            .iter()
-            .zip(self.diag_offsets.iter())
-            .map(|(range, &offset)| LuSolveDesc {
-                n: range.len(),
-                nrhs,
-                a_offset: offset,
-                lda: range.len(),
-                b_offset: range.start,
-                ldb: n,
-            })
-            .collect();
+        let solve_descs = self.leaf_solve_descs(nrhs);
         let stream = self.stream_for(solve_descs.len());
-        getrs_batched_varied(
+        K::solve_batched(
             self.device,
             stream,
             &solve_descs,
             &self.dbig,
-            &self.diag_pivots,
+            &self.diag_meta,
             &mut x_buf,
         );
 
@@ -534,34 +553,12 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
             if w == 0 {
                 continue;
             }
-            let child_col_start = self.layout.col_range(child_level).start;
             let parents: Vec<usize> = self.tree.level_nodes(level).collect();
             let batch = parents.len();
 
             // w = V^* ⊙ x (line 4), stacked per parent.
             let mut w_buf = DeviceBuffer::<T>::zeros(self.device, batch * 2 * w * nrhs);
-            let mut w_descs = Vec::with_capacity(2 * batch);
-            for (p, &gamma) in parents.iter().enumerate() {
-                let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                for (child_idx, child) in [alpha, beta].into_iter().enumerate() {
-                    let range = self.tree.range(child);
-                    w_descs.push(GemmDesc {
-                        m: w,
-                        n: nrhs,
-                        k: range.len(),
-                        alpha: T::one(),
-                        beta: T::zero(),
-                        op_a: Op::ConjTrans,
-                        op_b: Op::None,
-                        a_offset: child_col_start * n + range.start,
-                        lda: n,
-                        b_offset: range.start,
-                        ldb: n,
-                        c_offset: p * 2 * w * nrhs + child_idx * w,
-                        ldc: 2 * w,
-                    });
-                }
-            }
+            let w_descs = self.project_descs(&parents, child_level, nrhs);
             let stream = self.stream_for(batch);
             gemm_batched_varied(
                 self.device,
@@ -573,50 +570,19 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
             );
 
             // w <- K^{-1} ⊙ w (line 5).
-            let k_stride = 4 * w * w;
-            let solve_descs: Vec<LuSolveDesc> = (0..batch)
-                .map(|p| LuSolveDesc {
-                    n: 2 * w,
-                    nrhs,
-                    a_offset: p * k_stride,
-                    lda: 2 * w,
-                    b_offset: p * 2 * w * nrhs,
-                    ldb: 2 * w,
-                })
-                .collect();
+            let solve_descs = coupling_solve_descs(batch, w, nrhs);
             let stream = self.stream_for(batch);
-            getrs_batched_varied(
+            K::solve_batched(
                 self.device,
                 stream,
                 &solve_descs,
                 &self.k_bufs[level],
-                &self.k_pivots[level],
+                &self.k_meta[level],
                 &mut w_buf,
             );
 
             // x <- x - Y ⊙ w (line 6).
-            let mut update_descs = Vec::with_capacity(2 * batch);
-            for (p, &gamma) in parents.iter().enumerate() {
-                let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                for (child_idx, child) in [alpha, beta].into_iter().enumerate() {
-                    let range = self.tree.range(child);
-                    update_descs.push(GemmDesc {
-                        m: range.len(),
-                        n: nrhs,
-                        k: w,
-                        alpha: -T::one(),
-                        beta: T::one(),
-                        op_a: Op::None,
-                        op_b: Op::None,
-                        a_offset: child_col_start * n + range.start,
-                        lda: n,
-                        b_offset: p * 2 * w * nrhs + child_idx * w,
-                        ldb: 2 * w,
-                        c_offset: range.start,
-                        ldc: n,
-                    });
-                }
-            }
+            let update_descs = self.update_descs(&parents, child_level, nrhs);
             let stream = self.stream_for(batch);
             gemm_batched_varied(
                 self.device,
@@ -631,6 +597,32 @@ impl<'d, T: Scalar> GpuSolver<'d, T> {
         // Download the solution (metered D2H transfer).
         x_buf.download()
     }
+}
+
+/// One descriptor per `(2w x 2w)` coupling matrix of a level's `Kbig`.
+fn coupling_descs(batch: usize, w: usize) -> Vec<LuDesc> {
+    (0..batch)
+        .map(|p| LuDesc {
+            n: 2 * w,
+            offset: p * 4 * w * w,
+            ld: 2 * w,
+        })
+        .collect()
+}
+
+/// Solve descriptors pairing every coupling factor with its parent's
+/// contiguous `2w x nrhs` block of the stacked `W`.
+fn coupling_solve_descs(batch: usize, w: usize, nrhs: usize) -> Vec<LuSolveDesc> {
+    (0..batch)
+        .map(|p| LuSolveDesc {
+            n: 2 * w,
+            nrhs,
+            a_offset: p * 4 * w * w,
+            lda: 2 * w,
+            b_offset: p * 2 * w * nrhs,
+            ldb: 2 * w,
+        })
+        .collect()
 }
 
 /// Write the two identity blocks of every coupling matrix

@@ -13,10 +13,13 @@
 //!   correctness oracle — see [`recursive`];
 //! * the **non-recursive level-by-level factorization and solve**
 //!   (Algorithms 1–2), the "serial HODLR solver" of the evaluation — see
-//!   [`SerialFactorization`];
+//!   [`SerialSolver`];
 //! * the **batched factorization and solve** (Algorithms 3–4) running on the
 //!   virtual batched-BLAS device of `hodlr-batch`, the "GPU HODLR solver" of
-//!   the evaluation — see [`GpuSolver`];
+//!   the evaluation — see [`BatchedSolver`];
+//! * the **factor kind** both sweeps are generic over: pivoted LU or the
+//!   symmetric fast path for Hermitian matrices — see [`FactorKind`] and
+//!   [`symmetric`];
 //! * the **complexity model** of Theorems 2–4 (storage, factorization cost,
 //!   solve cost) used to cross-check the metered flop counters — see
 //!   [`report`].
@@ -29,19 +32,20 @@
 //! [`builder`] compresses the two off-diagonal blocks of every sibling pair
 //! and densifies every leaf diagonal block as independent tasks on the
 //! rayon work-stealing pool (`HODLR_NUM_THREADS` participants).  The
-//! batched solver ([`GpuSolver`]) inherits parallelism from `hodlr-batch`,
-//! whose kernels shard their batch entries across the same pool, and its
-//! blocked multi-RHS entry point [`GpuSolver::solve_block`] scatters and
-//! gathers the right-hand-side columns in parallel too.
-//! [`SerialFactorization`] is serial *by design* — it is the single-core
-//! baseline of the paper's evaluation.  Every parallel path writes each
-//! task's output to a task-private slot and runs each task's arithmetic
+//! batched solver ([`BatchedSolver`]) inherits parallelism from
+//! `hodlr-batch`, whose kernels shard their batch entries across the same
+//! pool, and its blocked multi-RHS entry point
+//! [`BatchedSolver::solve_block`] scatters and gathers the right-hand-side
+//! columns in parallel too.  The serial solver ([`SerialSolver`]) processes
+//! tree nodes one at a time; the dense kernels inside each node inherit
+//! `hodlr-la`'s tile parallelism (gemms above its direct-call threshold run
+//! tile-parallel on the pool).  Every parallel path writes each task's
+//! output to a task-private slot and runs each task's arithmetic
 //! sequentially inside, so factorizations and solves are bitwise
 //! reproducible at any thread count.
 
 pub mod builder;
 pub mod gpu;
-pub mod gpu_symmetric;
 pub mod layout;
 pub mod matrix;
 pub mod recursive;
@@ -54,11 +58,10 @@ pub use builder::{
     build_from_source_symmetric_with, build_from_source_with, BlockSource, BuildOptions,
     DemotedSource,
 };
-pub use gpu::GpuSolver;
-pub use gpu_symmetric::GpuSymmetricSolver;
+pub use gpu::{BatchedSolver, GpuSolver, GpuSymmetricSolver};
 pub use layout::LevelLayout;
 pub use matrix::HodlrMatrix;
 pub use recursive::solve_recursive;
 pub use report::{ComplexityReport, CostModel};
-pub use serial::SerialFactorization;
-pub use symmetric::{SerialSymmetricFactorization, Symmetry};
+pub use serial::{SerialFactorization, SerialSolver, SerialSymmetricFactorization};
+pub use symmetric::{FactorKind, Symmetry};

@@ -3,72 +3,89 @@
 //! the evaluation tables.
 //!
 //! The factorization walks the tree bottom-up.  At the leaf level every
-//! diagonal block is LU-factorized in place and applied to its rows of
-//! `Ybig` (which starts as a copy of `Ubig`).  At every internal level the
-//! small coupling matrices `K_gamma` (Eq. 11) are formed from the already
-//! computed `Y` bases, factorized, and used to update the columns of `Ybig`
-//! belonging to shallower levels (Eqs. 13–14).  The solve stage replays the
-//! same sweep on a right-hand side (Eqs. 15–16).
+//! diagonal block is factorized and applied to its rows of `Ybig` (which
+//! starts as a copy of `Ubig`).  At every internal level the small coupling
+//! matrices `K_gamma` (Eq. 11) are formed from the already computed `Y`
+//! bases, factorized, and used to update the columns of `Ybig` belonging to
+//! shallower levels (Eqs. 13–14).  The solve stage replays the same sweep
+//! on a right-hand side (Eqs. 15–16).
+//!
+//! The sweep is written once, generic over the [`FactorKind`] that
+//! factorizes each block: pivoted LU ([`SerialFactorization`]) or the
+//! symmetric ladder ([`SerialSymmetricFactorization`]).  Tree nodes are
+//! processed one at a time; the dense kernels inside each node inherit
+//! `hodlr-la`'s tile parallelism.
 
 use crate::layout::LevelLayout;
 use crate::matrix::HodlrMatrix;
-use hodlr_la::{gemm, DenseMatrix, HodlrError, LuFactor, MatRef, Op, Scalar};
+use crate::symmetric::{Block, FactorKind, Lu, Symmetric};
+use hodlr_la::{gemm, DenseMatrix, HodlrError, MatRef, Op, Scalar};
 use hodlr_tree::ClusterTree;
 
 /// The output of Algorithm 1: the transformed bases `Ybig`, the (copied)
-/// right bases `Vbig`, and the stored LU factorizations of every leaf
+/// right bases `Vbig`, and the stored factorizations of every leaf
 /// diagonal block and every coupling matrix `K_gamma`.
 #[derive(Clone, Debug)]
-pub struct SerialFactorization<T: Scalar> {
+pub struct SerialSolver<T: Scalar, K: FactorKind<T>> {
     tree: ClusterTree,
     layout: LevelLayout,
+    pub(crate) kind: K,
     ybig: DenseMatrix<T>,
     vbig: DenseMatrix<T>,
-    diag_lu: Vec<LuFactor<T>>,
-    /// `k_lu[l]` holds, for every node at level `l` (in node order), the LU
-    /// factorization of its coupling matrix `K` (levels `0..L`).
-    k_lu: Vec<Vec<LuFactor<T>>>,
+    pub(crate) diag: Vec<K::Factor>,
+    /// `coupling[l]` holds, for every node at level `l` (in node order), the
+    /// factorization of its coupling matrix `K` (levels `0..L`; empty at a
+    /// zero-rank level).
+    coupling: Vec<Vec<K::Factor>>,
 }
 
-impl<T: Scalar> HodlrMatrix<T> {
-    /// Factorize the matrix with Algorithm 1 (sequential).
-    ///
-    /// # Errors
-    /// Returns [`HodlrError::SingularPivot`] naming the leaf diagonal block
-    /// or coupling matrix that is numerically singular (the invertibility
-    /// assumptions of Theorem 1).
-    pub fn factorize_serial(&self) -> Result<SerialFactorization<T>, HodlrError> {
-        let tree = self.tree().clone();
-        let layout = self.layout().clone();
-        let n = self.n();
+/// Algorithms 1–2 with pivoted LU factors, from
+/// [`HodlrMatrix::factorize_serial`].
+pub type SerialFactorization<T> = SerialSolver<T, Lu>;
+
+/// Algorithms 1–2 with symmetric factors, from
+/// [`HodlrMatrix::factorize_symmetric`].
+pub type SerialSymmetricFactorization<T> = SerialSolver<T, Symmetric>;
+
+impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
+    /// Algorithm 1 (sequential) with every block factorized by `kind`.
+    pub(crate) fn factorize(matrix: &HodlrMatrix<T>, kind: K) -> Result<Self, HodlrError> {
+        let tree = matrix.tree().clone();
+        let layout = matrix.layout().clone();
+        let n = matrix.n();
         let total_cols = layout.total_cols();
         let levels = tree.levels();
 
         // Ybig starts as a copy of Ubig (the paper overwrites Ubig in place;
         // we keep the original matrix intact so residuals can be computed).
-        let mut ybig = self.ubig().clone();
-        let vbig = self.vbig().clone();
+        let mut ybig = matrix.ubig().clone();
+        let vbig = matrix.vbig().clone();
 
         // --- leaf level: factorize D_alpha and solve its rows of Ybig ------
-        let mut diag_lu = Vec::with_capacity(tree.num_leaves());
+        let mut diag = Vec::with_capacity(tree.num_leaves());
         for (leaf_idx, leaf) in tree.leaves().enumerate() {
             let range = tree.range(leaf);
-            let lu = LuFactor::new(self.diag_block(leaf_idx))
-                .map_err(|e| e.into_hodlr(format!("diagonal block of leaf {leaf_idx}")))?;
+            let f = kind.factor(Block::Leaf, matrix.diag_block(leaf_idx).clone(), || {
+                format!("diagonal block of leaf {leaf_idx}")
+            })?;
             if total_cols > 0 {
                 let block = ybig.block_mut(range.start, 0, range.len(), total_cols);
-                lu.solve_in_place(block);
+                K::solve(&f, block);
             }
-            diag_lu.push(lu);
+            diag.push(f);
         }
 
         // --- internal levels, deepest first -------------------------------
-        let mut k_lu: Vec<Vec<LuFactor<T>>> = vec![Vec::new(); levels];
+        let mut coupling: Vec<Vec<K::Factor>> = vec![Vec::new(); levels];
         for level in (0..levels).rev() {
             let child_level = level + 1;
             let w = layout.width(child_level);
             let prefix = layout.prefix_cols(level);
             let child_cols = layout.col_range(child_level);
+            if w == 0 {
+                // Zero-rank level: no coupling matrices and no update.
+                continue;
+            }
             let mut level_factors = Vec::with_capacity(1 << level);
 
             for gamma in tree.level_nodes(level) {
@@ -76,18 +93,9 @@ impl<T: Scalar> HodlrMatrix<T> {
                 let ra = tree.range(alpha);
                 let rb = tree.range(beta);
 
-                if w == 0 {
-                    // Zero-rank level: the coupling matrix is empty and the
-                    // update is a no-op; store a trivial factorization.
-                    let empty = LuFactor::new(&DenseMatrix::identity(0))
-                        .expect("empty factorization cannot fail");
-                    level_factors.push(empty);
-                    continue;
-                }
-
                 // T_alpha = V_alpha^* Y_alpha and T_beta = V_beta^* Y_beta.
-                let v_a = self.vbig().block(ra.start, child_cols.start, ra.len(), w);
-                let v_b = self.vbig().block(rb.start, child_cols.start, rb.len(), w);
+                let v_a = matrix.vbig().block(ra.start, child_cols.start, ra.len(), w);
+                let v_b = matrix.vbig().block(rb.start, child_cols.start, rb.len(), w);
                 let y_a = ybig
                     .block(ra.start, child_cols.start, ra.len(), w)
                     .to_owned();
@@ -96,8 +104,9 @@ impl<T: Scalar> HodlrMatrix<T> {
                     .to_owned();
 
                 let k = build_coupling_matrix(&v_a, &v_b, &y_a, &y_b);
-                let k_fact = LuFactor::from_matrix(k)
-                    .map_err(|e| e.into_hodlr(format!("coupling matrix of node {gamma}")))?;
+                let k_fact = kind.factor(Block::Coupling, k, || {
+                    format!("coupling matrix of node {gamma}")
+                })?;
 
                 if prefix > 0 {
                     // Right-hand sides (13): stack V_alpha^* Ybig(I_alpha, 1:prefix)
@@ -129,7 +138,7 @@ impl<T: Scalar> HodlrMatrix<T> {
                             bottom.reborrow(),
                         );
                     }
-                    k_fact.solve_in_place(rhs.as_mut());
+                    K::solve(&k_fact, rhs.as_mut());
 
                     // Update (14): Ybig(I_gamma, 1:prefix) -= [Y_a W_a; Y_b W_b].
                     let w_a = rhs.block(0, 0, w, prefix);
@@ -158,27 +167,25 @@ impl<T: Scalar> HodlrMatrix<T> {
 
                 level_factors.push(k_fact);
             }
-            k_lu[level] = level_factors;
+            coupling[level] = level_factors;
         }
 
         debug_assert_eq!(ybig.rows(), n);
-        Ok(SerialFactorization {
+        Ok(SerialSolver {
             tree,
             layout,
+            kind,
             ybig,
             vbig,
-            diag_lu,
-            k_lu,
+            diag,
+            coupling,
         })
     }
 }
 
-/// Assemble `K = [[V_a^* Y_a, I], [I, V_b^* Y_b]]` (Eq. 11).
-///
-/// Shared with the symmetric path ([`crate::symmetric`]): when the matrix is
-/// Hermitian with shared bases, `K` itself is Hermitian and is handed to the
-/// symmetric kernels instead of LU.
-pub(crate) fn build_coupling_matrix<T: Scalar>(
+/// Assemble `K = [[V_a^* Y_a, I], [I, V_b^* Y_b]]` (Eq. 11).  When the
+/// matrix is Hermitian with shared bases, `K` itself is Hermitian.
+fn build_coupling_matrix<T: Scalar>(
     v_a: &MatRef<'_, T>,
     v_b: &MatRef<'_, T>,
     y_a: &DenseMatrix<T>,
@@ -217,7 +224,7 @@ pub(crate) fn build_coupling_matrix<T: Scalar>(
     k
 }
 
-impl<T: Scalar> SerialFactorization<T> {
+impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
     /// The transformed bases `Ybig` (Algorithm 1's main output).
     pub fn ybig(&self) -> &DenseMatrix<T> {
         &self.ybig
@@ -270,13 +277,16 @@ impl<T: Scalar> SerialFactorization<T> {
         );
         let nrhs = b.cols();
         let mut x = b.clone();
+        if nrhs == 0 {
+            return x;
+        }
         let levels = self.tree.levels();
 
         // Leaf sweep (line 3 of Algorithm 2).
         for (leaf_idx, leaf) in self.tree.leaves().enumerate() {
             let range = self.tree.range(leaf);
             let block = x.block_mut(range.start, 0, range.len(), nrhs);
-            self.diag_lu[leaf_idx].solve_in_place(block);
+            K::solve(&self.diag[leaf_idx], block);
         }
 
         // Level sweep, deepest first (lines 5–10).
@@ -322,7 +332,7 @@ impl<T: Scalar> SerialFactorization<T> {
                         bottom.reborrow(),
                     );
                 }
-                self.k_lu[level][node_idx].solve_in_place(rhs.as_mut());
+                K::solve(&self.coupling[level][node_idx], rhs.as_mut());
 
                 // x(I_gamma) -= [Y_a w_a; Y_b w_b] (Eq. 16).
                 let y_a = self.ybig.block(ra.start, child_cols.start, ra.len(), w);
@@ -356,36 +366,31 @@ impl<T: Scalar> SerialFactorization<T> {
 
     /// Log-determinant of the factorized matrix via the product form of
     /// Section III-E (a): `A = A^(L+1) ... A^(1)`, where the determinant of
-    /// every leaf block comes from its LU factors and the determinant of
-    /// every 2x2 coupling block equals `(-1)^w det(K_gamma)` (Sylvester /
+    /// every leaf block comes from its factor and the determinant of every
+    /// 2x2 coupling block equals `(-1)^w det(K_gamma)` (Sylvester /
     /// Schur-complement identity).
     ///
-    /// Returns `(log|det(A)|, sign)` where `sign` is a unit-modulus scalar.
-    /// The per-factor accumulation is the shared
-    /// [`log_det_from_parts`](hodlr_la::log_det_from_parts), and the factor
-    /// order here (leaves first, then coupling levels from the top split
-    /// down) is mirrored exactly by
-    /// [`GpuSolver::log_det`](crate::GpuSolver::log_det) — the two backends
-    /// agree bitwise.
+    /// Returns `(log|det(A)|, sign)` where `sign` is a unit-modulus scalar
+    /// (`1` for a positive-definite matrix).  The per-factor accumulation is
+    /// the kind's shared fold, and the factor order here (leaves first, then
+    /// coupling levels from the top split down) is mirrored exactly by
+    /// [`BatchedSolver::log_det`](crate::BatchedSolver::log_det) — the two
+    /// backends agree bitwise.
     pub fn log_det(&self) -> (T::Real, T) {
         let mut log_abs = T::Real::zero();
         let mut sign = T::one();
-        for lu in &self.diag_lu {
-            let (la, s) = lu.log_det();
+        for f in &self.diag {
+            let (la, s) = K::log_det(f);
             log_abs += la;
             sign *= s;
         }
-        for (level, factors) in self.k_lu.iter().enumerate() {
-            let w = if level < self.layout.levels() {
-                self.layout.width(level + 1)
-            } else {
-                0
-            };
-            for lu in factors {
-                if lu.order() == 0 {
-                    continue;
-                }
-                let (la, s) = lu.log_det();
+        for (level, factors) in self.coupling.iter().enumerate() {
+            let w = self.layout.width(level + 1);
+            if w == 0 {
+                continue;
+            }
+            for f in factors {
+                let (la, s) = K::log_det(f);
                 log_abs += la;
                 sign *= s;
                 if w % 2 == 1 {
@@ -397,15 +402,16 @@ impl<T: Scalar> SerialFactorization<T> {
     }
 
     /// Storage used by the factorization in scalar entries (the `mem`
-    /// column): the transformed bases, the right bases, the leaf LU factors
-    /// and the coupling-matrix LU factors.
+    /// column): the transformed bases, the right bases, and the leaf and
+    /// coupling-matrix factors — square for LU, triangular for the
+    /// symmetric kind.
     pub fn storage_entries(&self) -> usize {
         let bases = 2 * self.ybig.rows() * self.ybig.cols();
-        let diags: usize = self.diag_lu.iter().map(|f| f.order() * f.order()).sum();
+        let diags: usize = self.diag.iter().map(K::storage_entries).sum();
         let ks: usize = self
-            .k_lu
+            .coupling
             .iter()
-            .flat_map(|level| level.iter().map(|f| f.order() * f.order()))
+            .flat_map(|level| level.iter().map(K::storage_entries))
             .sum();
         bases + diags + ks
     }
@@ -422,7 +428,7 @@ mod tests {
     use crate::matrix::random_hodlr;
     use crate::recursive::solve_recursive_vec;
     use hodlr_la::lu::solve_dense;
-    use hodlr_la::{Complex64, RealScalar};
+    use hodlr_la::{Complex64, LuFactor, RealScalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

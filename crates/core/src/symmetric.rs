@@ -1,4 +1,12 @@
-//! The symmetric (Hermitian) fast path of the level-by-level factorization.
+//! LU versus symmetric: the factor kind of Algorithms 1–4.
+//!
+//! The level sweeps are written once — serially in [`crate::serial`]
+//! (Algorithms 1–2) and batched in [`crate::gpu`] (Algorithms 3–4).  Every
+//! place where the general and the Hermitian path differ is a method of the
+//! [`FactorKind`] strategy: which kernel factorizes a leaf diagonal block
+//! or a coupling matrix, solves with the factor, folds its determinant, and
+//! how many entries it keeps.  [`Lu`] is the pivoted-LU path; [`Symmetric`]
+//! is the Hermitian fast path.
 //!
 //! When the HODLR matrix is Hermitian — shared off-diagonal bases
 //! (`V_alpha = U_alpha`, see
@@ -21,26 +29,31 @@
 //! [`HodlrError::NotPositiveDefinite`] if a pivot fails, while
 //! [`Symmetry::Hermitian`] quietly walks down the same fallback ladder.
 //!
-//! The sweep structure (operation order, gemm shapes, update order) is a
-//! line-for-line mirror of [`crate::serial`], so the symmetric path inherits
-//! the serial path's bitwise-reproducibility contract; the batched
-//! counterpart is [`crate::gpu_symmetric`], which reuses the *same*
-//! per-block kernels and therefore agrees bitwise with this module.
+//! Each kind runs the *same* per-block kernels on both backends (the serial
+//! [`LuFactor`] / [`SymmetricFactor`] and every batch entry of
+//! `getrf`/`potrf` call the same in-place routines, and both backends fold
+//! the log-determinant with the same per-factor accumulation), so serial and
+//! batched factors, solutions and log-determinants agree bitwise.
 
-use crate::layout::LevelLayout;
+use crate::gpu::{BatchedSolver, GpuSolver, GpuSymmetricSolver};
 use crate::matrix::HodlrMatrix;
-use crate::serial::build_coupling_matrix;
-use hodlr_la::{
-    gemm, DenseMatrix, HodlrError, Op, Scalar, SymmetricFactor, SymmetricKind, SymmetricPolicy,
+use crate::serial::{SerialFactorization, SerialSolver, SerialSymmetricFactorization};
+use hodlr_batch::{
+    extract_diagonals_batched, extract_tridiagonals_batched, getrf_batched_varied,
+    getrs_batched_varied, potrf_batched_varied, potrs_batched_varied, Device, DeviceBuffer, LuDesc,
+    LuSolveDesc, Stream,
 };
-use hodlr_tree::ClusterTree;
+use hodlr_la::{
+    log_det_from_parts, sym_log_det_from_parts, DenseMatrix, HodlrError, LuFactor, MatMut, Scalar,
+    SymmetricFactor, SymmetricKind, SymmetricPolicy,
+};
+use std::fmt::Debug;
 
 /// Declared symmetry structure of a HODLR matrix, selecting the
 /// factorization path.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Symmetry {
-    /// No symmetry is assumed; the pivoted-LU path of
-    /// [`crate::serial`] / [`crate::gpu`] is used.
+    /// No symmetry is assumed; the pivoted-LU path ([`Lu`]) is used.
     #[default]
     General,
     /// Hermitian positive definite: leaf diagonal blocks are factorized with
@@ -78,23 +91,270 @@ impl Symmetry {
     }
 }
 
-/// The output of the symmetric Algorithm-1 sweep: the transformed bases
-/// `Ybig`, the (copied) original bases playing the `Vbig` role, and the
-/// symmetric factorization of every leaf diagonal block and coupling matrix.
-#[derive(Clone, Debug)]
-pub struct SerialSymmetricFactorization<T: Scalar> {
-    tree: ClusterTree,
-    layout: LevelLayout,
-    symmetry: Symmetry,
-    ybig: DenseMatrix<T>,
-    vbig: DenseMatrix<T>,
-    diag_fact: Vec<SymmetricFactor<T>>,
-    /// `k_fact[l]` holds, for every node at level `l` (in node order), the
-    /// symmetric factorization of its coupling matrix `K` (levels `0..L`).
-    k_fact: Vec<Vec<SymmetricFactor<T>>>,
+/// The role of a block in the sweep: a kind may factorize leaf diagonal
+/// blocks and coupling matrices under different policies.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Block {
+    /// A leaf diagonal block `D_alpha`.
+    Leaf,
+    /// A coupling matrix `K_gamma` (Eq. 11).
+    Coupling,
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Lu {}
+    impl Sealed for super::Symmetric {}
+}
+
+/// How the sweeps factorize every leaf diagonal block and coupling matrix,
+/// solve with the factors, and fold them into the log-determinant — on the
+/// host (serial sweep) and as batched launches (batched sweep).
+///
+/// Implemented by [`Lu`] and [`Symmetric`] only.
+pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
+    /// A factorized block held by the serial sweep.
+    type Factor: Clone + Debug + Send + Sync;
+    /// Host-side metadata of one batched factor: the LU pivots, or the
+    /// ladder rung of a symmetric factor.
+    type Meta: Clone + Debug + Send + Sync;
+
+    /// Factorize one block on the host; `context` names it in the error.
+    ///
+    /// # Errors
+    /// The block is singular, or (for a strict symmetric leaf) not
+    /// positive definite.
+    fn factor(
+        self,
+        block: Block,
+        a: DenseMatrix<T>,
+        context: impl FnOnce() -> String,
+    ) -> Result<Self::Factor, HodlrError>;
+
+    /// Solve `A X = B` in place with a host factor.
+    fn solve(f: &Self::Factor, b: MatMut<'_, T>);
+
+    /// `(log|det|, sign)` of a host factor.
+    fn log_det(f: &Self::Factor) -> (T::Real, T);
+
+    /// Scalar entries a host factor keeps resident.
+    fn storage_entries(f: &Self::Factor) -> usize;
+
+    /// Factorize the blocks `descs` of `a` in place in one batched launch.
+    ///
+    /// # Errors
+    /// As [`FactorKind::factor`], naming the failing batch entry, or an
+    /// injected launch fault.
+    fn factor_batched(
+        self,
+        device: &Device,
+        stream: Stream,
+        block: Block,
+        descs: &[LuDesc],
+        a: &mut DeviceBuffer<'_, T>,
+        context: impl FnOnce() -> String,
+    ) -> Result<Vec<Self::Meta>, HodlrError>;
+
+    /// Solve with the factors of `a` in place in `b` in one batched launch.
+    fn solve_batched(
+        device: &Device,
+        stream: Stream,
+        descs: &[LuSolveDesc],
+        a: &DeviceBuffer<'_, T>,
+        meta: &[Self::Meta],
+        b: &mut DeviceBuffer<'_, T>,
+    );
+
+    /// Gather the determinant parts of the factors `descs` of `a` in one
+    /// launch and hand each factor's `(log|det|, sign)` to `add`, in order.
+    fn log_det_batched(
+        device: &Device,
+        stream: Stream,
+        descs: &[LuDesc],
+        a: &DeviceBuffer<'_, T>,
+        meta: &[Self::Meta],
+        add: impl FnMut(T::Real, T),
+    );
+}
+
+/// Pivoted LU for every block: the general path.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Lu;
+
+impl<T: Scalar> FactorKind<T> for Lu {
+    type Factor = LuFactor<T>;
+    type Meta = Vec<usize>;
+
+    fn factor(
+        self,
+        _: Block,
+        a: DenseMatrix<T>,
+        context: impl FnOnce() -> String,
+    ) -> Result<LuFactor<T>, HodlrError> {
+        LuFactor::from_matrix(a).map_err(|e| e.into_hodlr(context()))
+    }
+
+    fn solve(f: &LuFactor<T>, b: MatMut<'_, T>) {
+        f.solve_in_place(b);
+    }
+
+    fn log_det(f: &LuFactor<T>) -> (T::Real, T) {
+        f.log_det()
+    }
+
+    fn storage_entries(f: &LuFactor<T>) -> usize {
+        f.order() * f.order()
+    }
+
+    fn factor_batched(
+        self,
+        device: &Device,
+        stream: Stream,
+        _: Block,
+        descs: &[LuDesc],
+        a: &mut DeviceBuffer<'_, T>,
+        context: impl FnOnce() -> String,
+    ) -> Result<Vec<Vec<usize>>, HodlrError> {
+        getrf_batched_varied(device, stream, descs, a).map_err(|e| e.into_hodlr(context()))
+    }
+
+    fn solve_batched(
+        device: &Device,
+        stream: Stream,
+        descs: &[LuSolveDesc],
+        a: &DeviceBuffer<'_, T>,
+        pivots: &[Vec<usize>],
+        b: &mut DeviceBuffer<'_, T>,
+    ) {
+        getrs_batched_varied(device, stream, descs, a, pivots, b);
+    }
+
+    fn log_det_batched(
+        device: &Device,
+        stream: Stream,
+        descs: &[LuDesc],
+        a: &DeviceBuffer<'_, T>,
+        pivots: &[Vec<usize>],
+        mut add: impl FnMut(T::Real, T),
+    ) {
+        let diags = extract_diagonals_batched(device, stream, descs, a);
+        for (diag, piv) in diags.iter().zip(pivots) {
+            let (la, s) = log_det_from_parts(diag.iter().copied(), piv);
+            add(la, s);
+        }
+    }
+}
+
+/// The Hermitian fast path for a symmetric [`Symmetry`]: leaf diagonal
+/// blocks under [`Symmetry::leaf_policy`], coupling matrices always through
+/// the fallback ladder.  The ladder rung of each factor stays host-side,
+/// exactly as LU pivots do.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Symmetric(Symmetry);
+
+impl Symmetric {
+    /// The symmetric kind for `symmetry`; [`HodlrError::InvalidConfig`]
+    /// for [`Symmetry::General`], which selects the [`Lu`] path.
+    pub(crate) fn new(symmetry: Symmetry) -> Result<Self, HodlrError> {
+        if !symmetry.is_symmetric() {
+            return Err(HodlrError::config(
+                "the symmetric factorization requires Symmetry::PositiveDefinite or \
+                 Symmetry::Hermitian; use the LU path (factorize_serial / GpuSolver) for \
+                 Symmetry::General",
+            ));
+        }
+        Ok(Symmetric(symmetry))
+    }
+
+    pub(crate) fn symmetry(self) -> Symmetry {
+        self.0
+    }
+
+    fn policy(self, block: Block) -> SymmetricPolicy {
+        match block {
+            Block::Leaf => self.0.leaf_policy(),
+            // K is Hermitian indefinite by construction: always the ladder.
+            Block::Coupling => SymmetricPolicy::Fallback,
+        }
+    }
+}
+
+impl<T: Scalar> FactorKind<T> for Symmetric {
+    type Factor = SymmetricFactor<T>;
+    type Meta = SymmetricKind;
+
+    fn factor(
+        self,
+        block: Block,
+        a: DenseMatrix<T>,
+        context: impl FnOnce() -> String,
+    ) -> Result<SymmetricFactor<T>, HodlrError> {
+        SymmetricFactor::from_matrix(a, self.policy(block)).map_err(|e| e.into_hodlr(context()))
+    }
+
+    fn solve(f: &SymmetricFactor<T>, b: MatMut<'_, T>) {
+        f.solve_in_place(b);
+    }
+
+    fn log_det(f: &SymmetricFactor<T>) -> (T::Real, T) {
+        f.log_det()
+    }
+
+    fn storage_entries(f: &SymmetricFactor<T>) -> usize {
+        f.storage_entries()
+    }
+
+    fn factor_batched(
+        self,
+        device: &Device,
+        stream: Stream,
+        block: Block,
+        descs: &[LuDesc],
+        a: &mut DeviceBuffer<'_, T>,
+        context: impl FnOnce() -> String,
+    ) -> Result<Vec<SymmetricKind>, HodlrError> {
+        potrf_batched_varied(device, stream, descs, self.policy(block), a)
+            .map_err(|e| e.into_hodlr(context()))
+    }
+
+    fn solve_batched(
+        device: &Device,
+        stream: Stream,
+        descs: &[LuSolveDesc],
+        a: &DeviceBuffer<'_, T>,
+        kinds: &[SymmetricKind],
+        b: &mut DeviceBuffer<'_, T>,
+    ) {
+        potrs_batched_varied(device, stream, descs, a, kinds, b);
+    }
+
+    fn log_det_batched(
+        device: &Device,
+        stream: Stream,
+        descs: &[LuDesc],
+        a: &DeviceBuffer<'_, T>,
+        kinds: &[SymmetricKind],
+        mut add: impl FnMut(T::Real, T),
+    ) {
+        let parts = extract_tridiagonals_batched(device, stream, descs, a);
+        for ((diag, sub), kind) in parts.iter().zip(kinds) {
+            let (la, s) = sym_log_det_from_parts(kind, diag, sub);
+            add(la, s);
+        }
+    }
 }
 
 impl<T: Scalar> HodlrMatrix<T> {
+    /// Factorize the matrix with Algorithm 1 (sequential) and pivoted LU.
+    ///
+    /// # Errors
+    /// Returns [`HodlrError::SingularPivot`] naming the leaf diagonal block
+    /// or coupling matrix that is numerically singular (the invertibility
+    /// assumptions of Theorem 1).
+    pub fn factorize_serial(&self) -> Result<SerialFactorization<T>, HodlrError> {
+        SerialSolver::factorize(self, Lu)
+    }
+
     /// Factorize a Hermitian matrix with the symmetric variant of
     /// Algorithm 1 (sequential).
     ///
@@ -119,361 +379,65 @@ impl<T: Scalar> HodlrMatrix<T> {
         &self,
         symmetry: Symmetry,
     ) -> Result<SerialSymmetricFactorization<T>, HodlrError> {
-        if !symmetry.is_symmetric() {
-            return Err(HodlrError::config(
-                "factorize_symmetric requires Symmetry::PositiveDefinite or Symmetry::Hermitian; \
-                 use factorize_serial for Symmetry::General",
-            ));
-        }
-        let tree = self.tree().clone();
-        let layout = self.layout().clone();
-        let n = self.n();
-        let total_cols = layout.total_cols();
-        let levels = tree.levels();
-        let leaf_policy = symmetry.leaf_policy();
-
-        // Ybig starts as a copy of Ubig; the original bases (shared U = V)
-        // are kept for the V role of the solve sweep.
-        let mut ybig = self.ubig().clone();
-        let vbig = self.vbig().clone();
-
-        // --- leaf level: factorize D_alpha and solve its rows of Ybig ------
-        let mut diag_fact = Vec::with_capacity(tree.num_leaves());
-        for (leaf_idx, leaf) in tree.leaves().enumerate() {
-            let range = tree.range(leaf);
-            let f = SymmetricFactor::new(self.diag_block(leaf_idx), leaf_policy)
-                .map_err(|e| e.into_hodlr(format!("diagonal block of leaf {leaf_idx}")))?;
-            if total_cols > 0 {
-                let block = ybig.block_mut(range.start, 0, range.len(), total_cols);
-                f.solve_in_place(block);
-            }
-            diag_fact.push(f);
-        }
-
-        // --- internal levels, deepest first -------------------------------
-        let mut k_fact: Vec<Vec<SymmetricFactor<T>>> = vec![Vec::new(); levels];
-        for level in (0..levels).rev() {
-            let child_level = level + 1;
-            let w = layout.width(child_level);
-            let prefix = layout.prefix_cols(level);
-            let child_cols = layout.col_range(child_level);
-            let mut level_factors = Vec::with_capacity(1 << level);
-
-            for gamma in tree.level_nodes(level) {
-                let (alpha, beta) = tree.children(gamma).expect("internal node");
-                let ra = tree.range(alpha);
-                let rb = tree.range(beta);
-
-                if w == 0 {
-                    // Zero-rank level: the coupling matrix is empty and the
-                    // update is a no-op; store a trivial factorization.
-                    let empty =
-                        SymmetricFactor::new(&DenseMatrix::identity(0), SymmetricPolicy::Fallback)
-                            .expect("empty factorization cannot fail");
-                    level_factors.push(empty);
-                    continue;
-                }
-
-                // T_alpha = U_alpha^* Y_alpha and T_beta = U_beta^* Y_beta.
-                let v_a = self.vbig().block(ra.start, child_cols.start, ra.len(), w);
-                let v_b = self.vbig().block(rb.start, child_cols.start, rb.len(), w);
-                let y_a = ybig
-                    .block(ra.start, child_cols.start, ra.len(), w)
-                    .to_owned();
-                let y_b = ybig
-                    .block(rb.start, child_cols.start, rb.len(), w)
-                    .to_owned();
-
-                // K is Hermitian indefinite: always the fallback ladder.
-                let k = build_coupling_matrix(&v_a, &v_b, &y_a, &y_b);
-                let k_f = SymmetricFactor::from_matrix(k, SymmetricPolicy::Fallback)
-                    .map_err(|e| e.into_hodlr(format!("coupling matrix of node {gamma}")))?;
-
-                if prefix > 0 {
-                    // Right-hand sides (13): stack V_alpha^* Ybig(I_alpha, 1:prefix)
-                    // over V_beta^* Ybig(I_beta, 1:prefix).
-                    let mut rhs = DenseMatrix::<T>::zeros(2 * w, prefix);
-                    {
-                        let yb_a = ybig.block(ra.start, 0, ra.len(), prefix);
-                        let mut top = rhs.block_mut(0, 0, w, prefix);
-                        gemm(
-                            T::one(),
-                            v_a,
-                            Op::ConjTrans,
-                            yb_a,
-                            Op::None,
-                            T::zero(),
-                            top.reborrow(),
-                        );
-                    }
-                    {
-                        let yb_b = ybig.block(rb.start, 0, rb.len(), prefix);
-                        let mut bottom = rhs.block_mut(w, 0, w, prefix);
-                        gemm(
-                            T::one(),
-                            v_b,
-                            Op::ConjTrans,
-                            yb_b,
-                            Op::None,
-                            T::zero(),
-                            bottom.reborrow(),
-                        );
-                    }
-                    k_f.solve_in_place(rhs.as_mut());
-
-                    // Update (14): Ybig(I_gamma, 1:prefix) -= [Y_a W_a; Y_b W_b].
-                    let w_a = rhs.block(0, 0, w, prefix);
-                    let w_b = rhs.block(w, 0, w, prefix);
-                    let mut upd_a = ybig.block_mut(ra.start, 0, ra.len(), prefix);
-                    gemm(
-                        -T::one(),
-                        y_a.as_ref(),
-                        Op::None,
-                        w_a,
-                        Op::None,
-                        T::one(),
-                        upd_a.reborrow(),
-                    );
-                    let mut upd_b = ybig.block_mut(rb.start, 0, rb.len(), prefix);
-                    gemm(
-                        -T::one(),
-                        y_b.as_ref(),
-                        Op::None,
-                        w_b,
-                        Op::None,
-                        T::one(),
-                        upd_b.reborrow(),
-                    );
-                }
-
-                level_factors.push(k_f);
-            }
-            k_fact[level] = level_factors;
-        }
-
-        debug_assert_eq!(ybig.rows(), n);
-        Ok(SerialSymmetricFactorization {
-            tree,
-            layout,
-            symmetry,
-            ybig,
-            vbig,
-            diag_fact,
-            k_fact,
-        })
+        SerialSolver::factorize(self, Symmetric::new(symmetry)?)
     }
 }
 
 impl<T: Scalar> SerialSymmetricFactorization<T> {
-    /// The transformed bases `Ybig`.
-    pub fn ybig(&self) -> &DenseMatrix<T> {
-        &self.ybig
-    }
-
-    /// The cluster tree the factorization was computed over.
-    pub fn tree(&self) -> &ClusterTree {
-        &self.tree
-    }
-
-    /// The column layout shared with the original matrix.
-    pub fn layout(&self) -> &LevelLayout {
-        &self.layout
-    }
-
     /// The [`Symmetry`] the factorization was requested with.
     pub fn symmetry(&self) -> Symmetry {
-        self.symmetry
+        self.kind.symmetry()
     }
 
     /// Which factorization rung each leaf diagonal block landed on, in leaf
     /// order (all [`SymmetricKind::Llt`] for an SPD matrix).
     pub fn leaf_kinds(&self) -> Vec<&SymmetricKind> {
-        self.diag_fact.iter().map(|f| f.kind()).collect()
+        self.diag.iter().map(|f| f.kind()).collect()
     }
+}
 
-    /// The stored coupling-matrix factorizations of one level, in node order.
-    pub fn coupling_factors(&self, level: usize) -> &[SymmetricFactor<T>] {
-        &self.k_fact[level]
+impl<'d, T: Scalar> GpuSolver<'d, T> {
+    /// Upload a HODLR matrix to the device.  The transferred bytes are
+    /// metered by the device counters (the paper reports using ~12 GB/s of
+    /// the PCIe link for this copy).
+    pub fn new(device: &'d Device, matrix: &HodlrMatrix<T>) -> Self {
+        BatchedSolver::upload(device, matrix, Lu)
     }
+}
 
-    /// Solve `A x = b` for a single right-hand side.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let b_mat = DenseMatrix::from_col_major(b.len(), 1, b.to_vec());
-        self.solve_matrix(&b_mat).into_data()
-    }
-
-    /// Blocked multi-RHS solve; see
-    /// [`SerialFactorization::solve_block`](crate::serial::SerialFactorization::solve_block).
+impl<'d, T: Scalar> GpuSymmetricSolver<'d, T> {
+    /// Upload a Hermitian HODLR matrix to the device.
     ///
-    /// # Panics
-    /// Panics if any right-hand side has the wrong length.
-    pub fn solve_block(&self, rhs: &[impl AsRef<[T]>]) -> Vec<Vec<T>> {
-        let n = self.tree.n();
-        let k = rhs.len();
-        let mut b = DenseMatrix::<T>::zeros(n, k);
-        for (j, col) in rhs.iter().enumerate() {
-            let col = col.as_ref();
-            assert_eq!(col.len(), n, "right-hand side {j} has the wrong length");
-            b.col_mut(j).copy_from_slice(col);
-        }
-        let x = self.solve_matrix(&b);
-        (0..k).map(|j| x.col(j).to_vec()).collect()
-    }
-
-    /// Solve `A X = B` for multiple right-hand sides (the symmetric
-    /// Algorithm-2 sweep).
+    /// The caller asserts the matrix is Hermitian-valued (matrices from
+    /// [`build_from_source_symmetric`](crate::builder::build_from_source_symmetric)
+    /// or
+    /// [`from_parts_symmetric`](crate::matrix::HodlrMatrix::from_parts_symmetric)
+    /// are, by construction).
     ///
-    /// # Panics
-    /// Panics if `b` has the wrong number of rows.
-    pub fn solve_matrix(&self, b: &DenseMatrix<T>) -> DenseMatrix<T> {
-        assert_eq!(
-            b.rows(),
-            self.tree.n(),
-            "right-hand side has the wrong row count"
-        );
-        let nrhs = b.cols();
-        let mut x = b.clone();
-        let levels = self.tree.levels();
-
-        // Leaf sweep.
-        for (leaf_idx, leaf) in self.tree.leaves().enumerate() {
-            let range = self.tree.range(leaf);
-            let block = x.block_mut(range.start, 0, range.len(), nrhs);
-            self.diag_fact[leaf_idx].solve_in_place(block);
-        }
-
-        // Level sweep, deepest first.
-        for level in (0..levels).rev() {
-            let child_level = level + 1;
-            let w = self.layout.width(child_level);
-            if w == 0 {
-                continue;
-            }
-            let child_cols = self.layout.col_range(child_level);
-            for (node_idx, gamma) in self.tree.level_nodes(level).enumerate() {
-                let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                let ra = self.tree.range(alpha);
-                let rb = self.tree.range(beta);
-
-                // w_rhs = [V_a^* x_a; V_b^* x_b] (Eq. 15).
-                let v_a = self.vbig.block(ra.start, child_cols.start, ra.len(), w);
-                let v_b = self.vbig.block(rb.start, child_cols.start, rb.len(), w);
-                let mut rhs = DenseMatrix::<T>::zeros(2 * w, nrhs);
-                {
-                    let x_a = x.block(ra.start, 0, ra.len(), nrhs);
-                    let mut top = rhs.block_mut(0, 0, w, nrhs);
-                    gemm(
-                        T::one(),
-                        v_a,
-                        Op::ConjTrans,
-                        x_a,
-                        Op::None,
-                        T::zero(),
-                        top.reborrow(),
-                    );
-                }
-                {
-                    let x_b = x.block(rb.start, 0, rb.len(), nrhs);
-                    let mut bottom = rhs.block_mut(w, 0, w, nrhs);
-                    gemm(
-                        T::one(),
-                        v_b,
-                        Op::ConjTrans,
-                        x_b,
-                        Op::None,
-                        T::zero(),
-                        bottom.reborrow(),
-                    );
-                }
-                self.k_fact[level][node_idx].solve_in_place(rhs.as_mut());
-
-                // x(I_gamma) -= [Y_a w_a; Y_b w_b] (Eq. 16).
-                let y_a = self.ybig.block(ra.start, child_cols.start, ra.len(), w);
-                let y_b = self.ybig.block(rb.start, child_cols.start, rb.len(), w);
-                let w_a = rhs.block(0, 0, w, nrhs).to_owned();
-                let w_b = rhs.block(w, 0, w, nrhs).to_owned();
-                let mut x_a = x.block_mut(ra.start, 0, ra.len(), nrhs);
-                gemm(
-                    -T::one(),
-                    y_a,
-                    Op::None,
-                    w_a.as_ref(),
-                    Op::None,
-                    T::one(),
-                    x_a.reborrow(),
-                );
-                let mut x_b = x.block_mut(rb.start, 0, rb.len(), nrhs);
-                gemm(
-                    -T::one(),
-                    y_b,
-                    Op::None,
-                    w_b.as_ref(),
-                    Op::None,
-                    T::one(),
-                    x_b.reborrow(),
-                );
-            }
-        }
-        x
+    /// # Errors
+    /// [`HodlrError::InvalidConfig`] if `symmetry` is [`Symmetry::General`]
+    /// — use [`GpuSolver`] for unsymmetric matrices.
+    pub fn new(
+        device: &'d Device,
+        matrix: &HodlrMatrix<T>,
+        symmetry: Symmetry,
+    ) -> Result<Self, HodlrError> {
+        Ok(BatchedSolver::upload(
+            device,
+            matrix,
+            Symmetric::new(symmetry)?,
+        ))
     }
 
-    /// Log-determinant via the same product form as
-    /// [`SerialFactorization::log_det`](crate::serial::SerialFactorization::log_det):
-    /// leaves first, then coupling levels from the top split down, each 2x2
-    /// coupling block contributing `(-1)^w det(K_gamma)`.
-    ///
-    /// Returns `(log|det(A)|, sign)`.  For a positive-definite matrix the
-    /// sign is `1` and `log|det|` is the log-determinant itself.  Mirrored
-    /// bitwise by
-    /// [`GpuSymmetricSolver::log_det`](crate::GpuSymmetricSolver::log_det).
-    pub fn log_det(&self) -> (T::Real, T) {
-        let mut log_abs = T::Real::zero();
-        let mut sign = T::one();
-        for f in &self.diag_fact {
-            let (la, s) = f.log_det();
-            log_abs += la;
-            sign *= s;
-        }
-        for (level, factors) in self.k_fact.iter().enumerate() {
-            let w = if level < self.layout.levels() {
-                self.layout.width(level + 1)
-            } else {
-                0
-            };
-            for f in factors {
-                if f.order() == 0 {
-                    continue;
-                }
-                let (la, s) = f.log_det();
-                log_abs += la;
-                sign *= s;
-                if w % 2 == 1 {
-                    sign = -sign;
-                }
-            }
-        }
-        (log_abs, sign)
+    /// The [`Symmetry`] the solver was created with.
+    pub fn symmetry(&self) -> Symmetry {
+        self.kind.symmetry()
     }
 
-    /// Storage used by the factorization in scalar entries: the transformed
-    /// bases, the original bases (V role), and the *triangular* leaf and
-    /// coupling factors — the triangles are what the symmetric path saves
-    /// over [`SerialFactorization`](crate::serial::SerialFactorization)'s
-    /// square LU factors.
-    pub fn storage_entries(&self) -> usize {
-        let bases = 2 * self.ybig.rows() * self.ybig.cols();
-        let diags: usize = self.diag_fact.iter().map(|f| f.storage_entries()).sum();
-        let ks: usize = self
-            .k_fact
-            .iter()
-            .flat_map(|level| level.iter().map(|f| f.storage_entries()))
-            .sum();
-        bases + diags + ks
-    }
-
-    /// Storage in GiB.
-    pub fn memory_gib(&self) -> f64 {
-        (self.storage_entries() * std::mem::size_of::<T>()) as f64 / (1u64 << 30) as f64
+    /// Which factorization rung each leaf diagonal block landed on, in leaf
+    /// order (empty before [`factorize`](BatchedSolver::factorize)).
+    pub fn leaf_kinds(&self) -> &[SymmetricKind] {
+        &self.diag_meta
     }
 }
 
@@ -627,5 +591,155 @@ mod tests {
         let b: Vec<f64> = hodlr_la::random::random_vector(&mut rng, 20);
         let x = f.solve(&b);
         assert!(m.relative_residual(&x, &b) < 1e-12);
+    }
+
+    fn check_gpu_symmetric<T: Scalar>(n: usize, levels: usize, rank: usize, seed: u64, tol: f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m: HodlrMatrix<T> = random_hodlr_spd(&mut rng, n, levels, rank);
+        let device = Device::new();
+        let mut gpu = GpuSymmetricSolver::new(&device, &m, Symmetry::PositiveDefinite).unwrap();
+        gpu.factorize().expect("SPD HODLR is invertible");
+        assert!(gpu.leaf_kinds().iter().all(|k| *k == SymmetricKind::Llt));
+        let b: Vec<T> = hodlr_la::random::random_vector(&mut rng, n);
+        let x = gpu.solve(&b).unwrap();
+        assert!(
+            m.relative_residual(&x, &b).to_f64() < tol,
+            "residual {}",
+            m.relative_residual(&x, &b).to_f64()
+        );
+        // Bitwise agreement with the serial symmetric factorization.
+        let serial = m.factorize_symmetric(Symmetry::PositiveDefinite).unwrap();
+        let x_serial = serial.solve(&b);
+        for (a, s) in x.iter().zip(x_serial.iter()) {
+            assert_eq!(a.real().to_f64().to_bits(), s.real().to_f64().to_bits());
+            assert_eq!(a.imag().to_f64().to_bits(), s.imag().to_f64().to_bits());
+        }
+    }
+
+    #[test]
+    fn gpu_symmetric_matches_serial_bitwise_real() {
+        check_gpu_symmetric::<f64>(64, 3, 3, 91, 1e-9);
+        check_gpu_symmetric::<f64>(101, 3, 2, 92, 1e-9);
+    }
+
+    #[test]
+    fn gpu_symmetric_matches_serial_bitwise_complex() {
+        check_gpu_symmetric::<Complex64>(48, 2, 2, 93, 1e-9);
+    }
+
+    #[test]
+    fn log_det_matches_serial_symmetric_bitwise() {
+        fn check<T: Scalar>(n: usize, levels: usize, rank: usize, seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m: HodlrMatrix<T> = random_hodlr_spd(&mut rng, n, levels, rank);
+            let serial = m.factorize_symmetric(Symmetry::PositiveDefinite).unwrap();
+            let (log_serial, sign_serial) = serial.log_det();
+            let device = Device::new();
+            let mut gpu = GpuSymmetricSolver::new(&device, &m, Symmetry::PositiveDefinite).unwrap();
+            gpu.factorize().unwrap();
+            let (log_gpu, sign_gpu) = gpu.log_det().unwrap();
+            assert_eq!(
+                log_serial.to_f64().to_bits(),
+                log_gpu.to_f64().to_bits(),
+                "{log_serial:?} vs {log_gpu:?}"
+            );
+            assert_eq!(sign_serial, sign_gpu);
+        }
+        check::<f64>(64, 3, 3, 94);
+        check::<f64>(101, 3, 2, 95);
+        check::<Complex64>(48, 2, 2, 96);
+    }
+
+    #[test]
+    fn general_symmetry_is_rejected_at_construction() {
+        let mut rng = StdRng::seed_from_u64(97);
+        let m: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 16, 1, 1);
+        let device = Device::new();
+        let err = match GpuSymmetricSolver::new(&device, &m, Symmetry::General) {
+            Ok(_) => panic!("General symmetry must be rejected"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, HodlrError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn solving_before_factorizing_is_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(98);
+        let m: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 32, 2, 1);
+        let device = Device::new();
+        let gpu = GpuSymmetricSolver::new(&device, &m, Symmetry::PositiveDefinite).unwrap();
+        assert_eq!(
+            gpu.solve(&vec![1.0; 32]).unwrap_err(),
+            HodlrError::NotFactorized
+        );
+        assert_eq!(
+            gpu.solve_matrix(&DenseMatrix::zeros(32, 2)).unwrap_err(),
+            HodlrError::NotFactorized
+        );
+        assert_eq!(
+            gpu.solve_block(&[vec![1.0; 32]]).unwrap_err(),
+            HodlrError::NotFactorized
+        );
+        assert_eq!(gpu.log_det().unwrap_err(), HodlrError::NotFactorized);
+    }
+
+    #[test]
+    fn indefinite_leaf_reports_not_positive_definite_with_batch_entry() {
+        let mut rng = StdRng::seed_from_u64(99);
+        let m: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 32, 1, 1);
+        let mut diag: Vec<_> = m.diag_blocks().to_vec();
+        let sz = diag[1].rows();
+        diag[1][(sz / 2, sz / 2)] = -1e6;
+        let indef = HodlrMatrix::from_parts_symmetric(
+            m.tree().clone(),
+            m.layout().clone(),
+            (0..=m.tree().num_nodes()).map(|_| 1).collect(),
+            m.ubig().clone(),
+            diag,
+        )
+        .unwrap();
+        let device = Device::new();
+        let mut gpu = GpuSymmetricSolver::new(&device, &indef, Symmetry::PositiveDefinite).unwrap();
+        let err = gpu.factorize().expect_err("second leaf is indefinite");
+        match &err {
+            HodlrError::NotPositiveDefinite { context } => {
+                assert!(context.contains("batch entry 1"), "{context}");
+            }
+            other => panic!("unexpected error {other}"),
+        }
+
+        // The Hermitian symmetry falls back and solves.
+        let mut gpu = GpuSymmetricSolver::new(&device, &indef, Symmetry::Hermitian).unwrap();
+        gpu.factorize().unwrap();
+        let b: Vec<f64> = hodlr_la::random::random_vector(&mut rng, 32);
+        let x = gpu.solve(&b).unwrap();
+        assert!(indef.relative_residual(&x, &b) < 1e-8);
+    }
+
+    #[test]
+    fn counters_record_cholesky_flops_below_lu() {
+        let mut rng = StdRng::seed_from_u64(100);
+        let m: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 64, 2, 2);
+        let dev_sym = Device::new();
+        let mut sym = GpuSymmetricSolver::new(&dev_sym, &m, Symmetry::PositiveDefinite).unwrap();
+        let before = dev_sym.counters();
+        sym.factorize().unwrap();
+        let sym_counters = dev_sym.counters().since(&before);
+
+        let dev_lu = Device::new();
+        let mut lu = GpuSolver::new(&dev_lu, &m);
+        let before = dev_lu.counters();
+        lu.factorize().unwrap();
+        let lu_counters = dev_lu.counters().since(&before);
+
+        assert!(sym_counters.flops > 0);
+        assert!(
+            sym_counters.flops < lu_counters.flops,
+            "symmetric {} vs LU {}",
+            sym_counters.flops,
+            lu_counters.flops
+        );
+        // No host/device traffic during the factorization itself.
+        assert_eq!(sym_counters.h2d_bytes, 0);
     }
 }

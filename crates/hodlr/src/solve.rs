@@ -9,16 +9,15 @@
 //! solver type again.
 
 use crate::verify::{SolveVerdict, VerifyConfig};
-use hodlr_core::{
-    GpuSolver, GpuSymmetricSolver, SerialFactorization, SerialSymmetricFactorization,
-};
+use hodlr_core::{BatchedSolver, FactorKind, SerialSolver};
 use hodlr_la::{DenseMatrix, HodlrError, Scalar};
 use hodlr_solver::LinearOperator;
 
 /// Backend-agnostic solving against a completed factorization.
 ///
-/// Implemented by [`SerialFactorization`] (Algorithms 1–2),
-/// [`GpuSolver`] (Algorithms 3–4 on the virtual batched device), the
+/// Implemented by [`SerialSolver`] (Algorithms 1–2) and [`BatchedSolver`]
+/// (Algorithms 3–4 on the virtual batched device) — each once, for both
+/// factor kinds (LU and symmetric) — the
 /// [`IterativeSolver`](crate::IterativeSolver) Krylov adapter, and the
 /// type-erased [`Factorization`] handle.
 ///
@@ -90,8 +89,8 @@ pub trait Solve<T: Scalar> {
     /// the stored factors via the product form of the paper's Section
     /// III-E (a).
     ///
-    /// Supported by the direct backends ([`SerialFactorization`],
-    /// [`GpuSolver`], and the type-erased [`Factorization`] over either),
+    /// Supported by the direct backends ([`SerialSolver`],
+    /// [`BatchedSolver`], and the type-erased [`Factorization`] over either),
     /// where serial and batched results agree **bitwise**.  The
     /// mixed-precision backend reports the log-determinant of its
     /// *lower-precision* factors (~`1e-7` relative accuracy for `f64`
@@ -178,14 +177,14 @@ pub trait Solve<T: Scalar> {
     }
 }
 
-impl<T: Scalar> Solve<T> for SerialFactorization<T> {
+impl<T: Scalar, K: FactorKind<T>> Solve<T> for SerialSolver<T, K> {
     fn dim(&self) -> usize {
         self.tree().n()
     }
 
     fn solve_in_place(&self, x: &mut [T]) -> Result<(), HodlrError> {
         HodlrError::check_dims("right-hand side", self.dim(), x.len())?;
-        let out = SerialFactorization::solve(self, x);
+        let out = SerialSolver::solve(self, x);
         x.copy_from_slice(&out);
         Ok(())
     }
@@ -197,7 +196,7 @@ impl<T: Scalar> Solve<T> for SerialFactorization<T> {
     }
 
     fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
-        Ok(SerialFactorization::log_det(self))
+        Ok(SerialSolver::log_det(self))
     }
 
     fn factor_bytes(&self) -> u64 {
@@ -205,76 +204,24 @@ impl<T: Scalar> Solve<T> for SerialFactorization<T> {
     }
 }
 
-impl<T: Scalar> Solve<T> for SerialSymmetricFactorization<T> {
-    fn dim(&self) -> usize {
-        self.tree().n()
-    }
-
-    fn solve_in_place(&self, x: &mut [T]) -> Result<(), HodlrError> {
-        HodlrError::check_dims("right-hand side", self.dim(), x.len())?;
-        let out = SerialSymmetricFactorization::solve(self, x);
-        x.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
-        HodlrError::check_dims("right-hand side block rows", self.dim(), x.rows())?;
-        *x = self.solve_matrix(x);
-        Ok(())
-    }
-
-    fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
-        Ok(SerialSymmetricFactorization::log_det(self))
-    }
-
-    fn factor_bytes(&self) -> u64 {
-        (self.storage_entries() * std::mem::size_of::<T>()) as u64
-    }
-}
-
-impl<T: Scalar> Solve<T> for GpuSolver<'_, T> {
+impl<T: Scalar, K: FactorKind<T>> Solve<T> for BatchedSolver<'_, T, K> {
     fn dim(&self) -> usize {
         self.n()
     }
 
     fn solve_in_place(&self, x: &mut [T]) -> Result<(), HodlrError> {
-        let out = GpuSolver::solve(self, x)?;
+        let out = BatchedSolver::solve(self, x)?;
         x.copy_from_slice(&out);
         Ok(())
     }
 
     fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
-        *x = GpuSolver::solve_matrix(self, x)?;
+        *x = BatchedSolver::solve_matrix(self, x)?;
         Ok(())
     }
 
     fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
-        GpuSolver::log_det(self)
-    }
-
-    fn factor_bytes(&self) -> u64 {
-        (self.storage_entries() * std::mem::size_of::<T>()) as u64
-    }
-}
-
-impl<T: Scalar> Solve<T> for GpuSymmetricSolver<'_, T> {
-    fn dim(&self) -> usize {
-        self.n()
-    }
-
-    fn solve_in_place(&self, x: &mut [T]) -> Result<(), HodlrError> {
-        let out = GpuSymmetricSolver::solve(self, x)?;
-        x.copy_from_slice(&out);
-        Ok(())
-    }
-
-    fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
-        *x = GpuSymmetricSolver::solve_matrix(self, x)?;
-        Ok(())
-    }
-
-    fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
-        GpuSymmetricSolver::log_det(self)
+        BatchedSolver::log_det(self)
     }
 
     fn factor_bytes(&self) -> u64 {

@@ -684,3 +684,40 @@ fn compact_storage_supports_complex_scalars() {
     let x = f.solve(&b).unwrap();
     assert!(compact.relative_residual(&x, &b) < 1e-9);
 }
+
+/// No right-hand sides is an empty result on every direct factorization —
+/// serial and batched, LU and symmetric — with no device launch or
+/// transfer.
+#[test]
+fn zero_right_hand_sides_give_empty_results() {
+    let n = 128;
+    let source = kernel_source(n);
+    for backend in [Backend::Serial, Backend::Batched] {
+        for symmetry in [Symmetry::General, Symmetry::PositiveDefinite] {
+            let hodlr = Hodlr::builder()
+                .source(&source)
+                .leaf_size(32)
+                .tolerance(1e-10)
+                .backend(backend)
+                .symmetry(symmetry)
+                .build()
+                .unwrap();
+            let f = hodlr.factorize().unwrap();
+            let ((many, block), c) = hodlr.device().meter(|| {
+                (
+                    f.solve_many(&[]),
+                    f.solve_block(&DenseMatrix::<f64>::zeros(n, 0)),
+                )
+            });
+            let label = format!("{backend:?} / {symmetry:?}");
+            assert!(many.unwrap().is_empty(), "{label}");
+            let block = block.unwrap();
+            assert_eq!((block.rows(), block.cols()), (n, 0), "{label}");
+            assert_eq!(
+                (c.kernel_launches, c.h2d_bytes, c.d2h_bytes),
+                (0, 0, 0),
+                "{label}"
+            );
+        }
+    }
+}
