@@ -1,6 +1,6 @@
-//! Dense-kernel microbenchmarks: gemm / LU / QR GFLOP/s by size, scalar
-//! type and thread count, plus the blocked-vs-reference speedup and the
-//! bitwise-determinism check across pool sizes.
+//! Dense-kernel microbenchmarks: gemm / LU / QR / leaf-solve GFLOP/s by
+//! size, scalar type and thread count, plus the blocked-vs-reference
+//! speedup and the bitwise-determinism check across pool sizes.
 //!
 //! The `kernels` binary turns these rows into `BENCH_kernels.json`, the perf
 //! trajectory every kernel-touching PR is measured against: the headline
@@ -9,7 +9,8 @@
 //! ([`hodlr_la::blas::gemm_reference`]).
 
 use hodlr_la::blas::{gemm_flops, gemm_reference};
-use hodlr_la::lu::getrf_in_place;
+use hodlr_la::cholesky::{potrf_in_place, potrs_in_place};
+use hodlr_la::lu::{getrf_in_place, getrs_in_place};
 use hodlr_la::qr::thin_qr;
 use hodlr_la::random::random_matrix;
 use hodlr_la::{gemm, isa_level, Complex64, DenseMatrix, Op, Scalar};
@@ -20,13 +21,14 @@ use std::time::Instant;
 /// One measured kernel configuration.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// Kernel name: `gemm`, `gemm_reference`, `getrf`, `thin_qr`.
+    /// Kernel name: `gemm`, `gemm_reference`, `getrf`, `thin_qr`, `getrs`,
+    /// `potrs`.
     pub kernel: String,
     /// Scalar type: `f64` or `c64`.
     pub scalar: String,
     /// Rows of `C` / order of the factorized matrix.
     pub m: usize,
-    /// Columns of `C`.
+    /// Columns of `C` / right-hand sides of a solve.
     pub n: usize,
     /// Inner dimension.
     pub k: usize,
@@ -145,6 +147,65 @@ fn time_qr<T: Scalar>(m: usize, n: usize, reps: usize) -> (f64, Vec<T>) {
     (t, out)
 }
 
+/// The leaf solves: `getrs` with an LU factor, `potrs` with a Cholesky
+/// factor.
+#[derive(Clone, Copy)]
+enum LeafSolve {
+    Getrs,
+    Potrs,
+}
+
+/// Order of the factor in the `getrs` / `potrs` rows: a HODLR leaf.
+const LEAF_ORDER: usize = 64;
+
+/// Right-hand-side columns one timing of [`time_leaf_solve`] covers, so a
+/// one-column row times enough calls to be read.
+const SOLVE_COLUMNS: usize = 4096;
+
+/// Time one [`LEAF_ORDER`]-order leaf solve against `nrhs` right-hand
+/// sides; returns `(time per solve, solution)`.  Each call solves a fresh
+/// copy of the same right-hand sides.
+fn time_leaf_solve<T: Scalar>(kind: LeafSolve, nrhs: usize, reps: usize) -> (f64, Vec<T>) {
+    let order = LEAF_ORDER;
+    let mut rng = StdRng::seed_from_u64((order * 17 + nrhs) as u64);
+    let mut f: DenseMatrix<T> = random_matrix(&mut rng, order, order);
+    let mut piv = Vec::new();
+    match kind {
+        LeafSolve::Getrs => piv = getrf_in_place(f.as_mut()).expect("bench matrix is nonsingular"),
+        LeafSolve::Potrs => {
+            // G G^H + order * I is Hermitian positive definite.
+            let g = f.clone();
+            let g = g.as_ref();
+            gemm(
+                T::one(),
+                g,
+                Op::None,
+                g,
+                Op::ConjTrans,
+                T::zero(),
+                f.as_mut(),
+            );
+            for i in 0..order {
+                f[(i, i)] += T::from_f64(order as f64);
+            }
+            potrf_in_place(f.as_mut()).expect("bench matrix is positive definite");
+        }
+    }
+    let b: DenseMatrix<T> = random_matrix(&mut rng, order, nrhs);
+    let calls = (SOLVE_COLUMNS / nrhs.max(1)).max(1);
+    let mut x = b.clone();
+    let t = best_of(reps, || {
+        for _ in 0..calls {
+            x.data_mut().copy_from_slice(b.data());
+            match kind {
+                LeafSolve::Getrs => getrs_in_place(f.as_ref(), &piv, x.as_mut()),
+                LeafSolve::Potrs => potrs_in_place(f.as_ref(), x.as_mut()),
+            }
+        }
+    });
+    (t / calls as f64, x.into_data())
+}
+
 /// Flop counts of the factorizations (real multiply-add = 2 flops).
 fn getrf_flops(n: usize) -> f64 {
     2.0 * (n as f64).powi(3) / 3.0
@@ -153,6 +214,12 @@ fn getrf_flops(n: usize) -> f64 {
 fn qr_flops(m: usize, n: usize) -> f64 {
     // Householder thin QR + explicit thin-Q formation: ~4mn^2 - 4n^3/3.
     4.0 * m as f64 * (n as f64) * (n as f64) - 4.0 * (n as f64).powi(3) / 3.0
+}
+
+/// Two triangular solves of order `n` per right-hand side: `2 n^2` flops
+/// each (the unit diagonal of `getrs`'s `L` is not discounted).
+fn leaf_solve_flops(n: usize, nrhs: usize) -> f64 {
+    2.0 * (n as f64) * (n as f64) * nrhs as f64
 }
 
 /// The sweep configuration of the `kernels` binary.
@@ -166,6 +233,8 @@ pub struct KernelBenchConfig {
     pub lu_sizes: Vec<usize>,
     /// QR shapes `(m, n)`.
     pub qr_sizes: Vec<(usize, usize)>,
+    /// Right-hand-side counts of the `getrs` / `potrs` rows.
+    pub solve_nrhs: Vec<usize>,
     /// Thread counts to sweep (the first is the baseline for bitwise
     /// comparisons and must be 1).
     pub threads: Vec<usize>,
@@ -182,6 +251,9 @@ impl KernelBenchConfig {
             reference_sizes: vec![256, 512, 1024],
             lu_sizes: vec![256, 512, 1024],
             qr_sizes: vec![(512, 256), (1024, 512)],
+            // One column, one lane group, and the leaf widths W of the
+            // laplace-surface-2d (138) and gp-se-3d (578) benchmarks.
+            solve_nrhs: vec![1, 8, 138, 578],
             threads: vec![1, 2, 8],
             reps: 2,
         }
@@ -195,6 +267,7 @@ impl KernelBenchConfig {
             reference_sizes: vec![160],
             lu_sizes: vec![160],
             qr_sizes: vec![(128, 100)],
+            solve_nrhs: vec![1, 9],
             threads: vec![1, 2],
             reps: 1,
         }
@@ -308,6 +381,35 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
             });
         }
     }
+
+    // The leaf solves of Algorithms 1 and 3: one factor against `nrhs`
+    // columns.  One column runs the per-column loop, eight or more the
+    // eight-lane path.
+    for (kind, name) in [(LeafSolve::Getrs, "getrs"), (LeafSolve::Potrs, "potrs")] {
+        for &nrhs in &config.solve_nrhs {
+            let mut base_out: Option<Vec<T>> = None;
+            for &nt in &config.threads {
+                let (t, out) = pool(nt).install(|| time_leaf_solve::<T>(kind, nrhs, config.reps));
+                let bitwise = base_out.as_ref().map(|b| bitwise_eq(b, &out));
+                if base_out.is_none() {
+                    base_out = Some(out);
+                }
+                rows.push(KernelRow {
+                    kernel: name.into(),
+                    scalar: scalar.clone(),
+                    m: LEAF_ORDER,
+                    n: nrhs,
+                    k: LEAF_ORDER,
+                    threads: nt,
+                    time_s: t,
+                    gflops: ff * leaf_solve_flops(LEAF_ORDER, nrhs) / t / 1e9,
+                    speedup_vs_reference: None,
+                    bitwise_vs_1thread: bitwise,
+                    isa,
+                });
+            }
+        }
+    }
 }
 
 /// Bitwise equality of two result buffers.
@@ -375,6 +477,11 @@ mod tests {
             .iter()
             .any(|r| r.kernel == "getrf" && r.scalar == "c64"));
         assert!(rows.iter().any(|r| r.kernel == "thin_qr"));
+        for kernel in ["getrs", "potrs"] {
+            for nrhs in [1, 9] {
+                assert!(rows.iter().any(|r| r.kernel == kernel && r.n == nrhs));
+            }
+        }
         // Every multi-thread row must report a bitwise verdict, and it must
         // be "identical".
         for r in &rows {

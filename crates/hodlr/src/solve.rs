@@ -22,7 +22,9 @@ use hodlr_solver::LinearOperator;
 /// type-erased [`Factorization`] handle.
 ///
 /// The in-place variants are the primitive operations; the allocating
-/// variants have default implementations on top of them.
+/// variants have default implementations on top of them, which the direct
+/// backends override to solve straight into a fresh result without first
+/// copying the right-hand sides.
 pub trait Solve<T: Scalar> {
     /// The dimension `n` of the (square) factorized operator.
     fn dim(&self) -> usize;
@@ -195,6 +197,11 @@ impl<T: Scalar, K: FactorKind<T>> Solve<T> for SerialSolver<T, K> {
         Ok(())
     }
 
+    fn solve_block(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, HodlrError> {
+        HodlrError::check_dims("right-hand side block rows", self.dim(), b.rows())?;
+        Ok(self.solve_matrix(b))
+    }
+
     fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
         Ok(SerialSolver::log_det(self))
     }
@@ -218,6 +225,10 @@ impl<T: Scalar, K: FactorKind<T>> Solve<T> for BatchedSolver<'_, T, K> {
     fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
         *x = BatchedSolver::solve_matrix(self, x)?;
         Ok(())
+    }
+
+    fn solve_block(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, HodlrError> {
+        BatchedSolver::solve_matrix(self, b)
     }
 
     fn log_det(&self) -> Result<(T::Real, T), HodlrError> {

@@ -50,8 +50,12 @@
 //! when `op_a == Op::None` the columns of `A` are read in place (columns of
 //! a strided view are always contiguous), so small products do **no**
 //! repacking at all; transposed operands use dot-product form on contiguous
-//! columns.  The previous implementation copied all of `op_a(A)` even when
-//! it was already stored exactly as needed.
+//! columns.  The dot form packs eight columns of `op_b(B)` at a time into
+//! `[T; 8]` lanes, each lane running its column's dot products in their
+//! own order, so the result is bitwise that of one column at a time (the
+//! lane contract of [`crate::triangular`]); leftover columns take the
+//! one-column loop.  The previous implementation copied all of `op_a(A)`
+//! even when it was already stored exactly as needed.
 //!
 //! The old axpy-per-column kernel is retained as [`gemm_reference`]: it is
 //! the oracle for property tests and the baseline the `kernels` bench bin
@@ -62,11 +66,12 @@
 //! The workspace builds for baseline x86-64, where every `mul_add` in
 //! [`axpy_slice`] is an out-of-line call into the `fma` routine and loops
 //! vectorize only to SSE2.  The kernels that carry the flops — one `gemm`
-//! tile, the direct path, [`gemv`] and [`axpy_slice`] here; the unblocked
-//! LU, Cholesky, `L D L^H` and Bunch-Kaufman kernels and the Bunch-Kaufman
-//! solve elsewhere in the crate — are each compiled a second time for
-//! AVX2 + FMA (x86-64-v3), and every call picks the copy the running CPU
-//! supports ([`crate::isa_level`] names it).  Inside a dispatched kernel the
+//! tile, the direct path with its eight-lane dot form, [`gemv`] and
+//! [`axpy_slice`] here; the unblocked LU, Cholesky, `L D L^H` and
+//! Bunch-Kaufman kernels, the Bunch-Kaufman solve and the eight-lane
+//! kernels of the triangular and `L^H` solves elsewhere in the crate — are
+//! each compiled a second time for AVX2 + FMA (x86-64-v3), and every call
+//! picks the copy the running CPU supports ([`crate::isa_level`] names it).  Inside a dispatched kernel the
 //! inner loops call the non-dispatching `axpy` body, so the whole kernel
 //! runs in one copy with `vfmadd` and no per-element call.  For `gemm` the
 //! dispatch sits in the per-tile function that the parallel tile closure
@@ -79,6 +84,7 @@
 use crate::dense::{MatMut, MatRef};
 use crate::isa::multiversion;
 use crate::scalar::Scalar;
+use crate::triangular::LANES;
 use rayon::prelude::*;
 
 /// Operation applied to an input operand of [`gemm`]/[`gemv`].
@@ -249,28 +255,91 @@ pub(crate) fn gemm_direct_body<T: Scalar>(
             }
         }
         Op::Trans | Op::ConjTrans => {
-            // op_a(A)[i, p] = (conj?) a[p, i]: row i of op_a(A) is the
-            // contiguous stored column i of A.
             let conj_a = op_a == Op::ConjTrans;
-            let mut b_col: Vec<T> = Vec::new();
-            for j in 0..n {
-                let b_slice: &[T] = if op_b == Op::None {
-                    b.col(j)
-                } else {
-                    b_col.clear();
-                    b_col.extend((0..k).map(|p| op_b.at(b, p, j)));
-                    &b_col
-                };
-                let c_col = c.col_mut(j);
-                for (i, ci) in c_col.iter_mut().enumerate() {
-                    let acc = if conj_a {
-                        dot_conj(a.col(i), b_slice)
-                    } else {
-                        dot(a.col(i), b_slice)
-                    };
-                    *ci += alpha * acc;
+            let grouped = n - n % LANES;
+            if grouped > 0 {
+                dot_form_lanes(alpha, a, conj_a, b, op_b, c, grouped);
+            }
+            dot_form_columns(alpha, a, conj_a, b, op_b, c, grouped);
+        }
+    }
+}
+
+/// The dot form of the direct path for columns `0..grouped` of `C` (a
+/// multiple of [`LANES`]): eight columns of `op_b(B)` are packed row by row
+/// into `[T; LANES]`, and lane `l` accumulates entry `(i, j0 + l)` exactly
+/// as [`dot_form_columns`]'s `dot` does, so every entry is bitwise the same.
+#[inline(always)]
+fn dot_form_lanes<T: Scalar>(
+    alpha: T,
+    a: &MatRef<'_, T>,
+    conj_a: bool,
+    b: &MatRef<'_, T>,
+    op_b: Op,
+    c: &mut MatMut<'_, T>,
+    grouped: usize,
+) {
+    let k = op_b.rows_of(b);
+    let mut b_lanes = vec![[T::zero(); LANES]; k];
+    for j0 in (0..grouped).step_by(LANES) {
+        for (l, j) in (j0..j0 + LANES).enumerate() {
+            if op_b == Op::None {
+                for (row, &v) in b_lanes.iter_mut().zip(b.col(j)) {
+                    row[l] = v;
+                }
+            } else {
+                for (p, row) in b_lanes.iter_mut().enumerate() {
+                    row[l] = op_b.at(b, p, j);
                 }
             }
+        }
+        for i in 0..c.rows() {
+            let mut acc = [T::zero(); LANES];
+            for (&aip, bp) in a.col(i).iter().zip(&b_lanes) {
+                let aip = if conj_a { aip.conj() } else { aip };
+                for (s, &v) in acc.iter_mut().zip(bp) {
+                    *s += aip * v;
+                }
+            }
+            for (j, s) in (j0..j0 + LANES).zip(acc) {
+                c.col_mut(j)[i] += alpha * s;
+            }
+        }
+    }
+}
+
+/// The dot form of the direct path for columns `from..` of `C`, one column
+/// at a time: `C[i, j] += alpha * dot(op_a(A)[i, :], op_b(B)[:, j])`.
+#[inline(always)]
+pub(crate) fn dot_form_columns<T: Scalar>(
+    alpha: T,
+    a: &MatRef<'_, T>,
+    conj_a: bool,
+    b: &MatRef<'_, T>,
+    op_b: Op,
+    c: &mut MatMut<'_, T>,
+    from: usize,
+) {
+    // op_a(A)[i, p] = (conj?) a[p, i]: row i of op_a(A) is the contiguous
+    // stored column i of A.
+    let k = op_b.rows_of(b);
+    let mut b_col: Vec<T> = Vec::new();
+    for j in from..c.cols() {
+        let b_slice: &[T] = if op_b == Op::None {
+            b.col(j)
+        } else {
+            b_col.clear();
+            b_col.extend((0..k).map(|p| op_b.at(b, p, j)));
+            &b_col
+        };
+        let c_col = c.col_mut(j);
+        for (i, ci) in c_col.iter_mut().enumerate() {
+            let acc = if conj_a {
+                dot_conj(a.col(i), b_slice)
+            } else {
+                dot(a.col(i), b_slice)
+            };
+            *ci += alpha * acc;
         }
     }
 }

@@ -18,7 +18,9 @@ use crate::dense::{DenseMatrix, MatMut, MatRef};
 use crate::error::HodlrError;
 use crate::isa::multiversion;
 use crate::scalar::{RealScalar, Scalar};
-use crate::triangular::{solve_triangular_in_place, Diag, Triangle};
+use crate::triangular::{
+    pack_lanes, solve_triangular_in_place, unpack_lanes, Diag, Triangle, LANES,
+};
 
 /// Error from a symmetric factorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +193,8 @@ pub(crate) fn potf2_unblocked_body<T: Scalar>(mut a: MatMut<'_, T>) -> Result<()
 
 /// Solve `L^H X = B` in place by backward substitution, where `L` is the
 /// lower-triangular factor (the transpose solve [`crate::triangular`] does
-/// not provide).
+/// not provide).  Full groups of eight columns are solved side by side,
+/// bitwise as one at a time (see [`crate::triangular`]).
 pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
     l: MatRef<'_, T>,
     diag: Diag,
@@ -200,17 +203,76 @@ pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
     let n = l.rows();
     assert_eq!(n, l.cols(), "conj-transpose solve: factor must be square");
     assert_eq!(n, b.rows(), "conj-transpose solve: rhs has wrong row count");
-    for c in 0..b.cols() {
-        let x = b.col_mut(c);
+    if n == 0 {
+        return;
+    }
+
+    let grouped = b.cols() - b.cols() % LANES;
+    if grouped > 0 {
+        solve_conj_transpose_lower_lanes(l, diag, b.block_mut(0, 0, n, grouped));
+    }
+    for c in grouped..b.cols() {
+        solve_conj_transpose_lower_col(l, diag, b.col_mut(c));
+    }
+}
+
+multiversion! {
+    /// The lane kernel of [`solve_conj_transpose_lower_in_place`]: solves
+    /// every column of `b`, whose count is a multiple of eight.
+    pub(crate) fn solve_conj_transpose_lower_lanes<T: Scalar>(
+        l: MatRef<'_, T>,
+        diag: Diag,
+        b: MatMut<'_, T>,
+    ) = solve_conj_transpose_lower_lanes_body;
+}
+
+#[inline(always)]
+pub(crate) fn solve_conj_transpose_lower_lanes_body<T: Scalar>(
+    l: MatRef<'_, T>,
+    diag: Diag,
+    mut b: MatMut<'_, T>,
+) {
+    let n = l.rows();
+    debug_assert_eq!(b.cols() % LANES, 0);
+    let mut x = vec![[T::zero(); LANES]; n];
+    for j0 in (0..b.cols()).step_by(LANES) {
+        pack_lanes(&b, j0, &mut x);
+        // Each lane runs `solve_conj_transpose_lower_col`'s steps.
         for k in (0..n).rev() {
             let lk = l.col(k);
-            let s = crate::blas::dot_conj(&lk[k + 1..], &x[k + 1..]);
-            let mut v = x[k] - s;
+            let mut s = [T::zero(); LANES];
+            for (&lik, xi) in lk[k + 1..].iter().zip(&x[k + 1..]) {
+                let c = lik.conj();
+                for (sl, &xil) in s.iter_mut().zip(xi) {
+                    *sl += c * xil;
+                }
+            }
+            let mut v = x[k];
+            for (vl, sl) in v.iter_mut().zip(s) {
+                *vl -= sl;
+            }
             if matches!(diag, Diag::NonUnit) {
-                v *= lk[k].conj().recip();
+                let r = lk[k].conj().recip();
+                for vl in &mut v {
+                    *vl *= r;
+                }
             }
             x[k] = v;
         }
+        unpack_lanes(&x, &mut b, j0);
+    }
+}
+
+/// One column of [`solve_conj_transpose_lower_in_place`].
+pub(crate) fn solve_conj_transpose_lower_col<T: Scalar>(l: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
+    for k in (0..x.len()).rev() {
+        let lk = l.col(k);
+        let s = crate::blas::dot_conj(&lk[k + 1..], &x[k + 1..]);
+        let mut v = x[k] - s;
+        if matches!(diag, Diag::NonUnit) {
+            v *= lk[k].conj().recip();
+        }
+        x[k] = v;
     }
 }
 

@@ -415,12 +415,18 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         &self.data[j * self.ld..j * self.ld + self.rows]
     }
 
-    /// Sub-view starting at `(row, col)` with shape `nrows x ncols`.
+    /// Sub-view starting at `(row, col)` with shape `nrows x ncols`.  An
+    /// empty window (`nrows == 0 || ncols == 0`) is an empty view, wherever
+    /// it starts.
     pub fn block(&self, row: usize, col: usize, nrows: usize, ncols: usize) -> MatRef<'a, T> {
         assert!(row + nrows <= self.rows && col + ncols <= self.cols);
-        let offset = col * self.ld + row;
+        let data = if nrows == 0 || ncols == 0 {
+            &self.data[..0]
+        } else {
+            &self.data[col * self.ld + row..]
+        };
         MatRef {
-            data: &self.data[offset..],
+            data,
             rows: nrows,
             cols: ncols,
             ld: self.ld,
@@ -528,12 +534,17 @@ impl<'a, T: Scalar> MatMut<'a, T> {
     }
 
     /// Consume the view and return the sub-view starting at `(row, col)` with
-    /// shape `nrows x ncols`.
+    /// shape `nrows x ncols`.  An empty window is an empty view, as in
+    /// [`MatRef::block`].
     pub fn into_block(self, row: usize, col: usize, nrows: usize, ncols: usize) -> MatMut<'a, T> {
         assert!(row + nrows <= self.rows && col + ncols <= self.cols);
-        let offset = col * self.ld + row;
+        let data = if nrows == 0 || ncols == 0 {
+            &mut self.data[..0]
+        } else {
+            &mut self.data[col * self.ld + row..]
+        };
         MatMut {
-            data: &mut self.data[offset..],
+            data,
             rows: nrows,
             cols: ncols,
             ld: self.ld,
@@ -762,6 +773,25 @@ mod tests {
     #[should_panic]
     fn from_col_major_wrong_len_panics() {
         let _ = DenseMatrix::from_col_major(2, 2, vec![1.0_f64; 3]);
+    }
+
+    #[test]
+    fn empty_windows_are_empty_views() {
+        let mut wide = DenseMatrix::<f64>::zeros(8, 0);
+        let v = wide.block_mut(4, 0, 4, 0);
+        assert_eq!((v.rows(), v.cols()), (4, 0));
+        let v = wide.block(4, 0, 4, 0);
+        assert_eq!((v.rows(), v.cols(), v.data().len()), (4, 0, 0));
+        let flat = DenseMatrix::<f64>::zeros(0, 5);
+        let v = flat.block(0, 2, 0, 3);
+        assert_eq!((v.rows(), v.cols(), v.data().len()), (0, 3, 0));
+        // A strided view (`ld > rows`) whose empty window starts past the
+        // end of its buffer.
+        let tall = DenseMatrix::<f64>::zeros(4, 3);
+        let strided = tall.block(1, 0, 2, 3);
+        assert_eq!(strided.ld(), 4);
+        let v = strided.block(0, 3, 2, 0);
+        assert_eq!((v.rows(), v.cols(), v.data().len()), (2, 0, 0));
     }
 
     #[test]

@@ -84,6 +84,7 @@ mod tests {
     use crate::lu;
     use crate::random::{random_matrix, random_vector};
     use crate::scalar::{RealScalar, Scalar};
+    use crate::triangular::{self, Diag, Triangle};
     use crate::Complex64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -108,7 +109,9 @@ mod tests {
 
     fn check_gemm<T: Scalar, const MR: usize, const NR: usize>(rng: &mut StdRng) {
         let alpha = T::from_f64(-0.75);
-        // Direct path (the last shape one multiply-add below the threshold),
+        // Direct path (the last shape one multiply-add below the threshold;
+        // the second and third run the dot form's lane groups, the second
+        // with a leftover column),
         // then the blocked path: exactly at the threshold, ragged MR/NR edges,
         // several row tiles with two k slabs, two column tiles.
         let shapes = [
@@ -269,12 +272,46 @@ mod tests {
         );
     }
 
+    /// The lane kernels of the triangular solves on a 64x64 LU leaf factor:
+    /// no group, one, two, and the 17 whole groups of the laplace-surface-2d
+    /// leaf width `W = 138`.
+    fn check_triangular<T: Scalar>(rng: &mut StdRng) {
+        let n = 64;
+        let mut f: DenseMatrix<T> = random_matrix(rng, n, n);
+        lu::getrf_in_place(f.as_mut()).expect("nonsingular");
+        let f = f.as_ref();
+        for w in [0, 8, 16, 136] {
+            let rhs: DenseMatrix<T> = random_matrix(rng, n, w);
+            for diag in [Diag::Unit, Diag::NonUnit] {
+                for triangle in [Triangle::Lower, Triangle::Upper] {
+                    let (mut base, mut disp) = (rhs.clone(), rhs.clone());
+                    triangular::solve_triangular_lanes_body(f, triangle, diag, base.as_mut());
+                    triangular::solve_triangular_lanes(f, triangle, diag, disp.as_mut());
+                    assert_eq!(
+                        bits(base.data()),
+                        bits(disp.data()),
+                        "trsm lanes {triangle:?} {diag:?}, {w} columns"
+                    );
+                }
+                let (mut base, mut disp) = (rhs.clone(), rhs.clone());
+                cholesky::solve_conj_transpose_lower_lanes_body(f, diag, base.as_mut());
+                cholesky::solve_conj_transpose_lower_lanes(f, diag, disp.as_mut());
+                assert_eq!(
+                    bits(base.data()),
+                    bits(disp.data()),
+                    "conj-transpose lanes {diag:?}, {w} columns"
+                );
+            }
+        }
+    }
+
     fn check_all<T: Scalar, const MR: usize, const NR: usize>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         check_gemm::<T, MR, NR>(&mut rng);
         check_level2::<T>(&mut rng);
         check_lu::<T>(&mut rng);
         check_symmetric::<T>(&mut rng);
+        check_triangular::<T>(&mut rng);
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! Host-memory regression test for the batched factorizations.
+//! Host-memory regression tests for the batched factorizations and the
+//! blocked solves.
 //!
 //! The virtual device lives in host memory, so every transient buffer a
 //! batched kernel allocates shows up on the heap.  A counting global
 //! allocator tracks the peak of live heap bytes, and each factorization may
 //! grow the heap by less than the matrix's own storage: its per-level work
-//! is O(n·w), never a copy of the `lda = n` span of every window.  This file
-//! is its own test binary, so the allocator counts only these tests, and
-//! they take turns so that neither measures the other.
+//! is O(n·w), never a copy of the `lda = n` span of every window.  A blocked
+//! solve may hold no more `n x k` right-hand-side buffers than it needs.
+//! This file is its own test binary, so the allocator counts only these
+//! tests, and they take turns so that none measures another.
 
+use hodlr::Solve;
 use hodlr_batch::Device;
 use hodlr_core::matrix::{random_hodlr, random_hodlr_spd};
 use hodlr_core::{GpuSolver, GpuSymmetricSolver, HodlrMatrix, Symmetry};
+use hodlr_la::random::random_matrix;
+use hodlr_la::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -93,4 +98,39 @@ fn batched_symmetric_factorization_heap_growth_stays_below_storage() {
         .expect("solver construction");
     let growth = peak_heap_growth(|| solver.factorize().expect("batched SPD factorization"));
     assert_below_storage("GpuSymmetricSolver::factorize", growth, &matrix);
+}
+
+/// Peak heap growth of one 32-RHS `solve_block` at n = 8192, in units of
+/// the `n x 32` right-hand-side buffer.
+fn solve_block_buffers(solver: &impl Solve<f64>) -> f64 {
+    let b: DenseMatrix<f64> = random_matrix(&mut StdRng::seed_from_u64(15), N, 32);
+    let buffer = b.rows() * b.cols() * std::mem::size_of::<f64>();
+    let growth = peak_heap_growth(|| drop(solver.solve_block(&b).expect("blocked solve")));
+    growth as f64 / buffer as f64
+}
+
+#[test]
+fn batched_solve_block_holds_the_upload_and_the_result() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let matrix: HodlrMatrix<f64> = random_hodlr(&mut StdRng::seed_from_u64(14), N, LEVELS, RANK);
+    let device = Device::new();
+    let mut solver = GpuSolver::new(&device, &matrix);
+    solver.factorize().expect("batched LU factorization");
+    let buffers = solve_block_buffers(&solver);
+    assert!(
+        buffers < 2.5,
+        "batched solve_block held {buffers:.2} right-hand-side buffers, not below 2.5"
+    );
+}
+
+#[test]
+fn serial_solve_block_holds_only_the_result() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let matrix: HodlrMatrix<f64> = random_hodlr(&mut StdRng::seed_from_u64(14), N, LEVELS, RANK);
+    let solver = matrix.factorize_serial().expect("serial LU factorization");
+    let buffers = solve_block_buffers(&solver);
+    assert!(
+        buffers < 1.5,
+        "serial solve_block held {buffers:.2} right-hand-side buffers, not below 1.5"
+    );
 }
