@@ -36,10 +36,12 @@
 //! `hodlr-batch`, whose kernels shard their batch entries across the same
 //! pool, and its blocked multi-RHS entry point
 //! [`BatchedSolver::solve_block`] scatters and gathers the right-hand-side
-//! columns in parallel too.  The serial solver ([`SerialSolver`]) processes
-//! tree nodes one at a time; the dense kernels inside each node inherit
-//! `hodlr-la`'s tile parallelism (gemms above its direct-call threshold run
-//! tile-parallel on the pool).  Every parallel path writes each task's
+//! columns in parallel too.  The serial solver ([`SerialSolver`]) runs the
+//! nodes of each tree level as pool tasks on their own row windows, through
+//! scratch copies only while those stay within a quarter of the matrix (see
+//! [`serial`]); the dense kernels inside each node inherit `hodlr-la`'s tile
+//! parallelism (gemms above its direct-call threshold run tile-parallel on
+//! the pool).  Every parallel path writes each task's
 //! output to a task-private slot and runs each task's arithmetic
 //! sequentially inside, so factorizations and solves are bitwise
 //! reproducible at any thread count.

@@ -12,15 +12,36 @@
 //!
 //! The sweep is written once, generic over the [`FactorKind`] that
 //! factorizes each block: pivoted LU ([`SerialFactorization`]) or the
-//! symmetric ladder ([`SerialSymmetricFactorization`]).  Tree nodes are
-//! processed one at a time; the dense kernels inside each node inherit
-//! `hodlr-la`'s tile parallelism.
+//! symmetric ladder ([`SerialSymmetricFactorization`]).
+//!
+//! # Parallelism
+//!
+//! The nodes of one level are independent, and every level runs them as
+//! tasks on the rayon pool, one task per node.  The leaf factors and the
+//! coupling matrices are formed and factorized in parallel, then each
+//! node's solve or update runs on its own row window (`I_alpha` at the
+//! leaves, `I_gamma` above) through `hodlr-batch`'s
+//! [`process_windows_mut`], which proves the windows disjoint.  A node's
+//! task makes the same `gemm`, factor and solve calls as a one-node-at-a-time
+//! sweep, on the same operands, so the results are bitwise independent of
+//! the pool size.
+//!
+//! Windows of one column (a single right-hand side) are disjoint slices and
+//! run in place.  Wider windows interleave in memory, and the executor
+//! copies each one into task scratch; such a level runs as tasks only while
+//! `min(threads, nodes) x widest window <= n / 4` rows, so the scratch in
+//! flight stays within a quarter of the matrix.  Otherwise (the few widest
+//! levels near the root, whose large products are tile-parallel inside
+//! `hodlr-la` anyway) its nodes run one at a time in place.
 
 use crate::layout::LevelLayout;
 use crate::matrix::HodlrMatrix;
 use crate::symmetric::{Block, FactorKind, Lu, Symmetric};
-use hodlr_la::{gemm, DenseMatrix, HodlrError, MatRef, Op, Scalar};
+use hodlr_batch::{process_windows_mut, MatWindow};
+use hodlr_la::{gemm, DenseMatrix, HodlrError, MatMut, MatRef, Op, Scalar};
 use hodlr_tree::ClusterTree;
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// The output of Algorithm 1: the transformed bases `Ybig`, the (copied)
 /// right bases `Vbig`, and the stored factorizations of every leaf
@@ -48,7 +69,7 @@ pub type SerialFactorization<T> = SerialSolver<T, Lu>;
 pub type SerialSymmetricFactorization<T> = SerialSolver<T, Symmetric>;
 
 impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
-    /// Algorithm 1 (sequential) with every block factorized by `kind`.
+    /// Algorithm 1 with every block factorized by `kind`.
     pub(crate) fn factorize(matrix: &HodlrMatrix<T>, kind: K) -> Result<Self, HodlrError> {
         let tree = matrix.tree().clone();
         let layout = matrix.layout().clone();
@@ -61,113 +82,63 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
         let mut ybig = matrix.ubig().clone();
         let vbig = matrix.vbig().clone();
 
-        // --- leaf level: factorize D_alpha and solve its rows of Ybig ------
-        let mut diag = Vec::with_capacity(tree.num_leaves());
-        for (leaf_idx, leaf) in tree.leaves().enumerate() {
-            let range = tree.range(leaf);
-            let f = kind.factor(Block::Leaf, matrix.diag_block(leaf_idx).clone(), || {
-                format!("diagonal block of leaf {leaf_idx}")
-            })?;
-            if total_cols > 0 {
-                let block = ybig.block_mut(range.start, 0, range.len(), total_cols);
-                K::solve(&f, block);
-            }
-            diag.push(f);
-        }
+        // --- leaf level: factorize every D_alpha, then solve its rows of Ybig
+        let diag = (0..tree.num_leaves())
+            .into_par_iter()
+            .map(|leaf_idx| {
+                kind.factor(Block::Leaf, matrix.diag_block(leaf_idx).clone(), || {
+                    format!("diagonal block of leaf {leaf_idx}")
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let leaves = Nodes::of(&tree, levels);
+        for_each_row_window(
+            ybig.data_mut(),
+            n,
+            total_cols,
+            &leaves.rows,
+            |leaf_idx, rows| {
+                K::solve(&diag[leaf_idx], rows);
+            },
+        );
 
         // --- internal levels, deepest first -------------------------------
         let mut coupling: Vec<Vec<K::Factor>> = vec![Vec::new(); levels];
         for level in (0..levels).rev() {
-            let child_level = level + 1;
-            let w = layout.width(child_level);
-            let prefix = layout.prefix_cols(level);
-            let child_cols = layout.col_range(child_level);
+            let w = layout.width(level + 1);
             if w == 0 {
                 // Zero-rank level: no coupling matrices and no update.
                 continue;
             }
-            let mut level_factors = Vec::with_capacity(1 << level);
+            // The child level's columns start where the prefix ends.
+            let prefix = layout.prefix_cols(level);
+            let nodes = Nodes::of(&tree, level);
 
-            for gamma in tree.level_nodes(level) {
-                let (alpha, beta) = tree.children(gamma).expect("internal node");
-                let ra = tree.range(alpha);
-                let rb = tree.range(beta);
+            // Form and factorize every node's K (Eq. 11) from its Y.
+            let factors = (0..nodes.ids.len())
+                .into_par_iter()
+                .map(|i| {
+                    let r = &nodes.rows[i];
+                    let v = vbig.block(r.start, prefix, r.len(), w);
+                    let y = ybig.block(r.start, prefix, r.len(), w);
+                    let k = build_coupling_matrix(v, y, nodes.splits[i]);
+                    kind.factor(Block::Coupling, k, || {
+                        format!("coupling matrix of node {}", nodes.ids[i])
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
 
-                // T_alpha = V_alpha^* Y_alpha and T_beta = V_beta^* Y_beta.
-                let v_a = matrix.vbig().block(ra.start, child_cols.start, ra.len(), w);
-                let v_b = matrix.vbig().block(rb.start, child_cols.start, rb.len(), w);
-                let y_a = ybig
-                    .block(ra.start, child_cols.start, ra.len(), w)
-                    .to_owned();
-                let y_b = ybig
-                    .block(rb.start, child_cols.start, rb.len(), w)
-                    .to_owned();
-
-                let k = build_coupling_matrix(&v_a, &v_b, &y_a, &y_b);
-                let k_fact = kind.factor(Block::Coupling, k, || {
-                    format!("coupling matrix of node {gamma}")
-                })?;
-
-                if prefix > 0 {
-                    // Right-hand sides (13): stack V_alpha^* Ybig(I_alpha, 1:prefix)
-                    // over V_beta^* Ybig(I_beta, 1:prefix).
-                    let mut rhs = DenseMatrix::<T>::zeros(2 * w, prefix);
-                    {
-                        let yb_a = ybig.block(ra.start, 0, ra.len(), prefix);
-                        let mut top = rhs.block_mut(0, 0, w, prefix);
-                        gemm(
-                            T::one(),
-                            v_a,
-                            Op::ConjTrans,
-                            yb_a,
-                            Op::None,
-                            T::zero(),
-                            top.reborrow(),
-                        );
-                    }
-                    {
-                        let yb_b = ybig.block(rb.start, 0, rb.len(), prefix);
-                        let mut bottom = rhs.block_mut(w, 0, w, prefix);
-                        gemm(
-                            T::one(),
-                            v_b,
-                            Op::ConjTrans,
-                            yb_b,
-                            Op::None,
-                            T::zero(),
-                            bottom.reborrow(),
-                        );
-                    }
-                    K::solve(&k_fact, rhs.as_mut());
-
-                    // Update (14): Ybig(I_gamma, 1:prefix) -= [Y_a W_a; Y_b W_b].
-                    let w_a = rhs.block(0, 0, w, prefix);
-                    let w_b = rhs.block(w, 0, w, prefix);
-                    let mut upd_a = ybig.block_mut(ra.start, 0, ra.len(), prefix);
-                    gemm(
-                        -T::one(),
-                        y_a.as_ref(),
-                        Op::None,
-                        w_a,
-                        Op::None,
-                        T::one(),
-                        upd_a.reborrow(),
-                    );
-                    let mut upd_b = ybig.block_mut(rb.start, 0, rb.len(), prefix);
-                    gemm(
-                        -T::one(),
-                        y_b.as_ref(),
-                        Op::None,
-                        w_b,
-                        Op::None,
-                        T::one(),
-                        upd_b.reborrow(),
-                    );
-                }
-
-                level_factors.push(k_fact);
+            if prefix > 0 {
+                // Eqs. 13–14 on each node's rows I_gamma: the window holds
+                // Ybig(I_gamma, 1:prefix) and, right of it, the node's Y.
+                for_each_row_window(ybig.data_mut(), n, prefix + w, &nodes.rows, |i, window| {
+                    let r = &nodes.rows[i];
+                    let (target, y) = window.split_at_col_mut(prefix);
+                    let v = vbig.block(r.start, prefix, r.len(), w);
+                    apply_coupling::<T, K>(&factors[i], v, y.as_ref(), nodes.splits[i], target);
+                });
             }
-            coupling[level] = level_factors;
+            coupling[level] = factors;
         }
 
         debug_assert_eq!(ybig.rows(), n);
@@ -183,38 +154,95 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
     }
 }
 
-/// Assemble `K = [[V_a^* Y_a, I], [I, V_b^* Y_b]]` (Eq. 11).  When the
-/// matrix is Hermitian with shared bases, `K` itself is Hermitian.
-fn build_coupling_matrix<T: Scalar>(
-    v_a: &MatRef<'_, T>,
-    v_b: &MatRef<'_, T>,
-    y_a: &DenseMatrix<T>,
-    y_b: &DenseMatrix<T>,
-) -> DenseMatrix<T> {
-    let w = y_a.cols();
-    let mut k = DenseMatrix::<T>::zeros(2 * w, 2 * w);
-    {
-        let mut top_left = k.block_mut(0, 0, w, w);
-        gemm(
-            T::one(),
-            *v_a,
-            Op::ConjTrans,
-            y_a.as_ref(),
-            Op::None,
-            T::zero(),
-            top_left.reborrow(),
-        );
+/// The nodes of one tree level, in node order: their ids, their rows, and
+/// for an internal node `gamma` how many of its rows `I_gamma` belong to
+/// its first child (`I_gamma = I_alpha ∪ I_beta`, `I_alpha` first).
+struct Nodes {
+    ids: Vec<usize>,
+    rows: Vec<Range<usize>>,
+    splits: Vec<usize>,
+}
+
+impl Nodes {
+    fn of(tree: &ClusterTree, level: usize) -> Self {
+        let ids: Vec<usize> = tree.level_nodes(level).collect();
+        let rows = ids.iter().map(|&id| tree.range(id)).collect();
+        let splits = ids
+            .iter()
+            .map(|&id| {
+                tree.children(id)
+                    .map_or(0, |(alpha, _)| tree.node_size(alpha))
+            })
+            .collect();
+        Nodes { ids, rows, splits }
     }
-    {
-        let mut bottom_right = k.block_mut(w, w, w, w);
+}
+
+/// Run `task(i, window)` on the window `rows[i] x (0..cols)` of the
+/// column-major `n x cols` matrix stored in `data`, for every `i`.
+///
+/// The windows are disjoint, so they run as pool tasks through
+/// [`process_windows_mut`]: in place when they span one column, through a
+/// scratch copy per task otherwise.  Copied windows run as tasks only while
+/// `min(threads, windows) x widest <= n / 4` rows; a wider level runs its
+/// windows one at a time in place.  Either way every task sees the same
+/// values, so the schedule never changes a bit.
+fn for_each_row_window<T: Scalar>(
+    data: &mut [T],
+    n: usize,
+    cols: usize,
+    rows: &[Range<usize>],
+    task: impl Fn(usize, MatMut<'_, T>) + Sync,
+) {
+    if cols == 0 {
+        return;
+    }
+    let widest = rows.iter().map(Range::len).max().unwrap_or(0);
+    let in_flight = rayon::current_num_threads().min(rows.len()) * widest;
+    if cols == 1 || 4 * in_flight <= n {
+        let windows: Vec<MatWindow> = rows
+            .iter()
+            .map(|r| MatWindow {
+                offset: r.start,
+                rows: r.len(),
+                cols,
+                ld: n,
+            })
+            .collect();
+        process_windows_mut(data, &windows, true, task);
+    } else {
+        for (i, r) in rows.iter().enumerate() {
+            let whole = MatMut::from_parts(&mut *data, n, cols, n);
+            task(i, whole.into_block(r.start, 0, r.len(), cols));
+        }
+    }
+}
+
+/// `(first row, row count)` of `I_alpha` and of `I_beta` within the `rows`
+/// rows `I_gamma` of a node whose first `split` rows are `I_alpha`.
+fn children(split: usize, rows: usize) -> [(usize, usize); 2] {
+    [(0, split), (split, rows - split)]
+}
+
+/// Assemble `K = [[V_a^* Y_a, I], [I, V_b^* Y_b]]` (Eq. 11) from a node's
+/// rows `I_gamma` of `V` and `Y`, the first `split` of which are `I_alpha`.
+/// When the matrix is Hermitian with shared bases, `K` itself is Hermitian.
+fn build_coupling_matrix<T: Scalar>(
+    v: MatRef<'_, T>,
+    y: MatRef<'_, T>,
+    split: usize,
+) -> DenseMatrix<T> {
+    let w = v.cols();
+    let mut k = DenseMatrix::<T>::zeros(2 * w, 2 * w);
+    for (c, (start, len)) in children(split, v.rows()).into_iter().enumerate() {
         gemm(
             T::one(),
-            *v_b,
+            v.block(start, 0, len, w),
             Op::ConjTrans,
-            y_b.as_ref(),
+            y.block(start, 0, len, w),
             Op::None,
             T::zero(),
-            bottom_right.reborrow(),
+            k.block_mut(c * w, c * w, w, w),
         );
     }
     for i in 0..w {
@@ -222,6 +250,46 @@ fn build_coupling_matrix<T: Scalar>(
         k[(w + i, i)] = T::one();
     }
     k
+}
+
+/// One node's elimination step on its rows `I_gamma` of `x`, the first
+/// `split` of which are `I_alpha`: stack `[V_a^* x_a; V_b^* x_b]`, solve
+/// with the node's factorized `K`, and subtract `[Y_a W_a; Y_b W_b]` from
+/// `x`.  With `x = Ybig(I_gamma, 1:prefix)` this is Eqs. 13–14 of the
+/// factorization; with `x` a right-hand side it is Eqs. 15–16 of the solve.
+fn apply_coupling<T: Scalar, K: FactorKind<T>>(
+    k: &K::Factor,
+    v: MatRef<'_, T>,
+    y: MatRef<'_, T>,
+    split: usize,
+    mut x: MatMut<'_, T>,
+) {
+    let (w, cols) = (v.cols(), x.cols());
+    let halves = children(split, x.rows());
+    let mut rhs = DenseMatrix::<T>::zeros(2 * w, cols);
+    for (c, &(start, len)) in halves.iter().enumerate() {
+        gemm(
+            T::one(),
+            v.block(start, 0, len, w),
+            Op::ConjTrans,
+            x.as_ref().block(start, 0, len, cols),
+            Op::None,
+            T::zero(),
+            rhs.block_mut(c * w, 0, w, cols),
+        );
+    }
+    K::solve(k, rhs.as_mut());
+    for (c, &(start, len)) in halves.iter().enumerate() {
+        gemm(
+            -T::one(),
+            y.block(start, 0, len, w),
+            Op::None,
+            rhs.block(c * w, 0, w, cols),
+            Op::None,
+            T::one(),
+            x.block_mut(start, 0, len, cols),
+        );
+    }
 }
 
 impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
@@ -241,9 +309,18 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
     }
 
     /// Solve `A x = b` for a single right-hand side (Algorithm 2).
+    ///
+    /// # Panics
+    /// Panics if `b` has the wrong length.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let b_mat = DenseMatrix::from_col_major(b.len(), 1, b.to_vec());
-        self.solve_matrix(&b_mat).into_data()
+        assert_eq!(
+            b.len(),
+            self.tree.n(),
+            "right-hand side has the wrong row count"
+        );
+        let mut x = b.to_vec();
+        self.solve_columns_in_place(&mut x);
+        x
     }
 
     /// Blocked multi-RHS solve: pack `rhs` into one `N x k` matrix and run
@@ -255,13 +332,13 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
     pub fn solve_block(&self, rhs: &[impl AsRef<[T]>]) -> Vec<Vec<T>> {
         let n = self.tree.n();
         let k = rhs.len();
-        let mut b = DenseMatrix::<T>::zeros(n, k);
+        let mut x = DenseMatrix::<T>::zeros(n, k);
         for (j, col) in rhs.iter().enumerate() {
             let col = col.as_ref();
             assert_eq!(col.len(), n, "right-hand side {j} has the wrong length");
-            b.col_mut(j).copy_from_slice(col);
+            x.col_mut(j).copy_from_slice(col);
         }
-        let x = self.solve_matrix(&b);
+        self.solve_columns_in_place(x.data_mut());
         (0..k).map(|j| x.col(j).to_vec()).collect()
     }
 
@@ -275,93 +352,45 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
             self.tree.n(),
             "right-hand side has the wrong row count"
         );
-        let nrhs = b.cols();
         let mut x = b.clone();
-        if nrhs == 0 {
-            return x;
-        }
-        let levels = self.tree.levels();
+        self.solve_columns_in_place(x.data_mut());
+        x
+    }
+
+    /// Algorithm 2 in place: `x` holds right-hand sides of length `N`
+    /// one after another (an `N x k` column-major block) on entry, and
+    /// their solutions on exit.  The other solves are a copy plus this.
+    ///
+    /// # Panics
+    /// Panics if the length of `x` is not a multiple of `N`.
+    pub fn solve_columns_in_place(&self, x: &mut [T]) {
+        let n = self.tree.n();
+        assert_eq!(x.len() % n, 0, "right-hand sides have the wrong row count");
+        let nrhs = x.len() / n;
 
         // Leaf sweep (line 3 of Algorithm 2).
-        for (leaf_idx, leaf) in self.tree.leaves().enumerate() {
-            let range = self.tree.range(leaf);
-            let block = x.block_mut(range.start, 0, range.len(), nrhs);
-            K::solve(&self.diag[leaf_idx], block);
-        }
+        let leaves = Nodes::of(&self.tree, self.tree.levels());
+        for_each_row_window(x, n, nrhs, &leaves.rows, |leaf_idx, rows| {
+            K::solve(&self.diag[leaf_idx], rows);
+        });
 
-        // Level sweep, deepest first (lines 5–10).
-        for level in (0..levels).rev() {
-            let child_level = level + 1;
-            let w = self.layout.width(child_level);
+        // Level sweep, deepest first (lines 5–10): Eqs. 15–16 on each
+        // node's rows I_gamma.
+        for level in (0..self.tree.levels()).rev() {
+            let w = self.layout.width(level + 1);
             if w == 0 {
                 continue;
             }
-            let child_cols = self.layout.col_range(child_level);
-            for (node_idx, gamma) in self.tree.level_nodes(level).enumerate() {
-                let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-                let ra = self.tree.range(alpha);
-                let rb = self.tree.range(beta);
-
-                // w_rhs = [V_a^* x_a; V_b^* x_b] (Eq. 15).
-                let v_a = self.vbig.block(ra.start, child_cols.start, ra.len(), w);
-                let v_b = self.vbig.block(rb.start, child_cols.start, rb.len(), w);
-                let mut rhs = DenseMatrix::<T>::zeros(2 * w, nrhs);
-                {
-                    let x_a = x.block(ra.start, 0, ra.len(), nrhs);
-                    let mut top = rhs.block_mut(0, 0, w, nrhs);
-                    gemm(
-                        T::one(),
-                        v_a,
-                        Op::ConjTrans,
-                        x_a,
-                        Op::None,
-                        T::zero(),
-                        top.reborrow(),
-                    );
-                }
-                {
-                    let x_b = x.block(rb.start, 0, rb.len(), nrhs);
-                    let mut bottom = rhs.block_mut(w, 0, w, nrhs);
-                    gemm(
-                        T::one(),
-                        v_b,
-                        Op::ConjTrans,
-                        x_b,
-                        Op::None,
-                        T::zero(),
-                        bottom.reborrow(),
-                    );
-                }
-                K::solve(&self.coupling[level][node_idx], rhs.as_mut());
-
-                // x(I_gamma) -= [Y_a w_a; Y_b w_b] (Eq. 16).
-                let y_a = self.ybig.block(ra.start, child_cols.start, ra.len(), w);
-                let y_b = self.ybig.block(rb.start, child_cols.start, rb.len(), w);
-                let w_a = rhs.block(0, 0, w, nrhs).to_owned();
-                let w_b = rhs.block(w, 0, w, nrhs).to_owned();
-                let mut x_a = x.block_mut(ra.start, 0, ra.len(), nrhs);
-                gemm(
-                    -T::one(),
-                    y_a,
-                    Op::None,
-                    w_a.as_ref(),
-                    Op::None,
-                    T::one(),
-                    x_a.reborrow(),
-                );
-                let mut x_b = x.block_mut(rb.start, 0, rb.len(), nrhs);
-                gemm(
-                    -T::one(),
-                    y_b,
-                    Op::None,
-                    w_b.as_ref(),
-                    Op::None,
-                    T::one(),
-                    x_b.reborrow(),
-                );
-            }
+            let child_cols = self.layout.col_range(level + 1).start;
+            let nodes = Nodes::of(&self.tree, level);
+            let factors = &self.coupling[level];
+            for_each_row_window(x, n, nrhs, &nodes.rows, |i, target| {
+                let r = &nodes.rows[i];
+                let v = self.vbig.block(r.start, child_cols, r.len(), w);
+                let y = self.ybig.block(r.start, child_cols, r.len(), w);
+                apply_coupling::<T, K>(&factors[i], v, y, nodes.splits[i], target);
+            });
         }
-        x
     }
 
     /// Log-determinant of the factorized matrix via the product form of
@@ -514,11 +543,28 @@ mod tests {
         assert!((sign - ref_sign).abs().to_f64() < 1e-8);
     }
 
+    /// The error of factorizing `m` in 1-, 2- and 8-thread pools.
+    fn errors_at_every_pool_size(m: &HodlrMatrix<f64>) -> Vec<String> {
+        [1, 2, 8]
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| m.factorize_serial().unwrap_err().to_string())
+            })
+            .to_vec()
+    }
+
     #[test]
     fn singular_diagonal_block_is_reported() {
         let mut rng = StdRng::seed_from_u64(60);
-        let m: HodlrMatrix<f64> = random_hodlr(&mut rng, 16, 1, 1);
-        let diag = vec![DenseMatrix::zeros(8, 8), m.diag_block(1).clone()];
+        let m: HodlrMatrix<f64> = random_hodlr(&mut rng, 64, 3, 1);
+        // Leaves 0 and 5 are singular; their tasks may finish in either
+        // order, and the error names leaf 0.
+        let mut diag = m.diag_blocks().to_vec();
+        diag[0] = DenseMatrix::zeros(8, 8);
+        diag[5] = DenseMatrix::zeros(8, 8);
         let singular = HodlrMatrix::from_parts(
             m.tree().clone(),
             m.layout().clone(),
@@ -528,11 +574,39 @@ mod tests {
             diag,
         )
         .unwrap();
-        let err = singular.factorize_serial().unwrap_err();
-        assert!(
-            err.to_string().contains("diagonal block of leaf 0"),
-            "{err}"
-        );
+        for err in errors_at_every_pool_size(&singular) {
+            assert!(err.contains("diagonal block of leaf 0"), "{err}");
+        }
+    }
+
+    #[test]
+    fn singular_coupling_matrix_is_reported() {
+        // Identity leaves and every rank-1 basis equal to e_1 (the first row
+        // of its node) make every deepest K = [[1, 1], [1, 1]]: the error
+        // names that level's first node, node 4.
+        let tree = ClusterTree::uniform(64, 3);
+        let mut ubig = DenseMatrix::<f64>::zeros(64, 3);
+        for level in 1..=3 {
+            for node in tree.level_nodes(level) {
+                ubig[(tree.range(node).start, level - 1)] = 1.0;
+            }
+        }
+        let diag = tree
+            .leaves()
+            .map(|leaf| DenseMatrix::identity(tree.node_size(leaf)))
+            .collect();
+        let singular = HodlrMatrix::from_parts(
+            tree.clone(),
+            LevelLayout::uniform(3, 1),
+            (0..=tree.num_nodes()).map(|_| 1).collect(),
+            ubig.clone(),
+            ubig,
+            diag,
+        )
+        .unwrap();
+        for err in errors_at_every_pool_size(&singular) {
+            assert!(err.contains("coupling matrix of node 4"), "{err}");
+        }
     }
 
     #[test]

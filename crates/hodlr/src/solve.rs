@@ -22,9 +22,9 @@ use hodlr_solver::LinearOperator;
 /// type-erased [`Factorization`] handle.
 ///
 /// The in-place variants are the primitive operations; the allocating
-/// variants have default implementations on top of them, which the direct
-/// backends override to solve straight into a fresh result without first
-/// copying the right-hand sides.
+/// variants have default implementations on top of them (one copy of the
+/// right-hand sides, then the in-place solve).  The batched backend
+/// overrides `solve_block` to upload `b` without that copy.
 pub trait Solve<T: Scalar> {
     /// The dimension `n` of the (square) factorized operator.
     fn dim(&self) -> usize;
@@ -186,20 +186,14 @@ impl<T: Scalar, K: FactorKind<T>> Solve<T> for SerialSolver<T, K> {
 
     fn solve_in_place(&self, x: &mut [T]) -> Result<(), HodlrError> {
         HodlrError::check_dims("right-hand side", self.dim(), x.len())?;
-        let out = SerialSolver::solve(self, x);
-        x.copy_from_slice(&out);
+        self.solve_columns_in_place(x);
         Ok(())
     }
 
     fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
         HodlrError::check_dims("right-hand side block rows", self.dim(), x.rows())?;
-        *x = self.solve_matrix(x);
+        self.solve_columns_in_place(x.data_mut());
         Ok(())
-    }
-
-    fn solve_block(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, HodlrError> {
-        HodlrError::check_dims("right-hand side block rows", self.dim(), b.rows())?;
-        Ok(self.solve_matrix(b))
     }
 
     fn log_det(&self) -> Result<(T::Real, T), HodlrError> {

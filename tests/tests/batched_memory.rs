@@ -100,13 +100,18 @@ fn batched_symmetric_factorization_heap_growth_stays_below_storage() {
     assert_below_storage("GpuSymmetricSolver::factorize", growth, &matrix);
 }
 
-/// Peak heap growth of one 32-RHS `solve_block` at n = 8192, in units of
-/// the `n x 32` right-hand-side buffer.
-fn solve_block_buffers(solver: &impl Solve<f64>) -> f64 {
-    let b: DenseMatrix<f64> = random_matrix(&mut StdRng::seed_from_u64(15), N, 32);
+/// Peak heap growth of `solve` on one 32-RHS block at n = 8192, in units
+/// of the `n x 32` right-hand-side buffer.
+fn buffers_held(solve: impl FnOnce(&mut DenseMatrix<f64>)) -> f64 {
+    let mut b: DenseMatrix<f64> = random_matrix(&mut StdRng::seed_from_u64(15), N, 32);
     let buffer = b.rows() * b.cols() * std::mem::size_of::<f64>();
-    let growth = peak_heap_growth(|| drop(solver.solve_block(&b).expect("blocked solve")));
+    let growth = peak_heap_growth(|| solve(&mut b));
     growth as f64 / buffer as f64
+}
+
+/// [`buffers_held`] by one allocating `solve_block`.
+fn solve_block_buffers(solver: &impl Solve<f64>) -> f64 {
+    buffers_held(|b| drop(solver.solve_block(b).expect("blocked solve")))
 }
 
 #[test]
@@ -132,5 +137,23 @@ fn serial_solve_block_holds_only_the_result() {
     assert!(
         buffers < 1.5,
         "serial solve_block held {buffers:.2} right-hand-side buffers, not below 1.5"
+    );
+}
+
+/// The in-place blocked solve solves in the caller's buffer: it may hold
+/// task scratch (at most a quarter of the block) but no copy of it.
+#[test]
+fn serial_solve_block_in_place_holds_no_copy() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let matrix: HodlrMatrix<f64> = random_hodlr(&mut StdRng::seed_from_u64(14), N, LEVELS, RANK);
+    let solver = matrix.factorize_serial().expect("serial LU factorization");
+    let buffers = buffers_held(|b| {
+        solver
+            .solve_block_in_place(b)
+            .expect("in-place blocked solve")
+    });
+    assert!(
+        buffers < 0.5,
+        "serial solve_block_in_place held {buffers:.2} right-hand-side buffers, not below 0.5"
     );
 }

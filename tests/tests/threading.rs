@@ -45,6 +45,12 @@ fn rhs_block() -> Vec<Vec<f64>> {
 struct PipelineOutput {
     /// Flattened storage of the constructed HODLR approximation.
     dense: Vec<f64>,
+    /// Serial LU-path solve.
+    x_serial: Vec<f64>,
+    /// Serial blocked multi-RHS solve (flattened storage).
+    x_serial_block: Vec<f64>,
+    /// Serial product-form log-determinant.
+    log_det_serial: (f64, f64),
     /// Single-RHS batched solve.
     x_gpu: Vec<f64>,
     /// Blocked multi-RHS solve.
@@ -64,6 +70,12 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
         assert_eq!(rayon::current_num_threads(), threads);
         let matrix = test_matrix();
         let rhs = rhs_block();
+        let block = hodlr_la::DenseMatrix::from_fn(N, NRHS, |i, j| rhs[j][i]);
+
+        let serial = matrix.factorize_serial().expect("serial factorization");
+        let x_serial = serial.solve(&rhs[0]);
+        let x_serial_block = serial.solve_matrix(&block).into_data();
+        let log_det_serial = serial.log_det();
 
         let device = Device::new();
         let mut gpu = GpuSolver::new(&device, &matrix);
@@ -76,6 +88,9 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
 
         PipelineOutput {
             dense: matrix.to_dense().data().to_vec(),
+            x_serial,
+            x_serial_block,
+            log_det_serial,
             x_gpu,
             x_block,
             x_hodlrlib,
@@ -86,12 +101,26 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
 
 /// The headline guarantee: 1, 2 and 8 threads produce bitwise-identical
 /// construction, factorization and solve results, and identical metering.
+///
+/// The serial sweep runs a level's nodes as pool tasks through scratch
+/// copies only while `min(threads, nodes)` windows fit in a quarter of the
+/// matrix: here the 64-row leaves of the 3-RHS block run as tasks at 1 and
+/// 2 threads and one at a time in place at 8, so both schedules meet.
 #[test]
 fn pipeline_is_bitwise_deterministic_across_thread_counts() {
     let base = run_pipeline(1);
     for threads in [2, 8] {
         let other = run_pipeline(threads);
         assert_eq!(base.dense, other.dense, "{threads}-thread construction");
+        assert_eq!(base.x_serial, other.x_serial, "{threads}-thread serial");
+        assert_eq!(
+            base.x_serial_block, other.x_serial_block,
+            "{threads}-thread serial block"
+        );
+        assert_eq!(
+            base.log_det_serial, other.log_det_serial,
+            "{threads}-thread serial log_det"
+        );
         assert_eq!(base.x_gpu, other.x_gpu, "{threads}-thread solve");
         assert_eq!(base.x_block, other.x_block, "{threads}-thread solve_block");
         assert_eq!(
@@ -105,10 +134,8 @@ fn pipeline_is_bitwise_deterministic_across_thread_counts() {
     }
     // Serial and batched LU paths agree bitwise, as the symmetric twin
     // below asserts for its pair.
-    let serial = test_matrix()
-        .factorize_serial()
-        .expect("serial factorization");
-    assert_eq!(serial.solve(&rhs_block()[0]), base.x_gpu);
+    assert_eq!(base.x_serial, base.x_gpu);
+    assert_eq!(base.x_serial_block, base.x_block.concat());
     // Sanity: the metering actually measured something.
     assert!(base.counters.kernel_launches > 0);
     assert!(base.counters.flops > 0);
