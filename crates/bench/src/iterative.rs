@@ -5,18 +5,18 @@
 //! This regenerates the *robust preconditioner* use case of Table V(b): a
 //! loose HODLR factorization on the batched device whose one-time cost is
 //! amortized across many right-hand sides, with iteration-count and
-//! time-per-RHS columns per (workload, tolerance, method).  The Krylov
-//! rows solve each right-hand side independently (one Krylov space per
-//! RHS); the `direct-block` baseline is the path that batches all
+//! time-per-RHS columns per (workload, tolerance, method).  Every
+//! preconditioner is the façade's [`Factorization`](hodlr::Factorization)
+//! of the loose matrix, adopted into a [`Backend::Batched`] handle.  The
+//! Krylov rows solve each right-hand side independently (one Krylov space
+//! per RHS); the `direct-block` baseline is the path that batches all
 //! right-hand sides through one [`GpuSolver::solve_block`] sweep.
 
+use hodlr::{Backend, Factorize, Hodlr, Precision, SolveScalar};
 use hodlr_batch::Device;
 use hodlr_core::{GpuSolver, HodlrMatrix};
 use hodlr_la::{RealScalar, Scalar};
-use hodlr_solver::{
-    iterative_refinement, BiCgStab, DemoteScalar, Gmres, GpuPreconditioner,
-    MixedPrecisionGpuPreconditioner, RefinementOptions,
-};
+use hodlr_solver::{iterative_refinement, BiCgStab, Gmres, RefinementOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -96,7 +96,7 @@ fn bench_rhs<T: Scalar>(n: usize, nrhs: usize) -> Vec<Vec<T>> {
 /// Measure GMRES, BiCGStab and (optionally) mixed-precision refinement on
 /// one workload: `exact` is the tightly compressed operator, `rough` the
 /// loose preconditioner approximation built at `precond_tol`.
-pub fn measure_iterative<T: DemoteScalar>(
+pub fn measure_iterative<T: SolveScalar>(
     workload: &str,
     exact: &HodlrMatrix<T>,
     rough: &HodlrMatrix<T>,
@@ -107,11 +107,16 @@ pub fn measure_iterative<T: DemoteScalar>(
     let threads = rayon::current_num_threads();
     let rhs = bench_rhs::<T>(n, config.nrhs);
     let mut rows = Vec::new();
+    let adopt = || {
+        Hodlr::builder()
+            .matrix(rough.clone())
+            .backend(Backend::Batched)
+    };
 
-    let device = Device::new();
+    let hodlr = adopt().build().expect("adopted preconditioner matrix");
+    let device = hodlr.device();
     let start = Instant::now();
-    let precond =
-        GpuPreconditioner::from_matrix(&device, rough).expect("preconditioner factorization");
+    let precond = hodlr.factorize().expect("preconditioner factorization");
     let t_factor = start.elapsed().as_secs_f64();
 
     let gmres = Gmres::new().tol(config.tol).max_iters(config.max_iters);
@@ -171,15 +176,22 @@ pub fn measure_iterative<T: DemoteScalar>(
     });
 
     if config.mixed_precision {
-        // The lower-precision factorization runs on the same virtual
-        // device as the Krylov preconditioners (the regime of the paper's
+        // The lower-precision factorization runs on a batched device like
+        // the Krylov preconditioners (the regime of the paper's
         // single-precision GPU runs), so every refinement sweep's
         // lower-precision solve is a metered launch sequence and the
         // mixed-refine row carries the same real launch/flop accounting
-        // as the other method rows.
+        // as the other method rows.  With one inner sweep, each
+        // application of the handle's factorization is exactly one
+        // demote -> lower-precision solve -> promote.
+        let hodlr = adopt()
+            .precision(Precision::MixedRefine)
+            .refine_max_iters(1)
+            .build()
+            .expect("adopted preconditioner matrix");
+        let device = hodlr.device();
         let start = Instant::now();
-        let mixed = MixedPrecisionGpuPreconditioner::<T>::factorize(&device, rough)
-            .expect("mixed-precision factorization");
+        let mixed = hodlr.factorize().expect("mixed-precision factorization");
         let t_factor_mixed = start.elapsed().as_secs_f64();
         let opts = RefinementOptions {
             tol: config.tol,

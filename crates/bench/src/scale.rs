@@ -18,7 +18,7 @@
 //!   uniform points in `[0, 1]^d`, reordered by the same partitioner.
 //!
 //! Rows come in two storage precisions: `f64` (working) and
-//! `f32-storage` ([`FactorPrecision::CompactLower`] — the operator is
+//! `f32-storage` ([`Precision::CompactLower`] — the operator is
 //! assembled straight into `f32` through the demoting source view, so the
 //! `f64` matrix never exists, and solves recover working accuracy by
 //! iterative refinement).  The `f32-storage` twin of a row must hold
@@ -31,7 +31,7 @@
 //! dense oracle is ever formed.
 
 use crate::workloads::LEAF_SIZE;
-use hodlr::{FactorPrecision, Factorize, Hodlr, Solve, SolveScalar};
+use hodlr::{Factorize, Hodlr, Precision, Solve, SolveScalar};
 use hodlr_bie::{
     circle_cloud, fibonacci_sphere_cloud, surface_resolved_kappa, HelmholtzSurfaceSource,
     LaplaceSurfaceSource,
@@ -233,7 +233,7 @@ fn surface_cloud(dim: usize, n: usize) -> hodlr_tree::PointCloud {
 fn laplace_row(
     dim: usize,
     n: usize,
-    precision: FactorPrecision,
+    precision: Precision,
     config: &ScaleBenchConfig,
 ) -> Result<ScaleRow, HodlrError> {
     let source = LaplaceSurfaceSource::new(&surface_cloud(dim, n), LEAF_SIZE)?;
@@ -246,15 +246,15 @@ fn laplace_row(
                 .tolerance(config.tol)
                 .method(CompressionMethod::AcaRook)
                 .memory_budget(config.budget_bytes)
-                .factor_precision(precision)
+                .precision(precision)
                 .build()
         },
         &source,
         n <= config.dense_check_cap,
     )?;
     let label = match precision {
-        FactorPrecision::Working => "f64",
-        FactorPrecision::CompactLower => "f32-storage",
+        Precision::Full | Precision::MixedRefine => "f64",
+        Precision::CompactLower => "f32-storage",
     };
     Ok(row_from("laplace-surface", dim, n, label, config, result))
 }
@@ -331,8 +331,8 @@ fn gp_row(dim: usize, n: usize, config: &ScaleBenchConfig) -> Result<ScaleRow, H
 pub fn run_scale_bench(config: &ScaleBenchConfig) -> Result<Vec<ScaleRow>, HodlrError> {
     let mut rows = Vec::new();
     for &(dim, n) in &config.laplace_cells {
-        rows.push(laplace_row(dim, n, FactorPrecision::Working, config)?);
-        rows.push(laplace_row(dim, n, FactorPrecision::CompactLower, config)?);
+        rows.push(laplace_row(dim, n, Precision::Full, config)?);
+        rows.push(laplace_row(dim, n, Precision::CompactLower, config)?);
     }
     for &(dim, n) in &config.helmholtz_cells {
         rows.push(helmholtz_row(dim, n, config)?);

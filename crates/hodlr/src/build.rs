@@ -47,38 +47,33 @@ pub enum Backend {
     Batched,
 }
 
-/// The arithmetic policy of the factorization.
+/// The arithmetic policy of the representation and its factorization.
+///
+/// Both lower-precision policies factorize in the companion lower
+/// precision (`f64 -> f32`, `Complex64 -> Complex32`; half the memory and
+/// flop width) and recover working-precision accuracy by iterative
+/// refinement — the paper's Table IV(b) regime.  They differ in what is
+/// stored: `MixedRefine` demotes an already-built working-precision
+/// matrix, while `CompactLower` never builds it in the first place.
+/// Both require an `f64`/`Complex64` scalar and [`Symmetry::General`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Precision {
-    /// Factorize and solve in the working precision.
+    /// Store, factorize and solve in the working precision.
     Full,
-    /// Factorize in the companion lower precision (`f64 -> f32`,
-    /// `Complex64 -> Complex32`; half the memory and flop width) and
-    /// recover working-precision accuracy by iterative refinement — the
-    /// paper's Table IV(b) regime.
+    /// Store in the working precision; factorize a demoted copy and refine
+    /// its solves against the working-precision matrix.
     MixedRefine,
-}
-
-/// The storage precision of the compressed representation itself.
-///
-/// Orthogonal to [`Precision`], which governs the *factorization*:
-/// `Precision::MixedRefine` demotes an already-built working-precision
-/// matrix, while [`FactorPrecision::CompactLower`] never builds the
-/// working-precision matrix in the first place — compression streams
-/// straight into the lower precision, halving both the resident bytes and
-/// the assembly peak.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum FactorPrecision {
-    /// Store the representation in the working precision (default).
-    Working,
-    /// Store in the companion lower precision (`f64 -> f32`,
-    /// `Complex64 -> Complex32`): half the resident bytes.  Matvecs
-    /// promote entries on the fly and accumulate in the working precision,
-    /// and [`Factorize::factorize`] always wraps the lower-precision
-    /// factorization in working-precision iterative refinement, recovering
-    /// working accuracy on solves (the MixedRefine recovery argument
-    /// applied to the storage itself).  Requires an `f64`/`Complex64`
-    /// scalar and [`Symmetry::General`].
+    /// Store in the companion lower precision: compression streams
+    /// straight into it, halving both the resident bytes and the assembly
+    /// peak.  Matvecs promote entries on the fly and accumulate in the
+    /// working precision, and [`Factorize::factorize`] wraps the
+    /// lower-precision factorization in working-precision iterative
+    /// refinement against that promoted operator, recovering working
+    /// accuracy on solves (the `MixedRefine` recovery argument applied to
+    /// the storage itself).  The compression tolerance is clamped to a few
+    /// lower-precision ulps (asking `f32` storage for `1e-10` blocks would
+    /// only blow the ranks chasing noise; refinement recovers the accuracy
+    /// instead).
     CompactLower,
 }
 
@@ -113,7 +108,6 @@ pub struct HodlrBuilder<'a, T: Scalar> {
     strict_rank: bool,
     backend: Backend,
     precision: Precision,
-    factor_precision: FactorPrecision,
     memory_budget: Option<u64>,
     symmetry: Symmetry,
     threads: Option<usize>,
@@ -132,7 +126,6 @@ impl<T: Scalar> Default for HodlrBuilder<'_, T> {
             strict_rank: false,
             backend: Backend::Serial,
             precision: Precision::Full,
-            factor_precision: FactorPrecision::Working,
             memory_budget: None,
             symmetry: Symmetry::General,
             threads: None,
@@ -224,20 +217,6 @@ impl<'a, T: Scalar> HodlrBuilder<'a, T> {
         self
     }
 
-    /// Storage precision of the representation (default
-    /// [`FactorPrecision::Working`]).
-    ///
-    /// [`FactorPrecision::CompactLower`] compresses straight into the
-    /// companion lower precision — half the resident bytes, working
-    /// accuracy recovered on solves by iterative refinement.  The
-    /// compression tolerance is clamped to a few lower-precision ulps
-    /// (asking `f32` storage for `1e-10` blocks would only blow the ranks
-    /// chasing noise; refinement recovers the accuracy instead).
-    pub fn factor_precision(mut self, factor_precision: FactorPrecision) -> Self {
-        self.factor_precision = factor_precision;
-        self
-    }
-
     /// Fail the build with a typed [`HodlrError::BudgetExceeded`] the
     /// moment the metered live bytes of the assembly (retained factors,
     /// flattened bases, leaf blocks, compression scratch) would cross
@@ -279,14 +258,16 @@ impl<'a, T: Scalar> HodlrBuilder<'a, T> {
         self
     }
 
-    /// Target relative residual of [`Precision::MixedRefine`] refinement
-    /// sweeps (default `1e-12`).
+    /// Target relative residual of the refinement sweeps behind
+    /// [`Precision::MixedRefine`] and [`Precision::CompactLower`] (default
+    /// `1e-12`).
     pub fn refine_tolerance(mut self, tol: f64) -> Self {
         self.refine_tol = tol;
         self
     }
 
-    /// Sweep cap of [`Precision::MixedRefine`] refinement (default 50).
+    /// Sweep cap of the refinement behind [`Precision::MixedRefine`] and
+    /// [`Precision::CompactLower`] (default 50).
     pub fn refine_max_iters(mut self, max_iters: usize) -> Self {
         self.refine_max_iters = max_iters;
         self
@@ -305,8 +286,9 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
     /// [`HodlrError::InvalidConfig`] for a missing input, a zero-size
     /// problem, a non-positive tolerance, a zero leaf size or thread
     /// count, a level count deeper than the index set, or an unsupported
-    /// combination ([`FactorPrecision::CompactLower`] with a symmetric
-    /// structure, an adopted matrix, or a single-precision scalar);
+    /// combination (a lower [`Precision`] with a symmetric structure, or
+    /// [`Precision::CompactLower`] with an adopted matrix or a
+    /// single-precision scalar);
     /// [`HodlrError::DimensionMismatch`] for a non-square input or a tree
     /// that does not match it; [`HodlrError::BudgetExceeded`] when a
     /// [`memory_budget`](HodlrBuilder::memory_budget) is crossed;
@@ -340,19 +322,14 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
                 "refinement sweep cap must be at least 1",
             ));
         }
-        if self.precision == Precision::MixedRefine && self.symmetry.is_symmetric() {
-            return Err(HodlrError::config(
-                "Precision::MixedRefine is not available for symmetric factorizations; \
-                 use Precision::Full with Symmetry::PositiveDefinite / Symmetry::Hermitian",
-            ));
+        if self.precision != Precision::Full && self.symmetry.is_symmetric() {
+            return Err(HodlrError::config(format!(
+                "Precision::{:?} is not available for symmetric structures; use \
+                 Precision::Full with Symmetry::PositiveDefinite / Symmetry::Hermitian",
+                self.precision
+            )));
         }
-        let compact = self.factor_precision == FactorPrecision::CompactLower;
-        if compact && self.symmetry.is_symmetric() {
-            return Err(HodlrError::config(
-                "FactorPrecision::CompactLower is not available for symmetric structures; \
-                 the shared-basis Hermitian format already halves the basis storage",
-            ));
-        }
+        let compact = self.precision == Precision::CompactLower;
 
         let pool = match self.threads {
             None => None,
@@ -380,7 +357,7 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
                 if compact {
                     return Err(HodlrError::config(
                         ".matrix(..) adopts prebuilt working-precision storage; build from \
-                         .source(..) or .dense(..) to use FactorPrecision::CompactLower",
+                         .source(..) or .dense(..) to use Precision::CompactLower",
                     ));
                 }
                 if let Some(budget) = self.memory_budget {
@@ -545,9 +522,8 @@ impl<T: Scalar> Hodlr<T> {
     }
 
     /// The underlying flattened HODLR matrix, when this handle stores one
-    /// in the working precision; `None` for
-    /// [`FactorPrecision::CompactLower`] handles, whose storage lives in
-    /// the companion lower precision.
+    /// in the working precision; `None` for [`Precision::CompactLower`]
+    /// handles, whose storage lives in the companion lower precision.
     pub fn matrix(&self) -> Option<&HodlrMatrix<T>> {
         match &self.store {
             Store::Full(m) => Some(m),
@@ -562,12 +538,6 @@ impl<T: Scalar> Hodlr<T> {
             Store::Full(m) => Some(m),
             Store::Compact(_) => None,
         }
-    }
-
-    /// `true` when the representation is stored in the companion lower
-    /// precision ([`FactorPrecision::CompactLower`]).
-    pub fn is_compact(&self) -> bool {
-        matches!(self.store, Store::Compact(_))
     }
 
     /// Resident bytes of the stored representation (bases + leaf blocks,
@@ -591,7 +561,8 @@ impl<T: Scalar> Hodlr<T> {
         self.backend
     }
 
-    /// The configured precision policy.
+    /// The configured precision policy; [`Precision::CompactLower`] exactly
+    /// when the representation is stored in the lower precision.
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -774,44 +745,31 @@ impl<T: Scalar> LinearOperator<T> for Hodlr<T> {
 }
 
 impl<T: SolveScalar> Factorize<T> for Hodlr<T> {
-    /// Factorize with the configured backend and precision policy.  A
-    /// compact store always factorizes its lower-precision representation
-    /// and refines against the promoted operator, whatever the
-    /// [`Precision`] setting.
+    /// Factorize with the configured backend and precision policy: the
+    /// lower-precision policies factorize their lower-precision matrix and
+    /// refine against the stored operator.
     fn factorize(&self) -> Result<Factorization<'_, T>, HodlrError> {
         let symmetric = self.symmetry.is_symmetric();
         let inner: Box<dyn crate::Solve<T> + Send + Sync + '_> = match &self.store {
-            Store::Compact(c) => self.run_in_pool(|| {
-                c.factorize(
-                    &self.device,
-                    self.backend,
-                    self.refine_tol,
-                    self.refine_max_iters,
-                )
-            })?,
-            Store::Full(matrix) => match (self.precision, self.backend) {
-                (Precision::Full, Backend::Serial) if symmetric => {
+            Store::Compact(c) => self.run_in_pool(|| c.factorize(self))?,
+            Store::Full(matrix) if self.precision == Precision::MixedRefine => {
+                self.run_in_pool(|| T::mixed_factorization(self, matrix))?
+            }
+            Store::Full(matrix) => match self.backend {
+                Backend::Serial if symmetric => {
                     Box::new(self.run_in_pool(|| matrix.factorize_symmetric(self.symmetry))?)
                 }
-                (Precision::Full, Backend::Serial) => {
-                    Box::new(self.run_in_pool(|| matrix.factorize_serial())?)
-                }
-                (Precision::Full, Backend::Batched) if symmetric => {
+                Backend::Serial => Box::new(self.run_in_pool(|| matrix.factorize_serial())?),
+                Backend::Batched if symmetric => {
                     let mut solver = GpuSymmetricSolver::new(&self.device, matrix, self.symmetry)?;
                     self.run_in_pool(|| solver.factorize())?;
                     Box::new(solver)
                 }
-                (Precision::Full, Backend::Batched) => {
+                Backend::Batched => {
                     let mut solver = GpuSolver::new(&self.device, matrix);
                     self.run_in_pool(|| solver.factorize())?;
                     Box::new(solver)
                 }
-                (Precision::MixedRefine, _) if symmetric => {
-                    return Err(HodlrError::config(
-                        "Precision::MixedRefine is not available for symmetric factorizations",
-                    ));
-                }
-                (Precision::MixedRefine, _) => self.run_in_pool(|| T::mixed_factorization(self))?,
             },
         };
         Ok(Factorization {

@@ -1,5 +1,5 @@
 //! Compact lower-precision storage behind the façade
-//! ([`FactorPrecision::CompactLower`](crate::FactorPrecision)).
+//! ([`Precision::CompactLower`](crate::Precision)).
 //!
 //! The HODLR representation is *built and stored* in the companion lower
 //! precision (`f64 -> f32`, `Complex64 -> Complex32`) — half the resident
@@ -12,17 +12,16 @@
 //! lower-precision factorization is the preconditioner, and the promoted
 //! operator supplies the residuals.
 //!
-//! Everything here is an implementation detail of [`Hodlr`](crate::Hodlr);
-//! the only public surface is the builder's `factor_precision` knob.
+//! Everything here is an implementation detail of [`Hodlr`]; the only
+//! public surface is the builder's `precision(Precision::CompactLower)`.
 
-use crate::build::Backend;
-use crate::scalar::RefinedSolver;
+use crate::build::Hodlr;
+use crate::scalar::refined_factorization;
 use crate::solve::Solve;
-use hodlr_batch::Device;
 use hodlr_compress::{CompressionConfig, CompressionMethod, MatrixEntrySource};
-use hodlr_core::{build_from_source_with, BuildOptions, DemotedSource, GpuSolver, HodlrMatrix};
-use hodlr_la::{HodlrError, RealScalar, Scalar};
-use hodlr_solver::{DemoteScalar, LinearOperator};
+use hodlr_core::{build_from_source_with, BuildOptions, DemotedSource, HodlrMatrix};
+use hodlr_la::{DemoteScalar, HodlrError, RealScalar, Scalar};
+use hodlr_solver::LinearOperator;
 use hodlr_tree::{ClusterTree, NodeId};
 
 /// The compression knobs of a compact build, in precision-free form (the
@@ -34,8 +33,8 @@ pub struct CompactConfig {
     pub method: CompressionMethod,
 }
 
-/// Object-safe view of a compact store, so [`Hodlr`](crate::Hodlr) can hold
-/// one without being generic over the lower precision.
+/// Object-safe view of a compact store, so [`Hodlr`] can hold one without
+/// being generic over the lower precision.
 pub trait CompactOps<T: Scalar>: Send + Sync {
     fn n(&self) -> usize;
     fn levels(&self) -> usize;
@@ -48,15 +47,12 @@ pub trait CompactOps<T: Scalar>: Send + Sync {
     fn matvec_adjoint_into(&self, x: &[T], y: &mut [T]);
     /// Hager/Higham `‖A‖₁` estimate through the promoted operator.
     fn norm1_est(&self) -> f64;
-    /// Factorize the stored lower-precision representation and wrap it in
-    /// working-precision iterative refinement against the promoted
-    /// operator.
+    /// Factorize the stored lower-precision representation on `hodlr`'s
+    /// backend and wrap it in working-precision iterative refinement
+    /// against the promoted operator.
     fn factorize<'s>(
         &'s self,
-        device: &'s Device,
-        backend: Backend,
-        refine_tol: f64,
-        refine_max_iters: usize,
+        hodlr: &'s Hodlr<T>,
     ) -> Result<Box<dyn Solve<T> + Send + Sync + 's>, HodlrError>;
 }
 
@@ -240,26 +236,14 @@ impl<T: DemoteScalar> CompactOps<T> for CompactStore<T> {
 
     fn factorize<'s>(
         &'s self,
-        device: &'s Device,
-        backend: Backend,
-        refine_tol: f64,
-        refine_max_iters: usize,
+        hodlr: &'s Hodlr<T>,
     ) -> Result<Box<dyn Solve<T> + Send + Sync + 's>, HodlrError> {
-        let inner: Box<dyn Solve<T::Lower> + Send + Sync + 's> = match backend {
-            Backend::Serial => Box::new(self.low.factorize_serial()?),
-            Backend::Batched => {
-                let mut solver = GpuSolver::new(device, &self.low);
-                solver.factorize()?;
-                Box::new(solver)
-            }
-        };
-        Ok(Box::new(RefinedSolver {
-            op: PromotedOp(self),
-            inner,
-            tol: refine_tol,
-            max_iters: refine_max_iters,
-            context: "compact-storage iterative refinement",
-        }))
+        refined_factorization(
+            hodlr,
+            &self.low,
+            PromotedOp(self),
+            "compact-storage iterative refinement",
+        )
     }
 }
 

@@ -13,7 +13,8 @@
 //! * [`Hodlr::builder`] — a fluent builder: entry source or dense input,
 //!   tree policy, compression method/tolerance/rank cap, backend
 //!   ([`Backend::Serial`] or [`Backend::Batched`]), precision policy
-//!   ([`Precision::Full`] or [`Precision::MixedRefine`]), thread count.
+//!   ([`Precision::Full`], [`Precision::MixedRefine`] or
+//!   [`Precision::CompactLower`]), thread count.
 //!   Returns `Result<Hodlr<T>, HodlrError>` — no panicking entry points.
 //! * [`Factorize`] — anything that can produce a [`Factorization`].
 //! * [`Solve`] — backend-agnostic solving: single right-hand side,
@@ -59,7 +60,7 @@ pub mod scalar;
 pub mod solve;
 pub mod verify;
 
-pub use build::{Backend, FactorPrecision, Hodlr, HodlrBuilder, Precision, TreePolicy};
+pub use build::{Backend, Hodlr, HodlrBuilder, Precision, TreePolicy};
 pub use iterative::{IterativeSolver, KrylovMethod};
 pub use scalar::SolveScalar;
 pub use solve::{Factorization, Factorize, Solve};
@@ -79,7 +80,7 @@ pub use hodlr_la::HodlrError;
 /// assert!((a.matvec(&x)[0] - 1.0).abs() < 1e-12);
 /// ```
 pub mod prelude {
-    pub use crate::build::{Backend, FactorPrecision, Hodlr, HodlrBuilder, Precision, TreePolicy};
+    pub use crate::build::{Backend, Hodlr, HodlrBuilder, Precision, TreePolicy};
     pub use crate::iterative::{IterativeSolver, KrylovMethod};
     pub use crate::scalar::SolveScalar;
     pub use crate::solve::{Factorization, Factorize, Solve};

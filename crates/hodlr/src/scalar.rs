@@ -1,27 +1,29 @@
 //! The sealed [`SolveScalar`] extension trait: per-scalar dispatch of the
-//! [`Precision::MixedRefine`](crate::Precision) policy and of the
-//! [`FactorPrecision::CompactLower`](crate::FactorPrecision) storage mode.
+//! two lower-precision [`Precision`] policies, `MixedRefine` and
+//! `CompactLower`.
 //!
-//! Mixed-precision refinement factorizes the HODLR approximation in the
-//! *companion lower precision* (`f64 -> f32`, `Complex64 -> Complex32`) and
-//! recovers working-precision accuracy by iterative refinement.  The demoted
-//! factorization itself runs on whichever [`Backend`] the
-//! builder selected, so `Backend::Batched` + `Precision::MixedRefine`
-//! demotes, uploads and factorizes on the virtual device in `f32`.  Compact
-//! storage goes one step further: the representation is *built* in the
-//! lower precision (the working-precision matrix never exists) and the
-//! refinement residuals come from the promoted operator instead.  For the
-//! scalars that *are* the lower precision (`f32`, `Complex32`) both
-//! policies are rejected with a typed error instead of a compile failure,
-//! keeping [`Hodlr`] generic over every [`Scalar`].
+//! Both factorize a HODLR matrix in the *companion lower precision*
+//! (`f64 -> f32`, `Complex64 -> Complex32`) on whichever [`Backend`] the
+//! builder selected, and recover working-precision accuracy by iterative
+//! refinement.  `MixedRefine` demotes the built working-precision matrix
+//! and takes its residuals from it, so `Backend::Batched` +
+//! `Precision::MixedRefine` demotes, uploads and factorizes on the virtual
+//! device in `f32`.  `CompactLower` *builds* the representation in the
+//! lower precision (the working-precision matrix never exists) and takes
+//! the residuals from the promoted operator instead.  For the scalars that
+//! *are* the lower precision (`f32`, `Complex32`) both policies are
+//! rejected with a typed error instead of a compile failure, keeping
+//! [`Hodlr`] generic over every [`Scalar`].
 
-use crate::build::{Backend, Hodlr};
+use crate::build::{Backend, Hodlr, Precision};
 use crate::compact::{build_compact_store, CompactConfig, CompactOps};
 use crate::solve::Solve;
 use hodlr_compress::MatrixEntrySource;
-use hodlr_core::{BuildOptions, GpuSolver};
-use hodlr_la::{Complex32, Complex64, DenseMatrix, HodlrError, RealScalar, Scalar};
-use hodlr_solver::{demote_hodlr, iterative_refinement, DemoteScalar, LinearOperator};
+use hodlr_core::{BuildOptions, GpuSolver, HodlrMatrix};
+use hodlr_la::{
+    demote_dense, Complex32, Complex64, DemoteScalar, DenseMatrix, HodlrError, RealScalar, Scalar,
+};
+use hodlr_solver::{iterative_refinement, LinearOperator, RefinementOptions};
 use hodlr_tree::ClusterTree;
 
 mod sealed {
@@ -39,12 +41,13 @@ mod sealed {
 /// [`Factorize`](crate::Factorize) for [`Hodlr`] and of
 /// [`HodlrBuilder::build`](crate::HodlrBuilder::build).
 pub trait SolveScalar: Scalar + sealed::Sealed {
-    /// Build the mixed-precision solver for `hodlr`, or explain why the
-    /// scalar cannot be demoted.
+    /// Build the mixed-precision solver for `hodlr`'s working-precision
+    /// `matrix`, or explain why the scalar cannot be demoted.
     #[doc(hidden)]
-    fn mixed_factorization(
-        hodlr: &Hodlr<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + '_>, HodlrError>;
+    fn mixed_factorization<'m>(
+        hodlr: &'m Hodlr<Self>,
+        matrix: &'m HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError>;
 
     /// Compress `source` straight into compact lower-precision storage, or
     /// explain why the scalar cannot be demoted.
@@ -58,10 +61,11 @@ pub trait SolveScalar: Scalar + sealed::Sealed {
 }
 
 impl SolveScalar for f64 {
-    fn mixed_factorization(
-        hodlr: &Hodlr<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + '_>, HodlrError> {
-        mixed_factorization_impl(hodlr)
+    fn mixed_factorization<'m>(
+        hodlr: &'m Hodlr<Self>,
+        matrix: &'m HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+        mixed_factorization_impl(hodlr, matrix)
     }
 
     fn build_compact(
@@ -75,10 +79,11 @@ impl SolveScalar for f64 {
 }
 
 impl SolveScalar for Complex64 {
-    fn mixed_factorization(
-        hodlr: &Hodlr<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + '_>, HodlrError> {
-        mixed_factorization_impl(hodlr)
+    fn mixed_factorization<'m>(
+        hodlr: &'m Hodlr<Self>,
+        matrix: &'m HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+        mixed_factorization_impl(hodlr, matrix)
     }
 
     fn build_compact(
@@ -92,13 +97,11 @@ impl SolveScalar for Complex64 {
 }
 
 impl SolveScalar for f32 {
-    fn mixed_factorization(
-        _: &Hodlr<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + '_>, HodlrError> {
-        Err(HodlrError::config(
-            "Precision::MixedRefine requires a double-precision scalar (f64 or \
-             Complex64); f32 has no lower companion precision",
-        ))
+    fn mixed_factorization<'m>(
+        _: &'m Hodlr<Self>,
+        _: &'m HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+        Err(no_lower_precision(Precision::MixedRefine, "f32"))
     }
 
     fn build_compact(
@@ -107,21 +110,16 @@ impl SolveScalar for f32 {
         _: &CompactConfig,
         _: BuildOptions<'_>,
     ) -> Result<Box<dyn CompactOps<Self>>, HodlrError> {
-        Err(HodlrError::config(
-            "FactorPrecision::CompactLower requires a double-precision scalar (f64 or \
-             Complex64); f32 has no lower companion precision",
-        ))
+        Err(no_lower_precision(Precision::CompactLower, "f32"))
     }
 }
 
 impl SolveScalar for Complex32 {
-    fn mixed_factorization(
-        _: &Hodlr<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + '_>, HodlrError> {
-        Err(HodlrError::config(
-            "Precision::MixedRefine requires a double-precision scalar (f64 or \
-             Complex64); Complex32 has no lower companion precision",
-        ))
+    fn mixed_factorization<'m>(
+        _: &'m Hodlr<Self>,
+        _: &'m HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+        Err(no_lower_precision(Precision::MixedRefine, "Complex32"))
     }
 
     fn build_compact(
@@ -130,58 +128,91 @@ impl SolveScalar for Complex32 {
         _: &CompactConfig,
         _: BuildOptions<'_>,
     ) -> Result<Box<dyn CompactOps<Self>>, HodlrError> {
-        Err(HodlrError::config(
-            "FactorPrecision::CompactLower requires a double-precision scalar (f64 or \
-             Complex64); Complex32 has no lower companion precision",
-        ))
+        Err(no_lower_precision(Precision::CompactLower, "Complex32"))
     }
 }
 
-/// Demote, factorize with the configured backend, and wrap in the
-/// refinement loop.
-fn mixed_factorization_impl<T>(
-    hodlr: &Hodlr<T>,
-) -> Result<Box<dyn Solve<T> + Send + Sync + '_>, HodlrError>
+/// The typed rejection of a lower-precision policy on a scalar that already
+/// is the lower precision.
+fn no_lower_precision(precision: Precision, scalar: &str) -> HodlrError {
+    HodlrError::config(format!(
+        "Precision::{precision:?} requires a double-precision scalar (f64 or Complex64); \
+         {scalar} has no lower companion precision"
+    ))
+}
+
+/// Round every stored entry of a HODLR matrix to the lower precision,
+/// preserving the tree, layout and rank bookkeeping.
+fn demote_hodlr<T: DemoteScalar>(matrix: &HodlrMatrix<T>) -> HodlrMatrix<T::Lower> {
+    let tree = matrix.tree().clone();
+    let node_ranks = (0..=tree.num_nodes())
+        .map(|id| matrix.node_rank(id))
+        .collect();
+    HodlrMatrix::from_parts(
+        tree,
+        matrix.layout().clone(),
+        node_ranks,
+        demote_dense(matrix.ubig()),
+        demote_dense(matrix.vbig()),
+        matrix.diag_blocks().iter().map(demote_dense).collect(),
+    )
+    .expect("demotion preserves the shapes of every part")
+}
+
+/// Demote `matrix` and refine against it.
+fn mixed_factorization_impl<'m, T: DemoteScalar>(
+    hodlr: &'m Hodlr<T>,
+    matrix: &'m HodlrMatrix<T>,
+) -> Result<Box<dyn Solve<T> + Send + Sync + 'm>, HodlrError> {
+    refined_factorization(
+        hodlr,
+        &demote_hodlr(matrix),
+        matrix,
+        "mixed-precision iterative refinement",
+    )
+}
+
+/// Factorize the lower-precision `low` on `hodlr`'s backend and wrap it in
+/// working-precision refinement against `op`, to `hodlr`'s refinement
+/// tolerance and sweep cap.
+pub(crate) fn refined_factorization<'m, T, A>(
+    hodlr: &'m Hodlr<T>,
+    low: &HodlrMatrix<T::Lower>,
+    op: A,
+    context: &'static str,
+) -> Result<Box<dyn Solve<T> + Send + Sync + 'm>, HodlrError>
 where
-    T: DemoteScalar + SolveScalar,
+    T: DemoteScalar,
+    A: LinearOperator<T> + Send + Sync + 'm,
 {
-    let matrix = hodlr.matrix().ok_or_else(|| {
-        HodlrError::config(
-            "Precision::MixedRefine demotes the working-precision matrix; a compact \
-             store is already lower-precision and factorizes with refinement directly",
-        )
-    })?;
-    let demoted = demote_hodlr(matrix);
-    let inner: Box<dyn Solve<T::Lower> + Send + Sync + '_> = match hodlr.backend() {
-        Backend::Serial => Box::new(demoted.factorize_serial()?),
+    let inner: Box<dyn Solve<T::Lower> + Send + Sync + 'm> = match hodlr.backend() {
+        Backend::Serial => Box::new(low.factorize_serial()?),
         Backend::Batched => {
-            let mut solver = GpuSolver::new(hodlr.device(), &demoted);
+            let mut solver = GpuSolver::new(hodlr.device(), low);
             solver.factorize()?;
             Box::new(solver)
         }
     };
     Ok(Box::new(RefinedSolver {
-        op: matrix,
+        op,
         inner,
-        tol: hodlr.refine_tol(),
-        max_iters: hodlr.refine_max_iters(),
-        context: "mixed-precision iterative refinement",
+        options: RefinementOptions {
+            tol: hodlr.refine_tol(),
+            max_iters: hodlr.refine_max_iters(),
+        },
+        context,
     }))
 }
 
 /// A lower-precision factorization plus working-precision iterative
 /// refinement to the configured tolerance — the solver behind both
-/// [`Precision::MixedRefine`](crate::Precision) (residuals from the
-/// working-precision matrix) and
-/// [`FactorPrecision::CompactLower`](crate::FactorPrecision) (residuals
-/// from the promoted compact operator).
-pub(crate) struct RefinedSolver<'m, T: DemoteScalar, A: LinearOperator<T> + Send + Sync> {
+/// lower-precision [`Precision`] policies.
+struct RefinedSolver<'m, T: DemoteScalar, A: LinearOperator<T> + Send + Sync> {
     /// The working-precision residual operator.
-    pub(crate) op: A,
-    pub(crate) inner: Box<dyn Solve<T::Lower> + Send + Sync + 'm>,
-    pub(crate) tol: f64,
-    pub(crate) max_iters: usize,
-    pub(crate) context: &'static str,
+    op: A,
+    inner: Box<dyn Solve<T::Lower> + Send + Sync + 'm>,
+    options: RefinementOptions,
+    context: &'static str,
 }
 
 /// The lower-precision factorization exposed as a working-precision
@@ -218,15 +249,7 @@ impl<T: DemoteScalar, A: LinearOperator<T> + Send + Sync> Solve<T> for RefinedSo
         let m = DemotedPrecondOp::<T> {
             inner: self.inner.as_ref(),
         };
-        let out = iterative_refinement(
-            &self.op,
-            &m,
-            x,
-            hodlr_solver::RefinementOptions {
-                tol: self.tol,
-                max_iters: self.max_iters,
-            },
-        )?;
+        let out = iterative_refinement(&self.op, &m, x, self.options)?;
         // The best iterate is written back even when refinement stalls, so
         // callers that can live with a best-effort answer (e.g. a Krylov
         // method applying this as a preconditioner) still get one alongside
@@ -275,5 +298,29 @@ impl<T: DemoteScalar, A: LinearOperator<T> + Send + Sync> Solve<T> for RefinedSo
     /// full-precision footprint — the point of the policy).
     fn factor_bytes(&self) -> u64 {
         self.inner.factor_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hodlr_core::matrix::random_hodlr;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn demoted_matrix_halves_storage_and_stays_close() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let m = random_hodlr::<f64, _>(&mut rng, 64, 2, 2);
+        let lo = demote_hodlr(&m);
+        assert_eq!(lo.storage_bytes() * 2, m.storage_bytes());
+        let x: Vec<f32> = (0..64).map(|i| (i as f64 * 0.2).sin() as f32).collect();
+        let x64: Vec<f64> = x.iter().map(|&v| v as f64).collect();
+        let y_lo = lo.matvec(&x);
+        let y_hi = m.matvec(&x64);
+        for (a, b) in y_lo.iter().zip(&y_hi) {
+            // f32 arithmetic against f64 arithmetic on O(100)-sized sums.
+            assert!((*a as f64 - b).abs() < 1e-2 * (1.0 + b.abs()));
+        }
     }
 }

@@ -141,11 +141,17 @@ mod tests {
             Precision::Full,
         );
         assert_ne!(base, other_tree);
-        let other_precision = CacheKey {
+        let mixed = CacheKey {
             precision: Precision::MixedRefine,
             ..base.clone()
         };
-        assert_ne!(base, other_precision);
+        let compact = CacheKey {
+            precision: Precision::CompactLower,
+            ..base.clone()
+        };
+        assert_ne!(base, mixed);
+        assert_ne!(base, compact);
+        assert_ne!(mixed, compact);
         assert_eq!(base.tolerance(), 1e-8);
     }
 

@@ -3,8 +3,7 @@
 //! constant memory instead of a growing Krylov basis, at the price of a
 //! less monotone residual.
 
-use crate::operator::LinearOperator;
-use crate::precond::IdentityPreconditioner;
+use crate::operator::{IdentityPreconditioner, LinearOperator};
 use crate::report::IterativeSolution;
 use hodlr_la::blas::{axpy_slice, dot_conj};
 use hodlr_la::norms::norm2;
@@ -57,7 +56,7 @@ impl BiCgStab {
         T: Scalar,
         A: LinearOperator<T>,
     {
-        self.solve_preconditioned(a, &IdentityPreconditioner::new(b.len()), b)
+        self.solve_preconditioned(a, &IdentityPreconditioner(b.len()), b)
     }
 
     /// Solve `A x = b` with `m` applying `M^{-1}` as a right
@@ -165,7 +164,7 @@ impl BiCgStab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::SerialPreconditioner;
+    use crate::precond::SerialInverse;
     use hodlr_core::matrix::random_hodlr;
     use hodlr_la::{Complex64, DenseMatrix};
     use rand::rngs::StdRng;
@@ -205,7 +204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let matrix = random_hodlr::<f64, _>(&mut rng, 64, 2, 2);
         let b: Vec<f64> = hodlr_la::random::random_vector(&mut rng, 64);
-        let precond = SerialPreconditioner::from_matrix(&matrix).unwrap();
+        let precond = SerialInverse::new(&matrix);
         let out = BiCgStab::new()
             .tol(1e-10)
             .solve_preconditioned(&matrix, &precond, &b)

@@ -6,8 +6,7 @@
 //! residual recurrence tracks the residual of the *original* system and
 //! the preconditioner only has to be applied, never transposed.
 
-use crate::operator::LinearOperator;
-use crate::precond::IdentityPreconditioner;
+use crate::operator::{IdentityPreconditioner, LinearOperator};
 use crate::report::IterativeSolution;
 use hodlr_la::blas::{axpy_slice, dot_conj};
 use hodlr_la::norms::norm2;
@@ -70,12 +69,12 @@ impl Gmres {
         T: Scalar,
         A: LinearOperator<T>,
     {
-        self.solve_preconditioned(a, &IdentityPreconditioner::new(b.len()), b)
+        self.solve_preconditioned(a, &IdentityPreconditioner(b.len()), b)
     }
 
     /// Solve `A x = b` with `m` as a right preconditioner (`m` applies
-    /// `M^{-1}`, e.g. a [`GpuPreconditioner`](crate::GpuPreconditioner)
-    /// over a loose HODLR factorization).
+    /// `M^{-1}`, e.g. the `hodlr` façade's `Factorization` of a loose
+    /// HODLR approximation).
     /// # Errors
     /// See [`Gmres::solve`].
     pub fn solve_preconditioned<T, A, M>(
@@ -219,7 +218,7 @@ impl Gmres {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::SerialPreconditioner;
+    use crate::precond::SerialInverse;
     use hodlr_core::matrix::random_hodlr;
     use hodlr_la::{Complex64, DenseMatrix};
     use rand::rngs::StdRng;
@@ -269,7 +268,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let matrix = random_hodlr::<f64, _>(&mut rng, 96, 2, 3);
         let b: Vec<f64> = hodlr_la::random::random_vector(&mut rng, 96);
-        let precond = SerialPreconditioner::from_matrix(&matrix).unwrap();
+        let precond = SerialInverse::new(&matrix);
         let out = Gmres::new()
             .tol(1e-10)
             .solve_preconditioned(&matrix, &precond, &b)

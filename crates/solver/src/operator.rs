@@ -4,8 +4,8 @@
 //! An operator only needs to apply `y = A x`; the HODLR matrix applies in
 //! `O(N log N)`, a dense baseline in `O(N^2)`, and a matrix-free kernel
 //! source in `O(N^2)` entry evaluations without ever materialising the
-//! matrix.  Preconditioners are the same trait applied to `M^{-1}` — see
-//! [`crate::precond`].
+//! matrix.  Preconditioners are the same trait applied to `M^{-1}`; the
+//! HODLR one is the `hodlr` façade's `Factorization`.
 
 use hodlr_compress::MatrixEntrySource;
 use hodlr_core::HodlrMatrix;
@@ -81,6 +81,20 @@ impl<T: Scalar> LinearOperator<T> for DenseMatrix<T> {
 
     fn apply_to_block(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
         self.matmul(x)
+    }
+}
+
+/// The identity "preconditioner": turns a preconditioned method into its
+/// unpreconditioned variant without a second code path.
+pub(crate) struct IdentityPreconditioner(pub(crate) usize);
+
+impl<T: Scalar> LinearOperator<T> for IdentityPreconditioner {
+    fn dim(&self) -> usize {
+        self.0
+    }
+
+    fn apply(&self, x: &[T], y: &mut [T]) {
+        y.copy_from_slice(x);
     }
 }
 

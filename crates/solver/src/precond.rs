@@ -1,154 +1,63 @@
-//! Preconditioner adapters: the HODLR factorizations of `hodlr-core`
-//! exposed as [`LinearOperator`]s applying `M^{-1}`.
+//! Exact HODLR preconditioners for this crate's unit tests: the serial
+//! (Algorithms 1–2) and batched (Algorithms 3–4) factorizations of
+//! `hodlr-core` applied as `M^{-1}`.
 //!
-//! The paper's Table V(b) use case: factorize a *loose* HODLR approximation
-//! of an ill-conditioned operator (cheap, low ranks) and hand it to a
-//! Krylov method as a right preconditioner, amortizing the factorization
-//! over many solves.
+//! Library callers get the same operator from the `hodlr` façade's
+//! `Factorization`; the façade depends on this crate, so the Krylov and
+//! refinement unit tests use these fixtures instead.
 
 use crate::operator::LinearOperator;
 use hodlr_batch::Device;
 use hodlr_core::{GpuSolver, HodlrMatrix, SerialFactorization};
-use hodlr_la::{DenseMatrix, HodlrError, Scalar};
+use hodlr_la::Scalar;
 
-/// The identity "preconditioner": turns a preconditioned method into its
-/// unpreconditioned variant without a second code path.
-pub struct IdentityPreconditioner {
-    n: usize,
-}
+/// `M^{-1}` by the serial factorization's solve.
+pub(crate) struct SerialInverse<T: Scalar>(SerialFactorization<T>);
 
-impl IdentityPreconditioner {
-    /// Identity on vectors of length `n`.
-    pub fn new(n: usize) -> Self {
-        IdentityPreconditioner { n }
+impl<T: Scalar> SerialInverse<T> {
+    pub(crate) fn new(matrix: &HodlrMatrix<T>) -> Self {
+        SerialInverse(
+            matrix
+                .factorize_serial()
+                .expect("test matrices are nonsingular"),
+        )
     }
 }
 
-impl<T: Scalar> LinearOperator<T> for IdentityPreconditioner {
+impl<T: Scalar> LinearOperator<T> for SerialInverse<T> {
     fn dim(&self) -> usize {
-        self.n
+        self.0.tree().n()
     }
 
     fn apply(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.n);
-        y.copy_from_slice(x);
-    }
-
-    fn apply_to_block(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        x.clone()
+        y.copy_from_slice(&self.0.solve(x));
     }
 }
 
-/// A [`SerialFactorization`] (Algorithms 1–2) applying `M^{-1}`.
-pub struct SerialPreconditioner<T: Scalar> {
-    factor: SerialFactorization<T>,
-}
+/// `M^{-1}` by a factored batched solver on `device`.
+pub(crate) struct BatchedInverse<'d, T: Scalar>(GpuSolver<'d, T>);
 
-impl<T: Scalar> SerialPreconditioner<T> {
-    /// Wrap an existing factorization.
-    pub fn new(factor: SerialFactorization<T>) -> Self {
-        SerialPreconditioner { factor }
-    }
-
-    /// Factorize `matrix` (typically a loose-tolerance HODLR approximation)
-    /// and wrap the result.
-    ///
-    /// # Errors
-    /// Propagates singular leaf / coupling blocks from the factorization.
-    pub fn from_matrix(matrix: &HodlrMatrix<T>) -> Result<Self, HodlrError> {
-        Ok(Self::new(matrix.factorize_serial()?))
-    }
-
-    /// The wrapped factorization.
-    pub fn factor(&self) -> &SerialFactorization<T> {
-        &self.factor
-    }
-}
-
-impl<T: Scalar> LinearOperator<T> for SerialPreconditioner<T> {
-    fn dim(&self) -> usize {
-        self.factor.tree().n()
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(y.len(), self.dim(), "apply: y has the wrong length");
-        y.copy_from_slice(&self.factor.solve(x));
-    }
-
-    fn apply_to_block(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        self.factor.solve_matrix(x)
-    }
-}
-
-/// A factored [`GpuSolver`] (Algorithms 3–4 on the virtual batched device)
-/// applying `M^{-1}`.  Every application is metered by the solver's
-/// [`Device`] counters, so preconditioner traffic shows up in the same
-/// launch/flop accounting as direct solves.
-pub struct GpuPreconditioner<'d, T: Scalar> {
-    solver: GpuSolver<'d, T>,
-    n: usize,
-}
-
-impl<'d, T: Scalar> GpuPreconditioner<'d, T> {
-    /// Wrap an already factored solver.
-    ///
-    /// # Panics
-    /// Panics if `solver` has not been factorized yet.
-    pub fn new(solver: GpuSolver<'d, T>) -> Self {
-        assert!(
-            solver.is_factored(),
-            "GpuPreconditioner requires a factored solver"
-        );
-        let n = solver.n();
-        GpuPreconditioner { solver, n }
-    }
-
-    /// Upload `matrix` to `device`, factorize it, and wrap the result.
-    ///
-    /// # Errors
-    /// Propagates singular batch entries from the factorization.
-    pub fn from_matrix(device: &'d Device, matrix: &HodlrMatrix<T>) -> Result<Self, HodlrError> {
+impl<'d, T: Scalar> BatchedInverse<'d, T> {
+    pub(crate) fn new(device: &'d Device, matrix: &HodlrMatrix<T>) -> Self {
         let mut solver = GpuSolver::new(device, matrix);
-        solver.factorize()?;
-        Ok(Self::new(solver))
-    }
-
-    /// Consume the adapter, returning the solver.
-    pub fn into_inner(self) -> GpuSolver<'d, T> {
-        self.solver
+        solver.factorize().expect("test matrices are nonsingular");
+        BatchedInverse(solver)
     }
 }
 
-impl<T: Scalar> LinearOperator<T> for GpuPreconditioner<'_, T> {
+impl<T: Scalar> LinearOperator<T> for BatchedInverse<'_, T> {
     fn dim(&self) -> usize {
-        self.n
+        self.0.n()
     }
 
     fn apply(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.n, "apply: x has the wrong length");
-        assert_eq!(y.len(), self.n, "apply: y has the wrong length");
-        let solved = self
-            .solver
-            .solve(x)
-            .expect("solver is factored and the right-hand-side length was checked");
-        y.copy_from_slice(&solved);
-    }
-
-    fn apply_to_block(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        assert_eq!(
-            x.rows(),
-            self.n,
-            "apply_to_block: x has the wrong row count"
-        );
-        self.solver
-            .solve_matrix(x)
-            .expect("solver is factored and the right-hand-side shape was checked")
+        y.copy_from_slice(&self.0.solve(x).expect("the solver is factored"));
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::IdentityPreconditioner;
     use hodlr_core::matrix::random_hodlr;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -160,15 +69,15 @@ mod tests {
         let x_true: Vec<f64> = (0..64).map(|i| (i as f64 * 0.11).cos()).collect();
         let b = m.matvec(&x_true);
 
-        let serial = SerialPreconditioner::from_matrix(&m).unwrap();
+        let serial = SerialInverse::new(&m);
         let x = serial.apply_vec(&b);
         for (a, e) in x.iter().zip(&x_true) {
             assert!((a - e).abs() < 1e-9);
         }
 
         let device = Device::new();
-        let gpu = GpuPreconditioner::from_matrix(&device, &m).unwrap();
-        let x = gpu.apply_vec(&b);
+        let batched = BatchedInverse::new(&device, &m);
+        let x = batched.apply_vec(&b);
         for (a, e) in x.iter().zip(&x_true) {
             assert!((a - e).abs() < 1e-9);
         }
@@ -176,18 +85,8 @@ mod tests {
 
     #[test]
     fn identity_preconditioner_is_a_copy() {
-        let id = IdentityPreconditioner::new(4);
+        let id = IdentityPreconditioner(4);
         let x = vec![1.0, -2.0, 3.0, -4.0];
         assert_eq!(LinearOperator::<f64>::apply_vec(&id, &x), x);
-    }
-
-    #[test]
-    #[should_panic(expected = "factored")]
-    fn unfactored_gpu_solver_is_rejected() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = random_hodlr::<f64, _>(&mut rng, 32, 2, 1);
-        let device = Device::new();
-        let solver = GpuSolver::new(&device, &m);
-        let _ = GpuPreconditioner::new(solver);
     }
 }

@@ -5,8 +5,8 @@
 //! Converges whenever `||I - A M^{-1}|| < 1`, i.e. whenever the HODLR
 //! approximation behind `M` is accurate enough; the contraction factor is
 //! the approximation error, so a 1e-3 preconditioner gains roughly three
-//! digits per sweep.  This is also the outer loop of the mixed-precision
-//! path (see [`crate::mixed`]).
+//! digits per sweep.  It is also the loop behind the `hodlr` façade's
+//! `Precision::MixedRefine` and `Precision::CompactLower` solves.
 
 use crate::operator::LinearOperator;
 use crate::report::IterativeSolution;
@@ -33,7 +33,9 @@ impl Default for RefinementOptions {
 
 /// Solve `A x = b` by refinement sweeps with `m` applying `M^{-1}`.
 ///
-/// Each iteration costs one operator and one preconditioner application.
+/// Each sweep costs one preconditioner and one operator application; the
+/// zero starting guess costs none.  The loop stops at the first non-finite
+/// residual, and the iterate after the last sweep is always measured.
 ///
 /// # Errors
 /// Returns [`HodlrError::DimensionMismatch`] when the operator, the
@@ -54,38 +56,34 @@ where
     HodlrError::check_dims("refinement operator vs right-hand side", a.dim(), n)?;
     HodlrError::check_dims("refinement preconditioner vs right-hand side", m.dim(), n)?;
     let bnorm = norm2(b).to_f64();
-    let mut x = vec![T::zero(); n];
-    let mut history = Vec::new();
     if bnorm == 0.0 {
         return Ok(IterativeSolution::zero_rhs(n));
     }
 
+    // The zero starting guess has residual `b`: no operator application.
+    let mut x = vec![T::zero(); n];
+    let mut r = b.to_vec();
+    let mut history = Vec::new();
     let mut iters = 0usize;
-    let mut relative_residual = 1.0;
     // Best iterate seen so far, so a correction that made things worse (a
     // non-contracting preconditioner) is rolled back instead of returned.
     let mut best_x = x.clone();
     let mut best_res = f64::INFINITY;
-    while iters < options.max_iters {
-        let ax = a.apply_vec(&x);
-        let r: Vec<T> = b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect();
+    loop {
         let res = norm2(&r).to_f64() / bnorm;
-        relative_residual = res;
         if res < best_res {
             best_res = res;
             best_x.copy_from_slice(&x);
         }
-        if res <= options.tol {
-            break;
-        }
-        // Stop when the residual stopped improving at all (approximation
-        // error of M too large to gain further digits, or a
+        // Stop on convergence, on a non-finite residual (no sweep can
+        // repair it), on the sweep cap (the last correction has just been
+        // measured), or when the residual stopped improving at all
+        // (approximation error of M too large to gain further digits, or a
         // non-contracting preconditioner).  Slow but genuine contraction
-        // is left to run against the iteration cap.
-        if let Some(&prev) = history.last() {
-            if res >= prev {
-                break;
-            }
+        // is left to run against the sweep cap.
+        let stalled = history.last().is_some_and(|&prev| res >= prev);
+        if res <= options.tol || !res.is_finite() || iters == options.max_iters || stalled {
+            break;
         }
         history.push(res);
         let correction = m.apply_vec(&r);
@@ -93,16 +91,17 @@ where
             *xi += *ci;
         }
         iters += 1;
+        let ax = a.apply_vec(&x);
+        for ((ri, &bi), &ai) in r.iter_mut().zip(b).zip(&ax) {
+            *ri = bi - ai;
+        }
     }
 
-    // `best_x` lags `x` by one correction when the loop exited on the
-    // iteration cap; its residual is the last one actually measured.
-    relative_residual = relative_residual.min(best_res);
     Ok(IterativeSolution {
         x: best_x,
         iterations: iters,
-        converged: relative_residual <= options.tol,
-        relative_residual,
+        converged: best_res <= options.tol,
+        relative_residual: best_res,
         residual_history: history,
     })
 }
@@ -110,17 +109,79 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::SerialPreconditioner;
+    use crate::precond::SerialInverse;
     use hodlr_core::matrix::random_hodlr;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
+
+    /// `y = D x` for a diagonal `D`, counting its applications.
+    struct Diagonal {
+        d: Vec<f64>,
+        applies: Cell<usize>,
+    }
+
+    impl Diagonal {
+        fn new(d: impl IntoIterator<Item = f64>) -> Self {
+            Diagonal {
+                d: d.into_iter().collect(),
+                applies: Cell::new(0),
+            }
+        }
+    }
+
+    impl LinearOperator<f64> for Diagonal {
+        fn dim(&self) -> usize {
+            self.d.len()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.applies.set(self.applies.get() + 1);
+            for ((yi, &xi), &di) in y.iter_mut().zip(x).zip(&self.d) {
+                *yi = di * xi;
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_apply_each_operator_once_and_measure_the_last_correction() {
+        let d: Vec<f64> = (0..32).map(|i| 1.0 + i as f64).collect();
+        let b: Vec<f64> = (0..32).map(|i| (0.3 * i as f64).sin() + 2.0).collect();
+        let options = |max_iters| RefinementOptions {
+            tol: 1e-12,
+            max_iters,
+        };
+
+        // An exact preconditioner converges in its one permitted sweep.
+        let a = Diagonal::new(d.clone());
+        let exact = Diagonal::new(d.iter().map(|v| 1.0 / v));
+        let out = iterative_refinement(&a, &exact, &b, options(1)).unwrap();
+        assert!(out.converged, "relres {}", out.relative_residual);
+        assert_eq!(out.iterations, 1);
+
+        // A non-finite residual stops the loop before the first sweep.
+        let mut nan_b = b.clone();
+        nan_b[3] = f64::NAN;
+        let m = Diagonal::new(d.iter().map(|v| 1.0 / v));
+        let out = iterative_refinement(&a, &m, &nan_b, options(50)).unwrap();
+        assert!(!out.converged);
+        assert_eq!(m.applies.get(), 0);
+
+        // A contracting preconditioner (residual x 0.1 per sweep) costs one
+        // operator application per sweep, none for the zero start.
+        let a = Diagonal::new(d.clone());
+        let m = Diagonal::new(d.iter().map(|v| 0.9 / v));
+        let out = iterative_refinement(&a, &m, &b, options(50)).unwrap();
+        assert!(out.converged && out.iterations > 1, "{out:?}");
+        assert_eq!(a.applies.get(), out.iterations);
+        assert_eq!(m.applies.get(), out.iterations);
+    }
 
     #[test]
     fn exact_preconditioner_converges_in_one_sweep() {
         let mut rng = StdRng::seed_from_u64(30);
         let matrix = random_hodlr::<f64, _>(&mut rng, 64, 2, 2);
         let b: Vec<f64> = hodlr_la::random::random_vector(&mut rng, 64);
-        let m = SerialPreconditioner::from_matrix(&matrix).unwrap();
+        let m = SerialInverse::new(&matrix);
         let out = iterative_refinement(&matrix, &m, &b, RefinementOptions::default()).unwrap();
         assert!(out.converged, "relres {}", out.relative_residual);
         assert!(out.iterations <= 2);
@@ -128,7 +189,6 @@ mod tests {
 
     #[test]
     fn stalls_gracefully_when_the_preconditioner_does_not_contract() {
-        use crate::operator::LinearOperator;
         use hodlr_la::DenseMatrix;
 
         // M^{-1} = -2 I against A = I: the iteration matrix I - A M^{-1} =

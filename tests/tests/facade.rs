@@ -53,7 +53,11 @@ fn backend_precision_matrix_round_trips_f64() {
     let source = kernel_source(n);
     let b = rhs_f64(n);
     for backend in [Backend::Serial, Backend::Batched] {
-        for precision in [Precision::Full, Precision::MixedRefine] {
+        for precision in [
+            Precision::Full,
+            Precision::MixedRefine,
+            Precision::CompactLower,
+        ] {
             let hodlr = Hodlr::builder()
                 .source(&source)
                 .leaf_size(32)
@@ -70,6 +74,7 @@ fn backend_precision_matrix_round_trips_f64() {
             let tol = match precision {
                 Precision::Full => 1e-8,
                 Precision::MixedRefine => 1e-11,
+                Precision::CompactLower => 1e-9,
             };
             assert!(res < tol, "{backend:?} / {precision:?}: residual {res:.3e}");
         }
@@ -83,7 +88,11 @@ fn backend_precision_matrix_round_trips_complex64() {
     let source = complex_source(n);
     let b = rhs_c64(n);
     for backend in [Backend::Serial, Backend::Batched] {
-        for precision in [Precision::Full, Precision::MixedRefine] {
+        for precision in [
+            Precision::Full,
+            Precision::MixedRefine,
+            Precision::CompactLower,
+        ] {
             let hodlr = Hodlr::builder()
                 .source(&source)
                 .leaf_size(32)
@@ -92,11 +101,14 @@ fn backend_precision_matrix_round_trips_complex64() {
                 .precision(precision)
                 .build()
                 .unwrap();
-            let x = hodlr.factorize().unwrap().solve(&b).unwrap();
+            let f = hodlr.factorize().unwrap();
+            assert_eq!(f.precision(), precision);
+            let x = f.solve(&b).unwrap();
             let res = hodlr.relative_residual(&x, &b).to_f64();
             let tol = match precision {
                 Precision::Full => 1e-8,
                 Precision::MixedRefine => 1e-11,
+                Precision::CompactLower => 1e-9,
             };
             assert!(res < tol, "{backend:?} / {precision:?}: residual {res:.3e}");
         }
@@ -572,11 +584,11 @@ fn compact_storage_halves_bytes_and_refines_to_working_accuracy() {
         .source(&source)
         .leaf_size(32)
         .tolerance(1e-10)
-        .factor_precision(FactorPrecision::CompactLower)
+        .precision(Precision::CompactLower)
         .build()
         .unwrap();
-    assert!(compact.is_compact());
-    assert!(!full.is_compact());
+    assert_eq!(compact.precision(), Precision::CompactLower);
+    assert_eq!(full.precision(), Precision::Full);
     assert!(compact.matrix().is_none());
     assert_eq!(compact.n(), n);
     assert!(compact.max_rank() > 0);
@@ -599,7 +611,7 @@ fn compact_storage_halves_bytes_and_refines_to_working_accuracy() {
             .leaf_size(32)
             .tolerance(1e-10)
             .backend(backend)
-            .factor_precision(FactorPrecision::CompactLower)
+            .precision(Precision::CompactLower)
             .build()
             .unwrap();
         let f = compact.factorize().unwrap();
@@ -630,7 +642,7 @@ fn compact_storage_rejections_are_typed() {
         .source(&source_f32)
         .leaf_size(32)
         .tolerance(1e-5)
-        .factor_precision(FactorPrecision::CompactLower)
+        .precision(Precision::CompactLower)
         .build()
         .err()
         .expect("f32 compact build must fail");
@@ -642,7 +654,7 @@ fn compact_storage_rejections_are_typed() {
         .leaf_size(32)
         .tolerance(1e-10)
         .symmetry(Symmetry::Hermitian)
-        .factor_precision(FactorPrecision::CompactLower)
+        .precision(Precision::CompactLower)
         .build()
         .err()
         .expect("symmetric compact build must fail");
@@ -658,7 +670,7 @@ fn compact_storage_rejections_are_typed() {
         .unwrap();
     let err = Hodlr::builder()
         .matrix(matrix)
-        .factor_precision(FactorPrecision::CompactLower)
+        .precision(Precision::CompactLower)
         .build()
         .err()
         .expect("adopted-matrix compact build must fail");
@@ -675,10 +687,10 @@ fn compact_storage_supports_complex_scalars() {
         .source(&source)
         .leaf_size(32)
         .tolerance(1e-8)
-        .factor_precision(FactorPrecision::CompactLower)
+        .precision(Precision::CompactLower)
         .build()
         .unwrap();
-    assert!(compact.is_compact());
+    assert_eq!(compact.precision(), Precision::CompactLower);
     let b = rhs_c64(n);
     let f = compact.factorize().unwrap();
     let x = f.solve(&b).unwrap();

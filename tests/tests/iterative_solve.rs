@@ -3,18 +3,67 @@
 //! against per-RHS loops (values and launch counts), mixed precision
 //! against full double precision, and the paper's Table V(b) scenario
 //! (loose HODLR preconditioner on the ill-conditioned Helmholtz system).
+//! Every preconditioner is the `hodlr` façade's `Factorization`.
 
+use hodlr::{Backend, Factorize, Hodlr, Precision, SolveScalar};
 use hodlr_batch::Device;
 use hodlr_bench::workloads::resolved_kappa;
 use hodlr_bench::{helmholtz_hodlr, laplace_hodlr};
-use hodlr_core::{solve_recursive, GpuSolver};
+use hodlr_core::{solve_recursive, GpuSolver, HodlrMatrix};
 use hodlr_la::{Complex64, DenseMatrix, RealScalar};
-use hodlr_solver::{
-    iterative_refinement, mixed_precision_solve, BiCgStab, Gmres, GpuPreconditioner,
-    RefinementOptions, SerialPreconditioner,
-};
+use hodlr_solver::{iterative_refinement, BiCgStab, Gmres, RefinementOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Adopt `matrix` into a façade handle on `backend`.
+fn handle<T: SolveScalar>(matrix: HodlrMatrix<T>, backend: Backend) -> Hodlr<T> {
+    Hodlr::builder()
+        .matrix(matrix)
+        .backend(backend)
+        .build()
+        .unwrap()
+}
+
+/// An exact factorization as `M^{-1}` makes `A M^{-1} = I`: GMRES,
+/// BiCGStab and refinement each converge in one step, on both backends.
+#[test]
+fn exact_preconditioner_converges_at_once() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let matrix = hodlr_core::matrix::random_hodlr::<f64, _>(&mut rng, 96, 2, 3);
+    let b: Vec<f64> = hodlr_la::random::random_vector(&mut rng, 96);
+    let once = RefinementOptions {
+        tol: 1e-10,
+        max_iters: 1,
+    };
+    for backend in [Backend::Serial, Backend::Batched] {
+        let hodlr = handle(matrix.clone(), backend);
+        let m = hodlr.factorize().unwrap();
+        let outs = [
+            (
+                "gmres",
+                Gmres::new()
+                    .tol(1e-10)
+                    .solve_preconditioned(&matrix, &m, &b),
+            ),
+            (
+                "bicgstab",
+                BiCgStab::new()
+                    .tol(1e-10)
+                    .solve_preconditioned(&matrix, &m, &b),
+            ),
+            ("refinement", iterative_refinement(&matrix, &m, &b, once)),
+        ];
+        for (method, out) in outs {
+            let out = out.unwrap();
+            assert!(
+                out.converged && out.iterations == 1,
+                "{backend:?} / {method}: {} iterations, relres {:.3e}",
+                out.iterations,
+                out.relative_residual
+            );
+        }
+    }
+}
 
 /// Preconditioned GMRES on the Laplace BIE agrees with the recursive
 /// oracle of Theorem 1.
@@ -25,7 +74,8 @@ fn gmres_matches_the_recursive_oracle_on_laplace() {
     let (_bie, rough) = laplace_hodlr(n, 1e-4);
     let b: Vec<f64> = (0..n).map(|i| (0.07 * i as f64).sin()).collect();
 
-    let precond = SerialPreconditioner::from_matrix(&rough).unwrap();
+    let rough = handle(rough, Backend::Serial);
+    let precond = rough.factorize().unwrap();
     let out = Gmres::new()
         .tol(1e-10)
         .solve_preconditioned(&exact, &precond, &b)
@@ -52,7 +102,8 @@ fn bicgstab_converges_on_laplace() {
     let (_bie, rough) = laplace_hodlr(n, 1e-4);
     let b: Vec<f64> = (0..n).map(|i| (0.03 * i as f64).cos()).collect();
 
-    let precond = SerialPreconditioner::from_matrix(&rough).unwrap();
+    let rough = handle(rough, Backend::Serial);
+    let precond = rough.factorize().unwrap();
     let out = BiCgStab::new()
         .tol(1e-10)
         .solve_preconditioned(&exact, &precond, &b)
@@ -136,15 +187,24 @@ fn solve_block_issues_fewer_launches_than_a_per_rhs_loop() {
 
 /// Mixed precision: factorize the HODLR approximation in f32, refine the
 /// solve to full double-precision accuracy (acceptance criterion: 1e-12
-/// relative residual).
+/// relative residual).  With one inner sweep, each application of the
+/// `MixedRefine` factorization is one f32 solve, so the outer loop counts
+/// the sweeps.
 #[test]
 fn mixed_precision_refinement_reaches_double_precision() {
     let n = 1024;
     let (_bie, matrix) = laplace_hodlr(n, 1e-11);
     let b: Vec<f64> = (0..n).map(|i| (0.05 * i as f64).sin()).collect();
-    let out = mixed_precision_solve(
+    let mixed = Hodlr::builder()
+        .matrix(matrix.clone())
+        .precision(Precision::MixedRefine)
+        .refine_max_iters(1)
+        .build()
+        .unwrap();
+    let m = mixed.factorize().unwrap();
+    let out = iterative_refinement(
         &matrix,
-        &matrix,
+        &m,
         &b,
         RefinementOptions {
             tol: 1e-12,
@@ -153,17 +213,16 @@ fn mixed_precision_refinement_reaches_double_precision() {
     )
     .unwrap();
     assert!(
-        out.solution.converged,
+        out.converged,
         "stalled at {:.3e} after {} sweeps",
-        out.solution.relative_residual, out.solution.iterations
+        out.relative_residual, out.iterations
     );
-    assert!(out.solution.relative_residual <= 1e-12);
+    assert!(out.relative_residual <= 1e-12);
     assert!(
-        out.solution.iterations <= 8,
+        out.iterations <= 8,
         "f32 factorization should gain ~7 digits per sweep, took {}",
-        out.solution.iterations
+        out.iterations
     );
-    assert!(out.factorization_flops > 0 && out.refinement_flops > 0);
 }
 
 /// The Table V(b) acceptance scenario: N = 2048 Helmholtz combined-field
@@ -176,8 +235,8 @@ fn helmholtz_2048_converges_within_25_iterations() {
     let (_bie, exact) = helmholtz_hodlr(n, kappa, 1e-10);
     let (_bie, rough) = helmholtz_hodlr(n, kappa, 1e-3);
 
-    let device = Device::new();
-    let precond = GpuPreconditioner::from_matrix(&device, &rough).unwrap();
+    let rough = handle(rough, Backend::Batched);
+    let precond = rough.factorize().unwrap();
     let b: Vec<Complex64> = (0..n)
         .map(|i| Complex64::cis(kappa * (i as f64 / n as f64)))
         .collect();
@@ -205,7 +264,8 @@ fn helmholtz_bicgstab_and_refinement_converge() {
     let kappa = resolved_kappa(n);
     let (_bie, exact) = helmholtz_hodlr(n, kappa, 1e-10);
     let (_bie, rough) = helmholtz_hodlr(n, kappa, 1e-4);
-    let precond = SerialPreconditioner::from_matrix(&rough).unwrap();
+    let rough = handle(rough, Backend::Serial);
+    let precond = rough.factorize().unwrap();
     let b: Vec<Complex64> = (0..n)
         .map(|i| Complex64::new((0.04 * i as f64).cos(), (0.09 * i as f64).sin()))
         .collect();

@@ -515,7 +515,7 @@ fn surface_scale_pipeline_is_bitwise_deterministic_across_thread_counts() {
     use hodlr::prelude::*;
     use hodlr_bie::LaplaceSurfaceSource;
 
-    let run = |threads: usize, precision: FactorPrecision| -> Vec<u64> {
+    let run = |threads: usize, precision: Precision| -> Vec<u64> {
         let cloud = hodlr_bie::fibonacci_sphere_cloud(400);
         let source = LaplaceSurfaceSource::new(&cloud, 32).unwrap();
         let tree = source.tree().clone();
@@ -524,7 +524,7 @@ fn surface_scale_pipeline_is_bitwise_deterministic_across_thread_counts() {
             .tree(tree)
             .tolerance(1e-8)
             .memory_budget(256 << 20)
-            .factor_precision(precision)
+            .precision(precision)
             .threads(threads)
             .build()
             .unwrap();
@@ -536,7 +536,7 @@ fn surface_scale_pipeline_is_bitwise_deterministic_across_thread_counts() {
         sig.push(hodlr.build_peak_bytes());
         sig
     };
-    for precision in [FactorPrecision::Working, FactorPrecision::CompactLower] {
+    for precision in [Precision::Full, Precision::CompactLower] {
         let sigs: Vec<Vec<u64>> = [1usize, 2, 8].map(|t| run(t, precision)).to_vec();
         assert_eq!(sigs[0], sigs[1], "{precision:?}: 1 vs 2 threads");
         assert_eq!(sigs[1], sigs[2], "{precision:?}: 2 vs 8 threads");
