@@ -11,25 +11,28 @@ use hodlr_la::Scalar;
 /// Batched kernels access the underlying storage through
 /// [`DeviceBuffer::data`] / [`DeviceBuffer::data_mut`], which models kernels
 /// dereferencing device pointers.
+///
+/// The buffer keeps a clone of the [`Device`] handle whose counters it
+/// meters into, so it borrows nothing.
 #[derive(Debug)]
-pub struct DeviceBuffer<'d, T: Scalar> {
-    device: &'d Device,
+pub struct DeviceBuffer<T: Scalar> {
+    device: Device,
     data: Vec<T>,
 }
 
-impl<'d, T: Scalar> DeviceBuffer<'d, T> {
+impl<T: Scalar> DeviceBuffer<T> {
     /// Allocate a zero-initialised buffer of `len` elements on `device`.
-    pub fn zeros(device: &'d Device, len: usize) -> Self {
+    pub fn zeros(device: &Device, len: usize) -> Self {
         device.record_alloc((len * std::mem::size_of::<T>()) as u64);
         DeviceBuffer {
-            device,
+            device: device.clone(),
             data: vec![T::zero(); len],
         }
     }
 
     /// Allocate a buffer and copy `host` into it (a `cudaMemcpy` host →
     /// device; the transferred bytes are metered).
-    pub fn from_host(device: &'d Device, host: &[T]) -> Self {
+    pub fn from_host(device: &Device, host: &[T]) -> Self {
         let mut buf = Self::zeros(device, host.len());
         buf.upload(host);
         buf
@@ -46,8 +49,8 @@ impl<'d, T: Scalar> DeviceBuffer<'d, T> {
     }
 
     /// The device owning this buffer.
-    pub fn device(&self) -> &'d Device {
-        self.device
+    pub fn device(&self) -> &Device {
+        &self.device
     }
 
     /// Overwrite the buffer contents from host memory (metered H2D copy).
@@ -115,7 +118,7 @@ impl<'d, T: Scalar> DeviceBuffer<'d, T> {
     }
 }
 
-impl<T: Scalar> Drop for DeviceBuffer<'_, T> {
+impl<T: Scalar> Drop for DeviceBuffer<T> {
     fn drop(&mut self) {
         self.device
             .record_free((self.data.len() * std::mem::size_of::<T>()) as u64);

@@ -138,7 +138,7 @@ pub fn potrf_batched_varied<T: Scalar>(
     stream: Stream,
     descs: &[LuDesc],
     policy: SymmetricPolicy,
-    a: &mut DeviceBuffer<'_, T>,
+    a: &mut DeviceBuffer<T>,
 ) -> Result<Vec<SymmetricKind>, SymBatchError> {
     if descs.is_empty() {
         return Ok(Vec::new());
@@ -215,9 +215,9 @@ pub fn potrs_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[LuSolveDesc],
-    a: &DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
     kinds: &[SymmetricKind],
-    b: &mut DeviceBuffer<'_, T>,
+    b: &mut DeviceBuffer<T>,
 ) {
     if descs.is_empty() {
         return;
@@ -295,7 +295,7 @@ pub fn extract_tridiagonals_batched<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[LuDesc],
-    a: &DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
 ) -> Vec<(Vec<T>, Vec<T>)> {
     if descs.is_empty() {
         return Vec::new();

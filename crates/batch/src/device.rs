@@ -4,6 +4,7 @@
 use crate::fault::{FaultAction, FaultEvent, FaultPlan};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Direction of an explicit host/device transfer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -60,12 +61,29 @@ impl CounterSnapshot {
 
 /// The virtual batched-BLAS device.
 ///
-/// A `Device` is shared by reference; all counters use atomics so that
-/// kernels running on rayon worker threads can report their work without
-/// locking.  The default configuration mirrors the paper's testbed: a PCIe
-/// 3.0 ×16 link (15.75 GB/s peak, ~12 GB/s achieved) between host and device.
-#[derive(Debug)]
+/// A `Device` is a cheap handle: its clones share one set of counters, one
+/// launch log and one armed fault plan, so a solver or buffer that keeps a
+/// clone meters into the same counters as the handle it was cloned from.
+/// The counters are atomics so that kernels running on rayon worker
+/// threads can report their work without locking; the settings (parallel
+/// flag, bandwidth, capacity, launch-log flag) are per handle.  The default
+/// configuration mirrors the paper's testbed: a PCIe 3.0 ×16 link
+/// (15.75 GB/s peak, ~12 GB/s achieved) between host and device.
+#[derive(Clone, Debug)]
 pub struct Device {
+    shared: Arc<Shared>,
+    /// Achievable host↔device bandwidth in bytes per second (simulated).
+    pcie_bytes_per_sec: f64,
+    /// Device memory capacity in bytes (the V100 of the paper has 32 GB).
+    memory_capacity: u64,
+    /// Whether batched kernels may run batch entries in parallel.
+    parallel: bool,
+    log_launches: bool,
+}
+
+/// The state every clone of a [`Device`] shares.
+#[derive(Debug)]
+struct Shared {
     kernel_launches: AtomicU64,
     batch_entries: AtomicU64,
     flops: AtomicU64,
@@ -73,15 +91,8 @@ pub struct Device {
     d2h_bytes: AtomicU64,
     allocated_bytes: AtomicU64,
     peak_allocated_bytes: AtomicU64,
-    /// Achievable host↔device bandwidth in bytes per second (simulated).
-    pcie_bytes_per_sec: f64,
-    /// Device memory capacity in bytes (the V100 of the paper has 32 GB).
-    memory_capacity: u64,
-    /// Whether batched kernels may run batch entries in parallel.
-    parallel: bool,
     /// Launch log guarded by a mutex (used by tests and the launch report).
     launch_log: Mutex<Vec<LaunchRecord>>,
-    log_launches: bool,
     /// Fast-path flag: `true` only while a fault plan is armed, so the
     /// per-launch fault consultation costs one relaxed load when disarmed.
     faults_armed: AtomicBool,
@@ -120,20 +131,22 @@ impl Device {
     /// 32 GB of memory, parallel batched kernels).
     pub fn new() -> Self {
         Device {
-            kernel_launches: AtomicU64::new(0),
-            batch_entries: AtomicU64::new(0),
-            flops: AtomicU64::new(0),
-            h2d_bytes: AtomicU64::new(0),
-            d2h_bytes: AtomicU64::new(0),
-            allocated_bytes: AtomicU64::new(0),
-            peak_allocated_bytes: AtomicU64::new(0),
+            shared: Arc::new(Shared {
+                kernel_launches: AtomicU64::new(0),
+                batch_entries: AtomicU64::new(0),
+                flops: AtomicU64::new(0),
+                h2d_bytes: AtomicU64::new(0),
+                d2h_bytes: AtomicU64::new(0),
+                allocated_bytes: AtomicU64::new(0),
+                peak_allocated_bytes: AtomicU64::new(0),
+                launch_log: Mutex::new(Vec::new()),
+                faults_armed: AtomicBool::new(false),
+                faults: Mutex::new(None),
+            }),
             pcie_bytes_per_sec: 12.0e9,
             memory_capacity: 32 * (1 << 30),
             parallel: true,
-            launch_log: Mutex::new(Vec::new()),
             log_launches: false,
-            faults_armed: AtomicBool::new(false),
-            faults: Mutex::new(None),
         }
     }
 
@@ -179,12 +192,12 @@ impl Device {
     /// Record a batched kernel launch executing `batch` problems and
     /// `flops` floating-point operations.
     pub fn record_launch(&self, kernel: &'static str, batch: usize, flops: u64, stream: usize) {
-        self.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        self.batch_entries
-            .fetch_add(batch as u64, Ordering::Relaxed);
-        self.flops.fetch_add(flops, Ordering::Relaxed);
+        let s = &*self.shared;
+        s.kernel_launches.fetch_add(1, Ordering::Relaxed);
+        s.batch_entries.fetch_add(batch as u64, Ordering::Relaxed);
+        s.flops.fetch_add(flops, Ordering::Relaxed);
         if self.log_launches {
-            self.launch_log.lock().push(LaunchRecord {
+            s.launch_log.lock().push(LaunchRecord {
                 kernel,
                 batch,
                 stream,
@@ -196,23 +209,26 @@ impl Device {
     pub fn record_transfer(&self, direction: TransferDirection, bytes: u64) {
         match direction {
             TransferDirection::HostToDevice => {
-                self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.shared.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
             TransferDirection::DeviceToHost => {
-                self.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.shared.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
         }
     }
 
     /// Record a device allocation of `bytes` bytes.
     pub(crate) fn record_alloc(&self, bytes: u64) {
-        let now = self.allocated_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_allocated_bytes.fetch_max(now, Ordering::Relaxed);
+        let s = &*self.shared;
+        let now = s.allocated_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        s.peak_allocated_bytes.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Record the release of a device allocation of `bytes` bytes.
     pub(crate) fn record_free(&self, bytes: u64) {
-        self.allocated_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.shared
+            .allocated_bytes
+            .fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Simulated wall-clock time to transfer `bytes` over the PCIe link.
@@ -222,14 +238,15 @@ impl Device {
 
     /// Current counter values.
     pub fn counters(&self) -> CounterSnapshot {
+        let s = &*self.shared;
         CounterSnapshot {
-            kernel_launches: self.kernel_launches.load(Ordering::Relaxed),
-            batch_entries: self.batch_entries.load(Ordering::Relaxed),
-            flops: self.flops.load(Ordering::Relaxed),
-            h2d_bytes: self.h2d_bytes.load(Ordering::Relaxed),
-            d2h_bytes: self.d2h_bytes.load(Ordering::Relaxed),
-            allocated_bytes: self.allocated_bytes.load(Ordering::Relaxed),
-            peak_allocated_bytes: self.peak_allocated_bytes.load(Ordering::Relaxed),
+            kernel_launches: s.kernel_launches.load(Ordering::Relaxed),
+            batch_entries: s.batch_entries.load(Ordering::Relaxed),
+            flops: s.flops.load(Ordering::Relaxed),
+            h2d_bytes: s.h2d_bytes.load(Ordering::Relaxed),
+            d2h_bytes: s.d2h_bytes.load(Ordering::Relaxed),
+            allocated_bytes: s.allocated_bytes.load(Ordering::Relaxed),
+            peak_allocated_bytes: s.peak_allocated_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -241,8 +258,9 @@ impl Device {
     /// this device for the duration of the call — the counters are global
     /// atomics, so concurrent traffic on the same device bleeds into the
     /// window.  `hodlr-serve` meets this by draining coalesced batches
-    /// under a per-cache-entry lock; each `Hodlr` owns its device, so
-    /// traffic against *other* factorizations never pollutes the window.
+    /// under a per-cache-entry lock; each `Hodlr` has a device of its own
+    /// (shared only with its factorizations), so traffic against *other*
+    /// handles never pollutes the window.
     pub fn meter<R>(&self, f: impl FnOnce() -> R) -> (R, CounterSnapshot) {
         let before = self.counters();
         let result = f();
@@ -251,53 +269,53 @@ impl Device {
 
     /// Reset all counters (allocation gauges included) to zero.
     pub fn reset_counters(&self) {
-        self.kernel_launches.store(0, Ordering::Relaxed);
-        self.batch_entries.store(0, Ordering::Relaxed);
-        self.flops.store(0, Ordering::Relaxed);
-        self.h2d_bytes.store(0, Ordering::Relaxed);
-        self.d2h_bytes.store(0, Ordering::Relaxed);
-        self.peak_allocated_bytes.store(
-            self.allocated_bytes.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.launch_log.lock().clear();
+        let s = &*self.shared;
+        s.kernel_launches.store(0, Ordering::Relaxed);
+        s.batch_entries.store(0, Ordering::Relaxed);
+        s.flops.store(0, Ordering::Relaxed);
+        s.h2d_bytes.store(0, Ordering::Relaxed);
+        s.d2h_bytes.store(0, Ordering::Relaxed);
+        s.peak_allocated_bytes
+            .store(s.allocated_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
+        s.launch_log.lock().clear();
     }
 
     /// A copy of the launch log (empty unless [`Device::with_launch_log`]
     /// was used).
     pub fn launch_log(&self) -> Vec<LaunchRecord> {
-        self.launch_log.lock().clone()
+        self.shared.launch_log.lock().clone()
     }
 
     /// Arm `plan` on this device.  Launch ordinals restart at 1: the next
     /// launch issued is ordinal 1 of the plan.  Arming replaces any plan
     /// already armed.
     pub fn arm_faults(&self, plan: FaultPlan) {
-        let mut guard = self.faults.lock();
+        let mut guard = self.shared.faults.lock();
         *guard = Some(FaultState {
             plan,
             launches_seen: 0,
             fired: Vec::new(),
         });
-        self.faults_armed.store(true, Ordering::Release);
+        self.shared.faults_armed.store(true, Ordering::Release);
     }
 
     /// Disarm fault injection, returning the log of faults that fired
     /// while the plan was armed (empty if none was armed).
     pub fn disarm_faults(&self) -> Vec<FaultEvent> {
-        let mut guard = self.faults.lock();
-        self.faults_armed.store(false, Ordering::Release);
+        let mut guard = self.shared.faults.lock();
+        self.shared.faults_armed.store(false, Ordering::Release);
         guard.take().map(|s| s.fired).unwrap_or_default()
     }
 
     /// Whether a fault plan is currently armed.
     pub fn faults_armed(&self) -> bool {
-        self.faults_armed.load(Ordering::Acquire)
+        self.shared.faults_armed.load(Ordering::Acquire)
     }
 
     /// The faults that have fired so far under the armed plan.
     pub fn fault_events(&self) -> Vec<FaultEvent> {
-        self.faults
+        self.shared
+            .faults
             .lock()
             .as_ref()
             .map(|s| s.fired.clone())
@@ -310,10 +328,10 @@ impl Device {
     /// reporting) when one fires.  Costs one relaxed atomic load when no
     /// plan is armed.
     pub fn take_launch_fault(&self, kernel: &'static str) -> Option<(FaultAction, u64)> {
-        if !self.faults_armed.load(Ordering::Acquire) {
+        if !self.shared.faults_armed.load(Ordering::Acquire) {
             return None;
         }
-        let mut guard = self.faults.lock();
+        let mut guard = self.shared.faults.lock();
         let state = guard.as_mut()?;
         state.launches_seen += 1;
         let ordinal = state.launches_seen;
@@ -347,6 +365,24 @@ mod tests {
         dev.reset_counters();
         assert_eq!(dev.counters().kernel_launches, 0);
         assert_eq!(dev.counters().flops, 0);
+    }
+
+    #[test]
+    fn clones_share_counters_log_and_faults() {
+        let dev = Device::new().with_launch_log();
+        let clone = dev.clone();
+        clone.record_launch("a", 2, 100, 0);
+        assert_eq!(dev.counters().kernel_launches, 1);
+        assert_eq!(dev.launch_log().len(), 1);
+        dev.arm_faults(FaultPlan::new().fail_launch(1));
+        assert_eq!(
+            clone.take_launch_fault("b"),
+            Some((FaultAction::FailLaunch, 1))
+        );
+        assert_eq!(dev.disarm_faults().len(), 1);
+        drop(dev);
+        clone.record_launch("c", 1, 0, 0);
+        assert_eq!(clone.counters().kernel_launches, 2);
     }
 
     #[test]

@@ -133,14 +133,14 @@ pub fn gemm_strided_batched<T: Scalar>(
     n: usize,
     k: usize,
     alpha: T,
-    a: &DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
     lda: usize,
     stride_a: usize,
-    b: &DeviceBuffer<'_, T>,
+    b: &DeviceBuffer<T>,
     ldb: usize,
     stride_b: usize,
     beta: T,
-    c: &mut DeviceBuffer<'_, T>,
+    c: &mut DeviceBuffer<T>,
     ldc: usize,
     stride_c: usize,
     batch: usize,
@@ -230,9 +230,9 @@ pub fn gemm_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[GemmDesc<T>],
-    a: &DeviceBuffer<'_, T>,
-    b: &DeviceBuffer<'_, T>,
-    c: &mut DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
+    b: &DeviceBuffer<T>,
+    c: &mut DeviceBuffer<T>,
 ) {
     if descs.is_empty() {
         return;
@@ -307,8 +307,8 @@ pub fn gemm_batched_aliased<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[GemmDesc<T>],
-    ac: &mut DeviceBuffer<'_, T>,
-    b: &DeviceBuffer<'_, T>,
+    ac: &mut DeviceBuffer<T>,
+    b: &DeviceBuffer<T>,
 ) {
     let Some(split) = descs.iter().map(|d| d.a_offset).min() else {
         return;
@@ -380,10 +380,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn upload_matrices<'d, T: Scalar>(
-        dev: &'d Device,
+    fn upload_matrices<T: Scalar>(
+        dev: &Device,
         mats: &[DenseMatrix<T>],
-    ) -> (DeviceBuffer<'d, T>, usize) {
+    ) -> (DeviceBuffer<T>, usize) {
         let stride = mats.iter().map(|m| m.data().len()).max().unwrap_or(0);
         let mut host = vec![T::zero(); stride * mats.len()];
         for (i, m) in mats.iter().enumerate() {

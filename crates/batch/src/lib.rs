@@ -5,9 +5,9 @@
 //! provides a **virtual device** with the same API surface, executed on the
 //! CPU with rayon data parallelism:
 //!
-//! * [`Device`] — owns the counters (kernel launches, flops, transferred
-//!   bytes) and the PCIe bandwidth model used to regenerate the Flop/s and
-//!   transfer figures of the paper;
+//! * [`Device`] — a cheap handle to the counters (kernel launches, flops,
+//!   transferred bytes), shared by all its clones, and the PCIe bandwidth
+//!   model used to regenerate the Flop/s and transfer figures of the paper;
 //! * [`DeviceBuffer`] — "device memory": an allocation that can only be
 //!   filled and read back through explicit host-to-device / device-to-host
 //!   copies, which are metered;

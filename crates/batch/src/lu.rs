@@ -188,7 +188,7 @@ pub fn getrf_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[LuDesc],
-    a: &mut DeviceBuffer<'_, T>,
+    a: &mut DeviceBuffer<T>,
 ) -> Result<Vec<Vec<usize>>, LuBatchError> {
     if descs.is_empty() {
         return Ok(Vec::new());
@@ -258,7 +258,7 @@ pub fn getrf_strided_batched<T: Scalar>(
     device: &Device,
     stream: Stream,
     n: usize,
-    a: &mut DeviceBuffer<'_, T>,
+    a: &mut DeviceBuffer<T>,
     lda: usize,
     stride: usize,
     batch: usize,
@@ -286,9 +286,9 @@ pub fn getrs_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[LuSolveDesc],
-    a: &DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
     pivots: &[Vec<usize>],
-    b: &mut DeviceBuffer<'_, T>,
+    b: &mut DeviceBuffer<T>,
 ) {
     if descs.is_empty() {
         return;
@@ -367,7 +367,7 @@ pub fn extract_diagonals_batched<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[LuDesc],
-    a: &DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
 ) -> Vec<Vec<T>> {
     if descs.is_empty() {
         return Vec::new();
@@ -399,11 +399,11 @@ pub fn getrs_strided_batched<T: Scalar>(
     stream: Stream,
     n: usize,
     nrhs: usize,
-    a: &DeviceBuffer<'_, T>,
+    a: &DeviceBuffer<T>,
     lda: usize,
     stride_a: usize,
     pivots: &[Vec<usize>],
-    b: &mut DeviceBuffer<'_, T>,
+    b: &mut DeviceBuffer<T>,
     ldb: usize,
     stride_b: usize,
     batch: usize,

@@ -334,6 +334,68 @@ mod tests {
         });
     }
 
+    /// Interpreter-scale check of the row-block copies (the raw-pointer
+    /// reads and writes above): serial, read-modify-write through each
+    /// window, with rows outside every window left untouched.  CI runs the
+    /// `miri_*` filter under Miri.
+    #[test]
+    fn miri_serial_row_blocks_write_through_their_windows() {
+        // A 6x3 column-major buffer; window 0 owns rows 0..2 and window 1
+        // rows 3..5, so rows 2 and 5 belong to neither.
+        let (ld, cols) = (6, 3);
+        let mut data: Vec<f64> = (0..ld * cols).map(|x| x as f64).collect();
+        let windows = [(0, 2), (3, 2)].map(|(offset, rows)| MatWindow {
+            offset,
+            rows,
+            cols,
+            ld,
+        });
+        process_windows_mut(&mut data, &windows, false, |i, mut m| {
+            for c in 0..m.cols() {
+                for r in 0..m.rows() {
+                    let v = m.get(r, c);
+                    m.set(r, c, 2.0 * v + (100 * (i + 1)) as f64);
+                }
+            }
+        });
+        for (idx, &v) in data.iter().enumerate() {
+            let x = idx as f64;
+            let want = match idx % ld {
+                0 | 1 => 2.0 * x + 100.0,
+                3 | 4 => 2.0 * x + 200.0,
+                _ => x,
+            };
+            assert_eq!(v, want, "element {idx}");
+        }
+    }
+
+    /// Two span-disjoint clusters of interleaved windows (the stacked `W`
+    /// of two parents, two children each) plus an empty window, serial.
+    #[test]
+    fn miri_serial_row_block_clusters_round_trip() {
+        let (ld, cols) = (4, 2);
+        let mut data: Vec<f64> = (0..2 * ld * cols).map(|x| x as f64).collect();
+        let windows = [(0, 2), (2, 2), (8, 0), (8, 2), (10, 2)].map(|(offset, rows)| MatWindow {
+            offset,
+            rows,
+            cols,
+            ld,
+        });
+        process_windows_mut(&mut data, &windows, false, |i, mut m| {
+            assert_ne!(i, 2, "the empty window is skipped");
+            for c in 0..m.cols() {
+                for r in 0..m.rows() {
+                    m.set(r, c, -m.get(r, c) - i as f64);
+                }
+            }
+        });
+        for (idx, &v) in data.iter().enumerate() {
+            let window = 2 * (idx / (ld * cols)) + (idx % ld) / 2;
+            let i = if window >= 2 { window + 1 } else { window };
+            assert_eq!(v, -(idx as f64) - i as f64, "element {idx}");
+        }
+    }
+
     #[test]
     fn empty_windows_are_skipped() {
         let mut data = vec![0.0f64; 4];

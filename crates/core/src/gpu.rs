@@ -26,6 +26,7 @@ use hodlr_batch::{
 use hodlr_la::{DenseMatrix, HodlrError, Op, Scalar};
 use hodlr_tree::ClusterTree;
 use rayon::prelude::*;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Below this many nodes in a level, independent kernels are cycled over a
@@ -33,9 +34,10 @@ use std::ops::Range;
 const STREAM_THRESHOLD: usize = 4;
 
 /// The GPU-style HODLR solver: device-resident data plus the stored
-/// factorization state.
+/// factorization state.  It keeps a clone of its [`Device`] handle and owns
+/// its buffers, so it borrows nothing.
 pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
-    device: &'d Device,
+    device: Device,
     pub(crate) kind: K,
     tree: ClusterTree,
     layout: LevelLayout,
@@ -45,19 +47,36 @@ pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     diag_offsets: Vec<usize>,
     /// Leaf diagonal blocks, factorized in place by
     /// [`BatchedSolver::factorize`].
-    dbig: DeviceBuffer<'d, T>,
+    dbig: DeviceBuffer<T>,
     /// The flattened bases; overwritten with `Ybig` by the factorization.
-    ybig: DeviceBuffer<'d, T>,
+    ybig: DeviceBuffer<T>,
     /// The flattened right bases.
-    vbig: DeviceBuffer<'d, T>,
+    vbig: DeviceBuffer<T>,
     /// Host-side metadata (pivots or ladder rungs) of the leaf factors.
     pub(crate) diag_meta: Vec<K::Meta>,
     /// Per level: the coupling matrices `Kbig` (factorized in place).
-    k_bufs: Vec<DeviceBuffer<'d, T>>,
+    k_bufs: Vec<DeviceBuffer<T>>,
     /// Per level: host-side metadata of every coupling factor.
     k_meta: Vec<Vec<K::Meta>>,
-    factored: bool,
+    progress: Progress,
     streams: StreamPool,
+    /// Vestigial: the solver borrows nothing.  `'d` stays only because
+    /// perfbench (`perfbench/src/solver.rs`) names `GpuSolver<'d, f64>` /
+    /// `GpuSymmetricSolver<'d, f64>` inside an `enum Batched<'d>`, which
+    /// must use its lifetime.
+    _lifetime: PhantomData<&'d ()>,
+}
+
+/// How far a solver has got with its one factorization.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Progress {
+    /// Uploaded; not factorized yet.
+    Uploaded,
+    /// Factorized: the buffers hold the factors.
+    Factored,
+    /// A factorization failed part-way, leaving `Dbig` / `Ybig` partly
+    /// overwritten.
+    Failed,
 }
 
 /// Algorithms 3–4 with batched LU (`getrf` / `getrs`).
@@ -68,7 +87,7 @@ pub type GpuSymmetricSolver<'d, T> = BatchedSolver<'d, T, Symmetric>;
 
 impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// Upload a HODLR matrix to the device, metering the transferred bytes.
-    pub(crate) fn upload(device: &'d Device, matrix: &HodlrMatrix<T>, kind: K) -> Self {
+    pub(crate) fn upload(device: &Device, matrix: &HodlrMatrix<T>, kind: K) -> Self {
         let tree = matrix.tree().clone();
         let layout = matrix.layout().clone();
         let n = matrix.n();
@@ -92,7 +111,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         debug_assert_eq!(ybig.len(), n * total_cols);
 
         BatchedSolver {
-            device,
+            device: device.clone(),
             kind,
             tree,
             layout,
@@ -104,19 +123,20 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             diag_meta: Vec::new(),
             k_bufs: Vec::new(),
             k_meta: Vec::new(),
-            factored: false,
+            progress: Progress::Uploaded,
             streams: StreamPool::new(4),
+            _lifetime: PhantomData,
         }
     }
 
     /// The device this solver runs on.
-    pub fn device(&self) -> &'d Device {
-        self.device
+    pub fn device(&self) -> &Device {
+        &self.device
     }
 
     /// `true` once [`BatchedSolver::factorize`] has completed successfully.
     pub fn is_factored(&self) -> bool {
-        self.factored
+        self.progress == Progress::Factored
     }
 
     /// Matrix size `N`.
@@ -246,14 +266,32 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         })
     }
 
-    /// Algorithm 3: batched factorization.
+    /// Algorithm 3: batched factorization, in place in the uploaded
+    /// buffers, so it runs at most once per upload: once it has succeeded,
+    /// a further call returns `Ok(())` without a launch.
     ///
     /// # Errors
     /// [`HodlrError::SingularPivot`] naming the batch entry whose block was
     /// singular; for [`GpuSymmetricSolver`] with
     /// [`Symmetry::PositiveDefinite`](crate::Symmetry::PositiveDefinite),
-    /// [`HodlrError::NotPositiveDefinite`] if a leaf Cholesky pivot fails.
+    /// [`HodlrError::NotPositiveDefinite`] if a leaf Cholesky pivot fails;
+    /// [`HodlrError::DeviceFault`] from an injected launch fault.  A failed
+    /// call leaves the buffers partly factorized, so every later call
+    /// returns [`HodlrError::InvalidConfig`] without a launch: upload the
+    /// matrix again to retry.
     pub fn factorize(&mut self) -> Result<(), HodlrError> {
+        match self.progress {
+            // `Failed` until the sweep below completes, so an early `?`
+            // return leaves it that way.
+            Progress::Uploaded => self.progress = Progress::Failed,
+            Progress::Factored => return Ok(()),
+            Progress::Failed => {
+                return Err(HodlrError::config(
+                    "a failed batched factorization left its buffers partly overwritten; \
+                     upload the matrix again to retry",
+                ))
+            }
+        }
         let n = self.n();
         let levels = self.tree.levels();
         let total_cols = self.layout.total_cols();
@@ -262,7 +300,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         let leaf_descs = self.leaf_descs();
         let stream = self.stream_for(leaf_descs.len());
         self.diag_meta = self.kind.factor_batched(
-            self.device,
+            &self.device,
             stream,
             Block::Leaf,
             &leaf_descs,
@@ -274,7 +312,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let solve_descs = self.leaf_solve_descs(total_cols);
             let stream = self.stream_for(solve_descs.len());
             K::solve_batched(
-                self.device,
+                &self.device,
                 stream,
                 &solve_descs,
                 &self.dbig,
@@ -284,9 +322,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         }
 
         // --- internal levels, deepest first (lines 4-11) -------------------
-        self.k_bufs.clear();
-        self.k_meta.clear();
-        let mut k_bufs_rev: Vec<DeviceBuffer<'d, T>> = Vec::with_capacity(levels);
+        let mut k_bufs_rev: Vec<DeviceBuffer<T>> = Vec::with_capacity(levels);
         let mut k_meta_rev: Vec<Vec<K::Meta>> = Vec::with_capacity(levels);
 
         for level in (0..levels).rev() {
@@ -298,7 +334,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let batch = parents.len();
 
             if w == 0 {
-                k_bufs_rev.push(DeviceBuffer::zeros(self.device, 0));
+                k_bufs_rev.push(DeviceBuffer::zeros(&self.device, 0));
                 k_meta_rev.push(Vec::new());
                 continue;
             }
@@ -306,8 +342,8 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             // Coupling-matrix buffer: one (2w x 2w) block per parent, with
             // the identity blocks written by a small device-side kernel.
             let k_stride = 4 * w * w;
-            let mut k_buf = DeviceBuffer::<T>::zeros(self.device, batch * k_stride);
-            write_coupling_identities(self.device, &mut k_buf, batch, w);
+            let mut k_buf = DeviceBuffer::<T>::zeros(&self.device, batch * k_stride);
+            write_coupling_identities(&self.device, &mut k_buf, batch, w);
 
             // Line 5: T = V^* ⊙ Y for every child, written straight into the
             // diagonal blocks of K.
@@ -328,7 +364,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             });
             let stream = self.stream_for(batch);
             gemm_batched_varied(
-                self.device,
+                &self.device,
                 stream,
                 &t_descs,
                 &self.vbig,
@@ -337,12 +373,12 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             );
 
             // Line 6: W = V^* ⊙ Ybig(:, 1:prefix).
-            let mut w_buf = DeviceBuffer::<T>::zeros(self.device, batch * 2 * w * prefix);
+            let mut w_buf = DeviceBuffer::<T>::zeros(&self.device, batch * 2 * w * prefix);
             if prefix > 0 {
                 let w_descs = self.project_descs(&parents, child_level, prefix);
                 let stream = self.stream_for(batch);
                 gemm_batched_varied(
-                    self.device,
+                    &self.device,
                     stream,
                     &w_descs,
                     &self.vbig,
@@ -355,7 +391,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let k_descs = coupling_descs(batch, w);
             let stream = self.stream_for(batch);
             let meta = self.kind.factor_batched(
-                self.device,
+                &self.device,
                 stream,
                 Block::Coupling,
                 &k_descs,
@@ -367,12 +403,19 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
                 // Line 9: W <- K^{-1} ⊙ W.
                 let solve_descs = coupling_solve_descs(batch, w, prefix);
                 let stream = self.stream_for(batch);
-                K::solve_batched(self.device, stream, &solve_descs, &k_buf, &meta, &mut w_buf);
+                K::solve_batched(
+                    &self.device,
+                    stream,
+                    &solve_descs,
+                    &k_buf,
+                    &meta,
+                    &mut w_buf,
+                );
 
                 // Line 10: Ybig(:, 1:prefix) -= Y^{l+1} ⊙ W (A and C alias Ybig).
                 let update_descs = self.update_descs(&parents, child_level, prefix);
                 let stream = self.stream_for(batch);
-                gemm_batched_aliased(self.device, stream, &update_descs, &mut self.ybig, &w_buf);
+                gemm_batched_aliased(&self.device, stream, &update_descs, &mut self.ybig, &w_buf);
             }
 
             k_bufs_rev.push(k_buf);
@@ -384,7 +427,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         k_meta_rev.reverse();
         self.k_bufs = k_bufs_rev;
         self.k_meta = k_meta_rev;
-        self.factored = true;
+        self.progress = Progress::Factored;
         Ok(())
     }
 
@@ -405,7 +448,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// [`HodlrError::NotFactorized`] when [`BatchedSolver::factorize`] has
     /// not completed yet.
     pub fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
-        if !self.factored {
+        if !self.is_factored() {
             return Err(HodlrError::NotFactorized);
         }
         let mut log_abs = <T::Real as Scalar>::zero();
@@ -415,7 +458,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         let leaf_descs = self.leaf_descs();
         let stream = self.stream_for(leaf_descs.len());
         K::log_det_batched(
-            self.device,
+            &self.device,
             stream,
             &leaf_descs,
             &self.dbig,
@@ -437,7 +480,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let descs = coupling_descs(meta.len(), w);
             let stream = self.stream_for(meta.len());
             K::log_det_batched(
-                self.device,
+                &self.device,
                 stream,
                 &descs,
                 &self.k_bufs[level],
@@ -463,7 +506,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// [`HodlrError::NotFactorized`] before [`BatchedSolver::factorize`],
     /// and [`HodlrError::DimensionMismatch`] when `b` has length `!= n`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, HodlrError> {
-        if !self.factored {
+        if !self.is_factored() {
             return Err(HodlrError::NotFactorized);
         }
         HodlrError::check_dims("right-hand side", self.n(), b.len())?;
@@ -476,7 +519,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// [`HodlrError::NotFactorized`] before [`BatchedSolver::factorize`],
     /// and [`HodlrError::DimensionMismatch`] when `b` has `!= n` rows.
     pub fn solve_matrix(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, HodlrError> {
-        if !self.factored {
+        if !self.is_factored() {
             return Err(HodlrError::NotFactorized);
         }
         HodlrError::check_dims("right-hand side block rows", self.n(), b.rows())?;
@@ -496,7 +539,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// and [`HodlrError::DimensionMismatch`] naming the first right-hand
     /// side whose length is `!= n`.
     pub fn solve_block(&self, rhs: &[impl AsRef<[T]> + Sync]) -> Result<Vec<Vec<T>>, HodlrError> {
-        if !self.factored {
+        if !self.is_factored() {
             return Err(HodlrError::NotFactorized);
         }
         let n = self.n();
@@ -523,7 +566,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// validated the factorization state and the right-hand-side shape.
     /// No right-hand sides means no launch and no transfer.
     fn solve_matrix_host(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        debug_assert!(self.factored);
+        debug_assert!(self.is_factored());
         let n = self.n();
         debug_assert_eq!(b.len(), n * nrhs);
         if nrhs == 0 {
@@ -532,13 +575,13 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         let levels = self.tree.levels();
 
         // Upload the right-hand side (metered H2D transfer).
-        let mut x_buf = DeviceBuffer::from_host(self.device, b);
+        let mut x_buf = DeviceBuffer::from_host(&self.device, b);
 
         // Leaf sweep (line 2).
         let solve_descs = self.leaf_solve_descs(nrhs);
         let stream = self.stream_for(solve_descs.len());
         K::solve_batched(
-            self.device,
+            &self.device,
             stream,
             &solve_descs,
             &self.dbig,
@@ -557,11 +600,11 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let batch = parents.len();
 
             // w = V^* ⊙ x (line 4), stacked per parent.
-            let mut w_buf = DeviceBuffer::<T>::zeros(self.device, batch * 2 * w * nrhs);
+            let mut w_buf = DeviceBuffer::<T>::zeros(&self.device, batch * 2 * w * nrhs);
             let w_descs = self.project_descs(&parents, child_level, nrhs);
             let stream = self.stream_for(batch);
             gemm_batched_varied(
-                self.device,
+                &self.device,
                 stream,
                 &w_descs,
                 &self.vbig,
@@ -573,7 +616,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let solve_descs = coupling_solve_descs(batch, w, nrhs);
             let stream = self.stream_for(batch);
             K::solve_batched(
-                self.device,
+                &self.device,
                 stream,
                 &solve_descs,
                 &self.k_bufs[level],
@@ -585,7 +628,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             let update_descs = self.update_descs(&parents, child_level, nrhs);
             let stream = self.stream_for(batch);
             gemm_batched_varied(
-                self.device,
+                &self.device,
                 stream,
                 &update_descs,
                 &self.ybig,
@@ -631,7 +674,7 @@ fn coupling_solve_descs(batch: usize, w: usize, nrhs: usize) -> Vec<LuSolveDesc>
 /// kernel launch with no flops).
 fn write_coupling_identities<T: Scalar>(
     device: &Device,
-    k_buf: &mut DeviceBuffer<'_, T>,
+    k_buf: &mut DeviceBuffer<T>,
     batch: usize,
     w: usize,
 ) {
@@ -827,6 +870,61 @@ mod tests {
         assert_eq!(metered.kernel_launches, 1 + 2);
         assert!(metered.d2h_bytes > 0);
         assert_eq!(metered.h2d_bytes, 0);
+    }
+
+    /// The factorization overwrites `Dbig` and `Ybig` in place, so it runs
+    /// once per upload: a second call after success launches nothing and
+    /// keeps the factors, and after a launch fault part-way through (a
+    /// coupling-level `getrf`: launch 5, 10 or 14 here) a retry is a typed
+    /// error that launches nothing, instead of re-factoring the factors.
+    #[test]
+    fn factorize_runs_at_most_once_per_upload() {
+        use crate::matrix::random_hodlr_spd;
+        use crate::symmetric::Symmetry;
+        use hodlr_batch::FaultPlan;
+
+        fn check<K: FactorKind<f64>>(
+            device: &Device,
+            m: &HodlrMatrix<f64>,
+            upload: impl Fn() -> BatchedSolver<'static, f64, K>,
+        ) {
+            let b: Vec<f64> = (0..m.n()).map(|i| (0.3 * i as f64).sin()).collect();
+            let mut gpu = upload();
+            gpu.factorize().unwrap();
+            let x = gpu.solve(&b).unwrap();
+            assert!(m.relative_residual(&x, &b) < 1e-12);
+            let (again, c) = device.meter(|| gpu.factorize());
+            assert_eq!((again, c.kernel_launches), (Ok(()), 0));
+            assert_eq!(gpu.solve(&b).unwrap(), x);
+
+            for k in [5, 10, 14] {
+                let mut gpu = upload();
+                device.arm_faults(FaultPlan::new().fail_launch(k));
+                let first = gpu.factorize();
+                assert!(
+                    matches!(first, Err(HodlrError::DeviceFault { .. })),
+                    "launch {k}: {first:?}"
+                );
+                device.disarm_faults();
+                let (retry, c) = device.meter(|| gpu.factorize());
+                assert!(
+                    matches!(retry, Err(HodlrError::InvalidConfig { .. })),
+                    "launch {k}: {retry:?}"
+                );
+                assert_eq!(c.kernel_launches, 0, "launch {k}");
+                assert!(!gpu.is_factored());
+                assert_eq!(gpu.solve(&b).unwrap_err(), HodlrError::NotFactorized);
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let lu: HodlrMatrix<f64> = random_hodlr(&mut rng, 128, 3, 3);
+        let spd: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 128, 3, 3);
+        let device = Device::new();
+        check(&device, &lu, || GpuSolver::new(&device, &lu));
+        check(&device, &spd, || {
+            GpuSymmetricSolver::new(&device, &spd, Symmetry::PositiveDefinite).unwrap()
+        });
     }
 
     #[test]

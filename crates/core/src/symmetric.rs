@@ -151,7 +151,7 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
         stream: Stream,
         block: Block,
         descs: &[LuDesc],
-        a: &mut DeviceBuffer<'_, T>,
+        a: &mut DeviceBuffer<T>,
         context: impl FnOnce() -> String,
     ) -> Result<Vec<Self::Meta>, HodlrError>;
 
@@ -160,9 +160,9 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
         device: &Device,
         stream: Stream,
         descs: &[LuSolveDesc],
-        a: &DeviceBuffer<'_, T>,
+        a: &DeviceBuffer<T>,
         meta: &[Self::Meta],
-        b: &mut DeviceBuffer<'_, T>,
+        b: &mut DeviceBuffer<T>,
     );
 
     /// Gather the determinant parts of the factors `descs` of `a` in one
@@ -171,7 +171,7 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
         device: &Device,
         stream: Stream,
         descs: &[LuDesc],
-        a: &DeviceBuffer<'_, T>,
+        a: &DeviceBuffer<T>,
         meta: &[Self::Meta],
         add: impl FnMut(T::Real, T),
     );
@@ -212,7 +212,7 @@ impl<T: Scalar> FactorKind<T> for Lu {
         stream: Stream,
         _: Block,
         descs: &[LuDesc],
-        a: &mut DeviceBuffer<'_, T>,
+        a: &mut DeviceBuffer<T>,
         context: impl FnOnce() -> String,
     ) -> Result<Vec<Vec<usize>>, HodlrError> {
         getrf_batched_varied(device, stream, descs, a).map_err(|e| e.into_hodlr(context()))
@@ -222,9 +222,9 @@ impl<T: Scalar> FactorKind<T> for Lu {
         device: &Device,
         stream: Stream,
         descs: &[LuSolveDesc],
-        a: &DeviceBuffer<'_, T>,
+        a: &DeviceBuffer<T>,
         pivots: &[Vec<usize>],
-        b: &mut DeviceBuffer<'_, T>,
+        b: &mut DeviceBuffer<T>,
     ) {
         getrs_batched_varied(device, stream, descs, a, pivots, b);
     }
@@ -233,7 +233,7 @@ impl<T: Scalar> FactorKind<T> for Lu {
         device: &Device,
         stream: Stream,
         descs: &[LuDesc],
-        a: &DeviceBuffer<'_, T>,
+        a: &DeviceBuffer<T>,
         pivots: &[Vec<usize>],
         mut add: impl FnMut(T::Real, T),
     ) {
@@ -310,7 +310,7 @@ impl<T: Scalar> FactorKind<T> for Symmetric {
         stream: Stream,
         block: Block,
         descs: &[LuDesc],
-        a: &mut DeviceBuffer<'_, T>,
+        a: &mut DeviceBuffer<T>,
         context: impl FnOnce() -> String,
     ) -> Result<Vec<SymmetricKind>, HodlrError> {
         potrf_batched_varied(device, stream, descs, self.policy(block), a)
@@ -321,9 +321,9 @@ impl<T: Scalar> FactorKind<T> for Symmetric {
         device: &Device,
         stream: Stream,
         descs: &[LuSolveDesc],
-        a: &DeviceBuffer<'_, T>,
+        a: &DeviceBuffer<T>,
         kinds: &[SymmetricKind],
-        b: &mut DeviceBuffer<'_, T>,
+        b: &mut DeviceBuffer<T>,
     ) {
         potrs_batched_varied(device, stream, descs, a, kinds, b);
     }
@@ -332,7 +332,7 @@ impl<T: Scalar> FactorKind<T> for Symmetric {
         device: &Device,
         stream: Stream,
         descs: &[LuDesc],
-        a: &DeviceBuffer<'_, T>,
+        a: &DeviceBuffer<T>,
         kinds: &[SymmetricKind],
         mut add: impl FnMut(T::Real, T),
     ) {
@@ -399,8 +399,9 @@ impl<T: Scalar> SerialSymmetricFactorization<T> {
 impl<'d, T: Scalar> GpuSolver<'d, T> {
     /// Upload a HODLR matrix to the device.  The transferred bytes are
     /// metered by the device counters (the paper reports using ~12 GB/s of
-    /// the PCIe link for this copy).
-    pub fn new(device: &'d Device, matrix: &HodlrMatrix<T>) -> Self {
+    /// the PCIe link for this copy).  The solver keeps a clone of `device`,
+    /// so it may outlive the borrow.
+    pub fn new(device: &Device, matrix: &HodlrMatrix<T>) -> Self {
         BatchedSolver::upload(device, matrix, Lu)
     }
 }
@@ -418,7 +419,7 @@ impl<'d, T: Scalar> GpuSymmetricSolver<'d, T> {
     /// [`HodlrError::InvalidConfig`] if `symmetry` is [`Symmetry::General`]
     /// — use [`GpuSolver`] for unsymmetric matrices.
     pub fn new(
-        device: &'d Device,
+        device: &Device,
         matrix: &HodlrMatrix<T>,
         symmetry: Symmetry,
     ) -> Result<Self, HodlrError> {

@@ -241,7 +241,7 @@ impl GpModel {
     ///
     /// # Errors
     /// Propagates [`HodlrError::SingularPivot`] from the factorization.
-    pub fn factorize(&self) -> Result<Factorization<'_, f64>, HodlrError> {
+    pub fn factorize(&self) -> Result<Factorization<f64>, HodlrError> {
         self.hodlr.factorize()
     }
 
@@ -272,7 +272,7 @@ impl GpModel {
     /// compression tolerance is the usual fix).
     pub fn log_likelihood_with(
         &self,
-        factorization: &Factorization<'_, f64>,
+        factorization: &Factorization<f64>,
         y: &[f64],
     ) -> Result<LogLikelihood, HodlrError> {
         let log_det = self.log_det_term(factorization)?;
@@ -293,7 +293,7 @@ impl GpModel {
     /// # Errors
     /// [`HodlrError::NotPositiveDefinite`] as on
     /// [`GpModel::log_likelihood_with`].
-    pub fn log_det_term(&self, factorization: &Factorization<'_, f64>) -> Result<f64, HodlrError> {
+    pub fn log_det_term(&self, factorization: &Factorization<f64>) -> Result<f64, HodlrError> {
         let (log_abs, sign) = factorization.log_det()?;
         if !log_abs.is_finite() || sign.is_nan() || sign <= 0.0 {
             return Err(HodlrError::NotPositiveDefinite {
@@ -318,7 +318,7 @@ impl GpModel {
     /// determinant-sign screen of [`GpModel::log_det_term`] cannot see.
     pub fn log_likelihood_terms(
         &self,
-        factorization: &Factorization<'_, f64>,
+        factorization: &Factorization<f64>,
         log_det: f64,
         y: &[f64],
     ) -> Result<LogLikelihood, HodlrError> {

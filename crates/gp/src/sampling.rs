@@ -172,7 +172,7 @@ impl GpPosterior {
     ///
     /// # Errors
     /// As [`GpModel::factorize`].
-    pub fn factorize(&self) -> Result<Factorization<'_, f64>, HodlrError> {
+    pub fn factorize(&self) -> Result<Factorization<f64>, HodlrError> {
         self.model.factorize()
     }
 
@@ -182,7 +182,7 @@ impl GpPosterior {
     /// [`HodlrError::DimensionMismatch`] when `y` has the wrong length.
     pub fn mean(
         &self,
-        factorization: &Factorization<'_, f64>,
+        factorization: &Factorization<f64>,
         y: &[f64],
     ) -> Result<Vec<f64>, HodlrError> {
         HodlrError::check_dims("observation vector", self.n, y.len())?;
@@ -208,7 +208,7 @@ impl GpPosterior {
     ///
     /// # Errors
     /// Solve errors propagate.
-    pub fn variance(&self, factorization: &Factorization<'_, f64>) -> Result<Vec<f64>, HodlrError> {
+    pub fn variance(&self, factorization: &Factorization<f64>) -> Result<Vec<f64>, HodlrError> {
         let w = factorization.solve_block(&self.cross)?;
         let var = (0..self.m)
             .map(|j| {
@@ -240,7 +240,7 @@ impl GpPosterior {
     /// propagate.
     pub fn draws<R: Rng + ?Sized>(
         &self,
-        factorization: &Factorization<'_, f64>,
+        factorization: &Factorization<f64>,
         y: &[f64],
         rng: &mut R,
         count: usize,

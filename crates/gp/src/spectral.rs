@@ -53,7 +53,7 @@ impl GpModel {
     /// [`slq_log_det`].
     pub fn spectral_check(
         &self,
-        factorization: &Factorization<'_, f64>,
+        factorization: &Factorization<f64>,
         cfg: &SlqConfig,
     ) -> Result<SpectralCheck, HodlrError> {
         let product_log_det = self.log_det_term(factorization)?;

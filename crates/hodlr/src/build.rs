@@ -32,6 +32,7 @@ use hodlr_core::{
 use hodlr_la::{norms, AllocMeter, DenseMatrix, HodlrError, RealScalar, Scalar};
 use hodlr_solver::LinearOperator;
 use hodlr_tree::ClusterTree;
+use std::sync::Arc;
 
 /// Which factorization backend serves this matrix.
 ///
@@ -336,12 +337,12 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
             Some(0) => {
                 return Err(HodlrError::config("thread count must be at least 1"));
             }
-            Some(t) => Some(
+            Some(t) => Some(Arc::new(
                 rayon::ThreadPoolBuilder::new()
                     .num_threads(t)
                     .build()
                     .map_err(|e| HodlrError::config(format!("cannot build thread pool: {e}")))?,
-            ),
+            )),
         };
 
         // Every build is metered: the peak is cheap to track and the scale
@@ -370,7 +371,7 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
                         });
                     }
                 }
-                Store::Full(m)
+                Store::Full(Arc::new(m))
             }
             dense_or_source => {
                 if let BuilderInput::Dense(a) = &dense_or_source {
@@ -446,10 +447,10 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
                         }
                         BuilderInput::Matrix(_) => unreachable!("handled above"),
                     };
-                    Store::Full(match &pool {
+                    Store::Full(Arc::new(match &pool {
                         Some(pool) => pool.install(build)?,
                         None => build()?,
-                    })
+                    }))
                 }
             }
         };
@@ -470,10 +471,30 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
 
 /// The representation behind a [`Hodlr`] handle: either the
 /// working-precision flattened matrix, or a compact lower-precision store
-/// applied through on-the-fly promotion.
-enum Store<T: Scalar> {
-    Full(HodlrMatrix<T>),
-    Compact(Box<dyn CompactOps<T>>),
+/// applied through on-the-fly promotion.  Clones share it.
+#[derive(Clone)]
+pub(crate) enum Store<T: Scalar> {
+    Full(Arc<HodlrMatrix<T>>),
+    Compact(Arc<dyn CompactOps<T>>),
+}
+
+/// The stored representation as a working-precision operator: the
+/// residual side of the lower-precision policies' refinement, and the
+/// handle's own matvec.
+impl<T: Scalar> LinearOperator<T> for Store<T> {
+    fn dim(&self) -> usize {
+        match self {
+            Store::Full(m) => m.n(),
+            Store::Compact(c) => c.n(),
+        }
+    }
+
+    fn apply(&self, x: &[T], y: &mut [T]) {
+        match self {
+            Store::Full(m) => m.matvec_into(x, y),
+            Store::Compact(c) => c.matvec_into(x, y),
+        }
+    }
 }
 
 /// A HODLR approximation plus its backend configuration: the one front
@@ -481,16 +502,18 @@ enum Store<T: Scalar> {
 ///
 /// Built with [`Hodlr::builder`]; factorized through the
 /// [`Factorize`] trait; solved through the [`Solve`] trait.
-/// The handle owns the virtual batched device, so
-/// [`Backend::Batched`] factorizations and their launch/flop counters live
-/// entirely behind it.
+/// The handle owns a virtual batched device, so its launch/flop counters
+/// meter every [`Backend::Batched`] factorization made from it.  It shares
+/// what a factorization needs — a clone of that device, the dedicated
+/// thread pool and the stored representation — with every
+/// [`Factorization`] it produces, so a factorization may outlive it.
 pub struct Hodlr<T: Scalar> {
-    store: Store<T>,
+    pub(crate) store: Store<T>,
     backend: Backend,
     precision: Precision,
     symmetry: Symmetry,
     device: Device,
-    pool: Option<rayon::ThreadPool>,
+    pool: Option<Arc<rayon::ThreadPool>>,
     refine_tol: f64,
     refine_max_iters: usize,
     build_peak_bytes: u64,
@@ -532,10 +555,12 @@ impl<T: Scalar> Hodlr<T> {
     }
 
     /// Consume the handle, returning the working-precision matrix
-    /// (migration path to the low-level API); `None` for compact handles.
+    /// (migration path to the low-level API; a copy while a
+    /// [`Precision::MixedRefine`] factorization still shares it); `None`
+    /// for compact handles.
     pub fn into_matrix(self) -> Option<HodlrMatrix<T>> {
         match self.store {
-            Store::Full(m) => Some(m),
+            Store::Full(m) => Some(Arc::unwrap_or_clone(m)),
             Store::Compact(_) => None,
         }
     }
@@ -573,17 +598,15 @@ impl<T: Scalar> Hodlr<T> {
     }
 
     /// The virtual batched device this handle owns (its counters meter all
-    /// [`Backend::Batched`] work done through this handle).
+    /// [`Backend::Batched`] work done through this handle and the
+    /// factorizations made from it).
     pub fn device(&self) -> &Device {
         &self.device
     }
 
     /// Matrix size `N`.
     pub fn n(&self) -> usize {
-        match &self.store {
-            Store::Full(m) => m.n(),
-            Store::Compact(c) => c.n(),
-        }
+        self.store.dim()
     }
 
     /// Number of tree levels.
@@ -616,10 +639,7 @@ impl<T: Scalar> Hodlr<T> {
 
     /// `y = A x` into a caller-owned buffer (no per-call allocation).
     pub fn matvec_into(&self, x: &[T], y: &mut [T]) {
-        self.run_in_pool(|| match &self.store {
-            Store::Full(m) => m.matvec_into(x, y),
-            Store::Compact(c) => c.matvec_into(x, y),
-        })
+        self.run_in_pool(|| self.store.apply(x, y))
     }
 
     /// `y = A^H x` in `O(N log N)`.
@@ -701,10 +721,7 @@ impl<T: Scalar> Hodlr<T> {
                 Store::Compact(c) => c.norm1_est(),
             };
             let mut ax = vec![T::zero(); self.n()];
-            match &self.store {
-                Store::Full(m) => m.matvec_into(x, &mut ax),
-                Store::Compact(c) => c.matvec_into(x, &mut ax),
-            }
+            self.store.apply(x, &mut ax);
             let residual = crate::scaled_residual(&ax, x, b, norm1);
             solver.verify_solution(x, residual, norm1, cfg)
         })
@@ -748,9 +765,9 @@ impl<T: SolveScalar> Factorize<T> for Hodlr<T> {
     /// Factorize with the configured backend and precision policy: the
     /// lower-precision policies factorize their lower-precision matrix and
     /// refine against the stored operator.
-    fn factorize(&self) -> Result<Factorization<'_, T>, HodlrError> {
+    fn factorize(&self) -> Result<Factorization<T>, HodlrError> {
         let symmetric = self.symmetry.is_symmetric();
-        let inner: Box<dyn crate::Solve<T> + Send + Sync + '_> = match &self.store {
+        let inner: Box<dyn crate::Solve<T> + Send + Sync> = match &self.store {
             Store::Compact(c) => self.run_in_pool(|| c.factorize(self))?,
             Store::Full(matrix) if self.precision == Precision::MixedRefine => {
                 self.run_in_pool(|| T::mixed_factorization(self, matrix))?
@@ -776,7 +793,7 @@ impl<T: SolveScalar> Factorize<T> for Hodlr<T> {
             inner,
             backend: self.backend,
             precision: self.precision,
-            pool: self.pool.as_ref(),
+            pool: self.pool.clone(),
         })
     }
 }

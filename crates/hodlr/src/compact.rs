@@ -21,8 +21,8 @@ use crate::solve::Solve;
 use hodlr_compress::{CompressionConfig, CompressionMethod, MatrixEntrySource};
 use hodlr_core::{build_from_source_with, BuildOptions, DemotedSource, HodlrMatrix};
 use hodlr_la::{DemoteScalar, HodlrError, RealScalar, Scalar};
-use hodlr_solver::LinearOperator;
 use hodlr_tree::{ClusterTree, NodeId};
+use std::sync::Arc;
 
 /// The compression knobs of a compact build, in precision-free form (the
 /// tolerance is re-anchored in the lower precision's real type).
@@ -49,11 +49,8 @@ pub trait CompactOps<T: Scalar>: Send + Sync {
     fn norm1_est(&self) -> f64;
     /// Factorize the stored lower-precision representation on `hodlr`'s
     /// backend and wrap it in working-precision iterative refinement
-    /// against the promoted operator.
-    fn factorize<'s>(
-        &'s self,
-        hodlr: &'s Hodlr<T>,
-    ) -> Result<Box<dyn Solve<T> + Send + Sync + 's>, HodlrError>;
+    /// against the promoted operator (`hodlr`'s store, which is `self`).
+    fn factorize(&self, hodlr: &Hodlr<T>) -> Result<Box<dyn Solve<T> + Send + Sync>, HodlrError>;
 }
 
 /// Build a compact store: compress `source` straight into the lower
@@ -64,7 +61,7 @@ pub fn build_compact_store<T: DemoteScalar>(
     tree: ClusterTree,
     config: &CompactConfig,
     options: BuildOptions<'_>,
-) -> Result<Box<dyn CompactOps<T>>, HodlrError> {
+) -> Result<Arc<dyn CompactOps<T>>, HodlrError> {
     let view = DemotedSource::<T, _>::new(source);
     // A tolerance below the lower precision's resolution would make the
     // compressors chase noise and blow the ranks (the opposite of what
@@ -82,7 +79,7 @@ pub fn build_compact_store<T: DemoteScalar>(
         cc = cc.strict_rank();
     }
     let low = build_from_source_with(&view, tree, &cc, options)?;
-    Ok(Box::new(CompactStore { low }))
+    Ok(Arc::new(CompactStore { low }))
 }
 
 /// A HODLR matrix resident in the lower precision, applied in the working
@@ -234,29 +231,7 @@ impl<T: DemoteScalar> CompactOps<T> for CompactStore<T> {
         est
     }
 
-    fn factorize<'s>(
-        &'s self,
-        hodlr: &'s Hodlr<T>,
-    ) -> Result<Box<dyn Solve<T> + Send + Sync + 's>, HodlrError> {
-        refined_factorization(
-            hodlr,
-            &self.low,
-            PromotedOp(self),
-            "compact-storage iterative refinement",
-        )
-    }
-}
-
-/// The compact store as a working-precision [`LinearOperator`]: the
-/// residual side of the refinement loop.
-struct PromotedOp<'a, T: DemoteScalar>(&'a CompactStore<T>);
-
-impl<T: DemoteScalar> LinearOperator<T> for PromotedOp<'_, T> {
-    fn dim(&self) -> usize {
-        self.0.low.n()
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        CompactOps::matvec_into(self.0, x, y);
+    fn factorize(&self, hodlr: &Hodlr<T>) -> Result<Box<dyn Solve<T> + Send + Sync>, HodlrError> {
+        refined_factorization(hodlr, &self.low, "compact-storage iterative refinement")
     }
 }

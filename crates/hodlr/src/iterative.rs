@@ -46,7 +46,7 @@ impl Default for KrylovMethod {
 /// kernel — so the HODLR approximation only serves as `M^{-1}`.
 pub struct IterativeSolver<'m, T: Scalar> {
     operator: &'m dyn LinearOperator<T>,
-    precond: Factorization<'m, T>,
+    precond: Factorization<T>,
     method: KrylovMethod,
     tol: f64,
     max_iters: usize,
@@ -59,7 +59,7 @@ impl<'m, T: Scalar> IterativeSolver<'m, T> {
     /// [`HodlrError::DimensionMismatch`] when they disagree on dimension.
     pub fn new(
         operator: &'m dyn LinearOperator<T>,
-        precond: Factorization<'m, T>,
+        precond: Factorization<T>,
         method: KrylovMethod,
     ) -> Result<Self, HodlrError> {
         HodlrError::check_dims(
@@ -108,7 +108,7 @@ impl<'m, T: Scalar> IterativeSolver<'m, T> {
     }
 
     /// The preconditioner factorization.
-    pub fn preconditioner(&self) -> &Factorization<'m, T> {
+    pub fn preconditioner(&self) -> &Factorization<T> {
         &self.precond
     }
 

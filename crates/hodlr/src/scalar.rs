@@ -15,7 +15,7 @@
 //! rejected with a typed error instead of a compile failure, keeping
 //! [`Hodlr`] generic over every [`Scalar`].
 
-use crate::build::{Backend, Hodlr, Precision};
+use crate::build::{Backend, Hodlr, Precision, Store};
 use crate::compact::{build_compact_store, CompactConfig, CompactOps};
 use crate::solve::Solve;
 use hodlr_compress::MatrixEntrySource;
@@ -25,6 +25,7 @@ use hodlr_la::{
 };
 use hodlr_solver::{iterative_refinement, LinearOperator, RefinementOptions};
 use hodlr_tree::ClusterTree;
+use std::sync::Arc;
 
 mod sealed {
     pub trait Sealed {}
@@ -44,10 +45,10 @@ pub trait SolveScalar: Scalar + sealed::Sealed {
     /// Build the mixed-precision solver for `hodlr`'s working-precision
     /// `matrix`, or explain why the scalar cannot be demoted.
     #[doc(hidden)]
-    fn mixed_factorization<'m>(
-        hodlr: &'m Hodlr<Self>,
-        matrix: &'m HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError>;
+    fn mixed_factorization(
+        hodlr: &Hodlr<Self>,
+        matrix: &HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError>;
 
     /// Compress `source` straight into compact lower-precision storage, or
     /// explain why the scalar cannot be demoted.
@@ -57,14 +58,14 @@ pub trait SolveScalar: Scalar + sealed::Sealed {
         tree: ClusterTree,
         config: &CompactConfig,
         options: BuildOptions<'_>,
-    ) -> Result<Box<dyn CompactOps<Self>>, HodlrError>;
+    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError>;
 }
 
 impl SolveScalar for f64 {
-    fn mixed_factorization<'m>(
-        hodlr: &'m Hodlr<Self>,
-        matrix: &'m HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+    fn mixed_factorization(
+        hodlr: &Hodlr<Self>,
+        matrix: &HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
         mixed_factorization_impl(hodlr, matrix)
     }
 
@@ -73,16 +74,16 @@ impl SolveScalar for f64 {
         tree: ClusterTree,
         config: &CompactConfig,
         options: BuildOptions<'_>,
-    ) -> Result<Box<dyn CompactOps<Self>>, HodlrError> {
+    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
         build_compact_store(source, tree, config, options)
     }
 }
 
 impl SolveScalar for Complex64 {
-    fn mixed_factorization<'m>(
-        hodlr: &'m Hodlr<Self>,
-        matrix: &'m HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+    fn mixed_factorization(
+        hodlr: &Hodlr<Self>,
+        matrix: &HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
         mixed_factorization_impl(hodlr, matrix)
     }
 
@@ -91,16 +92,16 @@ impl SolveScalar for Complex64 {
         tree: ClusterTree,
         config: &CompactConfig,
         options: BuildOptions<'_>,
-    ) -> Result<Box<dyn CompactOps<Self>>, HodlrError> {
+    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
         build_compact_store(source, tree, config, options)
     }
 }
 
 impl SolveScalar for f32 {
-    fn mixed_factorization<'m>(
-        _: &'m Hodlr<Self>,
-        _: &'m HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+    fn mixed_factorization(
+        _: &Hodlr<Self>,
+        _: &HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
         Err(no_lower_precision(Precision::MixedRefine, "f32"))
     }
 
@@ -109,16 +110,16 @@ impl SolveScalar for f32 {
         _: ClusterTree,
         _: &CompactConfig,
         _: BuildOptions<'_>,
-    ) -> Result<Box<dyn CompactOps<Self>>, HodlrError> {
+    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
         Err(no_lower_precision(Precision::CompactLower, "f32"))
     }
 }
 
 impl SolveScalar for Complex32 {
-    fn mixed_factorization<'m>(
-        _: &'m Hodlr<Self>,
-        _: &'m HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync + 'm>, HodlrError> {
+    fn mixed_factorization(
+        _: &Hodlr<Self>,
+        _: &HodlrMatrix<Self>,
+    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
         Err(no_lower_precision(Precision::MixedRefine, "Complex32"))
     }
 
@@ -127,7 +128,7 @@ impl SolveScalar for Complex32 {
         _: ClusterTree,
         _: &CompactConfig,
         _: BuildOptions<'_>,
-    ) -> Result<Box<dyn CompactOps<Self>>, HodlrError> {
+    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
         Err(no_lower_precision(Precision::CompactLower, "Complex32"))
     }
 }
@@ -160,32 +161,26 @@ fn demote_hodlr<T: DemoteScalar>(matrix: &HodlrMatrix<T>) -> HodlrMatrix<T::Lowe
 }
 
 /// Demote `matrix` and refine against it.
-fn mixed_factorization_impl<'m, T: DemoteScalar>(
-    hodlr: &'m Hodlr<T>,
-    matrix: &'m HodlrMatrix<T>,
-) -> Result<Box<dyn Solve<T> + Send + Sync + 'm>, HodlrError> {
+fn mixed_factorization_impl<T: DemoteScalar>(
+    hodlr: &Hodlr<T>,
+    matrix: &HodlrMatrix<T>,
+) -> Result<Box<dyn Solve<T> + Send + Sync>, HodlrError> {
     refined_factorization(
         hodlr,
         &demote_hodlr(matrix),
-        matrix,
         "mixed-precision iterative refinement",
     )
 }
 
 /// Factorize the lower-precision `low` on `hodlr`'s backend and wrap it in
-/// working-precision refinement against `op`, to `hodlr`'s refinement
-/// tolerance and sweep cap.
-pub(crate) fn refined_factorization<'m, T, A>(
-    hodlr: &'m Hodlr<T>,
+/// working-precision refinement against `hodlr`'s stored representation
+/// (shared, not copied), to `hodlr`'s refinement tolerance and sweep cap.
+pub(crate) fn refined_factorization<T: DemoteScalar>(
+    hodlr: &Hodlr<T>,
     low: &HodlrMatrix<T::Lower>,
-    op: A,
     context: &'static str,
-) -> Result<Box<dyn Solve<T> + Send + Sync + 'm>, HodlrError>
-where
-    T: DemoteScalar,
-    A: LinearOperator<T> + Send + Sync + 'm,
-{
-    let inner: Box<dyn Solve<T::Lower> + Send + Sync + 'm> = match hodlr.backend() {
+) -> Result<Box<dyn Solve<T> + Send + Sync>, HodlrError> {
+    let inner: Box<dyn Solve<T::Lower> + Send + Sync> = match hodlr.backend() {
         Backend::Serial => Box::new(low.factorize_serial()?),
         Backend::Batched => {
             let mut solver = GpuSolver::new(hodlr.device(), low);
@@ -194,7 +189,7 @@ where
         }
     };
     Ok(Box::new(RefinedSolver {
-        op,
+        op: hodlr.store.clone(),
         inner,
         options: RefinementOptions {
             tol: hodlr.refine_tol(),
@@ -207,10 +202,10 @@ where
 /// A lower-precision factorization plus working-precision iterative
 /// refinement to the configured tolerance — the solver behind both
 /// lower-precision [`Precision`] policies.
-struct RefinedSolver<'m, T: DemoteScalar, A: LinearOperator<T> + Send + Sync> {
+struct RefinedSolver<T: DemoteScalar> {
     /// The working-precision residual operator.
-    op: A,
-    inner: Box<dyn Solve<T::Lower> + Send + Sync + 'm>,
+    op: Store<T>,
+    inner: Box<dyn Solve<T::Lower> + Send + Sync>,
     options: RefinementOptions,
     context: &'static str,
 }
@@ -239,7 +234,7 @@ impl<T: DemoteScalar> LinearOperator<T> for DemotedPrecondOp<'_, T> {
     }
 }
 
-impl<T: DemoteScalar, A: LinearOperator<T> + Send + Sync> Solve<T> for RefinedSolver<'_, T, A> {
+impl<T: DemoteScalar> Solve<T> for RefinedSolver<T> {
     fn dim(&self) -> usize {
         self.op.dim()
     }

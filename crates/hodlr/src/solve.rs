@@ -12,6 +12,7 @@ use crate::verify::{SolveVerdict, VerifyConfig};
 use hodlr_core::{BatchedSolver, FactorKind, SerialSolver};
 use hodlr_la::{DenseMatrix, HodlrError, Scalar};
 use hodlr_solver::LinearOperator;
+use std::sync::Arc;
 
 /// Backend-agnostic solving against a completed factorization.
 ///
@@ -249,11 +250,11 @@ pub trait Factorize<T: Scalar> {
     /// [`HodlrError::SingularPivot`] when a diagonal or coupling block is
     /// singular, plus configuration errors from exotic backend /
     /// precision combinations.
-    fn factorize(&self) -> Result<Factorization<'_, T>, HodlrError>;
+    fn factorize(&self) -> Result<Factorization<T>, HodlrError>;
 }
 
 impl<T: Scalar> Factorize<T> for hodlr_core::HodlrMatrix<T> {
-    fn factorize(&self) -> Result<Factorization<'_, T>, HodlrError> {
+    fn factorize(&self) -> Result<Factorization<T>, HodlrError> {
         Ok(Factorization {
             inner: Box::new(self.factorize_serial()?),
             backend: crate::Backend::Serial,
@@ -267,21 +268,24 @@ impl<T: Scalar> Factorize<T> for hodlr_core::HodlrMatrix<T> {
 /// [`Solve`] trait without knowing whether Algorithms 1–2, Algorithms 3–4,
 /// or a mixed-precision refinement loop run underneath.
 ///
-/// The erased solver is required to be `Send + Sync`, so a completed
-/// `Factorization` is itself `Send + Sync`: one factorization can serve
-/// solves from many threads concurrently (every [`Solve`] method takes
-/// `&self`).  The `hodlr-serve` crate relies on this to share cached
-/// factorizations across request handlers.
-pub struct Factorization<'m, T: Scalar> {
-    pub(crate) inner: Box<dyn Solve<T> + Send + Sync + 'm>,
+/// A factorization owns what it solves with: its factors, a clone of the
+/// handle's device, the handle's dedicated pool and, under the
+/// lower-precision policies, the stored representation it refines against.
+/// It borrows nothing, so it may outlive the [`Hodlr`](crate::Hodlr) it
+/// came from, and it is `Send + Sync`: one factorization can serve solves
+/// from many threads concurrently (every [`Solve`] method takes `&self`).
+/// The `hodlr-serve` crate relies on this to share cached factorizations
+/// across request handlers.
+pub struct Factorization<T: Scalar> {
+    pub(crate) inner: Box<dyn Solve<T> + Send + Sync>,
     pub(crate) backend: crate::Backend,
     pub(crate) precision: crate::Precision,
-    /// Dedicated worker pool of the owning [`Hodlr`](crate::Hodlr), when
-    /// one was configured with `threads(..)`.
-    pub(crate) pool: Option<&'m rayon::ThreadPool>,
+    /// Dedicated worker pool of the [`Hodlr`](crate::Hodlr) it came from,
+    /// when one was configured with `threads(..)`.
+    pub(crate) pool: Option<Arc<rayon::ThreadPool>>,
 }
 
-impl<T: Scalar> Factorization<'_, T> {
+impl<T: Scalar> Factorization<T> {
     /// The backend that produced this factorization.
     pub fn backend(&self) -> crate::Backend {
         self.backend
@@ -293,14 +297,14 @@ impl<T: Scalar> Factorization<'_, T> {
     }
 
     pub(crate) fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        match self.pool {
+        match &self.pool {
             Some(pool) => pool.install(f),
             None => f(),
         }
     }
 }
 
-impl<T: Scalar> Solve<T> for Factorization<'_, T> {
+impl<T: Scalar> Solve<T> for Factorization<T> {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
@@ -352,7 +356,7 @@ impl<T: Scalar> Solve<T> for Factorization<'_, T> {
 /// methods consume it directly as a right preconditioner, and the
 /// spectral subsystem iterates on it for shift-invert interior
 /// eigenvalues.
-impl<T: Scalar> LinearOperator<T> for Factorization<'_, T> {
+impl<T: Scalar> LinearOperator<T> for Factorization<T> {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
@@ -378,11 +382,11 @@ impl<T: Scalar> LinearOperator<T> for Factorization<'_, T> {
     }
 }
 
-// Compile-time proof of the concurrency contract: a shared-reference
-// `Factorization` can cross threads, so N handlers may solve against one
-// cached factorization at once.
+// Compile-time proof of the ownership and concurrency contract: a
+// `Factorization` borrows nothing and can cross threads, so N handlers may
+// solve against one cached factorization at once.
 const _: () = {
-    const fn assert_send_sync<S: Send + Sync>() {}
-    assert_send_sync::<Factorization<'static, f64>>();
-    assert_send_sync::<Factorization<'static, hodlr_la::Complex64>>();
+    const fn assert_owned<S: Send + Sync + 'static>() {}
+    assert_owned::<Factorization<f64>>();
+    assert_owned::<Factorization<hodlr_la::Complex64>>();
 };

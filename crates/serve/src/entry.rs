@@ -1,37 +1,24 @@
 //! An owned, shareable factorization: the unit the cache stores.
 //!
-//! The façade's [`Factorization`] borrows the [`Hodlr`] it was factorized
-//! from (the batched backend keeps its buffers on the handle's device, and
-//! solves may run on the handle's thread pool).  A cache must *own* both
-//! halves, so [`CachedFactorization`] keeps the `Hodlr` on the heap behind
-//! a **raw** pointer and stores the factorization next to it.
-//!
-//! Why a raw pointer and not a `Box`: a `Box` field asserts unique access
-//! on every move of the struct (Stacked Borrows retags it), which would
-//! invalidate the long-lived borrow the factorization holds into the
-//! allocation — the classic self-referential-struct UB (cf. ouroboros
-//! RUSTSEC-2023-0042).  A `NonNull` is never retagged on move, so the
-//! borrow derived from it stays valid for the life of the allocation, and
-//! the struct can be moved, boxed and `Arc`'d freely.  The `miri_*` tests
-//! below run under Miri in CI to keep this claim checked.
+//! A [`CachedFactorization`] keeps a [`Hodlr`] handle and the
+//! [`Factorization`] made from it side by side, as two plain fields.  The
+//! factorization owns what it solves with (its factors and clones of the
+//! handle's device, thread pool and store), so the entry can be moved,
+//! boxed and `Arc`'d freely and is `Send + Sync` like its fields.  The
+//! handle stays for the residual matvecs of verification and for the
+//! device counters the service meters with.
 
 use crate::ServeError;
 use hodlr::{Factorization, Factorize, Hodlr, Solve, SolveScalar, SolveVerdict, VerifyConfig};
 use hodlr_la::HodlrError;
-use std::mem::ManuallyDrop;
-use std::ptr::NonNull;
 use std::sync::OnceLock;
 
-/// A factorization that owns its matrix, device and thread pool: safe to
-/// park in a cache and to share across request-handler threads
-/// (`Send + Sync`, with every solve entry point taking `&self`).
+/// A factorization next to the handle it came from: safe to park in a
+/// cache and to share across request-handler threads (every solve entry
+/// point takes `&self`).
 pub struct CachedFactorization<T: SolveScalar> {
-    /// Borrows the allocation behind `hodlr`; manually dropped *before*
-    /// that allocation is freed (see `Drop`).
-    factorization: ManuallyDrop<Factorization<'static, T>>,
-    /// The leaked heap allocation this struct owns and frees on drop.
-    /// Deliberately a raw pointer: moving the struct must not retag it.
-    hodlr: NonNull<Hodlr<T>>,
+    hodlr: Hodlr<T>,
+    factorization: Factorization<T>,
     bytes: u64,
     /// Cached `‖A‖₁` estimate — one Hager/Higham run per entry, shared by
     /// every verification against it.
@@ -41,70 +28,32 @@ pub struct CachedFactorization<T: SolveScalar> {
     inv_norm1: OnceLock<f64>,
 }
 
-// SAFETY: the struct owns the heap `Hodlr` outright (no other pointer to
-// the allocation exists outside `self`), never hands out `&mut Hodlr`, and
-// the factorization is required `Send`/`Sync` by the façade.  Sending the
-// struct moves both halves together; sharing `&self` only ever yields
-// shared references.  `Hodlr<T>: Sync` is required even for `Send`
-// because the factorization holds `&Hodlr` across the move.
-unsafe impl<T: SolveScalar> Send for CachedFactorization<T>
-where
-    Hodlr<T>: Send + Sync,
-    for<'a> Factorization<'a, T>: Send,
-{
-}
-unsafe impl<T: SolveScalar> Sync for CachedFactorization<T>
-where
-    Hodlr<T>: Sync,
-    for<'a> Factorization<'a, T>: Sync,
-{
-}
-
 impl<T: SolveScalar> CachedFactorization<T> {
-    /// Factorize `hodlr` and take ownership of both halves.
+    /// Factorize `hodlr` and keep both.
     ///
     /// # Errors
     /// Factorization errors ([`HodlrError::SingularPivot`], configuration
     /// rejections from exotic backend/precision combinations) propagate.
     pub fn build(hodlr: Hodlr<T>) -> Result<Self, HodlrError> {
-        // Leak the handle to a raw pointer; from here on `self` is the
-        // allocation's sole owner and frees it in `Drop`.
-        let hodlr: NonNull<Hodlr<T>> = NonNull::from(Box::leak(Box::new(hodlr)));
-        // SAFETY: the allocation is live and uniquely owned by this
-        // function; the shared borrow is derived from the raw pointer, so
-        // later moves of `self` (which copy the pointer bits untagged)
-        // cannot invalidate it.  It lives as long as the allocation, which
-        // `Drop` frees only after dropping the factorization.
-        let borrowed: &'static Hodlr<T> = unsafe { &*hodlr.as_ptr() };
-        let factorization = match borrowed.factorize() {
-            Ok(f) => f,
-            Err(e) => {
-                // SAFETY: `factorize` failed, so no borrow of the
-                // allocation survives; reclaim and free it.
-                unsafe { drop(Box::from_raw(hodlr.as_ptr())) };
-                return Err(e);
-            }
-        };
-        let bytes = factorization.factor_bytes() + borrowed.storage_bytes();
+        let factorization = hodlr.factorize()?;
+        let bytes = factorization.factor_bytes() + hodlr.storage_bytes();
         Ok(CachedFactorization {
-            factorization: ManuallyDrop::new(factorization),
             hodlr,
+            factorization,
             bytes,
             norm1: OnceLock::new(),
             inv_norm1: OnceLock::new(),
         })
     }
 
-    /// The completed factorization, reborrowed at `&self`'s lifetime.
-    pub fn solver(&self) -> &Factorization<'_, T> {
+    /// The completed factorization.
+    pub fn solver(&self) -> &Factorization<T> {
         &self.factorization
     }
 
-    /// The owning handle (device counters, matrix, residual checks).
+    /// The handle it came from (device counters, matrix, residual checks).
     pub fn hodlr(&self) -> &Hodlr<T> {
-        // SAFETY: the allocation is live until `self` drops and no `&mut`
-        // to it ever exists; the returned borrow is capped at `&self`.
-        unsafe { self.hodlr.as_ref() }
+        &self.hodlr
     }
 
     /// Resident bytes this entry charges against the cache budget: factor
@@ -155,18 +104,6 @@ impl<T: SolveScalar> CachedFactorization<T> {
         SolveVerdict::Suspect {
             residual,
             cond_est: self.cond_estimate(),
-        }
-    }
-}
-
-impl<T: SolveScalar> Drop for CachedFactorization<T> {
-    fn drop(&mut self) {
-        // SAFETY: drop order is load-bearing — the factorization borrows
-        // the allocation, so it goes first; afterwards no reference into
-        // the allocation survives and the leaked box can be reclaimed.
-        unsafe {
-            ManuallyDrop::drop(&mut self.factorization);
-            drop(Box::from_raw(self.hodlr.as_ptr()));
         }
     }
 }
@@ -236,7 +173,7 @@ mod tests {
     #[test]
     fn entry_outlives_the_scope_that_built_it() {
         // The entry must be movable (returned from functions, pushed into
-        // maps) without invalidating the internal borrow.
+        // maps) and still solve afterwards.
         let moved = {
             let e = entry(Backend::Batched);
             let boxed = Box::new(e);
@@ -255,11 +192,10 @@ mod tests {
         assert!(delta.kernel_launches > 0);
     }
 
-    /// Interpreter-scale exercise of the whole aliasing story — build,
-    /// move (by value, through a `Box`, into and out of an `Arc`), solve
-    /// after every move, then drop.  CI runs exactly the `miri_*` filter
-    /// under Miri; keep this test tiny and serial so the interpreter
-    /// finishes in seconds.
+    /// Interpreter-scale exercise of an entry's life — build, move (by
+    /// value, through a `Box`, into and out of an `Arc`), solve after every
+    /// move, then drop.  CI runs the `miri_*` filter under Miri; keep this
+    /// test tiny and serial so the interpreter finishes in seconds.
     #[test]
     fn miri_moves_boxes_and_arcs_stay_sound() {
         let e = entry_sized(Backend::Serial, 16, 8);
@@ -281,7 +217,7 @@ mod tests {
         assert_eq!(clone.solver().solve(&b).unwrap(), baseline);
     }
 
-    /// The error path must free the leaked allocation (Miri flags leaks).
+    /// The error path must free the handle (Miri flags leaks).
     #[test]
     fn miri_failed_factorization_does_not_leak() {
         // A singular 2x2 (rank one, zero pivot after elimination).

@@ -801,8 +801,8 @@ impl<T: SolveScalar> SolveService<T> {
     ) -> Result<Vec<T>, ServeError> {
         /// `M⁻¹` = one factorization solve; a failed apply poisons the
         /// vector so verification (not a panic) rejects the result.
-        struct FactorPrecond<'a, 'b, T: SolveScalar>(&'a Factorization<'b, T>);
-        impl<T: SolveScalar> LinearOperator<T> for FactorPrecond<'_, '_, T> {
+        struct FactorPrecond<'a, T: SolveScalar>(&'a Factorization<T>);
+        impl<T: SolveScalar> LinearOperator<T> for FactorPrecond<'_, T> {
             fn dim(&self) -> usize {
                 Solve::dim(self.0)
             }

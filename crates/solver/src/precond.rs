@@ -35,17 +35,17 @@ impl<T: Scalar> LinearOperator<T> for SerialInverse<T> {
 }
 
 /// `M^{-1}` by a factored batched solver on `device`.
-pub(crate) struct BatchedInverse<'d, T: Scalar>(GpuSolver<'d, T>);
+pub(crate) struct BatchedInverse<T: Scalar>(GpuSolver<'static, T>);
 
-impl<'d, T: Scalar> BatchedInverse<'d, T> {
-    pub(crate) fn new(device: &'d Device, matrix: &HodlrMatrix<T>) -> Self {
+impl<T: Scalar> BatchedInverse<T> {
+    pub(crate) fn new(device: &Device, matrix: &HodlrMatrix<T>) -> Self {
         let mut solver = GpuSolver::new(device, matrix);
         solver.factorize().expect("test matrices are nonsingular");
         BatchedInverse(solver)
     }
 }
 
-impl<T: Scalar> LinearOperator<T> for BatchedInverse<'_, T> {
+impl<T: Scalar> LinearOperator<T> for BatchedInverse<T> {
     fn dim(&self) -> usize {
         self.0.n()
     }

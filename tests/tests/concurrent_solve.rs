@@ -16,12 +16,13 @@ use std::thread;
 const N: usize = 384;
 const THREADS: usize = 8;
 
-// Compile-time half of the satellite: the shared-state types are
-// Send + Sync by construction, not by accident.
+// Compile-time half of the contract: a factorization borrows nothing, and
+// the shared-state types are Send + Sync by construction, not by accident.
 const _: () = {
+    const fn assert_owned<S: Send + Sync + 'static>() {}
     const fn assert_send_sync<S: Send + Sync>() {}
-    assert_send_sync::<Factorization<'static, f64>>();
-    assert_send_sync::<Factorization<'static, Complex64>>();
+    assert_owned::<Factorization<f64>>();
+    assert_owned::<Factorization<Complex64>>();
     assert_send_sync::<Hodlr<f64>>();
     assert_send_sync::<Device>();
 };

@@ -733,3 +733,66 @@ fn zero_right_hand_sides_give_empty_results() {
         }
     }
 }
+
+/// A factorization owns what it solves with, so it outlives the handle it
+/// came from: once the `Hodlr` is dropped, `solve`, `solve_block` and
+/// `log_det` return bitwise what they returned before, and on the batched
+/// backend a device clone taken before the drop still meters the solves.
+#[test]
+fn factorization_outlives_its_handle() {
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+    let n = 256;
+    let source = kernel_source(n);
+    let b = rhs_f64(n);
+    let block = DenseMatrix::from_fn(n, 3, |i, j| (0.05 * (i + 7 * j) as f64).cos());
+    let mut cases = Vec::new();
+    for backend in [Backend::Serial, Backend::Batched] {
+        for precision in [
+            Precision::Full,
+            Precision::MixedRefine,
+            Precision::CompactLower,
+        ] {
+            cases.push((backend, precision, Symmetry::General));
+        }
+        cases.push((backend, Precision::Full, Symmetry::PositiveDefinite));
+    }
+    for (backend, precision, symmetry) in cases {
+        let label = format!("{backend:?} / {precision:?} / {symmetry:?}");
+        let hodlr = Hodlr::builder()
+            .source(&source)
+            .leaf_size(32)
+            .tolerance(1e-10)
+            .backend(backend)
+            .precision(precision)
+            .symmetry(symmetry)
+            .build()
+            .unwrap();
+        let device = hodlr.device().clone();
+        let f = hodlr.factorize().unwrap();
+        let x = f.solve(&b).unwrap();
+        let xs = f.solve_block(&block).unwrap();
+        let (log_abs, sign) = f.log_det().unwrap();
+        drop(hodlr);
+
+        let ((x_after, xs_after), c) =
+            device.meter(|| (f.solve(&b).unwrap(), f.solve_block(&block).unwrap()));
+        assert_eq!(bits(&x_after), bits(&x), "{label}: solve");
+        assert_eq!(
+            bits(xs_after.data()),
+            bits(xs.data()),
+            "{label}: solve_block"
+        );
+        let (log_abs_after, sign_after) = f.log_det().unwrap();
+        assert_eq!(
+            (log_abs_after.to_bits(), sign_after.to_bits()),
+            (log_abs.to_bits(), sign.to_bits()),
+            "{label}: log_det"
+        );
+        match backend {
+            Backend::Batched => assert!(c.kernel_launches > 0, "{label}: unmetered"),
+            Backend::Serial => assert_eq!(c.kernel_launches, 0, "{label}"),
+        }
+    }
+}
