@@ -133,8 +133,15 @@ fn classify(windows: &[MatWindow]) -> Partition {
 /// Raw base pointer that may be shared across rayon workers.  Every worker
 /// only touches the elements of its own (verified disjoint) window.
 struct RawBase<T>(*mut T);
-unsafe impl<T> Sync for RawBase<T> {}
-unsafe impl<T> Send for RawBase<T> {}
+// SAFETY: a shared base lets each worker read and write the elements of its
+// own window from its own thread, which moves `T` values between threads
+// (hence `T: Send`); `process_windows_mut` proves the windows pairwise
+// disjoint before any worker runs, so no element is reached from two
+// threads.
+unsafe impl<T: Send> Sync for RawBase<T> {}
+// SAFETY: as for `Sync`: the pointer only reaches elements of the windows
+// proven disjoint, and `T: Send` lets them be written from another thread.
+unsafe impl<T: Send> Send for RawBase<T> {}
 
 impl<T> RawBase<T> {
     fn get(&self) -> *mut T {

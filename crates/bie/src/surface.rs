@@ -34,8 +34,8 @@
 //! the matrix is node `i` of the reordered cloud and the HODLR builder can
 //! consume the pair directly.
 
-use hodlr_compress::MatrixEntrySource;
-use hodlr_la::{Complex64, HodlrError};
+use hodlr_compress::{symmetric_tile, MatrixEntrySource};
+use hodlr_la::{Complex64, HodlrError, MatMut};
 use hodlr_tree::{partition_points, ClusterTree, PointCloud};
 
 /// `n` equispaced points on the unit circle (a closed curve in 2-D),
@@ -133,6 +133,15 @@ impl SurfaceGeometry {
     }
 }
 
+/// The identity term of entry `(i, j)` of `1/2 I + S_delta`.
+fn identity(i: usize, j: usize) -> f64 {
+    if i == j {
+        0.5
+    } else {
+        0.0
+    }
+}
+
 /// The regularized Laplace single-layer operator `1/2 I + S_delta` over a
 /// closed surface point cloud (unit circle in 2-D, unit sphere in 3-D, or
 /// any cloud sampled from a closed surface).
@@ -182,9 +191,20 @@ impl MatrixEntrySource<f64> for LaplaceSurfaceSource {
     }
 
     fn entry(&self, i: usize, j: usize) -> f64 {
-        let identity = if i == j { 0.5 } else { 0.0 };
         let r = self.geometry.points.distance(i, j);
-        identity + self.geometry.weight * self.geometry.laplace_kernel(r)
+        identity(i, j) + self.geometry.weight * self.geometry.laplace_kernel(r)
+    }
+
+    /// Each run is one [`PointCloud::distances`] pass, then the entries
+    /// from the distances.
+    fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, f64>) {
+        let g = &self.geometry;
+        symmetric_tile(row0, col0, out, |p, start, run| {
+            g.points.distances(p, start, run);
+            for (k, v) in run.iter_mut().enumerate() {
+                *v = identity(p, start + k) + g.weight * g.laplace_kernel(*v);
+            }
+        });
     }
 }
 

@@ -27,7 +27,7 @@ pub mod truncated;
 pub use aca::{aca_compress, aca_compress_metered, AcaPivoting};
 pub use lowrank::LowRank;
 pub use randomized::{randomized_compress, randomized_compress_metered};
-pub use source::{ClosureSource, DenseSource, MatrixEntrySource, ShiftedSource};
+pub use source::{symmetric_tile, ClosureSource, DenseSource, MatrixEntrySource, ShiftedSource};
 pub use truncated::{truncated_svd_compress, truncated_svd_compress_metered};
 
 use hodlr_la::{AllocMeter, HodlrError, RealScalar, Scalar};

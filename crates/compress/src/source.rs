@@ -10,11 +10,30 @@ use hodlr_la::{DenseMatrix, MatMut, Scalar};
 /// touches are evaluated.  Everything is `Sync` so blocks can be compressed
 /// in parallel.
 ///
-/// A compressor evaluates all of one block's entries on the thread that
-/// called it, even when it spreads its own arithmetic over the rayon pool,
-/// so a source that serves a single block sees its entry calls from one
-/// thread only.  A build still compresses different blocks of one source
-/// on different threads at once.
+/// Only [`entry`](Self::entry) (with the shape) is required; three rules
+/// govern the rest:
+///
+/// * **[`tile`](Self::tile) is the bulk primitive.**  [`row`](Self::row),
+///   [`col`](Self::col) and [`to_dense`](Self::to_dense) hand their
+///   buffer to it as a `1 x k`, `k x 1` or full view, so a source with a
+///   cheaper bulk path overrides `tile` alone; the default evaluates
+///   `entry` once per element.
+/// * **An override equals `entry` bit for bit.**  A bulk path may hoist
+///   loop-invariant work and split the evaluation into passes over the
+///   run, but every element keeps the exact operation sequence of
+///   `entry`, so what a compressor builds does not depend on which path
+///   served it.
+/// * **One block's entries stay on the calling thread.**  A compressor
+///   evaluates all of one block's entries on the thread that called it,
+///   even when it spreads its own arithmetic over the rayon pool, and a
+///   bulk path evaluates its run there too, so a source that serves a
+///   single block sees its calls from one thread only.  A build still
+///   compresses different blocks of one source on different threads at
+///   once.
+///
+/// The trait is object safe: the `hodlr` facade holds its input as
+/// `&dyn MatrixEntrySource<T>`, so every bulk call crosses one dynamic
+/// dispatch instead of one per entry.
 pub trait MatrixEntrySource<T: Scalar>: Sync {
     /// Number of rows of the block.
     fn nrows(&self) -> usize;
@@ -23,26 +42,27 @@ pub trait MatrixEntrySource<T: Scalar>: Sync {
     /// Entry `(i, j)` of the block.
     fn entry(&self, i: usize, j: usize) -> T;
 
-    /// Evaluate row `i` into `out` (length `ncols`).
+    /// Evaluate row `i` into `out` (length `ncols`), as a `1 x ncols`
+    /// [`tile`](Self::tile).
     fn row(&self, i: usize, out: &mut [T]) {
         debug_assert_eq!(out.len(), self.ncols());
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.entry(i, j);
-        }
+        let k = out.len();
+        self.tile(i, 0, &mut MatMut::from_parts(out, 1, k, 1));
     }
 
-    /// Evaluate column `j` into `out` (length `nrows`).
+    /// Evaluate column `j` into `out` (length `nrows`), as an `nrows x 1`
+    /// [`tile`](Self::tile).
     fn col(&self, j: usize, out: &mut [T]) {
         debug_assert_eq!(out.len(), self.nrows());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.entry(i, j);
-        }
+        let k = out.len();
+        self.tile(0, j, &mut MatMut::from_parts(out, k, 1, k.max(1)));
     }
 
     /// Evaluate the tile `[row0 .. row0 + out.rows()) x [col0 .. col0 +
-    /// out.cols())` into `out`.  This is the unit of access of the
-    /// streaming compressors: they walk the block tile by tile with one
-    /// bounded scratch buffer instead of materialising it densely.
+    /// out.cols())` into `out`.  This is the unit of access of every
+    /// compressor: the streaming ones walk the block tile by tile with one
+    /// bounded scratch buffer instead of materialising it densely, and
+    /// rows, columns and dense leaf blocks arrive here as tiles too.
     fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, T>) {
         debug_assert!(row0 + out.rows() <= self.nrows());
         debug_assert!(col0 + out.cols() <= self.ncols());
@@ -53,16 +73,38 @@ pub trait MatrixEntrySource<T: Scalar>: Sync {
         }
     }
 
-    /// Materialise the whole block densely.  The default implementation
-    /// evaluates column by column; sources with cheaper bulk access may
-    /// override it.
+    /// Materialise the whole block densely, as one [`tile`](Self::tile).
     fn to_dense(&self) -> DenseMatrix<T> {
         let mut a = DenseMatrix::zeros(self.nrows(), self.ncols());
-        for j in 0..self.ncols() {
-            let col = a.col_mut(j);
-            self.col(j, col);
-        }
+        self.tile(0, 0, &mut a.as_mut());
         a
+    }
+}
+
+/// Fill the tile of `out` at `(row0, col0)` from contiguous runs of a
+/// source whose entries are symmetric bit for bit (`entry(i, j)` and
+/// `entry(j, i)` have the same bits, as for a kernel of the distance
+/// between two points).
+///
+/// `run(p, start, values)` must write `entry(p, start + k)` into
+/// `values[k]`.  A one-row tile over a contiguous buffer (a
+/// [`MatrixEntrySource::row`]) is one run along the row; any other tile is
+/// one run per column, each the run of its column's point over the tile's
+/// rows — which is the column itself because the entries are symmetric.
+pub fn symmetric_tile<T: Scalar>(
+    row0: usize,
+    col0: usize,
+    out: &mut MatMut<'_, T>,
+    mut run: impl FnMut(usize, usize, &mut [T]),
+) {
+    if out.rows() == 1 {
+        if let Some(row) = out.contiguous_mut() {
+            run(row0, col0, row);
+            return;
+        }
+    }
+    for jj in 0..out.cols() {
+        run(col0 + jj, row0, out.col_mut(jj));
     }
 }
 
@@ -118,11 +160,6 @@ impl<T: Scalar> MatrixEntrySource<T> for DenseSource<'_, T> {
 
     fn entry(&self, i: usize, j: usize) -> T {
         self.matrix[(self.row_offset + i, self.col_offset + j)]
-    }
-
-    fn col(&self, j: usize, out: &mut [T]) {
-        let col = self.matrix.col(self.col_offset + j);
-        out.copy_from_slice(&col[self.row_offset..self.row_offset + self.nrows]);
     }
 
     fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, T>) {
@@ -223,9 +260,15 @@ impl<T: Scalar, S: MatrixEntrySource<T>> MatrixEntrySource<T> for ShiftedSource<
         }
     }
 
-    fn col(&self, j: usize, out: &mut [T]) {
-        self.inner.col(j, out);
-        out[j] += self.shift;
+    /// The inner tile, then the shift on the diagonal entries the tile
+    /// covers.
+    fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, T>) {
+        self.inner.tile(row0, col0, out);
+        let end = (row0 + out.rows()).min(col0 + out.cols());
+        for d in row0.max(col0)..end {
+            let (ii, jj) = (d - row0, d - col0);
+            out.set(ii, jj, out.get(ii, jj) + self.shift);
+        }
     }
 }
 

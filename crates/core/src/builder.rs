@@ -25,7 +25,7 @@ use crate::matrix::HodlrMatrix;
 use hodlr_compress::{
     compress_metered, CompressionConfig, DenseSource, LowRank, MatrixEntrySource,
 };
-use hodlr_la::{AllocMeter, DemoteScalar, DenseMatrix, HodlrError, Scalar};
+use hodlr_la::{AllocMeter, DemoteScalar, DenseMatrix, HodlrError, MatMut, Scalar};
 use hodlr_tree::{ClusterTree, NodeId};
 use rayon::prelude::*;
 
@@ -185,6 +185,14 @@ impl<T: Scalar, S: MatrixEntrySource<T> + ?Sized> MatrixEntrySource<T> for Block
 
     fn entry(&self, i: usize, j: usize) -> T {
         self.inner.entry(self.row_offset + i, self.col_offset + j)
+    }
+
+    /// The inner source's tile, shifted by the block's offsets: one bulk
+    /// call per row, column or leaf block of the build.
+    fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, T>) {
+        debug_assert!(row0 + out.rows() <= self.nrows && col0 + out.cols() <= self.ncols);
+        self.inner
+            .tile(self.row_offset + row0, self.col_offset + col0, out);
     }
 }
 

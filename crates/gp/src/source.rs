@@ -2,7 +2,8 @@
 //! helpers for the common 1-D GP regression layouts.
 
 use crate::kernels::StationaryKernel;
-use hodlr_compress::{MatrixEntrySource, ShiftedSource};
+use hodlr_compress::{symmetric_tile, MatrixEntrySource, ShiftedSource};
+use hodlr_la::MatMut;
 use hodlr_tree::{partition_points, PointCloud, PointPartition};
 use rand::Rng;
 
@@ -34,6 +35,17 @@ impl<K: StationaryKernel + ?Sized> MatrixEntrySource<f64> for CorrelationSource<
 
     fn entry(&self, i: usize, j: usize) -> f64 {
         self.kernel.eval(self.points.distance(i, j))
+    }
+
+    /// Each run is one [`PointCloud::distances`] pass, then the kernel
+    /// over the run.
+    fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, f64>) {
+        symmetric_tile(row0, col0, out, |p, start, run| {
+            self.points.distances(p, start, run);
+            for v in run.iter_mut() {
+                *v = self.kernel.eval(*v);
+            }
+        });
     }
 }
 

@@ -408,10 +408,14 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         self.data[j * self.ld + i]
     }
 
-    /// Column `j` as a contiguous slice of length `rows`.
+    /// Column `j` as a contiguous slice of length `rows` (empty when the
+    /// view has no rows, whose buffer may be empty).
     #[inline]
     pub fn col(&self, j: usize) -> &'a [T] {
         debug_assert!(j < self.cols);
+        if self.rows == 0 {
+            return &self.data[..0];
+        }
         &self.data[j * self.ld..j * self.ld + self.rows]
     }
 
@@ -504,11 +508,27 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         self.data[j * self.ld + i] = value;
     }
 
-    /// Mutable column `j` as a contiguous slice of length `rows`.
+    /// Mutable column `j` as a contiguous slice of length `rows` (empty
+    /// when the view has no rows, whose buffer may be empty).
     #[inline]
     pub fn col_mut(&mut self, j: usize) -> &mut [T] {
         debug_assert!(j < self.cols);
+        if self.rows == 0 {
+            return &mut self.data[..0];
+        }
         &mut self.data[j * self.ld..j * self.ld + self.rows]
+    }
+
+    /// The view's entries as one column-major slice of length `rows *
+    /// cols`, when they are contiguous in memory (see
+    /// [`MatRef::is_contiguous`]): a `1 x k` view with `ld == 1` is its
+    /// row, a `k x 1` view its column.
+    pub fn contiguous_mut(&mut self) -> Option<&mut [T]> {
+        if self.ld == self.rows || self.cols <= 1 {
+            Some(&mut self.data[..self.rows * self.cols])
+        } else {
+            None
+        }
     }
 
     /// Reborrow immutably.
@@ -610,8 +630,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         assert_eq!(self.rows, src.rows());
         assert_eq!(self.cols, src.cols());
         for j in 0..self.cols {
-            let dst = &mut self.data[j * self.ld..j * self.ld + self.rows];
-            dst.copy_from_slice(src.col(j));
+            self.col_mut(j).copy_from_slice(src.col(j));
         }
     }
 
@@ -792,6 +811,37 @@ mod tests {
         assert_eq!(strided.ld(), 4);
         let v = strided.block(0, 3, 2, 0);
         assert_eq!((v.rows(), v.cols(), v.data().len()), (2, 0, 0));
+    }
+
+    #[test]
+    fn contiguous_views_expose_one_slice() {
+        let mut m = sample();
+        assert_eq!(m.as_mut().contiguous_mut().map(|s| s.len()), Some(9));
+        assert_eq!(
+            m.block_mut(1, 1, 2, 1).contiguous_mut(),
+            Some(&mut [5.0, 6.0][..])
+        );
+        assert!(m.block_mut(0, 0, 2, 2).contiguous_mut().is_none());
+        assert!(m.block_mut(1, 0, 1, 3).contiguous_mut().is_none());
+        let mut row = vec![1.0, 2.0, 3.0];
+        let mut view = MatMut::from_parts(&mut row, 1, 3, 1);
+        assert_eq!(view.contiguous_mut(), Some(&mut [1.0, 2.0, 3.0][..]));
+    }
+
+    /// A view with no rows has empty columns and copies nothing, wherever
+    /// its (possibly empty) buffer ends.
+    #[test]
+    fn rowless_views_have_empty_columns() {
+        let mut m = sample();
+        let mut flat = DenseMatrix::<f64>::zeros(0, 5);
+        let mut v = flat.block_mut(0, 1, 0, 4);
+        assert!(v.col_mut(3).is_empty());
+        v.copy_from(MatRef::from_parts(&[], 0, 4, 1));
+        let mut v = m.block_mut(3, 1, 0, 2);
+        assert!(v.col_mut(1).is_empty() && v.as_ref().col(1).is_empty());
+        v.copy_from(MatRef::from_parts(&[], 0, 2, 1));
+        let mut none: [f64; 0] = [];
+        assert!(MatMut::from_parts(&mut none, 0, 6, 1).col_mut(5).is_empty());
     }
 
     #[test]

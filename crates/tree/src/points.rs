@@ -66,12 +66,43 @@ impl PointCloud {
 
     /// Euclidean distance between points `i` and `j`.
     pub fn distance(&self, i: usize, j: usize) -> f64 {
-        self.point(i)
-            .iter()
-            .zip(self.point(j))
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
+        euclidean(self.point(i), self.point(j))
+    }
+
+    /// Distances from point `i` to the run of points `j0 .. j0 +
+    /// out.len()`: `out[k]` gets `distance(i, j0 + k)`, bit for bit.
+    ///
+    /// This is the bulk form a kernel source evaluates a matrix row or
+    /// column through: point `i` is read once, and in 2-D and 3-D the sum
+    /// of squares is written out in the order `distance` adds it, as a
+    /// plain loop over the run.  Every distance is symmetric bit for bit
+    /// (`(a - b)^2` and `(b - a)^2` are equal in IEEE arithmetic), so the
+    /// run also holds `distance(j0 + k, i)`.
+    ///
+    /// # Panics
+    /// Panics if point `i` or a point of the run is not in the cloud.
+    pub fn distances(&self, i: usize, j0: usize, out: &mut [f64]) {
+        let p = self.point(i);
+        let run = &self.coords[j0 * self.dim..(j0 + out.len()) * self.dim];
+        match *p {
+            [x, y] => {
+                for (o, q) in out.iter_mut().zip(run.chunks_exact(2)) {
+                    let (dx, dy) = (x - q[0], y - q[1]);
+                    *o = (dx * dx + dy * dy).sqrt();
+                }
+            }
+            [x, y, z] => {
+                for (o, q) in out.iter_mut().zip(run.chunks_exact(3)) {
+                    let (dx, dy, dz) = (x - q[0], y - q[1], z - q[2]);
+                    *o = (dx * dx + dy * dy + dz * dz).sqrt();
+                }
+            }
+            _ => {
+                for (o, q) in out.iter_mut().zip(run.chunks_exact(self.dim)) {
+                    *o = euclidean(p, q);
+                }
+            }
+        }
     }
 
     /// Minimum pairwise distance (used by the RPY benchmark, where the
@@ -193,6 +224,18 @@ impl PointCloud {
     }
 }
 
+/// The Euclidean distance between two points, summing the squared
+/// coordinate differences in coordinate order.  The sum starts from zero,
+/// which adds nothing to a square (a square is `+0` or more), so in 2-D and
+/// 3-D it equals the plain `dx * dx + dy * dy (+ dz * dz)` bit for bit.
+fn euclidean(p: &[f64], q: &[f64]) -> f64 {
+    p.iter()
+        .zip(q)
+        .map(|(a, b)| (a - b) * (a - b))
+        .sum::<f64>()
+        .sqrt()
+}
+
 /// Result of [`partition_points`]: the cluster tree plus the permutation
 /// that maps tree ordering back to the caller's original point indices.
 #[derive(Clone, Debug)]
@@ -282,7 +325,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn point_cloud_accessors() {
@@ -292,6 +335,33 @@ mod tests {
         assert_eq!(cloud.point(1), &[3.0, 4.0]);
         assert!((cloud.distance(0, 1) - 5.0).abs() < 1e-15);
         assert!((cloud.min_distance() - 2.0_f64.sqrt()).abs() < 1e-15);
+    }
+
+    /// `distances` is `distance` bit for bit, both ways round, in every
+    /// dimension up to 4: runs over the whole cloud, from the point
+    /// itself, ending at the last point, of one point and empty.
+    #[test]
+    fn distances_match_distance_bitwise() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let n = 97;
+        for dim in 1..=4 {
+            // Coordinates of mixed sign and magnitude, so that a reordered
+            // or fused sum of squares rounds differently somewhere.
+            let coords = (0..n * dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let cloud = PointCloud::new(dim, coords);
+            for i in [0, 1, 48, n - 1] {
+                for (j0, len) in [(0, n), (i, n - i), (n - 5, 5), (i, 1), (n, 0), (30, 0)] {
+                    let mut out = vec![f64::NAN; len];
+                    cloud.distances(i, j0, &mut out);
+                    for (k, &d) in out.iter().enumerate() {
+                        let j = j0 + k;
+                        let want = cloud.distance(i, j);
+                        assert_eq!(d.to_bits(), want.to_bits(), "dim {dim}: ({i}, {j})");
+                        assert_eq!(want.to_bits(), cloud.distance(j, i).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
