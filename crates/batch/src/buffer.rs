@@ -88,6 +88,18 @@ impl<T: Scalar> DeviceBuffer<T> {
         self.data.clone()
     }
 
+    /// Hand the storage back to the host, metered as [`DeviceBuffer::download`]
+    /// and released from the allocation gauge as a drop would, without
+    /// copying it.
+    pub fn into_host(mut self) -> Vec<T> {
+        let data = std::mem::take(&mut self.data);
+        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
+        self.device
+            .record_transfer(TransferDirection::DeviceToHost, bytes);
+        self.device.record_free(bytes);
+        data
+    }
+
     /// Copy a sub-range back to the host (metered D2H copy).
     pub fn download_range(&self, offset: usize, len: usize) -> Vec<T> {
         assert!(
@@ -139,6 +151,21 @@ mod tests {
         let c = dev.counters();
         assert_eq!(c.h2d_bytes, 32);
         assert_eq!(c.d2h_bytes, 32);
+    }
+
+    /// `into_host` meters what `download` then a drop would: the same
+    /// device-to-host bytes, and the allocation released.
+    #[test]
+    fn into_host_meters_as_download_then_drop() {
+        let host = vec![1.0_f64, 2.0, 3.0, 4.0];
+        let (copied, moved) = (Device::new(), Device::new());
+        let buf = DeviceBuffer::from_host(&copied, &host);
+        let out = buf.download();
+        drop(buf);
+        assert_eq!(DeviceBuffer::from_host(&moved, &host).into_host(), out);
+        assert_eq!(copied.counters(), moved.counters());
+        assert_eq!(moved.counters().allocated_bytes, 0);
+        assert_eq!(moved.counters().d2h_bytes, 32);
     }
 
     #[test]

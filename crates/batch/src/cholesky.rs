@@ -241,14 +241,7 @@ pub fn potrs_batched_varied<T: Scalar>(
     device.record_launch("potrs_batched", descs.len(), flops, stream.id());
     // No error channel (see `getrs_batched_varied`): FailLaunch degrades
     // to NaN poisoning.
-    let mut poison = false;
-    match device.take_launch_fault("potrs_batched") {
-        Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
-        Some((FaultAction::Delay { micros }, _)) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros))
-        }
-        None => {}
-    }
+    let poison = device.take_poison("potrs_batched");
 
     let a_data = a.data();
     let windows: Vec<MatWindow> = descs
@@ -307,8 +300,11 @@ pub fn extract_tridiagonals_batched<T: Scalar>(
         );
     }
     device.record_launch("extract_tridiagonals_batched", descs.len(), 0, stream.id());
+    // No error channel: FailLaunch degrades to NaN poisoning of the
+    // gathered values.
+    let poison = device.take_poison("extract_tridiagonals_batched");
     let data = a.data();
-    let out: Vec<(Vec<T>, Vec<T>)> = descs
+    let mut out: Vec<(Vec<T>, Vec<T>)> = descs
         .iter()
         .map(|d| {
             let diag = (0..d.n).map(|i| data[d.offset + i * (d.ld + 1)]).collect();
@@ -318,6 +314,13 @@ pub fn extract_tridiagonals_batched<T: Scalar>(
             (diag, sub)
         })
         .collect();
+    if poison {
+        let nan = T::from_f64(f64::NAN);
+        for (diag, sub) in &mut out {
+            diag.fill(nan);
+            sub.fill(nan);
+        }
+    }
     let total: usize = descs.iter().map(|d| d.n + d.n.saturating_sub(1)).sum();
     device.record_transfer(
         crate::device::TransferDirection::DeviceToHost,

@@ -343,6 +343,22 @@ impl Device {
         });
         Some((action, ordinal))
     }
+
+    /// [`Device::take_launch_fault`] for a launch with no error channel:
+    /// sleeps through a `Delay`, and returns `true` when the launch's
+    /// output must be poisoned with NaN.  `FailLaunch` degrades to that
+    /// poisoning, as a failed asynchronous launch on a real device shows
+    /// only as garbage output.
+    pub fn take_poison(&self, kernel: &'static str) -> bool {
+        match self.take_launch_fault(kernel) {
+            Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => true,
+            Some((FaultAction::Delay { micros }, _)) => {
+                std::thread::sleep(std::time::Duration::from_micros(micros));
+                false
+            }
+            None => false,
+        }
+    }
 }
 
 #[cfg(test)]

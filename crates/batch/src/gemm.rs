@@ -15,7 +15,7 @@
 
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
-use crate::fault::{poison_span, FaultAction};
+use crate::fault::poison_span;
 use crate::stream::Stream;
 use crate::windows::{process_windows_mut, MatWindow};
 use hodlr_la::blas::gemm_flops;
@@ -183,16 +183,9 @@ pub fn gemm_strided_batched<T: Scalar>(
 
     let flops: u64 = desc0.flops() * batch as u64;
     device.record_launch("gemm_strided_batched", batch, flops, stream.id());
-    // No error channel on gemm (see `getrs_batched_varied`): FailLaunch
-    // degrades to NaN poisoning of the output windows.
-    let mut poison = false;
-    match device.take_launch_fault("gemm_strided_batched") {
-        Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
-        Some((FaultAction::Delay { micros }, _)) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros))
-        }
-        None => {}
-    }
+    // No error channel on gemm: FailLaunch degrades to NaN poisoning of
+    // the output windows.
+    let poison = device.take_poison("gemm_strided_batched");
 
     let a_data = a.data();
     let b_data = b.data();
@@ -253,16 +246,9 @@ pub fn gemm_batched_varied<T: Scalar>(
     }
     let flops: u64 = descs.iter().map(|d| d.flops()).sum();
     device.record_launch("gemm_batched", descs.len(), flops, stream.id());
-    // No error channel on gemm (see `getrs_batched_varied`): FailLaunch
-    // degrades to NaN poisoning of the output windows.
-    let mut poison = false;
-    match device.take_launch_fault("gemm_batched") {
-        Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
-        Some((FaultAction::Delay { micros }, _)) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros))
-        }
-        None => {}
-    }
+    // No error channel on gemm: FailLaunch degrades to NaN poisoning of
+    // the output windows.
+    let poison = device.take_poison("gemm_batched");
 
     let a_data = a.data();
     let b_data = b.data();
@@ -333,16 +319,9 @@ pub fn gemm_batched_aliased<T: Scalar>(
     }
     let flops: u64 = descs.iter().map(|d| d.flops()).sum();
     device.record_launch("gemm_batched_aliased", descs.len(), flops, stream.id());
-    // No error channel on gemm (see `getrs_batched_varied`): FailLaunch
-    // degrades to NaN poisoning of the output windows.
-    let mut poison = false;
-    match device.take_launch_fault("gemm_batched_aliased") {
-        Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
-        Some((FaultAction::Delay { micros }, _)) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros))
-        }
-        None => {}
-    }
+    // No error channel on gemm: FailLaunch degrades to NaN poisoning of
+    // the output windows.
+    let poison = device.take_poison("gemm_batched_aliased");
 
     let b_data = b.data();
     let windows: Vec<MatWindow> = descs

@@ -312,14 +312,7 @@ pub fn getrs_batched_varied<T: Scalar>(
     device.record_launch("getrs_batched", descs.len(), flops, stream.id());
     // No error channel here (cuBLAS solves report async failures only
     // through garbage output), so FailLaunch degrades to NaN poisoning.
-    let mut poison = false;
-    match device.take_launch_fault("getrs_batched") {
-        Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
-        Some((FaultAction::Delay { micros }, _)) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros))
-        }
-        None => {}
-    }
+    let poison = device.take_poison("getrs_batched");
 
     let a_data = a.data();
     let windows: Vec<MatWindow> = descs
@@ -379,11 +372,18 @@ pub fn extract_diagonals_batched<T: Scalar>(
         );
     }
     device.record_launch("extract_diagonals_batched", descs.len(), 0, stream.id());
+    // No error channel: FailLaunch degrades to NaN poisoning of the
+    // gathered diagonals.
+    let poison = device.take_poison("extract_diagonals_batched");
     let data = a.data();
-    let out: Vec<Vec<T>> = descs
+    let mut out: Vec<Vec<T>> = descs
         .iter()
         .map(|d| (0..d.n).map(|i| data[d.offset + i * (d.ld + 1)]).collect())
         .collect();
+    if poison {
+        let nan = T::from_f64(f64::NAN);
+        out.iter_mut().for_each(|diag| diag.fill(nan));
+    }
     let total: usize = descs.iter().map(|d| d.n).sum();
     device.record_transfer(
         crate::device::TransferDirection::DeviceToHost,

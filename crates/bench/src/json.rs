@@ -197,7 +197,15 @@ pub fn kernel_rows_to_json(rows: &[KernelRow]) -> String {
                 None => "null".to_string(),
             }
         ));
-        out.push_str(&format!("\"isa\": \"{}\"", escape(row.isa)));
+        out.push_str(&format!("\"isa\": \"{}\", ", escape(row.isa)));
+        out.push_str(&format!(
+            "\"op_a\": {}, ",
+            match row.op_a {
+                Some(op) => format!("\"{op:?}\""),
+                None => "null".to_string(),
+            }
+        ));
+        out.push_str(&format!("\"bytes_per_s\": {}", opt_number(row.bytes_per_s)));
         out.push('}');
         if i + 1 < rows.len() {
             out.push(',');
@@ -495,6 +503,8 @@ mod tests {
             speedup_vs_reference: Some(5.0),
             bitwise_vs_1thread: Some(true),
             isa: "x86-64-v3",
+            op_a: Some(hodlr_la::Op::ConjTrans),
+            bytes_per_s: None,
         };
         let json = kernel_rows_to_json(&[row]);
         for key in [
@@ -505,6 +515,8 @@ mod tests {
             "\"speedup_vs_reference\": 5e0",
             "\"bitwise_vs_1thread\": true",
             "\"isa\": \"x86-64-v3\"",
+            "\"op_a\": \"ConjTrans\"",
+            "\"bytes_per_s\": null",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

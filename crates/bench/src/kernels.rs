@@ -1,6 +1,10 @@
 //! Dense-kernel microbenchmarks: gemm / LU / QR / leaf-solve GFLOP/s by
 //! size, scalar type and thread count, plus the blocked-vs-reference
-//! speedup and the bitwise-determinism check across pool sizes.
+//! speedup and the bitwise-determinism check across pool sizes.  The
+//! one-column `gemm` rows (`gemm_1col`, the products of a single-RHS HODLR
+//! solve) also report the bytes of `A` they read per second, next to a
+//! `stream_read` row: a plain read of as many bytes, the ceiling those
+//! rates are read against.
 //!
 //! The `kernels` binary turns these rows into `BENCH_kernels.json`, the perf
 //! trajectory every kernel-touching PR is measured against: the headline
@@ -16,13 +20,14 @@ use hodlr_la::random::random_matrix;
 use hodlr_la::{gemm, isa_level, Complex64, DenseMatrix, Op, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use std::time::Instant;
 
 /// One measured kernel configuration.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// Kernel name: `gemm`, `gemm_reference`, `getrf`, `thin_qr`, `getrs`,
-    /// `potrs`.
+    /// Kernel name: `gemm`, `gemm_reference`, `gemm_1col`, `stream_read`,
+    /// `getrf`, `thin_qr`, `getrs`, `potrs`.
     pub kernel: String,
     /// Scalar type: `f64` or `c64`.
     pub scalar: String,
@@ -36,7 +41,8 @@ pub struct KernelRow {
     pub threads: usize,
     /// Best-of-reps wall time in seconds.
     pub time_s: f64,
-    /// Achieved GFLOP/s (real-flop convention: complex multiply-add = 4x).
+    /// Achieved GFLOP/s (real-flop convention: complex multiply-add = 4x;
+    /// 0 for `stream_read`, which does no flops).
     pub gflops: f64,
     /// Speedup against the naive reference kernel at the same size (one
     /// thread), when the reference was measured.
@@ -47,6 +53,11 @@ pub struct KernelRow {
     /// Instruction-set level the dispatched kernels ran at
     /// ([`hodlr_la::isa_level`]).
     pub isa: &'static str,
+    /// `op_a` of a `gemm_1col` row.
+    pub op_a: Option<Op>,
+    /// Bytes read per second: of `A` in a `gemm_1col` row, of the summed
+    /// array in a `stream_read` row; `None` in every other row.
+    pub bytes_per_s: Option<f64>,
 }
 
 /// Real-flop multiplier (complex multiply-add = 4 real multiply-adds).
@@ -120,6 +131,64 @@ fn time_gemm<T: Scalar>(
         }
     });
     (t, c.into_data())
+}
+
+/// Elements one timing of [`time_gemm_1col`] or [`time_stream_read`] reads
+/// at least, so a small product times enough calls to be read.
+const READ_ELEMENTS: usize = 1 << 24;
+
+/// Time one one-column product `c = op_a(A) x` with `A` stored
+/// `rows x cols`; returns `(time per call, c)`.
+fn time_gemm_1col<T: Scalar>(rows: usize, cols: usize, op_a: Op, reps: usize) -> (f64, Vec<T>) {
+    let mut rng = StdRng::seed_from_u64((rows * 31 + cols) as u64);
+    let a: DenseMatrix<T> = random_matrix(&mut rng, rows, cols);
+    let (m, k) = (op_a.rows_of(&a.as_ref()), op_a.cols_of(&a.as_ref()));
+    let x: DenseMatrix<T> = random_matrix(&mut rng, k, 1);
+    let mut c = DenseMatrix::<T>::zeros(m, 1);
+    let calls = (READ_ELEMENTS / (rows * cols)).max(1);
+    let t = best_of(reps, || {
+        for _ in 0..calls {
+            gemm(
+                T::one(),
+                a.as_ref(),
+                op_a,
+                x.as_ref(),
+                Op::None,
+                T::zero(),
+                c.as_mut(),
+            );
+        }
+    });
+    (t / calls as f64, c.into_data())
+}
+
+/// Words one pool task of [`time_stream_read`] sums (512 KB).
+const STREAM_TASK_WORDS: usize = 1 << 16;
+
+/// Time a plain streaming read of `bytes` bytes, as often as
+/// [`time_gemm_1col`] reads an `A` of `elements` elements: a wrapping sum
+/// of `u64` words, split into pool tasks.  Returns `(time per read, sum)`.
+fn time_stream_read(bytes: usize, elements: usize, reps: usize) -> (f64, u64) {
+    let words: Vec<u64> = (0..bytes / 8)
+        .map(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
+    let calls = (READ_ELEMENTS / elements).max(1);
+    let mut sum = 0;
+    let t = best_of(reps, || {
+        for _ in 0..calls {
+            let parts: Vec<u64> = (0..words.len().div_ceil(STREAM_TASK_WORDS))
+                .into_par_iter()
+                .map(|t| {
+                    let end = (t + 1) * STREAM_TASK_WORDS;
+                    words[t * STREAM_TASK_WORDS..end.min(words.len())]
+                        .iter()
+                        .fold(0u64, |s, &w| s.wrapping_add(w))
+                })
+                .collect();
+            sum = parts.iter().fold(0u64, |s, &p| s.wrapping_add(p));
+        }
+    });
+    (t / calls as f64, sum)
 }
 
 /// Time one in-place LU at order `n`; returns `(time, packed factors)`.
@@ -235,6 +304,9 @@ pub struct KernelBenchConfig {
     pub qr_sizes: Vec<(usize, usize)>,
     /// Right-hand-side counts of the `getrs` / `potrs` rows.
     pub solve_nrhs: Vec<usize>,
+    /// Stored shapes `(rows, cols)` and `op_a` of the `A` of the
+    /// `gemm_1col` rows.
+    pub one_column: Vec<(usize, usize, Op)>,
     /// Thread counts to sweep (the first is the baseline for bitwise
     /// comparisons and must be 1).
     pub threads: Vec<usize>,
@@ -254,6 +326,14 @@ impl KernelBenchConfig {
             // One column, one lane group, and the leaf widths W of the
             // laplace-surface-2d (138) and gp-se-3d (578) benchmarks.
             solve_nrhs: vec![1, 8, 138, 578],
+            // gp-se-3d's top level (8192 child rows, max rank 177) read as
+            // `V^H x` and as `Y w`, both blocked; a laplace-surface-2d
+            // leaf-level `V^H x`, direct.
+            one_column: vec![
+                (8192, 177, Op::ConjTrans),
+                (8192, 177, Op::None),
+                (64, 16, Op::ConjTrans),
+            ],
             threads: vec![1, 2, 8],
             reps: 2,
         }
@@ -268,6 +348,11 @@ impl KernelBenchConfig {
             lu_sizes: vec![160],
             qr_sizes: vec![(128, 100)],
             solve_nrhs: vec![1, 9],
+            one_column: vec![
+                (2048, 177, Op::ConjTrans),
+                (2048, 177, Op::None),
+                (64, 16, Op::ConjTrans),
+            ],
             threads: vec![1, 2],
             reps: 1,
         }
@@ -298,6 +383,8 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: None,
                 isa,
+                op_a: None,
+                bytes_per_s: None,
             });
             Some(t)
         } else {
@@ -328,6 +415,68 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 },
                 bitwise_vs_1thread: bitwise,
                 isa,
+                op_a: None,
+                bytes_per_s: None,
+            });
+        }
+    }
+
+    // One-column products (a single-RHS solve's `V^H x` and `x -= Y w`),
+    // then a plain read of as many bytes as the largest `A`.
+    let size = std::mem::size_of::<T>();
+    for &(a_rows, a_cols, op_a) in &config.one_column {
+        let (m, k) = if op_a == Op::None {
+            (a_rows, a_cols)
+        } else {
+            (a_cols, a_rows)
+        };
+        let mut base_out: Option<Vec<T>> = None;
+        for &nt in &config.threads {
+            let (t, out) =
+                pool(nt).install(|| time_gemm_1col::<T>(a_rows, a_cols, op_a, config.reps));
+            let bitwise = base_out.as_ref().map(|b| bitwise_eq(b, &out));
+            if base_out.is_none() {
+                base_out = Some(out);
+            }
+            rows.push(KernelRow {
+                kernel: "gemm_1col".into(),
+                scalar: scalar.clone(),
+                m,
+                n: 1,
+                k,
+                threads: nt,
+                time_s: t,
+                gflops: ff * gemm_flops(m, 1, k) as f64 / t / 1e9,
+                speedup_vs_reference: None,
+                bitwise_vs_1thread: bitwise,
+                isa,
+                op_a: Some(op_a),
+                bytes_per_s: Some((a_rows * a_cols * size) as f64 / t),
+            });
+        }
+    }
+    if let Some(&(a_rows, a_cols, _)) = config.one_column.iter().max_by_key(|s| s.0 * s.1) {
+        let mut base_sum = None;
+        for &nt in &config.threads {
+            let elements = a_rows * a_cols;
+            let (t, sum) =
+                pool(nt).install(|| time_stream_read(elements * size, elements, config.reps));
+            let bitwise = base_sum.map(|b| b == sum);
+            base_sum.get_or_insert(sum);
+            rows.push(KernelRow {
+                kernel: "stream_read".into(),
+                scalar: scalar.clone(),
+                m: a_rows,
+                n: 1,
+                k: a_cols,
+                threads: nt,
+                time_s: t,
+                gflops: 0.0,
+                speedup_vs_reference: None,
+                bitwise_vs_1thread: bitwise,
+                isa,
+                op_a: None,
+                bytes_per_s: Some((elements * size) as f64 / t),
             });
         }
     }
@@ -353,6 +502,8 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
                 isa,
+                op_a: None,
+                bytes_per_s: None,
             });
         }
     }
@@ -378,6 +529,8 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
                 isa,
+                op_a: None,
+                bytes_per_s: None,
             });
         }
     }
@@ -406,6 +559,8 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     speedup_vs_reference: None,
                     bitwise_vs_1thread: bitwise,
                     isa,
+                    op_a: None,
+                    bytes_per_s: None,
                 });
             }
         }
@@ -433,17 +588,29 @@ pub fn run_kernel_bench(config: &KernelBenchConfig) -> Vec<KernelRow> {
 /// Print the rows as an aligned table.
 pub fn print_kernel_table(rows: &[KernelRow]) {
     println!(
-        "{:<16} {:>6} {:>6} {:>6} {:>6} {:>8} {:>12} {:>10} {:>9} {:>8}",
-        "kernel", "scalar", "m", "n", "k", "threads", "time [s]", "GFLOP/s", "speedup", "bitwise"
+        "{:<16} {:>6} {:>6} {:>6} {:>6} {:>9} {:>8} {:>12} {:>10} {:>9} {:>8} {:>7}",
+        "kernel",
+        "scalar",
+        "m",
+        "n",
+        "k",
+        "op_a",
+        "threads",
+        "time [s]",
+        "GFLOP/s",
+        "speedup",
+        "bitwise",
+        "GB/s"
     );
     for r in rows {
         println!(
-            "{:<16} {:>6} {:>6} {:>6} {:>6} {:>8} {:>12.4e} {:>10.3} {:>9} {:>8}",
+            "{:<16} {:>6} {:>6} {:>6} {:>6} {:>9} {:>8} {:>12.4e} {:>10.3} {:>9} {:>8} {:>7}",
             r.kernel,
             r.scalar,
             r.m,
             r.n,
             r.k,
+            r.op_a.map_or("-".into(), |op| format!("{op:?}")),
             r.threads,
             r.time_s,
             r.gflops,
@@ -452,6 +619,9 @@ pub fn print_kernel_table(rows: &[KernelRow]) {
                 .unwrap_or_else(|| "-".into()),
             r.bitwise_vs_1thread
                 .map(|b| if b { "yes" } else { "NO" }.to_string())
+                .unwrap_or_else(|| "-".into()),
+            r.bytes_per_s
+                .map(|b| format!("{:.2}", b / 1e9))
                 .unwrap_or_else(|| "-".into()),
         );
     }
@@ -469,6 +639,11 @@ mod tests {
         config.reference_sizes = vec![96];
         config.lu_sizes = vec![96];
         config.qr_sizes = vec![(64, 48)];
+        config.one_column = vec![
+            (1024, 300, Op::ConjTrans),
+            (1024, 300, Op::None),
+            (64, 16, Op::ConjTrans),
+        ];
         config.threads = vec![1, 2];
         let rows = run_kernel_bench(&config);
         assert!(rows.iter().any(|r| r.kernel == "gemm" && r.scalar == "f64"));
@@ -481,6 +656,23 @@ mod tests {
             for nrhs in [1, 9] {
                 assert!(rows.iter().any(|r| r.kernel == kernel && r.n == nrhs));
             }
+        }
+        // Every one-column shape for both scalars, and the read ceiling;
+        // only those rows carry a rate.
+        for scalar in ["f64", "c64"] {
+            for op in [Op::ConjTrans, Op::None] {
+                assert!(rows
+                    .iter()
+                    .any(|r| r.kernel == "gemm_1col" && r.scalar == scalar && r.op_a == Some(op)));
+            }
+            assert!(rows
+                .iter()
+                .any(|r| r.kernel == "stream_read" && r.scalar == scalar));
+        }
+        for r in &rows {
+            let rated = r.kernel == "gemm_1col" || r.kernel == "stream_read";
+            assert_eq!(r.bytes_per_s.is_some(), rated, "{}", r.kernel);
+            assert_eq!(r.op_a.is_some(), r.kernel == "gemm_1col", "{}", r.kernel);
         }
         // Every multi-thread row must report a bitwise verdict, and it must
         // be "identical".

@@ -638,7 +638,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         }
 
         // Download the solution (metered D2H transfer).
-        x_buf.download()
+        x_buf.into_host()
     }
 }
 
@@ -679,15 +679,22 @@ fn write_coupling_identities<T: Scalar>(
     w: usize,
 ) {
     device.record_launch("assemble_coupling_identity", batch, 0, 0);
+    // No error channel: FailLaunch degrades to NaN poisoning of the
+    // identity entries.
+    let one = if device.take_poison("assemble_coupling_identity") {
+        T::from_f64(f64::NAN)
+    } else {
+        T::one()
+    };
     let k_stride = 4 * w * w;
     let data = k_buf.data_mut();
     for p in 0..batch {
         let base = p * k_stride;
         for i in 0..w {
             // Block (0, 1): entry (i, w + i).
-            data[base + (w + i) * 2 * w + i] = T::one();
+            data[base + (w + i) * 2 * w + i] = one;
             // Block (1, 0): entry (w + i, i).
-            data[base + i * 2 * w + w + i] = T::one();
+            data[base + i * 2 * w + w + i] = one;
         }
     }
 }
@@ -875,8 +882,9 @@ mod tests {
     /// The factorization overwrites `Dbig` and `Ybig` in place, so it runs
     /// once per upload: a second call after success launches nothing and
     /// keeps the factors, and after a launch fault part-way through (a
-    /// coupling-level `getrf`: launch 5, 10 or 14 here) a retry is a typed
-    /// error that launches nothing, instead of re-factoring the factors.
+    /// coupling-level `getrf` or `potrf`: launch 6, 12 or 17 here) a retry
+    /// is a typed error that launches nothing, instead of re-factoring the
+    /// factors.
     #[test]
     fn factorize_runs_at_most_once_per_upload() {
         use crate::matrix::random_hodlr_spd;
@@ -897,7 +905,7 @@ mod tests {
             assert_eq!((again, c.kernel_launches), (Ok(()), 0));
             assert_eq!(gpu.solve(&b).unwrap(), x);
 
-            for k in [5, 10, 14] {
+            for k in [6, 12, 17] {
                 let mut gpu = upload();
                 device.arm_faults(FaultPlan::new().fail_launch(k));
                 let first = gpu.factorize();
@@ -925,6 +933,47 @@ mod tests {
         check(&device, &spd, || {
             GpuSymmetricSolver::new(&device, &spd, Symmetry::PositiveDefinite).unwrap()
         });
+    }
+
+    /// Every launch of a factorization and its `log_det` consults the fault
+    /// plan once, as it is logged: a `PoisonNan` armed at ordinal `i`
+    /// fires on the `i`-th logged launch, whatever its kernel (the coupling
+    /// identities and the log-det gathers included).
+    #[test]
+    fn fault_ordinals_follow_the_launch_log() {
+        use crate::matrix::random_hodlr_spd;
+        use crate::symmetric::Symmetry;
+        use hodlr_batch::FaultPlan;
+
+        fn check<K: FactorKind<f64>>(upload: impl Fn(&Device) -> BatchedSolver<'static, f64, K>) {
+            // Upload first, then log and count launches from a clean slate.
+            let run = |plan: FaultPlan| {
+                let device = Device::new().with_launch_log();
+                let mut gpu = upload(&device);
+                device.reset_counters();
+                device.arm_faults(plan);
+                if gpu.factorize().is_ok() {
+                    let _ = gpu.log_det();
+                }
+                (device.launch_log(), device.disarm_faults())
+            };
+            let (log, fired) = run(FaultPlan::new());
+            assert!(fired.is_empty());
+            for kernel in ["assemble_coupling_identity", "extract_"] {
+                assert!(log.iter().any(|l| l.kernel.starts_with(kernel)), "{kernel}");
+            }
+            for (i, launch) in (1..).zip(&log) {
+                let (_, fired) = run(FaultPlan::new().poison_launch(i));
+                let fired: Vec<_> = fired.iter().map(|f| (f.launch, f.kernel)).collect();
+                assert_eq!(fired, [(i, launch.kernel)], "ordinal {i}");
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(9);
+        let lu: HodlrMatrix<f64> = random_hodlr(&mut rng, 128, 3, 3);
+        let spd: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 128, 3, 3);
+        check(|device| GpuSolver::new(device, &lu));
+        check(|device| GpuSymmetricSolver::new(device, &spd, Symmetry::PositiveDefinite).unwrap());
     }
 
     #[test]

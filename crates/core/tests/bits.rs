@@ -9,6 +9,10 @@
 //! as a diff.  At n = 1024 with 4 levels and rank 9 the leaf solves run
 //! against W = 36 columns and the deepest `V^H Y` projections (27 columns)
 //! take gemm's direct path, so the eight-lane kernels of both families run.
+//! At n = 4096 with 3 levels and rank 128 the top level's children have
+//! 2048 rows, so its single-RHS `V^H x` and `x -= Y w` products are
+//! 128 x 2048, exactly `GEMM_DIRECT_THRESHOLD` multiply-adds: gemm's
+//! blocked regime.
 
 use hodlr_batch::Device;
 use hodlr_core::matrix::{random_hodlr, random_hodlr_spd};
@@ -239,6 +243,42 @@ solve_matrix 9: serial d7cfa065d1586705 batched d7cfa065d1586705
 solve_matrix 17: serial a5923f5d92c160cc batched a5923f5d92c160cc
 solve_matrix 32: serial 56e898c8417b504d batched 56e898c8417b504d
 log_det: serial 0c8e13bead0011a4 batched 0c8e13bead0011a4
+",
+    );
+}
+
+#[test]
+fn lu_f64_n4096_blocked_one_column() {
+    check(
+        record_lu::<f64>(4096, 3, 128, 1609),
+        r"
+ybig 4223ffd066d02233
+solve: serial 49c77de5e8db98bc batched 49c77de5e8db98bc
+solve_matrix 1: serial 49c77de5e8db98bc batched 49c77de5e8db98bc
+solve_matrix 7: serial a412074d6cd616fb batched a412074d6cd616fb
+solve_matrix 8: serial 63faeb65e3b3a95c batched 63faeb65e3b3a95c
+solve_matrix 9: serial 72ffd110c9afb2bf batched 72ffd110c9afb2bf
+solve_matrix 17: serial bc41f4ab0c8af35c batched bc41f4ab0c8af35c
+solve_matrix 32: serial ac9eaa624f04036b batched ac9eaa624f04036b
+log_det: serial 8bb34e8a8458df99 batched 8bb34e8a8458df99
+",
+    );
+}
+
+#[test]
+fn spd_f64_n4096_blocked_one_column() {
+    check(
+        record_spd::<f64>(4096, 3, 128, 1610),
+        r"
+ybig 2f0a6635a7413e0b
+solve: serial 0c0d5b97974027d9 batched 0c0d5b97974027d9
+solve_matrix 1: serial 0c0d5b97974027d9 batched 0c0d5b97974027d9
+solve_matrix 7: serial 4347c653ffe21078 batched 4347c653ffe21078
+solve_matrix 8: serial 62bc7477575461ba batched 62bc7477575461ba
+solve_matrix 9: serial fe13c541d2be57fc batched fe13c541d2be57fc
+solve_matrix 17: serial 7974d69b9abf4a2a batched 7974d69b9abf4a2a
+solve_matrix 32: serial c8f6159964361659 batched c8f6159964361659
+log_det: serial a2788874705d0c44 batched a2788874705d0c44
 ",
     );
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// The in-place variants are the primitive operations; the allocating
 /// variants have default implementations on top of them (one copy of the
 /// right-hand sides, then the in-place solve).  The batched backend
-/// overrides `solve_block` to upload `b` without that copy.
+/// overrides `solve` and `solve_block` to upload `b` without that copy.
 pub trait Solve<T: Scalar> {
     /// The dimension `n` of the (square) factorized operator.
     fn dim(&self) -> usize;
@@ -215,6 +215,10 @@ impl<T: Scalar, K: FactorKind<T>> Solve<T> for BatchedSolver<'_, T, K> {
         let out = BatchedSolver::solve(self, x)?;
         x.copy_from_slice(&out);
         Ok(())
+    }
+
+    fn solve(&self, b: &[T]) -> Result<Vec<T>, HodlrError> {
+        BatchedSolver::solve(self, b)
     }
 
     fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {

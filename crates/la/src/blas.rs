@@ -61,23 +61,64 @@
 //! the oracle for property tests and the baseline the `kernels` bench bin
 //! (BENCH_kernels.json) measures speedups against.
 //!
+//! # One column
+//!
+//! A single-right-hand-side HODLR solve (the paper's Algorithm 4, once per
+//! Krylov iteration when HODLR preconditions) calls `gemm` with `op_b(B)`
+//! one column wide at every level: `w = V^H x` and `x -= Y w`.  The
+//! general paths waste that shape: the blocked path copies all of `A` into
+//! packed panels and runs the microkernel with the one real column padded
+//! to `NR`, and the dot form runs each output as one dependent chain of
+//! adds.  So when `op_b(B)` has one column (copied out first when `op_b`
+//! is transposed), `gemm` reads `A` in place, once, with independent
+//! accumulation chains, and gives every entry exactly the operations the
+//! general path gives it:
+//!
+//! - **Blocked regime** (`m * k >= GEMM_DIRECT_THRESHOLD`).  There entry
+//!   `i` gets `c_i += alpha * acc_s` for each [`GEMM_KC`] slab `s` in
+//!   ascending order, where `acc_s` starts at zero and adds
+//!   `op_a(A)[i, p] * b_p` unfused in ascending `p` (conjugation is
+//!   folded into the pack; the padded rows and columns are discarded).
+//!   With `op_a == Op::None` the one-column path splits `C` into fixed
+//!   chunks of rows, and each chunk's accumulator adds eight columns of
+//!   `A` per pass, each row its terms in order: contiguous reads that
+//!   vectorize across rows.  With `A` transposed, eight outputs run side
+//!   by side from eight stored columns of `A`, each lane its own in-order
+//!   chain per slab (the output lanes of [`crate::triangular`]); leftover
+//!   outputs run one at a time.  Row chunks and groups of eight outputs
+//!   are pool tasks.  The split depends only on the shape, and no entry's
+//!   operations depend on it.
+//! - **Direct regime, transposed `A`**: the same eight-output kernel with
+//!   one slab of length `k`, so each entry is still
+//!   `c_i += alpha * dot[_conj](A[:, i], b)`, as in the dot form.
+//! - **Direct regime, `op_a == Op::None`**: unchanged, the per-column
+//!   fused `axpy` that skips zero scales.
+//!
+//! Every entry therefore runs the same IEEE operations on the same operands
+//! in the same order as before; only where the operands are read from and
+//! which entries run side by side changed.  `n >= 2` keeps the general
+//! paths, right-hand-side lanes included.  The serial and batched solve
+//! sweeps both reach `gemm`, so serial == batched still holds bitwise.
+//!
 //! # ISA dispatch
 //!
 //! The workspace builds for baseline x86-64, where every `mul_add` in
 //! [`axpy_slice`] is an out-of-line call into the `fma` routine and loops
 //! vectorize only to SSE2.  The kernels that carry the flops — one `gemm`
-//! tile, the direct path with its eight-lane dot form, [`gemv`] and
-//! [`axpy_slice`] here; the unblocked LU, Cholesky, `L D L^H` and
+//! tile, the direct path with its eight-lane dot form, the two one-column
+//! kernels, [`gemv`] and [`axpy_slice`] here; the unblocked LU, Cholesky,
+//! `L D L^H` and
 //! Bunch-Kaufman kernels, the Bunch-Kaufman solve and the eight-lane
 //! kernels of the triangular and `L^H` solves elsewhere in the crate — are
 //! each compiled a second time for AVX2 + FMA (x86-64-v3), and every call
-//! picks the copy the running CPU supports ([`crate::isa_level`] names it).  Inside a dispatched kernel the
-//! inner loops call the non-dispatching `axpy` body, so the whole kernel
-//! runs in one copy with `vfmadd` and no per-element call.  For `gemm` the
-//! dispatch sits in the per-tile function that the parallel tile closure
-//! calls, not around `gemm` itself: a closure is compiled with the target
-//! features of the function it is written in, so dispatching `gemm` alone
-//! would leave the microkernel at SSE2.  The copies differ only in
+//! picks the copy the running CPU supports ([`crate::isa_level`] names
+//! it).  Inside a dispatched kernel the inner loops call the
+//! non-dispatching `axpy` body, so the whole kernel runs in one copy with
+//! `vfmadd` and no per-element call.  For `gemm` the dispatch sits in the
+//! per-tile (or per-chunk) function that the parallel closure calls, not
+//! around `gemm` itself: a closure is compiled with the target features of
+//! the function it is written in, so dispatching `gemm` alone would leave
+//! the microkernel at SSE2.  The copies differ only in
 //! instruction selection, so results are bitwise identical at every ISA
 //! level.
 
@@ -199,7 +240,9 @@ pub fn gemm<T: Scalar>(
         return;
     }
 
-    if m * n * k < GEMM_DIRECT_THRESHOLD {
+    if n == 1 && (op_a != Op::None || m * k >= GEMM_DIRECT_THRESHOLD) {
+        gemm_one_column(alpha, &a, op_a, &b, op_b, c.col_mut(0));
+    } else if m * n * k < GEMM_DIRECT_THRESHOLD {
         gemm_direct(alpha, &a, op_a, &b, op_b, &mut c);
     } else if T::IS_COMPLEX {
         // Complex accumulators are twice as wide; a smaller register tile
@@ -340,6 +383,169 @@ pub(crate) fn dot_form_columns<T: Scalar>(
                 dot(a.col(i), b_slice)
             };
             *ci += alpha * acc;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One column: `op_b(B)` is a single vector, `A` is read in place, once.
+// ---------------------------------------------------------------------------
+
+/// Rows of `C` per task (and per accumulator) of the one-column path with
+/// `A` as stored.
+const ONE_COLUMN_ROWS: usize = 512;
+
+/// `gemm` with one column, in the blocked regime or with transposed `A`
+/// (`c` already beta-scaled, `alpha != 0`, `k > 0`).  Every entry gets the
+/// operations of the general path at `n = 1` (module docs, "One column").
+fn gemm_one_column<T: Scalar>(
+    alpha: T,
+    a: &MatRef<'_, T>,
+    op_a: Op,
+    b: &MatRef<'_, T>,
+    op_b: Op,
+    c: &mut [T],
+) {
+    let k = op_a.cols_of(a);
+    let b_col: Vec<T>;
+    let x: &[T] = if op_b == Op::None {
+        b.col(0)
+    } else {
+        b_col = (0..k).map(|p| op_b.at(b, p, 0)).collect();
+        &b_col
+    };
+    // The closures only forward, as in `gemm_blocked`: the dispatch sits in
+    // the kernels.
+    match op_a {
+        Op::None => c
+            .par_chunks_mut(ONE_COLUMN_ROWS)
+            .enumerate()
+            .for_each(|(t, c)| one_column_rows(alpha, a, t * ONE_COLUMN_ROWS, x, c)),
+        Op::Trans | Op::ConjTrans => {
+            let conj = op_a == Op::ConjTrans;
+            if c.len() * k >= GEMM_DIRECT_THRESHOLD {
+                c.par_chunks_mut(LANES)
+                    .enumerate()
+                    .for_each(|(t, c)| one_column_dots(alpha, a, conj, t * LANES, x, GEMM_KC, c));
+            } else {
+                one_column_dots(alpha, a, conj, 0, x, k, c);
+            }
+        }
+    }
+}
+
+multiversion! {
+    /// `c[r] += alpha * acc_s[r]` for each [`GEMM_KC`] slab `s` of `x`, in
+    /// order, where `acc_s` starts at zero and adds `A[i0 + r, p] * x[p]`
+    /// unfused in ascending `p`: the blocked path's operations at `n = 1`.
+    /// The columns of `A` are read in place, eight per pass over a chunk of
+    /// rows.
+    pub(crate) fn one_column_rows<T: Scalar>(
+        alpha: T,
+        a: &MatRef<'_, T>,
+        i0: usize,
+        x: &[T],
+        c: &mut [T],
+    ) = one_column_rows_body;
+}
+
+#[inline(always)]
+pub(crate) fn one_column_rows_body<T: Scalar>(
+    alpha: T,
+    a: &MatRef<'_, T>,
+    i0: usize,
+    x: &[T],
+    c: &mut [T],
+) {
+    let mut acc = [T::zero(); ONE_COLUMN_ROWS];
+    for (r0, c) in (i0..)
+        .step_by(ONE_COLUMN_ROWS)
+        .zip(c.chunks_mut(ONE_COLUMN_ROWS))
+    {
+        let rows = r0..r0 + c.len();
+        let acc = &mut acc[..c.len()];
+        for (p0, slab) in (0..).step_by(GEMM_KC).zip(x.chunks(GEMM_KC)) {
+            acc.fill(T::zero());
+            // Eight columns per pass: each row adds their terms in order.
+            let mut groups = slab.chunks_exact(LANES);
+            for (p, xs) in (p0..).step_by(LANES).zip(&mut groups) {
+                let cols: [&[T]; LANES] = std::array::from_fn(|l| &a.col(p + l)[rows.clone()]);
+                for (r, s) in acc.iter_mut().enumerate() {
+                    let mut t = *s;
+                    for (col, &xp) in cols.iter().zip(xs) {
+                        t += col[r] * xp;
+                    }
+                    *s = t;
+                }
+            }
+            let p1 = p0 + slab.len() - groups.remainder().len();
+            for (p, &xp) in (p1..).zip(groups.remainder()) {
+                for (s, &v) in acc.iter_mut().zip(&a.col(p)[rows.clone()]) {
+                    *s += v * xp;
+                }
+            }
+            for (ci, &s) in c.iter_mut().zip(acc.iter()) {
+                *ci += alpha * s;
+            }
+        }
+    }
+}
+
+multiversion! {
+    /// `c[r] += alpha * acc_s[r]` for each `kc` slab `s` of `x`, in order,
+    /// where `acc_s` starts at zero and adds `op(A[p, i0 + r]) * x[p]`
+    /// unfused in ascending `p` (`op` conjugates when `conj`): with `kc`
+    /// = [`GEMM_KC`] the blocked path's operations at `n = 1`, with
+    /// `kc = k` the direct path's `dot[_conj]`.  Eight outputs run side by
+    /// side from eight stored columns, each lane its own chain; leftover
+    /// outputs run one at a time.
+    pub(crate) fn one_column_dots<T: Scalar>(
+        alpha: T,
+        a: &MatRef<'_, T>,
+        conj: bool,
+        i0: usize,
+        x: &[T],
+        kc: usize,
+        c: &mut [T],
+    ) = one_column_dots_body;
+}
+
+#[inline(always)]
+pub(crate) fn one_column_dots_body<T: Scalar>(
+    alpha: T,
+    a: &MatRef<'_, T>,
+    conj: bool,
+    i0: usize,
+    x: &[T],
+    kc: usize,
+    c: &mut [T],
+) {
+    let op = |v: T| if conj { v.conj() } else { v };
+    let i1 = i0 + c.len() - c.len() % LANES;
+    let mut groups = c.chunks_exact_mut(LANES);
+    for (i, c) in (i0..).step_by(LANES).zip(&mut groups) {
+        let cols: [&[T]; LANES] = std::array::from_fn(|l| a.col(i + l));
+        for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
+            let segs = cols.map(|col| &col[p0..p0 + slab.len()]);
+            let mut acc = [T::zero(); LANES];
+            for (p, &xp) in slab.iter().enumerate() {
+                for (s, seg) in acc.iter_mut().zip(&segs) {
+                    *s += op(seg[p]) * xp;
+                }
+            }
+            for (ci, s) in c.iter_mut().zip(acc) {
+                *ci += alpha * s;
+            }
+        }
+    }
+    for (i, ci) in (i1..).zip(groups.into_remainder()) {
+        let col = a.col(i);
+        for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
+            let mut s = T::zero();
+            for (&v, &xp) in col[p0..].iter().zip(slab) {
+                s += op(v) * xp;
+            }
+            *ci += alpha * s;
         }
     }
 }
@@ -751,6 +957,7 @@ pub(crate) fn gemv_body<T: Scalar>(
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
+    use crate::scalar::RealScalar;
     use crate::Complex64;
 
     fn naive_gemm<T: Scalar>(
@@ -917,6 +1124,119 @@ mod tests {
         );
         let expect = a.to_owned().matmul(&b.to_owned());
         assert!(big_c.sub_matrix(0, 0, 4, 3).sub(&expect).norm_max() < 1e-13);
+    }
+
+    /// Bit patterns of the real and imaginary parts (`f32` widens exactly).
+    fn bits<T: Scalar>(xs: &[T]) -> Vec<(u64, u64)> {
+        xs.iter()
+            .map(|x| (x.real().to_f64().to_bits(), x.imag().to_f64().to_bits()))
+            .collect()
+    }
+
+    /// `gemm` at `n = 1` through the general paths, called directly: the
+    /// beta scaling, then `gemm_direct` below the threshold or every tile
+    /// of the blocked grid at or above it.
+    fn general_one_column<T: Scalar>(
+        alpha: T,
+        a: &MatRef<'_, T>,
+        op_a: Op,
+        b: &MatRef<'_, T>,
+        op_b: Op,
+        beta: T,
+        c: &mut MatMut<'_, T>,
+    ) {
+        for x in c.col_mut(0) {
+            *x = if beta == T::zero() {
+                T::zero()
+            } else {
+                *x * beta
+            };
+        }
+        if op_a.rows_of(a) * op_a.cols_of(a) < GEMM_DIRECT_THRESHOLD {
+            gemm_direct(alpha, a, op_a, b, op_b, c);
+        } else {
+            for tile in &mut c_tiles(c) {
+                if T::IS_COMPLEX {
+                    gemm_tile_body::<T, GEMM_MR_COMPLEX, GEMM_NR_COMPLEX>(
+                        alpha, a, op_a, b, op_b, tile,
+                    );
+                } else {
+                    gemm_tile_body::<T, GEMM_MR, GEMM_NR>(alpha, a, op_a, b, op_b, tile);
+                }
+            }
+        }
+    }
+
+    /// Every `op_a` x `op_b` at `n = 1`, in both regimes (one below and
+    /// exactly at the threshold among them), with leftover outputs, several
+    /// slabs and row chunks, on strided views, against the general paths.
+    fn check_one_column<T: Scalar>(seed: u64) {
+        use crate::random::random_matrix;
+        use rand::{rngs::StdRng, SeedableRng};
+        let ops = [Op::None, Op::Trans, Op::ConjTrans];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pools: Vec<_> = [1, 2, 8]
+            .map(|t| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(t)
+                    .build()
+                    .unwrap()
+            })
+            .into();
+        let mut shapes = vec![(513, 511), (512, 512), (1100, 300)];
+        for m in [1, 7, 8, 9, 95, 96, 97, 177] {
+            for k in [1, 255, 256, 257, 600] {
+                shapes.push((m, k));
+            }
+            // The smallest blocked-regime k at this m: several slabs.
+            shapes.push((m, GEMM_DIRECT_THRESHOLD.div_ceil(m)));
+        }
+        for (m, k) in shapes {
+            for op_a in ops {
+                for op_b in ops {
+                    // Operands stored inside larger matrices, so ld > rows.
+                    let stored = |rng: &mut StdRng, op: Op, rows: usize, cols: usize| {
+                        let (r, c) = if op == Op::None {
+                            (rows, cols)
+                        } else {
+                            (cols, rows)
+                        };
+                        let big: DenseMatrix<T> = random_matrix(rng, r + 3, c + 1);
+                        (big, r, c)
+                    };
+                    let (a, ar, ac) = stored(&mut rng, op_a, m, k);
+                    let (b, br, bc) = stored(&mut rng, op_b, k, 1);
+                    let c0: DenseMatrix<T> = random_matrix(&mut rng, m + 2, 1);
+                    let (a, b) = (a.block(2, 1, ar, ac), b.block(1, 0, br, bc));
+                    for (alpha, beta) in [(1.0, 0.0), (-1.0, 1.0), (0.5, 2.0)] {
+                        let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                        let mut want = c0.clone();
+                        let mut c = want.block_mut(1, 0, m, 1);
+                        general_one_column(alpha, &a, op_a, &b, op_b, beta, &mut c);
+                        for pool in &pools {
+                            let mut got = c0.clone();
+                            pool.install(|| {
+                                gemm(alpha, a, op_a, b, op_b, beta, got.block_mut(1, 0, m, 1))
+                            });
+                            assert_eq!(
+                                bits(got.data()),
+                                bits(want.data()),
+                                "{m}x1x{k} {op_a:?}/{op_b:?} alpha {alpha:?} beta {beta:?} \
+                                 at {} threads",
+                                pool.current_num_threads()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_column_path_matches_general_paths_bitwise() {
+        check_one_column::<f64>(41);
+        check_one_column::<f32>(42);
+        check_one_column::<Complex64>(43);
     }
 
     #[test]

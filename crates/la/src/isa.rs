@@ -150,6 +150,33 @@ mod tests {
                 }
             }
         }
+        // The one-column kernels `gemm` sends `n = 1` to: the dot form in
+        // the direct regime (one slab of length k), then the blocked regime
+        // (GEMM_KC slabs) with leftover outputs and several row chunks.
+        for (m, k) in [(9, 40), (177, 1200), (13, 20165), (1100, 300)] {
+            let blocked = m * k >= GEMM_DIRECT_THRESHOLD;
+            let x: Vec<T> = random_vector(rng, k);
+            let c: Vec<T> = random_vector(rng, m);
+            if blocked {
+                let a: DenseMatrix<T> = random_matrix(rng, m, k);
+                let (mut base, mut disp) = (c.clone(), c.clone());
+                blas::one_column_rows_body(alpha, &a.as_ref(), 0, &x, &mut base);
+                blas::one_column_rows(alpha, &a.as_ref(), 0, &x, &mut disp);
+                assert_eq!(bits(&base), bits(&disp), "one-column rows {m}x{k}");
+            }
+            let a: DenseMatrix<T> = random_matrix(rng, k, m);
+            let kc = if blocked { blas::GEMM_KC } else { k };
+            for conj in [false, true] {
+                let (mut base, mut disp) = (c.clone(), c.clone());
+                blas::one_column_dots_body(alpha, &a.as_ref(), conj, 0, &x, kc, &mut base);
+                blas::one_column_dots(alpha, &a.as_ref(), conj, 0, &x, kc, &mut disp);
+                assert_eq!(
+                    bits(&base),
+                    bits(&disp),
+                    "one-column dots {m}x{k} conj {conj}"
+                );
+            }
+        }
     }
 
     fn check_level2<T: Scalar>(rng: &mut StdRng) {

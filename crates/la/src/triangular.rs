@@ -3,19 +3,27 @@
 //! # Eight-lane path
 //!
 //! A substitution is one dependent chain per right-hand side: entry `i` of
-//! a column waits on every entry solved before it.  The solves here (and
-//! the `L^H` solve in [`crate::cholesky`] and the dot form of `gemm`'s
-//! direct path, which follow the same contract) therefore run eight
-//! columns side by side.  Each full group of eight columns is packed row
-//! by row into `[T; 8]`, and lane `l` runs exactly the operation
-//! sequence its column runs on its own: the same operands in the same
-//! order, unfused.  The lanes are independent chains that the CPU overlaps
-//! and the compiler vectorizes, and no column's reduction is reordered, so
-//! every entry is bitwise what the per-column loop produces.  The leftover
-//! `cols % 8` columns, and with them every single-right-hand-side
-//! solve, take the per-column loop; the lane buffer is allocated only when
-//! a full group exists.  The lane kernels are ISA-dispatched
-//! ([`crate::isa_level`]); the per-column loops of the solves are not.
+//! a column waits on every entry solved before it.  The solves here
+//! therefore run eight columns side by side.  Each full group of eight
+//! columns is packed row by row into `[T; 8]`, and lane `l` runs exactly
+//! the operation sequence its column runs on its own: the same operands in
+//! the same order, unfused.  The lanes are independent chains that the CPU
+//! overlaps and the compiler vectorizes, and no column's reduction is
+//! reordered, so every entry is bitwise what the per-column loop produces.
+//! The leftover `cols % 8` columns, and with them every
+//! single-right-hand-side solve, take the per-column loop; the lane buffer
+//! is allocated only when a full group exists.  The lane kernels are
+//! ISA-dispatched ([`crate::isa_level`]); the per-column loops of the
+//! solves are not.
+//!
+//! Two kinds of lane kernels in the crate follow this contract.
+//! *Right-hand-side lanes* run eight columns of the right-hand side side
+//! by side: the solves here, the `L^H` solve in [`crate::cholesky`], and
+//! the dot form of `gemm`'s direct path (eight columns of `op_b(B)`).
+//! *Output lanes* run eight entries of one output column side by side:
+//! `gemm`'s one-column path with transposed `A`, one stored column of `A`
+//! per lane (see "One column" in [`crate::blas`]).  Either way a lane's
+//! chain is the one its entry runs alone.
 
 use crate::dense::{MatMut, MatRef};
 use crate::isa::multiversion;
