@@ -1,7 +1,18 @@
 //! Device buffers: explicit host ↔ device copies with metered traffic.
+//!
+//! A host-to-device copy lands in a fresh allocation, so its cost is the
+//! first touch of every page, not the bytes moved.  Uploads therefore run
+//! as pool tasks over fixed pieces of at most 1 MiB, which takes those
+//! page faults on every worker; a [`Device::sequential`] device copies on
+//! the calling thread.
 
 use crate::device::{Device, TransferDirection};
 use hodlr_la::Scalar;
+use rayon::prelude::*;
+
+/// Bytes per pool task of a host-to-device copy: large enough that an
+/// upload of one right-hand side stays one task.
+const COPY_CHUNK_BYTES: usize = 1 << 20;
 
 /// A column-major allocation living in (virtual) device memory.
 ///
@@ -33,8 +44,17 @@ impl<T: Scalar> DeviceBuffer<T> {
     /// Allocate a buffer and copy `host` into it (a `cudaMemcpy` host →
     /// device; the transferred bytes are metered).
     pub fn from_host(device: &Device, host: &[T]) -> Self {
-        let mut buf = Self::zeros(device, host.len());
-        buf.upload(host);
+        Self::from_host_blocks(device, &[host])
+    }
+
+    /// Allocate a buffer holding `blocks` back to back and copy each into
+    /// its offset, metered as [`DeviceBuffer::from_host`] of their
+    /// concatenation, which is never built on the host.
+    pub fn from_host_blocks(device: &Device, blocks: &[&[T]]) -> Self {
+        let mut buf = Self::zeros(device, blocks.iter().map(|b| b.len()).sum());
+        buf.device
+            .record_transfer(TransferDirection::HostToDevice, buf.size_bytes());
+        buf.copy_in(blocks);
         buf
     }
 
@@ -63,7 +83,27 @@ impl<T: Scalar> DeviceBuffer<T> {
             TransferDirection::HostToDevice,
             std::mem::size_of_val(host) as u64,
         );
-        self.data.copy_from_slice(host);
+        self.copy_in(&[host]);
+    }
+
+    /// Copy `blocks` back to back over the whole buffer, in pieces of at
+    /// most [`COPY_CHUNK_BYTES`] that run as pool tasks.
+    fn copy_in(&mut self, blocks: &[&[T]]) {
+        let chunk = (COPY_CHUNK_BYTES / std::mem::size_of::<T>()).max(1);
+        let mut pieces: Vec<(&mut [T], &[T])> = Vec::new();
+        let mut rest = self.data.as_mut_slice();
+        for block in blocks {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(block.len());
+            rest = tail;
+            pieces.extend(dst.chunks_mut(chunk).zip(block.chunks(chunk)));
+        }
+        debug_assert!(rest.is_empty());
+        let copy = |(dst, src): (&mut [T], &[T])| dst.copy_from_slice(src);
+        if self.device.is_parallel() {
+            pieces.into_par_iter().for_each(copy);
+        } else {
+            pieces.into_iter().for_each(copy);
+        }
     }
 
     /// Overwrite a sub-range of the buffer from host memory (metered).
@@ -166,6 +206,27 @@ mod tests {
         assert_eq!(copied.counters(), moved.counters());
         assert_eq!(moved.counters().allocated_bytes, 0);
         assert_eq!(moved.counters().d2h_bytes, 32);
+    }
+
+    /// Blocks land back to back, bit for bit, and meter one upload of
+    /// their concatenation, whether the pieces run on the pool or on the
+    /// calling thread.  The 300,000-element block spans three pieces.
+    #[test]
+    fn from_host_blocks_meters_as_one_upload_of_the_concatenation() {
+        let blocks: Vec<Vec<f64>> = [3, 0, 300_000, 17]
+            .iter()
+            .enumerate()
+            .map(|(b, &len)| (0..len).map(|i| (b * 7 + i) as f64 - 0.5).collect())
+            .collect();
+        let views: Vec<&[f64]> = blocks.iter().map(Vec::as_slice).collect();
+        let joined = blocks.concat();
+        let reference = Device::sequential();
+        let whole = DeviceBuffer::from_host(&reference, &joined);
+        for device in [Device::new(), Device::sequential()] {
+            let buf = DeviceBuffer::from_host_blocks(&device, &views);
+            assert_eq!(buf.data(), whole.data());
+            assert_eq!(device.counters(), reference.counters());
+        }
     }
 
     #[test]

@@ -281,6 +281,17 @@ pub fn fitted_exponent(points: &[(usize, f64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
+/// Percentile over a copy of `values` (nearest-rank); 0 when empty.
+pub(crate) fn percentile(values: &[f64], p: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -185,6 +185,7 @@ pub fn kernel_rows_to_json(rows: &[KernelRow]) -> String {
         out.push_str(&format!("\"k\": {}, ", row.k));
         out.push_str(&format!("\"threads\": {}, ", row.threads));
         out.push_str(&format!("\"time_s\": {}, ", number(row.time_s)));
+        out.push_str(&format!("\"time_iqr_s\": {}, ", number(row.time_iqr_s)));
         out.push_str(&format!("\"gflops\": {}, ", number(row.gflops)));
         out.push_str(&format!(
             "\"speedup_vs_reference\": {}, ",
@@ -499,6 +500,7 @@ mod tests {
             k: 1024,
             threads: 8,
             time_s: 0.25,
+            time_iqr_s: 0.01,
             gflops: 8.6,
             speedup_vs_reference: Some(5.0),
             bitwise_vs_1thread: Some(true),
@@ -512,6 +514,7 @@ mod tests {
             "\"scalar\": \"f64\"",
             "\"m\": 1024",
             "\"threads\": 8",
+            "\"time_iqr_s\": 1e-2",
             "\"speedup_vs_reference\": 5e0",
             "\"bitwise_vs_1thread\": true",
             "\"isa\": \"x86-64-v3\"",

@@ -1,6 +1,8 @@
 //! Dense-kernel microbenchmarks: gemm / LU / QR / leaf-solve GFLOP/s by
 //! size, scalar type and thread count, plus the blocked-vs-reference
-//! speedup and the bitwise-determinism check across pool sizes.  The
+//! speedup and the bitwise-determinism check across pool sizes.  Each
+//! row's time is the median of its timed runs, reported with their
+//! interquartile range.  The
 //! one-column `gemm` rows (`gemm_1col`, the products of a single-RHS HODLR
 //! solve) also report the bytes of `A` they read per second, next to a
 //! `stream_read` row: a plain read of as many bytes, the ceiling those
@@ -12,8 +14,11 @@
 //! retained naive reference kernel
 //! ([`hodlr_la::blas::gemm_reference`]).
 
+use crate::harness::percentile;
 use hodlr_la::blas::{gemm_flops, gemm_reference};
-use hodlr_la::cholesky::{potrf_in_place, potrs_in_place};
+use hodlr_la::cholesky::{
+    bunch_kaufman_in_place, bunch_kaufman_solve_in_place, potrf_in_place, potrs_in_place, BkPivot,
+};
 use hodlr_la::lu::{getrf_in_place, getrs_in_place};
 use hodlr_la::qr::thin_qr;
 use hodlr_la::random::random_matrix;
@@ -27,7 +32,7 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct KernelRow {
     /// Kernel name: `gemm`, `gemm_reference`, `gemm_1col`, `stream_read`,
-    /// `getrf`, `thin_qr`, `getrs`, `potrs`.
+    /// `getrf`, `thin_qr`, `getrs`, `potrs`, `sytrs`.
     pub kernel: String,
     /// Scalar type: `f64` or `c64`.
     pub scalar: String,
@@ -39,8 +44,11 @@ pub struct KernelRow {
     pub k: usize,
     /// Pool size the row was measured with.
     pub threads: usize,
-    /// Best-of-reps wall time in seconds.
+    /// Median wall time of the timed runs, in seconds.
     pub time_s: f64,
+    /// Interquartile range of the timed runs' wall times, in seconds (0
+    /// for a single run).
+    pub time_iqr_s: f64,
     /// Achieved GFLOP/s (real-flop convention: complex multiply-add = 4x;
     /// 0 for `stream_read`, which does no flops).
     pub gflops: f64,
@@ -77,15 +85,36 @@ fn scalar_name<T: Scalar>() -> &'static str {
     }
 }
 
-/// Best-of-`reps` wall time of `f`.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+/// Median and interquartile range of a row's timed runs, in seconds.
+#[derive(Clone, Copy, Debug)]
+struct Timing {
+    median: f64,
+    iqr: f64,
+}
+
+impl Timing {
+    /// Per call, when each timed run made `calls` calls.
+    fn per_call(self, calls: usize) -> Timing {
+        Timing {
+            median: self.median / calls as f64,
+            iqr: self.iqr / calls as f64,
+        }
     }
-    best
+}
+
+/// Time `reps` runs of `f`.
+fn timed_runs(reps: usize, mut f: impl FnMut()) -> Timing {
+    let secs: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    Timing {
+        median: percentile(&secs, 50.0),
+        iqr: percentile(&secs, 75.0) - percentile(&secs, 25.0),
+    }
 }
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -102,12 +131,12 @@ fn time_gemm<T: Scalar>(
     k: usize,
     reps: usize,
     reference: bool,
-) -> (f64, Vec<T>) {
+) -> (Timing, Vec<T>) {
     let mut rng = StdRng::seed_from_u64((m * 31 + n * 7 + k) as u64);
     let a: DenseMatrix<T> = random_matrix(&mut rng, m, k);
     let b: DenseMatrix<T> = random_matrix(&mut rng, k, n);
     let mut c = DenseMatrix::<T>::zeros(m, n);
-    let t = best_of(reps, || {
+    let t = timed_runs(reps, || {
         if reference {
             gemm_reference(
                 T::one(),
@@ -139,14 +168,14 @@ const READ_ELEMENTS: usize = 1 << 24;
 
 /// Time one one-column product `c = op_a(A) x` with `A` stored
 /// `rows x cols`; returns `(time per call, c)`.
-fn time_gemm_1col<T: Scalar>(rows: usize, cols: usize, op_a: Op, reps: usize) -> (f64, Vec<T>) {
+fn time_gemm_1col<T: Scalar>(rows: usize, cols: usize, op_a: Op, reps: usize) -> (Timing, Vec<T>) {
     let mut rng = StdRng::seed_from_u64((rows * 31 + cols) as u64);
     let a: DenseMatrix<T> = random_matrix(&mut rng, rows, cols);
     let (m, k) = (op_a.rows_of(&a.as_ref()), op_a.cols_of(&a.as_ref()));
     let x: DenseMatrix<T> = random_matrix(&mut rng, k, 1);
     let mut c = DenseMatrix::<T>::zeros(m, 1);
     let calls = (READ_ELEMENTS / (rows * cols)).max(1);
-    let t = best_of(reps, || {
+    let t = timed_runs(reps, || {
         for _ in 0..calls {
             gemm(
                 T::one(),
@@ -159,7 +188,7 @@ fn time_gemm_1col<T: Scalar>(rows: usize, cols: usize, op_a: Op, reps: usize) ->
             );
         }
     });
-    (t / calls as f64, c.into_data())
+    (t.per_call(calls), c.into_data())
 }
 
 /// Words one pool task of [`time_stream_read`] sums (512 KB).
@@ -168,13 +197,13 @@ const STREAM_TASK_WORDS: usize = 1 << 16;
 /// Time a plain streaming read of `bytes` bytes, as often as
 /// [`time_gemm_1col`] reads an `A` of `elements` elements: a wrapping sum
 /// of `u64` words, split into pool tasks.  Returns `(time per read, sum)`.
-fn time_stream_read(bytes: usize, elements: usize, reps: usize) -> (f64, u64) {
+fn time_stream_read(bytes: usize, elements: usize, reps: usize) -> (Timing, u64) {
     let words: Vec<u64> = (0..bytes / 8)
         .map(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .collect();
     let calls = (READ_ELEMENTS / elements).max(1);
     let mut sum = 0;
-    let t = best_of(reps, || {
+    let t = timed_runs(reps, || {
         for _ in 0..calls {
             let parts: Vec<u64> = (0..words.len().div_ceil(STREAM_TASK_WORDS))
                 .into_par_iter()
@@ -188,15 +217,15 @@ fn time_stream_read(bytes: usize, elements: usize, reps: usize) -> (f64, u64) {
             sum = parts.iter().fold(0u64, |s, &p| s.wrapping_add(p));
         }
     });
-    (t / calls as f64, sum)
+    (t.per_call(calls), sum)
 }
 
 /// Time one in-place LU at order `n`; returns `(time, packed factors)`.
-fn time_getrf<T: Scalar>(n: usize, reps: usize) -> (f64, Vec<T>) {
+fn time_getrf<T: Scalar>(n: usize, reps: usize) -> (Timing, Vec<T>) {
     let mut rng = StdRng::seed_from_u64(n as u64 ^ 0x5eed);
     let a: DenseMatrix<T> = random_matrix(&mut rng, n, n);
     let mut out = Vec::new();
-    let t = best_of(reps, || {
+    let t = timed_runs(reps, || {
         let mut lu = a.clone();
         getrf_in_place(lu.as_mut()).expect("bench matrix is nonsingular");
         out = lu.into_data();
@@ -205,11 +234,11 @@ fn time_getrf<T: Scalar>(n: usize, reps: usize) -> (f64, Vec<T>) {
 }
 
 /// Time one thin QR at `m x n`; returns `(time, Q data)`.
-fn time_qr<T: Scalar>(m: usize, n: usize, reps: usize) -> (f64, Vec<T>) {
+fn time_qr<T: Scalar>(m: usize, n: usize, reps: usize) -> (Timing, Vec<T>) {
     let mut rng = StdRng::seed_from_u64((m * 13 + n) as u64);
     let a: DenseMatrix<T> = random_matrix(&mut rng, m, n);
     let mut out = Vec::new();
-    let t = best_of(reps, || {
+    let t = timed_runs(reps, || {
         let (q, _r) = thin_qr(&a);
         out = q.into_data();
     });
@@ -217,11 +246,13 @@ fn time_qr<T: Scalar>(m: usize, n: usize, reps: usize) -> (f64, Vec<T>) {
 }
 
 /// The leaf solves: `getrs` with an LU factor, `potrs` with a Cholesky
-/// factor.
+/// factor, and `sytrs` with a Bunch-Kaufman factor of a Hermitian
+/// indefinite matrix (the batched coupling solves' kernel).
 #[derive(Clone, Copy)]
 enum LeafSolve {
     Getrs,
     Potrs,
+    Sytrs,
 }
 
 /// Order of the factor in the `getrs` / `potrs` rows: a HODLR leaf.
@@ -234,13 +265,30 @@ const SOLVE_COLUMNS: usize = 4096;
 /// Time one [`LEAF_ORDER`]-order leaf solve against `nrhs` right-hand
 /// sides; returns `(time per solve, solution)`.  Each call solves a fresh
 /// copy of the same right-hand sides.
-fn time_leaf_solve<T: Scalar>(kind: LeafSolve, nrhs: usize, reps: usize) -> (f64, Vec<T>) {
+fn time_leaf_solve<T: Scalar>(kind: LeafSolve, nrhs: usize, reps: usize) -> (Timing, Vec<T>) {
     let order = LEAF_ORDER;
     let mut rng = StdRng::seed_from_u64((order * 17 + nrhs) as u64);
     let mut f: DenseMatrix<T> = random_matrix(&mut rng, order, order);
     let mut piv = Vec::new();
+    let mut bk_piv = Vec::new();
     match kind {
         LeafSolve::Getrs => piv = getrf_in_place(f.as_mut()).expect("bench matrix is nonsingular"),
+        LeafSolve::Sytrs => {
+            // G + G^H with a diagonal of 8 on every third row and 0
+            // elsewhere: Hermitian indefinite, and Bunch-Kaufman takes
+            // both pivot sizes.
+            let g = f.conj_transpose();
+            f.axpy(T::one(), &g);
+            for i in 0..order {
+                f[(i, i)] = T::from_f64(if i % 3 == 0 { 8.0 } else { 0.0 });
+            }
+            bk_piv = bunch_kaufman_in_place(f.as_mut()).expect("bench matrix is nonsingular");
+            assert!(
+                bk_piv.iter().any(|p| matches!(p, BkPivot::Single(_)))
+                    && bk_piv.iter().any(|p| matches!(p, BkPivot::Double(_))),
+                "the sytrs factor must take both pivot sizes"
+            );
+        }
         LeafSolve::Potrs => {
             // G G^H + order * I is Hermitian positive definite.
             let g = f.clone();
@@ -263,16 +311,17 @@ fn time_leaf_solve<T: Scalar>(kind: LeafSolve, nrhs: usize, reps: usize) -> (f64
     let b: DenseMatrix<T> = random_matrix(&mut rng, order, nrhs);
     let calls = (SOLVE_COLUMNS / nrhs.max(1)).max(1);
     let mut x = b.clone();
-    let t = best_of(reps, || {
+    let t = timed_runs(reps, || {
         for _ in 0..calls {
             x.data_mut().copy_from_slice(b.data());
             match kind {
                 LeafSolve::Getrs => getrs_in_place(f.as_ref(), &piv, x.as_mut()),
                 LeafSolve::Potrs => potrs_in_place(f.as_ref(), x.as_mut()),
+                LeafSolve::Sytrs => bunch_kaufman_solve_in_place(f.as_ref(), &bk_piv, x.as_mut()),
             }
         }
     });
-    (t / calls as f64, x.into_data())
+    (t.per_call(calls), x.into_data())
 }
 
 /// Flop counts of the factorizations (real multiply-add = 2 flops).
@@ -286,7 +335,8 @@ fn qr_flops(m: usize, n: usize) -> f64 {
 }
 
 /// Two triangular solves of order `n` per right-hand side: `2 n^2` flops
-/// each (the unit diagonal of `getrs`'s `L` is not discounted).
+/// each (the unit diagonals of `getrs`'s and `sytrs`'s `L` are not
+/// discounted, nor `sytrs`'s block-diagonal `D` counted).
 fn leaf_solve_flops(n: usize, nrhs: usize) -> f64 {
     2.0 * (n as f64) * (n as f64) * nrhs as f64
 }
@@ -302,7 +352,7 @@ pub struct KernelBenchConfig {
     pub lu_sizes: Vec<usize>,
     /// QR shapes `(m, n)`.
     pub qr_sizes: Vec<(usize, usize)>,
-    /// Right-hand-side counts of the `getrs` / `potrs` rows.
+    /// Right-hand-side counts of the `getrs` / `potrs` / `sytrs` rows.
     pub solve_nrhs: Vec<usize>,
     /// Stored shapes `(rows, cols)` and `op_a` of the `A` of the
     /// `gemm_1col` rows.
@@ -310,7 +360,7 @@ pub struct KernelBenchConfig {
     /// Thread counts to sweep (the first is the baseline for bitwise
     /// comparisons and must be 1).
     pub threads: Vec<usize>,
-    /// Timing repetitions (best-of).
+    /// Timed runs per row (the row reports their median and IQR).
     pub reps: usize,
 }
 
@@ -328,14 +378,16 @@ impl KernelBenchConfig {
             solve_nrhs: vec![1, 8, 138, 578],
             // gp-se-3d's top level (8192 child rows, max rank 177) read as
             // `V^H x` and as `Y w`, both blocked; a laplace-surface-2d
-            // leaf-level `V^H x`, direct.
+            // leaf-level `V^H x`, direct; and seven outputs, fewer than
+            // one lane group, over 65536 rows, blocked.
             one_column: vec![
                 (8192, 177, Op::ConjTrans),
                 (8192, 177, Op::None),
                 (64, 16, Op::ConjTrans),
+                (65536, 7, Op::ConjTrans),
             ],
             threads: vec![1, 2, 8],
-            reps: 2,
+            reps: 7,
         }
     }
 
@@ -378,15 +430,16 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 n: s,
                 k: s,
                 threads: 1,
-                time_s: t,
-                gflops: flops / t / 1e9,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
+                gflops: flops / t.median / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: None,
                 isa,
                 op_a: None,
                 bytes_per_s: None,
             });
-            Some(t)
+            Some(t.median)
         } else {
             None
         };
@@ -406,10 +459,11 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 n: s,
                 k: s,
                 threads: nt,
-                time_s: t,
-                gflops: flops / t / 1e9,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
+                gflops: flops / t.median / 1e9,
                 speedup_vs_reference: if nt == 1 {
-                    reference_t.map(|rt| rt / t)
+                    reference_t.map(|rt| rt / t.median)
                 } else {
                     None
                 },
@@ -445,13 +499,14 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 n: 1,
                 k,
                 threads: nt,
-                time_s: t,
-                gflops: ff * gemm_flops(m, 1, k) as f64 / t / 1e9,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
+                gflops: ff * gemm_flops(m, 1, k) as f64 / t.median / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: Some(op_a),
-                bytes_per_s: Some((a_rows * a_cols * size) as f64 / t),
+                bytes_per_s: Some((a_rows * a_cols * size) as f64 / t.median),
             });
         }
     }
@@ -470,13 +525,14 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 n: 1,
                 k: a_cols,
                 threads: nt,
-                time_s: t,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
                 gflops: 0.0,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
-                bytes_per_s: Some((elements * size) as f64 / t),
+                bytes_per_s: Some((elements * size) as f64 / t.median),
             });
         }
     }
@@ -497,8 +553,9 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 n: s,
                 k: s,
                 threads: nt,
-                time_s: t,
-                gflops: ff * getrf_flops(s) / t / 1e9,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
+                gflops: ff * getrf_flops(s) / t.median / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
                 isa,
@@ -524,8 +581,9 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 n,
                 k: n,
                 threads: nt,
-                time_s: t,
-                gflops: ff * qr_flops(m, n) / t / 1e9,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
+                gflops: ff * qr_flops(m, n) / t.median / 1e9,
                 speedup_vs_reference: None,
                 bitwise_vs_1thread: bitwise,
                 isa,
@@ -535,10 +593,14 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
         }
     }
 
-    // The leaf solves of Algorithms 1 and 3: one factor against `nrhs`
-    // columns.  One column runs the per-column loop, eight or more the
-    // eight-lane path.
-    for (kind, name) in [(LeafSolve::Getrs, "getrs"), (LeafSolve::Potrs, "potrs")] {
+    // The leaf solves of Algorithms 1 and 3, and the Bunch-Kaufman solve of
+    // their coupling matrices: one factor against `nrhs` columns.  One
+    // column runs the per-column loop, eight or more the eight-lane path.
+    for (kind, name) in [
+        (LeafSolve::Getrs, "getrs"),
+        (LeafSolve::Potrs, "potrs"),
+        (LeafSolve::Sytrs, "sytrs"),
+    ] {
         for &nrhs in &config.solve_nrhs {
             let mut base_out: Option<Vec<T>> = None;
             for &nt in &config.threads {
@@ -554,8 +616,9 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     n: nrhs,
                     k: LEAF_ORDER,
                     threads: nt,
-                    time_s: t,
-                    gflops: ff * leaf_solve_flops(LEAF_ORDER, nrhs) / t / 1e9,
+                    time_s: t.median,
+                    time_iqr_s: t.iqr,
+                    gflops: ff * leaf_solve_flops(LEAF_ORDER, nrhs) / t.median / 1e9,
                     speedup_vs_reference: None,
                     bitwise_vs_1thread: bitwise,
                     isa,
@@ -588,7 +651,7 @@ pub fn run_kernel_bench(config: &KernelBenchConfig) -> Vec<KernelRow> {
 /// Print the rows as an aligned table.
 pub fn print_kernel_table(rows: &[KernelRow]) {
     println!(
-        "{:<16} {:>6} {:>6} {:>6} {:>6} {:>9} {:>8} {:>12} {:>10} {:>9} {:>8} {:>7}",
+        "{:<16} {:>6} {:>6} {:>6} {:>6} {:>9} {:>8} {:>12} {:>10} {:>10} {:>9} {:>8} {:>7}",
         "kernel",
         "scalar",
         "m",
@@ -597,6 +660,7 @@ pub fn print_kernel_table(rows: &[KernelRow]) {
         "op_a",
         "threads",
         "time [s]",
+        "IQR [s]",
         "GFLOP/s",
         "speedup",
         "bitwise",
@@ -604,7 +668,7 @@ pub fn print_kernel_table(rows: &[KernelRow]) {
     );
     for r in rows {
         println!(
-            "{:<16} {:>6} {:>6} {:>6} {:>6} {:>9} {:>8} {:>12.4e} {:>10.3} {:>9} {:>8} {:>7}",
+            "{:<16} {:>6} {:>6} {:>6} {:>6} {:>9} {:>8} {:>12.4e} {:>10.2e} {:>10.3} {:>9} {:>8} {:>7}",
             r.kernel,
             r.scalar,
             r.m,
@@ -613,6 +677,7 @@ pub fn print_kernel_table(rows: &[KernelRow]) {
             r.op_a.map_or("-".into(), |op| format!("{op:?}")),
             r.threads,
             r.time_s,
+            r.time_iqr_s,
             r.gflops,
             r.speedup_vs_reference
                 .map(|s| format!("{s:.2}x"))
@@ -652,7 +717,7 @@ mod tests {
             .iter()
             .any(|r| r.kernel == "getrf" && r.scalar == "c64"));
         assert!(rows.iter().any(|r| r.kernel == "thin_qr"));
-        for kernel in ["getrs", "potrs"] {
+        for kernel in ["getrs", "potrs", "sytrs"] {
             for nrhs in [1, 9] {
                 assert!(rows.iter().any(|r| r.kernel == kernel && r.n == nrhs));
             }
@@ -677,7 +742,7 @@ mod tests {
         // Every multi-thread row must report a bitwise verdict, and it must
         // be "identical".
         for r in &rows {
-            assert!(r.time_s > 0.0);
+            assert!(r.time_s > 0.0 && r.time_iqr_s >= 0.0);
             assert!(r.gflops.is_finite());
             if r.threads > 1 {
                 assert_eq!(

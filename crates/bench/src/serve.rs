@@ -34,6 +34,7 @@ use hodlr_serve::{
 };
 use std::time::Instant;
 
+use crate::harness::percentile;
 use crate::workloads::laplace_hodlr;
 
 /// One row of the serving table: one scenario, aggregated over its whole
@@ -265,17 +266,6 @@ fn drive(
         result_bits,
         failed,
     }
-}
-
-/// Percentile over a copy of `values` (nearest-rank); 0 when empty.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank]
 }
 
 /// Order-sensitive fold of the result stream into one telltale float.

@@ -93,16 +93,33 @@ fn compress_block<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized>(
     Ok(lr)
 }
 
-/// Copy the columns of `factor` into `big[rows, col0..]`.
-fn place_columns<T: Scalar>(
-    big: &mut DenseMatrix<T>,
-    factor: &DenseMatrix<T>,
-    rows: std::ops::Range<usize>,
-    col0: usize,
-) {
-    for j in 0..factor.cols() {
-        big.col_mut(col0 + j)[rows.clone()].copy_from_slice(factor.col(j));
-    }
+/// The flattened `n x total` basis of Fig. 3: column `j` of level `l`'s
+/// block holds column `j` of every level-`l` node's factor on that node's
+/// rows, zero where the factor is narrower.  One pool task per column, so
+/// the fresh allocation's first-touch page faults are taken on every
+/// worker.
+fn flatten_bases<T: Scalar>(
+    tree: &ClusterTree,
+    layout: &LevelLayout,
+    factors: &[Option<DenseMatrix<T>>],
+) -> DenseMatrix<T> {
+    let n = tree.n();
+    let mut big = DenseMatrix::zeros(n, layout.total_cols());
+    let columns: Vec<(usize, usize)> = (1..=layout.levels())
+        .flat_map(|level| (0..layout.width(level)).map(move |j| (level, j)))
+        .collect();
+    big.data_mut()
+        .par_chunks_mut(n.max(1))
+        .enumerate()
+        .for_each(|(c, dst)| {
+            let (level, j) = columns[c];
+            for node in tree.level_nodes(level) {
+                if let Some(f) = factors[node].as_ref().filter(|f| j < f.cols()) {
+                    dst[tree.range(node)].copy_from_slice(f.col(j));
+                }
+            }
+        });
+    big
 }
 
 /// Name the widest sibling block hanging off the given parents, for budget
@@ -328,20 +345,8 @@ pub fn build_from_source_with<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized
     if let Some(meter) = meter {
         meter.record_alloc(flattened_bytes);
     }
-    let mut ubig = DenseMatrix::zeros(n, total);
-    let mut vbig = DenseMatrix::zeros(n, total);
-    for level in 1..=levels {
-        let col0 = layout.col_range(level).start;
-        for node in tree.level_nodes(level) {
-            let rows = tree.range(node);
-            if let Some(u) = &u_of[node] {
-                place_columns(&mut ubig, u, rows.clone(), col0);
-            }
-            if let Some(v) = &v_of[node] {
-                place_columns(&mut vbig, v, rows, col0);
-            }
-        }
-    }
+    let ubig = flatten_bases(&tree, &layout, &u_of);
+    let vbig = flatten_bases(&tree, &layout, &v_of);
     // The per-node factors are consumed by the flattened bases.
     drop(u_of);
     drop(v_of);
@@ -486,15 +491,7 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
     if let Some(meter) = meter {
         meter.record_alloc(flattened_bytes);
     }
-    let mut ubig = DenseMatrix::zeros(n, total);
-    for level in 1..=levels {
-        let col0 = layout.col_range(level).start;
-        for node in tree.level_nodes(level) {
-            if let Some(u) = &u_of[node] {
-                place_columns(&mut ubig, u, tree.range(node), col0);
-            }
-        }
-    }
+    let ubig = flatten_bases(&tree, &layout, &u_of);
     drop(u_of);
     if let Some(meter) = meter {
         meter.record_free(factor_bytes);

@@ -777,16 +777,15 @@ impl<T: SolveScalar> Factorize<T> for Hodlr<T> {
                     Box::new(self.run_in_pool(|| matrix.factorize_symmetric(self.symmetry))?)
                 }
                 Backend::Serial => Box::new(self.run_in_pool(|| matrix.factorize_serial())?),
-                Backend::Batched if symmetric => {
+                // The upload runs in the pool too: its copies are pool tasks.
+                Backend::Batched if symmetric => Box::new(self.run_in_pool(|| {
                     let mut solver = GpuSymmetricSolver::new(&self.device, matrix, self.symmetry)?;
-                    self.run_in_pool(|| solver.factorize())?;
-                    Box::new(solver)
-                }
-                Backend::Batched => {
+                    solver.factorize().map(|()| solver)
+                })?),
+                Backend::Batched => Box::new(self.run_in_pool(|| {
                     let mut solver = GpuSolver::new(&self.device, matrix);
-                    self.run_in_pool(|| solver.factorize())?;
-                    Box::new(solver)
-                }
+                    solver.factorize().map(|()| solver)
+                })?),
             },
         };
         Ok(Factorization {

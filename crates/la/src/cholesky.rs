@@ -536,7 +536,9 @@ pub(crate) fn bunch_kaufman_in_place_body<T: Scalar>(
 
 multiversion! {
     /// Solve `A X = B` in place given packed Bunch-Kaufman factors and their
-    /// pivot steps (LAPACK `hetrs`, `uplo = 'L'`).
+    /// pivot steps (LAPACK `hetrs`, `uplo = 'L'`).  Full groups of eight
+    /// columns are solved side by side, bitwise as one at a time (see
+    /// [`crate::triangular`]).
     pub fn bunch_kaufman_solve_in_place<T: Scalar>(
         f: MatRef<'_, T>,
         piv: &[BkPivot],
@@ -552,6 +554,23 @@ pub(crate) fn bunch_kaufman_solve_in_place_body<T: Scalar>(
 ) {
     let n = f.rows();
     assert_eq!(n, b.rows(), "bunch-kaufman solve: rhs has wrong row count");
+    let grouped = b.cols() - b.cols() % LANES;
+    if grouped > 0 {
+        let mut x = vec![[T::zero(); LANES]; n];
+        for j0 in (0..grouped).step_by(LANES) {
+            pack_lanes(&b, j0, &mut x);
+            bunch_kaufman_solve_lanes(f, piv, &mut x);
+            unpack_lanes(&x, &mut b, j0);
+        }
+    }
+    let rest = b.cols() - grouped;
+    bunch_kaufman_solve_columns(f, piv, b.block_mut(0, grouped, n, rest));
+}
+
+/// The per-column Bunch-Kaufman solve: every column of `b` on its own.
+#[inline(always)]
+fn bunch_kaufman_solve_columns<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], mut b: MatMut<'_, T>) {
+    let n = f.rows();
 
     // Forward sweep: x <- D^{-1} L^{-1} P^T b, step by step.
     let mut k = 0;
@@ -627,6 +646,121 @@ pub(crate) fn bunch_kaufman_solve_in_place_body<T: Scalar>(
                 if kp != k + 1 {
                     swap_b_rows(&mut b, k + 1, kp);
                 }
+            }
+        }
+    }
+}
+
+/// One lane group of the Bunch-Kaufman solve: lane `l` of `x` runs
+/// [`bunch_kaufman_solve_columns`]'s operations on its column, row swaps
+/// included, with each fused update skipped where that column skips it.
+#[inline(always)]
+fn bunch_kaufman_solve_lanes<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], x: &mut [[T; LANES]]) {
+    let n = x.len();
+
+    let mut k = 0;
+    for p in piv {
+        match *p {
+            BkPivot::Single(kp) => {
+                x.swap(k, kp);
+                let d = T::Real::one() / f.get(k, k).real();
+                let xk = x[k];
+                update_lanes(&f.col(k)[k + 1..], xk, &mut x[k + 1..]);
+                x[k] = xk.map(|v| v.scale(d));
+                k += 1;
+            }
+            BkPivot::Double(kp) => {
+                x.swap(k + 1, kp);
+                let akm1k = f.get(k + 1, k);
+                let akm1 = f.get(k, k) * akm1k.conj().recip();
+                let ak = f.get(k + 1, k + 1) * akm1k.recip();
+                let denom = (akm1 * ak - T::one()).recip();
+                let (xk, xk1) = (x[k], x[k + 1]);
+                let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
+                if all_nonzero(&xk) && all_nonzero(&xk1) {
+                    // Both updates of an entry back to back, as a column
+                    // runs them.
+                    let (nk, nk1) = (xk.map(|v| -v), xk1.map(|v| -v));
+                    for ((xi, &a), &a1) in x[k + 2..].iter_mut().zip(fk).zip(fk1) {
+                        for ((v, &s), &s1) in xi.iter_mut().zip(&nk).zip(&nk1) {
+                            *v = a1.mul_add(s1, a.mul_add(s, *v));
+                        }
+                    }
+                } else {
+                    update_lanes(fk, xk, &mut x[k + 2..]);
+                    update_lanes(fk1, xk1, &mut x[k + 2..]);
+                }
+                let (rkm1, rk) = (akm1k.conj().recip(), akm1k.recip());
+                for l in 0..LANES {
+                    let bkm1 = xk[l] * rkm1;
+                    let bk = xk1[l] * rk;
+                    x[k][l] = (ak * bkm1 - bk) * denom;
+                    x[k + 1][l] = (akm1 * bk - bkm1) * denom;
+                }
+                k += 2;
+            }
+        }
+    }
+
+    let mut k = n;
+    for p in piv.iter().rev() {
+        match *p {
+            BkPivot::Single(kp) => {
+                k -= 1;
+                let mut s = [T::zero(); LANES];
+                for (&a, xi) in f.col(k)[k + 1..].iter().zip(&x[k + 1..]) {
+                    let c = a.conj();
+                    for (sl, &v) in s.iter_mut().zip(xi) {
+                        *sl += c * v;
+                    }
+                }
+                for (v, sl) in x[k].iter_mut().zip(s) {
+                    *v -= sl;
+                }
+                x.swap(k, kp);
+            }
+            BkPivot::Double(kp) => {
+                k -= 2;
+                let (mut s0, mut s1) = ([T::zero(); LANES], [T::zero(); LANES]);
+                let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
+                for ((&a, &a1), xi) in fk.iter().zip(fk1).zip(&x[k + 2..]) {
+                    let (c, c1) = (a.conj(), a1.conj());
+                    for l in 0..LANES {
+                        s0[l] += c * xi[l];
+                        s1[l] += c1 * xi[l];
+                    }
+                }
+                for l in 0..LANES {
+                    x[k][l] -= s0[l];
+                    x[k + 1][l] -= s1[l];
+                }
+                x.swap(k + 1, kp);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn all_nonzero<T: Scalar>(xk: &[T; LANES]) -> bool {
+    xk.iter().all(|&v| v != T::zero())
+}
+
+/// `x[i][l] <- f[i] * (-xk[l]) + x[i][l]`, fused: lane `l` runs the
+/// `axpy` its column runs, and skips it as the column does when `xk[l]` is
+/// zero.  Without a zero the lanes run branch-free.
+#[inline(always)]
+fn update_lanes<T: Scalar>(f: &[T], xk: [T; LANES], x: &mut [[T; LANES]]) {
+    let neg = xk.map(|v| -v);
+    if all_nonzero(&xk) {
+        for (xi, &a) in x.iter_mut().zip(f) {
+            for (v, &s) in xi.iter_mut().zip(&neg) {
+                *v = a.mul_add(s, *v);
+            }
+        }
+    } else {
+        for l in (0..LANES).filter(|&l| xk[l] != T::zero()) {
+            for (xi, &a) in x.iter_mut().zip(f) {
+                xi[l] = a.mul_add(neg[l], xi[l]);
             }
         }
     }
@@ -1075,6 +1209,74 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((*xi - *ti).abs() < 1e-7);
         }
+    }
+
+    /// A Hermitian indefinite matrix whose diagonal is mostly zero, so
+    /// Bunch-Kaufman takes both pivot sizes.
+    fn bk_indefinite<T: Scalar>(rng: &mut StdRng, n: usize) -> DenseMatrix<T> {
+        let g: DenseMatrix<T> = random_matrix(rng, n, n);
+        let mut a = g.conj_transpose();
+        a.axpy(T::one(), &g);
+        for i in 0..n {
+            a[(i, i)] = T::from_f64(if i % 3 == 0 { 8.0 } else { 0.0 });
+        }
+        a
+    }
+
+    fn check_bk_lanes<T: Scalar>(seed: u64) {
+        let bits = |m: &DenseMatrix<T>| -> Vec<(u64, u64)> {
+            m.data()
+                .iter()
+                .map(|x| (x.real().to_f64().to_bits(), x.imag().to_f64().to_bits()))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let neg_zero = T::from_f64(-0.0);
+        let mut doubles = 0;
+        for n in [1, 2, 5, 17, 44, 64, 90] {
+            let mut f = bk_indefinite::<T>(&mut rng, n);
+            let piv = bunch_kaufman_in_place(f.as_mut()).expect("nonsingular");
+            doubles += piv
+                .iter()
+                .filter(|p| matches!(p, BkPivot::Double(_)))
+                .count();
+            for cols in [8, 9, 16, 23] {
+                // Exact zeros where pivot steps read them: column 2 is all
+                // -0.0, column 5 every third row, column 6 its first half;
+                // -0.0 so an update the column skips would flip its sign.
+                let mut b: DenseMatrix<T> = random_matrix(&mut rng, n, cols);
+                for i in 0..n {
+                    b[(i, 2)] = neg_zero;
+                    if i % 3 == 1 {
+                        b[(i, 5)] = neg_zero;
+                    }
+                    if 2 * i < n {
+                        b[(i, 6)] = neg_zero;
+                    }
+                }
+                let mut lanes = b.clone();
+                bunch_kaufman_solve_in_place(f.as_ref(), &piv, lanes.as_mut());
+                let mut columns = b;
+                for j in 0..cols {
+                    bunch_kaufman_solve_in_place(
+                        f.as_ref(),
+                        &piv,
+                        MatMut::from_parts(columns.col_mut(j), n, 1, n),
+                    );
+                }
+                assert_eq!(bits(&lanes), bits(&columns), "order {n}, {cols} columns");
+            }
+        }
+        assert!(doubles > 0, "no 2x2 pivot exercised");
+    }
+
+    /// The eight-lane Bunch-Kaufman solve gives every column the bits it
+    /// gets when solved alone, through 2x2 pivots, row swaps and the
+    /// zero-skips of the forward sweep.
+    #[test]
+    fn bunch_kaufman_lanes_match_columns_bitwise() {
+        check_bk_lanes::<f64>(31);
+        check_bk_lanes::<Complex64>(32);
     }
 
     #[test]

@@ -288,7 +288,8 @@ mod tests {
             "the input must force both pivot sizes: {piv:?}"
         );
 
-        let rhs: DenseMatrix<T> = random_matrix(rng, n, 3);
+        // One lane group of eight plus three per-column leftovers.
+        let rhs: DenseMatrix<T> = random_matrix(rng, n, 11);
         let (mut x_base, mut x_disp) = (rhs.clone(), rhs);
         cholesky::bunch_kaufman_solve_in_place_body(base.as_ref(), &piv, x_base.as_mut());
         cholesky::bunch_kaufman_solve_in_place(base.as_ref(), &piv, x_disp.as_mut());

@@ -18,8 +18,10 @@
 //!
 //! Two kinds of lane kernels in the crate follow this contract.
 //! *Right-hand-side lanes* run eight columns of the right-hand side side
-//! by side: the solves here, the `L^H` solve in [`crate::cholesky`], and
-//! the dot form of `gemm`'s direct path (eight columns of `op_b(B)`).
+//! by side: the solves here, the `L^H` solve and the Bunch-Kaufman solve
+//! in [`crate::cholesky`] (whose forward updates are fused `mul_add`s, as
+//! its columns' are, each skipped where its column skips it), and the dot
+//! form of `gemm`'s direct path (eight columns of `op_b(B)`).
 //! *Output lanes* run eight entries of one output column side by side:
 //! `gemm`'s one-column path with transposed `A`, one stored column of `A`
 //! per lane (see "One column" in [`crate::blas`]).  Either way a lane's
