@@ -378,13 +378,11 @@ impl KernelBenchConfig {
             solve_nrhs: vec![1, 8, 138, 578],
             // gp-se-3d's top level (8192 child rows, max rank 177) read as
             // `V^H x` and as `Y w`, both blocked; a laplace-surface-2d
-            // leaf-level `V^H x`, direct; and seven outputs, fewer than
-            // one lane group, over 65536 rows, blocked.
+            // leaf-level `V^H x`, direct.
             one_column: vec![
                 (8192, 177, Op::ConjTrans),
                 (8192, 177, Op::None),
                 (64, 16, Op::ConjTrans),
-                (65536, 7, Op::ConjTrans),
             ],
             threads: vec![1, 2, 8],
             reps: 7,

@@ -84,13 +84,10 @@
 //!   `A` per pass, each row its terms in order: contiguous reads that
 //!   vectorize across rows.  With `A` transposed, eight outputs run side
 //!   by side from eight stored columns of `A`, each lane its own in-order
-//!   chain per slab (the output lanes of [`crate::triangular`]).  Five to
-//!   seven leftover outputs run as one partial group, whose unused lanes
-//!   re-read a valid column and are discarded; fewer run one at a time,
-//!   since a group costs more than up to four single chains at leaf
-//!   widths.  Row chunks and groups of eight outputs are pool tasks.  The
-//!   split depends only on the shape, and no entry's operations depend
-//!   on it.
+//!   chain per slab (the output lanes of [`crate::triangular`]); leftover
+//!   outputs run one at a time.  Row chunks and groups of eight outputs
+//!   are pool tasks.  The split depends only on the shape, and no entry's
+//!   operations depend on it.
 //! - **Direct regime, transposed `A`**: the same eight-output kernel with
 //!   one slab of length `k`, so each entry is still
 //!   `c_i += alpha * dot[_conj](A[:, i], b)`, as in the dot form.
@@ -500,9 +497,8 @@ multiversion! {
     /// unfused in ascending `p` (`op` conjugates when `conj`): with `kc`
     /// = [`GEMM_KC`] the blocked path's operations at `n = 1`, with
     /// `kc = k` the direct path's `dot[_conj]`.  Eight outputs run side by
-    /// side from eight stored columns, each lane its own chain; five to
-    /// seven leftover outputs run as one partial group, fewer one at a
-    /// time.
+    /// side from eight stored columns, each lane its own chain; leftover
+    /// outputs run one at a time.
     pub(crate) fn one_column_dots<T: Scalar>(
         alpha: T,
         a: &MatRef<'_, T>,
@@ -524,55 +520,31 @@ pub(crate) fn one_column_dots_body<T: Scalar>(
     kc: usize,
     c: &mut [T],
 ) {
+    let op = |v: T| if conj { v.conj() } else { v };
     let i1 = i0 + c.len() - c.len() % LANES;
     let mut groups = c.chunks_exact_mut(LANES);
     for (i, c) in (i0..).step_by(LANES).zip(&mut groups) {
-        dots_lanes(alpha, std::array::from_fn(|l| a.col(i + l)), conj, x, kc, c);
+        let cols: [&[T]; LANES] = std::array::from_fn(|l| a.col(i + l));
+        for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
+            let segs = cols.map(|col| &col[p0..p0 + slab.len()]);
+            let mut acc = [T::zero(); LANES];
+            for (p, &xp) in slab.iter().enumerate() {
+                for (s, seg) in acc.iter_mut().zip(&segs) {
+                    *s += op(seg[p]) * xp;
+                }
+            }
+            for (ci, s) in c.iter_mut().zip(acc) {
+                *ci += alpha * s;
+            }
+        }
     }
-    let rest = groups.into_remainder();
-    if rest.len() > LANES / 2 {
-        // A partial group costs about what a whole one does: more than up
-        // to four single chains at leaf widths (complex lanes most).
-        let last = rest.len() - 1;
-        let cols = std::array::from_fn(|l| a.col(i1 + l.min(last)));
-        dots_lanes(alpha, cols, conj, x, kc, rest);
-        return;
-    }
-    let op = |v: T| if conj { v.conj() } else { v };
-    for (i, ci) in (i1..).zip(rest) {
+    for (i, ci) in (i1..).zip(groups.into_remainder()) {
         let col = a.col(i);
         for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
             let mut s = T::zero();
             for (&v, &xp) in col[p0..].iter().zip(slab) {
                 s += op(v) * xp;
             }
-            *ci += alpha * s;
-        }
-    }
-}
-
-/// One group of [`one_column_dots`]: lane `l` adds `op(cols[l][p]) * x[p]`
-/// per `kc` slab into `c[l]`; lanes past `c.len()` are computed and
-/// dropped.
-#[inline(always)]
-fn dots_lanes<T: Scalar>(
-    alpha: T,
-    cols: [&[T]; LANES],
-    conj: bool,
-    x: &[T],
-    kc: usize,
-    c: &mut [T],
-) {
-    let op = |v: T| if conj { v.conj() } else { v };
-    for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
-        let segs = cols.map(|col| &col[p0..p0 + slab.len()]);
-        let mut acc = [T::zero(); LANES];
-        for (p, &xp) in slab.iter().enumerate() {
-            for (s, seg) in acc.iter_mut().zip(&segs) {
-                *s += op(seg[p]) * xp;
-            }
-        }
-        for (ci, s) in c.iter_mut().zip(acc) {
             *ci += alpha * s;
         }
     }

@@ -677,19 +677,8 @@ fn bunch_kaufman_solve_lanes<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], x: &m
                 let denom = (akm1 * ak - T::one()).recip();
                 let (xk, xk1) = (x[k], x[k + 1]);
                 let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
-                if all_nonzero(&xk) && all_nonzero(&xk1) {
-                    // Both updates of an entry back to back, as a column
-                    // runs them.
-                    let (nk, nk1) = (xk.map(|v| -v), xk1.map(|v| -v));
-                    for ((xi, &a), &a1) in x[k + 2..].iter_mut().zip(fk).zip(fk1) {
-                        for ((v, &s), &s1) in xi.iter_mut().zip(&nk).zip(&nk1) {
-                            *v = a1.mul_add(s1, a.mul_add(s, *v));
-                        }
-                    }
-                } else {
-                    update_lanes(fk, xk, &mut x[k + 2..]);
-                    update_lanes(fk1, xk1, &mut x[k + 2..]);
-                }
+                update_lanes(fk, xk, &mut x[k + 2..]);
+                update_lanes(fk1, xk1, &mut x[k + 2..]);
                 let (rkm1, rk) = (akm1k.conj().recip(), akm1k.recip());
                 for l in 0..LANES {
                     let bkm1 = xk[l] * rkm1;
@@ -740,18 +729,13 @@ fn bunch_kaufman_solve_lanes<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], x: &m
     }
 }
 
-#[inline(always)]
-fn all_nonzero<T: Scalar>(xk: &[T; LANES]) -> bool {
-    xk.iter().all(|&v| v != T::zero())
-}
-
 /// `x[i][l] <- f[i] * (-xk[l]) + x[i][l]`, fused: lane `l` runs the
 /// `axpy` its column runs, and skips it as the column does when `xk[l]` is
 /// zero.  Without a zero the lanes run branch-free.
 #[inline(always)]
 fn update_lanes<T: Scalar>(f: &[T], xk: [T; LANES], x: &mut [[T; LANES]]) {
     let neg = xk.map(|v| -v);
-    if all_nonzero(&xk) {
+    if xk.iter().all(|&v| v != T::zero()) {
         for (xi, &a) in x.iter_mut().zip(f) {
             for (v, &s) in xi.iter_mut().zip(&neg) {
                 *v = a.mul_add(s, *v);
