@@ -6,25 +6,25 @@
 //! sibling pair `(alpha, beta)` yield `U_alpha, V_beta` (from
 //! `A(I_alpha, I_beta)`) and `U_beta, V_alpha` (from `A(I_beta, I_alpha)`),
 //! which is exactly what the per-node concatenation of `Ubig` / `Vbig`
-//! needs.
+//! needs.  A Hermitian build with shared bases compresses only the first
+//! block, `A(I_alpha, I_beta) = U V^*`, and keeps `U_alpha := U` and
+//! `U_beta := V` in a single `Ubig`.  Both builds are one walk.
 //!
 //! The build streams: it walks the tree level by level, compressing every
-//! off-diagonal block of one level as its own parallel task directly from
-//! the entry source (the compressors themselves stream through bounded
-//! scratch — see `hodlr-compress`), so no off-diagonal block is ever
-//! materialised densely; only leaf diagonal blocks are.  A block's entries
-//! are evaluated on the thread that compresses it; the compressor spreads
-//! only the arithmetic of long blocks over the pool.  Every allocation the
-//! build retains is recorded on an optional [`AllocMeter`], and an optional
-//! byte budget is enforced between levels with a typed
-//! [`HodlrError::BudgetExceeded`] naming the level or stage that crossed
-//! it.
+//! off-diagonal block it needs at one level as its own parallel task
+//! directly from the entry source (the compressors themselves stream
+//! through bounded scratch — see `hodlr-compress`), so no off-diagonal
+//! block is ever materialised densely; only leaf diagonal blocks are.  A
+//! block's entries are evaluated on the thread that compresses it; the
+//! compressor spreads only the arithmetic of long blocks over the pool.
+//! Every allocation the build retains is recorded on an optional
+//! [`AllocMeter`], and an optional byte budget is enforced between levels
+//! with a typed [`HodlrError::BudgetExceeded`] naming the level or stage
+//! that crossed it.
 
 use crate::layout::LevelLayout;
 use crate::matrix::HodlrMatrix;
-use hodlr_compress::{
-    compress_metered, CompressionConfig, DenseSource, LowRank, MatrixEntrySource,
-};
+use hodlr_compress::{compress_metered, CompressionConfig, LowRank, MatrixEntrySource};
 use hodlr_la::{AllocMeter, DemoteScalar, DenseMatrix, HodlrError, MatMut, Scalar};
 use hodlr_tree::{ClusterTree, NodeId};
 use rayon::prelude::*;
@@ -55,18 +55,20 @@ fn matrix_bytes<T>(rows: usize, cols: usize) -> u64 {
 }
 
 /// Fail with a typed [`HodlrError::BudgetExceeded`] if the metered live
-/// count has crossed the budget.
+/// count plus the `upcoming` bytes of an allocation not yet made crosses
+/// the budget.
 fn check_budget(
     meter: Option<&AllocMeter>,
     budget: Option<u64>,
+    upcoming: u64,
     context: impl FnOnce() -> String,
 ) -> Result<(), HodlrError> {
     if let (Some(meter), Some(budget)) = (meter, budget) {
-        let live = meter.live_bytes();
-        if live > budget {
+        let needed = meter.live_bytes() + upcoming;
+        if needed > budget {
             return Err(HodlrError::BudgetExceeded {
                 budget_bytes: budget,
-                needed_bytes: live,
+                needed_bytes: needed,
                 context: context(),
             });
         }
@@ -241,138 +243,7 @@ pub fn build_from_source_with<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized
     config: &CompressionConfig<T::Real>,
     options: BuildOptions<'_>,
 ) -> Result<HodlrMatrix<T>, HodlrError> {
-    let n = tree.n();
-    if n == 0 {
-        return Err(HodlrError::config(
-            "cannot build a HODLR matrix over a zero-size tree",
-        ));
-    }
-    config.validate()?;
-    HodlrError::check_dims("source rows (must be N x N)", n, source.nrows())?;
-    HodlrError::check_dims("source columns (must be N x N)", n, source.ncols())?;
-
-    // A budget needs a meter to compare against even when the caller did
-    // not ask for one.
-    let fallback = AllocMeter::new();
-    let meter = match (options.meter, options.budget_bytes) {
-        (None, Some(_)) => Some(&fallback),
-        (m, _) => m,
-    };
-    let budget = options.budget_bytes;
-
-    // Per-node factors: U_alpha from the (alpha, beta) block, V_alpha from
-    // the (beta, alpha) block.  The rank of the (alpha, beta) block and of
-    // the (beta, alpha) block may differ; a node's bookkeeping rank is the
-    // wider of its U and V factors (both are zero-padded to the level width
-    // when written into Ubig/Vbig).
-    let num_nodes = tree.num_nodes();
-    let mut u_of: Vec<Option<DenseMatrix<T>>> = vec![None; num_nodes + 1];
-    let mut v_of: Vec<Option<DenseMatrix<T>>> = vec![None; num_nodes + 1];
-    let mut node_ranks = vec![0usize; num_nodes + 1];
-    let mut factor_bytes = 0u64;
-
-    // Walk the tree level by level, compressing both off-diagonal blocks of
-    // every sibling pair of one level, each block its own parallel task.
-    // Each internal node gamma produces (U_alpha, V_beta) from A(I_alpha,
-    // I_beta) and (U_beta, V_alpha) from A(I_beta, I_alpha), where (alpha,
-    // beta) are its children.  The level-wise order bounds the live set and
-    // gives the budget check a natural granularity.
-    let levels = tree.levels();
-    for parent_level in 0..levels {
-        let parents: Vec<NodeId> = tree
-            .level_nodes(parent_level)
-            .filter(|&gamma| !tree.is_leaf(gamma))
-            .collect();
-        if parents.is_empty() {
-            continue;
-        }
-        let blocks: Vec<(NodeId, NodeId)> = parents
-            .iter()
-            .flat_map(|&gamma| {
-                let (alpha, beta) = tree.children(gamma).expect("internal node");
-                [(alpha, beta), (beta, alpha)]
-            })
-            .collect();
-        let compressed: Vec<LowRank<T>> = blocks
-            .par_iter()
-            .map(|&(row, col)| compress_block(source, &tree, row, col, config, meter))
-            .collect::<Result<Vec<_>, HodlrError>>()?;
-        for (&(row, col), lr) in blocks.iter().zip(compressed) {
-            let rank = lr.rank();
-            node_ranks[row] = node_ranks[row].max(rank);
-            node_ranks[col] = node_ranks[col].max(rank);
-            factor_bytes += lowrank_bytes(&lr);
-            u_of[row] = Some(lr.u);
-            v_of[col] = Some(lr.v);
-        }
-        check_budget(meter, budget, || {
-            format!(
-                "off-diagonal factors at level {} (widest block {w} x {w})",
-                parent_level + 1,
-                w = widest_block(&tree, &parents)
-            )
-        })?;
-    }
-
-    // Level widths = maximum factor width at each level.
-    let mut widths = vec![0usize; levels];
-    for level in 1..=levels {
-        let mut w = 0;
-        for node in tree.level_nodes(level) {
-            let wu = u_of[node].as_ref().map_or(0, |m| m.cols());
-            let wv = v_of[node].as_ref().map_or(0, |m| m.cols());
-            w = w.max(wu).max(wv);
-        }
-        widths[level - 1] = w;
-    }
-    let layout = LevelLayout::new(widths);
-
-    // Assemble Ubig / Vbig with zero padding to the level width.  The two
-    // flattened bases are the largest single allocation of the build, so
-    // they get a budget check *before* they exist.
-    let total = layout.total_cols();
-    let flattened_bytes = 2 * matrix_bytes::<T>(n, total);
-    if let (Some(meter), Some(budget)) = (meter, budget) {
-        let needed = meter.live_bytes() + flattened_bytes;
-        if needed > budget {
-            return Err(HodlrError::BudgetExceeded {
-                budget_bytes: budget,
-                needed_bytes: needed,
-                context: format!("flattened level bases (Ubig/Vbig, {n} x {total} each)"),
-            });
-        }
-    }
-    if let Some(meter) = meter {
-        meter.record_alloc(flattened_bytes);
-    }
-    let ubig = flatten_bases(&tree, &layout, &u_of);
-    let vbig = flatten_bases(&tree, &layout, &v_of);
-    // The per-node factors are consumed by the flattened bases.
-    drop(u_of);
-    drop(v_of);
-    if let Some(meter) = meter {
-        meter.record_free(factor_bytes);
-    }
-
-    // Dense leaf diagonal blocks — the only densely materialised blocks of
-    // the whole build.
-    let leaf_ids: Vec<NodeId> = tree.leaves().collect();
-    let diag: Vec<DenseMatrix<T>> = leaf_ids
-        .par_iter()
-        .map(|&leaf| {
-            let range = tree.range(leaf);
-            let block =
-                BlockSource::new(source, range.start, range.start, range.len(), range.len())?;
-            let dense = block.to_dense();
-            if let Some(meter) = meter {
-                meter.record_alloc(matrix_bytes::<T>(dense.rows(), dense.cols()));
-            }
-            Ok(dense)
-        })
-        .collect::<Result<Vec<_>, HodlrError>>()?;
-    check_budget(meter, budget, || "leaf diagonal blocks".to_string())?;
-
-    HodlrMatrix::from_parts(tree, layout, node_ranks, ubig, vbig, diag)
+    build_walk(source, tree, config, options, false)
 }
 
 /// Build a Hermitian HODLR approximation of `source` with shared bases:
@@ -408,6 +279,19 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
     config: &CompressionConfig<T::Real>,
     options: BuildOptions<'_>,
 ) -> Result<HodlrMatrix<T>, HodlrError> {
+    build_walk(source, tree, config, options, true)
+}
+
+/// The one build walk behind both entry points.  With `shared` bases each
+/// sibling pair compresses one block and keeps no right bases; otherwise
+/// it compresses both blocks and keeps `Vbig`.
+fn build_walk<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized>(
+    source: &S,
+    tree: ClusterTree,
+    config: &CompressionConfig<T::Real>,
+    options: BuildOptions<'_>,
+    shared: bool,
+) -> Result<HodlrMatrix<T>, HodlrError> {
     let n = tree.n();
     if n == 0 {
         return Err(HodlrError::config(
@@ -418,6 +302,8 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
     HodlrError::check_dims("source rows (must be N x N)", n, source.nrows())?;
     HodlrError::check_dims("source columns (must be N x N)", n, source.ncols())?;
 
+    // A budget needs a meter to compare against even when the caller did
+    // not ask for one.
     let fallback = AllocMeter::new();
     let meter = match (options.meter, options.budget_bytes) {
         (None, Some(_)) => Some(&fallback),
@@ -425,12 +311,24 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
     };
     let budget = options.budget_bytes;
 
+    // Per-node factors: the (row, col) block gives U_row and V_col.  With
+    // separate bases both blocks of a pair are compressed, so the ranks of
+    // the (alpha, beta) and (beta, alpha) blocks may differ and a node's
+    // bookkeeping rank is the wider of its U and V factors (both are
+    // zero-padded to the level width when written into Ubig/Vbig).  Shared
+    // bases keep no V: the one (alpha, beta) block stores U_beta := V.
     let num_nodes = tree.num_nodes();
     let mut u_of: Vec<Option<DenseMatrix<T>>> = vec![None; num_nodes + 1];
+    let mut v_of = (!shared).then(|| vec![None; num_nodes + 1]);
+    // Blocks compressed per sibling pair, and flattened bases kept.
+    let bases = if shared { 1 } else { 2 };
     let mut node_ranks = vec![0usize; num_nodes + 1];
     let mut factor_bytes = 0u64;
 
-    // One compression per sibling pair instead of two, level by level.
+    // Walk the tree level by level, compressing the off-diagonal blocks of
+    // every sibling pair of one level, each block its own parallel task.
+    // The level-wise order bounds the live set and gives the budget check
+    // a natural granularity.
     let levels = tree.levels();
     for parent_level in 0..levels {
         let parents: Vec<NodeId> = tree
@@ -440,24 +338,26 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
         if parents.is_empty() {
             continue;
         }
-        let compressed: Vec<(NodeId, LowRank<T>)> = parents
-            .par_iter()
-            .map(|&gamma| {
+        let blocks: Vec<(NodeId, NodeId)> = parents
+            .iter()
+            .flat_map(|&gamma| {
                 let (alpha, beta) = tree.children(gamma).expect("internal node");
-                let lr = compress_block(source, &tree, alpha, beta, config, meter)?;
-                Ok((gamma, lr))
+                [(alpha, beta), (beta, alpha)].into_iter().take(bases)
             })
+            .collect();
+        let compressed: Vec<LowRank<T>> = blocks
+            .par_iter()
+            .map(|&(row, col)| compress_block(source, &tree, row, col, config, meter))
             .collect::<Result<Vec<_>, HodlrError>>()?;
-        for (gamma, lr) in compressed {
-            let (alpha, beta) = tree.children(gamma).expect("internal node");
+        for (&(row, col), lr) in blocks.iter().zip(compressed) {
             let rank = lr.rank();
-            node_ranks[alpha] = rank;
-            node_ranks[beta] = rank;
+            node_ranks[row] = node_ranks[row].max(rank);
+            node_ranks[col] = node_ranks[col].max(rank);
             factor_bytes += lowrank_bytes(&lr);
-            u_of[alpha] = Some(lr.u);
-            u_of[beta] = Some(lr.v);
+            u_of[row] = Some(lr.u);
+            v_of.as_mut().unwrap_or(&mut u_of)[col] = Some(lr.v);
         }
-        check_budget(meter, budget, || {
+        check_budget(meter, budget, 0, || {
             format!(
                 "off-diagonal factors at level {} (widest block {w} x {w})",
                 parent_level + 1,
@@ -466,37 +366,45 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
         })?;
     }
 
-    let mut widths = vec![0usize; levels];
-    for level in 1..=levels {
-        let mut w = 0;
-        for node in tree.level_nodes(level) {
-            w = w.max(u_of[node].as_ref().map_or(0, |m| m.cols()));
-        }
-        widths[level - 1] = w;
-    }
+    // Level widths = maximum factor width at each level.
+    let cols = |factors: &[Option<DenseMatrix<T>>], node: NodeId| {
+        factors[node].as_ref().map_or(0, |m| m.cols())
+    };
+    let widths = (1..=levels)
+        .map(|level| {
+            tree.level_nodes(level)
+                .map(|node| cols(&u_of, node).max(v_of.as_ref().map_or(0, |v| cols(v, node))))
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
     let layout = LevelLayout::new(widths);
 
+    // Assemble Ubig (and Vbig) with zero padding to the level width.  The
+    // flattened bases are the largest single allocation of the build, so
+    // they get a budget check *before* they exist.
     let total = layout.total_cols();
-    let flattened_bytes = matrix_bytes::<T>(n, total);
-    if let (Some(meter), Some(budget)) = (meter, budget) {
-        let needed = meter.live_bytes() + flattened_bytes;
-        if needed > budget {
-            return Err(HodlrError::BudgetExceeded {
-                budget_bytes: budget,
-                needed_bytes: needed,
-                context: format!("flattened level basis (shared Ubig, {n} x {total})"),
-            });
+    let flattened_bytes = bases as u64 * matrix_bytes::<T>(n, total);
+    check_budget(meter, budget, flattened_bytes, || {
+        if shared {
+            format!("flattened level basis (shared Ubig, {n} x {total})")
+        } else {
+            format!("flattened level bases (Ubig/Vbig, {n} x {total} each)")
         }
-    }
+    })?;
     if let Some(meter) = meter {
         meter.record_alloc(flattened_bytes);
     }
     let ubig = flatten_bases(&tree, &layout, &u_of);
+    let vbig = v_of.map(|v_of| flatten_bases(&tree, &layout, &v_of));
+    // The per-node factors are consumed by the flattened bases.
     drop(u_of);
     if let Some(meter) = meter {
         meter.record_free(factor_bytes);
     }
 
+    // Dense leaf diagonal blocks — the only densely materialised blocks of
+    // the whole build.
     let leaf_ids: Vec<NodeId> = tree.leaves().collect();
     let diag: Vec<DenseMatrix<T>> = leaf_ids
         .par_iter()
@@ -511,9 +419,9 @@ pub fn build_from_source_symmetric_with<T: Scalar, S: MatrixEntrySource<T> + Syn
             Ok(dense)
         })
         .collect::<Result<Vec<_>, HodlrError>>()?;
-    check_budget(meter, budget, || "leaf diagonal blocks".to_string())?;
+    check_budget(meter, budget, 0, || "leaf diagonal blocks".to_string())?;
 
-    HodlrMatrix::from_parts_symmetric(tree, layout, node_ranks, ubig, diag)
+    HodlrMatrix::assemble(tree, layout, node_ranks, ubig, vbig, diag)
 }
 
 /// An adapter demoting every entry of a source to the lower precision:
@@ -570,50 +478,10 @@ fn annotate_block(e: HodlrError, row_node: NodeId, col_node: NodeId) -> HodlrErr
     }
 }
 
-/// Build a HODLR approximation of a dense matrix (used by tests and by
-/// problems small enough to materialise).
-///
-/// # Errors
-/// Returns [`HodlrError::DimensionMismatch`] when `a` is not square, and
-/// everything [`build_from_source`] can return.
-pub fn build_from_dense<T: Scalar>(
-    a: &DenseMatrix<T>,
-    tree: ClusterTree,
-    config: &CompressionConfig<T::Real>,
-) -> Result<HodlrMatrix<T>, HodlrError> {
-    HodlrError::check_dims(
-        "dense input (HODLR matrices are square)",
-        a.rows(),
-        a.cols(),
-    )?;
-    let source = DenseSource::new(a);
-    build_from_source(&source, tree, config)
-}
-
-/// Build a shared-basis Hermitian HODLR approximation of a dense Hermitian
-/// matrix; see [`build_from_source_symmetric`].
-///
-/// # Errors
-/// Returns [`HodlrError::DimensionMismatch`] when `a` is not square, and
-/// everything [`build_from_source_symmetric`] can return.
-pub fn build_from_dense_symmetric<T: Scalar>(
-    a: &DenseMatrix<T>,
-    tree: ClusterTree,
-    config: &CompressionConfig<T::Real>,
-) -> Result<HodlrMatrix<T>, HodlrError> {
-    HodlrError::check_dims(
-        "dense input (HODLR matrices are square)",
-        a.rows(),
-        a.cols(),
-    )?;
-    let source = DenseSource::new(a);
-    build_from_source_symmetric(&source, tree, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hodlr_compress::{ClosureSource, CompressionMethod};
+    use hodlr_compress::{ClosureSource, CompressionMethod, DenseSource};
     use hodlr_la::RealScalar;
     use hodlr_tree::ClusterTree;
     use rand::rngs::StdRng;
@@ -723,7 +591,7 @@ mod tests {
         let dense = exact.to_dense();
         let tree = ClusterTree::uniform(n, 2);
         let cfg = CompressionConfig::with_tol(1e-11);
-        let rebuilt = build_from_dense(&dense, tree, &cfg).unwrap();
+        let rebuilt = build_from_source(&DenseSource::new(&dense), tree, &cfg).unwrap();
         assert!(rebuilt.max_rank() <= 3);
         let err = dense.sub(&rebuilt.to_dense()).norm_fro();
         assert!(err < 1e-8 * dense.norm_fro().to_f64());
@@ -811,56 +679,53 @@ mod tests {
         let n = 128;
         let src = kernel_source(n);
         let tree = ClusterTree::with_leaf_size(n, 16);
-        let err = build_from_source_with(
-            &src,
-            tree.clone(),
-            &CompressionConfig::with_tol(1e-9),
-            BuildOptions {
+        let config = CompressionConfig::with_tol(1e-9);
+        type Build<S> = fn(
+            &S,
+            ClusterTree,
+            &CompressionConfig<f64>,
+            BuildOptions<'_>,
+        ) -> Result<HodlrMatrix<f64>, HodlrError>;
+        let builds: [Build<_>; 2] = [build_from_source_with, build_from_source_symmetric_with];
+        for build in builds {
+            let budget = |bytes| BuildOptions {
                 meter: None,
-                budget_bytes: Some(1024),
-            },
-        )
-        .unwrap_err();
-        match &err {
-            HodlrError::BudgetExceeded {
-                budget_bytes,
-                needed_bytes,
-                context,
-            } => {
-                assert_eq!(*budget_bytes, 1024);
-                assert!(*needed_bytes > 1024);
-                assert!(
-                    context.contains("level")
-                        || context.contains("leaf")
-                        || context.contains("Ubig"),
-                    "context: {context}"
-                );
+                budget_bytes: Some(bytes),
+            };
+            let err = build(&src, tree.clone(), &config, budget(1024)).unwrap_err();
+            match &err {
+                HodlrError::BudgetExceeded {
+                    budget_bytes,
+                    needed_bytes,
+                    context,
+                } => {
+                    assert_eq!(*budget_bytes, 1024);
+                    assert!(*needed_bytes > 1024);
+                    assert!(
+                        context.contains("level")
+                            || context.contains("leaf")
+                            || context.contains("Ubig"),
+                        "context: {context}"
+                    );
+                }
+                other => panic!("expected BudgetExceeded, got {other:?}"),
             }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
 
-        // A budget that fits the real footprint succeeds and the build is
-        // identical to the unbudgeted one.
-        let free =
-            build_from_source(&src, tree.clone(), &CompressionConfig::with_tol(1e-9)).unwrap();
-        let budgeted = build_from_source_with(
-            &src,
-            tree,
-            &CompressionConfig::with_tol(1e-9),
-            BuildOptions {
-                meter: None,
-                budget_bytes: Some(64 << 20),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            free.to_dense()
-                .sub(&budgeted.to_dense())
-                .norm_max()
-                .to_f64(),
-            0.0,
-            "budgeted build must be bitwise identical"
-        );
+            // A budget that fits the real footprint succeeds and the build
+            // is identical to the unbudgeted one.
+            let free = build(&src, tree.clone(), &config, BuildOptions::default()).unwrap();
+            let budgeted = build(&src, tree.clone(), &config, budget(64 << 20)).unwrap();
+            let bits = |m: &HodlrMatrix<f64>| -> Vec<u64> {
+                let leaves = m.diag_blocks().iter().flat_map(|d| d.data());
+                let parts = m.ubig().data().iter().chain(m.vbig().data()).chain(leaves);
+                parts.map(|x| x.to_bits()).collect()
+            };
+            assert!(
+                bits(&free) == bits(&budgeted),
+                "budgeted build must be bitwise identical"
+            );
+            assert_eq!(free.rank_profile(), budgeted.rank_profile());
+        }
     }
 
     #[test]
@@ -920,7 +785,7 @@ mod tests {
         let tree = ClusterTree::uniform(n, 1);
         // Truncated SVD so the recovered ranks are exactly the block ranks.
         let cfg = CompressionConfig::with_tol(1e-12).method(CompressionMethod::TruncatedSvd);
-        let hodlr = build_from_dense(&a, tree, &cfg).unwrap();
+        let hodlr = build_from_source(&DenseSource::new(&a), tree, &cfg).unwrap();
 
         let (alpha, beta) = hodlr.tree().children(hodlr.tree().root()).unwrap();
         assert_eq!(hodlr.node_rank(alpha), 3, "alpha must carry the max rank");

@@ -29,9 +29,10 @@
 //!
 //! # Where this crate parallelizes
 //!
-//! [`builder`] compresses the two off-diagonal blocks of every sibling pair
-//! and densifies every leaf diagonal block as independent tasks on the
-//! rayon work-stealing pool (`HODLR_NUM_THREADS` participants).  The
+//! [`builder`] compresses the off-diagonal blocks of every sibling pair
+//! (two, or one when the bases are shared) and densifies every leaf
+//! diagonal block as independent tasks on the rayon work-stealing pool
+//! (`HODLR_NUM_THREADS` participants).  The
 //! batched solver ([`BatchedSolver`]) inherits parallelism from
 //! `hodlr-batch`, whose kernels shard their batch entries across the same
 //! pool, and its blocked multi-RHS entry point
@@ -56,9 +57,8 @@ pub mod serial;
 pub mod symmetric;
 
 pub use builder::{
-    build_from_dense, build_from_dense_symmetric, build_from_source, build_from_source_symmetric,
-    build_from_source_symmetric_with, build_from_source_with, BlockSource, BuildOptions,
-    DemotedSource,
+    build_from_source, build_from_source_symmetric, build_from_source_symmetric_with,
+    build_from_source_with, BlockSource, BuildOptions, DemotedSource,
 };
 pub use gpu::{BatchedSolver, GpuSolver, GpuSymmetricSolver};
 pub use layout::LevelLayout;

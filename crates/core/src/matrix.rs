@@ -46,54 +46,7 @@ impl<T: Scalar> HodlrMatrix<T> {
         vbig: DenseMatrix<T>,
         diag: Vec<DenseMatrix<T>>,
     ) -> Result<Self, HodlrError> {
-        let n = tree.n();
-        HodlrError::check_dims("layout levels", tree.levels(), layout.levels())?;
-        HodlrError::check_dims("Ubig rows", n, ubig.rows())?;
-        HodlrError::check_dims("Vbig rows", n, vbig.rows())?;
-        HodlrError::check_dims("Ubig columns", layout.total_cols(), ubig.cols())?;
-        HodlrError::check_dims("Vbig columns", layout.total_cols(), vbig.cols())?;
-        HodlrError::check_dims(
-            "node rank table (one entry per node id)",
-            tree.num_nodes() + 1,
-            node_ranks.len(),
-        )?;
-        HodlrError::check_dims(
-            "diagonal blocks (one per leaf)",
-            tree.num_leaves(),
-            diag.len(),
-        )?;
-        for (leaf_idx, leaf) in tree.leaves().enumerate() {
-            let size = tree.node_size(leaf);
-            HodlrError::check_dims(
-                format!("rows of diagonal block of leaf {leaf_idx} (node {leaf})"),
-                size,
-                diag[leaf_idx].rows(),
-            )?;
-            HodlrError::check_dims(
-                format!("columns of diagonal block of leaf {leaf_idx} (node {leaf})"),
-                size,
-                diag[leaf_idx].cols(),
-            )?;
-        }
-        for level in 1..=tree.levels() {
-            for node in tree.level_nodes(level) {
-                if node_ranks[node] > layout.width(level) {
-                    return Err(HodlrError::dims(
-                        format!("rank of node {node} vs its level-{level} width"),
-                        layout.width(level),
-                        node_ranks[node],
-                    ));
-                }
-            }
-        }
-        Ok(HodlrMatrix {
-            tree,
-            layout,
-            node_ranks,
-            ubig,
-            vbig: Some(vbig),
-            diag,
-        })
+        Self::assemble(tree, layout, node_ranks, ubig, Some(vbig), diag)
     }
 
     /// Assemble a Hermitian HODLR matrix whose right bases are shared with
@@ -111,10 +64,29 @@ impl<T: Scalar> HodlrMatrix<T> {
         ubig: DenseMatrix<T>,
         diag: Vec<DenseMatrix<T>>,
     ) -> Result<Self, HodlrError> {
+        Self::assemble(tree, layout, node_ranks, ubig, None, diag)
+    }
+
+    /// The shape checks of both constructors; `vbig: None` shares the right
+    /// bases with `ubig`.
+    pub(crate) fn assemble(
+        tree: ClusterTree,
+        layout: LevelLayout,
+        node_ranks: Vec<usize>,
+        ubig: DenseMatrix<T>,
+        vbig: Option<DenseMatrix<T>>,
+        diag: Vec<DenseMatrix<T>>,
+    ) -> Result<Self, HodlrError> {
         let n = tree.n();
         HodlrError::check_dims("layout levels", tree.levels(), layout.levels())?;
         HodlrError::check_dims("Ubig rows", n, ubig.rows())?;
+        if let Some(vbig) = &vbig {
+            HodlrError::check_dims("Vbig rows", n, vbig.rows())?;
+        }
         HodlrError::check_dims("Ubig columns", layout.total_cols(), ubig.cols())?;
+        if let Some(vbig) = &vbig {
+            HodlrError::check_dims("Vbig columns", layout.total_cols(), vbig.cols())?;
+        }
         HodlrError::check_dims(
             "node rank table (one entry per node id)",
             tree.num_nodes() + 1,
@@ -154,7 +126,7 @@ impl<T: Scalar> HodlrMatrix<T> {
             layout,
             node_ranks,
             ubig,
-            vbig: None,
+            vbig,
             diag,
         })
     }
@@ -184,9 +156,9 @@ impl<T: Scalar> HodlrMatrix<T> {
         &self.ubig
     }
 
-    /// The flattened right bases (`Vbig` in the paper).  For Hermitian
-    /// matrices built with [`HodlrMatrix::from_parts_symmetric`] this is the
-    /// same storage as [`HodlrMatrix::ubig`].
+    /// The flattened right bases (`Vbig` in the paper).  When the bases are
+    /// shared ([`HodlrMatrix::shares_bases`]) this is the same storage as
+    /// [`HodlrMatrix::ubig`].
     pub fn vbig(&self) -> &DenseMatrix<T> {
         self.vbig.as_ref().unwrap_or(&self.ubig)
     }
@@ -734,22 +706,26 @@ mod tests {
     fn from_parts_validates_diag_count() {
         let tree = ClusterTree::uniform(8, 1);
         let layout = LevelLayout::uniform(1, 1);
-        let err = HodlrMatrix::<f64>::from_parts(
-            tree,
-            layout,
+        let ubig = DenseMatrix::zeros(8, 1);
+        let diag = vec![DenseMatrix::zeros(4, 4)];
+        let general = HodlrMatrix::<f64>::from_parts(
+            tree.clone(),
+            layout.clone(),
             vec![0; 4],
+            ubig.clone(),
             DenseMatrix::zeros(8, 1),
-            DenseMatrix::zeros(8, 1),
-            vec![DenseMatrix::zeros(4, 4)],
-        )
-        .unwrap_err();
-        match err {
-            HodlrError::DimensionMismatch {
-                context,
-                expected: 2,
-                found: 1,
-            } => assert!(context.contains("diagonal blocks"), "{context}"),
-            other => panic!("unexpected error {other}"),
+            diag.clone(),
+        );
+        let shared = HodlrMatrix::<f64>::from_parts_symmetric(tree, layout, vec![0; 4], ubig, diag);
+        for err in [general.unwrap_err(), shared.unwrap_err()] {
+            match err {
+                HodlrError::DimensionMismatch {
+                    context,
+                    expected: 2,
+                    found: 1,
+                } => assert!(context.contains("diagonal blocks"), "{context}"),
+                other => panic!("unexpected error {other}"),
+            }
         }
     }
 
@@ -758,17 +734,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let m: HodlrMatrix<f64> = random_hodlr(&mut rng, 16, 1, 1);
         let bad_diag = vec![m.diag_block(0).clone(), DenseMatrix::zeros(5, 5)];
-        let err = HodlrMatrix::from_parts(
+        let ranks: Vec<usize> = (0..=m.tree().num_nodes()).map(|_| 1).collect();
+        let general = HodlrMatrix::from_parts(
             m.tree().clone(),
             m.layout().clone(),
-            (0..=m.tree().num_nodes()).map(|_| 1).collect(),
+            ranks.clone(),
             m.ubig().clone(),
             m.vbig().clone(),
+            bad_diag.clone(),
+        );
+        let shared = HodlrMatrix::from_parts_symmetric(
+            m.tree().clone(),
+            m.layout().clone(),
+            ranks,
+            m.ubig().clone(),
             bad_diag,
-        )
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("leaf 1"), "{msg}");
-        assert!(msg.contains("expected 8, found 5"), "{msg}");
+        );
+        for err in [general.unwrap_err(), shared.unwrap_err()] {
+            let msg = err.to_string();
+            assert!(msg.contains("leaf 1"), "{msg}");
+            assert!(msg.contains("expected 8, found 5"), "{msg}");
+        }
     }
 }

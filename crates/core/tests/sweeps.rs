@@ -2,10 +2,10 @@
 //! levels whose coupling rank is zero, and solves with no right-hand sides.
 
 use hodlr_batch::Device;
-use hodlr_compress::CompressionConfig;
+use hodlr_compress::{CompressionConfig, DenseSource};
 use hodlr_core::matrix::{random_hodlr, random_hodlr_spd};
 use hodlr_core::{
-    build_from_dense, build_from_dense_symmetric, GpuSolver, GpuSymmetricSolver, HodlrMatrix,
+    build_from_source, build_from_source_symmetric, GpuSolver, GpuSymmetricSolver, HodlrMatrix,
     LevelLayout, Symmetry,
 };
 use hodlr_la::{DenseMatrix, LuFactor};
@@ -59,10 +59,11 @@ fn block_diagonal_at_top(m: &HodlrMatrix<f64>) -> HodlrMatrix<f64> {
     }
     let tree = ClusterTree::uniform(N, LEVELS);
     let config = CompressionConfig::with_tol(1e-12);
+    let source = DenseSource::new(&dense);
     let built = if m.shares_bases() {
-        build_from_dense_symmetric(&dense, tree, &config)
+        build_from_source_symmetric(&source, tree, &config)
     } else {
-        build_from_dense(&dense, tree, &config)
+        build_from_source(&source, tree, &config)
     };
     let built = built.unwrap();
     assert_eq!(

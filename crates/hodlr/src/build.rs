@@ -353,6 +353,61 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
             budget_bytes: self.memory_budget,
         };
 
+        // One store from an entry source, built on the handle's pool.
+        let from_source = |source: &dyn MatrixEntrySource<T>| {
+            let tree = match &self.tree {
+                TreePolicy::LeafSize(0) => {
+                    return Err(HodlrError::config("leaf size must be at least 1"));
+                }
+                TreePolicy::LeafSize(s) => ClusterTree::with_leaf_size(n, *s),
+                TreePolicy::Levels(l) => {
+                    // The shift below is UB-guarded: l >= usize::BITS can
+                    // never fit n >= 2^l indices either.
+                    if *l >= usize::BITS as usize || n < (1usize << l) {
+                        return Err(HodlrError::config(format!(
+                            "cannot build {l} levels over {n} indices: a leaf would be empty"
+                        )));
+                    }
+                    ClusterTree::uniform(n, *l)
+                }
+                TreePolicy::Explicit(t) => {
+                    HodlrError::check_dims("explicit tree vs input", n, t.n())?;
+                    t.clone()
+                }
+            };
+            let build = || {
+                if compact {
+                    let config = CompactConfig {
+                        tol: self.tol,
+                        max_rank: self.max_rank,
+                        strict_rank: self.strict_rank,
+                        method: self.method,
+                    };
+                    return Ok(Store::Compact(T::build_compact(
+                        source, tree, &config, options,
+                    )?));
+                }
+                let mut config = CompressionConfig::with_tol(T::Real::from_f64_real(self.tol))
+                    .method(self.method);
+                if let Some(cap) = self.max_rank {
+                    config = config.max_rank(cap);
+                }
+                if self.strict_rank {
+                    config = config.strict_rank();
+                }
+                let matrix = if self.symmetry.is_symmetric() {
+                    build_from_source_symmetric_with(source, tree, &config, options)
+                } else {
+                    build_from_source_with(source, tree, &config, options)
+                }?;
+                Ok(Store::Full(Arc::new(matrix)))
+            };
+            match &pool {
+                Some(pool) => pool.install(build),
+                None => build(),
+            }
+        };
+
         let store = match input {
             BuilderInput::Matrix(m) => {
                 if compact {
@@ -373,86 +428,15 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
                 }
                 Store::Full(Arc::new(m))
             }
-            dense_or_source => {
-                if let BuilderInput::Dense(a) = &dense_or_source {
-                    HodlrError::check_dims(
-                        "dense input (HODLR matrices are square)",
-                        a.rows(),
-                        a.cols(),
-                    )?;
-                }
-                let tree = match &self.tree {
-                    TreePolicy::LeafSize(0) => {
-                        return Err(HodlrError::config("leaf size must be at least 1"));
-                    }
-                    TreePolicy::LeafSize(s) => ClusterTree::with_leaf_size(n, *s),
-                    TreePolicy::Levels(l) => {
-                        // The shift below is UB-guarded: l >= usize::BITS can
-                        // never fit n >= 2^l indices either.
-                        if *l >= usize::BITS as usize || n < (1usize << l) {
-                            return Err(HodlrError::config(format!(
-                                "cannot build {l} levels over {n} indices: a leaf would be empty"
-                            )));
-                        }
-                        ClusterTree::uniform(n, *l)
-                    }
-                    TreePolicy::Explicit(t) => {
-                        HodlrError::check_dims("explicit tree vs input", n, t.n())?;
-                        t.clone()
-                    }
-                };
-                let symmetric = self.symmetry.is_symmetric();
-                if compact {
-                    let config = CompactConfig {
-                        tol: self.tol,
-                        max_rank: self.max_rank,
-                        strict_rank: self.strict_rank,
-                        method: self.method,
-                    };
-                    let build = || match dense_or_source {
-                        BuilderInput::Dense(a) => {
-                            T::build_compact(&DenseSource::new(a), tree, &config, options)
-                        }
-                        BuilderInput::Source(s) => T::build_compact(s, tree, &config, options),
-                        BuilderInput::Matrix(_) => unreachable!("handled above"),
-                    };
-                    Store::Compact(match &pool {
-                        Some(pool) => pool.install(build)?,
-                        None => build()?,
-                    })
-                } else {
-                    let mut config = CompressionConfig::with_tol(T::Real::from_f64_real(self.tol))
-                        .method(self.method);
-                    if let Some(cap) = self.max_rank {
-                        config = config.max_rank(cap);
-                    }
-                    if self.strict_rank {
-                        config = config.strict_rank();
-                    }
-                    let build = || match dense_or_source {
-                        BuilderInput::Dense(a) if symmetric => build_from_source_symmetric_with(
-                            &DenseSource::new(a),
-                            tree,
-                            &config,
-                            options,
-                        ),
-                        BuilderInput::Dense(a) => {
-                            build_from_source_with(&DenseSource::new(a), tree, &config, options)
-                        }
-                        BuilderInput::Source(s) if symmetric => {
-                            build_from_source_symmetric_with(s, tree, &config, options)
-                        }
-                        BuilderInput::Source(s) => {
-                            build_from_source_with(s, tree, &config, options)
-                        }
-                        BuilderInput::Matrix(_) => unreachable!("handled above"),
-                    };
-                    Store::Full(Arc::new(match &pool {
-                        Some(pool) => pool.install(build)?,
-                        None => build()?,
-                    }))
-                }
+            BuilderInput::Dense(a) => {
+                HodlrError::check_dims(
+                    "dense input (HODLR matrices are square)",
+                    a.rows(),
+                    a.cols(),
+                )?;
+                from_source(&DenseSource::new(a))?
             }
+            BuilderInput::Source(s) => from_source(s)?,
         };
 
         Ok(Hodlr {

@@ -62,6 +62,9 @@ pub fn build_compact_store<T: DemoteScalar>(
     config: &CompactConfig,
     options: BuildOptions<'_>,
 ) -> Result<Arc<dyn CompactOps<T>>, HodlrError> {
+    // Validate before the clamp below, which would turn a zero, negative or
+    // NaN tolerance into the floor.
+    CompressionConfig::with_tol(config.tol).validate()?;
     let view = DemotedSource::<T, _>::new(source);
     // A tolerance below the lower precision's resolution would make the
     // compressors chase noise and blow the ranks (the opposite of what

@@ -1,19 +1,23 @@
 //! Pins the bits of HODLR builds from kernel sources.
 //!
-//! Each case builds one operator through the `hodlr` facade from an
-//! analytic entry source twice: from the source itself, whose bulk `tile`
-//! path serves rows, columns and leaf blocks as runs, and from a wrapper
-//! that forwards `entry` alone, so that every bulk call takes the trait's
-//! per-entry default.  The two builds must have the same bits in `Ubig`,
-//! `Vbig`, the leaf blocks and the rank profile, on every platform: a
-//! reordered sum of squares in the distances or a fused multiply-add in a
-//! kernel's bulk path shows up here as a diff.  `crates/core/tests/bits.rs`
-//! pins what the factorizations make of a matrix; this file pins the matrix
-//! a build makes of a source.
+//! Each working-precision case builds one operator through the `hodlr`
+//! facade from an analytic entry source twice: from the source itself,
+//! whose bulk `tile` path serves rows, columns and leaf blocks as runs, and
+//! from a wrapper that forwards `entry` alone, so that every bulk call
+//! takes the trait's per-entry default.  The two builds must have the same
+//! bits in `Ubig`, `Vbig`, the leaf blocks and the rank profile, on every
+//! platform: a reordered sum of squares in the distances or a fused
+//! multiply-add in a kernel's bulk path shows up here as a diff.  One more
+//! case pins the `f32` build that `Precision::CompactLower` stores, which
+//! reads its source entry by entry through `DemotedSource`.
+//! `crates/core/tests/bits.rs` pins what the factorizations make of a
+//! matrix; this file pins the matrix a build makes of a source.
 //!
-//! Each case also holds FNV-1a hashes of those parts, recorded before the
-//! sources had bulk paths, so a changed pivot anywhere in the compressor
-//! shows up as well.  The kernels call libm (`exp`, `ln`, `sin`, `cos`),
+//! Each case also holds FNV-1a hashes of those parts, so a changed pivot
+//! anywhere in the compressor or the build walk shows up as well.  The
+//! working-precision hashes were recorded before the sources had bulk
+//! paths, the `f32` one before the separate-basis and shared-basis builds
+//! became one walk.  The kernels call libm (`exp`, `ln`, `sin`, `cos`),
 //! whose last bits depend on the libm build and, in glibc on x86-64, on
 //! whether the CPU runs its FMA code.  The hashes were recorded with glibc
 //! 2.36 on an x86-64 CPU with AVX2 and FMA; they are checked only on
@@ -26,6 +30,7 @@ use hodlr_bie::{
     LaplaceSurfaceSource,
 };
 use hodlr_compress::CompressionMethod;
+use hodlr_core::{build_from_source, DemotedSource};
 use hodlr_gp::{covariance_source, spatial_points, SquaredExponential};
 use hodlr_tree::ClusterTree;
 
@@ -52,8 +57,7 @@ fn fnv1a<T: Scalar>(values: impl IntoIterator<Item = T>) -> u64 {
 /// One line per part of the built matrix: `Ubig`, `Vbig` (the same
 /// storage as `Ubig` when the bases are shared), the leaf blocks and the
 /// rank profile.
-fn record<T: Scalar>(hodlr: &Hodlr<T>) -> String {
-    let m = hodlr.matrix().expect("a full-precision build");
+fn record<T: Scalar>(m: &HodlrMatrix<T>) -> String {
     let leaves = m
         .diag_blocks()
         .iter()
@@ -137,8 +141,14 @@ fn check_build<T: SolveScalar>(
             "{name}: the per-entry build differs in {part}"
         );
     }
+    check_record(name, a, expected);
+}
+
+/// On the machine class the hashes were recorded on, check that the record
+/// of `m` is `expected`.
+fn check_record<T: Scalar>(name: &str, m: &HodlrMatrix<T>, expected: &str) {
     if recorded_hashes_hold() {
-        let got = record(&bulk);
+        let got = record(m);
         assert_eq!(
             got, expected,
             "{name}: the built bits moved; got\n{got}expected\n{expected}"
@@ -197,6 +207,26 @@ fn laplace_surface_2d_build_keeps_its_bits() {
          ubig 8fb1f97bf52a4fc8\n\
          vbig 39de5a3bfa7365f6\n\
          leaves 62fcccbe1ffa63c5\n\
+         ranks 9f0ccdab160cf0fa [17, 14, 13, 11, 10, 9]\n",
+    );
+}
+
+/// The Laplace case's source demoted entry by entry to `f32`, as
+/// `Precision::CompactLower` builds it: rook ACA at an `f32` tolerance of
+/// `TOL` over the same tree.
+#[test]
+fn laplace_surface_2d_f32_build_keeps_its_bits() {
+    let source = LaplaceSurfaceSource::new(&circle_cloud(4096), LEAF).unwrap();
+    let config = CompressionConfig::with_tol(TOL as f32).method(CompressionMethod::AcaRook);
+    let built =
+        build_from_source(&DemotedSource::new(&source), source.tree().clone(), &config).unwrap();
+    check_record(
+        "laplace-surface-2d n = 4096, f32",
+        &built,
+        "\
+         ubig 851b399383697c39\n\
+         vbig 982373e8893fb05a\n\
+         leaves 7adcd4b7f08c4c01\n\
          ranks 9f0ccdab160cf0fa [17, 14, 13, 11, 10, 9]\n",
     );
 }

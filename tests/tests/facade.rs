@@ -313,21 +313,25 @@ fn zero_size_tree_is_rejected() {
     assert!(err.to_string().contains("zero-size tree"), "{err}");
 }
 
-/// Error path: non-positive tolerances are rejected before any work.
+/// Error path: non-positive tolerances are rejected before any work, also
+/// by the compact build, which clamps a valid tolerance to its `f32` floor.
 #[test]
 fn non_positive_tolerance_is_rejected() {
     let source = kernel_source(64);
     for bad in [0.0, -1e-8, f64::NAN] {
-        let err = Hodlr::builder()
-            .source(&source)
-            .tolerance(bad)
-            .build()
-            .err()
-            .unwrap();
-        assert!(
-            matches!(err, HodlrError::InvalidConfig { .. }),
-            "tol {bad}: {err}"
-        );
+        for precision in [Precision::Full, Precision::CompactLower] {
+            let err = Hodlr::builder()
+                .source(&source)
+                .tolerance(bad)
+                .precision(precision)
+                .build()
+                .err()
+                .unwrap();
+            assert!(
+                matches!(err, HodlrError::InvalidConfig { .. }),
+                "tol {bad} at {precision:?}: {err}"
+            );
+        }
         // The refinement tolerance is validated the same way.
         let err = Hodlr::builder()
             .source(&source)
