@@ -112,7 +112,7 @@ struct FaultState {
 /// One record in the (optional) launch log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaunchRecord {
-    /// Kernel name, e.g. `"gemm_strided_batched"`.
+    /// Kernel name, e.g. `"gemm_batched"`.
     pub kernel: &'static str,
     /// Number of problems in the batch.
     pub batch: usize,
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let dev = Device::new();
-        dev.record_launch("gemm_strided_batched", 8, 1000, 0);
+        dev.record_launch("gemm_batched", 8, 1000, 0);
         dev.record_launch("getrf_batched", 4, 500, 1);
         dev.record_transfer(TransferDirection::HostToDevice, 64);
         dev.record_transfer(TransferDirection::DeviceToHost, 16);
@@ -433,10 +433,10 @@ mod tests {
     #[test]
     fn launch_log_records_kernels() {
         let dev = Device::new().with_launch_log();
-        dev.record_launch("gemm_strided_batched", 3, 0, 7);
+        dev.record_launch("gemm_batched", 3, 0, 7);
         let log = dev.launch_log();
         assert_eq!(log.len(), 1);
-        assert_eq!(log[0].kernel, "gemm_strided_batched");
+        assert_eq!(log[0].kernel, "gemm_batched");
         assert_eq!(log[0].batch, 3);
         assert_eq!(log[0].stream, 7);
     }
@@ -462,7 +462,7 @@ mod tests {
     fn fault_consultation_counts_ordinals_from_arming() {
         let dev = Device::new();
         assert!(!dev.faults_armed());
-        assert_eq!(dev.take_launch_fault("gemm_strided_batched"), None);
+        assert_eq!(dev.take_launch_fault("gemm_batched"), None);
 
         dev.arm_faults(FaultPlan::new().fail_launch(2).delay_launch(3, 10));
         assert!(dev.faults_armed());

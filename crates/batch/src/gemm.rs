@@ -1,15 +1,12 @@
 //! Batched general matrix-matrix multiplication.
 //!
-//! Three flavours mirror the cuBLAS kernels the paper uses:
+//! Two kernels, both on per-problem descriptors with independent shapes
+//! and offsets (`cublasGemmBatched` with pointer arrays), so a tree level
+//! whose off-diagonal ranks vary is one launch:
 //!
-//! * [`gemm_strided_batched`] — every problem in the batch has the same
-//!   shape and consecutive problems are a fixed stride apart
-//!   (`cublasGemmStridedBatched`), the fast path when all ranks at a tree
-//!   level are equal;
-//! * [`gemm_batched_varied`] — per-problem descriptors with independent
-//!   shapes and offsets (`cublasGemmBatched` with pointer arrays), used when
-//!   the off-diagonal ranks vary;
-//! * [`gemm_batched_aliased`] — the varied flavour with `A` read in place
+//! * [`gemm_batched_varied`] — every operand in its own window of the `a`,
+//!   `b` and `c` buffers;
+//! * [`gemm_batched_aliased`] — the same with `A` read in place
 //!   from the *same* device buffer as the output `C`, above every `C` window
 //!   (the in-place update `Ybig(:,1:rl) -= Y ⊙ W` of Algorithm 3, line 10).
 
@@ -115,103 +112,6 @@ fn gemm_into<T: Scalar>(desc: &GemmDesc<T>, a: &[T], b: &[T], c: MatMut<'_, T>) 
     let a_ref = MatRef::from_parts(a, ar, ac, desc.lda.max(1));
     let b_ref = MatRef::from_parts(b, br, bc, desc.ldb.max(1));
     gemm(desc.alpha, a_ref, desc.op_a, b_ref, desc.op_b, desc.beta, c);
-}
-
-/// `cublasGemmStridedBatched`: `batch` problems of identical shape, with
-/// operand `i` located at `i * stride_x` in its buffer.
-///
-/// # Panics
-/// Panics if any operand window reaches past the end of its buffer or if the
-/// output windows overlap.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_strided_batched<T: Scalar>(
-    device: &Device,
-    stream: Stream,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &DeviceBuffer<T>,
-    lda: usize,
-    stride_a: usize,
-    b: &DeviceBuffer<T>,
-    ldb: usize,
-    stride_b: usize,
-    beta: T,
-    c: &mut DeviceBuffer<T>,
-    ldc: usize,
-    stride_c: usize,
-    batch: usize,
-) {
-    if batch == 0 || m == 0 || n == 0 {
-        return;
-    }
-    let desc0 = GemmDesc {
-        m,
-        n,
-        k,
-        alpha,
-        beta,
-        op_a,
-        op_b,
-        a_offset: 0,
-        lda,
-        b_offset: 0,
-        ldb,
-        c_offset: 0,
-        ldc,
-    };
-    let c_span = desc0.c_span();
-    assert!(
-        stride_c >= c_span || batch == 1,
-        "gemm_strided_batched: output stride {stride_c} smaller than the output window {c_span}"
-    );
-    assert!(
-        (batch - 1) * stride_a + desc0.a_span() <= a.len(),
-        "gemm_strided_batched: A out of bounds"
-    );
-    assert!(
-        (batch - 1) * stride_b + desc0.b_span() <= b.len(),
-        "gemm_strided_batched: B out of bounds"
-    );
-    assert!(
-        (batch - 1) * stride_c + c_span <= c.len(),
-        "gemm_strided_batched: C out of bounds"
-    );
-
-    let flops: u64 = desc0.flops() * batch as u64;
-    device.record_launch("gemm_strided_batched", batch, flops, stream.id());
-    // No error channel on gemm: FailLaunch degrades to NaN poisoning of
-    // the output windows.
-    let poison = device.take_poison("gemm_strided_batched");
-
-    let a_data = a.data();
-    let b_data = b.data();
-    let windows: Vec<MatWindow> = (0..batch)
-        .map(|i| MatWindow {
-            offset: i * stride_c,
-            rows: m,
-            cols: n,
-            ld: ldc,
-        })
-        .collect();
-    process_windows_mut(c.data_mut(), &windows, device.is_parallel(), |i, c_view| {
-        let a_off = i * stride_a;
-        let b_off = i * stride_b;
-        gemm_into(
-            &desc0,
-            &a_data[a_off..a_off + desc0.a_span()],
-            &b_data[b_off..b_off + desc0.b_span()],
-            c_view,
-        );
-    });
-    if poison {
-        for i in 0..batch {
-            poison_span(c.data_mut(), i * stride_c, c_span);
-        }
-    }
 }
 
 /// `cublasGemmBatched` with per-problem shapes: every descriptor addresses
@@ -371,6 +271,39 @@ mod tests {
         (DeviceBuffer::from_host(dev, &host), stride)
     }
 
+    /// Descriptors of `batch` products `C_i <- alpha A_i B_i + beta C_i`
+    /// of one shape: operand `X_i` at offset `i * stride_x` with leading
+    /// dimension `ldx`.
+    fn strided_descs<T: Scalar>(
+        (m, n, k): (usize, usize, usize),
+        alpha: T,
+        beta: T,
+        (lda, stride_a): (usize, usize),
+        (ldb, stride_b): (usize, usize),
+        (ldc, stride_c): (usize, usize),
+        batch: usize,
+    ) -> Vec<GemmDesc<T>> {
+        (0..batch)
+            .map(|i| GemmDesc {
+                m,
+                n,
+                k,
+                alpha,
+                beta,
+                op_a: Op::None,
+                op_b: Op::None,
+                a_offset: i * stride_a,
+                lda,
+                b_offset: i * stride_b,
+                ldb,
+                c_offset: i * stride_c,
+                ldc,
+            })
+            .collect()
+    }
+
+    /// A batch of one shape laid out at uniform strides, through the
+    /// varied kernel.
     fn strided_batched_matches_reference<T: Scalar>(parallel: bool) {
         let mut rng = StdRng::seed_from_u64(7);
         let (m, n, k, batch) = (9, 5, 7, 6);
@@ -388,27 +321,16 @@ mod tests {
         let (b_buf, stride_b) = upload_matrices(&dev, &b_mats);
         let mut c_buf = DeviceBuffer::<T>::zeros(&dev, m * n * batch);
 
-        gemm_strided_batched(
-            &dev,
-            Stream::default(),
-            Op::None,
-            Op::None,
-            m,
-            n,
-            k,
+        let descs = strided_descs(
+            (m, n, k),
             T::one(),
-            &a_buf,
-            m,
-            stride_a,
-            &b_buf,
-            k,
-            stride_b,
             T::zero(),
-            &mut c_buf,
-            m,
-            m * n,
+            (m, stride_a),
+            (k, stride_b),
+            (m, m * n),
             batch,
         );
+        gemm_batched_varied(&dev, Stream::default(), &descs, &a_buf, &b_buf, &mut c_buf);
 
         let c_host = c_buf.download();
         for i in 0..batch {
@@ -619,27 +541,8 @@ mod tests {
         let b_buf = DeviceBuffer::from_host(&dev, b.data());
         let c0 = DenseMatrix::<f64>::from_fn(3, 3, |i, j| (i + j) as f64);
         let mut c_buf = DeviceBuffer::from_host(&dev, c0.data());
-        gemm_strided_batched(
-            &dev,
-            Stream::default(),
-            Op::None,
-            Op::None,
-            3,
-            3,
-            3,
-            2.0,
-            &a_buf,
-            3,
-            9,
-            &b_buf,
-            3,
-            9,
-            3.0,
-            &mut c_buf,
-            3,
-            9,
-            1,
-        );
+        let descs = strided_descs((3, 3, 3), 2.0, 3.0, (3, 9), (3, 9), (3, 9), 1);
+        gemm_batched_varied(&dev, Stream::default(), &descs, &a_buf, &b_buf, &mut c_buf);
         let got = DenseMatrix::from_col_major(3, 3, c_buf.download());
         for i in 0..3 {
             for j in 0..3 {
@@ -655,27 +558,8 @@ mod tests {
         let a_buf = DeviceBuffer::<f64>::from_host(&dev, &[1.0; 4 * 5]);
         let b_buf = DeviceBuffer::<f64>::from_host(&dev, &[1.0; 5 * 3]);
         let mut c_buf = DeviceBuffer::<f64>::zeros(&dev, 4 * 3 * 2);
-        gemm_strided_batched(
-            &dev,
-            Stream::default(),
-            Op::None,
-            Op::None,
-            4,
-            3,
-            5,
-            1.0,
-            &a_buf,
-            4,
-            0,
-            &b_buf,
-            5,
-            0,
-            0.0,
-            &mut c_buf,
-            4,
-            12,
-            2,
-        );
+        let descs = strided_descs((4, 3, 5), 1.0, 0.0, (4, 0), (5, 0), (4, 12), 2);
+        gemm_batched_varied(&dev, Stream::default(), &descs, &a_buf, &b_buf, &mut c_buf);
         assert_eq!(dev.counters().flops, 2 * 2 * 4 * 3 * 5);
     }
 
@@ -686,26 +570,7 @@ mod tests {
         let a_buf = DeviceBuffer::<f64>::zeros(&dev, 4);
         let b_buf = DeviceBuffer::<f64>::zeros(&dev, 4);
         let mut c_buf = DeviceBuffer::<f64>::zeros(&dev, 1);
-        gemm_strided_batched(
-            &dev,
-            Stream::default(),
-            Op::None,
-            Op::None,
-            2,
-            2,
-            2,
-            1.0,
-            &a_buf,
-            2,
-            4,
-            &b_buf,
-            2,
-            4,
-            0.0,
-            &mut c_buf,
-            2,
-            4,
-            1,
-        );
+        let descs = strided_descs((2, 2, 2), 1.0, 0.0, (2, 4), (2, 4), (2, 4), 1);
+        gemm_batched_varied(&dev, Stream::default(), &descs, &a_buf, &b_buf, &mut c_buf);
     }
 }

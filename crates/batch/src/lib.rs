@@ -2,8 +2,9 @@
 //!
 //! The paper's GPU solver is built on four cuBLAS primitives: `gemmBatched`,
 //! `gemmStridedBatched`, `getrfBatched` and `getrsBatched`.  This crate
-//! provides a **virtual device** with the same API surface, executed on the
-//! CPU with rayon data parallelism:
+//! provides a **virtual device** with the pointer-array (per-problem
+//! descriptor) form of the batched ones, executed on the CPU with rayon
+//! data parallelism:
 //!
 //! * [`Device`] — a cheap handle to the counters (kernel launches, flops,
 //!   transferred bytes), shared by all its clones, and the PCIe bandwidth
@@ -14,11 +15,13 @@
 //! * [`Stream`] — a labelled launch queue.  On the virtual device streams
 //!   only affect bookkeeping (the paper launches independent gemms on
 //!   separate CUDA streams at the top tree levels);
-//! * batched kernels in [`gemm`] and [`lu`], in both the *uniform* flavour
-//!   (all problems in the batch share one shape, the `gemmStridedBatched`
-//!   fast path) and the *varied* flavour (per-problem descriptors, the
-//!   pointer-array `gemmBatched` path), mirroring the two code paths of the
-//!   paper's Section III-C.
+//! * batched kernels on per-problem descriptors: [`gemm_batched_varied`]
+//!   and its in-place form [`gemm_batched_aliased`] in [`gemm`],
+//!   [`getrf_batched_varied`] and [`getrs_batched_varied`] in [`lu`], and
+//!   their symmetric counterparts in [`cholesky`].  A descriptor batch
+//!   covers both of the paper's Section III-C code paths: one shape at
+//!   every entry, where `gemmStridedBatched` would serve, and ranks that
+//!   vary within a level.
 //!
 //! The substitution (real GPU → virtual device) is documented in
 //! ARCHITECTURE.md, section "The virtual device (`hodlr-batch`)":
@@ -71,10 +74,10 @@ pub use cholesky::{
 };
 pub use device::{CounterSnapshot, Device, TransferDirection};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, LaunchFault};
-pub use gemm::{gemm_batched_aliased, gemm_batched_varied, gemm_strided_batched, GemmDesc};
+pub use gemm::{gemm_batched_aliased, gemm_batched_varied, GemmDesc};
 pub use lu::{
-    extract_diagonals_batched, getrf_batched_varied, getrf_strided_batched, getrs_batched_varied,
-    getrs_strided_batched, BatchSingularError, LuBatchError, LuDesc, LuSolveDesc,
+    extract_diagonals_batched, getrf_batched_varied, getrs_batched_varied, BatchSingularError,
+    LuBatchError, LuDesc, LuSolveDesc,
 };
 pub use stream::{Stream, StreamPool};
 pub use windows::{process_windows_mut, MatWindow};

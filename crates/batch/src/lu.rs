@@ -3,8 +3,9 @@
 //! The factorization is performed in place (the `L` and `U` factors
 //! overwrite the input block, exactly as cuBLAS does) and the pivot indices
 //! are returned to the host.  The solve overwrites the right-hand sides with
-//! the solution.  Both a uniform strided flavour and a per-problem varied
-//! flavour are provided, matching the two batched code paths of the paper.
+//! the solution.  Both take per-problem descriptors, so one launch covers
+//! blocks of different orders (the pointer-array `getrfBatched` /
+//! `getrsBatched` path).
 
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
@@ -252,27 +253,6 @@ pub fn getrf_batched_varied<T: Scalar>(
     Ok(pivots)
 }
 
-/// Uniform-stride batched in-place LU factorization: block `i` is the
-/// `n x n` block at offset `i * stride` with leading dimension `lda`.
-pub fn getrf_strided_batched<T: Scalar>(
-    device: &Device,
-    stream: Stream,
-    n: usize,
-    a: &mut DeviceBuffer<T>,
-    lda: usize,
-    stride: usize,
-    batch: usize,
-) -> Result<Vec<Vec<usize>>, LuBatchError> {
-    let descs: Vec<LuDesc> = (0..batch)
-        .map(|i| LuDesc {
-            n,
-            offset: i * stride,
-            ld: lda,
-        })
-        .collect();
-    getrf_batched_varied(device, stream, &descs, a)
-}
-
 /// Solve every system described by `descs` in place using the LU factors
 /// produced by [`getrf_batched_varied`] (`getrsBatched`, no-transpose).
 ///
@@ -392,35 +372,6 @@ pub fn extract_diagonals_batched<T: Scalar>(
     out
 }
 
-/// Uniform-stride batched LU solve.
-#[allow(clippy::too_many_arguments)]
-pub fn getrs_strided_batched<T: Scalar>(
-    device: &Device,
-    stream: Stream,
-    n: usize,
-    nrhs: usize,
-    a: &DeviceBuffer<T>,
-    lda: usize,
-    stride_a: usize,
-    pivots: &[Vec<usize>],
-    b: &mut DeviceBuffer<T>,
-    ldb: usize,
-    stride_b: usize,
-    batch: usize,
-) {
-    let descs: Vec<LuSolveDesc> = (0..batch)
-        .map(|i| LuSolveDesc {
-            n,
-            nrhs,
-            a_offset: i * stride_a,
-            lda,
-            b_offset: i * stride_b,
-            ldb,
-        })
-        .collect();
-    getrs_batched_varied(device, stream, &descs, a, pivots, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,6 +379,32 @@ mod tests {
     use hodlr_la::{Complex64, DenseMatrix, RealScalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `batch` blocks of order `n`, packed `n * n` elements apart.
+    fn packed_blocks(n: usize, batch: usize) -> Vec<LuDesc> {
+        (0..batch)
+            .map(|i| LuDesc {
+                n,
+                offset: i * n * n,
+                ld: n,
+            })
+            .collect()
+    }
+
+    /// Solves against [`packed_blocks`] factors, `nrhs` columns per block
+    /// packed `n * nrhs` elements apart.
+    fn packed_solves(n: usize, nrhs: usize, batch: usize) -> Vec<LuSolveDesc> {
+        (0..batch)
+            .map(|i| LuSolveDesc {
+                n,
+                nrhs,
+                a_offset: i * n * n,
+                lda: n,
+                b_offset: i * n * nrhs,
+                ldb: n,
+            })
+            .collect()
+    }
 
     fn factor_solve_roundtrip<T: Scalar>(parallel: bool) {
         let mut rng = StdRng::seed_from_u64(21);
@@ -455,21 +432,20 @@ mod tests {
         let mut a_buf = DeviceBuffer::from_host(&dev, &a_host);
         let mut b_buf = DeviceBuffer::from_host(&dev, &b_host);
 
-        let pivots = getrf_strided_batched(&dev, Stream::default(), n, &mut a_buf, n, n * n, batch)
-            .expect("diag-dominant blocks are invertible");
-        getrs_strided_batched(
+        let pivots = getrf_batched_varied(
             &dev,
             Stream::default(),
-            n,
-            nrhs,
+            &packed_blocks(n, batch),
+            &mut a_buf,
+        )
+        .expect("diag-dominant blocks are invertible");
+        getrs_batched_varied(
+            &dev,
+            Stream::default(),
+            &packed_solves(n, nrhs, batch),
             &a_buf,
-            n,
-            n * n,
             &pivots,
             &mut b_buf,
-            n,
-            n * nrhs,
-            batch,
         );
 
         let x_host = b_buf.download();
@@ -565,7 +541,7 @@ mod tests {
         let mut host = good.data().to_vec();
         host.extend_from_slice(singular.data());
         let mut a_buf = DeviceBuffer::from_host(&dev, &host);
-        let err = getrf_strided_batched(&dev, Stream::default(), 3, &mut a_buf, 3, 9, 2)
+        let err = getrf_batched_varied(&dev, Stream::default(), &packed_blocks(3, 2), &mut a_buf)
             .expect_err("second block is singular");
         assert!(err.to_string().contains("batch entry 1"));
         let singular = err.singular().expect("a singular block, not a fault");
@@ -580,12 +556,12 @@ mod tests {
 
         // Launch 1: no rule, factors fine.
         let mut buf = DeviceBuffer::from_host(&dev, a.data());
-        getrf_strided_batched(&dev, Stream::default(), 4, &mut buf, 4, 16, 1)
+        getrf_batched_varied(&dev, Stream::default(), &packed_blocks(4, 1), &mut buf)
             .expect("launch 1 is clean");
 
         // Launch 2: scheduled to fail with a typed fault.
         let mut buf = DeviceBuffer::from_host(&dev, a.data());
-        let err = getrf_strided_batched(&dev, Stream::default(), 4, &mut buf, 4, 16, 1)
+        let err = getrf_batched_varied(&dev, Stream::default(), &packed_blocks(4, 1), &mut buf)
             .expect_err("launch 2 is scheduled to fail");
         match err {
             LuBatchError::Fault(ref f) => {
@@ -599,7 +575,7 @@ mod tests {
 
         // Launch 3: clean again; the plan only fires on its ordinal.
         let mut buf = DeviceBuffer::from_host(&dev, a.data());
-        getrf_strided_batched(&dev, Stream::default(), 4, &mut buf, 4, 16, 1)
+        getrf_batched_varied(&dev, Stream::default(), &packed_blocks(4, 1), &mut buf)
             .expect("launch 3 is clean");
         assert_eq!(dev.disarm_faults().len(), 1);
     }
@@ -610,43 +586,32 @@ mod tests {
         let a = random_diag_dominant::<f64, _>(&mut StdRng::seed_from_u64(41), 4);
         let mut a_buf = DeviceBuffer::from_host(&dev, a.data());
         let pivots =
-            getrf_strided_batched(&dev, Stream::default(), 4, &mut a_buf, 4, 16, 1).unwrap();
+            getrf_batched_varied(&dev, Stream::default(), &packed_blocks(4, 1), &mut a_buf)
+                .unwrap();
 
         // FailLaunch on the (infallible) solve degrades to poisoning.
         dev.arm_faults(crate::FaultPlan::new().fail_launch(1));
         let mut b_buf = DeviceBuffer::from_host(&dev, &[1.0, 2.0, 3.0, 4.0]);
-        getrs_strided_batched(
+        getrs_batched_varied(
             &dev,
             Stream::default(),
-            4,
-            1,
+            &packed_solves(4, 1, 1),
             &a_buf,
-            4,
-            16,
             &pivots,
             &mut b_buf,
-            4,
-            4,
-            1,
         );
         assert!(b_buf.download().iter().all(|v| v.is_nan()));
         dev.disarm_faults();
 
         // With the plan disarmed the same solve is clean again.
         let mut b_buf = DeviceBuffer::from_host(&dev, &[1.0, 2.0, 3.0, 4.0]);
-        getrs_strided_batched(
+        getrs_batched_varied(
             &dev,
             Stream::default(),
-            4,
-            1,
+            &packed_solves(4, 1, 1),
             &a_buf,
-            4,
-            16,
             &pivots,
             &mut b_buf,
-            4,
-            4,
-            1,
         );
         assert!(b_buf.download().iter().all(|v| v.is_finite()));
     }
@@ -656,7 +621,8 @@ mod tests {
         let dev = Device::new();
         let a = random_diag_dominant::<f64, _>(&mut StdRng::seed_from_u64(23), 8);
         let mut a_buf = DeviceBuffer::from_host(&dev, a.data());
-        let _ = getrf_strided_batched(&dev, Stream::default(), 8, &mut a_buf, 8, 64, 1).unwrap();
+        let _ = getrf_batched_varied(&dev, Stream::default(), &packed_blocks(8, 1), &mut a_buf)
+            .unwrap();
         assert_eq!(dev.counters().flops, 2 * 8 * 8 * 8 / 3);
     }
 

@@ -10,7 +10,7 @@
 //! at the oracle-checked sizes, or an SPD-path row that fails to undercut
 //! its LU twin on flops or factorization bytes.
 
-use hodlr_bench::{print_gp_table, run_gp_bench, write_gp_json, GpBenchConfig};
+use hodlr_bench::{print_gp_table, run_gp_bench, write_bench_json, GpBenchConfig};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -24,7 +24,7 @@ fn main() {
         "GP log-marginal likelihood (solve + product-form log_det)",
         &rows,
     );
-    write_gp_json("gp", &rows);
+    write_bench_json("gp", &rows);
 
     let mut broken = false;
     for row in &rows {

@@ -9,11 +9,15 @@ use hodlr_bench::iterative::{
     DEFAULT_PRECOND_TOLS,
 };
 use hodlr_bench::workloads::resolved_kappa;
-use hodlr_bench::{helmholtz_hodlr, laplace_hodlr, rpy_hodlr, write_iterative_json};
+use hodlr_bench::{helmholtz_hodlr, laplace_hodlr, rpy_hodlr, write_bench_json};
 
 fn main() {
-    let args = hodlr_bench::parse_args(&[1 << 10], &[1 << 13]);
-    let n = args.sizes[0];
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = hodlr_bench::parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("iterative: {e}");
+        std::process::exit(2)
+    });
+    let n = args.sizes_or(&[1 << 10], &[1 << 13])[0];
     let config = IterativeConfig::default();
     let mut all_rows = Vec::new();
 
@@ -60,5 +64,5 @@ fn main() {
 
     // Machine-readable perf trajectory for cross-PR comparison; the
     // output path resolves through the shared helper like every bench bin.
-    write_iterative_json("iterative", &all_rows);
+    write_bench_json("iterative", &all_rows);
 }

@@ -7,7 +7,7 @@
 //!
 //! Usage: `kernels [--smoke]` — `--smoke` runs the seconds-scale CI sweep.
 
-use hodlr_bench::{print_kernel_table, run_kernel_bench, write_kernel_json, KernelBenchConfig};
+use hodlr_bench::{print_kernel_table, run_kernel_bench, write_bench_json, KernelBenchConfig};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -34,7 +34,7 @@ fn main() {
         );
     }
 
-    write_kernel_json("kernels", &rows);
+    write_bench_json("kernels", &rows);
 
     let broken: Vec<_> = rows
         .iter()

@@ -10,7 +10,7 @@
 //! loose solve residual, or an `f32-storage` row that does not hold
 //! strictly fewer bytes than its `f64` twin.
 
-use hodlr_bench::{print_scale_table, run_scale_bench, write_scale_json, ScaleBenchConfig};
+use hodlr_bench::{print_scale_table, run_scale_bench, write_bench_json, ScaleBenchConfig};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -30,7 +30,7 @@ fn main() {
         "Scale-out (streaming memory-budgeted assembly, 2-D/3-D)",
         &rows,
     );
-    write_scale_json("scale", &rows);
+    write_bench_json("scale", &rows);
 
     let mut broken = false;
     for row in &rows {

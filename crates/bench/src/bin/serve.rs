@@ -11,7 +11,7 @@
 //! launches-per-request < 1, chaos recoveries > 0 under the fixed fault
 //! seed).
 
-use hodlr_bench::{print_serve_table, run_serve_bench, write_serve_json, ServeBenchConfig};
+use hodlr_bench::{print_serve_table, run_serve_bench, write_bench_json, ServeBenchConfig};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -25,7 +25,7 @@ fn main() {
         "Multi-tenant serving (factorization cache + coalescing)",
         &rows,
     );
-    write_serve_json("serve", &rows);
+    write_bench_json("serve", &rows);
 
     let mut broken = false;
     for row in &rows {

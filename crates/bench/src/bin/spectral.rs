@@ -12,7 +12,7 @@
 //! standard error.
 
 use hodlr_bench::{
-    print_spectral_table, run_spectral_bench, write_spectral_json, SpectralBenchConfig,
+    print_spectral_table, run_spectral_bench, write_bench_json, SpectralBenchConfig,
 };
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         "Spectral subsystem (dense EVD/SVD, Lanczos eigenpairs, SLQ log-det)",
         &rows,
     );
-    write_spectral_json("spectral", &rows);
+    write_bench_json("spectral", &rows);
 
     let mut broken = false;
     for row in &rows {

@@ -1,4 +1,5 @@
-//! Timing harness shared by every table/figure binary.
+//! Timing harness of the paper's solver tables: every solver on one HODLR
+//! matrix, one [`SolverRow`] each.
 
 use hodlr_baselines::{DenseLuSolver, HodlrlibStyleSolver};
 use hodlr_batch::Device;
@@ -26,18 +27,16 @@ pub struct MeasureConfig {
     pub dense: bool,
 }
 
-impl Default for MeasureConfig {
-    fn default() -> Self {
-        MeasureConfig {
-            serial_hodlr: true,
-            hodlrlib: false,
-            block_sparse_seq: true,
-            block_sparse_par: true,
-            gpu_hodlr: true,
-            dense: false,
-        }
-    }
-}
+/// `solver` label of the serial flattened HODLR solver's rows.
+pub const SERIAL_HODLR: &str = "Serial HODLR Solver";
+/// `solver` label of the HODLRlib-style recursive solver's rows.
+pub const HODLRLIB: &str = "HODLRlib-style Solver";
+/// `solver` label of the sequential block-sparse solver's rows.
+pub const SERIAL_BLOCK_SPARSE: &str = "Serial Block-Sparse Solver";
+/// `solver` label of the parallel block-sparse solver's rows.
+pub const PARALLEL_BLOCK_SPARSE: &str = "Parallel Block-Sparse Solver";
+/// `solver` label of the batched solver's rows.
+pub const GPU_HODLR: &str = "GPU HODLR Solver";
 
 /// One row of a paper-style table: a solver's timings, memory and residual
 /// at one problem size.
@@ -48,7 +47,7 @@ pub struct SolverRow {
     /// (e.g. `"laplace/tol=1e-12"` vs `"laplace/tol=1e-4"` in the Table IV
     /// output, which previously emitted two indistinguishable row sets).
     pub workload: String,
-    /// Solver label, e.g. `"GPU HODLR Solver"`.
+    /// Solver label, e.g. [`GPU_HODLR`].
     pub solver: String,
     /// Problem size `N`.
     pub n: usize,
@@ -56,7 +55,8 @@ pub struct SolverRow {
     pub t_factor: f64,
     /// Solve time for one right-hand side in seconds (`t_s`).
     pub t_solve: f64,
-    /// Memory of the factorization in GiB (`mem`).
+    /// Memory of the factorization in GiB (`mem`): every entry the
+    /// solver holds to solve with.
     pub mem_gib: f64,
     /// Relative residual of the computed solution (`relres`).
     pub relres: f64,
@@ -92,7 +92,7 @@ pub fn measure_solvers<T: Scalar>(
         let t_solve = start.elapsed().as_secs_f64();
         rows.push(SolverRow {
             workload: workload.into(),
-            solver: "Serial HODLR Solver".into(),
+            solver: SERIAL_HODLR.into(),
             n,
             t_factor,
             t_solve,
@@ -113,12 +113,11 @@ pub fn measure_solvers<T: Scalar>(
         let t_solve = start.elapsed().as_secs_f64();
         rows.push(SolverRow {
             workload: workload.into(),
-            solver: "HODLRlib-style Solver".into(),
+            solver: HODLRLIB.into(),
             n,
             t_factor,
             t_solve,
-            mem_gib: (factor.storage_entries() * std::mem::size_of::<T>()) as f64
-                / (1u64 << 30) as f64,
+            mem_gib: gib::<T>(factor.storage_entries()),
             relres: matrix.relative_residual(&x, &b).to_f64(),
             factor_gflops: Some(report.factorization_flops as f64 / t_factor / 1e9),
             solve_gflops: Some(report.solve_flops as f64 / t_solve / 1e9),
@@ -127,12 +126,8 @@ pub fn measure_solvers<T: Scalar>(
     }
 
     for (label, parallel, enabled) in [
-        ("Serial Block-Sparse Solver", false, config.block_sparse_seq),
-        (
-            "Parallel Block-Sparse Solver",
-            true,
-            config.block_sparse_par,
-        ),
+        (SERIAL_BLOCK_SPARSE, false, config.block_sparse_seq),
+        (PARALLEL_BLOCK_SPARSE, true, config.block_sparse_par),
     ] {
         if !enabled {
             continue;
@@ -173,11 +168,11 @@ pub fn measure_solvers<T: Scalar>(
         let solve_flops = device.counters().since(&before_solve).flops;
         rows.push(SolverRow {
             workload: workload.into(),
-            solver: "GPU HODLR Solver".into(),
+            solver: GPU_HODLR.into(),
             n,
             t_factor,
             t_solve,
-            mem_gib: matrix.memory_gib(),
+            mem_gib: gib::<T>(gpu.storage_entries()),
             relres: matrix.relative_residual(&x, &b).to_f64(),
             factor_gflops: Some(factor_flops as f64 / t_factor / 1e9),
             solve_gflops: Some(solve_flops as f64 / t_solve / 1e9),
@@ -199,8 +194,7 @@ pub fn measure_solvers<T: Scalar>(
             n,
             t_factor,
             t_solve,
-            mem_gib: (solver.storage_entries() * std::mem::size_of::<T>()) as f64
-                / (1u64 << 30) as f64,
+            mem_gib: gib::<T>(solver.storage_entries()),
             relres: matrix.relative_residual(&x, &b).to_f64(),
             factor_gflops: Some(solver.factorization_flops() as f64 / t_factor / 1e9),
             solve_gflops: None,
@@ -211,7 +205,12 @@ pub fn measure_solvers<T: Scalar>(
     rows
 }
 
-/// Print rows in the paper's table layout, grouped by problem size.
+/// `entries` scalars of type `T` in GiB.
+fn gib<T: Scalar>(entries: usize) -> f64 {
+    (entries * std::mem::size_of::<T>()) as f64 / (1u64 << 30) as f64
+}
+
+/// Print rows in the paper's table layout.
 pub fn print_table(title: &str, rows: &[SolverRow]) {
     println!("== {title}");
     println!(
@@ -234,36 +233,8 @@ pub fn print_table(title: &str, rows: &[SolverRow]) {
     println!();
 }
 
-/// Print rows as a CSV series (one line per row), the format the figure
-/// harnesses emit so the scaling plots can be regenerated.
-pub fn print_csv(title: &str, rows: &[SolverRow]) {
-    println!("# {title}");
-    println!(
-        "workload,solver,N,threads,t_factor,t_solve,mem_gib,relres,factor_gflops,solve_gflops"
-    );
-    for row in rows {
-        println!(
-            "{},{},{},{},{:.6e},{:.6e},{:.6e},{:.3e},{},{}",
-            row.workload,
-            row.solver,
-            row.n,
-            row.threads,
-            row.t_factor,
-            row.t_solve,
-            row.mem_gib,
-            row.relres,
-            row.factor_gflops
-                .map_or(String::new(), |v| format!("{v:.3}")),
-            row.solve_gflops
-                .map_or(String::new(), |v| format!("{v:.3}")),
-        );
-    }
-    println!();
-}
-
-/// Least-squares slope of `log(time)` against `log(N)`, printed by the
-/// figure harnesses next to the `O(N log^2 N)` / `O(N)` guide lines of the
-/// paper.
+/// Least-squares slope of `log(time)` against `log(N)`, printed next to
+/// the paper's `O(N log^2 N)` / `O(N)` guide lines (Figs. 5 and 7).
 pub fn fitted_exponent(points: &[(usize, f64)]) -> f64 {
     let pts: Vec<(f64, f64)> = points
         .iter()
@@ -316,8 +287,11 @@ mod tests {
             assert!(row.mem_gib > 0.0);
             assert_eq!(row.workload, "gaussian-kernel");
         }
+        // Both backends hold the same LU factors and bases, coupling
+        // factors included.
+        let mem = |solver: &str| rows.iter().find(|r| r.solver == solver).unwrap().mem_gib;
+        assert_eq!(mem(SERIAL_HODLR), mem(GPU_HODLR));
         print_table("smoke", &rows);
-        print_csv("smoke", &rows);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   problem size, thread count, wall-clock times, device-metered
 //!   launch/flop totals — every method row carries real metering,
 //!   including the mixed-refine rows);
-//! * the fig/table binaries emit [`SolverRow`]s (**workload** — the
-//!   problem family plus whatever the binary sweeps besides `n`, so row
-//!   sets sharing a size stay distinguishable —, solver, size, threads,
-//!   factor/solve times, memory, residual, metered GFLOP/s);
+//! * the `paper` binary emits [`SolverRow`]s (**workload** — the problem
+//!   family plus its compression tolerance, so row sets sharing a size
+//!   stay distinguishable —, solver, size, threads, factor/solve times,
+//!   memory, residual, metered GFLOP/s);
 //! * the `kernels` binary emits [`KernelRow`]s (kernel, scalar type, dims,
 //!   threads, GFLOP/s, blocked-vs-reference speedup, bitwise-determinism
 //!   verdict, and the ISA level the dispatched kernels ran at);
@@ -20,7 +20,7 @@
 //!   likelihood value, its error against the dense Cholesky oracle, and
 //!   launch/flop metering).
 //!
-//! * the `scale` binary emits [`ScaleRow`](crate::scale::ScaleRow)s
+//! * the `scale` binary emits [`ScaleRow`]s
 //!   (workload, dimension, size, storage precision, the budget the build
 //!   ran under, build/factor/solve wall clocks, the **measured** peak
 //!   build bytes from the allocation meter, stored bytes, max rank, the
@@ -34,15 +34,17 @@
 //!   gate, the SLQ standard error, estimator-vs-dense-oracle wall clocks
 //!   and the 1/2/8-thread bitwise-determinism verdict).
 //!
-//! Every bench family resolves its output path through the one shared
-//! helper, [`bench_json_path`]: `HODLR_BENCH_JSON` overrides the default
-//! `BENCH_<name>.json` in the working directory, identically for every
-//! binary.
+//! Each row type lists its fields once ([`BenchRow`]); one renderer,
+//! [`rows_to_json`], frames them, and one writer, [`write_bench_json`],
+//! resolves the output path through [`bench_json_path`]:
+//! `HODLR_BENCH_JSON` overrides the default `BENCH_<name>.json` in the
+//! working directory, identically for every binary.
 
 use crate::gp::GpRow;
 use crate::harness::SolverRow;
 use crate::iterative::IterativeRow;
 use crate::kernels::KernelRow;
+use crate::scale::ScaleRow;
 use crate::serve::ServeRow;
 use crate::spectral::SpectralRow;
 use std::io::Write;
@@ -75,76 +77,35 @@ fn number(v: f64) -> String {
     }
 }
 
-/// Render the iterative rows as a JSON array (pretty-printed, one object
-/// per row, stable key order).
-pub fn iterative_rows_to_json(rows: &[IterativeRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let scenario = format!("{}/{}", row.workload, row.method);
-        out.push_str("  {");
-        out.push_str(&format!("\"scenario\": \"{}\", ", escape(&scenario)));
-        out.push_str(&format!("\"workload\": \"{}\", ", escape(&row.workload)));
-        out.push_str(&format!("\"method\": \"{}\", ", escape(&row.method)));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"threads\": {}, ", row.threads));
-        out.push_str(&format!("\"precond_tol\": {}, ", number(row.precond_tol)));
-        out.push_str(&format!("\"iterations\": {}, ", row.iterations));
-        out.push_str(&format!("\"relres\": {}, ", number(row.relres)));
-        out.push_str(&format!("\"t_factor_s\": {}, ", number(row.t_factor)));
-        out.push_str(&format!("\"t_per_rhs_s\": {}, ", number(row.t_per_rhs)));
-        out.push_str(&format!("\"launches\": {}, ", row.launches));
-        out.push_str(&format!("\"flops\": {}, ", row.flops));
-        out.push_str(&format!("\"converged\": {}", row.converged));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Write iterative rows to the family's JSON path (see
-/// [`bench_json_path`]).
-pub fn write_iterative_json(name: &str, rows: &[IterativeRow]) {
-    write_bench_json(name, &iterative_rows_to_json(rows), rows.len());
-}
-
 /// An optional float as JSON (`null` when absent or non-finite).
 fn opt_number(v: Option<f64>) -> String {
-    match v {
-        Some(v) => number(v),
-        None => "null".to_string(),
-    }
+    v.map_or_else(|| "null".to_string(), number)
 }
 
-/// Render solver-table rows (the fig/table binaries) as a JSON array.
-pub fn solver_rows_to_json(rows: &[SolverRow]) -> String {
+/// A string as a JSON string literal.
+fn text(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
+/// A bench row as JSON: its fields in output order, each value already
+/// rendered as a JSON literal.
+pub trait BenchRow {
+    /// `(key, JSON value)` pairs, in the order they are written.
+    fn fields(&self) -> Vec<(&'static str, String)>;
+}
+
+/// Render rows as a JSON array: one object per line, keys in
+/// [`BenchRow::fields`] order.
+pub fn rows_to_json<R: BenchRow>(rows: &[R]) -> String {
     let mut out = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"workload\": \"{}\", ", escape(&row.workload)));
-        out.push_str(&format!("\"solver\": \"{}\", ", escape(&row.solver)));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"threads\": {}, ", row.threads));
-        out.push_str(&format!("\"t_factor_s\": {}, ", number(row.t_factor)));
-        out.push_str(&format!("\"t_solve_s\": {}, ", number(row.t_solve)));
-        out.push_str(&format!("\"mem_gib\": {}, ", number(row.mem_gib)));
-        out.push_str(&format!("\"relres\": {}, ", number(row.relres)));
-        out.push_str(&format!(
-            "\"factor_gflops\": {}, ",
-            opt_number(row.factor_gflops)
-        ));
-        out.push_str(&format!(
-            "\"solve_gflops\": {}",
-            opt_number(row.solve_gflops)
-        ));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+        let fields: Vec<String> = row
+            .fields()
+            .into_iter()
+            .map(|(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        out.push_str(&format!("  {{{}}}", fields.join(", ")));
+        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");
     out
@@ -158,229 +119,179 @@ pub fn bench_json_path(name: &str) -> PathBuf {
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{name}.json")))
 }
 
-/// Write rendered JSON to the family's path, reporting the outcome on
-/// stdout/stderr (bench bins must not fail the run on an unwritable path).
-fn write_bench_json(name: &str, rendered: &str, row_count: usize) {
+/// Write rows to the family's path (see [`bench_json_path`]), reporting
+/// the outcome on stdout/stderr (bench bins must not fail the run on an
+/// unwritable path).
+pub fn write_bench_json<R: BenchRow>(name: &str, rows: &[R]) {
     let path = bench_json_path(name);
+    let rendered = rows_to_json(rows);
     match std::fs::File::create(&path).and_then(|mut f| f.write_all(rendered.as_bytes())) {
-        Ok(()) => println!("wrote {row_count} rows to {}", path.display()),
+        Ok(()) => println!("wrote {} rows to {}", rows.len(), path.display()),
         Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
 }
 
-/// Write fig/table solver rows to the family's JSON path.
-pub fn write_solver_json(name: &str, rows: &[SolverRow]) {
-    write_bench_json(name, &solver_rows_to_json(rows), rows.len());
-}
-
-/// Render kernel-bench rows as a JSON array.
-pub fn kernel_rows_to_json(rows: &[KernelRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"kernel\": \"{}\", ", escape(&row.kernel)));
-        out.push_str(&format!("\"scalar\": \"{}\", ", escape(&row.scalar)));
-        out.push_str(&format!("\"m\": {}, ", row.m));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"k\": {}, ", row.k));
-        out.push_str(&format!("\"threads\": {}, ", row.threads));
-        out.push_str(&format!("\"time_s\": {}, ", number(row.time_s)));
-        out.push_str(&format!("\"time_iqr_s\": {}, ", number(row.time_iqr_s)));
-        out.push_str(&format!("\"gflops\": {}, ", number(row.gflops)));
-        out.push_str(&format!(
-            "\"speedup_vs_reference\": {}, ",
-            opt_number(row.speedup_vs_reference)
-        ));
-        out.push_str(&format!(
-            "\"bitwise_vs_1thread\": {}, ",
-            match row.bitwise_vs_1thread {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            }
-        ));
-        out.push_str(&format!("\"isa\": \"{}\", ", escape(row.isa)));
-        out.push_str(&format!(
-            "\"op_a\": {}, ",
-            match row.op_a {
-                Some(op) => format!("\"{op:?}\""),
-                None => "null".to_string(),
-            }
-        ));
-        out.push_str(&format!("\"bytes_per_s\": {}", opt_number(row.bytes_per_s)));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+impl BenchRow for IterativeRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            (
+                "scenario",
+                text(&format!("{}/{}", self.workload, self.method)),
+            ),
+            ("workload", text(&self.workload)),
+            ("method", text(&self.method)),
+            ("n", self.n.to_string()),
+            ("threads", self.threads.to_string()),
+            ("precond_tol", number(self.precond_tol)),
+            ("iterations", self.iterations.to_string()),
+            ("relres", number(self.relres)),
+            ("t_factor_s", number(self.t_factor)),
+            ("t_per_rhs_s", number(self.t_per_rhs)),
+            ("launches", self.launches.to_string()),
+            ("flops", self.flops.to_string()),
+            ("converged", self.converged.to_string()),
+        ]
     }
-    out.push_str("]\n");
-    out
 }
 
-/// Write kernel rows to the family's JSON path (see [`bench_json_path`]).
-pub fn write_kernel_json(name: &str, rows: &[KernelRow]) {
-    write_bench_json(name, &kernel_rows_to_json(rows), rows.len());
-}
-
-/// Render GP log-likelihood rows (the `gp` binary) as a JSON array.
-pub fn gp_rows_to_json(rows: &[GpRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"kernel\": \"{}\", ", escape(&row.kernel)));
-        out.push_str(&format!("\"backend\": \"{}\", ", escape(&row.backend)));
-        out.push_str(&format!("\"path\": \"{}\", ", escape(&row.path)));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"threads\": {}, ", row.threads));
-        out.push_str(&format!("\"tol\": {}, ", number(row.tol)));
-        out.push_str(&format!("\"t_build_s\": {}, ", number(row.t_build)));
-        out.push_str(&format!("\"t_factor_s\": {}, ", number(row.t_factor)));
-        out.push_str(&format!("\"t_logdet_s\": {}, ", number(row.t_logdet)));
-        out.push_str(&format!("\"t_loglik_s\": {}, ", number(row.t_loglik)));
-        out.push_str(&format!(
-            "\"log_likelihood\": {}, ",
-            number(row.log_likelihood)
-        ));
-        out.push_str(&format!(
-            "\"loglik_err_vs_dense\": {}, ",
-            opt_number(row.loglik_err_vs_dense)
-        ));
-        out.push_str(&format!("\"launches\": {}, ", row.launches));
-        out.push_str(&format!("\"flops\": {}, ", row.flops));
-        out.push_str(&format!("\"factor_bytes\": {}", row.factor_bytes));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+impl BenchRow for SolverRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("workload", text(&self.workload)),
+            ("solver", text(&self.solver)),
+            ("n", self.n.to_string()),
+            ("threads", self.threads.to_string()),
+            ("t_factor_s", number(self.t_factor)),
+            ("t_solve_s", number(self.t_solve)),
+            ("mem_gib", number(self.mem_gib)),
+            ("relres", number(self.relres)),
+            ("factor_gflops", opt_number(self.factor_gflops)),
+            ("solve_gflops", opt_number(self.solve_gflops)),
+        ]
     }
-    out.push_str("]\n");
-    out
 }
 
-/// Write GP rows to the family's JSON path (see [`bench_json_path`]).
-pub fn write_gp_json(name: &str, rows: &[GpRow]) {
-    write_bench_json(name, &gp_rows_to_json(rows), rows.len());
-}
-
-/// Render spectral rows (the `spectral` binary) as a JSON array.
-pub fn spectral_rows_to_json(rows: &[SpectralRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"scenario\": \"{}\", ", escape(&row.scenario)));
-        out.push_str(&format!("\"backend\": \"{}\", ", escape(&row.backend)));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"k\": {}, ", row.k));
-        out.push_str(&format!("\"probes\": {}, ", row.probes));
-        out.push_str(&format!("\"steps\": {}, ", row.steps));
-        out.push_str(&format!("\"threads\": {}, ", row.threads));
-        out.push_str(&format!("\"residual\": {}, ", number(row.residual)));
-        out.push_str(&format!("\"tolerance\": {}, ", number(row.tolerance)));
-        out.push_str(&format!("\"slq_stderr\": {}, ", opt_number(row.slq_stderr)));
-        out.push_str(&format!("\"t_s\": {}, ", number(row.t_s)));
-        out.push_str(&format!("\"t_dense_s\": {}, ", opt_number(row.t_dense_s)));
-        out.push_str(&format!("\"deterministic\": {}", row.deterministic));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+impl BenchRow for KernelRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("kernel", text(&self.kernel)),
+            ("scalar", text(&self.scalar)),
+            ("m", self.m.to_string()),
+            ("n", self.n.to_string()),
+            ("k", self.k.to_string()),
+            ("threads", self.threads.to_string()),
+            ("time_s", number(self.time_s)),
+            ("time_iqr_s", number(self.time_iqr_s)),
+            ("gflops", number(self.gflops)),
+            (
+                "speedup_vs_reference",
+                opt_number(self.speedup_vs_reference),
+            ),
+            (
+                "bitwise_vs_1thread",
+                self.bitwise_vs_1thread
+                    .map_or_else(|| "null".to_string(), |b| b.to_string()),
+            ),
+            ("isa", text(self.isa)),
+            (
+                "op_a",
+                self.op_a
+                    .map_or_else(|| "null".to_string(), |op| text(&format!("{op:?}"))),
+            ),
+            ("bytes_per_s", opt_number(self.bytes_per_s)),
+        ]
     }
-    out.push_str("]\n");
-    out
 }
 
-/// Write spectral rows to the family's JSON path (see [`bench_json_path`]).
-pub fn write_spectral_json(name: &str, rows: &[SpectralRow]) {
-    write_bench_json(name, &spectral_rows_to_json(rows), rows.len());
-}
-
-/// Render scale rows (the `scale` binary) as a JSON array.
-pub fn scale_rows_to_json(rows: &[crate::scale::ScaleRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"workload\": \"{}\", ", escape(&row.workload)));
-        out.push_str(&format!("\"dim\": {}, ", row.dim));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"precision\": \"{}\", ", escape(&row.precision)));
-        out.push_str(&format!("\"budget_bytes\": {}, ", row.budget_bytes));
-        out.push_str(&format!("\"t_build_s\": {}, ", number(row.t_build)));
-        out.push_str(&format!("\"t_factor_s\": {}, ", number(row.t_factor)));
-        out.push_str(&format!("\"t_solve_s\": {}, ", number(row.t_solve)));
-        out.push_str(&format!("\"peak_bytes\": {}, ", row.peak_bytes));
-        out.push_str(&format!("\"storage_bytes\": {}, ", row.storage_bytes));
-        out.push_str(&format!("\"max_rank\": {}, ", row.max_rank));
-        out.push_str(&format!("\"relres\": {}, ", number(row.relres)));
-        out.push_str(&format!(
-            "\"compress_err\": {}, ",
-            opt_number(row.compress_err)
-        ));
-        out.push_str(&format!("\"threads\": {}", row.threads));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+impl BenchRow for GpRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("kernel", text(&self.kernel)),
+            ("backend", text(&self.backend)),
+            ("path", text(&self.path)),
+            ("n", self.n.to_string()),
+            ("threads", self.threads.to_string()),
+            ("tol", number(self.tol)),
+            ("t_build_s", number(self.t_build)),
+            ("t_factor_s", number(self.t_factor)),
+            ("t_logdet_s", number(self.t_logdet)),
+            ("t_loglik_s", number(self.t_loglik)),
+            ("log_likelihood", number(self.log_likelihood)),
+            ("loglik_err_vs_dense", opt_number(self.loglik_err_vs_dense)),
+            ("launches", self.launches.to_string()),
+            ("flops", self.flops.to_string()),
+            ("factor_bytes", self.factor_bytes.to_string()),
+        ]
     }
-    out.push_str("]\n");
-    out
 }
 
-/// Write scale rows to the family's JSON path (see [`bench_json_path`]).
-pub fn write_scale_json(name: &str, rows: &[crate::scale::ScaleRow]) {
-    write_bench_json(name, &scale_rows_to_json(rows), rows.len());
-}
-
-/// Render serving rows (the `serve` binary) as a JSON array.
-pub fn serve_rows_to_json(rows: &[ServeRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        out.push_str(&format!("\"scenario\": \"{}\", ", escape(&row.scenario)));
-        out.push_str(&format!("\"tenants\": {}, ", row.tenants));
-        out.push_str(&format!("\"requests\": {}, ", row.requests));
-        out.push_str(&format!("\"n\": {}, ", row.n));
-        out.push_str(&format!("\"burst\": {}, ", row.burst));
-        out.push_str(&format!("\"drains\": {}, ", row.drains));
-        out.push_str(&format!(
-            "\"throughput_rps\": {}, ",
-            number(row.throughput_rps)
-        ));
-        out.push_str(&format!("\"p50_ms\": {}, ", number(row.p50_ms)));
-        out.push_str(&format!("\"p99_ms\": {}, ", number(row.p99_ms)));
-        out.push_str(&format!("\"hit_rate\": {}, ", number(row.hit_rate)));
-        out.push_str(&format!("\"evictions\": {}, ", row.evictions));
-        out.push_str(&format!(
-            "\"launches_per_request\": {}, ",
-            number(row.launches_per_request)
-        ));
-        out.push_str(&format!("\"failed\": {}, ", row.failed));
-        out.push_str(&format!(
-            "\"recovered_requests\": {}, ",
-            row.recovered_requests
-        ));
-        out.push_str(&format!("\"retries\": {}, ", row.retries));
-        out.push_str(&format!("\"degraded_solves\": {}, ", row.degraded_solves));
-        out.push_str(&format!("\"breaker_trips\": {}, ", row.breaker_trips));
-        out.push_str(&format!("\"unaccounted\": {}, ", row.unaccounted));
-        out.push_str(&format!("\"fault_seed\": {}, ", row.fault_seed));
-        out.push_str(&format!("\"deterministic\": {}, ", row.deterministic));
-        out.push_str(&format!("\"checksum\": {}", number(row.checksum)));
-        out.push('}');
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+impl BenchRow for SpectralRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("scenario", text(&self.scenario)),
+            ("backend", text(&self.backend)),
+            ("n", self.n.to_string()),
+            ("k", self.k.to_string()),
+            ("probes", self.probes.to_string()),
+            ("steps", self.steps.to_string()),
+            ("threads", self.threads.to_string()),
+            ("residual", number(self.residual)),
+            ("tolerance", number(self.tolerance)),
+            ("slq_stderr", opt_number(self.slq_stderr)),
+            ("t_s", number(self.t_s)),
+            ("t_dense_s", opt_number(self.t_dense_s)),
+            ("deterministic", self.deterministic.to_string()),
+        ]
     }
-    out.push_str("]\n");
-    out
 }
 
-/// Write serving rows to the family's JSON path (see [`bench_json_path`]).
-pub fn write_serve_json(name: &str, rows: &[ServeRow]) {
-    write_bench_json(name, &serve_rows_to_json(rows), rows.len());
+impl BenchRow for ScaleRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("workload", text(&self.workload)),
+            ("dim", self.dim.to_string()),
+            ("n", self.n.to_string()),
+            ("precision", text(&self.precision)),
+            ("budget_bytes", self.budget_bytes.to_string()),
+            ("t_build_s", number(self.t_build)),
+            ("t_factor_s", number(self.t_factor)),
+            ("t_solve_s", number(self.t_solve)),
+            ("peak_bytes", self.peak_bytes.to_string()),
+            ("storage_bytes", self.storage_bytes.to_string()),
+            ("max_rank", self.max_rank.to_string()),
+            ("relres", number(self.relres)),
+            ("compress_err", opt_number(self.compress_err)),
+            ("threads", self.threads.to_string()),
+        ]
+    }
+}
+
+impl BenchRow for ServeRow {
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("scenario", text(&self.scenario)),
+            ("tenants", self.tenants.to_string()),
+            ("requests", self.requests.to_string()),
+            ("n", self.n.to_string()),
+            ("burst", self.burst.to_string()),
+            ("drains", self.drains.to_string()),
+            ("throughput_rps", number(self.throughput_rps)),
+            ("p50_ms", number(self.p50_ms)),
+            ("p99_ms", number(self.p99_ms)),
+            ("hit_rate", number(self.hit_rate)),
+            ("evictions", self.evictions.to_string()),
+            ("launches_per_request", number(self.launches_per_request)),
+            ("failed", self.failed.to_string()),
+            ("recovered_requests", self.recovered_requests.to_string()),
+            ("retries", self.retries.to_string()),
+            ("degraded_solves", self.degraded_solves.to_string()),
+            ("breaker_trips", self.breaker_trips.to_string()),
+            ("unaccounted", self.unaccounted.to_string()),
+            ("fault_seed", self.fault_seed.to_string()),
+            ("deterministic", self.deterministic.to_string()),
+            ("checksum", number(self.checksum)),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -406,7 +317,7 @@ mod tests {
 
     #[test]
     fn rows_render_with_every_required_field() {
-        let json = iterative_rows_to_json(&[sample_row()]);
+        let json = rows_to_json(&[sample_row()]);
         for key in [
             "\"scenario\": \"laplace/gmres\"",
             "\"n\": 1024",
@@ -424,7 +335,7 @@ mod tests {
 
     #[test]
     fn multiple_rows_are_comma_separated() {
-        let json = iterative_rows_to_json(&[sample_row(), sample_row()]);
+        let json = rows_to_json(&[sample_row(), sample_row()]);
         assert_eq!(json.matches("},").count(), 1);
     }
 
@@ -442,7 +353,7 @@ mod tests {
             solve_gflops: None,
             threads: 2,
         };
-        let json = solver_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         for key in [
             "\"workload\": \"laplace/tol=1e-12\"",
             "\"solver\": \"GPU HODLR Solver\"",
@@ -473,7 +384,7 @@ mod tests {
             factor_bytes: 7890,
             threads: 1,
         };
-        let json = gp_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         for key in [
             "\"kernel\": \"matern-3/2\"",
             "\"backend\": \"batched\"",
@@ -508,7 +419,7 @@ mod tests {
             op_a: Some(hodlr_la::Op::ConjTrans),
             bytes_per_s: None,
         };
-        let json = kernel_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         for key in [
             "\"kernel\": \"gemm\"",
             "\"scalar\": \"f64\"",
@@ -543,7 +454,7 @@ mod tests {
             deterministic: true,
             threads: 8,
         };
-        let json = spectral_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         for key in [
             "\"scenario\": \"slq-logdet\"",
             "\"backend\": \"batched\"",
@@ -565,7 +476,7 @@ mod tests {
 
     #[test]
     fn scale_rows_render_required_fields() {
-        let row = crate::scale::ScaleRow {
+        let row = ScaleRow {
             workload: "laplace-surface".into(),
             dim: 3,
             n: 131072,
@@ -581,7 +492,7 @@ mod tests {
             compress_err: None,
             threads: 8,
         };
-        let json = scale_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         for key in [
             "\"workload\": \"laplace-surface\"",
             "\"dim\": 3",
@@ -625,7 +536,7 @@ mod tests {
             deterministic: true,
             checksum: 0.125,
         };
-        let json = serve_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         for key in [
             "\"scenario\": \"coalesce\"",
             "\"requests\": 48",
@@ -651,7 +562,7 @@ mod tests {
         let mut row = sample_row();
         row.workload = "we\"ird\\label".into();
         row.relres = f64::NAN;
-        let json = iterative_rows_to_json(&[row]);
+        let json = rows_to_json(&[row]);
         assert!(json.contains("we\\\"ird\\\\label"));
         assert!(json.contains("\"relres\": null"));
     }

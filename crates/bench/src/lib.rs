@@ -1,29 +1,24 @@
-//! # hodlr-bench — harnesses that regenerate the paper's tables and figures
+//! # hodlr-bench — harnesses that regenerate the paper's evaluation
 //!
-//! One binary per table/figure of the evaluation section:
+//! | Binary | What it measures |
+//! |---|---|
+//! | `paper` | the paper's evaluation in one sweep ([`paper`]): Tables III–V, the fitted exponents of Figs. 5 and 7, the speedups of Fig. 8, the GFLOP/s of Fig. 9 and the appendix rank profiles, over the RPY kernel (Section IV-A), Laplace BIE (IV-B) and Helmholtz BIE (IV-C) workloads |
+//! | `iterative` | Table V(b) extension: preconditioned GMRES/BiCGStab/mixed-precision over all three workloads |
+//! | `kernels` | (infrastructure) gemm/LU/QR GFLOP/s by size, scalar and thread count vs the naive reference kernel |
+//! | `gp` | Section III-E(a) application: GP log-marginal likelihood (solve + product-form `log_det`) by kernel family, backend and tolerance, vs the dense Cholesky oracle |
+//! | `serve` | (serving subsystem) cache hit-rate, coalescing, latency and fault recovery under a seeded multi-tenant load |
+//! | `spectral` | (spectral subsystem) dense EVD/SVD kernel accuracy, HODLR-accelerated Lanczos eigenpairs and the SLQ log-determinant vs the product form, with 1/2/8-thread bitwise-determinism verdicts |
+//! | `scale` | (scale-out) streaming, memory-budgeted assembly at `n >= 10^5` in 2-D and 3-D |
 //!
-//! | Binary | Paper artefact | Workload |
-//! |---|---|---|
-//! | `table3` | Table III | RPY kernel matrices (Section IV-A) |
-//! | `fig5` | Fig. 5 | scaling of the Table III runs (CSV series) |
-//! | `table4` | Table IV (a)/(b) | Laplace exterior BIE (Section IV-B) |
-//! | `fig7` | Fig. 7 | scaling of the Table IV runs (CSV series) |
-//! | `table5` | Table V (a)/(b) | Helmholtz exterior BIE (Section IV-C) |
-//! | `fig8` | Fig. 8 | speedups of the Table V runs |
-//! | `fig9` | Fig. 9 | GFlop/s of factorization and solve |
-//! | `ranks` | Appendix | per-level off-diagonal rank profiles |
-//! | `iterative` | Table V(b) extension | preconditioned GMRES/BiCGStab/mixed-precision over all three workloads |
-//! | `kernels` | (infrastructure) | gemm/LU/QR GFLOP/s by size, scalar and thread count vs the naive reference kernel |
-//! | `gp` | Section III-E(a) application | GP log-marginal likelihood (solve + product-form `log_det`) by kernel family, backend and tolerance, vs the dense Cholesky oracle |
-//! | `spectral` | (spectral subsystem) | dense EVD/SVD kernel accuracy, HODLR-accelerated Lanczos eigenpairs and the SLQ log-determinant vs the product form, with 1/2/8-thread bitwise-determinism verdicts |
-//!
-//! Every binary accepts `--full` to run the paper's original problem sizes
-//! (hours on a laptop; the defaults are scaled down so a full sweep finishes
-//! in minutes) and `--sizes 4096,8192,...` to override the sweep explicitly.
-//! All harnesses print the same row layout as the corresponding table —
-//! `N`, factorization time `t_f`, solve time `t_s`, memory `mem`, relative
-//! residual `relres` per solver — so paper-vs-measured comparisons (recorded
-//! in EXPERIMENTS.md) are line-by-line.
+//! `paper` and `iterative` accept `--full` to run the paper's original
+//! problem sizes (hours on a laptop; the defaults are scaled down so a
+//! sweep finishes in seconds), `--sizes 4096,8192,...` to override the
+//! sweep explicitly and `--baseline-cap K`; a malformed argument exits
+//! with status 2 before anything runs ([`parse_args`]).  The other
+//! binaries take `--smoke` for their seconds-scale CI sweep.  The paper's
+//! tables print the same row layout as the paper — `N`, factorization
+//! time `t_f`, solve time `t_s`, memory `mem`, relative residual `relres`
+//! per solver — so paper-vs-measured comparisons are line-by-line.
 //!
 //! The wall-clock columns are measured on the virtual batched-BLAS device of
 //! `hodlr-batch`; absolute numbers therefore reflect CPU execution, while
@@ -45,23 +40,20 @@ pub mod harness;
 pub mod iterative;
 pub mod json;
 pub mod kernels;
+pub mod paper;
 pub mod scale;
 pub mod serve;
 pub mod spectral;
 pub mod workloads;
 
 pub use gp::{print_gp_table, run_gp_bench, GpBenchConfig, GpRow};
-pub use harness::{measure_solvers, print_csv, print_table, MeasureConfig, SolverRow};
+pub use harness::{measure_solvers, print_table, MeasureConfig, SolverRow};
 pub use iterative::{
     measure_block_direct, measure_iterative, print_iterative_table, IterativeConfig, IterativeRow,
 };
-pub use json::{
-    gp_rows_to_json, iterative_rows_to_json, kernel_rows_to_json, scale_rows_to_json,
-    serve_rows_to_json, solver_rows_to_json, spectral_rows_to_json, write_gp_json,
-    write_iterative_json, write_kernel_json, write_scale_json, write_serve_json, write_solver_json,
-    write_spectral_json,
-};
+pub use json::write_bench_json;
 pub use kernels::{print_kernel_table, run_kernel_bench, KernelBenchConfig, KernelRow};
+pub use paper::{print_paper_report, run_paper_bench, PaperMatrix};
 pub use scale::{print_scale_table, run_scale_bench, ScaleBenchConfig, ScaleRow};
 pub use serve::{print_serve_table, run_serve_bench, ServeBenchConfig, ServeRow};
 pub use spectral::{print_spectral_table, run_spectral_bench, SpectralBenchConfig, SpectralRow};

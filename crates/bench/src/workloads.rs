@@ -2,12 +2,10 @@
 
 use hodlr::Hodlr;
 use hodlr_bie::{HelmholtzExteriorBie, LaplaceExteriorBie, StarContour};
-use hodlr_compress::{CompressionMethod, MatrixEntrySource};
+use hodlr_compress::CompressionMethod;
 use hodlr_core::HodlrMatrix;
 use hodlr_kernels::{GaussianKernel, RpyKernel, RpyMatrixSource, ScalarKernelSource};
-use hodlr_la::{Complex64, Scalar};
-#[allow(unused_imports)]
-use hodlr_tree::PointCloud;
+use hodlr_la::Complex64;
 use hodlr_tree::{partition_points, uniform_cube_points, ClusterTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,51 +13,71 @@ use rand::SeedableRng;
 /// Leaf (diagonal block) size used throughout, matching the paper's 64.
 pub const LEAF_SIZE: usize = 64;
 
-/// Command-line arguments shared by all harness binaries.
+/// Command-line arguments of the `paper` and `iterative` binaries.
 #[derive(Clone, Debug)]
 pub struct SweepArgs {
-    /// Problem sizes to sweep.
-    pub sizes: Vec<usize>,
+    /// The `--sizes` list, which replaces every default sweep.
+    pub sizes: Option<Vec<usize>>,
     /// Whether the paper's original sizes were requested (`--full`).
     pub full: bool,
-    /// Skip the slowest solvers (dense and HODLRlib-style) above this size.
+    /// Skip the slowest solvers (HODLRlib-style and block-sparse) above
+    /// this size.
     pub baseline_cap: usize,
 }
 
-/// Parse `--full`, `--sizes a,b,c` and `--baseline-cap K` from `args`,
-/// falling back to `default_sizes` (or `full_sizes` with `--full`).
-pub fn parse_args(default_sizes: &[usize], full_sizes: &[usize]) -> SweepArgs {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let mut sizes: Vec<usize> = if full {
-        full_sizes.to_vec()
-    } else {
-        default_sizes.to_vec()
+impl SweepArgs {
+    /// The sizes to sweep: the `--sizes` list if one was given, else
+    /// `full_sizes` under `--full`, else `default_sizes`.
+    pub fn sizes_or(&self, default_sizes: &[usize], full_sizes: &[usize]) -> Vec<usize> {
+        match &self.sizes {
+            Some(sizes) => sizes.clone(),
+            None if self.full => full_sizes.to_vec(),
+            None => default_sizes.to_vec(),
+        }
+    }
+}
+
+/// Parse `--full`, `--sizes a,b,c` and `--baseline-cap K` from `args`, the
+/// command line without the program name.
+///
+/// # Errors
+/// Names the offending argument when a size is not a positive integer,
+/// the `--sizes` list is empty or missing, the cap is missing or not a
+/// non-negative integer, or an argument is none of the three.
+pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<SweepArgs, String> {
+    let mut parsed = SweepArgs {
+        sizes: None,
+        full: false,
+        baseline_cap: 1 << 14,
     };
-    let mut baseline_cap = 1 << 14;
-    let mut iter = args.iter().peekable();
-    while let Some(a) = iter.next() {
-        if a == "--sizes" {
-            if let Some(list) = iter.peek() {
-                sizes = list
-                    .split(',')
-                    .filter_map(|s| s.trim().parse::<usize>().ok())
-                    .collect();
-            }
-        }
-        if a == "--baseline-cap" {
-            if let Some(v) = iter.peek() {
-                if let Ok(v) = v.parse::<usize>() {
-                    baseline_cap = v;
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--full" => parsed.full = true,
+            "--sizes" => {
+                let list = args.next().ok_or("--sizes needs a list of sizes")?;
+                if list.trim().is_empty() {
+                    return Err("--sizes: the list is empty".into());
                 }
+                let sizes = list
+                    .split(',')
+                    .map(|size| match size.trim().parse::<usize>() {
+                        Ok(n) if n > 0 => Ok(n),
+                        _ => Err(format!("--sizes: {size:?} is not a positive integer")),
+                    })
+                    .collect::<Result<_, _>>()?;
+                parsed.sizes = Some(sizes);
             }
+            "--baseline-cap" => {
+                let cap = args.next().ok_or("--baseline-cap needs a size")?;
+                parsed.baseline_cap = cap.trim().parse().map_err(|_| {
+                    format!("--baseline-cap: {cap:?} is not a non-negative integer")
+                })?;
+            }
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    SweepArgs {
-        sizes,
-        full,
-        baseline_cap,
-    }
+    Ok(parsed)
 }
 
 /// Build the Table III workload: the RPY kernel matrix over `n / 3`
@@ -108,9 +126,9 @@ pub fn rpy_hodlr(n: usize, tol: f64) -> HodlrMatrix<f64> {
         .expect("benchmark workloads build in working precision")
 }
 
-/// Build a scalar Gaussian kernel matrix workload (used by the quickstart
-/// example and the micro-benchmarks): `n` points in `[-1, 1]^3`, unit
-/// length-scale, diagonal shift 1.
+/// Build a scalar Gaussian kernel matrix workload (the timing harness's
+/// test matrix): `n` points in `[-1, 1]^3`, unit length-scale, diagonal
+/// shift 1.
 pub fn kernel_hodlr(n: usize, tol: f64) -> HodlrMatrix<f64> {
     let mut rng = StdRng::seed_from_u64(0xabcd + n as u64);
     let cloud = uniform_cube_points(&mut rng, n, 3);
@@ -180,13 +198,6 @@ pub fn resolved_kappa(n: usize) -> f64 {
     kappa.min(100.0)
 }
 
-/// Reference dense matrix of a workload, for residual checks at small sizes.
-pub fn dense_reference<T: Scalar, S: MatrixEntrySource<T> + ?Sized>(
-    source: &S,
-) -> hodlr_la::DenseMatrix<T> {
-    source.to_dense()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,9 +239,53 @@ mod tests {
 
     #[test]
     fn parse_args_defaults() {
-        let args = parse_args(&[1024, 2048], &[1 << 17]);
-        assert_eq!(args.sizes, vec![1024, 2048]);
+        let args = parse_args::<&str>(&[]).expect("no arguments is valid");
+        assert_eq!(args.sizes_or(&[1024, 2048], &[1 << 17]), vec![1024, 2048]);
         assert!(!args.full);
+        assert_eq!(args.baseline_cap, 1 << 14);
+    }
+
+    #[test]
+    fn parse_args_reads_every_flag() {
+        let args = parse_args(&["--full", "--baseline-cap", "4096", "--sizes", "512, 1024"])
+            .expect("valid arguments");
+        assert_eq!(args.sizes_or(&[1], &[2]), vec![512, 1024]);
+        assert!(args.full);
+        assert_eq!(args.baseline_cap, 4096);
+        let full = parse_args(&["--full"]).expect("valid arguments");
+        assert_eq!(full.sizes_or(&[1], &[2]), vec![2]);
+    }
+
+    #[test]
+    fn a_size_that_is_not_a_positive_integer_is_an_error() {
+        for bad in ["3o72", "1024,abc", "0", "-8", "1024,"] {
+            let err = parse_args(&["--sizes", bad]).expect_err(bad);
+            assert!(err.contains("is not a positive integer"), "{bad}: {err}");
+        }
+        let err = parse_args(&["--sizes", "3o72"]).unwrap_err();
+        assert!(err.contains("3o72"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_or_missing_size_list_is_an_error() {
+        for args in [&["--sizes", ""][..], &["--sizes", "  "], &["--sizes"]] {
+            let err = parse_args(args).expect_err("no sizes");
+            assert!(err.starts_with("--sizes"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_bad_baseline_cap_is_an_error() {
+        let err = parse_args(&["--baseline-cap", "lots"]).unwrap_err();
+        assert!(err.contains("\"lots\""), "{err}");
+        assert!(parse_args(&["--baseline-cap", "-1"]).is_err());
+        assert!(parse_args(&["--baseline-cap"]).is_err());
+    }
+
+    #[test]
+    fn an_unknown_argument_is_an_error() {
+        let err = parse_args(&["--size", "1024"]).unwrap_err();
+        assert!(err.contains("\"--size\""), "{err}");
     }
 
     #[test]

@@ -141,9 +141,9 @@ impl<T: Scalar> LowRank<T> {
         LowRank { u, v }
     }
 
-    /// Pad the factors with zero columns up to `rank` columns (used when a
-    /// level of the HODLR structure is stored with a uniform rank for the
-    /// strided batched fast path).
+    /// Pad the factors with zero columns up to `rank` columns, as a level
+    /// of the flattened HODLR layout pads each basis to the level's
+    /// largest rank.
     pub fn padded_to_rank(&self, rank: usize) -> LowRank<T> {
         assert!(rank >= self.rank());
         if rank == self.rank() {

@@ -10,8 +10,9 @@
 //! block is as wide as the largest rank at that level and narrower bases are
 //! zero-padded on the right.  Padding keeps `U V^*` products exact (the
 //! padded columns multiply zero rows) and keeps every level block
-//! rectangular, which is what enables the strided batched fast path; the
-//! per-node true ranks are still tracked for rank-profile reporting.
+//! rectangular, so each level is one column block of the flattened
+//! matrices; the per-node true ranks are still tracked for rank-profile
+//! reporting.
 
 use std::ops::Range;
 

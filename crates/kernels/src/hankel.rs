@@ -7,8 +7,7 @@
 //! ascending power series are used (machine precision); above it the
 //! classical Hankel asymptotic expansions (Abramowitz & Stegun 9.2) with
 //! absolute error around `1e-8`.  The achievable boundary-integral-equation
-//! residual is therefore capped near `1e-8`, which is noted in
-//! EXPERIMENTS.md.
+//! residual is therefore capped near `1e-8`.
 
 use hodlr_la::Complex64;
 
