@@ -58,6 +58,20 @@ impl<T: Scalar> DeviceBuffer<T> {
         buf
     }
 
+    /// Take `host` over as device memory, metered as
+    /// [`DeviceBuffer::from_host`] of the same elements, without copying
+    /// it: a sweep then runs on the caller's block in place, and
+    /// [`DeviceBuffer::into_host`] hands the storage back.
+    pub fn adopt(device: &Device, host: Vec<T>) -> Self {
+        let bytes = std::mem::size_of_val(host.as_slice()) as u64;
+        device.record_alloc(bytes);
+        device.record_transfer(TransferDirection::HostToDevice, bytes);
+        DeviceBuffer {
+            device: device.clone(),
+            data: host,
+        }
+    }
+
     /// Number of elements in the buffer.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -227,6 +241,23 @@ mod tests {
             assert_eq!(buf.data(), whole.data());
             assert_eq!(device.counters(), reference.counters());
         }
+    }
+
+    /// An adopted block meters as `from_host` of the same bytes, and
+    /// `into_host` hands the same allocation back.
+    #[test]
+    fn adopted_block_meters_as_an_upload_and_comes_back_without_a_copy() {
+        let host: Vec<f64> = (0..300_000).map(|i| i as f64 - 0.5).collect();
+        let (copied, adopted) = (Device::new(), Device::new());
+        let reference = DeviceBuffer::from_host(&copied, &host);
+        let ptr = host.as_ptr();
+        let buf = DeviceBuffer::adopt(&adopted, host);
+        assert_eq!(adopted.counters(), copied.counters());
+        assert_eq!(buf.data(), reference.data());
+        let back = buf.into_host();
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(adopted.counters().d2h_bytes, 2_400_000);
+        assert_eq!(adopted.counters().allocated_bytes, 0);
     }
 
     #[test]

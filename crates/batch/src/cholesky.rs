@@ -112,6 +112,14 @@ impl SymBatchError {
         }
     }
 
+    /// The batch entry whose block failed; `None` for a failed launch.
+    pub fn batch_index(&self) -> Option<usize> {
+        match self {
+            SymBatchError::Symmetric(e) => Some(e.batch_index),
+            SymBatchError::Fault(_) => None,
+        }
+    }
+
     /// The symmetric-factorization failure, if that is what this error is.
     pub fn symmetric(self) -> Option<BatchSymmetricError> {
         match self {

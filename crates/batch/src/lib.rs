@@ -33,10 +33,13 @@
 //! # Threading and metering under concurrency
 //!
 //! A batched kernel is *one* launch whose batch entries are sharded across
-//! the rayon work-stealing pool ([`windows::process_windows_mut`] proves the
-//! output windows disjoint first); `HODLR_NUM_THREADS` controls the pool
-//! size and [`Device::sequential`] forces a kernel's entries onto the
-//! calling thread regardless.  Every [`Device`] counter is an atomic, so
+//! the rayon work-stealing pool, after the output windows are proven
+//! disjoint; `HODLR_NUM_THREADS` controls the pool size and
+//! [`Device::sequential`] forces a kernel's entries onto the calling thread
+//! regardless.  Outputs that are row blocks of one matrix (rows `I_alpha`
+//! of `Ybig` or of a right-hand-side block) run through task scratch while
+//! it stays within a quarter of the buffer or below 512 KiB, and one window
+//! at a time in place otherwise, so one bound decides for every kernel.  Every [`Device`] counter is an atomic, so
 //! entries executing on different workers meter their work without locking,
 //! and — because each entry's flop count is a pure function of its shape —
 //! the counter totals are **identical at every thread count**:
@@ -65,7 +68,7 @@ pub mod gemm;
 pub mod lu;
 pub mod slices;
 pub mod stream;
-pub mod windows;
+mod windows;
 
 pub use buffer::DeviceBuffer;
 pub use cholesky::{
@@ -80,4 +83,3 @@ pub use lu::{
     LuBatchError, LuDesc, LuSolveDesc,
 };
 pub use stream::{Stream, StreamPool};
-pub use windows::{process_windows_mut, MatWindow};

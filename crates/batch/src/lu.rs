@@ -167,6 +167,14 @@ impl LuBatchError {
         }
     }
 
+    /// The batch entry whose block failed; `None` for a failed launch.
+    pub fn batch_index(&self) -> Option<usize> {
+        match self {
+            LuBatchError::Singular(e) => Some(e.batch_index),
+            LuBatchError::Fault(_) => None,
+        }
+    }
+
     /// The singular-block failure, if that is what this error is.
     pub fn singular(self) -> Option<BatchSingularError> {
         match self {

@@ -20,16 +20,32 @@
 //! row-block case never materialises overlapping `&mut` references: each
 //! window is copied column-by-column into thread-local scratch through raw
 //! pointers, processed there, and copied back — raw-pointer reads and writes
-//! to provably disjoint locations are race-free.
+//! to provably disjoint locations are race-free.  Past a bound on that
+//! scratch ([`SCRATCH_FLOOR_BYTES`]) the windows run one at a time in place
+//! instead; a kernel sees the same values either way, so the choice never
+//! changes a bit.
 
 use crate::slices::disjoint_slices_mut;
 use hodlr_la::{MatMut, Scalar};
 use rayon::prelude::*;
 
+/// Row-block scratch in flight, in bytes, that a batch may hold whatever
+/// share of its buffer that is; past both it and a quarter of the buffer,
+/// the windows run one at a time in place.
+///
+/// Without the floor the quarter bound would also send the top levels'
+/// stacked `W` (`2w x nrhs` per parent) one product at a time, and those
+/// `V^H x` products have few `C` tiles to split inside gemm (`m = w`, e.g.
+/// 25 rows against `GEMM_MC` = 96).  It must stay at or below 512 KiB, a
+/// quarter of an `8192 x 32` block of `f64`: on two threads, level 1 of
+/// that block puts 1 MiB in flight, half the block, and an in-place
+/// blocked solve of it may hold no more than a quarter.
+const SCRATCH_FLOOR_BYTES: usize = 512 << 10;
+
 /// A column-major window into a device buffer: `rows x cols` elements
 /// starting at `offset`, with leading dimension `ld`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MatWindow {
+pub(crate) struct MatWindow {
     /// Element offset of entry (0, 0) of the window.
     pub offset: usize,
     /// Number of rows.
@@ -42,7 +58,7 @@ pub struct MatWindow {
 
 impl MatWindow {
     /// Number of buffer elements the window spans (0 for an empty window).
-    pub fn span(&self) -> usize {
+    pub(crate) fn span(&self) -> usize {
         if self.rows == 0 || self.cols == 0 {
             0
         } else {
@@ -51,7 +67,7 @@ impl MatWindow {
     }
 
     /// `true` if the window touches no elements.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows == 0 || self.cols == 0
     }
 }
@@ -152,15 +168,19 @@ impl<T> RawBase<T> {
 /// Run `kernel(index, window_view)` for every window, in parallel when
 /// `parallel` is set, after proving the windows disjoint.
 ///
-/// The view handed to the kernel is a dense `rows x cols` [`MatMut`]; in the
-/// row-block case it is backed by thread-local scratch that is copied back
-/// into the buffer when the kernel returns.
+/// The view handed to the kernel is a `rows x cols` [`MatMut`]; in the
+/// row-block case it is backed by task scratch that is copied back into
+/// the buffer when the kernel returns, unless [`scratch_fits`] says no.
 ///
 /// # Panics
 /// Panics if the windows cannot be proven disjoint or reach past the end of
 /// `data`.
-pub fn process_windows_mut<T, F>(data: &mut [T], windows: &[MatWindow], parallel: bool, kernel: F)
-where
+pub(crate) fn process_windows_mut<T, F>(
+    data: &mut [T],
+    windows: &[MatWindow],
+    parallel: bool,
+    kernel: F,
+) where
     T: Scalar,
     F: Fn(usize, MatMut<'_, T>) + Sync,
 {
@@ -196,6 +216,14 @@ where
                     .into_iter()
                     .enumerate()
                     .for_each(|(i, s)| run((i, s)));
+            }
+        }
+        Partition::RowBlocks if !scratch_fits::<T>(data.len(), windows, parallel) => {
+            for (i, w) in windows.iter().enumerate() {
+                if !w.is_empty() {
+                    let view = &mut data[w.offset..w.offset + w.span()];
+                    kernel(i, MatMut::from_parts(view, w.rows, w.cols, w.ld));
+                }
             }
         }
         Partition::RowBlocks => {
@@ -241,6 +269,20 @@ where
             }
         }
     }
+}
+
+/// Whether the scratch in flight, `min(tasks, windows) x` the widest
+/// window, stays within a quarter of the `len`-element buffer or below
+/// [`SCRATCH_FLOOR_BYTES`].
+fn scratch_fits<T>(len: usize, windows: &[MatWindow], parallel: bool) -> bool {
+    let widest = windows.iter().map(|w| w.rows * w.cols).max().unwrap_or(0);
+    let tasks = if parallel {
+        rayon::current_num_threads().min(windows.len())
+    } else {
+        1
+    };
+    let in_flight = tasks * widest;
+    4 * in_flight <= len || in_flight * std::mem::size_of::<T>() <= SCRATCH_FLOOR_BYTES
 }
 
 #[cfg(test)]
@@ -443,6 +485,125 @@ mod tests {
             },
         ];
         process_windows_mut(&mut data, &windows, true, |_, _| {});
+    }
+
+    /// Two row blocks of half an `8192 x 32` block (1 MiB each, past the
+    /// floor and more than a quarter of the buffer) run in place, one at a
+    /// time, and give bitwise what each window's product on a compact copy
+    /// gives, on parallel and sequential devices in 1-, 2- and 8-thread
+    /// pools.
+    #[test]
+    fn wide_row_blocks_run_in_place_bitwise_as_through_scratch() {
+        use crate::{gemm_batched_varied, Device, DeviceBuffer, GemmDesc, Stream};
+        use hodlr_la::random::random_matrix;
+        use hodlr_la::{gemm, Op};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let (n, cols, k) = (8192, 32, 24);
+        let mut rng = StdRng::seed_from_u64(5);
+        let x: DenseMatrix<f64> = random_matrix(&mut rng, n, cols);
+        let y: DenseMatrix<f64> = random_matrix(&mut rng, n, k);
+        let w: DenseMatrix<f64> = random_matrix(&mut rng, 2 * k, cols);
+        let half = n / 2;
+        let descs: Vec<GemmDesc<f64>> = (0..2)
+            .map(|i| GemmDesc {
+                m: half,
+                n: cols,
+                k,
+                alpha: -1.0,
+                beta: 1.0,
+                op_a: Op::None,
+                op_b: Op::None,
+                a_offset: i * half,
+                lda: n,
+                b_offset: i * k,
+                ldb: 2 * k,
+                c_offset: i * half,
+                ldc: n,
+            })
+            .collect();
+
+        let mut expected = x.clone();
+        for i in 0..2 {
+            let mut scratch = x.sub_matrix(i * half, 0, half, cols);
+            let b = w.block(i * k, 0, k, cols);
+            let a = y.block(i * half, 0, half, k);
+            gemm(-1.0, a, Op::None, b, Op::None, 1.0, scratch.as_mut());
+            expected.set_block(i * half, 0, &scratch);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            for device in [Device::new(), Device::sequential()] {
+                let windows: Vec<MatWindow> = descs
+                    .iter()
+                    .map(|d| MatWindow {
+                        offset: d.c_offset,
+                        rows: d.m,
+                        cols: d.n,
+                        ld: d.ldc,
+                    })
+                    .collect();
+                let fits =
+                    pool.install(|| scratch_fits::<f64>(n * cols, &windows, device.is_parallel()));
+                assert!(!fits, "{threads} threads: the batch must run in place");
+                let a = DeviceBuffer::from_host(&device, y.data());
+                let b = DeviceBuffer::from_host(&device, w.data());
+                let mut c = DeviceBuffer::from_host(&device, x.data());
+                pool.install(|| {
+                    gemm_batched_varied(&device, Stream::default_stream(), &descs, &a, &b, &mut c)
+                });
+                assert_eq!(
+                    bits(c.data()),
+                    bits(expected.data()),
+                    "{threads} threads, parallel {}",
+                    device.is_parallel()
+                );
+            }
+        }
+    }
+
+    /// A stacked `W` of two parents (`2w x nrhs` each) puts more than a
+    /// quarter of its buffer in flight on two or more threads, but far
+    /// less than the floor, so its windows still run as tasks on compact
+    /// scratch.
+    #[test]
+    fn small_row_block_batches_run_through_scratch_below_the_floor() {
+        let (w, nrhs) = (25, 32);
+        let windows: Vec<MatWindow> = [0, w, 2 * w * nrhs, 2 * w * nrhs + w]
+            .map(|offset| MatWindow {
+                offset,
+                rows: w,
+                cols: nrhs,
+                ld: 2 * w,
+            })
+            .to_vec();
+        let len = 2 * 2 * w * nrhs;
+        for threads in [2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            pool.install(|| {
+                let tasks = rayon::current_num_threads().min(windows.len());
+                assert!(4 * tasks * w * nrhs > len, "past the quarter bound");
+                let mut data: Vec<f64> = (0..len).map(|i| i as f64).collect();
+                process_windows_mut(&mut data, &windows, true, |_, mut view| {
+                    assert_eq!(view.ld(), view.rows(), "a view into task scratch");
+                    for c in 0..view.cols() {
+                        for r in 0..view.rows() {
+                            view.set(r, c, -view.get(r, c));
+                        }
+                    }
+                });
+                assert!(data.iter().enumerate().all(|(i, &v)| v == -(i as f64)));
+            });
+        }
     }
 
     #[test]

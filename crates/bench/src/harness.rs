@@ -1,7 +1,7 @@
 //! Timing harness of the paper's solver tables: every solver on one HODLR
 //! matrix, one [`SolverRow`] each.
 
-use hodlr_baselines::{DenseLuSolver, HodlrlibStyleSolver};
+use hodlr_baselines::HodlrlibStyleSolver;
 use hodlr_batch::Device;
 use hodlr_core::{ComplexityReport, GpuSolver, HodlrMatrix};
 use hodlr_la::{RealScalar, Scalar};
@@ -23,8 +23,6 @@ pub struct MeasureConfig {
     pub block_sparse_par: bool,
     /// Run the GPU-style batched solver on the virtual device.
     pub gpu_hodlr: bool,
-    /// Run the dense LU baseline (only sensible at small sizes).
-    pub dense: bool,
 }
 
 /// `solver` label of the serial flattened HODLR solver's rows.
@@ -60,9 +58,13 @@ pub struct SolverRow {
     pub mem_gib: f64,
     /// Relative residual of the computed solution (`relres`).
     pub relres: f64,
-    /// Flops per second achieved during factorization, when metered.
+    /// Flops per second achieved during factorization: the device's
+    /// metered flops for the serial and GPU HODLR solvers (the same sweep),
+    /// the analytic model of [`ComplexityReport`] for the HODLRlib-style
+    /// solver, `None` for the block-sparse solvers.
     pub factor_gflops: Option<f64>,
-    /// Flops per second achieved during the solve, when metered.
+    /// Flops per second achieved during the solve, counted as
+    /// [`SolverRow::factor_gflops`] is.
     pub solve_gflops: Option<f64>,
     /// Rayon pool size (participating threads) the row was measured with.
     pub threads: usize,
@@ -81,14 +83,15 @@ pub fn measure_solvers<T: Scalar>(
     let mut rng = StdRng::seed_from_u64(n as u64 ^ 0x9e3779b9);
     let b: Vec<T> = hodlr_la::random::random_vector(&mut rng, n);
     let mut rows = Vec::new();
-    let report = ComplexityReport::for_matrix(matrix);
 
     if config.serial_hodlr {
         let start = Instant::now();
         let factor = matrix.factorize_serial().expect("serial factorization");
         let t_factor = start.elapsed().as_secs_f64();
+        // The factorization's own device metered only its factorization.
+        let factor_flops = factor.device().counters().flops;
         let start = Instant::now();
-        let x = factor.solve(&b);
+        let (x, solve) = factor.device().meter(|| factor.solve(&b));
         let t_solve = start.elapsed().as_secs_f64();
         rows.push(SolverRow {
             workload: workload.into(),
@@ -98,13 +101,14 @@ pub fn measure_solvers<T: Scalar>(
             t_solve,
             mem_gib: factor.memory_gib(),
             relres: matrix.relative_residual(&x, &b).to_f64(),
-            factor_gflops: Some(report.factorization_flops as f64 / t_factor / 1e9),
-            solve_gflops: Some(report.solve_flops as f64 / t_solve / 1e9),
+            factor_gflops: Some(factor_flops as f64 / t_factor / 1e9),
+            solve_gflops: Some(solve.flops as f64 / t_solve / 1e9),
             threads,
         });
     }
 
     if config.hodlrlib {
+        let report = ComplexityReport::for_matrix(matrix);
         let start = Instant::now();
         let factor = HodlrlibStyleSolver::factorize(matrix).expect("hodlrlib factorization");
         let t_factor = start.elapsed().as_secs_f64();
@@ -180,28 +184,6 @@ pub fn measure_solvers<T: Scalar>(
         });
     }
 
-    if config.dense {
-        let dense = matrix.to_dense();
-        let start = Instant::now();
-        let solver = DenseLuSolver::new(&dense).expect("dense factorization");
-        let t_factor = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let x = solver.solve(&b);
-        let t_solve = start.elapsed().as_secs_f64();
-        rows.push(SolverRow {
-            workload: workload.into(),
-            solver: "Dense LU".into(),
-            n,
-            t_factor,
-            t_solve,
-            mem_gib: gib::<T>(solver.storage_entries()),
-            relres: matrix.relative_residual(&x, &b).to_f64(),
-            factor_gflops: Some(solver.factorization_flops() as f64 / t_factor / 1e9),
-            solve_gflops: None,
-            threads,
-        });
-    }
-
     rows
 }
 
@@ -266,7 +248,30 @@ pub(crate) fn percentile(values: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::kernel_hodlr;
+    use crate::workloads::LEAF_SIZE;
+    use hodlr::Hodlr;
+    use hodlr_compress::CompressionMethod;
+    use hodlr_kernels::{GaussianKernel, ScalarKernelSource};
+    use hodlr_tree::{partition_points, uniform_cube_points};
+
+    /// A scalar Gaussian kernel matrix: `n` points in `[-1, 1]^3`, unit
+    /// length-scale, diagonal shift 1.
+    fn kernel_hodlr(n: usize, tol: f64) -> HodlrMatrix<f64> {
+        let mut rng = StdRng::seed_from_u64(0xabcd + n as u64);
+        let cloud = uniform_cube_points(&mut rng, n, 3);
+        let part = partition_points(&cloud, LEAF_SIZE).expect("non-empty cloud");
+        let source =
+            ScalarKernelSource::with_shift(GaussianKernel { length_scale: 1.0 }, &part.points, 1.0);
+        Hodlr::builder()
+            .source(&source)
+            .tree(part.tree.clone())
+            .tolerance(tol)
+            .method(CompressionMethod::AcaRook)
+            .build()
+            .expect("Gaussian kernel workload construction")
+            .into_matrix()
+            .expect("a full-precision build")
+    }
 
     #[test]
     fn measure_all_solvers_on_a_small_problem() {
@@ -277,10 +282,9 @@ mod tests {
             block_sparse_seq: true,
             block_sparse_par: true,
             gpu_hodlr: true,
-            dense: true,
         };
         let rows = measure_solvers("gaussian-kernel", &matrix, &config);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 5);
         for row in &rows {
             assert!(row.relres < 1e-6, "{}: relres {}", row.solver, row.relres);
             assert!(row.t_factor > 0.0 && row.t_solve >= 0.0);
@@ -292,6 +296,34 @@ mod tests {
         let mem = |solver: &str| rows.iter().find(|r| r.solver == solver).unwrap().mem_gib;
         assert_eq!(mem(SERIAL_HODLR), mem(GPU_HODLR));
         print_table("smoke", &rows);
+    }
+
+    /// Both backends run one sweep, so the serial and the GPU row of one
+    /// matrix carry the same metered flops (rate times time).
+    #[test]
+    fn serial_and_gpu_rows_carry_the_same_metered_flops() {
+        let config = MeasureConfig {
+            serial_hodlr: true,
+            hodlrlib: false,
+            block_sparse_seq: false,
+            block_sparse_par: false,
+            gpu_hodlr: true,
+        };
+        let rows = measure_solvers("gaussian-kernel", &kernel_hodlr(512, 1e-8), &config);
+        let flops = |solver: &str| {
+            let r = rows.iter().find(|r| r.solver == solver).unwrap();
+            [
+                r.factor_gflops.unwrap() * r.t_factor * 1e9,
+                r.solve_gflops.unwrap() * r.t_solve * 1e9,
+            ]
+        };
+        let (serial, gpu) = (flops(SERIAL_HODLR), flops(GPU_HODLR));
+        for (s, g) in serial.into_iter().zip(gpu) {
+            assert!(
+                s > 0.0 && (s - g).abs() <= 1e-9 * g,
+                "serial {s} vs GPU {g}"
+            );
+        }
     }
 
     #[test]

@@ -57,6 +57,4 @@ pub use paper::{print_paper_report, run_paper_bench, PaperMatrix};
 pub use scale::{print_scale_table, run_scale_bench, ScaleBenchConfig, ScaleRow};
 pub use serve::{print_serve_table, run_serve_bench, ServeBenchConfig, ServeRow};
 pub use spectral::{print_spectral_table, run_spectral_bench, SpectralBenchConfig, SpectralRow};
-pub use workloads::{
-    helmholtz_hodlr, kernel_hodlr, laplace_hodlr, parse_args, rpy_hodlr, SweepArgs,
-};
+pub use workloads::{helmholtz_hodlr, laplace_hodlr, parse_args, rpy_hodlr, SweepArgs};

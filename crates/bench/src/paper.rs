@@ -82,7 +82,6 @@ pub fn run_paper_bench(args: &SweepArgs) -> Vec<PaperMatrix> {
         block_sparse_seq: baselines(n),
         block_sparse_par: baselines(n),
         gpu_hodlr: true,
-        dense: false,
     };
     let mut matrices = Vec::new();
     for n in sizes(RPY_SIZES) {
@@ -92,7 +91,6 @@ pub fn run_paper_bench(args: &SweepArgs) -> Vec<PaperMatrix> {
             block_sparse_seq: false,
             block_sparse_par: false,
             gpu_hodlr: true,
-            dense: false,
         };
         let title = "Table III RPY kernel, tol 1e-12".to_string();
         matrices.push(measure(
@@ -215,9 +213,7 @@ pub fn print_paper_report(matrices: &[PaperMatrix]) {
         print_speedups(matrices, workload, PARALLEL_BLOCK_SPARSE, GPU_HODLR);
     }
 
-    println!(
-        "\n== Fig. 9 GFLOP/s, helmholtz/tol=1e-10 (GPU: metered device flops; serial: analytic flop model)"
-    );
+    println!("\n== Fig. 9 GFLOP/s, helmholtz/tol=1e-10 (metered device flops on both backends)");
     println!(
         "{:<28} {:>9} {:>14} {:>14}",
         "solver", "N", "factorization", "solve"

@@ -4,9 +4,9 @@ use hodlr::Hodlr;
 use hodlr_bie::{HelmholtzExteriorBie, LaplaceExteriorBie, StarContour};
 use hodlr_compress::CompressionMethod;
 use hodlr_core::HodlrMatrix;
-use hodlr_kernels::{GaussianKernel, RpyKernel, RpyMatrixSource, ScalarKernelSource};
+use hodlr_kernels::{RpyKernel, RpyMatrixSource};
 use hodlr_la::Complex64;
-use hodlr_tree::{partition_points, uniform_cube_points, ClusterTree};
+use hodlr_tree::{partition_points, ClusterTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -122,26 +122,6 @@ pub fn rpy_hodlr(n: usize, tol: f64) -> HodlrMatrix<f64> {
         .method(CompressionMethod::AcaRook)
         .build()
         .expect("RPY workload construction")
-        .into_matrix()
-        .expect("benchmark workloads build in working precision")
-}
-
-/// Build a scalar Gaussian kernel matrix workload (the timing harness's
-/// test matrix): `n` points in `[-1, 1]^3`, unit length-scale, diagonal
-/// shift 1.
-pub fn kernel_hodlr(n: usize, tol: f64) -> HodlrMatrix<f64> {
-    let mut rng = StdRng::seed_from_u64(0xabcd + n as u64);
-    let cloud = uniform_cube_points(&mut rng, n, 3);
-    let part = partition_points(&cloud, LEAF_SIZE).expect("non-empty cloud");
-    let source =
-        ScalarKernelSource::with_shift(GaussianKernel { length_scale: 1.0 }, &part.points, 1.0);
-    Hodlr::builder()
-        .source(&source)
-        .tree(part.tree.clone())
-        .tolerance(tol)
-        .method(CompressionMethod::AcaRook)
-        .build()
-        .expect("Gaussian kernel workload construction")
         .into_matrix()
         .expect("benchmark workloads build in working precision")
 }

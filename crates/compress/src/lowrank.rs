@@ -141,22 +141,6 @@ impl<T: Scalar> LowRank<T> {
         LowRank { u, v }
     }
 
-    /// Pad the factors with zero columns up to `rank` columns, as a level
-    /// of the flattened HODLR layout pads each basis to the level's
-    /// largest rank.
-    pub fn padded_to_rank(&self, rank: usize) -> LowRank<T> {
-        assert!(rank >= self.rank());
-        if rank == self.rank() {
-            return self.clone();
-        }
-        let pad_u = DenseMatrix::zeros(self.nrows(), rank - self.rank());
-        let pad_v = DenseMatrix::zeros(self.ncols(), rank - self.rank());
-        LowRank {
-            u: self.u.hcat(&pad_u),
-            v: self.v.hcat(&pad_v),
-        }
-    }
-
     /// Relative Frobenius error estimated by sampling random probe vectors:
     /// `||(A - UV^*) x|| / ||A x||` averaged over `samples` Gaussian probes.
     /// Used when the reference block is only available as an entry source.
@@ -247,17 +231,6 @@ mod tests {
         assert!(lr.rank() <= 5, "rank after recompression: {}", lr.rank());
         let err = lr.reconstruction_error(&inflated.to_dense());
         assert!(err < 1e-10 * inflated.to_dense().norm_fro().max(1.0));
-    }
-
-    #[test]
-    fn padding_preserves_the_block() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let u: DenseMatrix<f64> = gaussian_matrix(&mut rng, 8, 2);
-        let v: DenseMatrix<f64> = gaussian_matrix(&mut rng, 6, 2);
-        let lr = LowRank::new(u, v);
-        let padded = lr.padded_to_rank(5);
-        assert_eq!(padded.rank(), 5);
-        assert!(padded.to_dense().sub(&lr.to_dense()).norm_max() < 1e-15);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! The sweep is written once, generic over the [`FactorKind`] whose batched
 //! kernels factorize and solve with each block: `getrf` / `getrs` for
 //! [`GpuSolver`], `potrf` / `potrs` for [`GpuSymmetricSolver`].  The
-//! per-entry pivots or ladder rungs stay host-side.
+//! per-entry pivots or ladder rungs stay host-side.  It is the one sweep of
+//! both backends: [`SerialSolver`](crate::SerialSolver) runs it on a device
+//! of its own.
 
 use crate::layout::LevelLayout;
 use crate::matrix::HodlrMatrix;
@@ -43,25 +45,25 @@ const STREAM_THRESHOLD: usize = 4;
 pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     device: Device,
     pub(crate) kind: K,
-    tree: ClusterTree,
-    layout: LevelLayout,
+    pub(crate) tree: ClusterTree,
+    pub(crate) layout: LevelLayout,
     /// Row range of every leaf, in leaf order.
-    leaf_ranges: Vec<Range<usize>>,
+    pub(crate) leaf_ranges: Vec<Range<usize>>,
     /// Element offset of every leaf block inside `dbig`.
     diag_offsets: Vec<usize>,
     /// Leaf diagonal blocks, factorized in place by
     /// [`BatchedSolver::factorize`].
     dbig: DeviceBuffer<T>,
     /// The flattened bases; overwritten with `Ybig` by the factorization.
-    ybig: DeviceBuffer<T>,
+    pub(crate) ybig: DeviceBuffer<T>,
     /// The flattened right bases.
-    vbig: DeviceBuffer<T>,
+    pub(crate) vbig: DeviceBuffer<T>,
     /// Host-side metadata (pivots or ladder rungs) of the leaf factors.
     pub(crate) diag_meta: Vec<K::Meta>,
     /// Per level: the coupling matrices `Kbig` (factorized in place).
     k_bufs: Vec<DeviceBuffer<T>>,
     /// Per level: host-side metadata of every coupling factor.
-    k_meta: Vec<Vec<K::Meta>>,
+    pub(crate) k_meta: Vec<Vec<K::Meta>>,
     progress: Progress,
     streams: StreamPool,
     /// Vestigial: the solver borrows nothing.  `'d` stays only because
@@ -156,9 +158,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
 
     /// Scalar entries resident in device buffers: the packed diagonal
     /// blocks, both basis stacks, and (after factorization) the per-level
-    /// coupling factors.  Mirrors
-    /// [`SerialSolver::storage_entries`](crate::SerialSolver::storage_entries)
-    /// so cache layers can budget either backend the same way.
+    /// coupling factors, every factor square.
     pub fn storage_entries(&self) -> usize {
         self.dbig.len()
             + self.ybig.len()
@@ -315,7 +315,11 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             Block::Leaf,
             &leaf_descs,
             &mut self.dbig,
-            || "leaf diagonal block".into(),
+            |entry| {
+                entry.map_or("leaf diagonal blocks".into(), |leaf| {
+                    format!("diagonal block of leaf {leaf}")
+                })
+            },
         )?;
 
         if total_cols > 0 {
@@ -406,7 +410,10 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
                 Block::Coupling,
                 &k_descs,
                 &mut k_buf,
-                || format!("coupling matrix at level {level}"),
+                |entry| match entry {
+                    Some(p) => format!("coupling matrix of node {}", parents[p]),
+                    None => format!("coupling matrices at level {level}"),
+                },
             )?;
 
             if prefix > 0 {
@@ -442,14 +449,13 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     }
 
     /// Log-determinant of the factorized matrix via the product form of
-    /// Section III-E (a), evaluated from the batched factors: the
-    /// determinant parts of every leaf block and coupling matrix are
-    /// gathered with one launch per buffer, then folded with the *same*
-    /// per-factor accumulation as
-    /// [`SerialSolver::log_det`](crate::SerialSolver::log_det) — same
-    /// factor order (leaves first, then coupling levels from the top of the
-    /// tree down), same `(-1)^w` Sylvester correction — so the two backends
-    /// agree **bitwise**.
+    /// Section III-E (a): `A = A^(L+1) ... A^(1)`, where the determinant of
+    /// every leaf block comes from its factor and the determinant of every
+    /// 2x2 coupling block equals `(-1)^w det(K_gamma)` (Sylvester /
+    /// Schur-complement identity).  The determinant parts of every leaf
+    /// block and coupling matrix are gathered with one launch per buffer
+    /// and folded in a fixed order: leaves first, then coupling levels from
+    /// the top of the tree down.
     ///
     /// Returns `(log|det(A)|, sign)` where `sign` is a unit-modulus scalar
     /// (`1` for a positive-definite matrix).
@@ -480,7 +486,7 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         );
 
         // Coupling matrices, level 0 (top split) downwards, node order
-        // within a level — the iteration order of the serial sweep.
+        // within a level.
         for level in 0..self.tree.levels() {
             let w = self.layout.width(level + 1);
             if w == 0 {
@@ -572,20 +578,44 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         Ok(out)
     }
 
-    /// The shared Algorithm-4 sweep; the public entry points have already
-    /// validated the factorization state and the right-hand-side shape.
-    /// No right-hand sides means no launch and no transfer.
+    /// Algorithm 4 in place on the `N x k` block `x`, which the device
+    /// takes over ([`DeviceBuffer::adopt`]) and hands back: no copy of it.
+    ///
+    /// # Errors
+    /// [`HodlrError::NotFactorized`] before [`BatchedSolver::factorize`],
+    /// and [`HodlrError::DimensionMismatch`] when `x` has `!= n` rows.
+    pub fn solve_matrix_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
+        if !self.is_factored() {
+            return Err(HodlrError::NotFactorized);
+        }
+        HodlrError::check_dims("right-hand side block rows", self.n(), x.rows())?;
+        let (n, nrhs) = (x.rows(), x.cols());
+        if nrhs > 0 {
+            let block = std::mem::replace(x, DenseMatrix::zeros(0, 0)).into_data();
+            let solved = self.sweep(DeviceBuffer::adopt(&self.device, block));
+            *x = DenseMatrix::from_col_major(n, nrhs, solved);
+        }
+        Ok(())
+    }
+
+    /// Upload `b`, an `N x nrhs` block, and run the sweep on it; the public
+    /// entry points have already validated the factorization state and the
+    /// right-hand-side shape.  No right-hand sides means no launch and no
+    /// transfer.
     fn solve_matrix_host(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        debug_assert!(self.is_factored());
-        let n = self.n();
-        debug_assert_eq!(b.len(), n * nrhs);
+        debug_assert_eq!(b.len(), self.n() * nrhs);
         if nrhs == 0 {
             return Vec::new();
         }
-        let levels = self.tree.levels();
+        self.sweep(DeviceBuffer::from_host(&self.device, b))
+    }
 
-        // Upload the right-hand side (metered H2D transfer).
-        let mut x_buf = DeviceBuffer::from_host(&self.device, b);
+    /// The shared Algorithm-4 sweep on the right-hand sides in `x_buf`,
+    /// whose solutions it downloads (metered D2H transfer).
+    fn sweep(&self, mut x_buf: DeviceBuffer<T>) -> Vec<T> {
+        debug_assert!(self.is_factored());
+        let nrhs = x_buf.len() / self.n();
+        let levels = self.tree.levels();
 
         // Leaf sweep (line 2).
         let solve_descs = self.leaf_solve_descs(nrhs);
@@ -647,7 +677,6 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
             );
         }
 
-        // Download the solution (metered D2H transfer).
         x_buf.into_host()
     }
 }
@@ -1068,8 +1097,48 @@ mod tests {
                 ..
             } => {
                 assert_eq!(b, 1);
-                assert!(context.contains("leaf diagonal block"), "{context}");
+                assert!(context.contains("diagonal block of leaf 1"), "{context}");
             }
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    /// The batched twin of `serial::tests::singular_coupling_matrix_is_reported`:
+    /// identity leaves and every rank-1 basis equal to `e_1` make every
+    /// deepest `K = [[1, 1], [1, 1]]`, and the error names that level's
+    /// first node, node 4, at batch entry 0.
+    #[test]
+    fn singular_coupling_matrix_names_its_node() {
+        let tree = ClusterTree::uniform(64, 3);
+        let mut ubig = DenseMatrix::<f64>::zeros(64, 3);
+        for level in 1..=3 {
+            for node in tree.level_nodes(level) {
+                ubig[(tree.range(node).start, level - 1)] = 1.0;
+            }
+        }
+        let diag = tree
+            .leaves()
+            .map(|leaf| DenseMatrix::identity(tree.node_size(leaf)))
+            .collect();
+        let singular = HodlrMatrix::from_parts(
+            tree.clone(),
+            LevelLayout::uniform(3, 1),
+            (0..=tree.num_nodes()).map(|_| 1).collect(),
+            ubig.clone(),
+            ubig,
+            diag,
+        )
+        .unwrap();
+        let device = Device::new();
+        let err = GpuSolver::new(&device, &singular)
+            .factorize()
+            .expect_err("every deepest coupling matrix is singular");
+        match err {
+            HodlrError::SingularPivot {
+                batch_index: Some(0),
+                ref context,
+                ..
+            } => assert!(context.contains("coupling matrix of node 4"), "{context}"),
             other => panic!("unexpected error {other}"),
         }
     }

@@ -11,13 +11,13 @@
 //!   (Figs. 3–4 of the paper) — see [`HodlrMatrix`] and [`LevelLayout`];
 //! * the **recursive solver** of Section III-A (Theorem 1), used as the
 //!   correctness oracle — see [`recursive`];
-//! * the **non-recursive level-by-level factorization and solve**
-//!   (Algorithms 1–2), the "serial HODLR solver" of the evaluation — see
-//!   [`SerialSolver`];
 //! * the **batched factorization and solve** (Algorithms 3–4) running on the
 //!   virtual batched-BLAS device of `hodlr-batch`, the "GPU HODLR solver" of
 //!   the evaluation — see [`BatchedSolver`];
-//! * the **factor kind** both sweeps are generic over: pivoted LU or the
+//! * the **non-recursive level-by-level factorization and solve**
+//!   (Algorithms 1–2), the "serial HODLR solver" of the evaluation: the
+//!   same sweep, run on a device of the solver's own — see [`SerialSolver`];
+//! * the **factor kind** the sweep is generic over: pivoted LU or the
 //!   symmetric fast path for Hermitian matrices — see [`FactorKind`] and
 //!   [`symmetric`];
 //! * the **complexity model** of Theorems 2–4 (storage, factorization cost,
@@ -38,13 +38,13 @@
 //! pool, and its blocked multi-RHS entry point
 //! [`BatchedSolver::solve_block`] scatters and gathers the right-hand-side
 //! columns in parallel too.  The serial solver ([`SerialSolver`]) runs the
-//! nodes of each tree level as pool tasks on their own row windows, through
-//! scratch copies only while those stay within a quarter of the matrix (see
-//! [`serial`]); the dense kernels inside each node inherit `hodlr-la`'s tile
-//! parallelism (gemms above its direct-call threshold run tile-parallel on
-//! the pool).  Every parallel path writes each task's
-//! output to a task-private slot and runs each task's arithmetic
-//! sequentially inside, so factorizations and solves are bitwise
+//! same kernels on a device of its own.  Outputs that are row blocks of one
+//! matrix go through task scratch only while it stays small; the widest
+//! levels run their windows one at a time in place, where the dense kernels
+//! inherit `hodlr-la`'s tile parallelism (gemms above its direct-call
+//! threshold run tile-parallel on the pool).  Every parallel path writes
+//! each task's output to a task-private slot and runs each task's
+//! arithmetic sequentially inside, so factorizations and solves are bitwise
 //! reproducible at any thread count.
 
 pub mod builder;

@@ -1,12 +1,12 @@
 //! LU versus symmetric: the factor kind of Algorithms 1–4.
 //!
-//! The level sweeps are written once — serially in [`crate::serial`]
-//! (Algorithms 1–2) and batched in [`crate::gpu`] (Algorithms 3–4).  Every
-//! place where the general and the Hermitian path differ is a method of the
-//! [`FactorKind`] strategy: which kernel factorizes a leaf diagonal block
-//! or a coupling matrix, solves with the factor, folds its determinant, and
-//! how many entries it keeps.  [`Lu`] is the pivoted-LU path; [`Symmetric`]
-//! is the Hermitian fast path.
+//! The level sweep is written once, batched in [`crate::gpu`]; the serial
+//! backend ([`crate::serial`]) runs it on a device of its own.  Every place
+//! where the general and the Hermitian path differ is a method of the
+//! [`FactorKind`] strategy: which batched kernel factorizes the leaf
+//! diagonal blocks or the coupling matrices, solves with the factors, folds
+//! their determinants, and how many entries a factor counts as stored.
+//! [`Lu`] is the pivoted-LU path; [`Symmetric`] is the Hermitian fast path.
 //!
 //! When the HODLR matrix is Hermitian — shared off-diagonal bases
 //! (`V_alpha = U_alpha`, see
@@ -29,11 +29,10 @@
 //! [`HodlrError::NotPositiveDefinite`] if a pivot fails, while
 //! [`Symmetry::Hermitian`] quietly walks down the same fallback ladder.
 //!
-//! Each kind runs the *same* per-block kernels on both backends (the serial
-//! [`LuFactor`] / [`SymmetricFactor`] and every batch entry of
-//! `getrf`/`potrf` call the same in-place routines, and both backends fold
-//! the log-determinant with the same per-factor accumulation), so serial and
-//! batched factors, solutions and log-determinants agree bitwise.
+//! The symmetric factors are held square, like LU's, but count as the
+//! `m(m+1)/2` entries of their lower triangle, which is all a solve reads:
+//! [`SerialSolver::storage_entries`] reports that count, and a cache layer
+//! budgets the serial backend by it.
 
 use crate::gpu::{BatchedSolver, GpuSolver, GpuSymmetricSolver};
 use crate::matrix::HodlrMatrix;
@@ -44,8 +43,7 @@ use hodlr_batch::{
     LuSolveDesc, Stream,
 };
 use hodlr_la::{
-    log_det_from_parts, sym_log_det_from_parts, DenseMatrix, HodlrError, LuFactor, MatMut, Scalar,
-    SymmetricFactor, SymmetricKind, SymmetricPolicy,
+    log_det_from_parts, sym_log_det_from_parts, HodlrError, Scalar, SymmetricKind, SymmetricPolicy,
 };
 use std::fmt::Debug;
 
@@ -107,44 +105,27 @@ mod sealed {
     impl Sealed for super::Symmetric {}
 }
 
-/// How the sweeps factorize every leaf diagonal block and coupling matrix,
-/// solve with the factors, and fold them into the log-determinant — on the
-/// host (serial sweep) and as batched launches (batched sweep).
+/// How the sweep factorizes the leaf diagonal blocks and coupling
+/// matrices as batched launches, solves with the factors, and folds them
+/// into the log-determinant.
 ///
 /// Implemented by [`Lu`] and [`Symmetric`] only.
 pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
-    /// A factorized block held by the serial sweep.
-    type Factor: Clone + Debug + Send + Sync;
     /// Host-side metadata of one batched factor: the LU pivots, or the
     /// ladder rung of a symmetric factor.
     type Meta: Clone + Debug + Send + Sync;
 
-    /// Factorize one block on the host; `context` names it in the error.
+    /// Scalar entries an order-`m` factor counts as stored: `m^2` for LU,
+    /// `m(m+1)/2` (the lower triangle) for the symmetric kind.
+    fn factor_entries(m: usize) -> usize;
+
+    /// Factorize the blocks `descs` of `a` in place in one batched launch;
+    /// `context` names the failing batch entry, or the launch as a whole
+    /// (`None`) when the launch itself failed.
     ///
     /// # Errors
     /// The block is singular, or (for a strict symmetric leaf) not
-    /// positive definite.
-    fn factor(
-        self,
-        block: Block,
-        a: DenseMatrix<T>,
-        context: impl FnOnce() -> String,
-    ) -> Result<Self::Factor, HodlrError>;
-
-    /// Solve `A X = B` in place with a host factor.
-    fn solve(f: &Self::Factor, b: MatMut<'_, T>);
-
-    /// `(log|det|, sign)` of a host factor.
-    fn log_det(f: &Self::Factor) -> (T::Real, T);
-
-    /// Scalar entries a host factor keeps resident.
-    fn storage_entries(f: &Self::Factor) -> usize;
-
-    /// Factorize the blocks `descs` of `a` in place in one batched launch.
-    ///
-    /// # Errors
-    /// As [`FactorKind::factor`], naming the failing batch entry, or an
-    /// injected launch fault.
+    /// positive definite; or an injected launch fault.
     fn factor_batched(
         self,
         device: &Device,
@@ -152,7 +133,7 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
         block: Block,
         descs: &[LuDesc],
         a: &mut DeviceBuffer<T>,
-        context: impl FnOnce() -> String,
+        context: impl FnOnce(Option<usize>) -> String,
     ) -> Result<Vec<Self::Meta>, HodlrError>;
 
     /// Solve with the factors of `a` in place in `b` in one batched launch.
@@ -182,28 +163,10 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
 pub struct Lu;
 
 impl<T: Scalar> FactorKind<T> for Lu {
-    type Factor = LuFactor<T>;
     type Meta = Vec<usize>;
 
-    fn factor(
-        self,
-        _: Block,
-        a: DenseMatrix<T>,
-        context: impl FnOnce() -> String,
-    ) -> Result<LuFactor<T>, HodlrError> {
-        LuFactor::from_matrix(a).map_err(|e| e.into_hodlr(context()))
-    }
-
-    fn solve(f: &LuFactor<T>, b: MatMut<'_, T>) {
-        f.solve_in_place(b);
-    }
-
-    fn log_det(f: &LuFactor<T>) -> (T::Real, T) {
-        f.log_det()
-    }
-
-    fn storage_entries(f: &LuFactor<T>) -> usize {
-        f.order() * f.order()
+    fn factor_entries(m: usize) -> usize {
+        m * m
     }
 
     fn factor_batched(
@@ -213,9 +176,12 @@ impl<T: Scalar> FactorKind<T> for Lu {
         _: Block,
         descs: &[LuDesc],
         a: &mut DeviceBuffer<T>,
-        context: impl FnOnce() -> String,
+        context: impl FnOnce(Option<usize>) -> String,
     ) -> Result<Vec<Vec<usize>>, HodlrError> {
-        getrf_batched_varied(device, stream, descs, a).map_err(|e| e.into_hodlr(context()))
+        getrf_batched_varied(device, stream, descs, a).map_err(|e| {
+            let entry = e.batch_index();
+            e.into_hodlr(context(entry))
+        })
     }
 
     fn solve_batched(
@@ -280,28 +246,10 @@ impl Symmetric {
 }
 
 impl<T: Scalar> FactorKind<T> for Symmetric {
-    type Factor = SymmetricFactor<T>;
     type Meta = SymmetricKind;
 
-    fn factor(
-        self,
-        block: Block,
-        a: DenseMatrix<T>,
-        context: impl FnOnce() -> String,
-    ) -> Result<SymmetricFactor<T>, HodlrError> {
-        SymmetricFactor::from_matrix(a, self.policy(block)).map_err(|e| e.into_hodlr(context()))
-    }
-
-    fn solve(f: &SymmetricFactor<T>, b: MatMut<'_, T>) {
-        f.solve_in_place(b);
-    }
-
-    fn log_det(f: &SymmetricFactor<T>) -> (T::Real, T) {
-        f.log_det()
-    }
-
-    fn storage_entries(f: &SymmetricFactor<T>) -> usize {
-        f.storage_entries()
+    fn factor_entries(m: usize) -> usize {
+        m * (m + 1) / 2
     }
 
     fn factor_batched(
@@ -311,10 +259,12 @@ impl<T: Scalar> FactorKind<T> for Symmetric {
         block: Block,
         descs: &[LuDesc],
         a: &mut DeviceBuffer<T>,
-        context: impl FnOnce() -> String,
+        context: impl FnOnce(Option<usize>) -> String,
     ) -> Result<Vec<SymmetricKind>, HodlrError> {
-        potrf_batched_varied(device, stream, descs, self.policy(block), a)
-            .map_err(|e| e.into_hodlr(context()))
+        potrf_batched_varied(device, stream, descs, self.policy(block), a).map_err(|e| {
+            let entry = e.batch_index();
+            e.into_hodlr(context(entry))
+        })
     }
 
     fn solve_batched(
@@ -345,7 +295,9 @@ impl<T: Scalar> FactorKind<T> for Symmetric {
 }
 
 impl<T: Scalar> HodlrMatrix<T> {
-    /// Factorize the matrix with Algorithm 1 (sequential) and pivoted LU.
+    /// Factorize the matrix with pivoted LU: the batched sweep of
+    /// Algorithm 3 on a device of the factorization's own, so nothing is
+    /// metered on a caller's device.
     ///
     /// # Errors
     /// Returns [`HodlrError::SingularPivot`] naming the leaf diagonal block
@@ -356,7 +308,7 @@ impl<T: Scalar> HodlrMatrix<T> {
     }
 
     /// Factorize a Hermitian matrix with the symmetric variant of
-    /// Algorithm 1 (sequential).
+    /// Algorithm 3, on a device of the factorization's own.
     ///
     /// The caller asserts the matrix is Hermitian-valued; the symmetric
     /// kernels read only the lower triangles of the small blocks, so a
@@ -386,13 +338,13 @@ impl<T: Scalar> HodlrMatrix<T> {
 impl<T: Scalar> SerialSymmetricFactorization<T> {
     /// The [`Symmetry`] the factorization was requested with.
     pub fn symmetry(&self) -> Symmetry {
-        self.kind.symmetry()
+        self.batched().symmetry()
     }
 
     /// Which factorization rung each leaf diagonal block landed on, in leaf
     /// order (all [`SymmetricKind::Llt`] for an SPD matrix).
     pub fn leaf_kinds(&self) -> Vec<&SymmetricKind> {
-        self.diag.iter().map(|f| f.kind()).collect()
+        self.batched().leaf_kinds().iter().collect()
     }
 }
 
@@ -446,7 +398,7 @@ impl<'d, T: Scalar> GpuSymmetricSolver<'d, T> {
 mod tests {
     use super::*;
     use crate::matrix::{random_hodlr_spd, HodlrMatrix};
-    use hodlr_la::{Complex64, LuFactor, RealScalar};
+    use hodlr_la::{Complex64, DenseMatrix, LuFactor, RealScalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -41,10 +41,13 @@ use std::sync::Arc;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The level-by-level serial factorization (Algorithms 1–2), the
-    /// paper's single-core baseline.
+    /// paper's single-core baseline: the batched sweep of Algorithms 3–4
+    /// on a device of the factorization's own, so the handle's device
+    /// meters nothing for it and no fault plan armed there reaches it.
     Serial,
     /// The batched factorization on the virtual batched-BLAS device
-    /// (Algorithms 3–4), the paper's "GPU HODLR solver".
+    /// (Algorithms 3–4), the paper's "GPU HODLR solver", metered on the
+    /// handle's device.
     Batched,
 }
 

@@ -16,16 +16,19 @@ use std::sync::Arc;
 
 /// Backend-agnostic solving against a completed factorization.
 ///
-/// Implemented by [`SerialSolver`] (Algorithms 1–2) and [`BatchedSolver`]
-/// (Algorithms 3–4 on the virtual batched device) — each once, for both
-/// factor kinds (LU and symmetric) — the
+/// Implemented by [`BatchedSolver`] (Algorithms 3–4 on the virtual
+/// batched device) and [`SerialSolver`] (Algorithms 1–2, the same batched
+/// sweep on a device of the solver's own) — each once, for both factor
+/// kinds (LU and symmetric) — the
 /// [`IterativeSolver`](crate::IterativeSolver) Krylov adapter, and the
 /// type-erased [`Factorization`] handle.
 ///
 /// The in-place variants are the primitive operations; the allocating
 /// variants have default implementations on top of them (one copy of the
-/// right-hand sides, then the in-place solve).  The batched backend
-/// overrides `solve` and `solve_block` to upload `b` without that copy.
+/// right-hand sides, then the in-place solve).  The batched sweep
+/// overrides `solve` and `solve_block` to upload `b` without that copy, and
+/// its in-place blocked solve takes the caller's block over as device
+/// memory instead of copying it.
 pub trait Solve<T: Scalar> {
     /// The dimension `n` of the (square) factorized operator.
     fn dim(&self) -> usize;
@@ -180,21 +183,24 @@ pub trait Solve<T: Scalar> {
     }
 }
 
+/// The serial backend solves on the batched solver it owns; only its
+/// log-determinant (infallible) and its stored bytes (symmetric factors
+/// counted as triangles) are its own.
 impl<T: Scalar, K: FactorKind<T>> Solve<T> for SerialSolver<T, K> {
     fn dim(&self) -> usize {
-        self.tree().n()
+        self.batched().dim()
     }
 
     fn solve_in_place(&self, x: &mut [T]) -> Result<(), HodlrError> {
-        HodlrError::check_dims("right-hand side", self.dim(), x.len())?;
-        self.solve_columns_in_place(x);
-        Ok(())
+        self.batched().solve_in_place(x)
+    }
+
+    fn solve(&self, b: &[T]) -> Result<Vec<T>, HodlrError> {
+        Solve::solve(self.batched(), b)
     }
 
     fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
-        HodlrError::check_dims("right-hand side block rows", self.dim(), x.rows())?;
-        self.solve_columns_in_place(x.data_mut());
-        Ok(())
+        self.batched().solve_matrix_in_place(x)
     }
 
     fn log_det(&self) -> Result<(T::Real, T), HodlrError> {
@@ -222,8 +228,7 @@ impl<T: Scalar, K: FactorKind<T>> Solve<T> for BatchedSolver<'_, T, K> {
     }
 
     fn solve_block_in_place(&self, x: &mut DenseMatrix<T>) -> Result<(), HodlrError> {
-        *x = BatchedSolver::solve_matrix(self, x)?;
-        Ok(())
+        self.solve_matrix_in_place(x)
     }
 
     fn solve_block(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, HodlrError> {

@@ -996,14 +996,6 @@ impl<T: Scalar> SymmetricFactor<T> {
         sym_log_det_from_parts(&self.kind, &diag, &sub)
     }
 
-    /// Scalar entries of factor payload: the lower triangle (including the
-    /// diagonal), which is all the solve ever reads — the symmetric
-    /// factor's resident footprint is half a square LU factor's.
-    pub fn storage_entries(&self) -> usize {
-        let n = self.order();
-        n * (n + 1) / 2
-    }
-
     /// The explicit lower-triangular Cholesky factor `L` with the strictly
     /// upper triangle zeroed (only for [`SymmetricKind::Llt`] factors; used
     /// by samplers that need `L z` products and by tests).

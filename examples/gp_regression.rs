@@ -6,11 +6,11 @@
 //! instead of the dense `O(N^3)`.
 
 use hodlr::prelude::*;
-use hodlr_examples::arg_usize;
+use hodlr_examples::arg;
 use hodlr_gp::{best_row, regular_grid_1d, GpConfig, GpModel, GridScan, KernelFamily};
 
 fn main() {
-    let n = arg_usize("--n", 1024);
+    let n: usize = arg("--n", 1024);
 
     // Observations: a smooth signal with wiggle scale ~0.5 on [0, 4],
     // plus a deterministic pseudo-noise floor.

@@ -8,9 +8,9 @@ use hodlr_bench::helmholtz_hodlr;
 use hodlr_bench::workloads::resolved_kappa;
 
 fn main() {
-    let n = hodlr_examples::arg_usize("--n", 2048);
-    let kappa = hodlr_examples::arg_f64("--kappa", resolved_kappa(n));
-    let tol = hodlr_examples::arg_f64("--tol", 1e-8);
+    let n: usize = hodlr_examples::arg("--n", 2048);
+    let kappa: f64 = hodlr_examples::arg("--kappa", resolved_kappa(n));
+    let tol: f64 = hodlr_examples::arg("--tol", 1e-8);
     println!("Helmholtz combined-field BIE: N = {n}, kappa = eta = {kappa:.1}");
 
     // The "exact" operator is compressed tightly; the preconditioner loosely.

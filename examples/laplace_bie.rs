@@ -8,8 +8,8 @@ use hodlr_bench::laplace_hodlr;
 use hodlr_bie::laplace::potential_from_sources;
 
 fn main() {
-    let n = hodlr_examples::arg_usize("--n", 4096);
-    let tol = hodlr_examples::arg_f64("--tol", 1e-10);
+    let n: usize = hodlr_examples::arg("--n", 4096);
+    let tol: f64 = hodlr_examples::arg("--tol", 1e-10);
     println!("Laplace exterior BIE on the star contour: N = {n}, compression tol = {tol:.1e}");
 
     let (bie, matrix) = laplace_hodlr(n, tol);

@@ -5,17 +5,26 @@
 
 use hodlr::prelude::*;
 
-/// `--n 4096`-style argument parsing.  Local and std-only on purpose:
-/// this example demonstrates that `hodlr::prelude` is the only library
-/// import an application needs (the other examples share
-/// `hodlr_examples::arg_usize` / `arg_f64` instead).
+/// `--n 4096`-style argument parsing: the value after `name`, or `default`
+/// when the flag is absent; a missing or unparsable value is printed with
+/// its flag and exits with status 2.  Local and std-only on purpose: this
+/// example demonstrates that `hodlr::prelude` is the only library import an
+/// application needs (the other examples share `hodlr_examples::arg`).
 fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return default;
+    };
+    match args.get(i + 1) {
+        Some(value) => value.parse().unwrap_or_else(|_| {
+            eprintln!("error: {name}: cannot parse {value:?}");
+            std::process::exit(2)
+        }),
+        None => {
+            eprintln!("error: {name}: missing value");
+            std::process::exit(2)
+        }
+    }
 }
 
 fn main() {

@@ -9,8 +9,8 @@ use hodlr_bench::rpy_hodlr;
 use std::time::Instant;
 
 fn main() {
-    let particles = hodlr_examples::arg_usize("--particles", 2048);
-    let tol = hodlr_examples::arg_f64("--tol", 1e-10);
+    let particles: usize = hodlr_examples::arg("--particles", 2048);
+    let tol: f64 = hodlr_examples::arg("--tol", 1e-10);
     let n = 3 * particles;
     println!("RPY mobility problem: {particles} particles, matrix size N = {n}, tol = {tol:.1e}");
 

@@ -102,10 +102,11 @@ fn run_pipeline(threads: usize) -> PipelineOutput {
 /// The headline guarantee: 1, 2 and 8 threads produce bitwise-identical
 /// construction, factorization and solve results, and identical metering.
 ///
-/// The serial sweep runs a level's nodes as pool tasks through scratch
-/// copies only while `min(threads, nodes)` windows fit in a quarter of the
-/// matrix: here the 64-row leaves of the 3-RHS block run as tasks at 1 and
-/// 2 threads and one at a time in place at 8, so both schedules meet.
+/// Both backends run one sweep.  Its row-block windows run as tasks on
+/// scratch copies, or one at a time in place once the scratch in flight
+/// passes `hodlr-batch`'s bound, which depends on the pool size; the two
+/// schedules give the same bits (`hodlr-batch` checks that directly in
+/// `wide_row_blocks_run_in_place_bitwise_as_through_scratch`).
 #[test]
 fn pipeline_is_bitwise_deterministic_across_thread_counts() {
     let base = run_pipeline(1);
