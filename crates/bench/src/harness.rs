@@ -49,7 +49,12 @@ pub struct SolverRow {
     pub solver: String,
     /// Problem size `N`.
     pub n: usize,
-    /// Factorization time in seconds (`t_f`).
+    /// Factorization time in seconds (`t_f`).  The serial HODLR row's
+    /// clock includes the upload of the matrix to its private device; the
+    /// GPU row's starts after `GpuSolver::new` has uploaded it, the
+    /// paper's convention of reporting the PCIe copy apart.  At equal
+    /// metered flops the serial row's `factor_gflops` therefore reads
+    /// below the GPU row's.
     pub t_factor: f64,
     /// Solve time for one right-hand side in seconds (`t_s`).
     pub t_solve: f64,

@@ -6,7 +6,9 @@
 //! one-column `gemm` rows (`gemm_1col`, the products of a single-RHS HODLR
 //! solve) also report the bytes of `A` they read per second, next to a
 //! `stream_read` row: a plain read of as many bytes, the ceiling those
-//! rates are read against.
+//! rates are read against.  The column-list rows (`sub_columns`,
+//! `dot_columns`, the per-cross passes of adaptive cross approximation)
+//! report the bytes of the columns they read per second the same way.
 //!
 //! The `kernels` binary turns these rows into `BENCH_kernels.json`, the perf
 //! trajectory every kernel-touching PR is measured against: the headline
@@ -19,9 +21,10 @@ use hodlr_la::blas::{gemm_flops, gemm_reference};
 use hodlr_la::cholesky::{
     bunch_kaufman_in_place, bunch_kaufman_solve_in_place, potrf_in_place, potrs_in_place, BkPivot,
 };
+use hodlr_la::columns::{dot_columns, sub_columns};
 use hodlr_la::lu::{getrf_in_place, getrs_in_place};
 use hodlr_la::qr::thin_qr;
-use hodlr_la::random::random_matrix;
+use hodlr_la::random::{random_matrix, random_vector};
 use hodlr_la::{gemm, isa_level, Complex64, DenseMatrix, Op, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,15 +35,17 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct KernelRow {
     /// Kernel name: `gemm`, `gemm_reference`, `gemm_1col`, `stream_read`,
-    /// `getrf`, `thin_qr`, `getrs`, `potrs`, `sytrs`.
+    /// `sub_columns`, `dot_columns`, `getrf`, `thin_qr`, `getrs`, `potrs`,
+    /// `sytrs`.
     pub kernel: String,
     /// Scalar type: `f64` or `c64`.
     pub scalar: String,
-    /// Rows of `C` / order of the factorized matrix.
+    /// Rows of `C` / order of the factorized matrix / length of the
+    /// columns of a column-list row.
     pub m: usize,
     /// Columns of `C` / right-hand sides of a solve.
     pub n: usize,
-    /// Inner dimension.
+    /// Inner dimension / columns of a column-list row.
     pub k: usize,
     /// Pool size the row was measured with.
     pub threads: usize,
@@ -64,7 +69,8 @@ pub struct KernelRow {
     /// `op_a` of a `gemm_1col` row.
     pub op_a: Option<Op>,
     /// Bytes read per second: of `A` in a `gemm_1col` row, of the summed
-    /// array in a `stream_read` row; `None` in every other row.
+    /// array in a `stream_read` row, of the columns in a `sub_columns` or
+    /// `dot_columns` row; `None` in every other row.
     pub bytes_per_s: Option<f64>,
 }
 
@@ -220,6 +226,47 @@ fn time_stream_read(bytes: usize, elements: usize, reps: usize) -> (Timing, u64)
     (t.per_call(calls), sum)
 }
 
+/// Which column-list kernel [`time_column_list`] times.
+#[derive(Clone, Copy, Debug)]
+enum ColumnList {
+    /// `sub_columns(y, xs, coefs, false)`: an ACA residual column.
+    Sub,
+    /// `dot_columns(xs, y, true, out)`: the dots of its norm update.
+    Dot,
+}
+
+/// Time one call of a column-list kernel over `cols` random columns of
+/// `len` entries (every coefficient nonzero); returns `(time per call,
+/// output)`.
+fn time_column_list<T: Scalar>(
+    kernel: ColumnList,
+    len: usize,
+    cols: usize,
+    reps: usize,
+) -> (Timing, Vec<T>) {
+    let mut rng = StdRng::seed_from_u64((len * 37 + cols) as u64);
+    let xs: Vec<Vec<T>> = (0..cols).map(|_| random_vector(&mut rng, len)).collect();
+    let y0: Vec<T> = random_vector(&mut rng, len);
+    let coefs: Vec<T> = random_vector(&mut rng, cols);
+    let mut out = match kernel {
+        ColumnList::Sub => y0.clone(),
+        ColumnList::Dot => vec![T::zero(); cols],
+    };
+    let calls = (READ_ELEMENTS / (len * cols)).max(1);
+    let t = timed_runs(reps, || {
+        for _ in 0..calls {
+            match kernel {
+                ColumnList::Sub => {
+                    out.copy_from_slice(&y0);
+                    sub_columns(&mut out, &xs, &coefs, false);
+                }
+                ColumnList::Dot => dot_columns(&xs, &y0, true, &mut out),
+            }
+        }
+    });
+    (t.per_call(calls), out)
+}
+
 /// Time one in-place LU at order `n`; returns `(time, packed factors)`.
 fn time_getrf<T: Scalar>(n: usize, reps: usize) -> (Timing, Vec<T>) {
     let mut rng = StdRng::seed_from_u64(n as u64 ^ 0x5eed);
@@ -357,6 +404,9 @@ pub struct KernelBenchConfig {
     /// Stored shapes `(rows, cols)` and `op_a` of the `A` of the
     /// `gemm_1col` rows.
     pub one_column: Vec<(usize, usize, Op)>,
+    /// Column length and column count of the `sub_columns` and
+    /// `dot_columns` rows.
+    pub column_list: Vec<(usize, usize)>,
     /// Thread counts to sweep (the first is the baseline for bitwise
     /// comparisons and must be 1).
     pub threads: Vec<usize>,
@@ -384,6 +434,8 @@ impl KernelBenchConfig {
                 (8192, 177, Op::None),
                 (64, 16, Op::ConjTrans),
             ],
+            // gp-se-3d's root block: 8192-entry crosses, rank about 190.
+            column_list: vec![(8192, 190)],
             threads: vec![1, 2, 8],
             reps: 7,
         }
@@ -403,6 +455,9 @@ impl KernelBenchConfig {
                 (2048, 177, Op::None),
                 (64, 16, Op::ConjTrans),
             ],
+            // Two chunks of entries, groups of four and eight with
+            // leftovers.
+            column_list: vec![(2048, 45)],
             threads: vec![1, 2],
             reps: 1,
         }
@@ -532,6 +587,41 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 op_a: None,
                 bytes_per_s: Some((elements * size) as f64 / t.median),
             });
+        }
+    }
+
+    // The two passes adaptive cross approximation makes over its earlier
+    // crosses for every new one.
+    for &(len, cols) in &config.column_list {
+        for (kernel, name) in [
+            (ColumnList::Sub, "sub_columns"),
+            (ColumnList::Dot, "dot_columns"),
+        ] {
+            let mut base_out: Option<Vec<T>> = None;
+            for &nt in &config.threads {
+                let (t, out) =
+                    pool(nt).install(|| time_column_list::<T>(kernel, len, cols, config.reps));
+                let bitwise = base_out.as_ref().map(|b| bitwise_eq(b, &out));
+                if base_out.is_none() {
+                    base_out = Some(out);
+                }
+                rows.push(KernelRow {
+                    kernel: name.into(),
+                    scalar: scalar.clone(),
+                    m: len,
+                    n: 1,
+                    k: cols,
+                    threads: nt,
+                    time_s: t.median,
+                    time_iqr_s: t.iqr,
+                    gflops: ff * gemm_flops(len, 1, cols) as f64 / t.median / 1e9,
+                    speedup_vs_reference: None,
+                    bitwise_vs_1thread: bitwise,
+                    isa,
+                    op_a: None,
+                    bytes_per_s: Some((len * cols * size) as f64 / t.median),
+                });
+            }
         }
     }
 
@@ -707,6 +797,7 @@ mod tests {
             (1024, 300, Op::None),
             (64, 16, Op::ConjTrans),
         ];
+        config.column_list = vec![(1500, 13)];
         config.threads = vec![1, 2];
         let rows = run_kernel_bench(&config);
         assert!(rows.iter().any(|r| r.kernel == "gemm" && r.scalar == "f64"));
@@ -728,12 +819,17 @@ mod tests {
                     .iter()
                     .any(|r| r.kernel == "gemm_1col" && r.scalar == scalar && r.op_a == Some(op)));
             }
-            assert!(rows
-                .iter()
-                .any(|r| r.kernel == "stream_read" && r.scalar == scalar));
+            for kernel in ["stream_read", "sub_columns", "dot_columns"] {
+                assert!(rows
+                    .iter()
+                    .any(|r| r.kernel == kernel && r.scalar == scalar));
+            }
         }
         for r in &rows {
-            let rated = r.kernel == "gemm_1col" || r.kernel == "stream_read";
+            let rated = matches!(
+                r.kernel.as_str(),
+                "gemm_1col" | "stream_read" | "sub_columns" | "dot_columns"
+            );
             assert_eq!(r.bytes_per_s.is_some(), rated, "{}", r.kernel);
             assert_eq!(r.op_a.is_some(), r.kernel == "gemm_1col", "{}", r.kernel);
         }

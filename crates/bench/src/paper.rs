@@ -214,6 +214,7 @@ pub fn print_paper_report(matrices: &[PaperMatrix]) {
     }
 
     println!("\n== Fig. 9 GFLOP/s, helmholtz/tol=1e-10 (metered device flops on both backends)");
+    println!("   (the serial factorization time includes its upload; the GPU one starts after it)");
     println!(
         "{:<28} {:>9} {:>14} {:>14}",
         "solver", "N", "factorization", "solve"

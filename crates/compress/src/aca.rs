@@ -21,10 +21,13 @@
 //! search ends holding the row of its final pivot, and its column too
 //! unless its last step moved the column.  Turning an evaluated row or
 //! column into a residual subtracts the `k` earlier crosses, and the norm
-//! update takes `2k` dot products with them; that `O(k (m + n))`
-//! arithmetic runs in the [`hodlr_la::columns`] kernels, which split long
-//! vectors over the current rayon pool.  The entries themselves are
-//! evaluated on the calling thread.
+//! update takes `2k` dot products with them.  That `O(k (m + n))`
+//! arithmetic runs in the [`hodlr_la::columns`] kernels: the subtraction
+//! reads and writes the residual once per four crosses, the dots run
+//! eight side by side, both on the x86-64-v3 copy where the CPU has one,
+//! and long vectors are split over the current rayon pool.  Neither
+//! changes a bit of what the one-column loops compute.  The entries
+//! themselves are evaluated on the calling thread.
 
 use crate::lowrank::LowRank;
 use crate::randomized::dense_bytes;

@@ -29,7 +29,11 @@ use hodlr_la::{DenseMatrix, MatMut, Scalar};
 ///   bulk path evaluates its run there too, so a source that serves a
 ///   single block sees its calls from one thread only.  A build still
 ///   compresses different blocks of one source on different threads at
-///   once.
+///   once.  Spreading one block's entry runs (and the copy of its factors)
+///   over the pool as well was measured and not kept: it took 0.01–0.04 s
+///   more off gp-se-3d's build, but raised laplace-surface-2d's peak RSS
+///   from 395–407 MB to 462–482 MB (Intel Xeon, 2 vCPUs), and it needs
+///   rayon in this crate.
 ///
 /// The trait is object safe: the `hodlr` facade holds its input as
 /// `&dyn MatrixEntrySource<T>`, so every bulk call crosses one dynamic

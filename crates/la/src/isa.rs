@@ -80,6 +80,7 @@ mod tests {
         GEMM_NR_COMPLEX,
     };
     use crate::cholesky::{self, BkPivot};
+    use crate::columns;
     use crate::dense::DenseMatrix;
     use crate::lu;
     use crate::random::{random_matrix, random_vector};
@@ -333,6 +334,39 @@ mod tests {
         }
     }
 
+    /// The column-list kernels of adaptive cross approximation: every
+    /// group and leftover count of both, zero coefficients included, on one
+    /// chunk of entries and at an offset into the columns.
+    fn check_columns<T: Scalar>(rng: &mut StdRng) {
+        let len = 300;
+        for count in 0..=17 {
+            let xs: Vec<Vec<T>> = (0..count).map(|_| random_vector(rng, len)).collect();
+            let mut coefs: Vec<T> = random_vector(rng, count);
+            for c in coefs.iter_mut().step_by(5) {
+                *c = T::zero();
+            }
+            let y: Vec<T> = random_vector(rng, len - 7);
+            for conj in [false, true] {
+                let (mut base, mut disp) = (y[..len - 9].to_vec(), y[..len - 9].to_vec());
+                columns::sub_columns_chunk_body(&mut base, 9, &xs, &coefs, conj);
+                columns::sub_columns_chunk(&mut disp, 9, &xs, &coefs, conj);
+                assert_eq!(
+                    bits(&base),
+                    bits(&disp),
+                    "sub_columns {count} columns conj {conj}"
+                );
+                let (mut base, mut disp) = (vec![T::one(); count], vec![T::one(); count]);
+                columns::dot_columns_chunk_body(&xs, &y, conj, &mut base);
+                columns::dot_columns_chunk(&xs, &y, conj, &mut disp);
+                assert_eq!(
+                    bits(&base),
+                    bits(&disp),
+                    "dot_columns {count} columns conj {conj}"
+                );
+            }
+        }
+    }
+
     fn check_all<T: Scalar, const MR: usize, const NR: usize>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         check_gemm::<T, MR, NR>(&mut rng);
@@ -340,6 +374,7 @@ mod tests {
         check_lu::<T>(&mut rng);
         check_symmetric::<T>(&mut rng);
         check_triangular::<T>(&mut rng);
+        check_columns::<T>(&mut rng);
     }
 
     #[test]
