@@ -17,8 +17,8 @@ const COPY_CHUNK_BYTES: usize = 1 << 20;
 /// A column-major allocation living in (virtual) device memory.
 ///
 /// The buffer can only be filled through [`DeviceBuffer::upload`] /
-/// [`Device`]-mediated copies so that the amount of data moved over the
-/// simulated PCIe link is accounted for, like a `cudaMalloc`'d region.
+/// [`Device`]-mediated copies so that the bytes moved between host and
+/// device are metered, like a `cudaMalloc`'d region.
 /// Batched kernels access the underlying storage through
 /// [`DeviceBuffer::data`] / [`DeviceBuffer::data_mut`], which models kernels
 /// dereferencing device pointers.
@@ -120,19 +120,6 @@ impl<T: Scalar> DeviceBuffer<T> {
         }
     }
 
-    /// Overwrite a sub-range of the buffer from host memory (metered).
-    pub fn upload_at(&mut self, offset: usize, host: &[T]) {
-        assert!(
-            offset + host.len() <= self.data.len(),
-            "upload_at: out of bounds"
-        );
-        self.device.record_transfer(
-            TransferDirection::HostToDevice,
-            std::mem::size_of_val(host) as u64,
-        );
-        self.data[offset..offset + host.len()].copy_from_slice(host);
-    }
-
     /// Copy the whole buffer back to the host (metered D2H copy).
     pub fn download(&self) -> Vec<T> {
         self.device.record_transfer(
@@ -152,19 +139,6 @@ impl<T: Scalar> DeviceBuffer<T> {
             .record_transfer(TransferDirection::DeviceToHost, bytes);
         self.device.record_free(bytes);
         data
-    }
-
-    /// Copy a sub-range back to the host (metered D2H copy).
-    pub fn download_range(&self, offset: usize, len: usize) -> Vec<T> {
-        assert!(
-            offset + len <= self.data.len(),
-            "download_range: out of bounds"
-        );
-        self.device.record_transfer(
-            TransferDirection::DeviceToHost,
-            (len * std::mem::size_of::<T>()) as u64,
-        );
-        self.data[offset..offset + len].to_vec()
     }
 
     /// Raw device storage, used by kernels (not metered: models on-device
@@ -258,15 +232,6 @@ mod tests {
         assert_eq!(back.as_ptr(), ptr);
         assert_eq!(adopted.counters().d2h_bytes, 2_400_000);
         assert_eq!(adopted.counters().allocated_bytes, 0);
-    }
-
-    #[test]
-    fn partial_upload_and_download() {
-        let dev = Device::new();
-        let mut buf = DeviceBuffer::<f64>::zeros(&dev, 6);
-        buf.upload_at(2, &[5.0, 6.0]);
-        assert_eq!(buf.download_range(2, 2), vec![5.0, 6.0]);
-        assert_eq!(buf.download_range(0, 1), vec![0.0]);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The virtual device: counters, launch metering, the PCIe model, and the
-//! fault-injection arming point.
+//! The virtual device: counters, launch metering, and the fault-injection
+//! arming point.
 
-use crate::fault::{FaultAction, FaultEvent, FaultPlan};
+use crate::fault::{FaultAction, FaultEvent, FaultPlan, LaunchFault};
+use crate::stream::Stream;
+use hodlr_la::Scalar;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,6 +61,16 @@ impl CounterSnapshot {
     }
 }
 
+/// Real-flop multiplier of the device's metering: a complex multiply-add
+/// costs four real ones.
+pub fn scalar_flop_factor<T: Scalar>() -> u64 {
+    if T::IS_COMPLEX {
+        4
+    } else {
+        1
+    }
+}
+
 /// The virtual batched-BLAS device.
 ///
 /// A `Device` is a cheap handle: its clones share one set of counters, one
@@ -66,16 +78,10 @@ impl CounterSnapshot {
 /// clone meters into the same counters as the handle it was cloned from.
 /// The counters are atomics so that kernels running on rayon worker
 /// threads can report their work without locking; the settings (parallel
-/// flag, bandwidth, capacity, launch-log flag) are per handle.  The default
-/// configuration mirrors the paper's testbed: a PCIe 3.0 ×16 link
-/// (15.75 GB/s peak, ~12 GB/s achieved) between host and device.
+/// flag, launch-log flag) are per handle.
 #[derive(Clone, Debug)]
 pub struct Device {
     shared: Arc<Shared>,
-    /// Achievable host↔device bandwidth in bytes per second (simulated).
-    pcie_bytes_per_sec: f64,
-    /// Device memory capacity in bytes (the V100 of the paper has 32 GB).
-    memory_capacity: u64,
     /// Whether batched kernels may run batch entries in parallel.
     parallel: bool,
     log_launches: bool,
@@ -127,8 +133,7 @@ impl Default for Device {
 }
 
 impl Device {
-    /// A device with the paper's default configuration (PCIe 3.0 ×16,
-    /// 32 GB of memory, parallel batched kernels).
+    /// A device whose batched kernels run their batch entries in parallel.
     pub fn new() -> Self {
         Device {
             shared: Arc::new(Shared {
@@ -143,8 +148,6 @@ impl Device {
                 faults_armed: AtomicBool::new(false),
                 faults: Mutex::new(None),
             }),
-            pcie_bytes_per_sec: 12.0e9,
-            memory_capacity: 32 * (1 << 30),
             parallel: true,
             log_launches: false,
         }
@@ -167,31 +170,31 @@ impl Device {
         self
     }
 
-    /// Override the simulated PCIe bandwidth (bytes per second).
-    pub fn with_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        self.pcie_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
-    /// Override the simulated device memory capacity in bytes.
-    pub fn with_memory_capacity(mut self, bytes: u64) -> Self {
-        self.memory_capacity = bytes;
-        self
-    }
-
     /// Whether batched kernels run their batch entries in parallel.
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }
 
-    /// Simulated device memory capacity in bytes.
-    pub fn memory_capacity(&self) -> u64 {
-        self.memory_capacity
-    }
-
-    /// Record a batched kernel launch executing `batch` problems and
-    /// `flops` floating-point operations.
-    pub fn record_launch(&self, kernel: &'static str, batch: usize, flops: u64, stream: usize) {
+    /// Issue one launch of `kernel` on `stream` executing `batch` problems
+    /// and `flops` floating-point operations: record it in the counters
+    /// (and the launch log), then consult the armed fault plan for it.
+    /// Every launch makes exactly this one call, so the plan's ordinals
+    /// count the launches the log shows.
+    ///
+    /// A scheduled `Delay` sleeps here, before the kernel body runs.
+    /// Returns `Ok(true)` when the launch's output must be poisoned with
+    /// NaN after the body runs, and the [`LaunchFault`] when the plan fails
+    /// the launch.  A launch without an error channel degrades that failure
+    /// to poisoning (`unwrap_or(true)`), as a failed asynchronous launch on
+    /// a real device shows only as garbage output.  With no plan armed the
+    /// consultation costs one relaxed atomic load.
+    pub fn launch(
+        &self,
+        kernel: &'static str,
+        stream: Stream,
+        batch: usize,
+        flops: u64,
+    ) -> Result<bool, LaunchFault> {
         let s = &*self.shared;
         s.kernel_launches.fetch_add(1, Ordering::Relaxed);
         s.batch_entries.fetch_add(batch as u64, Ordering::Relaxed);
@@ -200,8 +203,17 @@ impl Device {
             s.launch_log.lock().push(LaunchRecord {
                 kernel,
                 batch,
-                stream,
+                stream: stream.id(),
             });
+        }
+        match self.take_fault(kernel) {
+            Some((FaultAction::FailLaunch, launch)) => Err(LaunchFault { kernel, launch }),
+            Some((FaultAction::PoisonNan, _)) => Ok(true),
+            Some((FaultAction::Delay { micros }, _)) => {
+                std::thread::sleep(std::time::Duration::from_micros(micros));
+                Ok(false)
+            }
+            None => Ok(false),
         }
     }
 
@@ -229,11 +241,6 @@ impl Device {
         self.shared
             .allocated_bytes
             .fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Simulated wall-clock time to transfer `bytes` over the PCIe link.
-    pub fn transfer_time_secs(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.pcie_bytes_per_sec
     }
 
     /// Current counter values.
@@ -307,11 +314,6 @@ impl Device {
         guard.take().map(|s| s.fired).unwrap_or_default()
     }
 
-    /// Whether a fault plan is currently armed.
-    pub fn faults_armed(&self) -> bool {
-        self.shared.faults_armed.load(Ordering::Acquire)
-    }
-
     /// The faults that have fired so far under the armed plan.
     pub fn fault_events(&self) -> Vec<FaultEvent> {
         self.shared
@@ -322,12 +324,10 @@ impl Device {
             .unwrap_or_default()
     }
 
-    /// Consult the armed fault plan for the launch being issued.  Called
-    /// once per launch by every batched kernel; advances the launch-ordinal
-    /// cursor and returns the scheduled action (with the ordinal, for error
-    /// reporting) when one fires.  Costs one relaxed atomic load when no
-    /// plan is armed.
-    pub fn take_launch_fault(&self, kernel: &'static str) -> Option<(FaultAction, u64)> {
+    /// Advance the armed plan's ordinal cursor past the launch being
+    /// issued, and return the action scheduled for it (with the ordinal)
+    /// after logging it as fired.
+    fn take_fault(&self, kernel: &'static str) -> Option<(FaultAction, u64)> {
         if !self.shared.faults_armed.load(Ordering::Acquire) {
             return None;
         }
@@ -343,33 +343,23 @@ impl Device {
         });
         Some((action, ordinal))
     }
-
-    /// [`Device::take_launch_fault`] for a launch with no error channel:
-    /// sleeps through a `Delay`, and returns `true` when the launch's
-    /// output must be poisoned with NaN.  `FailLaunch` degrades to that
-    /// poisoning, as a failed asynchronous launch on a real device shows
-    /// only as garbage output.
-    pub fn take_poison(&self, kernel: &'static str) -> bool {
-        match self.take_launch_fault(kernel) {
-            Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => true,
-            Some((FaultAction::Delay { micros }, _)) => {
-                std::thread::sleep(std::time::Duration::from_micros(micros));
-                false
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A clean launch: nothing armed fires on it.
+    fn launch(dev: &Device, kernel: &'static str, batch: usize, flops: u64, stream: usize) {
+        let launched = dev.launch(kernel, Stream::with_id(stream), batch, flops);
+        assert_eq!(launched, Ok(false));
+    }
+
     #[test]
     fn counters_accumulate_and_reset() {
         let dev = Device::new();
-        dev.record_launch("gemm_batched", 8, 1000, 0);
-        dev.record_launch("getrf_batched", 4, 500, 1);
+        launch(&dev, "gemm_batched", 8, 1000, 0);
+        launch(&dev, "getrf_batched", 4, 500, 1);
         dev.record_transfer(TransferDirection::HostToDevice, 64);
         dev.record_transfer(TransferDirection::DeviceToHost, 16);
         let c = dev.counters();
@@ -387,26 +377,29 @@ mod tests {
     fn clones_share_counters_log_and_faults() {
         let dev = Device::new().with_launch_log();
         let clone = dev.clone();
-        clone.record_launch("a", 2, 100, 0);
+        launch(&clone, "a", 2, 100, 0);
         assert_eq!(dev.counters().kernel_launches, 1);
         assert_eq!(dev.launch_log().len(), 1);
         dev.arm_faults(FaultPlan::new().fail_launch(1));
         assert_eq!(
-            clone.take_launch_fault("b"),
-            Some((FaultAction::FailLaunch, 1))
+            clone.launch("b", Stream::default(), 1, 0),
+            Err(LaunchFault {
+                kernel: "b",
+                launch: 1
+            })
         );
         assert_eq!(dev.disarm_faults().len(), 1);
         drop(dev);
-        clone.record_launch("c", 1, 0, 0);
-        assert_eq!(clone.counters().kernel_launches, 2);
+        launch(&clone, "c", 1, 0, 0);
+        assert_eq!(clone.counters().kernel_launches, 3);
     }
 
     #[test]
     fn snapshot_difference() {
         let dev = Device::new();
-        dev.record_launch("a", 1, 100, 0);
+        launch(&dev, "a", 1, 100, 0);
         let before = dev.counters();
-        dev.record_launch("b", 2, 250, 0);
+        launch(&dev, "b", 2, 250, 0);
         let delta = dev.counters().since(&before);
         assert_eq!(delta.kernel_launches, 1);
         assert_eq!(delta.batch_entries, 2);
@@ -416,10 +409,10 @@ mod tests {
     #[test]
     fn meter_isolates_a_window() {
         let dev = Device::new();
-        dev.record_launch("warmup", 1, 100, 0);
+        launch(&dev, "warmup", 1, 100, 0);
         let (sum, delta) = dev.meter(|| {
-            dev.record_launch("a", 2, 300, 0);
-            dev.record_launch("b", 3, 400, 0);
+            launch(&dev, "a", 2, 300, 0);
+            launch(&dev, "b", 3, 400, 0);
             2 + 3
         });
         assert_eq!(sum, 5);
@@ -433,19 +426,12 @@ mod tests {
     #[test]
     fn launch_log_records_kernels() {
         let dev = Device::new().with_launch_log();
-        dev.record_launch("gemm_batched", 3, 0, 7);
+        launch(&dev, "gemm_batched", 3, 0, 7);
         let log = dev.launch_log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kernel, "gemm_batched");
         assert_eq!(log[0].batch, 3);
         assert_eq!(log[0].stream, 7);
-    }
-
-    #[test]
-    fn bandwidth_model() {
-        let dev = Device::new().with_bandwidth(10.0e9);
-        let t = dev.transfer_time_secs(20_000_000_000);
-        assert!((t - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -461,46 +447,47 @@ mod tests {
     #[test]
     fn fault_consultation_counts_ordinals_from_arming() {
         let dev = Device::new();
-        assert!(!dev.faults_armed());
-        assert_eq!(dev.take_launch_fault("gemm_batched"), None);
+        launch(&dev, "gemm_batched", 1, 0, 0);
+        assert!(dev.fault_events().is_empty());
 
-        dev.arm_faults(FaultPlan::new().fail_launch(2).delay_launch(3, 10));
-        assert!(dev.faults_armed());
-        assert_eq!(dev.take_launch_fault("a"), None); // ordinal 1
-        assert_eq!(
-            dev.take_launch_fault("b"),
-            Some((FaultAction::FailLaunch, 2))
+        dev.arm_faults(
+            FaultPlan::new()
+                .fail_launch(2)
+                .delay_launch(3, 10)
+                .poison_launch(4),
         );
+        let stream = Stream::default();
+        launch(&dev, "a", 1, 0, 0); // ordinal 1
         assert_eq!(
-            dev.take_launch_fault("c"),
-            Some((FaultAction::Delay { micros: 10 }, 3))
+            dev.launch("b", stream, 1, 0),
+            Err(LaunchFault {
+                kernel: "b",
+                launch: 2
+            })
         );
-        assert_eq!(dev.take_launch_fault("d"), None); // ordinal 4, no rule
+        assert_eq!(dev.launch("c", stream, 1, 0), Ok(false)); // delayed
+        assert_eq!(dev.launch("d", stream, 1, 0), Ok(true));
+        launch(&dev, "e", 1, 0, 0); // ordinal 5, no rule
 
         let events = dev.fault_events();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].kernel, "b");
         assert_eq!(events[0].launch, 2);
+        assert_eq!(events[1].action, FaultAction::Delay { micros: 10 });
 
         let fired = dev.disarm_faults();
-        assert_eq!(fired.len(), 2);
-        assert!(!dev.faults_armed());
-        assert_eq!(dev.take_launch_fault("e"), None);
+        assert_eq!(fired.len(), 3);
+        assert!(dev.fault_events().is_empty());
+        launch(&dev, "f", 1, 0, 0);
     }
 
     #[test]
     fn rearming_restarts_the_ordinal_cursor() {
         let dev = Device::new();
         dev.arm_faults(FaultPlan::new().poison_launch(1));
-        assert_eq!(
-            dev.take_launch_fault("x"),
-            Some((FaultAction::PoisonNan, 1))
-        );
+        assert_eq!(dev.launch("x", Stream::default(), 1, 0), Ok(true));
         dev.arm_faults(FaultPlan::new().poison_launch(1));
-        assert_eq!(
-            dev.take_launch_fault("y"),
-            Some((FaultAction::PoisonNan, 1))
-        );
+        assert_eq!(dev.launch("y", Stream::default(), 1, 0), Ok(true));
     }
 
     #[test]

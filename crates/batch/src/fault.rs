@@ -7,15 +7,15 @@
 //! fixed schedule regardless of wall-clock timing.  Plans can be written
 //! out rule by rule or derived from a seed with [`FaultPlan::seeded`].
 //!
-//! Kernels consult the device once per launch via
-//! [`Device::take_launch_fault`](crate::Device::take_launch_fault):
+//! Every launch consults the device once, in the same call that meters it
+//! ([`Device::launch`](crate::Device::launch)):
 //!
-//! * [`FaultAction::FailLaunch`] makes fallible kernels (`getrf`/`potrf`)
-//!   return a typed [`LaunchFault`] error; infallible kernels
-//!   (`getrs`/`potrs`/`gemm`) have no error channel — cuBLAS reports
-//!   asynchronous launch failures only through garbage output — so they
-//!   degrade the failure to NaN poisoning, which the verification layer
-//!   then catches as a `NonFinite` verdict.
+//! * [`FaultAction::FailLaunch`] makes the factor launch return a typed
+//!   [`LaunchFault`] error before it touches its blocks; every other launch
+//!   (gemm, solve, gather, the coupling identities) has no error channel —
+//!   cuBLAS reports asynchronous launch failures only through garbage
+//!   output — so it degrades the failure to NaN poisoning, which the
+//!   verification layer then catches as a `NonFinite` verdict.
 //! * [`FaultAction::PoisonNan`] overwrites the launch's output windows
 //!   with NaN after the kernel body runs.
 //! * [`FaultAction::Delay`] sleeps the issuing thread; results are
@@ -199,6 +199,17 @@ pub(crate) fn poison_span<T: Scalar>(data: &mut [T], offset: usize, count: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::{potrf, spd};
+    use crate::factor::gather_bands_batched;
+    use crate::lu::{getrf, getrs, packed_blocks, packed_solves};
+    use crate::{
+        gemm_batched_aliased, gemm_batched_varied, Device, DeviceBuffer, FactorError, GemmDesc,
+        Stream,
+    };
+    use hodlr_la::random::{random_diag_dominant, random_matrix};
+    use hodlr_la::{DenseMatrix, Op, SymmetricPolicy};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn explicit_schedule_round_trips() {
@@ -268,5 +279,225 @@ mod tests {
         poison_span(&mut data, 2, 10);
         assert!(data[0].is_finite() && data[1].is_finite());
         assert!(data[2].is_nan() && data[3].is_nan());
+    }
+
+    /// What one launch left behind.
+    struct Ran {
+        /// The typed fault a factor launch returned.
+        fault: Option<LaunchFault>,
+        /// The launch's output windows (or gathered bands) before it ran
+        /// and after.
+        before: Vec<f64>,
+        after: Vec<f64>,
+        /// Device-to-host bytes the launch metered.
+        d2h: u64,
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The typed fault of a factor launch whose blocks all factor.
+    fn factor_fault<M, E: fmt::Debug>(r: Result<M, FactorError<E>>) -> Option<LaunchFault> {
+        match r {
+            Ok(_) => None,
+            Err(FactorError::Fault(fault)) => Some(fault),
+            Err(e) => panic!("{e:?}"),
+        }
+    }
+
+    /// Every launch kind under every fault action, armed at ordinal 1.
+    /// `FailLaunch` makes a factor launch return the typed fault and leave
+    /// its blocks untouched; every other launch has no error channel, so it
+    /// writes NaN over its windows, as `PoisonNan` does to every launch
+    /// (the gather returns NaN bands and still meters its transfer).
+    /// `Delay` changes no bit.  Exactly one event fires, with the launch's
+    /// label.
+    #[test]
+    fn every_launch_kind_takes_every_fault_action() {
+        let (n, nrhs) = (6, 3);
+        let mut rng = StdRng::seed_from_u64(50);
+        let host = |mats: [DenseMatrix<f64>; 2]| -> Vec<f64> {
+            mats.iter().flat_map(|m| m.data().to_vec()).collect()
+        };
+        let general = host([0; 2].map(|_| random_diag_dominant(&mut rng, n)));
+        let hermitian = host([0; 2].map(|_| spd(&mut rng, n)));
+        let rhs = host([0; 2].map(|_| random_matrix(&mut rng, n, nrhs)));
+        let (blocks, solves) = (packed_blocks(n, 2), packed_solves(n, nrhs, 2));
+        let scratch = Device::new();
+        let mut factors = DeviceBuffer::from_host(&scratch, &general);
+        let pivots = getrf(&scratch, &blocks, &mut factors).unwrap();
+
+        // Two products `C_i <- A_i B_i`: `A_i` the blocks, `B_i` and
+        // `C_i` the right-hand-side blocks.  The aliased form keeps `A`
+        // in the buffer above `C`.
+        let products: Vec<GemmDesc<f64>> = (0..2)
+            .map(|i| GemmDesc {
+                m: n,
+                n: nrhs,
+                k: n,
+                alpha: 1.0,
+                beta: 0.0,
+                op_a: Op::None,
+                op_b: Op::None,
+                a_offset: rhs.len() + i * n * n,
+                lda: n,
+                b_offset: i * n * nrhs,
+                ldb: n,
+                c_offset: i * n * nrhs,
+                ldc: n,
+            })
+            .collect();
+        let stacked = [rhs.as_slice(), general.as_slice()].concat();
+
+        type Launch<'a> = Box<dyn Fn(&Device) -> Ran + 'a>;
+        let launches: [(&str, Launch); 6] = [
+            (
+                "gemm_batched",
+                Box::new(|dev| {
+                    let (a, b) = (
+                        DeviceBuffer::from_host(dev, &stacked),
+                        DeviceBuffer::from_host(dev, &rhs),
+                    );
+                    let mut c = DeviceBuffer::from_host(dev, &rhs);
+                    gemm_batched_varied(dev, Stream::default(), &products, &a, &b, &mut c);
+                    let after = c.data().to_vec();
+                    Ran {
+                        fault: None,
+                        before: rhs.clone(),
+                        after,
+                        d2h: 0,
+                    }
+                }),
+            ),
+            (
+                "gemm_batched_aliased",
+                Box::new(|dev| {
+                    let mut ac = DeviceBuffer::from_host(dev, &stacked);
+                    let b = DeviceBuffer::from_host(dev, &rhs);
+                    gemm_batched_aliased(dev, Stream::default(), &products, &mut ac, &b);
+                    let after = ac.data()[..rhs.len()].to_vec();
+                    assert_eq!(
+                        bits(&ac.data()[rhs.len()..]),
+                        bits(&general),
+                        "A is read only"
+                    );
+                    Ran {
+                        fault: None,
+                        before: rhs.clone(),
+                        after,
+                        d2h: 0,
+                    }
+                }),
+            ),
+            (
+                "getrf_batched",
+                Box::new(|dev| {
+                    let mut a = DeviceBuffer::from_host(dev, &general);
+                    let fault = factor_fault(getrf(dev, &blocks, &mut a));
+                    let after = a.data().to_vec();
+                    Ran {
+                        fault,
+                        before: general.clone(),
+                        after,
+                        d2h: 0,
+                    }
+                }),
+            ),
+            (
+                "potrf_batched",
+                Box::new(|dev| {
+                    let mut a = DeviceBuffer::from_host(dev, &hermitian);
+                    let strict = SymmetricPolicy::Strict;
+                    let fault = factor_fault(potrf(dev, &blocks, strict, &mut a));
+                    let after = a.data().to_vec();
+                    Ran {
+                        fault,
+                        before: hermitian.clone(),
+                        after,
+                        d2h: 0,
+                    }
+                }),
+            ),
+            (
+                "getrs_batched",
+                Box::new(|dev| {
+                    let a = DeviceBuffer::from_host(dev, factors.data());
+                    let mut b = DeviceBuffer::from_host(dev, &rhs);
+                    getrs(dev, &solves, &a, &pivots, &mut b);
+                    let after = b.data().to_vec();
+                    Ran {
+                        fault: None,
+                        before: rhs.clone(),
+                        after,
+                        d2h: 0,
+                    }
+                }),
+            ),
+            (
+                "extract_tridiagonals_batched",
+                Box::new(|dev| {
+                    let a = DeviceBuffer::from_host(dev, factors.data());
+                    let label = "extract_tridiagonals_batched";
+                    let (bands, metered) = dev.meter(|| {
+                        gather_bands_batched(dev, Stream::default(), label, &blocks, 2, &a)
+                    });
+                    let after = bands.concat().concat();
+                    Ran {
+                        fault: None,
+                        before: Vec::new(),
+                        after,
+                        d2h: metered.d2h_bytes,
+                    }
+                }),
+            ),
+        ];
+
+        let actions = [
+            (FaultPlan::new().fail_launch(1), FaultAction::FailLaunch),
+            (FaultPlan::new().poison_launch(1), FaultAction::PoisonNan),
+            (
+                FaultPlan::new().delay_launch(1, 10),
+                FaultAction::Delay { micros: 10 },
+            ),
+        ];
+        for (label, launch) in &launches {
+            let clean = launch(&Device::new());
+            assert!(clean.fault.is_none(), "{label}");
+            assert!(clean.after.iter().all(|v| v.is_finite()), "{label}");
+            for (plan, action) in &actions {
+                let what = format!("{label} under {action:?}");
+                let device = Device::new();
+                device.arm_faults(plan.clone());
+                let ran = launch(&device);
+                let event = FaultEvent {
+                    kernel: label,
+                    launch: 1,
+                    action: *action,
+                };
+                assert_eq!(device.disarm_faults(), [event], "{what}");
+                assert_eq!(ran.d2h, clean.d2h, "{what}");
+                let factor = label.ends_with("trf_batched");
+                match action {
+                    FaultAction::FailLaunch if factor => {
+                        let fault = LaunchFault {
+                            kernel: label,
+                            launch: 1,
+                        };
+                        assert_eq!(ran.fault, Some(fault), "{what}");
+                        assert_eq!(bits(&ran.after), bits(&ran.before), "{what}");
+                    }
+                    FaultAction::Delay { .. } => {
+                        assert!(ran.fault.is_none(), "{what}");
+                        assert_eq!(bits(&ran.after), bits(&clean.after), "{what}");
+                    }
+                    _ => {
+                        assert!(ran.fault.is_none(), "{what}");
+                        assert!(!ran.after.is_empty(), "{what}");
+                        assert!(ran.after.iter().all(|v| v.is_nan()), "{what}");
+                    }
+                }
+            }
+        }
     }
 }

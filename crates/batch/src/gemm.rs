@@ -11,10 +11,9 @@
 //!   (the in-place update `Ybig(:,1:rl) -= Y ⊙ W` of Algorithm 3, line 10).
 
 use crate::buffer::DeviceBuffer;
-use crate::device::Device;
-use crate::fault::poison_span;
+use crate::device::{scalar_flop_factor, Device};
 use crate::stream::Stream;
-use crate::windows::{process_windows_mut, MatWindow};
+use crate::windows::{launch_on_windows, MatWindow};
 use hodlr_la::blas::gemm_flops;
 use hodlr_la::{gemm, MatMut, MatRef, Op, Scalar};
 
@@ -52,66 +51,53 @@ pub struct GemmDesc<T: Scalar> {
 }
 
 impl<T: Scalar> GemmDesc<T> {
-    /// Stored extent (rows, cols) of the `A` operand.
-    fn a_dims(&self) -> (usize, usize) {
-        match self.op_a {
+    /// The `A` operand as stored.
+    fn a_window(&self) -> MatWindow {
+        let (rows, cols) = match self.op_a {
             Op::None => (self.m, self.k),
             Op::Trans | Op::ConjTrans => (self.k, self.m),
+        };
+        MatWindow {
+            offset: self.a_offset,
+            rows,
+            cols,
+            ld: self.lda,
         }
     }
 
-    /// Stored extent (rows, cols) of the `B` operand.
-    fn b_dims(&self) -> (usize, usize) {
-        match self.op_b {
+    /// The `B` operand as stored.
+    fn b_window(&self) -> MatWindow {
+        let (rows, cols) = match self.op_b {
             Op::None => (self.k, self.n),
             Op::Trans | Op::ConjTrans => (self.n, self.k),
+        };
+        MatWindow {
+            offset: self.b_offset,
+            rows,
+            cols,
+            ld: self.ldb,
         }
     }
 
-    fn a_span(&self) -> usize {
-        let (r, c) = self.a_dims();
-        span(r, c, self.lda)
-    }
-
-    fn b_span(&self) -> usize {
-        let (r, c) = self.b_dims();
-        span(r, c, self.ldb)
-    }
-
-    fn c_span(&self) -> usize {
-        span(self.m, self.n, self.ldc)
+    /// The output `C`.
+    fn c_window(&self) -> MatWindow {
+        MatWindow {
+            offset: self.c_offset,
+            rows: self.m,
+            cols: self.n,
+            ld: self.ldc,
+        }
     }
 
     fn flops(&self) -> u64 {
         scalar_flop_factor::<T>() * gemm_flops(self.m, self.n, self.k)
     }
-}
 
-/// Number of elements a column-major `rows x cols` window with leading
-/// dimension `ld` spans in its buffer (zero for an empty window).
-fn span(rows: usize, cols: usize, ld: usize) -> usize {
-    if rows == 0 || cols == 0 {
-        0
-    } else {
-        ld * (cols - 1) + rows
+    /// `C <- alpha op_a(A) op_b(B) + beta C`, reading `B` from `b_data`.
+    fn run(&self, a: MatRef<'_, T>, b_data: &[T], c: MatMut<'_, T>) {
+        let b = self.b_window().view(b_data);
+        gemm(self.alpha, a, self.op_a, b, self.op_b, self.beta, c);
     }
-}
-
-/// Real-flop multiplier: a complex multiply-add costs 4x the real one.
-pub(crate) fn scalar_flop_factor<T: Scalar>() -> u64 {
-    if T::IS_COMPLEX {
-        4
-    } else {
-        1
-    }
-}
-
-fn gemm_into<T: Scalar>(desc: &GemmDesc<T>, a: &[T], b: &[T], c: MatMut<'_, T>) {
-    let (ar, ac) = desc.a_dims();
-    let (br, bc) = desc.b_dims();
-    let a_ref = MatRef::from_parts(a, ar, ac, desc.lda.max(1));
-    let b_ref = MatRef::from_parts(b, br, bc, desc.ldb.max(1));
-    gemm(desc.alpha, a_ref, desc.op_a, b_ref, desc.op_b, desc.beta, c);
 }
 
 /// `cublasGemmBatched` with per-problem shapes: every descriptor addresses
@@ -132,49 +118,30 @@ pub fn gemm_batched_varied<T: Scalar>(
     }
     for d in descs {
         assert!(
-            d.a_offset + d.a_span() <= a.len(),
+            d.a_window().fits(a.len()),
             "gemm_batched_varied: A out of bounds"
         );
         assert!(
-            d.b_offset + d.b_span() <= b.len(),
+            d.b_window().fits(b.len()),
             "gemm_batched_varied: B out of bounds"
         );
         assert!(
-            d.c_offset + d.c_span() <= c.len(),
+            d.c_window().fits(c.len()),
             "gemm_batched_varied: C out of bounds"
         );
     }
-    let flops: u64 = descs.iter().map(|d| d.flops()).sum();
-    device.record_launch("gemm_batched", descs.len(), flops, stream.id());
-    // No error channel on gemm: FailLaunch degrades to NaN poisoning of
-    // the output windows.
-    let poison = device.take_poison("gemm_batched");
-
-    let a_data = a.data();
-    let b_data = b.data();
-    let windows: Vec<MatWindow> = descs
-        .iter()
-        .map(|d| MatWindow {
-            offset: d.c_offset,
-            rows: d.m,
-            cols: d.n,
-            ld: d.ldc,
-        })
-        .collect();
-    process_windows_mut(c.data_mut(), &windows, device.is_parallel(), |i, c_view| {
-        let d = &descs[i];
-        gemm_into(
-            d,
-            &a_data[d.a_offset..d.a_offset + d.a_span()],
-            &b_data[d.b_offset..d.b_offset + d.b_span()],
-            c_view,
-        );
-    });
-    if poison {
-        for d in descs {
-            poison_span(c.data_mut(), d.c_offset, d.c_span());
-        }
-    }
+    let flops = descs.iter().map(GemmDesc::flops).sum();
+    let windows: Vec<MatWindow> = descs.iter().map(GemmDesc::c_window).collect();
+    let (a_data, b_data) = (a.data(), b.data());
+    launch_on_windows(
+        device,
+        "gemm_batched",
+        stream,
+        flops,
+        c.data_mut(),
+        &windows,
+        |i, c_view| descs[i].run(descs[i].a_window().view(a_data), b_data, c_view),
+    );
 }
 
 /// Varied batched gemm whose `A` operand lives in the same buffer as the
@@ -201,54 +168,42 @@ pub fn gemm_batched_aliased<T: Scalar>(
     };
     for d in descs {
         assert!(
-            d.a_offset + d.a_span() <= ac.len(),
+            d.a_window().fits(ac.len()),
             "gemm_batched_aliased: A out of bounds"
         );
         assert!(
-            d.b_offset + d.b_span() <= b.len(),
+            d.b_window().fits(b.len()),
             "gemm_batched_aliased: B out of bounds"
         );
         assert!(
-            d.c_offset + d.c_span() <= ac.len(),
+            d.c_window().fits(ac.len()),
             "gemm_batched_aliased: C out of bounds"
         );
         assert!(
-            d.c_offset + d.c_span() <= split,
+            d.c_window().fits(split),
             "gemm_batched_aliased: C window reaches past the smallest A offset {split}"
         );
     }
-    let flops: u64 = descs.iter().map(|d| d.flops()).sum();
-    device.record_launch("gemm_batched_aliased", descs.len(), flops, stream.id());
-    // No error channel on gemm: FailLaunch degrades to NaN poisoning of
-    // the output windows.
-    let poison = device.take_poison("gemm_batched_aliased");
-
+    let flops = descs.iter().map(GemmDesc::flops).sum();
+    let windows: Vec<MatWindow> = descs.iter().map(GemmDesc::c_window).collect();
     let b_data = b.data();
-    let windows: Vec<MatWindow> = descs
-        .iter()
-        .map(|d| MatWindow {
-            offset: d.c_offset,
-            rows: d.m,
-            cols: d.n,
-            ld: d.ldc,
-        })
-        .collect();
     let (c_data, a_data) = ac.data_mut().split_at_mut(split);
-    process_windows_mut(c_data, &windows, device.is_parallel(), |i, c_view| {
-        let d = &descs[i];
-        let a_off = d.a_offset - split;
-        gemm_into(
-            d,
-            &a_data[a_off..a_off + d.a_span()],
-            &b_data[d.b_offset..d.b_offset + d.b_span()],
-            c_view,
-        );
-    });
-    if poison {
-        for d in descs {
-            poison_span(ac.data_mut(), d.c_offset, d.c_span());
-        }
-    }
+    launch_on_windows(
+        device,
+        "gemm_batched_aliased",
+        stream,
+        flops,
+        c_data,
+        &windows,
+        |i, c_view| {
+            let d = &descs[i];
+            let a = MatWindow {
+                offset: d.a_offset - split,
+                ..d.a_window()
+            };
+            d.run(a.view(a_data), b_data, c_view);
+        },
+    );
 }
 
 #[cfg(test)]

@@ -1,27 +1,32 @@
 //! # hodlr-batch — a virtual batched-BLAS device
 //!
-//! The paper's GPU solver is built on four cuBLAS primitives: `gemmBatched`,
-//! `gemmStridedBatched`, `getrfBatched` and `getrsBatched`.  This crate
-//! provides a **virtual device** with the pointer-array (per-problem
-//! descriptor) form of the batched ones, executed on the CPU with rayon
-//! data parallelism:
+//! The paper's GPU solver maps Algorithms 3–4 onto a few batched cuBLAS
+//! primitives over pointer arrays: `gemmBatched`, `getrfBatched` and
+//! `getrsBatched` (Section III-C).  This crate provides a **virtual
+//! device** with those launches, in the pointer-array (per-problem
+//! descriptor) form, executed on the CPU with rayon data parallelism:
 //!
 //! * [`Device`] — a cheap handle to the counters (kernel launches, flops,
-//!   transferred bytes), shared by all its clones, and the PCIe bandwidth
-//!   model used to regenerate the Flop/s and transfer figures of the paper;
+//!   transferred bytes), the launch log and the armed fault plan, all
+//!   shared by its clones.  Every launch makes one [`Device::launch`] call,
+//!   which meters it and consults the fault plan together;
 //! * [`DeviceBuffer`] — "device memory": an allocation that can only be
 //!   filled and read back through explicit host-to-device / device-to-host
 //!   copies, which are metered;
 //! * [`Stream`] — a labelled launch queue.  On the virtual device streams
 //!   only affect bookkeeping (the paper launches independent gemms on
 //!   separate CUDA streams at the top tree levels);
-//! * batched kernels on per-problem descriptors: [`gemm_batched_varied`]
-//!   and its in-place form [`gemm_batched_aliased`] in [`gemm`],
-//!   [`getrf_batched_varied`] and [`getrs_batched_varied`] in [`lu`], and
-//!   their symmetric counterparts in [`cholesky`].  A descriptor batch
-//!   covers both of the paper's Section III-C code paths: one shape at
-//!   every entry, where `gemmStridedBatched` would serve, and ranks that
-//!   vary within a level.
+//! * batched launches on per-problem descriptors: [`gemm_batched_varied`]
+//!   and its in-place form [`gemm_batched_aliased`] in [`gemm`], and in
+//!   [`factor`] one in-place factor launch, one solve launch and one band
+//!   gather, each running a dense kernel its caller supplies.  The HODLR
+//!   sweep supplies LU kernels (launch labels `getrf_batched`,
+//!   `getrs_batched`, `extract_diagonals_batched`) or symmetric ones
+//!   (`potrf_batched`, `potrs_batched`, `extract_tridiagonals_batched`),
+//!   so this crate knows nothing of either.  A descriptor batch covers
+//!   both of the paper's Section III-C code paths: one shape at every
+//!   entry, where `gemmStridedBatched` would serve, and ranks that vary
+//!   within a level.
 //!
 //! The substitution (real GPU → virtual device) is documented in
 //! ARCHITECTURE.md, section "The virtual device (`hodlr-batch`)":
@@ -45,14 +50,15 @@
 //! the counter totals are **identical at every thread count**:
 //!
 //! ```
-//! use hodlr_batch::Device;
+//! use hodlr_batch::{Device, Stream};
 //! use rayon::prelude::*;
 //!
 //! let device = Device::new();
 //! // Eight tasks on the worker pool record into the same counters
 //! // concurrently, as batched kernels do during a factorization.
 //! (0..8usize).into_par_iter().for_each(|stream| {
-//!     device.record_launch("gemm_batched", 4, 1_000, stream);
+//!     let poison = device.launch("gemm_batched", Stream::with_id(stream), 4, 1_000);
+//!     assert_eq!(poison, Ok(false)); // no fault plan is armed
 //! });
 //! let counters = device.counters();
 //! assert_eq!(counters.kernel_launches, 8);
@@ -61,25 +67,25 @@
 //! ```
 
 pub mod buffer;
-pub mod cholesky;
 pub mod device;
+pub mod factor;
 pub mod fault;
 pub mod gemm;
-pub mod lu;
 pub mod slices;
 pub mod stream;
 mod windows;
 
+// Test-only: the launches of `factor` with `hodlr-la`'s LU and symmetric
+// kernels.
+mod cholesky;
+mod lu;
+
 pub use buffer::DeviceBuffer;
-pub use cholesky::{
-    extract_tridiagonals_batched, potrf_batched_varied, potrs_batched_varied, BatchSymmetricError,
-    SymBatchError,
+pub use device::{scalar_flop_factor, CounterSnapshot, Device, TransferDirection};
+pub use factor::{
+    factor_batched_varied, gather_bands_batched, solve_batched_varied, FactorDesc, FactorError,
+    SolveDesc,
 };
-pub use device::{CounterSnapshot, Device, TransferDirection};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, LaunchFault};
 pub use gemm::{gemm_batched_aliased, gemm_batched_varied, GemmDesc};
-pub use lu::{
-    extract_diagonals_batched, getrf_batched_varied, getrs_batched_varied, BatchSingularError,
-    LuBatchError, LuDesc, LuSolveDesc,
-};
 pub use stream::{Stream, StreamPool};

@@ -51,15 +51,6 @@ pub fn disjoint_slices_mut<'a, T>(
         .collect()
 }
 
-/// Check that a set of `(offset, len)` ranges is pairwise disjoint without
-/// splitting anything.  Used to validate *read* windows that are allowed to
-/// coexist with independently checked write windows.
-pub fn ranges_are_disjoint(ranges: &[(usize, usize)]) -> bool {
-    let mut sorted: Vec<(usize, usize)> = ranges.iter().copied().filter(|&(_, l)| l > 0).collect();
-    sorted.sort_by_key(|&(off, _)| off);
-    sorted.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,13 +84,6 @@ mod tests {
     fn out_of_bounds_panics() {
         let mut data = [0; 4];
         let _ = disjoint_slices_mut(&mut data, &[(2, 5)]);
-    }
-
-    #[test]
-    fn disjointness_check() {
-        assert!(ranges_are_disjoint(&[(0, 2), (2, 2), (10, 1)]));
-        assert!(!ranges_are_disjoint(&[(0, 3), (2, 2)]));
-        assert!(ranges_are_disjoint(&[(5, 0), (5, 2)]));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! On a real GPU, launching independent gemms on separate CUDA streams lets
 //! the hardware overlap small kernels; the paper uses this for the top few
-//! tree levels where the batch size is tiny (Section III-C).  On the virtual
-//! device a stream is a bookkeeping label carried into the launch log, plus a
-//! "synchronise" no-op so that calling code reads like the GPU original.
+//! tree levels where the batch size is tiny (Section III-C).  The virtual
+//! device executes every launch synchronously, so a stream is a bookkeeping
+//! label carried into the launch log.
 
 /// A launch queue label.  Stream 0 is the default stream.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -27,11 +27,6 @@ impl Stream {
     pub fn id(&self) -> usize {
         self.id
     }
-
-    /// Block until all work on the stream has completed.  The virtual device
-    /// executes kernels synchronously, so this is a no-op kept for API parity
-    /// with `cudaStreamSynchronize`.
-    pub fn synchronize(&self) {}
 }
 
 /// A small pool of streams, handed out round-robin; mirrors the way the
@@ -86,13 +81,6 @@ impl StreamPool {
         let slot = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.streams[slot % self.streams.len()]
     }
-
-    /// Synchronise every stream in the pool.
-    pub fn synchronize_all(&self) {
-        for s in &self.streams {
-            s.synchronize();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +97,6 @@ mod tests {
         let pool = StreamPool::new(3);
         let ids: Vec<usize> = (0..7).map(|_| pool.next_stream().id()).collect();
         assert_eq!(ids, vec![1, 2, 3, 1, 2, 3, 1]);
-        pool.synchronize_all();
     }
 
     #[test]

@@ -24,9 +24,16 @@
 //! scratch ([`SCRATCH_FLOOR_BYTES`]) the windows run one at a time in place
 //! instead; a kernel sees the same values either way, so the choice never
 //! changes a bit.
+//!
+//! [`launch_on_windows`] is the body every launch without an error channel
+//! shares: one [`Device::launch`], the kernel on every output window, and
+//! NaN over the windows when the fault plan poisons or fails the launch.
 
+use crate::device::Device;
+use crate::fault::poison_span;
 use crate::slices::disjoint_slices_mut;
-use hodlr_la::{MatMut, Scalar};
+use crate::stream::Stream;
+use hodlr_la::{MatMut, MatRef, Scalar};
 use rayon::prelude::*;
 
 /// Row-block scratch in flight, in bytes, that a batch may hold whatever
@@ -69,6 +76,17 @@ impl MatWindow {
     /// `true` if the window touches no elements.
     pub(crate) fn is_empty(&self) -> bool {
         self.rows == 0 || self.cols == 0
+    }
+
+    /// Whether the window lies inside a buffer of `len` elements.
+    pub(crate) fn fits(&self, len: usize) -> bool {
+        self.offset + self.span() <= len
+    }
+
+    /// The window as a read-only view into `data`, its buffer.
+    pub(crate) fn view<'a, T: Scalar>(&self, data: &'a [T]) -> MatRef<'a, T> {
+        let elements = &data[self.offset..self.offset + self.span()];
+        MatRef::from_parts(elements, self.rows, self.cols, self.ld.max(1))
     }
 }
 
@@ -268,6 +286,39 @@ pub(crate) fn process_windows_mut<T, F>(
                 (0..windows.len()).for_each(run);
             }
         }
+    }
+}
+
+/// One launch of `label` on `stream`, metering `flops`, whose outputs are
+/// the `windows` of `out` and which has no error channel: record it and
+/// consult the fault plan ([`Device::launch`]), run `kernel` on every
+/// window ([`process_windows_mut`]), and write NaN over every window when
+/// the plan poisons the launch or fails it.
+pub(crate) fn launch_on_windows<T, F>(
+    device: &Device,
+    label: &'static str,
+    stream: Stream,
+    flops: u64,
+    out: &mut [T],
+    windows: &[MatWindow],
+    kernel: F,
+) where
+    T: Scalar,
+    F: Fn(usize, MatMut<'_, T>) + Sync,
+{
+    let poison = device
+        .launch(label, stream, windows.len(), flops)
+        .unwrap_or(true);
+    process_windows_mut(out, windows, device.is_parallel(), kernel);
+    if poison {
+        poison_windows(out, windows);
+    }
+}
+
+/// Write NaN over the span of every window of `data`.
+pub(crate) fn poison_windows<T: Scalar>(data: &mut [T], windows: &[MatWindow]) {
+    for w in windows {
+        poison_span(data, w.offset, w.span());
     }
 }
 

@@ -15,19 +15,20 @@
 //! the batch size is tiny, launches are issued on a round-robin pool of
 //! streams, mirroring the paper's use of CUDA streams.
 //!
-//! The sweep is written once, generic over the [`FactorKind`] whose batched
-//! kernels factorize and solve with each block: `getrf` / `getrs` for
-//! [`GpuSolver`], `potrf` / `potrs` for [`GpuSymmetricSolver`].  The
-//! per-entry pivots or ladder rungs stay host-side.  It is the one sweep of
-//! both backends: [`SerialSolver`](crate::SerialSolver) runs it on a device
-//! of its own.
+//! The sweep is written once, generic over the [`FactorKind`] that hands
+//! its dense kernels to the kind-agnostic factor and solve launches of
+//! `hodlr-batch`: `hodlr-la`'s LU kernels under the labels `getrf` /
+//! `getrs` for [`GpuSolver`], its symmetric ones under `potrf` / `potrs`
+//! for [`GpuSymmetricSolver`].  The per-entry pivots or ladder rungs stay
+//! host-side.  It is the one sweep of both backends:
+//! [`SerialSolver`](crate::SerialSolver) runs it on a device of its own.
 
 use crate::layout::LevelLayout;
 use crate::matrix::HodlrMatrix;
 use crate::symmetric::{Block, FactorKind, Lu, Symmetric};
 use hodlr_batch::{
-    gemm_batched_aliased, gemm_batched_varied, Device, DeviceBuffer, GemmDesc, LuDesc, LuSolveDesc,
-    Stream, StreamPool,
+    gemm_batched_aliased, gemm_batched_varied, Device, DeviceBuffer, FactorDesc, GemmDesc,
+    SolveDesc, Stream, StreamPool,
 };
 use hodlr_la::{DenseMatrix, HodlrError, Op, Scalar};
 use hodlr_tree::ClusterTree;
@@ -177,11 +178,11 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     }
 
     /// One descriptor per leaf diagonal block in `dbig`.
-    fn leaf_descs(&self) -> Vec<LuDesc> {
+    fn leaf_descs(&self) -> Vec<FactorDesc> {
         self.leaf_ranges
             .iter()
             .zip(&self.diag_offsets)
-            .map(|(range, &offset)| LuDesc {
+            .map(|(range, &offset)| FactorDesc {
                 n: range.len(),
                 offset,
                 ld: range.len(),
@@ -191,11 +192,11 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
 
     /// Solve descriptors pairing every leaf factor with its rows of an
     /// `N x nrhs` right-hand side.
-    fn leaf_solve_descs(&self, nrhs: usize) -> Vec<LuSolveDesc> {
+    fn leaf_solve_descs(&self, nrhs: usize) -> Vec<SolveDesc> {
         self.leaf_ranges
             .iter()
             .zip(&self.diag_offsets)
-            .map(|(range, &offset)| LuSolveDesc {
+            .map(|(range, &offset)| SolveDesc {
                 n: range.len(),
                 nrhs,
                 a_offset: offset,
@@ -682,9 +683,9 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
 }
 
 /// One descriptor per `(2w x 2w)` coupling matrix of a level's `Kbig`.
-fn coupling_descs(batch: usize, w: usize) -> Vec<LuDesc> {
+fn coupling_descs(batch: usize, w: usize) -> Vec<FactorDesc> {
     (0..batch)
-        .map(|p| LuDesc {
+        .map(|p| FactorDesc {
             n: 2 * w,
             offset: p * 4 * w * w,
             ld: 2 * w,
@@ -694,9 +695,9 @@ fn coupling_descs(batch: usize, w: usize) -> Vec<LuDesc> {
 
 /// Solve descriptors pairing every coupling factor with its parent's
 /// contiguous `2w x nrhs` block of the stacked `W`.
-fn coupling_solve_descs(batch: usize, w: usize, nrhs: usize) -> Vec<LuSolveDesc> {
+fn coupling_solve_descs(batch: usize, w: usize, nrhs: usize) -> Vec<SolveDesc> {
     (0..batch)
-        .map(|p| LuSolveDesc {
+        .map(|p| SolveDesc {
             n: 2 * w,
             nrhs,
             a_offset: p * 4 * w * w,
@@ -717,10 +718,12 @@ fn write_coupling_identities<T: Scalar>(
     batch: usize,
     w: usize,
 ) {
-    device.record_launch("assemble_coupling_identity", batch, 0, 0);
     // No error channel: FailLaunch degrades to NaN poisoning of the
     // identity entries.
-    let one = if device.take_poison("assemble_coupling_identity") {
+    let poison = device
+        .launch("assemble_coupling_identity", Stream::default(), batch, 0)
+        .unwrap_or(true);
+    let one = if poison {
         T::from_f64(f64::NAN)
     } else {
         T::one()
@@ -974,10 +977,11 @@ mod tests {
         });
     }
 
-    /// Every launch of a factorization and its `log_det` consults the fault
-    /// plan once, as it is logged: a `PoisonNan` armed at ordinal `i`
-    /// fires on the `i`-th logged launch, whatever its kernel (the coupling
-    /// identities and the log-det gathers included).
+    /// Every launch of a factorization, its `log_det`, a solve and a
+    /// 3-column `solve_matrix` consults the fault plan once, as it is
+    /// logged: a `PoisonNan` armed at ordinal `i` fires on the `i`-th
+    /// logged launch, whatever its kernel (the coupling identities, the
+    /// log-det gathers and every solve-sweep launch included).
     #[test]
     fn fault_ordinals_follow_the_launch_log() {
         use crate::matrix::random_hodlr_spd;
@@ -993,6 +997,9 @@ mod tests {
                 device.arm_faults(plan);
                 if gpu.factorize().is_ok() {
                     let _ = gpu.log_det();
+                    let b = DenseMatrix::from_fn(gpu.n(), 3, |i, j| (0.1 * (i + j) as f64).sin());
+                    let _ = gpu.solve(b.col(0));
+                    let _ = gpu.solve_matrix(&b);
                 }
                 (device.launch_log(), device.disarm_faults())
             };
@@ -1001,6 +1008,12 @@ mod tests {
             for kernel in ["assemble_coupling_identity", "extract_"] {
                 assert!(log.iter().any(|l| l.kernel.starts_with(kernel)), "{kernel}");
             }
+            // Two solve sweeps follow the gathers, each a leaf solve and
+            // three launches per level.
+            let gathers = log.iter().rposition(|l| l.kernel.starts_with("extract_"));
+            let sweeps = &log[gathers.expect("a gather") + 1..];
+            let solves = sweeps.iter().filter(|l| l.kernel == K::SOLVE).count();
+            assert_eq!((sweeps.len(), solves), (2 * (1 + 3 * 3), 2 * (1 + 3)));
             for (i, launch) in (1..).zip(&log) {
                 let (_, fired) = run(FaultPlan::new().poison_launch(i));
                 let fired: Vec<_> = fired.iter().map(|f| (f.launch, f.kernel)).collect();

@@ -2,11 +2,16 @@
 //!
 //! The level sweep is written once, batched in [`crate::gpu`]; the serial
 //! backend ([`crate::serial`]) runs it on a device of its own.  Every place
-//! where the general and the Hermitian path differ is a method of the
-//! [`FactorKind`] strategy: which batched kernel factorizes the leaf
-//! diagonal blocks or the coupling matrices, solves with the factors, folds
-//! their determinants, and how many entries a factor counts as stored.
-//! [`Lu`] is the pivoted-LU path; [`Symmetric`] is the Hermitian fast path.
+//! where the general and the Hermitian path differ is an item of the
+//! [`FactorKind`] strategy, and nowhere else: `hodlr-batch`'s factor,
+//! solve and band-gather launches are kind-agnostic, and the kind supplies
+//! the dense kernels they run on each leaf diagonal block or coupling
+//! matrix, their launch labels and per-block flops, the determinant fold,
+//! the [`HodlrError`] a rejected block becomes, and how many entries a
+//! factor counts as stored.  [`Lu`] is the pivoted-LU path
+//! (`getrf_batched` / `getrs_batched` / `extract_diagonals_batched`);
+//! [`Symmetric`] is the Hermitian fast path (`potrf_batched` /
+//! `potrs_batched` / `extract_tridiagonals_batched`).
 //!
 //! When the HODLR matrix is Hermitian — shared off-diagonal bases
 //! (`V_alpha = U_alpha`, see
@@ -38,12 +43,14 @@ use crate::gpu::{BatchedSolver, GpuSolver, GpuSymmetricSolver};
 use crate::matrix::HodlrMatrix;
 use crate::serial::{SerialFactorization, SerialSolver, SerialSymmetricFactorization};
 use hodlr_batch::{
-    extract_diagonals_batched, extract_tridiagonals_batched, getrf_batched_varied,
-    getrs_batched_varied, potrf_batched_varied, potrs_batched_varied, Device, DeviceBuffer, LuDesc,
-    LuSolveDesc, Stream,
+    factor_batched_varied, gather_bands_batched, scalar_flop_factor, solve_batched_varied, Device,
+    DeviceBuffer, FactorDesc, FactorError, SolveDesc, Stream,
 };
+use hodlr_la::cholesky::{factorize_symmetric_in_place, solve_symmetric_in_place};
+use hodlr_la::lu::{getrf_in_place, getrs_in_place, SingularError};
 use hodlr_la::{
-    log_det_from_parts, sym_log_det_from_parts, HodlrError, Scalar, SymmetricKind, SymmetricPolicy,
+    log_det_from_parts, sym_log_det_from_parts, HodlrError, MatMut, MatRef, Scalar, SymmetricError,
+    SymmetricKind, SymmetricPolicy,
 };
 use std::fmt::Debug;
 
@@ -106,8 +113,10 @@ mod sealed {
 }
 
 /// How the sweep factorizes the leaf diagonal blocks and coupling
-/// matrices as batched launches, solves with the factors, and folds them
-/// into the log-determinant.
+/// matrices, solves with the factors, and folds them into the
+/// log-determinant: the dense kernels, launch labels and flops a kind
+/// hands to `hodlr-batch`'s kind-agnostic factor, solve and band-gather
+/// launches, and the [`HodlrError`] each dense failure becomes.
 ///
 /// Implemented by [`Lu`] and [`Symmetric`] only.
 pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
@@ -115,9 +124,42 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
     /// ladder rung of a symmetric factor.
     type Meta: Clone + Debug + Send + Sync;
 
+    /// Why the dense kernel could not factorize a block.
+    type Error: Send;
+
+    /// Label of the factor launch.
+    const FACTOR: &'static str;
+    /// Label of the solve launch.
+    const SOLVE: &'static str;
+    /// Label of the launch gathering the determinant parts.
+    const GATHER: &'static str;
+
+    /// Diagonals of a factor its determinant reads: the main diagonal, and
+    /// for the symmetric kind the first subdiagonal too.
+    const BANDS: usize;
+
     /// Scalar entries an order-`m` factor counts as stored: `m^2` for LU,
     /// `m(m+1)/2` (the lower triangle) for the symmetric kind.
     fn factor_entries(m: usize) -> usize;
+
+    /// Flops the device meters for factorizing one order-`n` block.
+    fn factor_flops(n: usize) -> u64;
+
+    /// Factorize one `block` in place: the factor launch's dense kernel.
+    ///
+    /// # Errors
+    /// The dense kernel's error for a block it cannot factorize.
+    fn factor(self, block: Block, a: MatMut<'_, T>) -> Result<Self::Meta, Self::Error>;
+
+    /// Solve in place in `b` with one factor: the solve launch's kernel.
+    fn solve(f: MatRef<'_, T>, meta: &Self::Meta, b: MatMut<'_, T>);
+
+    /// `(log|det|, sign)` of one factor from its gathered `bands`.
+    fn log_det(meta: &Self::Meta, bands: &[Vec<T>]) -> (T::Real, T);
+
+    /// The [`HodlrError`] for batch entry `entry`, named by `context`,
+    /// whose block the dense kernel rejected with `error`.
+    fn entry_error(error: Self::Error, entry: usize, context: String) -> HodlrError;
 
     /// Factorize the blocks `descs` of `a` in place in one batched launch;
     /// `context` names the failing batch entry, or the launch as a whole
@@ -131,31 +173,52 @@ pub trait FactorKind<T: Scalar>: sealed::Sealed + Copy + Debug + Send + Sync {
         device: &Device,
         stream: Stream,
         block: Block,
-        descs: &[LuDesc],
+        descs: &[FactorDesc],
         a: &mut DeviceBuffer<T>,
         context: impl FnOnce(Option<usize>) -> String,
-    ) -> Result<Vec<Self::Meta>, HodlrError>;
+    ) -> Result<Vec<Self::Meta>, HodlrError> {
+        let flops = Self::factor_flops;
+        factor_batched_varied(device, stream, Self::FACTOR, descs, a, flops, |f| {
+            self.factor(block, f)
+        })
+        .map_err(|e| match e {
+            FactorError::Entry { entry, error } => {
+                Self::entry_error(error, entry, context(Some(entry)))
+            }
+            FactorError::Fault(fault) => fault.into_hodlr(context(None)),
+        })
+    }
 
     /// Solve with the factors of `a` in place in `b` in one batched launch.
     fn solve_batched(
         device: &Device,
         stream: Stream,
-        descs: &[LuSolveDesc],
+        descs: &[SolveDesc],
         a: &DeviceBuffer<T>,
         meta: &[Self::Meta],
         b: &mut DeviceBuffer<T>,
-    );
+    ) {
+        solve_batched_varied(device, stream, Self::SOLVE, descs, a, b, |i, f, x| {
+            Self::solve(f, &meta[i], x)
+        });
+    }
 
     /// Gather the determinant parts of the factors `descs` of `a` in one
     /// launch and hand each factor's `(log|det|, sign)` to `add`, in order.
     fn log_det_batched(
         device: &Device,
         stream: Stream,
-        descs: &[LuDesc],
+        descs: &[FactorDesc],
         a: &DeviceBuffer<T>,
         meta: &[Self::Meta],
-        add: impl FnMut(T::Real, T),
-    );
+        mut add: impl FnMut(T::Real, T),
+    ) {
+        let bands = gather_bands_batched(device, stream, Self::GATHER, descs, Self::BANDS, a);
+        for (bands, meta) in bands.iter().zip(meta) {
+            let (la, s) = Self::log_det(meta, bands);
+            add(la, s);
+        }
+    }
 }
 
 /// Pivoted LU for every block: the general path.
@@ -164,49 +227,39 @@ pub struct Lu;
 
 impl<T: Scalar> FactorKind<T> for Lu {
     type Meta = Vec<usize>;
+    type Error = SingularError;
+    const FACTOR: &'static str = "getrf_batched";
+    const SOLVE: &'static str = "getrs_batched";
+    const GATHER: &'static str = "extract_diagonals_batched";
+    const BANDS: usize = 1;
 
     fn factor_entries(m: usize) -> usize {
         m * m
     }
 
-    fn factor_batched(
-        self,
-        device: &Device,
-        stream: Stream,
-        _: Block,
-        descs: &[LuDesc],
-        a: &mut DeviceBuffer<T>,
-        context: impl FnOnce(Option<usize>) -> String,
-    ) -> Result<Vec<Vec<usize>>, HodlrError> {
-        getrf_batched_varied(device, stream, descs, a).map_err(|e| {
-            let entry = e.batch_index();
-            e.into_hodlr(context(entry))
-        })
+    /// `2n^3/3`.
+    fn factor_flops(n: usize) -> u64 {
+        let n = n as u64;
+        scalar_flop_factor::<T>() * 2 * n * n * n / 3
     }
 
-    fn solve_batched(
-        device: &Device,
-        stream: Stream,
-        descs: &[LuSolveDesc],
-        a: &DeviceBuffer<T>,
-        pivots: &[Vec<usize>],
-        b: &mut DeviceBuffer<T>,
-    ) {
-        getrs_batched_varied(device, stream, descs, a, pivots, b);
+    fn factor(self, _: Block, a: MatMut<'_, T>) -> Result<Vec<usize>, SingularError> {
+        getrf_in_place(a)
     }
 
-    fn log_det_batched(
-        device: &Device,
-        stream: Stream,
-        descs: &[LuDesc],
-        a: &DeviceBuffer<T>,
-        pivots: &[Vec<usize>],
-        mut add: impl FnMut(T::Real, T),
-    ) {
-        let diags = extract_diagonals_batched(device, stream, descs, a);
-        for (diag, piv) in diags.iter().zip(pivots) {
-            let (la, s) = log_det_from_parts(diag.iter().copied(), piv);
-            add(la, s);
+    fn solve(f: MatRef<'_, T>, pivots: &Vec<usize>, b: MatMut<'_, T>) {
+        getrs_in_place(f, pivots, b);
+    }
+
+    fn log_det(pivots: &Vec<usize>, bands: &[Vec<T>]) -> (T::Real, T) {
+        log_det_from_parts(bands[0].iter().copied(), pivots)
+    }
+
+    fn entry_error(error: SingularError, entry: usize, context: String) -> HodlrError {
+        HodlrError::SingularPivot {
+            context,
+            pivot: error.pivot,
+            batch_index: Some(entry),
         }
     }
 }
@@ -247,49 +300,44 @@ impl Symmetric {
 
 impl<T: Scalar> FactorKind<T> for Symmetric {
     type Meta = SymmetricKind;
+    type Error = SymmetricError;
+    const FACTOR: &'static str = "potrf_batched";
+    const SOLVE: &'static str = "potrs_batched";
+    const GATHER: &'static str = "extract_tridiagonals_batched";
+    const BANDS: usize = 2;
 
     fn factor_entries(m: usize) -> usize {
         m * (m + 1) / 2
     }
 
-    fn factor_batched(
-        self,
-        device: &Device,
-        stream: Stream,
-        block: Block,
-        descs: &[LuDesc],
-        a: &mut DeviceBuffer<T>,
-        context: impl FnOnce(Option<usize>) -> String,
-    ) -> Result<Vec<SymmetricKind>, HodlrError> {
-        potrf_batched_varied(device, stream, descs, self.policy(block), a).map_err(|e| {
-            let entry = e.batch_index();
-            e.into_hodlr(context(entry))
-        })
+    /// `n^3/3`, half of LU's.
+    fn factor_flops(n: usize) -> u64 {
+        let n = n as u64;
+        scalar_flop_factor::<T>() * n * n * n / 3
     }
 
-    fn solve_batched(
-        device: &Device,
-        stream: Stream,
-        descs: &[LuSolveDesc],
-        a: &DeviceBuffer<T>,
-        kinds: &[SymmetricKind],
-        b: &mut DeviceBuffer<T>,
-    ) {
-        potrs_batched_varied(device, stream, descs, a, kinds, b);
+    fn factor(self, block: Block, a: MatMut<'_, T>) -> Result<SymmetricKind, SymmetricError> {
+        factorize_symmetric_in_place(a, self.policy(block))
     }
 
-    fn log_det_batched(
-        device: &Device,
-        stream: Stream,
-        descs: &[LuDesc],
-        a: &DeviceBuffer<T>,
-        kinds: &[SymmetricKind],
-        mut add: impl FnMut(T::Real, T),
-    ) {
-        let parts = extract_tridiagonals_batched(device, stream, descs, a);
-        for ((diag, sub), kind) in parts.iter().zip(kinds) {
-            let (la, s) = sym_log_det_from_parts(kind, diag, sub);
-            add(la, s);
+    fn solve(f: MatRef<'_, T>, kind: &SymmetricKind, b: MatMut<'_, T>) {
+        solve_symmetric_in_place(f, kind, b);
+    }
+
+    fn log_det(kind: &SymmetricKind, bands: &[Vec<T>]) -> (T::Real, T) {
+        sym_log_det_from_parts(kind, &bands[0], &bands[1])
+    }
+
+    fn entry_error(error: SymmetricError, entry: usize, context: String) -> HodlrError {
+        match error {
+            SymmetricError::NotPositiveDefinite { pivot } => HodlrError::NotPositiveDefinite {
+                context: format!("{context} (batch entry {entry}, Cholesky pivot {pivot})"),
+            },
+            SymmetricError::Singular { pivot } => HodlrError::SingularPivot {
+                context,
+                pivot,
+                batch_index: Some(entry),
+            },
         }
     }
 }
