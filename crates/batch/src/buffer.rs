@@ -5,10 +5,15 @@
 //! as pool tasks over fixed pieces of at most 1 MiB, which takes those
 //! page faults on every worker; a [`Device::sequential`] device copies on
 //! the calling thread.
+//!
+//! A matrix the device only ever reads needs no copy at all: a
+//! [`SharedBuffer`] reads the host's allocation in place, metered as an
+//! upload of it.
 
 use crate::device::{Device, TransferDirection};
-use hodlr_la::Scalar;
+use hodlr_la::{DenseMatrix, Scalar};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Bytes per pool task of a host-to-device copy: large enough that an
 /// upload of one right-hand side stays one task.
@@ -165,6 +170,79 @@ impl<T: Scalar> Drop for DeviceBuffer<T> {
     }
 }
 
+/// The read-only form of a [`DeviceBuffer`]: device memory over a host
+/// matrix it shares through an [`Arc`], read in place.
+///
+/// It meters exactly as [`DeviceBuffer::adopt`] of the same elements (an
+/// allocation and a host-to-device transfer on creation, a free on drop),
+/// but copies nothing and takes nothing from the host, which keeps its
+/// matrix.  It has no `data_mut`: no launch can write through it, so the
+/// host's matrix stays as it was.
+///
+/// ```compile_fail
+/// # use hodlr_batch::{Device, SharedBuffer};
+/// # use hodlr_la::DenseMatrix;
+/// # use std::sync::Arc;
+/// let host = Arc::new(DenseMatrix::<f64>::zeros(4, 2));
+/// let mut buf = SharedBuffer::new(&Device::new(), host);
+/// buf.data_mut()[0] = 1.0; // a shared buffer is read-only
+/// ```
+#[derive(Debug)]
+pub struct SharedBuffer<T: Scalar> {
+    device: Device,
+    host: Arc<DenseMatrix<T>>,
+}
+
+impl<T: Scalar> SharedBuffer<T> {
+    /// Share `host` with `device`, metered as an upload of its elements.
+    pub fn new(device: &Device, host: Arc<DenseMatrix<T>>) -> Self {
+        let bytes = std::mem::size_of_val(host.data()) as u64;
+        device.record_alloc(bytes);
+        device.record_transfer(TransferDirection::HostToDevice, bytes);
+        SharedBuffer {
+            device: device.clone(),
+            host,
+        }
+    }
+
+    /// Number of elements in the buffer.
+    pub fn len(&self) -> usize {
+        self.host.data().len()
+    }
+
+    /// `true` if the buffer holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T: Scalar> Drop for SharedBuffer<T> {
+    fn drop(&mut self) {
+        self.device
+            .record_free(std::mem::size_of_val(self.host.data()) as u64);
+    }
+}
+
+/// Device memory a launch reads: a [`DeviceBuffer`] or a [`SharedBuffer`].
+/// Only a [`DeviceBuffer`] can be a launch's output.
+pub trait DeviceRead<T: Scalar> {
+    /// The elements, column-major (not metered: models a kernel
+    /// dereferencing a device pointer).
+    fn data(&self) -> &[T];
+}
+
+impl<T: Scalar> DeviceRead<T> for DeviceBuffer<T> {
+    fn data(&self) -> &[T] {
+        &self.data
+    }
+}
+
+impl<T: Scalar> DeviceRead<T> for SharedBuffer<T> {
+    fn data(&self) -> &[T] {
+        self.host.data()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +310,24 @@ mod tests {
         assert_eq!(back.as_ptr(), ptr);
         assert_eq!(adopted.counters().d2h_bytes, 2_400_000);
         assert_eq!(adopted.counters().allocated_bytes, 0);
+    }
+
+    /// A shared buffer meters as an adopted copy of the same elements,
+    /// on creation and on drop, reads the host's allocation in place and
+    /// leaves it to the host.
+    #[test]
+    fn shared_buffer_meters_as_an_upload_and_reads_the_host_in_place() {
+        let host = Arc::new(DenseMatrix::from_fn(600, 500, |i, j| (i * 500 + j) as f64));
+        let (adopted, shared) = (Device::new(), Device::new());
+        let copy = DeviceBuffer::adopt(&adopted, host.data().to_vec());
+        let buf = SharedBuffer::new(&shared, Arc::clone(&host));
+        assert_eq!(shared.counters(), adopted.counters());
+        assert_eq!(buf.data().as_ptr(), host.data().as_ptr());
+        assert_eq!(buf.data(), copy.data());
+        drop((copy, buf));
+        assert_eq!(shared.counters(), adopted.counters());
+        assert_eq!(shared.counters().allocated_bytes, 0);
+        assert_eq!(Arc::strong_count(&host), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   from the *same* device buffer as the output `C`, above every `C` window
 //!   (the in-place update `Ybig(:,1:rl) -= Y ⊙ W` of Algorithm 3, line 10).
 
-use crate::buffer::DeviceBuffer;
+use crate::buffer::{DeviceBuffer, DeviceRead};
 use crate::device::{scalar_flop_factor, Device};
 use crate::stream::Stream;
 use crate::windows::{launch_on_windows, MatWindow};
@@ -101,7 +101,9 @@ impl<T: Scalar> GemmDesc<T> {
 }
 
 /// `cublasGemmBatched` with per-problem shapes: every descriptor addresses
-/// its own windows of the `a`, `b` and `c` buffers.
+/// its own windows of the `a`, `b` and `c` buffers.  The operands `a` and
+/// `b` are read only, so either may be a
+/// [`SharedBuffer`](crate::SharedBuffer).
 ///
 /// # Panics
 /// Panics if output windows overlap or any window is out of bounds.
@@ -109,20 +111,21 @@ pub fn gemm_batched_varied<T: Scalar>(
     device: &Device,
     stream: Stream,
     descs: &[GemmDesc<T>],
-    a: &DeviceBuffer<T>,
-    b: &DeviceBuffer<T>,
+    a: &impl DeviceRead<T>,
+    b: &impl DeviceRead<T>,
     c: &mut DeviceBuffer<T>,
 ) {
     if descs.is_empty() {
         return;
     }
+    let (a_data, b_data) = (a.data(), b.data());
     for d in descs {
         assert!(
-            d.a_window().fits(a.len()),
+            d.a_window().fits(a_data.len()),
             "gemm_batched_varied: A out of bounds"
         );
         assert!(
-            d.b_window().fits(b.len()),
+            d.b_window().fits(b_data.len()),
             "gemm_batched_varied: B out of bounds"
         );
         assert!(
@@ -132,7 +135,6 @@ pub fn gemm_batched_varied<T: Scalar>(
     }
     let flops = descs.iter().map(GemmDesc::flops).sum();
     let windows: Vec<MatWindow> = descs.iter().map(GemmDesc::c_window).collect();
-    let (a_data, b_data) = (a.data(), b.data());
     launch_on_windows(
         device,
         "gemm_batched",
@@ -152,6 +154,8 @@ pub fn gemm_batched_varied<T: Scalar>(
 /// at or before it, and each product reads its `A` window in place above the
 /// split, with its stored `lda`.  In `Ybig` the split is the column boundary
 /// between the prefix (the `C` windows) and the next level's block (`A`).
+/// The operand `b` is read only, so it may be a
+/// [`SharedBuffer`](crate::SharedBuffer).
 ///
 /// # Panics
 /// Panics if any window is out of bounds, a `C` window reaches past the
@@ -161,18 +165,19 @@ pub fn gemm_batched_aliased<T: Scalar>(
     stream: Stream,
     descs: &[GemmDesc<T>],
     ac: &mut DeviceBuffer<T>,
-    b: &DeviceBuffer<T>,
+    b: &impl DeviceRead<T>,
 ) {
     let Some(split) = descs.iter().map(|d| d.a_offset).min() else {
         return;
     };
+    let b_data = b.data();
     for d in descs {
         assert!(
             d.a_window().fits(ac.len()),
             "gemm_batched_aliased: A out of bounds"
         );
         assert!(
-            d.b_window().fits(b.len()),
+            d.b_window().fits(b_data.len()),
             "gemm_batched_aliased: B out of bounds"
         );
         assert!(
@@ -186,7 +191,6 @@ pub fn gemm_batched_aliased<T: Scalar>(
     }
     let flops = descs.iter().map(GemmDesc::flops).sum();
     let windows: Vec<MatWindow> = descs.iter().map(GemmDesc::c_window).collect();
-    let b_data = b.data();
     let (c_data, a_data) = ac.data_mut().split_at_mut(split);
     launch_on_windows(
         device,

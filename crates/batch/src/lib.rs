@@ -12,7 +12,9 @@
 //!   which meters it and consults the fault plan together;
 //! * [`DeviceBuffer`] — "device memory": an allocation that can only be
 //!   filled and read back through explicit host-to-device / device-to-host
-//!   copies, which are metered;
+//!   copies, which are metered; and its read-only form [`SharedBuffer`],
+//!   which reads a host matrix in place, metered as its upload.  A launch
+//!   reads either through [`DeviceRead`];
 //! * [`Stream`] — a labelled launch queue.  On the virtual device streams
 //!   only affect bookkeeping (the paper launches independent gemms on
 //!   separate CUDA streams at the top tree levels);
@@ -80,7 +82,7 @@ mod windows;
 mod cholesky;
 mod lu;
 
-pub use buffer::DeviceBuffer;
+pub use buffer::{DeviceBuffer, DeviceRead, SharedBuffer};
 pub use device::{scalar_flop_factor, CounterSnapshot, Device, TransferDirection};
 pub use factor::{
     factor_batched_varied, gather_bands_batched, solve_batched_varied, FactorDesc, FactorError,

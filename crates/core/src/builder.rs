@@ -426,9 +426,10 @@ fn build_walk<T: Scalar, S: MatrixEntrySource<T> + Sync + ?Sized>(
 
 /// An adapter demoting every entry of a source to the lower precision:
 /// `entry(i, j) = inner.entry(i, j).demote()`.  This is what the compact
-/// (`f32`-storage) build path compresses from — demotion happens entry by
-/// entry at evaluation time, so the compact build's scratch is *also* in
-/// the lower precision and the working-precision block never exists.
+/// (`f32`-storage) build path compresses from — demotion happens at
+/// evaluation time, so the compact build's scratch is *also* in the lower
+/// precision and of the working-precision block only the tile being
+/// demoted ever exists.
 pub struct DemotedSource<'a, T: DemoteScalar, S: MatrixEntrySource<T> + ?Sized> {
     inner: &'a S,
     _marker: std::marker::PhantomData<fn() -> T>,
@@ -459,6 +460,19 @@ where
 
     fn entry(&self, i: usize, j: usize) -> T::Lower {
         self.inner.entry(i, j).demote()
+    }
+
+    /// The inner source's bulk tile, demoted: the bits of
+    /// [`entry`](Self::entry) wherever the inner tile has the inner
+    /// entries' bits.
+    fn tile(&self, row0: usize, col0: usize, out: &mut MatMut<'_, T::Lower>) {
+        let mut tile = DenseMatrix::<T>::zeros(out.rows(), out.cols());
+        self.inner.tile(row0, col0, &mut tile.as_mut());
+        for j in 0..out.cols() {
+            for (lower, &x) in out.col_mut(j).iter_mut().zip(tile.col(j)) {
+                *lower = x.demote();
+            }
+        }
     }
 }
 

@@ -3,10 +3,15 @@
 //!
 //! The solver uploads `Dbig`, `Ubig` and `Vbig` to the device once (the
 //! paper measures this PCIe copy separately from the factorization).  The
-//! leaf blocks are copied straight into their offsets of `Dbig`, with no
-//! host staging copy, and every copy runs as pool tasks over fixed pieces
-//! ([`DeviceBuffer::from_host_blocks`]), since the cost of writing a fresh
-//! allocation is its first-touch page faults.  The solver then runs
+//! factorization overwrites `Dbig` with the leaf factors and `Ubig` with
+//! `Ybig`, so those two are copied: the leaf blocks straight into their
+//! offsets of `Dbig`, with no host staging copy, and every copy as pool
+//! tasks over fixed pieces ([`DeviceBuffer::from_host_blocks`]), since the
+//! cost of writing a fresh allocation is its first-touch page faults.
+//! Nothing writes `Vbig`, so the device reads it in place from the host
+//! matrix's allocation, a [`SharedBuffer`] metered as the same upload: the
+//! device's counts are those of a copy, and only resident memory and upload
+//! time differ.  The solver then runs
 //! exactly the kernel sequence of Algorithm 3: per level, two batched
 //! gemms to form the coupling matrices and the work matrix `W`, a batched
 //! factorization, a batched solve, and one batched gemm update of `Ybig`.
@@ -28,21 +33,23 @@ use crate::matrix::HodlrMatrix;
 use crate::symmetric::{Block, FactorKind, Lu, Symmetric};
 use hodlr_batch::{
     gemm_batched_aliased, gemm_batched_varied, Device, DeviceBuffer, FactorDesc, GemmDesc,
-    SolveDesc, Stream, StreamPool,
+    SharedBuffer, SolveDesc, Stream, StreamPool,
 };
 use hodlr_la::{DenseMatrix, HodlrError, Op, Scalar};
 use hodlr_tree::ClusterTree;
 use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Below this many nodes in a level, independent kernels are cycled over a
 /// stream pool instead of one big batch (Section III-C).
 const STREAM_THRESHOLD: usize = 4;
 
 /// The GPU-style HODLR solver: device-resident data plus the stored
-/// factorization state.  It keeps a clone of its [`Device`] handle and owns
-/// its buffers, so it borrows nothing.
+/// factorization state.  It keeps a clone of its [`Device`] handle, owns
+/// its buffers and holds a reference count on the host matrix's `Vbig`, so
+/// it borrows nothing and may outlive the matrix.
 pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     device: Device,
     pub(crate) kind: K,
@@ -57,8 +64,8 @@ pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     dbig: DeviceBuffer<T>,
     /// The flattened bases; overwritten with `Ybig` by the factorization.
     pub(crate) ybig: DeviceBuffer<T>,
-    /// The flattened right bases.
-    pub(crate) vbig: DeviceBuffer<T>,
+    /// The flattened right bases, read in place from the host matrix.
+    pub(crate) vbig: SharedBuffer<T>,
     /// Host-side metadata (pivots or ladder rungs) of the leaf factors.
     pub(crate) diag_meta: Vec<K::Meta>,
     /// Per level: the coupling matrices `Kbig` (factorized in place).
@@ -95,8 +102,8 @@ pub type GpuSymmetricSolver<'d, T> = BatchedSolver<'d, T, Symmetric>;
 impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
     /// Upload a HODLR matrix to the device, metering the transferred bytes.
     /// Each leaf block is copied into its offset of `Dbig` directly, and
-    /// all three copies run as pool tasks on the current pool (on the
-    /// calling thread for a [`Device::sequential`] device).
+    /// both copies run as pool tasks on the current pool (on the calling
+    /// thread for a [`Device::sequential`] device).
     pub(crate) fn upload(device: &Device, matrix: &HodlrMatrix<T>, kind: K) -> Self {
         let tree = matrix.tree().clone();
         let layout = matrix.layout().clone();
@@ -116,11 +123,11 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         }
 
         let dbig = DeviceBuffer::from_host_blocks(device, &blocks);
-        // Ybig is overwritten by the factorization while Vbig must stay
-        // pristine for the solve sweep, so shared (Hermitian) bases are
-        // uploaded twice even though the host matrix stores them once.
+        // The factorization overwrites Ybig, so it is a copy of Ubig; it
+        // only reads Vbig, so the device reads Vbig in place, for shared
+        // (Hermitian) bases the very allocation Ybig was copied from.
         let ybig = DeviceBuffer::from_host(device, matrix.ubig().data());
-        let vbig = DeviceBuffer::from_host(device, matrix.vbig().data());
+        let vbig = SharedBuffer::new(device, Arc::clone(matrix.shared_vbig()));
         debug_assert_eq!(ybig.len(), n * total_cols);
 
         BatchedSolver {
@@ -159,7 +166,9 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
 
     /// Scalar entries resident in device buffers: the packed diagonal
     /// blocks, both basis stacks, and (after factorization) the per-level
-    /// coupling factors, every factor square.
+    /// coupling factors, every factor square.  This is the device model's
+    /// count, so `Vbig` counts in full although the device reads it in
+    /// place from the host matrix.
     pub fn storage_entries(&self) -> usize {
         self.dbig.len()
             + self.ybig.len()
@@ -745,6 +754,7 @@ fn write_coupling_identities<T: Scalar>(
 mod tests {
     use super::*;
     use crate::matrix::random_hodlr;
+    use hodlr_batch::DeviceRead;
     use hodlr_la::{Complex64, RealScalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1028,12 +1038,12 @@ mod tests {
         check(|device| GpuSymmetricSolver::new(device, &spd, Symmetry::PositiveDefinite).unwrap());
     }
 
-    /// The upload writes `Dbig`, `Ybig` and `Vbig` bit for bit as the host
-    /// holds them, and meters exactly what a reference upload of the staged
-    /// leaf blocks and the two bases does, on a parallel and a sequential
-    /// device in pools of 1, 2 and 8 threads.  `n = 4099` gives leaves of
-    /// 512 and 513 rows, and the 2 MiB leaf blocks and 3 MiB bases span
-    /// several copy pieces.
+    /// The upload writes `Dbig` and `Ybig` bit for bit as the host holds
+    /// them, reads `Vbig` in place, and meters exactly what a reference
+    /// upload of the staged leaf blocks and the two bases does, on a
+    /// parallel and a sequential device in pools of 1, 2 and 8 threads.
+    /// `n = 4099` gives leaves of 512 and 513 rows, and the 2 MiB leaf
+    /// blocks and 3 MiB bases span several copy pieces.
     #[test]
     fn upload_copies_bitwise_and_meters_as_a_reference_upload() {
         use crate::matrix::random_hodlr_spd;
@@ -1065,7 +1075,8 @@ mod tests {
                     assert_eq!(device.counters(), reference.counters(), "{what}");
                     assert_eq!(bits(gpu.dbig.data()), bits(&staged), "Dbig, {what}");
                     assert_eq!(bits(gpu.ybig.data()), bits(m.ubig().data()), "Ybig, {what}");
-                    assert_eq!(bits(gpu.vbig.data()), bits(m.vbig().data()), "Vbig, {what}");
+                    let vbig = gpu.vbig.data().as_ptr();
+                    assert_eq!(vbig, m.vbig().data().as_ptr(), "Vbig, {what}");
                     let mut offset = 0;
                     for (leaf, &o) in gpu.diag_offsets.iter().enumerate() {
                         assert_eq!(o, offset, "leaf {leaf}, {what}");
@@ -1084,6 +1095,46 @@ mod tests {
         check(&spd, |device| {
             GpuSymmetricSolver::new(device, &spd, Symmetry::PositiveDefinite).unwrap()
         });
+    }
+
+    /// A factored solver reads the host matrix's own `Vbig` allocation (for
+    /// shared bases, the `Ubig` one), while `Ybig`, which the factorization
+    /// overwrites, is a copy; through both batched solvers and both serial
+    /// factorizations.
+    #[test]
+    fn factored_solvers_read_the_hosts_vbig_in_place() {
+        use crate::matrix::random_hodlr_spd;
+        use crate::symmetric::Symmetry;
+
+        fn check<K: FactorKind<f64>>(
+            what: &str,
+            m: &HodlrMatrix<f64>,
+            solver: &BatchedSolver<'_, f64, K>,
+        ) {
+            assert!(solver.is_factored(), "{what}");
+            let (vbig, ybig) = (solver.vbig.data(), solver.ybig.data());
+            assert_eq!(vbig.as_ptr(), m.vbig().data().as_ptr(), "{what}: Vbig");
+            assert_ne!(ybig.as_ptr(), m.ubig().data().as_ptr(), "{what}: Ybig");
+        }
+
+        let mut rng = StdRng::seed_from_u64(12);
+        let lu: HodlrMatrix<f64> = random_hodlr(&mut rng, 128, 3, 3);
+        let spd: HodlrMatrix<f64> = random_hodlr_spd(&mut rng, 128, 3, 3);
+        assert_eq!(spd.vbig().data().as_ptr(), spd.ubig().data().as_ptr());
+        let device = Device::new();
+        for m in [&lu, &spd] {
+            let mut gpu = GpuSolver::new(&device, m);
+            gpu.factorize().unwrap();
+            check("GpuSolver", m, &gpu);
+            let serial = m.factorize_serial().unwrap();
+            check("factorize_serial", m, serial.batched());
+        }
+        let pd = Symmetry::PositiveDefinite;
+        let mut gpu = GpuSymmetricSolver::new(&device, &spd, pd).unwrap();
+        gpu.factorize().unwrap();
+        check("GpuSymmetricSolver", &spd, &gpu);
+        let serial = spd.factorize_symmetric(pd).unwrap();
+        check("factorize_symmetric", &spd, serial.batched());
     }
 
     #[test]

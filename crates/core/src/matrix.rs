@@ -4,6 +4,7 @@
 use crate::layout::LevelLayout;
 use hodlr_la::{gemm, norms, DenseMatrix, HodlrError, MatRef, Op, RealScalar, Scalar};
 use hodlr_tree::{ClusterTree, NodeId};
+use std::sync::Arc;
 
 /// A HODLR matrix stored in the paper's flattened format.
 ///
@@ -17,15 +18,19 @@ use hodlr_tree::{ClusterTree, NodeId};
 /// Bases narrower than their level block are zero-padded on the right; the
 /// true per-node ranks are kept in `node_ranks` for reporting (the appendix
 /// rank tables).
+///
+/// Nothing changes the bases after assembly, so they sit behind [`Arc`]:
+/// a clone shares them, and a batched solver reads `Vbig` in place from
+/// this allocation instead of copying it to the device.
 #[derive(Clone, Debug)]
 pub struct HodlrMatrix<T: Scalar> {
     tree: ClusterTree,
     layout: LevelLayout,
     node_ranks: Vec<usize>,
-    ubig: DenseMatrix<T>,
+    ubig: Arc<DenseMatrix<T>>,
     /// `None` for Hermitian matrices, whose right bases are shared with
     /// `ubig` (`V_alpha = U_alpha`), halving the basis storage.
-    vbig: Option<DenseMatrix<T>>,
+    vbig: Option<Arc<DenseMatrix<T>>>,
     diag: Vec<DenseMatrix<T>>,
 }
 
@@ -125,8 +130,8 @@ impl<T: Scalar> HodlrMatrix<T> {
             tree,
             layout,
             node_ranks,
-            ubig,
-            vbig,
+            ubig: Arc::new(ubig),
+            vbig: vbig.map(Arc::new),
             diag,
         })
     }
@@ -160,6 +165,12 @@ impl<T: Scalar> HodlrMatrix<T> {
     /// shared ([`HodlrMatrix::shares_bases`]) this is the same storage as
     /// [`HodlrMatrix::ubig`].
     pub fn vbig(&self) -> &DenseMatrix<T> {
+        self.shared_vbig()
+    }
+
+    /// [`HodlrMatrix::vbig`] as the [`Arc`] that owns it, for a batched
+    /// solver to read in place.
+    pub(crate) fn shared_vbig(&self) -> &Arc<DenseMatrix<T>> {
         self.vbig.as_ref().unwrap_or(&self.ubig)
     }
 

@@ -14,7 +14,10 @@
 //! the same levels, deepest first, each level's nodes issued together.  It
 //! is written once, in [`crate::gpu`].  A [`SerialSolver`] uploads the
 //! matrix to a [`Device`] of its own, runs the batched sweep there and owns
-//! the factored [`BatchedSolver`], so both backends compute the same bits.
+//! the factored [`BatchedSolver`], so both backends compute the same bits
+//! and hold the same memory: copies of the leaf blocks and of `Ubig` (which
+//! become the factors and `Ybig`), and the host matrix's own `Vbig`, read
+//! in place and kept alive by the solver, so it may outlive the matrix.
 //! The private device meters the serial backend's launches where no
 //! caller's device sees them ([`SerialSolver::device`]), and no fault plan
 //! reaches it.  The solver is factored by construction, which is why it is
@@ -33,8 +36,9 @@ use hodlr_tree::ClusterTree;
 const FACTORED: &str = "a SerialSolver is factored by construction";
 
 /// The output of Algorithm 1: the factored [`BatchedSolver`] holding the
-/// transformed bases `Ybig`, the right bases `Vbig`, and the factors of
-/// every leaf diagonal block and every coupling matrix `K_gamma`.
+/// transformed bases `Ybig`, the host matrix's right bases `Vbig` (read in
+/// place), and the factors of every leaf diagonal block and every coupling
+/// matrix `K_gamma`.
 pub struct SerialSolver<T: Scalar, K: FactorKind<T>> {
     /// Factored by construction, on a device of its own.
     batched: BatchedSolver<'static, T, K>,
@@ -148,7 +152,9 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
     /// column): the transformed bases, the right bases, and the leaf and
     /// coupling-matrix factors, each counted by
     /// [`FactorKind::factor_entries`] — square for LU, the lower triangle
-    /// for the symmetric kind, which is all its solve reads.
+    /// for the symmetric kind, which is all its solve reads.  This is the
+    /// device model's count: the right bases count in full although the
+    /// solver reads them in place from the host matrix.
     pub fn storage_entries(&self) -> usize {
         let b = &self.batched;
         let leaves: usize = b

@@ -542,9 +542,9 @@ impl<T: Scalar> Hodlr<T> {
     }
 
     /// Consume the handle, returning the working-precision matrix
-    /// (migration path to the low-level API; a copy while a
-    /// [`Precision::MixedRefine`] factorization still shares it); `None`
-    /// for compact handles.
+    /// (migration path to the low-level API; a copy of its leaf blocks,
+    /// sharing its bases, while a [`Precision::MixedRefine`] factorization
+    /// still shares it); `None` for compact handles.
     pub fn into_matrix(self) -> Option<HodlrMatrix<T>> {
         match self.store {
             Store::Full(m) => Some(Arc::unwrap_or_clone(m)),

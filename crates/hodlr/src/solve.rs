@@ -114,13 +114,16 @@ pub trait Solve<T: Scalar> {
         ))
     }
 
-    /// Approximate resident size of the stored factors in bytes — cache-key
+    /// Approximate size of the stored factors in bytes — cache-key
     /// material for admission and eviction decisions in a factorization
     /// cache (e.g. `hodlr-serve`'s memory budget).
     ///
     /// Counts factor payload (`O(N log N)` scalar entries), not control
     /// metadata; backends without stored factors (iterative adapters) keep
-    /// the default of 0.
+    /// the default of 0.  The count is the device model's: the direct
+    /// backends count `Vbig` in full, although they read it in place from
+    /// the matrix's own allocation, so a caller that adds the matrix's
+    /// storage counts a shared `Vbig` twice, once in each.
     fn factor_bytes(&self) -> u64 {
         0
     }

@@ -1012,13 +1012,6 @@ impl<T: Scalar> SymmetricFactor<T> {
     }
 }
 
-/// Flop count of a symmetric factorization of order `n` (`n^3/3` — half of
-/// LU's `2n^3/3`), used by the batched device metering and the analytic
-/// complexity model.
-pub fn sym_factorization_flops(n: u64) -> u64 {
-    n * n * n / 3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

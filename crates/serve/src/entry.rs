@@ -56,8 +56,11 @@ impl<T: SolveScalar> CachedFactorization<T> {
         &self.hodlr
     }
 
-    /// Resident bytes this entry charges against the cache budget: factor
-    /// payload plus the compressed matrix it keeps alive.
+    /// Bytes this entry charges against the cache budget: factor payload
+    /// ([`Solve::factor_bytes`]) plus the compressed matrix it keeps alive.
+    /// The count is the device model's, not resident bytes: the direct
+    /// factorizations read the matrix's `Vbig` in place, yet it counts in
+    /// both the store and the factors.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }

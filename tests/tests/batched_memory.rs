@@ -3,10 +3,12 @@
 //!
 //! The virtual device lives in host memory, so every transient buffer a
 //! batched kernel allocates shows up on the heap.  A counting global
-//! allocator tracks the peak of live heap bytes, and each factorization may
-//! grow the heap by less than the matrix's own storage: its per-level work
-//! is O(n·w), never a copy of the `lda = n` span of every window.  A blocked
-//! solve may hold no more `n x k` right-hand-side buffers than it needs.
+//! allocator tracks the peak of live heap bytes.  An upload may copy only
+//! what the factorization overwrites, the leaf blocks and one basis.  Each
+//! factorization may grow the heap by less than the matrix's own storage:
+//! its per-level work is O(n·w), never a copy of the `lda = n` span of
+//! every window.  A blocked solve may hold no more `n x k` right-hand-side
+//! buffers than it needs.
 //! This file is its own test binary, so the allocator counts only these
 //! tests, and they take turns so that none measures another.
 
@@ -98,6 +100,45 @@ fn batched_symmetric_factorization_heap_growth_stays_below_storage() {
         .expect("solver construction");
     let growth = peak_heap_growth(|| solver.factorize().expect("batched SPD factorization"));
     assert_below_storage("GpuSymmetricSolver::factorize", growth, &matrix);
+}
+
+/// Heap the solver's metadata may take beyond its copies: the tree and
+/// layout clones, the leaf ranges and offsets, and the copy pieces (about
+/// 19 KB at n = 8192).  A second basis would be 4 MiB.
+const UPLOAD_METADATA_BYTES: usize = 1 << 17;
+
+/// The upload copies what the factorization overwrites, the leaf blocks
+/// (as `Dbig`) and `Ubig` (as `Ybig`), and reads `Vbig` in place, so it
+/// may grow the heap by those two copies and the solver's metadata: never
+/// by a second basis, for shared bases neither.
+fn assert_upload_copies_one_basis(what: &str, growth: usize, matrix: &HodlrMatrix<f64>) {
+    let leaves: usize = matrix.diag_blocks().iter().map(|d| d.data().len()).sum();
+    let basis = matrix.ubig().data().len();
+    let copies = (leaves + basis) * std::mem::size_of::<f64>();
+    assert!(
+        growth <= copies + UPLOAD_METADATA_BYTES,
+        "{what} grew the heap by {growth} bytes, more than its {copies} bytes of leaf blocks \
+         and one basis plus {UPLOAD_METADATA_BYTES} bytes of metadata"
+    );
+}
+
+#[test]
+fn batched_lu_upload_copies_one_basis() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let matrix: HodlrMatrix<f64> = random_hodlr(&mut StdRng::seed_from_u64(12), N, LEVELS, RANK);
+    let device = Device::new();
+    let growth = peak_heap_growth(|| drop(GpuSolver::new(&device, &matrix)));
+    assert_upload_copies_one_basis("GpuSolver::new", growth, &matrix);
+}
+
+#[test]
+fn batched_symmetric_upload_copies_one_basis() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let matrix: HodlrMatrix<f64> =
+        random_hodlr_spd(&mut StdRng::seed_from_u64(13), N, LEVELS, RANK);
+    let (device, spd) = (Device::new(), Symmetry::PositiveDefinite);
+    let growth = peak_heap_growth(|| drop(GpuSymmetricSolver::new(&device, &matrix, spd)));
+    assert_upload_copies_one_basis("GpuSymmetricSolver::new", growth, &matrix);
 }
 
 /// Peak heap growth of `solve` on one 32-RHS block at n = 8192, in units

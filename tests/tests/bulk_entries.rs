@@ -4,18 +4,23 @@
 //! `to_dense` go through it), and a source that overrides it must produce
 //! exactly the bits of `entry`.  Every source that overrides it (the GP
 //! covariance, through its correlation kernel and the nugget adapter, the
-//! Laplace surface operator, the shift adapter and the dense source), the
-//! Helmholtz surface operator on the per-entry default, and the
-//! `BlockSource` view over each of them are checked here on every row and
-//! column, the whole block, and tiles that cross the diagonal, end at the
-//! last row or column, are one row or one column, or are empty, each both
-//! in a buffer of its own and inside a larger strided buffer.
+//! Laplace surface operator, the lower-precision adapter `DemotedSource`,
+//! the shift adapter and the dense source), the Helmholtz surface operator
+//! on the per-entry default, and the `BlockSource` view over each of them
+//! are checked here on every row and column, the whole block, and tiles
+//! that cross the diagonal, end at the last row or column, are one row or
+//! one column, or are empty, each both in a buffer of its own and inside a
+//! larger strided buffer.  The `f32` build that `Precision::CompactLower`
+//! stores is checked whole too: from `DemotedSource`'s tiles and entry by
+//! entry, it has the same bits.
 
 use hodlr_bie::{
     circle_cloud, fibonacci_sphere_cloud, HelmholtzSurfaceSource, LaplaceSurfaceSource,
 };
-use hodlr_compress::{DenseSource, MatrixEntrySource, ShiftedSource};
-use hodlr_core::BlockSource;
+use hodlr_compress::{
+    CompressionConfig, CompressionMethod, DenseSource, MatrixEntrySource, ShiftedSource,
+};
+use hodlr_core::{build_from_source, BlockSource, DemotedSource};
 use hodlr_gp::{covariance_source, spatial_points, CorrelationSource, Matern, SquaredExponential};
 use hodlr_la::random::random_matrix;
 use hodlr_la::{Complex64, DenseMatrix, MatMut, RealScalar, Scalar};
@@ -157,12 +162,15 @@ fn covariance_sources_match_entries_bitwise() {
         "SE covariance 2-D",
         &covariance_source(&se, &part_2d.points, 1e-2),
     );
+    let covariance = covariance_source(&se, &part.points, 1e-2);
+    check_with_blocks("SE covariance, f32", &DemotedSource::new(&covariance));
 }
 
 #[test]
 fn laplace_surface_sources_match_entries_bitwise() {
     let circle = LaplaceSurfaceSource::new(&circle_cloud(300), 32).unwrap();
     check_with_blocks("Laplace 2-D", &circle);
+    check_with_blocks("Laplace 2-D, f32", &DemotedSource::new(&circle));
     let sphere = LaplaceSurfaceSource::new(&fibonacci_sphere_cloud(300), 32).unwrap();
     check_with_blocks("Laplace 3-D", &sphere);
 }
@@ -171,6 +179,7 @@ fn laplace_surface_sources_match_entries_bitwise() {
 fn helmholtz_surface_source_matches_entries_bitwise() {
     let sphere = HelmholtzSurfaceSource::new(&fibonacci_sphere_cloud(300), 32, 12.0).unwrap();
     check_with_blocks::<Complex64>("Helmholtz 3-D", &sphere);
+    check_with_blocks("Helmholtz 3-D, complex f32", &DemotedSource::new(&sphere));
     let circle = HelmholtzSurfaceSource::new(&circle_cloud(300), 32, 30.0).unwrap();
     check_with_blocks::<Complex64>("Helmholtz 2-D", &circle);
 }
@@ -191,4 +200,49 @@ fn dense_and_shifted_sources_match_entries_bitwise() {
     );
     let rect: DenseMatrix<f64> = random_matrix(&mut StdRng::seed_from_u64(9), 40, 64);
     check("dense block", &DenseSource::block(&rect, 3, 5, 30, 50));
+}
+
+/// A source with only `entry` forwarded, so that rows, columns and tiles
+/// take the trait's per-entry defaults.
+struct PerEntry<'a, S>(&'a S);
+
+impl<T: Scalar, S: MatrixEntrySource<T>> MatrixEntrySource<T> for PerEntry<'_, S> {
+    fn nrows(&self) -> usize {
+        self.0.nrows()
+    }
+
+    fn ncols(&self) -> usize {
+        self.0.ncols()
+    }
+
+    fn entry(&self, i: usize, j: usize) -> T {
+        self.0.entry(i, j)
+    }
+}
+
+/// The `f32` matrix a `Precision::CompactLower` store holds for the
+/// Laplace operator over 2048 circle points: built from the demoted bulk
+/// tiles of the source and from its demoted entries one by one, `Ubig`,
+/// `Vbig`, the leaf blocks and the rank profile have the same bits.
+#[test]
+fn demoted_build_from_tiles_matches_the_entry_by_entry_build_bitwise() {
+    let source = LaplaceSurfaceSource::new(&circle_cloud(2048), 64).unwrap();
+    let config = CompressionConfig::with_tol(1e-6_f32).method(CompressionMethod::AcaRook);
+    let build = |src: &dyn MatrixEntrySource<f32>| {
+        build_from_source(src, source.tree().clone(), &config).unwrap()
+    };
+    let tiled = build(&DemotedSource::new(&source));
+    let per_entry = build(&DemotedSource::new(&PerEntry(&source)));
+    assert_eq!(tiled.rank_profile(), per_entry.rank_profile());
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let bases = [
+        ("Ubig", tiled.ubig(), per_entry.ubig()),
+        ("Vbig", tiled.vbig(), per_entry.vbig()),
+    ];
+    let leaves = (tiled.diag_blocks().iter())
+        .zip(per_entry.diag_blocks())
+        .map(|(a, b)| ("a leaf", a, b));
+    for (part, a, b) in bases.into_iter().chain(leaves) {
+        assert!(bits(a.data()) == bits(b.data()), "{part} differs");
+    }
 }

@@ -739,9 +739,11 @@ fn zero_right_hand_sides_give_empty_results() {
 }
 
 /// A factorization owns what it solves with, so it outlives the handle it
-/// came from: once the `Hodlr` is dropped, `solve`, `solve_block` and
-/// `log_det` return bitwise what they returned before, and on the batched
-/// backend a device clone taken before the drop still meters the solves.
+/// came from and the matrix the handle stored, whose `Vbig` the direct
+/// factorizations read in place: once the `Hodlr` and its `HodlrMatrix`
+/// are dropped, `solve`, `solve_block` and `log_det` return bitwise what
+/// they returned before, and on the batched backend a device clone taken
+/// before the drop still meters the solves.
 #[test]
 fn factorization_outlives_its_handle() {
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -778,7 +780,7 @@ fn factorization_outlives_its_handle() {
         let x = f.solve(&b).unwrap();
         let xs = f.solve_block(&block).unwrap();
         let (log_abs, sign) = f.log_det().unwrap();
-        drop(hodlr);
+        drop(hodlr.into_matrix());
 
         let ((x_after, xs_after), c) =
             device.meter(|| (f.solve(&b).unwrap(), f.solve_block(&block).unwrap()));
