@@ -423,9 +423,11 @@ impl KernelBenchConfig {
             reference_sizes: vec![256, 512, 1024],
             lu_sizes: vec![256, 512, 1024],
             qr_sizes: vec![(512, 256), (1024, 512)],
-            // One column, one lane group, and the leaf widths W of the
-            // laplace-surface-2d (138) and gp-se-3d (578) benchmarks.
-            solve_nrhs: vec![1, 8, 138, 578],
+            // One column, one lane group, serve's coalesced group sizes
+            // (13-15 run a padded second group, 16 two full ones), and the
+            // leaf widths W of the laplace-surface-2d (138) and gp-se-3d
+            // (578) benchmarks.
+            solve_nrhs: vec![1, 8, 13, 14, 15, 16, 138, 578],
             // gp-se-3d's top level (8192 child rows, max rank 177) read as
             // `V^H x` and as `Y w`, both blocked; a laplace-surface-2d
             // leaf-level `V^H x`, direct.
@@ -449,7 +451,10 @@ impl KernelBenchConfig {
             reference_sizes: vec![160],
             lu_sizes: vec![160],
             qr_sizes: vec![(128, 100)],
-            solve_nrhs: vec![1, 9],
+            // One column, then a full lane group with two per-column
+            // leftovers (10) and with a padded group of three (11): both
+            // sides of the padding cut-off.
+            solve_nrhs: vec![1, 9, 10, 11],
             one_column: vec![
                 (2048, 177, Op::ConjTrans),
                 (2048, 177, Op::None),
@@ -807,7 +812,7 @@ mod tests {
             .any(|r| r.kernel == "getrf" && r.scalar == "c64"));
         assert!(rows.iter().any(|r| r.kernel == "thin_qr"));
         for kernel in ["getrs", "potrs", "sytrs"] {
-            for nrhs in [1, 9] {
+            for nrhs in [1, 9, 10, 11] {
                 assert!(rows.iter().any(|r| r.kernel == kernel && r.n == nrhs));
             }
         }

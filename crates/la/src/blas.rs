@@ -53,9 +53,11 @@
 //! columns.  The dot form packs eight columns of `op_b(B)` at a time into
 //! `[T; 8]` lanes, each lane running its column's dot products in their
 //! own order, so the result is bitwise that of one column at a time (the
-//! lane contract of [`crate::triangular`]); leftover columns take the
-//! one-column loop.  The previous implementation copied all of `op_a(A)`
-//! even when it was already stored exactly as needed.
+//! lane contract of [`crate::triangular`]).  Three or more leftover
+//! columns (six or more with complex scalars) run as one more group padded
+//! with copies of the last one, whose lanes are not written back; fewer
+//! take the one-column loop.  The previous implementation copied all of
+//! `op_a(A)` even when it was already stored exactly as needed.
 //!
 //! The old axpy-per-column kernel is retained as [`gemm_reference`]: it is
 //! the oracle for property tests and the baseline the `kernels` bench bin
@@ -125,7 +127,7 @@
 use crate::dense::{MatMut, MatRef};
 use crate::isa::multiversion;
 use crate::scalar::Scalar;
-use crate::triangular::LANES;
+use crate::triangular::{lane_columns, LANES};
 use rayon::prelude::*;
 
 /// Operation applied to an input operand of [`gemm`]/[`gemv`].
@@ -299,19 +301,21 @@ pub(crate) fn gemm_direct_body<T: Scalar>(
         }
         Op::Trans | Op::ConjTrans => {
             let conj_a = op_a == Op::ConjTrans;
-            let grouped = n - n % LANES;
-            if grouped > 0 {
-                dot_form_lanes(alpha, a, conj_a, b, op_b, c, grouped);
+            let laned = lane_columns::<T>(n);
+            if laned > 0 {
+                dot_form_lanes(alpha, a, conj_a, b, op_b, c, laned);
             }
-            dot_form_columns(alpha, a, conj_a, b, op_b, c, grouped);
+            dot_form_columns(alpha, a, conj_a, b, op_b, c, laned);
         }
     }
 }
 
-/// The dot form of the direct path for columns `0..grouped` of `C` (a
-/// multiple of [`LANES`]): eight columns of `op_b(B)` are packed row by row
-/// into `[T; LANES]`, and lane `l` accumulates entry `(i, j0 + l)` exactly
-/// as [`dot_form_columns`]'s `dot` does, so every entry is bitwise the same.
+/// The dot form of the direct path for columns `0..laned` of `C`: eight
+/// columns of `op_b(B)` are packed row by row into `[T; LANES]`, and lane
+/// `l` accumulates entry `(i, j0 + l)` exactly as [`dot_form_columns`]'s
+/// `dot` does, so every entry is bitwise the same.  A last group of fewer
+/// than [`LANES`] columns is padded with copies of its last column, whose
+/// lanes are not written back.
 #[inline(always)]
 fn dot_form_lanes<T: Scalar>(
     alpha: T,
@@ -320,12 +324,14 @@ fn dot_form_lanes<T: Scalar>(
     b: &MatRef<'_, T>,
     op_b: Op,
     c: &mut MatMut<'_, T>,
-    grouped: usize,
+    laned: usize,
 ) {
     let k = op_b.rows_of(b);
     let mut b_lanes = vec![[T::zero(); LANES]; k];
-    for j0 in (0..grouped).step_by(LANES) {
-        for (l, j) in (j0..j0 + LANES).enumerate() {
+    for j0 in (0..laned).step_by(LANES) {
+        let width = LANES.min(laned - j0);
+        for l in 0..LANES {
+            let j = j0 + l.min(width - 1);
             if op_b == Op::None {
                 for (row, &v) in b_lanes.iter_mut().zip(b.col(j)) {
                     row[l] = v;
@@ -344,7 +350,7 @@ fn dot_form_lanes<T: Scalar>(
                     *s += aip * v;
                 }
             }
-            for (j, s) in (j0..j0 + LANES).zip(acc) {
+            for (j, s) in (j0..j0 + width).zip(acc) {
                 c.col_mut(j)[i] += alpha * s;
             }
         }

@@ -19,7 +19,7 @@ use crate::error::HodlrError;
 use crate::isa::multiversion;
 use crate::scalar::{RealScalar, Scalar};
 use crate::triangular::{
-    pack_lanes, solve_triangular_in_place, unpack_lanes, Diag, Triangle, LANES,
+    lane_columns, pack_lanes, solve_triangular_in_place, unpack_lanes, Diag, Triangle, LANES,
 };
 
 /// Error from a symmetric factorization.
@@ -193,8 +193,8 @@ pub(crate) fn potf2_unblocked_body<T: Scalar>(mut a: MatMut<'_, T>) -> Result<()
 
 /// Solve `L^H X = B` in place by backward substitution, where `L` is the
 /// lower-triangular factor (the transpose solve [`crate::triangular`] does
-/// not provide).  Full groups of eight columns are solved side by side,
-/// bitwise as one at a time (see [`crate::triangular`]).
+/// not provide).  Groups of eight columns, the last one padded, are solved
+/// side by side, bitwise as one at a time (see [`crate::triangular`]).
 pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
     l: MatRef<'_, T>,
     diag: Diag,
@@ -207,18 +207,18 @@ pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
         return;
     }
 
-    let grouped = b.cols() - b.cols() % LANES;
-    if grouped > 0 {
-        solve_conj_transpose_lower_lanes(l, diag, b.block_mut(0, 0, n, grouped));
+    let laned = lane_columns::<T>(b.cols());
+    if laned > 0 {
+        solve_conj_transpose_lower_lanes(l, diag, b.block_mut(0, 0, n, laned));
     }
-    for c in grouped..b.cols() {
+    for c in laned..b.cols() {
         solve_conj_transpose_lower_col(l, diag, b.col_mut(c));
     }
 }
 
 multiversion! {
     /// The lane kernel of [`solve_conj_transpose_lower_in_place`]: solves
-    /// every column of `b`, whose count is a multiple of eight.
+    /// every column of `b` in groups of eight, the last one padded.
     pub(crate) fn solve_conj_transpose_lower_lanes<T: Scalar>(
         l: MatRef<'_, T>,
         diag: Diag,
@@ -233,7 +233,6 @@ pub(crate) fn solve_conj_transpose_lower_lanes_body<T: Scalar>(
     mut b: MatMut<'_, T>,
 ) {
     let n = l.rows();
-    debug_assert_eq!(b.cols() % LANES, 0);
     let mut x = vec![[T::zero(); LANES]; n];
     for j0 in (0..b.cols()).step_by(LANES) {
         pack_lanes(&b, j0, &mut x);
@@ -536,9 +535,9 @@ pub(crate) fn bunch_kaufman_in_place_body<T: Scalar>(
 
 multiversion! {
     /// Solve `A X = B` in place given packed Bunch-Kaufman factors and their
-    /// pivot steps (LAPACK `hetrs`, `uplo = 'L'`).  Full groups of eight
-    /// columns are solved side by side, bitwise as one at a time (see
-    /// [`crate::triangular`]).
+    /// pivot steps (LAPACK `hetrs`, `uplo = 'L'`).  Groups of eight columns,
+    /// the last one padded, are solved side by side, bitwise as one at a
+    /// time (see [`crate::triangular`]).
     pub fn bunch_kaufman_solve_in_place<T: Scalar>(
         f: MatRef<'_, T>,
         piv: &[BkPivot],
@@ -554,17 +553,18 @@ pub(crate) fn bunch_kaufman_solve_in_place_body<T: Scalar>(
 ) {
     let n = f.rows();
     assert_eq!(n, b.rows(), "bunch-kaufman solve: rhs has wrong row count");
-    let grouped = b.cols() - b.cols() % LANES;
-    if grouped > 0 {
+    let laned = lane_columns::<T>(b.cols());
+    if laned > 0 {
+        let mut lanes = b.block_mut(0, 0, n, laned);
         let mut x = vec![[T::zero(); LANES]; n];
-        for j0 in (0..grouped).step_by(LANES) {
-            pack_lanes(&b, j0, &mut x);
+        for j0 in (0..laned).step_by(LANES) {
+            pack_lanes(&lanes, j0, &mut x);
             bunch_kaufman_solve_lanes(f, piv, &mut x);
-            unpack_lanes(&x, &mut b, j0);
+            unpack_lanes(&x, &mut lanes, j0);
         }
     }
-    let rest = b.cols() - grouped;
-    bunch_kaufman_solve_columns(f, piv, b.block_mut(0, grouped, n, rest));
+    let rest = b.cols() - laned;
+    bunch_kaufman_solve_columns(f, piv, b.block_mut(0, laned, n, rest));
 }
 
 /// The per-column Bunch-Kaufman solve: every column of `b` on its own.
@@ -654,6 +654,8 @@ fn bunch_kaufman_solve_columns<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], mut
 /// One lane group of the Bunch-Kaufman solve: lane `l` of `x` runs
 /// [`bunch_kaufman_solve_columns`]'s operations on its column, row swaps
 /// included, with each fused update skipped where that column skips it.
+/// The padding lanes of a last group repeat its last column, so they add
+/// no zero the real lanes do not have.
 #[inline(always)]
 fn bunch_kaufman_solve_lanes<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], x: &mut [[T; LANES]]) {
     let n = x.len();
@@ -1017,6 +1019,7 @@ mod tests {
     use super::*;
     use crate::lu::LuFactor;
     use crate::random::random_matrix;
+    use crate::triangular::PADDED_GROUP_MIN;
     use crate::Complex64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1193,10 +1196,21 @@ mod tests {
     }
 
     fn check_bk_lanes<T: Scalar>(seed: u64) {
+        // Rust leaves the sign and payload of a NaN result unspecified, and
+        // the lane and column code do give one NaN both signs: NaNs compare
+        // as one pattern, every other entry bitwise.
+        let key = |v: T::Real| {
+            let v = v.to_f64();
+            if v.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
         let bits = |m: &DenseMatrix<T>| -> Vec<(u64, u64)> {
             m.data()
                 .iter()
-                .map(|x| (x.real().to_f64().to_bits(), x.imag().to_f64().to_bits()))
+                .map(|x| (key(x.real()), key(x.imag())))
                 .collect()
         };
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1209,19 +1223,36 @@ mod tests {
                 .iter()
                 .filter(|p| matches!(p, BkPivot::Double(_)))
                 .count();
-            for cols in [8, 9, 16, 23] {
-                // Exact zeros where pivot steps read them: column 2 is all
-                // -0.0, column 5 every third row, column 6 its first half;
-                // -0.0 so an update the column skips would flip its sign.
+            // Every count from the first padded group to three groups, so
+            // the partial group follows zero, one and two full groups.
+            for cols in PADDED_GROUP_MIN..=3 * LANES {
+                // Exact zeros where pivot steps read them, in every group
+                // (the partial one included): lane 2 is all -0.0, lane 5
+                // every third row, lane 6 its first half; the last column,
+                // the one a partial group's padding repeats, also every
+                // third row.  -0.0 so an update a column skips would flip
+                // its sign.
                 let mut b: DenseMatrix<T> = random_matrix(&mut rng, n, cols);
-                for i in 0..n {
-                    b[(i, 2)] = neg_zero;
-                    if i % 3 == 1 {
-                        b[(i, 5)] = neg_zero;
+                for j in 0..cols {
+                    for i in 0..n {
+                        let zero = match j % LANES {
+                            2 => true,
+                            5 => i % 3 == 1,
+                            6 => 2 * i < n,
+                            _ => false,
+                        };
+                        if zero || (j == cols - 1 && i % 3 == 0) {
+                            b[(i, j)] = neg_zero;
+                        }
                     }
-                    if 2 * i < n {
-                        b[(i, 6)] = neg_zero;
-                    }
+                }
+                // An infinity and a NaN in the first column of a padded
+                // group.
+                let rest = cols % LANES;
+                if rest > 0 && lane_columns::<T>(cols) == cols {
+                    let j = cols - rest;
+                    b[(0, j)] = T::from_f64(f64::INFINITY);
+                    b[(n / 2, j)] = T::from_f64(f64::NAN);
                 }
                 let mut lanes = b.clone();
                 bunch_kaufman_solve_in_place(f.as_ref(), &piv, lanes.as_mut());
@@ -1240,8 +1271,9 @@ mod tests {
     }
 
     /// The eight-lane Bunch-Kaufman solve gives every column the bits it
-    /// gets when solved alone, through 2x2 pivots, row swaps and the
-    /// zero-skips of the forward sweep.
+    /// gets when solved alone, through 2x2 pivots, row swaps, the
+    /// zero-skips of the forward sweep, a padded last group and non-finite
+    /// entries.
     #[test]
     fn bunch_kaufman_lanes_match_columns_bitwise() {
         check_bk_lanes::<f64>(31);

@@ -111,12 +111,15 @@ mod tests {
     fn check_gemm<T: Scalar, const MR: usize, const NR: usize>(rng: &mut StdRng) {
         let alpha = T::from_f64(-0.75);
         // Direct path (the last shape one multiply-add below the threshold;
-        // the second and third run the dot form's lane groups, the second
-        // with a leftover column),
+        // the dot form runs one padded lane group in the first with real
+        // scalars and five per-column leftovers with complex ones, a full
+        // and a padded group in the second, two and a per-column leftover
+        // in the third, and full groups only in the fourth),
         // then the blocked path: exactly at the threshold, ragged MR/NR edges,
         // several row tiles with two k slabs, two column tiles.
         let shapes = [
             (7, 5, 9),
+            (29, 14, 40),
             (33, 17, 40),
             (63, 64, 65),
             (64, 64, 64),
@@ -289,27 +292,32 @@ mod tests {
             "the input must force both pivot sizes: {piv:?}"
         );
 
-        // One lane group of eight plus three per-column leftovers.
-        let rhs: DenseMatrix<T> = random_matrix(rng, n, 11);
-        let (mut x_base, mut x_disp) = (rhs.clone(), rhs);
-        cholesky::bunch_kaufman_solve_in_place_body(base.as_ref(), &piv, x_base.as_mut());
-        cholesky::bunch_kaufman_solve_in_place(base.as_ref(), &piv, x_disp.as_mut());
-        assert_eq!(
-            bits(x_base.data()),
-            bits(x_disp.data()),
-            "bunch-kaufman solve"
-        );
+        // A full lane group with one per-column leftover, then with a
+        // padded group of seven.
+        for w in [9, 15] {
+            let rhs: DenseMatrix<T> = random_matrix(rng, n, w);
+            let (mut x_base, mut x_disp) = (rhs.clone(), rhs);
+            cholesky::bunch_kaufman_solve_in_place_body(base.as_ref(), &piv, x_base.as_mut());
+            cholesky::bunch_kaufman_solve_in_place(base.as_ref(), &piv, x_disp.as_mut());
+            assert_eq!(
+                bits(x_base.data()),
+                bits(x_disp.data()),
+                "bunch-kaufman solve, {w} columns"
+            );
+        }
     }
 
     /// The lane kernels of the triangular solves on a 64x64 LU leaf factor:
-    /// no group, one, two, and the 17 whole groups of the laplace-surface-2d
-    /// leaf width `W = 138`.
+    /// no group, one padded group, one full group, a full and a padded one,
+    /// two full groups, and the laplace-surface-2d leaf width `W = 138`,
+    /// 17 full groups and a padded one of two (a kernel pads whatever it is
+    /// given; the cut-off is its caller's).
     fn check_triangular<T: Scalar>(rng: &mut StdRng) {
         let n = 64;
         let mut f: DenseMatrix<T> = random_matrix(rng, n, n);
         lu::getrf_in_place(f.as_mut()).expect("nonsingular");
         let f = f.as_ref();
-        for w in [0, 8, 16, 136] {
+        for w in [0, 5, 8, 13, 16, 138] {
             let rhs: DenseMatrix<T> = random_matrix(rng, n, w);
             for diag in [Diag::Unit, Diag::NonUnit] {
                 for triangle in [Triangle::Lower, Triangle::Upper] {

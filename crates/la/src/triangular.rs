@@ -4,28 +4,40 @@
 //!
 //! A substitution is one dependent chain per right-hand side: entry `i` of
 //! a column waits on every entry solved before it.  The solves here
-//! therefore run eight columns side by side.  Each full group of eight
-//! columns is packed row by row into `[T; 8]`, and lane `l` runs exactly
-//! the operation sequence its column runs on its own: the same operands in
-//! the same order, unfused.  The lanes are independent chains that the CPU
+//! therefore run eight columns side by side.  Each group of eight columns
+//! is packed row by row into `[T; 8]`, and lane `l` runs exactly the
+//! operation sequence its column runs on its own: the same operands in the
+//! same order, unfused.  The lanes are independent chains that the CPU
 //! overlaps and the compiler vectorizes, and no column's reduction is
-//! reordered, so every entry is bitwise what the per-column loop produces.
-//! The leftover `cols % 8` columns, and with them every
-//! single-right-hand-side solve, take the per-column loop; the lane buffer
-//! is allocated only when a full group exists.  The lane kernels are
-//! ISA-dispatched ([`crate::isa_level`]); the per-column loops of the
-//! solves are not.
+//! reordered, so every entry is bitwise what the per-column loop produces
+//! (but for the sign and payload of a NaN, which Rust leaves unspecified
+//! and the two compiled paths do set differently).
+//!
+//! The leftover `cols % 8` columns run as one more, padded group when
+//! there are at least `PADDED_GROUP_MIN` of them (three; six for complex
+//! scalars, `PADDED_GROUP_MIN_COMPLEX`): the lanes past the last real
+//! column repeat that column, and only the real lanes are written back.
+//! Each real lane still runs its own column's operations, so the padding
+//! changes no bit, and a padding lane holds a copy of a real column, so a
+//! kernel that branches on its lanes' values (the Bunch-Kaufman update's
+//! zero test) sees the real lanes' pattern.  Fewer leftover columns, and
+//! with them every single-right-hand-side solve, take the per-column loop
+//! (`lane_columns` draws the line); the lane buffer is allocated only
+//! when a group exists.  The lane kernels are ISA-dispatched
+//! ([`crate::isa_level`]); the per-column loops of the solves are not.
 //!
 //! Two kinds of lane kernels in the crate follow this contract.
 //! *Right-hand-side lanes* run eight columns of the right-hand side side
 //! by side: the solves here, the `L^H` solve and the Bunch-Kaufman solve
 //! in [`crate::cholesky`] (whose forward updates are fused `mul_add`s, as
 //! its columns' are, each skipped where its column skips it), and the dot
-//! form of `gemm`'s direct path (eight columns of `op_b(B)`).
+//! form of `gemm`'s direct path (eight columns of `op_b(B)`); all four
+//! pad their last group.
 //! *Output lanes* run eight entries of one output column side by side:
 //! `gemm`'s one-column path with transposed `A`, one stored column of `A`
-//! per lane (see "One column" in [`crate::blas`]).  Either way a lane's
-//! chain is the one its entry runs alone.
+//! per lane (see "One column" in [`crate::blas`]); its leftover entries
+//! run one at a time.  Either way a lane's chain is the one its entry
+//! runs alone.
 
 use crate::dense::{MatMut, MatRef};
 use crate::isa::multiversion;
@@ -33,6 +45,44 @@ use crate::scalar::Scalar;
 
 /// Right-hand sides the lane kernels solve side by side.
 pub(crate) const LANES: usize = 8;
+
+/// Fewest leftover columns (`cols % LANES`) that run as one more, padded
+/// lane group with real scalars; fewer take the per-column loop.
+/// Measured through the facade's `solve_block` on the n = 4096 GP and
+/// Laplace operators of the serve-mixed benchmark (Intel Xeon, 2 vCPUs,
+/// medians of 5 runs): padding two leftover columns read 3.02 -> 3.20 ms
+/// (GP) and 1.21 -> 1.68 ms (Laplace), and one leftover after a full group
+/// 5.39 -> 5.95 ms (GP, 9 columns); padding three read 3.87 -> 3.34 ms
+/// (GP) and 1.63 -> 1.59 ms (Laplace), and five to seven 0.71-0.76x (GP,
+/// 13-15 columns).
+pub(crate) const PADDED_GROUP_MIN: usize = 3;
+
+/// [`PADDED_GROUP_MIN`] for complex scalars, whose eight-lane group costs
+/// about five to nine one-column solves where a real one costs two to
+/// four.  In the `kernels` bench's order-64 `c64` rows (same host, three
+/// alternating sweeps against the one-column loops), padding three
+/// leftover columns read 1.16-2.06x (`getrs`, `potrs`, `sytrs` and the
+/// dot form at 3 right-hand sides) and up to 1.22x at 11; six and seven
+/// read 0.57-0.96x at 14 and 15.
+pub(crate) const PADDED_GROUP_MIN_COMPLEX: usize = 6;
+
+/// How many of `cols` right-hand sides the lane kernels take: every full
+/// group of [`LANES`], and the leftover columns too when there are at
+/// least [`PADDED_GROUP_MIN`] of them ([`PADDED_GROUP_MIN_COMPLEX`] for
+/// complex `T`).  The rest take the per-column loop.
+pub(crate) fn lane_columns<T: Scalar>(cols: usize) -> usize {
+    let min = if T::IS_COMPLEX {
+        PADDED_GROUP_MIN_COMPLEX
+    } else {
+        PADDED_GROUP_MIN
+    };
+    let rest = cols % LANES;
+    if rest < min {
+        cols - rest
+    } else {
+        cols
+    }
+}
 
 /// Which triangle of the coefficient matrix is referenced.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -55,9 +105,9 @@ pub enum Diag {
 /// Solve `op(T) * X = B` in place, where `T` is triangular and `B` (the
 /// right-hand sides, one per column) is overwritten with the solution.
 ///
-/// This corresponds to BLAS `trsm` with `side = Left`, `alpha = 1`.  Full
-/// groups of eight columns are solved side by side, bitwise as one at a
-/// time (see the module docs).
+/// This corresponds to BLAS `trsm` with `side = Left`, `alpha = 1`.
+/// Groups of eight columns, the last one padded, are solved side by side,
+/// bitwise as one at a time (see the module docs).
 ///
 /// # Panics
 /// Panics if `t` is not square or shapes do not match.
@@ -74,11 +124,11 @@ pub fn solve_triangular_in_place<T: Scalar>(
         return;
     }
 
-    let grouped = b.cols() - b.cols() % LANES;
-    if grouped > 0 {
-        solve_triangular_lanes(t, triangle, diag, b.block_mut(0, 0, n, grouped));
+    let laned = lane_columns::<T>(b.cols());
+    if laned > 0 {
+        solve_triangular_lanes(t, triangle, diag, b.block_mut(0, 0, n, laned));
     }
-    for j in grouped..b.cols() {
+    for j in laned..b.cols() {
         let col = b.col_mut(j);
         match triangle {
             Triangle::Lower => solve_lower_col(t, diag, col),
@@ -89,7 +139,7 @@ pub fn solve_triangular_in_place<T: Scalar>(
 
 multiversion! {
     /// The lane kernel of [`solve_triangular_in_place`]: solves every
-    /// column of `b`, whose count is a multiple of [`LANES`].
+    /// column of `b` in groups of [`LANES`], the last one padded.
     pub(crate) fn solve_triangular_lanes<T: Scalar>(
         t: MatRef<'_, T>,
         triangle: Triangle,
@@ -106,48 +156,66 @@ pub(crate) fn solve_triangular_lanes_body<T: Scalar>(
     mut b: MatMut<'_, T>,
 ) {
     let n = t.rows();
-    debug_assert_eq!(b.cols() % LANES, 0);
-    // Row `i` of `T` is read once per lane group: copy `T` row-major once,
-    // so those reads are contiguous rather than `ld` apart.
-    let mut rows = vec![T::zero(); n * n];
+    // Row `i` of the referenced triangle is read once per lane group: copy
+    // it row-major once, so those reads are contiguous rather than `ld`
+    // apart.  Row `i` holds `t[i, ..=i]` (lower) or `t[i, i..]` (upper),
+    // the diagonal included, and starts at `start(i)`.
+    let start = |i: usize| match triangle {
+        Triangle::Lower => i * (i + 1) / 2,
+        Triangle::Upper => i * n - i * i.saturating_sub(1) / 2,
+    };
+    let mut rows = vec![T::zero(); n * (n + 1) / 2];
     for k in 0..n {
-        for (i, &v) in t.col(k).iter().enumerate() {
-            rows[i * n + k] = v;
+        let col = t.col(k);
+        match triangle {
+            Triangle::Lower => {
+                for (i, &v) in col.iter().enumerate().skip(k) {
+                    rows[start(i) + k] = v;
+                }
+            }
+            Triangle::Upper => {
+                for (i, &v) in col[..=k].iter().enumerate() {
+                    rows[start(i) + k - i] = v;
+                }
+            }
         }
     }
-    let row = |i: usize| &rows[i * n..(i + 1) * n];
     let mut x = vec![[T::zero(); LANES]; n];
     for j0 in (0..b.cols()).step_by(LANES) {
         pack_lanes(&b, j0, &mut x);
         match triangle {
-            Triangle::Lower => {
-                (0..n).for_each(|i| solve_lanes_row(row(i), diag, i, 0..i, &mut x));
-            }
-            Triangle::Upper => {
-                (0..n)
-                    .rev()
-                    .for_each(|i| solve_lanes_row(row(i), diag, i, i + 1..n, &mut x));
-            }
+            Triangle::Lower => (0..n).for_each(|i| {
+                let row = &rows[start(i)..=start(i) + i];
+                solve_lanes_row(&row[..i], row[i], diag, i, 0..i, &mut x);
+            }),
+            Triangle::Upper => (0..n).rev().for_each(|i| {
+                let row = &rows[start(i)..start(i) + n - i];
+                solve_lanes_row(&row[1..], row[0], diag, i, i + 1..n, &mut x);
+            }),
         }
         unpack_lanes(&x, &mut b, j0);
     }
 }
 
-/// Copy columns `j0..j0 + LANES` of `b` into `x`, row `i` into `x[i]`.
+/// Copy columns `j0..` of `b`, at most [`LANES`] of them, into `x`, row
+/// `i` into `x[i]`.  When fewer than [`LANES`] columns are left, the
+/// lanes past the last one repeat it.
 #[inline(always)]
 pub(crate) fn pack_lanes<T: Scalar>(b: &MatMut<'_, T>, j0: usize, x: &mut [[T; LANES]]) {
     let b = b.as_ref();
+    let last = b.cols().min(j0 + LANES) - 1;
     for l in 0..LANES {
-        for (xi, &v) in x.iter_mut().zip(b.col(j0 + l)) {
+        for (xi, &v) in x.iter_mut().zip(b.col((j0 + l).min(last))) {
             xi[l] = v;
         }
     }
 }
 
-/// Copy `x` back into columns `j0..j0 + LANES` of `b`.
+/// Copy the lanes of `x` that hold columns `j0..` of `b` (at most
+/// [`LANES`]) back into them; padding lanes are dropped.
 #[inline(always)]
 pub(crate) fn unpack_lanes<T: Scalar>(x: &[[T; LANES]], b: &mut MatMut<'_, T>, j0: usize) {
-    for l in 0..LANES {
+    for l in 0..LANES.min(b.cols() - j0) {
         for (v, xi) in b.col_mut(j0 + l).iter_mut().zip(x) {
             *v = xi[l];
         }
@@ -155,25 +223,27 @@ pub(crate) fn unpack_lanes<T: Scalar>(x: &[[T; LANES]], b: &mut MatMut<'_, T>, j
 }
 
 /// Row `i` of a lane solve: each lane runs [`solve_lower_col`]'s (or
-/// [`solve_upper_col`]'s) step for row `i` (`row` is row `i` of `T`),
-/// subtracting `t[i, k] * x[k]` over the already solved rows `known` in
-/// ascending `k`.
+/// [`solve_upper_col`]'s) step for row `i`, subtracting `t[i, k] * x[k]`
+/// over the already solved rows `known` in ascending `k` (`coefs` holds
+/// those `t[i, k]`), then scaling by the reciprocal of `tii = t[i, i]`
+/// unless the diagonal is unit.
 #[inline(always)]
 fn solve_lanes_row<T: Scalar>(
-    row: &[T],
+    coefs: &[T],
+    tii: T,
     diag: Diag,
     i: usize,
     known: std::ops::Range<usize>,
     x: &mut [[T; LANES]],
 ) {
     let mut acc = x[i];
-    for (&tik, xk) in row[known.clone()].iter().zip(&x[known]) {
+    for (&tik, xk) in coefs.iter().zip(&x[known]) {
         for (a, &xkl) in acc.iter_mut().zip(xk) {
             *a -= tik * xkl;
         }
     }
     if diag == Diag::NonUnit {
-        let r = row[i].recip();
+        let r = tii.recip();
         for a in &mut acc {
             *a *= r;
         }
@@ -232,10 +302,14 @@ mod tests {
             .collect()
     }
 
-    /// Right-hand-side counts: empty, below, at and above one lane group,
-    /// two groups with and without a leftover, and the leaf widths `W` of
-    /// the laplace-surface-2d and gp-se-3d benchmark matrices.
-    const WIDTHS: [usize; 9] = [0, 1, 7, 8, 9, 16, 17, 138, 578];
+    /// Right-hand-side counts: every count up to three lane groups, so
+    /// each leftover count after zero, one and two full groups, on both
+    /// sides of [`PADDED_GROUP_MIN`] and [`PADDED_GROUP_MIN_COMPLEX`]; and
+    /// the leaf widths `W` of the laplace-surface-2d and gp-se-3d
+    /// benchmark matrices.
+    fn widths() -> impl Iterator<Item = usize> {
+        (0..=3 * LANES).chain([138, 578])
+    }
     /// Order of the triangle; rows of the taller buffers the views live in.
     const N: usize = 64;
     const LD: usize = 3 * N;
@@ -246,6 +320,10 @@ mod tests {
     fn tall<T: Scalar>(rng: &mut StdRng, cols: usize) -> DenseMatrix<T> {
         random_matrix(rng, LD, cols)
     }
+
+    /// Columns past the solved view in a right-hand-side buffer: a kernel
+    /// that wrote a padding lane back would change them.
+    const SPARE: usize = LANES;
 
     /// A triangle with small off-diagonal entries and a dominant diagonal,
     /// so every solve stays finite at `N = 64`.
@@ -264,8 +342,9 @@ mod tests {
         t
     }
 
-    /// Run `solve` on the strided view and `column` on each of its columns
-    /// of a copy; both must leave the whole buffer bitwise the same.
+    /// Run `solve` on the strided view of the first `w` columns and
+    /// `column` on each of them in a copy; both must leave the whole
+    /// buffer, [`SPARE`] columns included, bitwise the same.
     fn check_against_columns<T: Scalar>(
         what: &str,
         b: &DenseMatrix<T>,
@@ -273,7 +352,7 @@ mod tests {
         column: impl Fn(&mut [T]),
     ) {
         let (mut lanes, mut columns) = (b.clone(), b.clone());
-        let w = b.cols();
+        let w = b.cols() - SPARE;
         solve(lanes.block_mut(OFF, 0, N, w));
         let mut view = columns.block_mut(OFF, 0, N, w);
         for j in 0..w {
@@ -286,8 +365,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let tb = triangle_buffer::<T>(&mut rng);
         let t = tb.block(OFF, 0, N, N);
-        for w in WIDTHS {
-            let b: DenseMatrix<T> = tall(&mut rng, w);
+        for w in widths() {
+            let b: DenseMatrix<T> = tall(&mut rng, w + SPARE);
             for diag in [Diag::Unit, Diag::NonUnit] {
                 check_against_columns(
                     &format!("lower {diag:?}"),
@@ -316,7 +395,7 @@ mod tests {
             let ab: DenseMatrix<T> = tall(&mut rng, m);
             let a = ab.block(OFF, 0, N, m);
             let b_stored = [b.clone(), random_matrix(&mut rng, w, N)];
-            let c: DenseMatrix<T> = random_matrix(&mut rng, m + 5, w);
+            let c: DenseMatrix<T> = random_matrix(&mut rng, m + 5, w + SPARE);
             for op_a in [Op::Trans, Op::ConjTrans] {
                 for op_b in [Op::None, Op::Trans, Op::ConjTrans] {
                     let bm = if op_b == Op::None {
