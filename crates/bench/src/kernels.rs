@@ -9,6 +9,8 @@
 //! rates are read against.  The column-list rows (`sub_columns`,
 //! `dot_columns`, the per-cross passes of adaptive cross approximation)
 //! report the bytes of the columns they read per second the same way.
+//! The `gemm_rhs` rows time the blocked products of a coalesced solve, and
+//! every row that runs the packed microkernel names its register tile.
 //!
 //! The `kernels` binary turns these rows into `BENCH_kernels.json`, the perf
 //! trajectory every kernel-touching PR is measured against: the headline
@@ -17,7 +19,9 @@
 //! ([`hodlr_la::blas::gemm_reference`]).
 
 use crate::harness::percentile;
-use hodlr_la::blas::{gemm_flops, gemm_reference};
+use hodlr_la::blas::{
+    gemm_flops, gemm_reference, GEMM_MR, GEMM_MR_COMPLEX, GEMM_NR, GEMM_NR_COMPLEX,
+};
 use hodlr_la::cholesky::{
     bunch_kaufman_in_place, bunch_kaufman_solve_in_place, potrf_in_place, potrs_in_place, BkPivot,
 };
@@ -34,9 +38,9 @@ use std::time::Instant;
 /// One measured kernel configuration.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// Kernel name: `gemm`, `gemm_reference`, `gemm_1col`, `stream_read`,
-    /// `sub_columns`, `dot_columns`, `getrf`, `thin_qr`, `getrs`, `potrs`,
-    /// `sytrs`.
+    /// Kernel name: `gemm`, `gemm_reference`, `gemm_1col`, `gemm_rhs`,
+    /// `stream_read`, `sub_columns`, `dot_columns`, `getrf`, `thin_qr`,
+    /// `getrs`, `potrs`, `sytrs`.
     pub kernel: String,
     /// Scalar type: `f64` or `c64`.
     pub scalar: String,
@@ -66,8 +70,12 @@ pub struct KernelRow {
     /// Instruction-set level the dispatched kernels ran at
     /// ([`hodlr_la::isa_level`]).
     pub isa: &'static str,
-    /// `op_a` of a `gemm_1col` row.
+    /// `op_a` of a `gemm_1col` or `gemm_rhs` row.
     pub op_a: Option<Op>,
+    /// The register tile `MR x NR` of the packed microkernel, in a `gemm`
+    /// or `gemm_rhs` row (every such row runs it); `None` in every other
+    /// row.
+    pub tile: Option<String>,
     /// Bytes read per second: of `A` in a `gemm_1col` row, of the summed
     /// array in a `stream_read` row, of the columns in a `sub_columns` or
     /// `dot_columns` row; `None` in every other row.
@@ -80,6 +88,15 @@ fn flop_factor<T: Scalar>() -> f64 {
         4.0
     } else {
         1.0
+    }
+}
+
+/// The packed microkernel's register tile for `T`, as `"MRxNR"`.
+fn tile_name<T: Scalar>() -> String {
+    if T::IS_COMPLEX {
+        format!("{GEMM_MR_COMPLEX}x{GEMM_NR_COMPLEX}")
+    } else {
+        format!("{GEMM_MR}x{GEMM_NR}")
     }
 }
 
@@ -190,6 +207,39 @@ fn time_gemm_1col<T: Scalar>(rows: usize, cols: usize, op_a: Op, reps: usize) ->
                 x.as_ref(),
                 Op::None,
                 T::zero(),
+                c.as_mut(),
+            );
+        }
+    });
+    (t.per_call(calls), c.into_data())
+}
+
+/// Time the blocked update `C -= op_a(A) B` with `A` stored
+/// `rows x cols` and `nrhs` columns in `B` and `C`: a coalesced solve's
+/// `V^H X` (`op_a` transposed) or `X -= Y W` (`Op::None`).  Returns
+/// `(time per call, C)`.
+fn time_gemm_rhs<T: Scalar>(
+    rows: usize,
+    cols: usize,
+    op_a: Op,
+    nrhs: usize,
+    reps: usize,
+) -> (Timing, Vec<T>) {
+    let mut rng = StdRng::seed_from_u64((rows * 31 + cols * 7 + nrhs) as u64);
+    let a: DenseMatrix<T> = random_matrix(&mut rng, rows, cols);
+    let (m, k) = (op_a.rows_of(&a.as_ref()), op_a.cols_of(&a.as_ref()));
+    let b: DenseMatrix<T> = random_matrix(&mut rng, k, nrhs);
+    let mut c: DenseMatrix<T> = random_matrix(&mut rng, m, nrhs);
+    let calls = (READ_ELEMENTS / (rows * cols)).max(1);
+    let t = timed_runs(reps, || {
+        for _ in 0..calls {
+            gemm(
+                -T::one(),
+                a.as_ref(),
+                op_a,
+                b.as_ref(),
+                Op::None,
+                T::one(),
                 c.as_mut(),
             );
         }
@@ -404,6 +454,9 @@ pub struct KernelBenchConfig {
     /// Stored shapes `(rows, cols)` and `op_a` of the `A` of the
     /// `gemm_1col` rows.
     pub one_column: Vec<(usize, usize, Op)>,
+    /// Stored shape `(rows, cols)` and `op_a` of the `A` of the `gemm_rhs`
+    /// rows, and their right-hand-side counts.
+    pub rhs_products: Vec<(usize, usize, Op, usize)>,
     /// Column length and column count of the `sub_columns` and
     /// `dot_columns` rows.
     pub column_list: Vec<(usize, usize)>,
@@ -424,10 +477,11 @@ impl KernelBenchConfig {
             lu_sizes: vec![256, 512, 1024],
             qr_sizes: vec![(512, 256), (1024, 512)],
             // One column, one lane group, serve's coalesced group sizes
-            // (13-15 run a padded second group, 16 two full ones), and the
+            // (13-15 pad a second group, 16 fills it; one pass of two
+            // groups each), one wide pass of four groups (32), and the
             // leaf widths W of the laplace-surface-2d (138) and gp-se-3d
             // (578) benchmarks.
-            solve_nrhs: vec![1, 8, 13, 14, 15, 16, 138, 578],
+            solve_nrhs: vec![1, 8, 13, 14, 15, 16, 32, 138, 578],
             // gp-se-3d's top level (8192 child rows, max rank 177) read as
             // `V^H x` and as `Y w`, both blocked; a laplace-surface-2d
             // leaf-level `V^H x`, direct.
@@ -435,6 +489,15 @@ impl KernelBenchConfig {
                 (8192, 177, Op::ConjTrans),
                 (8192, 177, Op::None),
                 (64, 16, Op::ConjTrans),
+            ],
+            // The level-1 products of serve-mixed's n = 4096 GP tenant
+            // (2048 child rows, rank 87) against a hot burst of 14 and
+            // the 32-column block probe: `V^H X`, then `X -= Y W`.
+            rhs_products: vec![
+                (2048, 87, Op::ConjTrans, 14),
+                (2048, 87, Op::None, 14),
+                (2048, 87, Op::ConjTrans, 32),
+                (2048, 87, Op::None, 32),
             ],
             // gp-se-3d's root block: 8192-entry crosses, rank about 190.
             column_list: vec![(8192, 190)],
@@ -453,13 +516,14 @@ impl KernelBenchConfig {
             qr_sizes: vec![(128, 100)],
             // One column, then a full lane group with two per-column
             // leftovers (10) and with a padded group of three (11): both
-            // sides of the padding cut-off.
-            solve_nrhs: vec![1, 9, 10, 11],
+            // sides of the padding cut-off; then one wide pass (32).
+            solve_nrhs: vec![1, 9, 10, 11, 32],
             one_column: vec![
                 (2048, 177, Op::ConjTrans),
                 (2048, 177, Op::None),
                 (64, 16, Op::ConjTrans),
             ],
+            rhs_products: vec![(2048, 87, Op::ConjTrans, 14), (2048, 87, Op::None, 14)],
             // Two chunks of entries, groups of four and eight with
             // leftovers.
             column_list: vec![(2048, 45)],
@@ -495,6 +559,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: None,
                 isa,
                 op_a: None,
+                tile: None,
                 bytes_per_s: None,
             });
             Some(t.median)
@@ -528,6 +593,42 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
+                tile: Some(tile_name::<T>()),
+                bytes_per_s: None,
+            });
+        }
+    }
+
+    // The blocked products of a coalesced solve.
+    for &(a_rows, a_cols, op_a, nrhs) in &config.rhs_products {
+        let (m, k) = if op_a == Op::None {
+            (a_rows, a_cols)
+        } else {
+            (a_cols, a_rows)
+        };
+        let mut base_out: Option<Vec<T>> = None;
+        for &nt in &config.threads {
+            let (t, out) =
+                pool(nt).install(|| time_gemm_rhs::<T>(a_rows, a_cols, op_a, nrhs, config.reps));
+            let bitwise = base_out.as_ref().map(|b| bitwise_eq(b, &out));
+            if base_out.is_none() {
+                base_out = Some(out);
+            }
+            rows.push(KernelRow {
+                kernel: "gemm_rhs".into(),
+                scalar: scalar.clone(),
+                m,
+                n: nrhs,
+                k,
+                threads: nt,
+                time_s: t.median,
+                time_iqr_s: t.iqr,
+                gflops: ff * gemm_flops(m, nrhs, k) as f64 / t.median / 1e9,
+                speedup_vs_reference: None,
+                bitwise_vs_1thread: bitwise,
+                isa,
+                op_a: Some(op_a),
+                tile: Some(tile_name::<T>()),
                 bytes_per_s: None,
             });
         }
@@ -564,6 +665,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: Some(op_a),
+                tile: None,
                 bytes_per_s: Some((a_rows * a_cols * size) as f64 / t.median),
             });
         }
@@ -590,6 +692,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
+                tile: None,
                 bytes_per_s: Some((elements * size) as f64 / t.median),
             });
         }
@@ -624,6 +727,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     bitwise_vs_1thread: bitwise,
                     isa,
                     op_a: None,
+                    tile: None,
                     bytes_per_s: Some((len * cols * size) as f64 / t.median),
                 });
             }
@@ -653,6 +757,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
+                tile: None,
                 bytes_per_s: None,
             });
         }
@@ -681,6 +786,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
+                tile: None,
                 bytes_per_s: None,
             });
         }
@@ -716,6 +822,7 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     bitwise_vs_1thread: bitwise,
                     isa,
                     op_a: None,
+                    tile: None,
                     bytes_per_s: None,
                 });
             }
@@ -812,7 +919,7 @@ mod tests {
             .any(|r| r.kernel == "getrf" && r.scalar == "c64"));
         assert!(rows.iter().any(|r| r.kernel == "thin_qr"));
         for kernel in ["getrs", "potrs", "sytrs"] {
-            for nrhs in [1, 9, 10, 11] {
+            for nrhs in [1, 9, 10, 11, 32] {
                 assert!(rows.iter().any(|r| r.kernel == kernel && r.n == nrhs));
             }
         }
@@ -824,7 +931,7 @@ mod tests {
                     .iter()
                     .any(|r| r.kernel == "gemm_1col" && r.scalar == scalar && r.op_a == Some(op)));
             }
-            for kernel in ["stream_read", "sub_columns", "dot_columns"] {
+            for kernel in ["stream_read", "sub_columns", "dot_columns", "gemm_rhs"] {
                 assert!(rows
                     .iter()
                     .any(|r| r.kernel == kernel && r.scalar == scalar));
@@ -836,7 +943,10 @@ mod tests {
                 "gemm_1col" | "stream_read" | "sub_columns" | "dot_columns"
             );
             assert_eq!(r.bytes_per_s.is_some(), rated, "{}", r.kernel);
-            assert_eq!(r.op_a.is_some(), r.kernel == "gemm_1col", "{}", r.kernel);
+            let product = matches!(r.kernel.as_str(), "gemm_1col" | "gemm_rhs");
+            assert_eq!(r.op_a.is_some(), product, "{}", r.kernel);
+            let packed = matches!(r.kernel.as_str(), "gemm" | "gemm_rhs");
+            assert_eq!(r.tile.is_some(), packed, "{}", r.kernel);
         }
         // Every multi-thread row must report a bitwise verdict, and it must
         // be "identical".

@@ -12,7 +12,8 @@
 //! At n = 4096 with 3 levels and rank 128 the top level's children have
 //! 2048 rows, so its single-RHS `V^H x` and `x -= Y w` products are
 //! 128 x 2048, exactly `GEMM_DIRECT_THRESHOLD` multiply-adds: gemm's
-//! blocked regime.
+//! parallel one-column kernels.  The hashes were recorded when every
+//! product and solve in `hodlr-la` moved to one fused per-entry recipe.
 
 use hodlr_batch::Device;
 use hodlr_core::matrix::{random_hodlr, random_hodlr_spd};
@@ -108,14 +109,14 @@ fn lu_f64_n256() {
     check(
         record_lu::<f64>(256, 3, 4, 1601),
         r"
-ybig c8d722de4f0f0a2c
-solve: serial d2af0ed6cdb8594c batched d2af0ed6cdb8594c
-solve_matrix 1: serial d2af0ed6cdb8594c batched d2af0ed6cdb8594c
-solve_matrix 7: serial 9460f3e7b702b4b1 batched 9460f3e7b702b4b1
-solve_matrix 8: serial cbcad9d2c2e14e24 batched cbcad9d2c2e14e24
-solve_matrix 9: serial 386ab2a9f122aef3 batched 386ab2a9f122aef3
-solve_matrix 17: serial 8f437c352a6b1501 batched 8f437c352a6b1501
-solve_matrix 32: serial e7d6bcc389b8d578 batched e7d6bcc389b8d578
+ybig 413ee535e823425b
+solve: serial d4fd30d3587a7086 batched d4fd30d3587a7086
+solve_matrix 1: serial d4fd30d3587a7086 batched d4fd30d3587a7086
+solve_matrix 7: serial a713f4cb5d55cd0e batched a713f4cb5d55cd0e
+solve_matrix 8: serial d4d4aa0527462051 batched d4d4aa0527462051
+solve_matrix 9: serial ad08e6e12749ba98 batched ad08e6e12749ba98
+solve_matrix 17: serial 1c4a7c2bc32e403d batched 1c4a7c2bc32e403d
+solve_matrix 32: serial cecbe565a2c9fac2 batched cecbe565a2c9fac2
 log_det: serial b690bb88d54e49ab batched b690bb88d54e49ab
 ",
     );
@@ -126,14 +127,14 @@ fn lu_complex_n256() {
     check(
         record_lu::<Complex64>(256, 3, 4, 1602),
         r"
-ybig 9c31130e0dd4c478
-solve: serial 807900e2b7b75b9a batched 807900e2b7b75b9a
-solve_matrix 1: serial 807900e2b7b75b9a batched 807900e2b7b75b9a
-solve_matrix 7: serial d19af22fda91f691 batched d19af22fda91f691
-solve_matrix 8: serial 25a6bd6d72d41308 batched 25a6bd6d72d41308
-solve_matrix 9: serial cccb14505facab6f batched cccb14505facab6f
-solve_matrix 17: serial adb8368c7b1c4b8e batched adb8368c7b1c4b8e
-solve_matrix 32: serial 0d84bc84024ddb92 batched 0d84bc84024ddb92
+ybig e2025db5fce01c84
+solve: serial 95ba9d8af0769dcb batched 95ba9d8af0769dcb
+solve_matrix 1: serial 95ba9d8af0769dcb batched 95ba9d8af0769dcb
+solve_matrix 7: serial fc8b594ebc1a5f0f batched fc8b594ebc1a5f0f
+solve_matrix 8: serial 4b0fb7cc3ee62e97 batched 4b0fb7cc3ee62e97
+solve_matrix 9: serial 031d2ae3ee7c681c batched 031d2ae3ee7c681c
+solve_matrix 17: serial 62667647a234e494 batched 62667647a234e494
+solve_matrix 32: serial 01519ab3a3b8d734 batched 01519ab3a3b8d734
 log_det: serial f635f02d5e4ccac7 batched f635f02d5e4ccac7
 ",
     );
@@ -144,14 +145,14 @@ fn lu_f64_n1024() {
     check(
         record_lu::<f64>(1024, 4, 9, 1603),
         r"
-ybig bdda989c72d51caa
-solve: serial 6aa296b027d1ecdc batched 6aa296b027d1ecdc
-solve_matrix 1: serial 6aa296b027d1ecdc batched 6aa296b027d1ecdc
-solve_matrix 7: serial f2d6dc4f7f4f2537 batched f2d6dc4f7f4f2537
-solve_matrix 8: serial a34e3bbc122dfcf2 batched a34e3bbc122dfcf2
-solve_matrix 9: serial 2429bf2dbabc5901 batched 2429bf2dbabc5901
-solve_matrix 17: serial 350d0ee1705d836f batched 350d0ee1705d836f
-solve_matrix 32: serial ca07438776b17853 batched ca07438776b17853
+ybig 88a69f94038cf19e
+solve: serial 2fdabf2c26a2fe6e batched 2fdabf2c26a2fe6e
+solve_matrix 1: serial 2fdabf2c26a2fe6e batched 2fdabf2c26a2fe6e
+solve_matrix 7: serial 2026fbbdda0f9590 batched 2026fbbdda0f9590
+solve_matrix 8: serial 0ab41317d3bd2330 batched 0ab41317d3bd2330
+solve_matrix 9: serial fe35347f804be610 batched fe35347f804be610
+solve_matrix 17: serial 1230d55be7f52464 batched 1230d55be7f52464
+solve_matrix 32: serial b922b92805ee9b64 batched b922b92805ee9b64
 log_det: serial 5c8df1a504de12db batched 5c8df1a504de12db
 ",
     );
@@ -162,14 +163,14 @@ fn lu_complex_n1024() {
     check(
         record_lu::<Complex64>(1024, 4, 9, 1604),
         r"
-ybig d49e9968a1b97837
-solve: serial dcaf635758965b9e batched dcaf635758965b9e
-solve_matrix 1: serial dcaf635758965b9e batched dcaf635758965b9e
-solve_matrix 7: serial 9df2eb7ee2b9e0b8 batched 9df2eb7ee2b9e0b8
-solve_matrix 8: serial c81cc23adcc7c1a8 batched c81cc23adcc7c1a8
-solve_matrix 9: serial 6a8f4e983035436d batched 6a8f4e983035436d
-solve_matrix 17: serial 4387b5a9551b1589 batched 4387b5a9551b1589
-solve_matrix 32: serial d45f5b777fe58fb4 batched d45f5b777fe58fb4
+ybig 591efebd8324281e
+solve: serial fd615dbbd33ef5d5 batched fd615dbbd33ef5d5
+solve_matrix 1: serial fd615dbbd33ef5d5 batched fd615dbbd33ef5d5
+solve_matrix 7: serial 54dde4949c4fab00 batched 54dde4949c4fab00
+solve_matrix 8: serial ede6f69105725375 batched ede6f69105725375
+solve_matrix 9: serial fae646ed6f66c5ea batched fae646ed6f66c5ea
+solve_matrix 17: serial 64a947cf4493fe2a batched 64a947cf4493fe2a
+solve_matrix 32: serial af0cf554d7e38bba batched af0cf554d7e38bba
 log_det: serial 380109df51d411ab batched 380109df51d411ab
 ",
     );
@@ -180,14 +181,14 @@ fn spd_f64_n256() {
     check(
         record_spd::<f64>(256, 3, 4, 1605),
         r"
-ybig 341f52e25d368c7e
-solve: serial 13e79531f74eb8dd batched 13e79531f74eb8dd
-solve_matrix 1: serial 13e79531f74eb8dd batched 13e79531f74eb8dd
-solve_matrix 7: serial 14ba4704cab1f814 batched 14ba4704cab1f814
-solve_matrix 8: serial 21d3045f5679bfcc batched 21d3045f5679bfcc
-solve_matrix 9: serial 8f5f551c16d05cbd batched 8f5f551c16d05cbd
-solve_matrix 17: serial c3e0e145869b39f2 batched c3e0e145869b39f2
-solve_matrix 32: serial e31c5fa1d30d0fa7 batched e31c5fa1d30d0fa7
+ybig b75398816ef05ea7
+solve: serial b72ddc090b1c5021 batched b72ddc090b1c5021
+solve_matrix 1: serial b72ddc090b1c5021 batched b72ddc090b1c5021
+solve_matrix 7: serial 4bac1fdc89f7c5ff batched 4bac1fdc89f7c5ff
+solve_matrix 8: serial 2520ea4fd1f33ac5 batched 2520ea4fd1f33ac5
+solve_matrix 9: serial d1f5cfe0856714f4 batched d1f5cfe0856714f4
+solve_matrix 17: serial 62caa283a62d7904 batched 62caa283a62d7904
+solve_matrix 32: serial 501cd99be01d86cd batched 501cd99be01d86cd
 log_det: serial 9c1dbb131b5fa98b batched 9c1dbb131b5fa98b
 ",
     );
@@ -198,14 +199,14 @@ fn spd_complex_n256() {
     check(
         record_spd::<Complex64>(256, 3, 4, 1606),
         r"
-ybig a6417360165dbc41
-solve: serial c85a2f50ae2b5c83 batched c85a2f50ae2b5c83
-solve_matrix 1: serial c85a2f50ae2b5c83 batched c85a2f50ae2b5c83
-solve_matrix 7: serial 9ae19eae86060839 batched 9ae19eae86060839
-solve_matrix 8: serial f9cde7299b0699dc batched f9cde7299b0699dc
-solve_matrix 9: serial faf01495d6f4dfd4 batched faf01495d6f4dfd4
-solve_matrix 17: serial a3123abd23d87e28 batched a3123abd23d87e28
-solve_matrix 32: serial 55f60f12aa4b26dc batched 55f60f12aa4b26dc
+ybig 999ce0595ae289e9
+solve: serial 3342ac294100c7ed batched 3342ac294100c7ed
+solve_matrix 1: serial 3342ac294100c7ed batched 3342ac294100c7ed
+solve_matrix 7: serial 097533af05edb20b batched 097533af05edb20b
+solve_matrix 8: serial c3d9c01f2df7bae4 batched c3d9c01f2df7bae4
+solve_matrix 9: serial 571d2c007c50dace batched 571d2c007c50dace
+solve_matrix 17: serial f8acd33ee81cb42a batched f8acd33ee81cb42a
+solve_matrix 32: serial 8b371352bb83c51f batched 8b371352bb83c51f
 log_det: serial a58971c1e14a603a batched a58971c1e14a603a
 ",
     );
@@ -216,14 +217,14 @@ fn spd_f64_n1024() {
     check(
         record_spd::<f64>(1024, 4, 9, 1607),
         r"
-ybig d1b333d24c614c59
-solve: serial 2079a60ebcdd0447 batched 2079a60ebcdd0447
-solve_matrix 1: serial 2079a60ebcdd0447 batched 2079a60ebcdd0447
-solve_matrix 7: serial ff5963b45afff6a8 batched ff5963b45afff6a8
-solve_matrix 8: serial e8caabd1bccef2cc batched e8caabd1bccef2cc
-solve_matrix 9: serial 3856ed41329d5465 batched 3856ed41329d5465
-solve_matrix 17: serial a49c14b025085889 batched a49c14b025085889
-solve_matrix 32: serial 823ed517dffca044 batched 823ed517dffca044
+ybig 756b06744260f90c
+solve: serial 7a7a91eea7104410 batched 7a7a91eea7104410
+solve_matrix 1: serial 7a7a91eea7104410 batched 7a7a91eea7104410
+solve_matrix 7: serial 6cd4b8ae30e39432 batched 6cd4b8ae30e39432
+solve_matrix 8: serial 50c1ec4ea10aeebd batched 50c1ec4ea10aeebd
+solve_matrix 9: serial 879a2361383ae214 batched 879a2361383ae214
+solve_matrix 17: serial 170aae55c73dd31f batched 170aae55c73dd31f
+solve_matrix 32: serial 97e6f85a3f8186b6 batched 97e6f85a3f8186b6
 log_det: serial c9f3052ce1f2def3 batched c9f3052ce1f2def3
 ",
     );
@@ -234,14 +235,14 @@ fn spd_complex_n1024() {
     check(
         record_spd::<Complex64>(1024, 4, 9, 1608),
         r"
-ybig 6fc736b00a2a408c
-solve: serial e3f7f2275cac5c81 batched e3f7f2275cac5c81
-solve_matrix 1: serial e3f7f2275cac5c81 batched e3f7f2275cac5c81
-solve_matrix 7: serial f4d95bd73cf0653d batched f4d95bd73cf0653d
-solve_matrix 8: serial 84218f1d3ea5d156 batched 84218f1d3ea5d156
-solve_matrix 9: serial d7cfa065d1586705 batched d7cfa065d1586705
-solve_matrix 17: serial a5923f5d92c160cc batched a5923f5d92c160cc
-solve_matrix 32: serial 56e898c8417b504d batched 56e898c8417b504d
+ybig dcbdd520f2d74ce9
+solve: serial 166c7012da9597c8 batched 166c7012da9597c8
+solve_matrix 1: serial 166c7012da9597c8 batched 166c7012da9597c8
+solve_matrix 7: serial e9b1b2ea84933071 batched e9b1b2ea84933071
+solve_matrix 8: serial 598ba10aa9b4186e batched 598ba10aa9b4186e
+solve_matrix 9: serial 4f51c5da330988fa batched 4f51c5da330988fa
+solve_matrix 17: serial f8e82dcf5afaa62e batched f8e82dcf5afaa62e
+solve_matrix 32: serial 9cee4b0a918f9b0e batched 9cee4b0a918f9b0e
 log_det: serial 0c8e13bead0011a4 batched 0c8e13bead0011a4
 ",
     );
@@ -252,15 +253,15 @@ fn lu_f64_n4096_blocked_one_column() {
     check(
         record_lu::<f64>(4096, 3, 128, 1609),
         r"
-ybig 4223ffd066d02233
-solve: serial 49c77de5e8db98bc batched 49c77de5e8db98bc
-solve_matrix 1: serial 49c77de5e8db98bc batched 49c77de5e8db98bc
-solve_matrix 7: serial a412074d6cd616fb batched a412074d6cd616fb
-solve_matrix 8: serial 63faeb65e3b3a95c batched 63faeb65e3b3a95c
-solve_matrix 9: serial 72ffd110c9afb2bf batched 72ffd110c9afb2bf
-solve_matrix 17: serial bc41f4ab0c8af35c batched bc41f4ab0c8af35c
-solve_matrix 32: serial ac9eaa624f04036b batched ac9eaa624f04036b
-log_det: serial 8bb34e8a8458df99 batched 8bb34e8a8458df99
+ybig 1a87cbc2eb367b1d
+solve: serial 89d3096814544caa batched 89d3096814544caa
+solve_matrix 1: serial 89d3096814544caa batched 89d3096814544caa
+solve_matrix 7: serial 07b5cdba65c744ee batched 07b5cdba65c744ee
+solve_matrix 8: serial 39df7e1f82d87a3c batched 39df7e1f82d87a3c
+solve_matrix 9: serial 97c9769b773b9ea5 batched 97c9769b773b9ea5
+solve_matrix 17: serial 3f953fdafc03ea6c batched 3f953fdafc03ea6c
+solve_matrix 32: serial d96a274b01955af0 batched d96a274b01955af0
+log_det: serial 61a598793246fabe batched 61a598793246fabe
 ",
     );
 }
@@ -270,14 +271,14 @@ fn spd_f64_n4096_blocked_one_column() {
     check(
         record_spd::<f64>(4096, 3, 128, 1610),
         r"
-ybig 2f0a6635a7413e0b
-solve: serial 0c0d5b97974027d9 batched 0c0d5b97974027d9
-solve_matrix 1: serial 0c0d5b97974027d9 batched 0c0d5b97974027d9
-solve_matrix 7: serial 4347c653ffe21078 batched 4347c653ffe21078
-solve_matrix 8: serial 62bc7477575461ba batched 62bc7477575461ba
-solve_matrix 9: serial fe13c541d2be57fc batched fe13c541d2be57fc
-solve_matrix 17: serial 7974d69b9abf4a2a batched 7974d69b9abf4a2a
-solve_matrix 32: serial c8f6159964361659 batched c8f6159964361659
+ybig 92387427733864e1
+solve: serial ff135dcd8dedb695 batched ff135dcd8dedb695
+solve_matrix 1: serial ff135dcd8dedb695 batched ff135dcd8dedb695
+solve_matrix 7: serial 9bd6258aadc1753f batched 9bd6258aadc1753f
+solve_matrix 8: serial 95e62c55fdf26ee8 batched 95e62c55fdf26ee8
+solve_matrix 9: serial 92ecb12dc3a0f9c6 batched 92ecb12dc3a0f9c6
+solve_matrix 17: serial 394a7d521a414d21 batched 394a7d521a414d21
+solve_matrix 32: serial 0a51037cedd588d1 batched 0a51037cedd588d1
 log_det: serial a2788874705d0c44 batched a2788874705d0c44
 ",
     );

@@ -1,30 +1,52 @@
 //! Level-2/3 BLAS style kernels: `gemm`, `gemv` and friends.
 //!
+//! # One recipe per entry
+//!
+//! Every product here gives entry `(i, j)` of `C` the same floating-point
+//! operations, whichever path computes it:
+//!
+//! 1. `c_ij <- beta * c_ij` (`beta = 0` writes zero, `beta = 1` leaves
+//!    `c_ij` as it is);
+//! 2. then `c_ij <- fma(op_a(A)[i, p], alpha * op_b(B)[p, j], c_ij)` for
+//!    `p` ascending, with no term skipped,
+//!
+//! where `fma(a, b, c)` is [`Scalar::mul_add`]: one correctly rounded fused
+//! multiply-add for real scalars, the complex product and sum for complex
+//! ones.  `alpha = 0` or `k = 0` stops after step 1, as in BLAS.
+//! [`gemm_reference`] writes the recipe out as one `axpy` per term; the
+//! packed microkernel, the direct path with its dot form, the two
+//! one-column kernels and [`gemv`] run it too.  An entry's bits therefore
+//! depend on none of: the path that computes it, how many columns `C` has,
+//! [`GEMM_KC`], the microtile shape, the thread count.  A column of a
+//! coalesced block solve is bitwise the column solved alone, and the tile
+//! shapes and path thresholds below are pure performance choices.  No zero
+//! term is skipped, so `0 * inf` makes a NaN, as in IEEE arithmetic.
+//!
 //! # Kernel design
 //!
 //! [`gemm`] is a packed, register-tiled, cache-blocked BLAS-3 kernel in the
 //! GotoBLAS/BLIS/faer style.  Large products run through three layers:
 //!
-//! 1. **Register microkernel** — an [`GEMM_MR`]`x`[`GEMM_NR`] tile of `C` is
-//!    held in unrolled accumulators (`[[T; MR]; NR]` locals) while streaming
-//!    one column of packed `A` and one row of packed `B` per `k` step.  The
-//!    fixed-size inner loops autovectorize for `f32`/`f64` and stay correct
-//!    (scalar) for complex fields.  Accumulation is unfused
-//!    (`acc += a * b`).
+//! 1. **Register microkernel** — an `MR x NR` tile of `C` is loaded into
+//!    unrolled accumulators (`[[T; MR]; NR]` locals) at the start of each
+//!    `k` slab, takes one fused multiply-add per entry for each column of
+//!    packed `A` and row of packed `B`, and is stored back at the end of
+//!    the slab.  The fixed-size inner loops vectorize for `f32`/`f64` and
+//!    stay correct (scalar) for complex fields.
 //! 2. **Packing** — `op_a(A)` is repacked into column-major micro-panels of
-//!    [`GEMM_MR`] rows and `op_b(B)` into row-major micro-panels of
-//!    [`GEMM_NR`] columns, so the microkernel reads both operands
-//!    contiguously regardless of the requested [`Op`] or the view strides.
-//!    Conjugation is folded into the pack.  The pack buffers are allocated
-//!    once per parallel tile task and reused across every `k` block of that
-//!    tile (the previous kernel copied all of `op_a(A)` on every call).
+//!    `MR` rows and `alpha * op_b(B)` into row-major micro-panels of `NR`
+//!    columns, so the microkernel reads both operands contiguously
+//!    regardless of the requested [`Op`] or the view strides.  Conjugation
+//!    and `alpha` are folded into the packs.  The pack buffers are
+//!    allocated once per parallel tile task and reused across every `k`
+//!    slab of that tile.
 //! 3. **Cache blocking** — the `k` dimension is processed in slabs of
 //!    [`GEMM_KC`], each tile packs at most [`GEMM_MC`]`x`[`GEMM_KC`] of `A`
 //!    (sized for L2) and [`GEMM_KC`]`x`[`GEMM_NC`] of `B` (sized for L3).
 //!
-//! **Tuning:** `GEMM_MR`/`GEMM_NR` set the register footprint of the
-//! microkernel (`MR*NR` accumulators; 8x4 fills a 16-register SIMD file at
-//! f64x2 and still fits when the compiler promotes to wider vectors);
+//! **Tuning:** [`GEMM_MR`]`x`[`GEMM_NR`] sets the register footprint of the
+//! real microkernel: 8x6 `f64` accumulators take twelve of the sixteen
+//! AVX2 registers, leaving room for a column of `A` and a broadcast of `B`.
 //! `GEMM_KC` bounds the packed panel depth so an `MR x KC` A-strip plus an
 //! `NR x KC` B-strip stay L1-resident; `GEMM_MC` (a multiple of `MR`) sizes
 //! the packed A panel for L2; `GEMM_NC` (a multiple of `NR`) sets the width
@@ -32,97 +54,70 @@
 //! larger private caches; shrink `GEMM_NC` to expose more parallel tiles for
 //! wide products.
 //!
-//! # Parallelism and determinism
+//! # Parallelism
 //!
 //! Products above [`GEMM_DIRECT_THRESHOLD`] multiply-adds are split over a
-//! fixed grid of `GEMM_MC x GEMM_NC` tiles of `C`.  Tile boundaries depend
-//! only on `(m, n)` — never on the thread count — and each tile accumulates
-//! its `k` slabs sequentially in ascending order, so every entry of `C` sees
-//! the same floating-point operation order at any pool size: results are
-//! **bitwise identical at any thread count**, preserving the repo-wide
-//! determinism contract (see ARCHITECTURE.md).  Because the grid covers rows
-//! as well as columns, tall-skinny products (the rank-width `V^H * Y`
-//! updates that dominate HODLR factorization) parallelize too.
+//! grid of `GEMM_MC x GEMM_NC` tiles of `C`, one pool task each.  Because
+//! the grid covers rows as well as columns, tall-skinny products (the
+//! rank-width `V^H * Y` updates that dominate HODLR factorization)
+//! parallelize too.  Whatever task computes an entry runs the recipe, so
+//! results are bitwise identical at any thread count, as the repo-wide
+//! determinism contract requires (see ARCHITECTURE.md).
 //!
 //! # Small products
 //!
-//! Below [`GEMM_DIRECT_THRESHOLD`] the kernel uses an unpacked direct path:
-//! when `op_a == Op::None` the columns of `A` are read in place (columns of
-//! a strided view are always contiguous), so small products do **no**
-//! repacking at all; transposed operands use dot-product form on contiguous
-//! columns.  The dot form packs eight columns of `op_b(B)` at a time into
-//! `[T; 8]` lanes, each lane running its column's dot products in their
-//! own order, so the result is bitwise that of one column at a time (the
-//! lane contract of [`crate::triangular`]).  Three or more leftover
-//! columns (six or more with complex scalars) run as one more group padded
-//! with copies of the last one, whose lanes are not written back; fewer
-//! take the one-column loop.  The previous implementation copied all of
-//! `op_a(A)` even when it was already stored exactly as needed.
+//! Below [`GEMM_DIRECT_THRESHOLD`] the kernel uses an unpacked direct path
+//! that reads `A` in place (columns of a strided view are always
+//! contiguous), so small products do no repacking at all.  With
+//! `op_a == Op::None` each column of `C` runs the one-column kernel below.
+//! Transposed operands use dot-product form on the contiguous columns of
+//! `A`: eight columns of `alpha * op_b(B)` at a time are packed into
+//! `[T; 8]` lanes, each lane running its column's chain (the lane contract
+//! of [`crate::triangular`]).  Three or more leftover columns (six or more
+//! with complex scalars) run as one more group padded with copies of the
+//! last one, whose lanes are not written back; fewer take the one-column
+//! kernel.
 //!
-//! The old axpy-per-column kernel is retained as [`gemm_reference`]: it is
-//! the oracle for property tests and the baseline the `kernels` bench bin
+//! The axpy-per-term kernel is retained as [`gemm_reference`]: it is the
+//! oracle for property tests and the baseline the `kernels` bench bin
 //! (BENCH_kernels.json) measures speedups against.
 //!
 //! # One column
 //!
 //! A single-right-hand-side HODLR solve (the paper's Algorithm 4, once per
 //! Krylov iteration when HODLR preconditions) calls `gemm` with `op_b(B)`
-//! one column wide at every level: `w = V^H x` and `x -= Y w`.  The
-//! general paths waste that shape: the blocked path copies all of `A` into
-//! packed panels and runs the microkernel with the one real column padded
-//! to `NR`, and the dot form runs each output as one dependent chain of
-//! adds.  So when `op_b(B)` has one column (copied out first when `op_b`
-//! is transposed), `gemm` reads `A` in place, once, with independent
-//! accumulation chains, and gives every entry exactly the operations the
-//! general path gives it:
-//!
-//! - **Blocked regime** (`m * k >= GEMM_DIRECT_THRESHOLD`).  There entry
-//!   `i` gets `c_i += alpha * acc_s` for each [`GEMM_KC`] slab `s` in
-//!   ascending order, where `acc_s` starts at zero and adds
-//!   `op_a(A)[i, p] * b_p` unfused in ascending `p` (conjugation is
-//!   folded into the pack; the padded rows and columns are discarded).
-//!   With `op_a == Op::None` the one-column path splits `C` into fixed
-//!   chunks of rows, and each chunk's accumulator adds eight columns of
-//!   `A` per pass, each row its terms in order: contiguous reads that
-//!   vectorize across rows.  With `A` transposed, eight outputs run side
-//!   by side from eight stored columns of `A`, each lane its own in-order
-//!   chain per slab (the output lanes of [`crate::triangular`]); leftover
-//!   outputs run one at a time.  Row chunks and groups of eight outputs
-//!   are pool tasks.  The split depends only on the shape, and no entry's
-//!   operations depend on it.
-//! - **Direct regime, transposed `A`**: the same eight-output kernel with
-//!   one slab of length `k`, so each entry is still
-//!   `c_i += alpha * dot[_conj](A[:, i], b)`, as in the dot form.
-//! - **Direct regime, `op_a == Op::None`**: unchanged, the per-column
-//!   fused `axpy` that skips zero scales.
-//!
-//! Every entry therefore runs the same IEEE operations on the same operands
-//! in the same order as before; only where the operands are read from and
-//! which entries run side by side changed.  `n >= 2` keeps the general
-//! paths, right-hand-side lanes included.  The serial and batched solve
-//! sweeps both reach `gemm`, so serial == batched still holds bitwise.
+//! one column wide at every level: `w = V^H x` and `x -= Y w`.  The packed
+//! path would copy all of `A` into panels for that one column, so `gemm`
+//! copies `alpha * op_b(B)` out instead and reads `A` in place, once.  With
+//! `op_a == Op::None` the rows of `C` go in chunks of 512, and each chunk
+//! takes eight columns of `A` per pass, each row its terms in order:
+//! contiguous reads that vectorize across rows.  With `A` transposed,
+//! eight outputs run side by side from eight stored columns of `A`, each
+//! lane its own chain (the output lanes of [`crate::triangular`]);
+//! leftover outputs run one at a time.  From [`GEMM_DIRECT_THRESHOLD`]
+//! multiply-adds on, the row chunks and groups of eight outputs are pool
+//! tasks.  [`gemv`] runs the same two kernels on one thread.
 //!
 //! # ISA dispatch
 //!
-//! The workspace builds for baseline x86-64, where every `mul_add` in
-//! [`axpy_slice`] is an out-of-line call into the `fma` routine and loops
-//! vectorize only to SSE2.  The kernels that carry the flops — one `gemm`
-//! tile, the direct path with its eight-lane dot form, the two one-column
-//! kernels, [`gemv`] and [`axpy_slice`] here; the unblocked LU, Cholesky,
-//! `L D L^H` and
-//! Bunch-Kaufman kernels, the Bunch-Kaufman solve and the eight-lane
-//! kernels of the triangular and `L^H` solves elsewhere in the crate — are
-//! each compiled a second time for AVX2 + FMA (x86-64-v3), and every call
-//! picks the copy the running CPU supports ([`crate::isa_level`] names
-//! it).  Inside a dispatched kernel the inner loops call the
-//! non-dispatching `axpy` body, so the whole kernel runs in one copy with
-//! `vfmadd` and no per-element call.  For `gemm` the dispatch sits in the
-//! per-tile (or per-chunk) function that the parallel closure calls, not
-//! around `gemm` itself: a closure is compiled with the target features of
-//! the function it is written in, so dispatching `gemm` alone would leave
-//! the microkernel at SSE2.  The copies differ only in
-//! instruction selection, so results are bitwise identical at every ISA
-//! level.
+//! The workspace builds for baseline x86-64, where every `mul_add` is an
+//! out-of-line call into the `fma` routine and loops vectorize only to
+//! SSE2.  The kernels that carry the flops — one `gemm` tile, the direct
+//! path with its eight-lane dot form, the two one-column kernels, [`gemv`]
+//! and [`axpy_slice`] here; the unblocked LU, Cholesky, `L D L^H` and
+//! Bunch-Kaufman kernels, the Bunch-Kaufman solve, and the lane kernels and
+//! per-column loops of the triangular and `L^H` solves elsewhere in the
+//! crate — are each compiled a second time for AVX2 + FMA (x86-64-v3), and
+//! every call picks the copy the running CPU supports ([`crate::isa_level`]
+//! names it).  Inside a dispatched kernel the loops call only
+//! `#[inline(always)]` bodies and no closure holds a loop, so the whole
+//! kernel runs in one copy with `vfmadd` and no per-element call.  For
+//! `gemm` the dispatch sits in the per-tile (or per-chunk) function that
+//! the parallel closure calls, not around `gemm` itself: a closure is
+//! compiled with the target features of the function it is written in, so
+//! dispatching `gemm` alone would leave the microkernel at SSE2.  The
+//! copies differ only in instruction selection, so results are bitwise
+//! identical at every ISA level.
 
 use crate::dense::{MatMut, MatRef};
 use crate::isa::multiversion;
@@ -182,7 +177,7 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 pub const GEMM_MR: usize = 8;
 /// Columns of one register microtile for real scalars (the unit of B
 /// packing).
-pub const GEMM_NR: usize = 4;
+pub const GEMM_NR: usize = 6;
 /// Microtile rows for complex scalars (half-size: a complex accumulator is
 /// two reals wide, and an 8x4 complex tile would spill to the stack).
 pub const GEMM_MR_COMPLEX: usize = 4;
@@ -193,7 +188,7 @@ pub const GEMM_KC: usize = 256;
 /// Rows of one packed A panel (multiple of [`GEMM_MR`]; sized for L2).
 pub const GEMM_MC: usize = 96;
 /// Columns of one parallel tile (multiple of [`GEMM_NR`]; sized for L3).
-pub const GEMM_NC: usize = 512;
+pub const GEMM_NC: usize = 516;
 
 /// Multiply-add count below which [`gemm`] runs the unpacked direct path.
 pub const GEMM_DIRECT_THRESHOLD: usize = 64 * 64 * 64;
@@ -203,7 +198,9 @@ pub const GEMM_DIRECT_THRESHOLD: usize = 64 * 64 * 64;
 ///
 /// Shapes must satisfy `op_a(A): m x k`, `op_b(B): k x n`, `C: m x n`.
 ///
-/// Results are bitwise identical at any thread count (see the module docs).
+/// Every entry runs the one recipe of the module docs, so results are
+/// bitwise those of [`gemm_reference`] at any thread count and for any
+/// split of `C` by columns.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -227,22 +224,14 @@ pub fn gemm<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-
-    // Scale C by beta first.
-    if beta == T::zero() {
-        c.fill(T::zero());
-    } else if beta != T::one() {
-        for j in 0..n {
-            for x in c.col_mut(j) {
-                *x *= beta;
-            }
-        }
+    for j in 0..n {
+        scale_by_beta(beta, c.col_mut(j));
     }
     if k == 0 || alpha == T::zero() {
         return;
     }
 
-    if n == 1 && (op_a != Op::None || m * k >= GEMM_DIRECT_THRESHOLD) {
+    if n == 1 {
         gemm_one_column(alpha, &a, op_a, &b, op_b, c.col_mut(0));
     } else if m * n * k < GEMM_DIRECT_THRESHOLD {
         gemm_direct(alpha, &a, op_a, &b, op_b, &mut c);
@@ -255,6 +244,36 @@ pub fn gemm<T: Scalar>(
     }
 }
 
+/// Step 1 of the recipe: `c <- beta * c`, where `beta = 0` writes zero.
+fn scale_by_beta<T: Scalar>(beta: T, c: &mut [T]) {
+    if beta == T::zero() {
+        c.fill(T::zero());
+    } else if beta != T::one() {
+        for x in c {
+            *x *= beta;
+        }
+    }
+}
+
+/// `alpha * op_b(B)[:, j]` into `x`: the scaled `B` column of the recipe.
+#[inline(always)]
+fn scaled_column<T: Scalar>(alpha: T, b: &MatRef<'_, T>, op_b: Op, j: usize, x: &mut Vec<T>) {
+    x.clear();
+    for p in 0..op_b.rows_of(b) {
+        x.push(alpha * op_b.at(b, p, j));
+    }
+}
+
+/// `v`, conjugated when `conj`.
+#[inline(always)]
+fn conj_if<T: Scalar>(v: T, conj: bool) -> T {
+    if conj {
+        v.conj()
+    } else {
+        v
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Direct path: small products, no packing.
 // ---------------------------------------------------------------------------
@@ -262,9 +281,9 @@ pub fn gemm<T: Scalar>(
 multiversion! {
     /// Unpacked kernel for small products (C already beta-scaled).
     ///
-    /// For `op_a == Op::None` the columns of `A` are used in place — no
-    /// repack.  For transposed `A` the product is computed in dot form over
-    /// the contiguous columns of `A` as stored.
+    /// For `op_a == Op::None` each column of `C` runs the one-column kernel
+    /// on the columns of `A` in place.  For transposed `A` the product is
+    /// computed in dot form over the contiguous columns of `A` as stored.
     pub(crate) fn gemm_direct<T: Scalar>(
         alpha: T,
         a: &MatRef<'_, T>,
@@ -285,37 +304,37 @@ pub(crate) fn gemm_direct_body<T: Scalar>(
     c: &mut MatMut<'_, T>,
 ) {
     let n = c.cols();
-    let k = op_a.cols_of(a);
-    match op_a {
-        Op::None => {
-            for j in 0..n {
-                let c_col = c.col_mut(j);
-                for p in 0..k {
-                    let scale = alpha * op_b.at(b, p, j);
-                    if scale == T::zero() {
-                        continue;
-                    }
-                    axpy_slice_body(scale, a.col(p), c_col);
-                }
-            }
-        }
-        Op::Trans | Op::ConjTrans => {
-            let conj_a = op_a == Op::ConjTrans;
-            let laned = lane_columns::<T>(n);
-            if laned > 0 {
-                dot_form_lanes(alpha, a, conj_a, b, op_b, c, laned);
-            }
-            dot_form_columns(alpha, a, conj_a, b, op_b, c, laned);
+    let conj_a = op_a == Op::ConjTrans;
+    let laned = if op_a == Op::None {
+        0
+    } else {
+        lane_columns::<T>(n)
+    };
+    if laned > 0 {
+        dot_form_lanes(alpha, a, conj_a, b, op_b, c, laned);
+    }
+    let mut x = Vec::with_capacity(op_b.rows_of(b));
+    for j in laned..n {
+        scaled_column(alpha, b, op_b, j, &mut x);
+        if op_a == Op::None {
+            one_column_rows_body(a, 0, &x, c.col_mut(j));
+        } else {
+            one_column_dots_body(a, conj_a, 0, &x, c.col_mut(j));
         }
     }
 }
 
+/// Rows of `C` the dot form runs side by side: four rows of eight lanes
+/// keep eight vector chains of `f64` in flight, enough to cover the
+/// latency of a fused multiply-add.
+const DOT_ROWS: usize = 4;
+
 /// The dot form of the direct path for columns `0..laned` of `C`: eight
-/// columns of `op_b(B)` are packed row by row into `[T; LANES]`, and lane
-/// `l` accumulates entry `(i, j0 + l)` exactly as [`dot_form_columns`]'s
-/// `dot` does, so every entry is bitwise the same.  A last group of fewer
-/// than [`LANES`] columns is padded with copies of its last column, whose
-/// lanes are not written back.
+/// columns of `alpha * op_b(B)` are packed row by row into `[T; LANES]`,
+/// and lane `l` of row `i` runs the recipe's chain of entry `(i, j0 + l)`,
+/// starting from that entry, [`DOT_ROWS`] rows at a time.  A last group of
+/// fewer than [`LANES`] columns is padded with copies of its last column,
+/// whose lanes are not written back.
 #[inline(always)]
 fn dot_form_lanes<T: Scalar>(
     alpha: T,
@@ -326,69 +345,57 @@ fn dot_form_lanes<T: Scalar>(
     c: &mut MatMut<'_, T>,
     laned: usize,
 ) {
-    let k = op_b.rows_of(b);
+    let (m, k) = (c.rows(), op_b.rows_of(b));
     let mut b_lanes = vec![[T::zero(); LANES]; k];
     for j0 in (0..laned).step_by(LANES) {
-        let width = LANES.min(laned - j0);
+        let last = laned.min(j0 + LANES) - 1;
         for l in 0..LANES {
-            let j = j0 + l.min(width - 1);
-            if op_b == Op::None {
-                for (row, &v) in b_lanes.iter_mut().zip(b.col(j)) {
-                    row[l] = v;
-                }
-            } else {
-                for (p, row) in b_lanes.iter_mut().enumerate() {
-                    row[l] = op_b.at(b, p, j);
-                }
+            let j = (j0 + l).min(last);
+            for (p, row) in b_lanes.iter_mut().enumerate() {
+                row[l] = alpha * op_b.at(b, p, j);
             }
         }
-        for i in 0..c.rows() {
-            let mut acc = [T::zero(); LANES];
-            for (&aip, bp) in a.col(i).iter().zip(&b_lanes) {
-                let aip = if conj_a { aip.conj() } else { aip };
-                for (s, &v) in acc.iter_mut().zip(bp) {
-                    *s += aip * v;
-                }
-            }
-            for (j, s) in (j0..j0 + width).zip(acc) {
-                c.col_mut(j)[i] += alpha * s;
-            }
+        let full = m - m % DOT_ROWS;
+        for i in (0..full).step_by(DOT_ROWS) {
+            dot_form_rows::<T, DOT_ROWS>(a, conj_a, &b_lanes, c, i, j0..=last);
+        }
+        for i in full..m {
+            dot_form_rows::<T, 1>(a, conj_a, &b_lanes, c, i, j0..=last);
         }
     }
 }
 
-/// The dot form of the direct path for columns `from..` of `C`, one column
-/// at a time: `C[i, j] += alpha * dot(op_a(A)[i, :], op_b(B)[:, j])`.
+/// Rows `i0..i0 + R` of one lane group of the dot form: columns `cols` of
+/// `C`, padded to [`LANES`] with the last one.
 #[inline(always)]
-pub(crate) fn dot_form_columns<T: Scalar>(
-    alpha: T,
+fn dot_form_rows<T: Scalar, const R: usize>(
     a: &MatRef<'_, T>,
     conj_a: bool,
-    b: &MatRef<'_, T>,
-    op_b: Op,
+    b_lanes: &[[T; LANES]],
     c: &mut MatMut<'_, T>,
-    from: usize,
+    i0: usize,
+    cols: std::ops::RangeInclusive<usize>,
 ) {
-    // op_a(A)[i, p] = (conj?) a[p, i]: row i of op_a(A) is the contiguous
-    // stored column i of A.
-    let k = op_b.rows_of(b);
-    let mut b_col: Vec<T> = Vec::new();
-    for j in from..c.cols() {
-        let b_slice: &[T] = if op_b == Op::None {
-            b.col(j)
-        } else {
-            b_col.clear();
-            b_col.extend((0..k).map(|p| op_b.at(b, p, j)));
-            &b_col
-        };
-        let c_col = c.col_mut(j);
-        for (i, ci) in c_col.iter_mut().enumerate() {
-            let acc = if conj_a {
-                dot_conj(a.col(i), b_slice)
-            } else {
-                dot(a.col(i), b_slice)
-            };
-            *ci += alpha * acc;
+    let (j0, last) = (*cols.start(), *cols.end());
+    let k = b_lanes.len();
+    let a_rows: [&[T]; R] = std::array::from_fn(|r| &a.col(i0 + r)[..k]);
+    let mut acc = [[T::zero(); LANES]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        for (l, s) in acc_r.iter_mut().enumerate() {
+            *s = c.get(i0 + r, (j0 + l).min(last));
+        }
+    }
+    for (p, bp) in b_lanes.iter().enumerate() {
+        for (acc_r, a_r) in acc.iter_mut().zip(&a_rows) {
+            let aip = conj_if(a_r[p], conj_a);
+            for (s, &v) in acc_r.iter_mut().zip(bp) {
+                *s = aip.mul_add(v, *s);
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (j, &s) in cols.clone().zip(acc_r) {
+            c.col_mut(j)[i0 + r] = s;
         }
     }
 }
@@ -397,13 +404,12 @@ pub(crate) fn dot_form_columns<T: Scalar>(
 // One column: `op_b(B)` is a single vector, `A` is read in place, once.
 // ---------------------------------------------------------------------------
 
-/// Rows of `C` per task (and per accumulator) of the one-column path with
-/// `A` as stored.
+/// Rows of `C` per task (and per pass over eight columns of `A`) of the
+/// one-column kernel with `A` as stored.
 const ONE_COLUMN_ROWS: usize = 512;
 
-/// `gemm` with one column, in the blocked regime or with transposed `A`
-/// (`c` already beta-scaled, `alpha != 0`, `k > 0`).  Every entry gets the
-/// operations of the general path at `n = 1` (module docs, "One column").
+/// `gemm` with one column (`c` already beta-scaled, `alpha != 0`,
+/// `k > 0`): the module docs' "One column".
 fn gemm_one_column<T: Scalar>(
     alpha: T,
     a: &MatRef<'_, T>,
@@ -412,42 +418,32 @@ fn gemm_one_column<T: Scalar>(
     op_b: Op,
     c: &mut [T],
 ) {
-    let k = op_a.cols_of(a);
-    let b_col: Vec<T>;
-    let x: &[T] = if op_b == Op::None {
-        b.col(0)
-    } else {
-        b_col = (0..k).map(|p| op_b.at(b, p, 0)).collect();
-        &b_col
-    };
+    let mut x = Vec::with_capacity(op_b.rows_of(b));
+    scaled_column(alpha, b, op_b, 0, &mut x);
+    let x = &x[..];
+    let parallel = c.len() * x.len() >= GEMM_DIRECT_THRESHOLD;
+    let conj = op_a == Op::ConjTrans;
     // The closures only forward, as in `gemm_blocked`: the dispatch sits in
     // the kernels.
     match op_a {
-        Op::None => c
+        Op::None if parallel => c
             .par_chunks_mut(ONE_COLUMN_ROWS)
             .enumerate()
-            .for_each(|(t, c)| one_column_rows(alpha, a, t * ONE_COLUMN_ROWS, x, c)),
-        Op::Trans | Op::ConjTrans => {
-            let conj = op_a == Op::ConjTrans;
-            if c.len() * k >= GEMM_DIRECT_THRESHOLD {
-                c.par_chunks_mut(LANES)
-                    .enumerate()
-                    .for_each(|(t, c)| one_column_dots(alpha, a, conj, t * LANES, x, GEMM_KC, c));
-            } else {
-                one_column_dots(alpha, a, conj, 0, x, k, c);
-            }
-        }
+            .for_each(|(t, c)| one_column_rows(a, t * ONE_COLUMN_ROWS, x, c)),
+        Op::None => one_column_rows(a, 0, x, c),
+        _ if parallel => c
+            .par_chunks_mut(LANES)
+            .enumerate()
+            .for_each(|(t, c)| one_column_dots(a, conj, t * LANES, x, c)),
+        _ => one_column_dots(a, conj, 0, x, c),
     }
 }
 
 multiversion! {
-    /// `c[r] += alpha * acc_s[r]` for each [`GEMM_KC`] slab `s` of `x`, in
-    /// order, where `acc_s` starts at zero and adds `A[i0 + r, p] * x[p]`
-    /// unfused in ascending `p`: the blocked path's operations at `n = 1`.
-    /// The columns of `A` are read in place, eight per pass over a chunk of
-    /// rows.
+    /// `c[r] <- fma(A[i0 + r, p], x[p], c[r])` for `p` ascending: the
+    /// recipe with `x` the scaled `B` column.  The columns of `A` are read
+    /// in place, eight per pass over a chunk of rows.
     pub(crate) fn one_column_rows<T: Scalar>(
-        alpha: T,
         a: &MatRef<'_, T>,
         i0: usize,
         x: &[T],
@@ -456,103 +452,74 @@ multiversion! {
 }
 
 #[inline(always)]
-pub(crate) fn one_column_rows_body<T: Scalar>(
-    alpha: T,
-    a: &MatRef<'_, T>,
-    i0: usize,
-    x: &[T],
-    c: &mut [T],
-) {
-    let mut acc = [T::zero(); ONE_COLUMN_ROWS];
+pub(crate) fn one_column_rows_body<T: Scalar>(a: &MatRef<'_, T>, i0: usize, x: &[T], c: &mut [T]) {
     for (r0, c) in (i0..)
         .step_by(ONE_COLUMN_ROWS)
         .zip(c.chunks_mut(ONE_COLUMN_ROWS))
     {
         let rows = r0..r0 + c.len();
-        let acc = &mut acc[..c.len()];
-        for (p0, slab) in (0..).step_by(GEMM_KC).zip(x.chunks(GEMM_KC)) {
-            acc.fill(T::zero());
-            // Eight columns per pass: each row adds their terms in order.
-            let mut groups = slab.chunks_exact(LANES);
-            for (p, xs) in (p0..).step_by(LANES).zip(&mut groups) {
-                let cols: [&[T]; LANES] = std::array::from_fn(|l| &a.col(p + l)[rows.clone()]);
-                for (r, s) in acc.iter_mut().enumerate() {
-                    let mut t = *s;
-                    for (col, &xp) in cols.iter().zip(xs) {
-                        t += col[r] * xp;
-                    }
-                    *s = t;
+        // Eight columns per pass: each row takes their terms in order.
+        let mut groups = x.chunks_exact(LANES);
+        for (p, xs) in (0..).step_by(LANES).zip(&mut groups) {
+            let cols: [&[T]; LANES] = std::array::from_fn(|l| &a.col(p + l)[rows.clone()]);
+            for (r, ci) in c.iter_mut().enumerate() {
+                let mut t = *ci;
+                for (col, &xp) in cols.iter().zip(xs) {
+                    t = col[r].mul_add(xp, t);
                 }
+                *ci = t;
             }
-            let p1 = p0 + slab.len() - groups.remainder().len();
-            for (p, &xp) in (p1..).zip(groups.remainder()) {
-                for (s, &v) in acc.iter_mut().zip(&a.col(p)[rows.clone()]) {
-                    *s += v * xp;
-                }
-            }
-            for (ci, &s) in c.iter_mut().zip(acc.iter()) {
-                *ci += alpha * s;
-            }
+        }
+        let p1 = x.len() - groups.remainder().len();
+        for (p, &xp) in (p1..).zip(groups.remainder()) {
+            axpy_slice_body(xp, &a.col(p)[rows.clone()], c);
         }
     }
 }
 
 multiversion! {
-    /// `c[r] += alpha * acc_s[r]` for each `kc` slab `s` of `x`, in order,
-    /// where `acc_s` starts at zero and adds `op(A[p, i0 + r]) * x[p]`
-    /// unfused in ascending `p` (`op` conjugates when `conj`): with `kc`
-    /// = [`GEMM_KC`] the blocked path's operations at `n = 1`, with
-    /// `kc = k` the direct path's `dot[_conj]`.  Eight outputs run side by
-    /// side from eight stored columns, each lane its own chain; leftover
-    /// outputs run one at a time.
+    /// `c[r] <- fma(op(A[p, i0 + r]), x[p], c[r])` for `p` ascending, where
+    /// `op` conjugates when `conj`: the recipe with `x` the scaled `B`
+    /// column and `A` transposed.  Eight outputs run side by side from
+    /// eight stored columns, each lane its own chain; leftover outputs run
+    /// one at a time.
     pub(crate) fn one_column_dots<T: Scalar>(
-        alpha: T,
         a: &MatRef<'_, T>,
         conj: bool,
         i0: usize,
         x: &[T],
-        kc: usize,
         c: &mut [T],
     ) = one_column_dots_body;
 }
 
 #[inline(always)]
 pub(crate) fn one_column_dots_body<T: Scalar>(
-    alpha: T,
     a: &MatRef<'_, T>,
     conj: bool,
     i0: usize,
     x: &[T],
-    kc: usize,
     c: &mut [T],
 ) {
-    let op = |v: T| if conj { v.conj() } else { v };
+    let k = x.len();
     let i1 = i0 + c.len() - c.len() % LANES;
     let mut groups = c.chunks_exact_mut(LANES);
     for (i, c) in (i0..).step_by(LANES).zip(&mut groups) {
-        let cols: [&[T]; LANES] = std::array::from_fn(|l| a.col(i + l));
-        for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
-            let segs = cols.map(|col| &col[p0..p0 + slab.len()]);
-            let mut acc = [T::zero(); LANES];
-            for (p, &xp) in slab.iter().enumerate() {
-                for (s, seg) in acc.iter_mut().zip(&segs) {
-                    *s += op(seg[p]) * xp;
-                }
-            }
-            for (ci, s) in c.iter_mut().zip(acc) {
-                *ci += alpha * s;
+        let cols: [&[T]; LANES] = std::array::from_fn(|l| &a.col(i + l)[..k]);
+        let mut acc = [T::zero(); LANES];
+        acc.copy_from_slice(c);
+        for (p, &xp) in x.iter().enumerate() {
+            for (s, col) in acc.iter_mut().zip(&cols) {
+                *s = conj_if(col[p], conj).mul_add(xp, *s);
             }
         }
+        c.copy_from_slice(&acc);
     }
     for (i, ci) in (i1..).zip(groups.into_remainder()) {
-        let col = a.col(i);
-        for (p0, slab) in (0..).step_by(kc).zip(x.chunks(kc)) {
-            let mut s = T::zero();
-            for (&v, &xp) in col[p0..].iter().zip(slab) {
-                s += op(v) * xp;
-            }
-            *ci += alpha * s;
+        let mut s = *ci;
+        for (&v, &xp) in a.col(i).iter().zip(x) {
+            s = conj_if(v, conj).mul_add(xp, s);
         }
+        *ci = s;
     }
 }
 
@@ -565,19 +532,17 @@ fn round_up(x: usize, to: usize) -> usize {
     x.div_ceil(to) * to
 }
 
-/// One tile of the fixed grid over `C`: its first row `i0` and column `j0`,
-/// and its column segments `C[i0..i0 + ib, j]`, one per tile column `j`.
+/// One tile of the grid over `C`: its first row `i0` and column `j0`, and
+/// its column segments `C[i0..i0 + ib, j]`, one per tile column `j`.
 pub(crate) struct CTile<'c, T> {
     i0: usize,
     j0: usize,
     cols: Vec<&'c mut [T]>,
 }
 
-/// Split `C` into the grid of `GEMM_MC x GEMM_NC` tiles.  Tile boundaries
-/// depend only on `(m, n)`, never on the thread count, so the
-/// floating-point accumulation order per entry of `C` is invariant under
-/// the pool size.  The tiles partition `C`, so their column segments are
-/// disjoint and each tile can go to its own task.
+/// Split `C` into the grid of `GEMM_MC x GEMM_NC` tiles.  The tiles
+/// partition `C`, so their column segments are disjoint and each tile can
+/// go to its own task.
 pub(crate) fn c_tiles<'c, T: Scalar>(c: &'c mut MatMut<'_, T>) -> Vec<CTile<'c, T>> {
     let (m, n) = (c.rows(), c.cols());
     let row_tiles = m.div_ceil(GEMM_MC);
@@ -658,57 +623,57 @@ pub(crate) fn gemm_tile_body<T: Scalar, const MR: usize, const NR: usize>(
     while p0 < k {
         let pb = GEMM_KC.min(k - p0);
         pack_a::<T, MR>(a, op_a, i0, ib, p0, pb, &mut a_buf);
-        pack_b::<T, NR>(b, op_b, p0, pb, j0, jb, &mut b_buf);
-
-        let mut jr = 0;
-        while jr < jb {
-            let bp = &b_buf[(jr / NR) * pb * NR..][..pb * NR];
-            let mut ir = 0;
-            while ir < ib {
+        pack_b::<T, NR>(alpha, b, op_b, p0, pb, j0, jb, &mut b_buf);
+        for (jr, cols) in (0..).step_by(NR).zip(tile.cols.chunks_mut(NR)) {
+            let bp = &b_buf[jr * pb..][..pb * NR];
+            for ir in (0..ib).step_by(MR) {
+                let ap = &a_buf[ir * pb..][..pb * MR];
+                // Load the valid region of the C tile, run the slab, store
+                // it back; padded rows and columns are dropped.
                 let mrv = MR.min(ib - ir);
-                let ap = &a_buf[(ir / MR) * pb * MR..][..pb * MR];
-                let acc = microkernel::<T, MR, NR>(pb, ap, bp);
-                // C[i0+ir.., j0+jr..] += alpha * acc (valid region only).
-                for (col, acc_col) in tile.cols[jr..].iter_mut().zip(&acc) {
-                    for (ci, &v) in col[ir..ir + mrv].iter_mut().zip(acc_col) {
-                        *ci += alpha * v;
+                let mut acc = [[T::zero(); MR]; NR];
+                for (acc_col, col) in acc.iter_mut().zip(cols.iter()) {
+                    if mrv == MR {
+                        *acc_col = col[ir..ir + MR].try_into().unwrap();
+                    } else {
+                        acc_col[..mrv].copy_from_slice(&col[ir..ir + mrv]);
                     }
                 }
-                ir += MR;
+                let acc = microkernel::<T, MR, NR>(pb, ap, bp, acc);
+                for (acc_col, col) in acc.iter().zip(cols.iter_mut()) {
+                    col[ir..ir + mrv].copy_from_slice(&acc_col[..mrv]);
+                }
             }
-            jr += NR;
         }
         p0 += pb;
     }
 }
 
-/// The register microkernel: accumulate
-/// `acc[j][i] = sum_p ap[p*MR + i] * bp[p*NR + j]` over one packed k slab.
+/// The register microkernel: `acc[j][i] <- fma(ap[p*MR + i], bp[p*NR + j],
+/// acc[j][i])` for each `p` of one packed k slab, in ascending order.
 ///
 /// The fixed-size accumulator array lives in registers; the `MR`-wide inner
-/// loop reads packed A contiguously and autovectorizes for real scalars.
+/// loop reads packed A contiguously and vectorizes for real scalars.
 #[inline(always)]
 fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
     pb: usize,
     ap: &[T],
     bp: &[T],
+    mut acc: [[T; MR]; NR],
 ) -> [[T; MR]; NR] {
-    let mut acc = [[T::zero(); MR]; NR];
-    for p in 0..pb {
-        let av: &[T; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
-        let bv: &[T; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
+    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(pb) {
         for (acc_col, &bj) in acc.iter_mut().zip(bv.iter()) {
             for (acc_ij, &ai) in acc_col.iter_mut().zip(av.iter()) {
-                *acc_ij += ai * bj;
+                *acc_ij = ai.mul_add(bj, *acc_ij);
             }
         }
     }
     acc
 }
 
-/// Pack `op(A)[i0..i0+ib, p0..p0+pb]` into micro-panels of [`GEMM_MR`] rows:
-/// panel `ir/MR` stores, for each `p`, `MR` consecutive rows (zero-padded at
-/// the ragged edge).  Conjugation is applied here so the microkernel never
+/// Pack `op(A)[i0..i0+ib, p0..p0+pb]` into micro-panels of `MR` rows: panel
+/// `ir/MR` stores, for each `p`, `MR` consecutive rows (zero-padded at the
+/// ragged edge).  Conjugation is applied here so the microkernel never
 /// branches on the op.
 fn pack_a<T: Scalar, const MR: usize>(
     a: &MatRef<'_, T>,
@@ -739,7 +704,7 @@ fn pack_a<T: Scalar, const MR: usize>(
                 for i in 0..mrv {
                     let src = &a.col(i0 + ir + i)[p0..p0 + pb];
                     for (p, &v) in src.iter().enumerate() {
-                        buf[off + p * MR + i] = if conj { v.conj() } else { v };
+                        buf[off + p * MR + i] = conj_if(v, conj);
                     }
                 }
                 for i in mrv..MR {
@@ -754,10 +719,12 @@ fn pack_a<T: Scalar, const MR: usize>(
     }
 }
 
-/// Pack `op(B)[p0..p0+pb, j0..j0+jb]` into micro-panels of [`GEMM_NR`]
+/// Pack `alpha * op(B)[p0..p0+pb, j0..j0+jb]` into micro-panels of `NR`
 /// columns: panel `jr/NR` stores, for each `p`, `NR` consecutive columns
 /// (zero-padded at the ragged edge), conjugated as requested.
+#[allow(clippy::too_many_arguments)]
 fn pack_b<T: Scalar, const NR: usize>(
+    alpha: T,
     b: &MatRef<'_, T>,
     op: Op,
     p0: usize,
@@ -775,7 +742,7 @@ fn pack_b<T: Scalar, const NR: usize>(
                 for j in 0..nrv {
                     let src = &b.col(j0 + jr + j)[p0..p0 + pb];
                     for (p, &v) in src.iter().enumerate() {
-                        buf[off + p * NR + j] = v;
+                        buf[off + p * NR + j] = alpha * v;
                     }
                 }
                 for j in nrv..NR {
@@ -792,7 +759,7 @@ fn pack_b<T: Scalar, const NR: usize>(
                     let src = &b.col(p0 + p)[j0 + jr..j0 + jr + nrv];
                     let dst = &mut buf[off + p * NR..off + p * NR + NR];
                     for (d, &v) in dst[..nrv].iter_mut().zip(src) {
-                        *d = if conj { v.conj() } else { v };
+                        *d = alpha * conj_if(v, conj);
                     }
                     dst[nrv..].fill(T::zero());
                 }
@@ -807,10 +774,12 @@ fn pack_b<T: Scalar, const NR: usize>(
 // Reference kernel (retained) and level-1/2 helpers.
 // ---------------------------------------------------------------------------
 
-/// The retained naive reference kernel: the axpy-per-column loop that used
-/// to be `gemm`.  Sequential, packs all of `op_a(A)` per call, no register
-/// or cache blocking.  It is the oracle for the blocked-vs-reference
-/// property tests and the baseline of the `kernels` bench bin.
+/// The recipe of the module docs written out: `C <- beta * C`, then one
+/// fused `axpy` per term, `C[:, j] += op_a(A)[:, p] * (alpha *
+/// op_b(B)[p, j])` for `p` ascending.  Sequential, packs all of `op_a(A)`
+/// per call, no register or cache blocking.  It is the oracle every path of
+/// [`gemm`] and [`gemv`] must match bitwise, and the baseline of the
+/// `kernels` bench bin.
 pub fn gemm_reference<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -831,14 +800,8 @@ pub fn gemm_reference<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-    if beta == T::zero() {
-        c.fill(T::zero());
-    } else if beta != T::one() {
-        for j in 0..n {
-            for x in c.col_mut(j) {
-                *x *= beta;
-            }
-        }
+    for j in 0..n {
+        scale_by_beta(beta, c.col_mut(j));
     }
     if k == 0 || alpha == T::zero() {
         return;
@@ -855,9 +818,6 @@ pub fn gemm_reference<T: Scalar>(
         let c_col = c.col_mut(j);
         for p in 0..k {
             let scale = alpha * op_b.at(&b, p, j);
-            if scale == T::zero() {
-                continue;
-            }
             axpy_slice(scale, &a_packed[p * m..(p + 1) * m], c_col);
         }
     }
@@ -877,7 +837,9 @@ pub(crate) fn axpy_slice_body<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// Dot product `sum_i conj(x_i) * y_i` (the complex inner product).
+/// Dot product `sum_i conj(x_i) * y_i` (the complex inner product),
+/// accumulated unfused from zero.  For the Krylov methods and norms: no
+/// product path of [`gemm`] or [`gemv`] calls it.
 #[inline]
 pub fn dot_conj<T: Scalar>(x: &[T], y: &[T]) -> T {
     debug_assert_eq!(x.len(), y.len());
@@ -888,7 +850,8 @@ pub fn dot_conj<T: Scalar>(x: &[T], y: &[T]) -> T {
     acc
 }
 
-/// Dot product without conjugation `sum_i x_i * y_i`.
+/// Dot product without conjugation `sum_i x_i * y_i`, accumulated unfused
+/// from zero, like [`dot_conj`].
 #[inline]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     debug_assert_eq!(x.len(), y.len());
@@ -900,7 +863,8 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 }
 
 multiversion! {
-    /// General matrix-vector multiply `y <- alpha * op(A) * x + beta * y`.
+    /// General matrix-vector multiply `y <- alpha * op(A) * x + beta * y`:
+    /// [`gemm`] with one column, bitwise, on the calling thread.
     pub fn gemv<T: Scalar>(
         alpha: T,
         a: MatRef<'_, T>,
@@ -925,37 +889,17 @@ pub(crate) fn gemv_body<T: Scalar>(
     assert_eq!(x.len(), k, "gemv: x has wrong length");
     assert_eq!(y.len(), m, "gemv: y has wrong length");
 
-    if beta == T::zero() {
-        y.fill(T::zero());
-    } else if beta != T::one() {
-        for v in y.iter_mut() {
-            *v *= beta;
-        }
-    }
+    scale_by_beta(beta, y);
     if alpha == T::zero() || k == 0 {
         return;
     }
-
+    let mut ax = Vec::with_capacity(k);
+    for &v in x {
+        ax.push(alpha * v);
+    }
     match op {
-        Op::None => {
-            for (p, &xp) in x.iter().enumerate() {
-                let scale = alpha * xp;
-                if scale == T::zero() {
-                    continue;
-                }
-                axpy_slice_body(scale, a.col(p), y);
-            }
-        }
-        Op::Trans => {
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi += alpha * dot(a.col(i), x);
-            }
-        }
-        Op::ConjTrans => {
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi += alpha * dot_conj(a.col(i), x);
-            }
-        }
+        Op::None => one_column_rows_body(&a, 0, &ax, y),
+        Op::Trans | Op::ConjTrans => one_column_dots_body(&a, op == Op::ConjTrans, 0, &ax, y),
     }
 }
 
@@ -1308,5 +1252,267 @@ mod tests {
             c.as_mut(),
         );
         assert_eq!(c[(0, 0)], 5.0);
+    }
+
+    /// Operands for the recipe tests: `op_a(A)` is `m x k` and `op_b(B)`
+    /// is `k x n`, each stored inside a larger matrix so that `ld > rows`;
+    /// `C` is `m x n` inside a larger buffer too.
+    struct Operands<T> {
+        a: DenseMatrix<T>,
+        b: DenseMatrix<T>,
+        c: DenseMatrix<T>,
+        a_shape: (usize, usize),
+        b_shape: (usize, usize),
+    }
+
+    impl<T: Scalar> Operands<T> {
+        fn new(
+            rng: &mut rand::rngs::StdRng,
+            (m, n, k): (usize, usize, usize),
+            op_a: Op,
+            op_b: Op,
+        ) -> Self {
+            use crate::random::random_matrix;
+            let stored = |op: Op, rows: usize, cols: usize| {
+                if op == Op::None {
+                    (rows, cols)
+                } else {
+                    (cols, rows)
+                }
+            };
+            let a_shape = stored(op_a, m, k);
+            let b_shape = stored(op_b, k, n);
+            Operands {
+                a: random_matrix(rng, a_shape.0 + 3, a_shape.1 + 1),
+                b: random_matrix(rng, b_shape.0 + 2, b_shape.1),
+                c: random_matrix(rng, m + 2, n + 1),
+                a_shape,
+                b_shape,
+            }
+        }
+
+        fn a(&self) -> MatRef<'_, T> {
+            self.a.block(2, 1, self.a_shape.0, self.a_shape.1)
+        }
+
+        fn b(&self) -> MatRef<'_, T> {
+            self.b.block(1, 0, self.b_shape.0, self.b_shape.1)
+        }
+
+        /// Run `product` on the `C` view of a copy of the `C` buffer.
+        fn run(&self, product: impl FnOnce(MatMut<'_, T>)) -> DenseMatrix<T> {
+            let mut c = self.c.clone();
+            let (m, n) = (self.c.rows() - 2, self.c.cols() - 1);
+            product(c.block_mut(1, 0, m, n));
+            c
+        }
+    }
+
+    fn thread_pools() -> Vec<rayon::ThreadPool> {
+        [1, 2, 8]
+            .map(|t| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(t)
+                    .build()
+                    .unwrap()
+            })
+            .into()
+    }
+
+    /// Every `op_a x op_b`, on both sides of `GEMM_KC` and of
+    /// `GEMM_DIRECT_THRESHOLD`: at 87 x 2048 (the level-1 `V^H x` of an
+    /// n = 4096 GP operator) `m * k` is under the threshold and `m * n * k`
+    /// over it from two columns on; the 33-row shapes cross it between 30
+    /// and 32 columns.  Every column count up to 40 (every lane-group
+    /// remainder, padded or not) and 138, at 1, 2 and 8 threads, against
+    /// `gemm_reference`, with the whole `C` buffer compared so a write
+    /// outside the view shows too.
+    fn check_recipe<T: Scalar>(seed: u64) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let pools = thread_pools();
+        let widths: Vec<usize> = (1..=40).chain([138]).collect();
+        let cases: [(usize, usize, &[usize]); 6] = [
+            (87, 2048, &[1, 2, 3, 8, 13, 14, 16]),
+            (33, 255, &widths),
+            (33, 256, &widths),
+            (33, 257, &widths),
+            (20, 515, &[1, 2, 7, 11, 26, 27, 40]),
+            (101, 3, &[1, 2, 9, 40, 138]),
+        ];
+        let (alpha, beta) = (T::from_f64(-0.75), T::from_f64(1.5));
+        for (m, k, ns) in cases {
+            for &n in ns {
+                for op_a in [Op::None, Op::Trans, Op::ConjTrans] {
+                    for op_b in [Op::None, Op::Trans, Op::ConjTrans] {
+                        let ops = Operands::<T>::new(&mut rng, (m, n, k), op_a, op_b);
+                        let (a, b) = (ops.a(), ops.b());
+                        let want = ops.run(|c| gemm_reference(alpha, a, op_a, b, op_b, beta, c));
+                        for pool in &pools {
+                            let got = pool
+                                .install(|| ops.run(|c| gemm(alpha, a, op_a, b, op_b, beta, c)));
+                            assert_eq!(
+                                bits(got.data()),
+                                bits(want.data()),
+                                "{m}x{n}x{k} {op_a:?}/{op_b:?} at {} threads",
+                                pool.current_num_threads()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_gemm_path_runs_the_reference_recipe_bitwise() {
+        check_recipe::<f64>(51);
+        check_recipe::<f32>(52);
+        check_recipe::<Complex64>(53);
+    }
+
+    /// `C` computed whole is bitwise `C` computed one block of columns at a
+    /// time, for splits that move columns between the one-column kernels,
+    /// the direct path's lanes and the blocked path.
+    fn check_column_splits<T: Scalar>(seed: u64) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let splits: [&[usize]; 5] = [&[1; 14], &[2, 12], &[13, 1], &[3, 8, 3], &[5, 6, 1, 2]];
+        for (m, k) in [(87, 2048), (2048, 87), (64, 257)] {
+            for op_a in [Op::None, Op::ConjTrans] {
+                for op_b in [Op::None, Op::Trans] {
+                    let ops = Operands::<T>::new(&mut rng, (m, 14, k), op_a, op_b);
+                    let (a, b) = (ops.a(), ops.b());
+                    let alpha = T::from_f64(-1.0);
+                    let whole = ops.run(|c| gemm(alpha, a, op_a, b, op_b, T::one(), c));
+                    for split in splits {
+                        let pieces = ops.run(|mut c| {
+                            let mut j0 = 0;
+                            for &w in split {
+                                let b_piece = if op_b == Op::None {
+                                    b.block(0, j0, k, w)
+                                } else {
+                                    b.block(j0, 0, w, k)
+                                };
+                                let c_piece = c.block_mut(0, j0, m, w);
+                                gemm(alpha, a, op_a, b_piece, op_b, T::one(), c_piece);
+                                j0 += w;
+                            }
+                        });
+                        assert_eq!(
+                            bits(pieces.data()),
+                            bits(whole.data()),
+                            "{m}x14x{k} {op_a:?}/{op_b:?} split {split:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn c_computed_whole_equals_c_computed_by_column_blocks_bitwise() {
+        check_column_splits::<f64>(61);
+        check_column_splits::<Complex64>(62);
+    }
+
+    /// `gemv` is `gemm` with one column: bitwise `gemm_reference`, every
+    /// `op`, both sides of the threshold, with `beta` zero, one and other.
+    fn check_gemv<T: Scalar>(seed: u64) {
+        use crate::random::{random_matrix, random_vector};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for (rows, cols) in [(1, 1), (13, 7), (9, 300), (300, 9), (87, 2048), (2048, 87)] {
+            let a: DenseMatrix<T> = random_matrix(&mut rng, rows + 2, cols);
+            let a = a.block(1, 0, rows, cols);
+            for op in [Op::None, Op::Trans, Op::ConjTrans] {
+                let (m, k) = (op.rows_of(&a), op.cols_of(&a));
+                let x: Vec<T> = random_vector(&mut rng, k);
+                let y: Vec<T> = random_vector(&mut rng, m);
+                for beta in [0.0, 1.0, -0.5] {
+                    let (alpha, beta) = (T::from_f64(0.625), T::from_f64(beta));
+                    let mut got = y.clone();
+                    gemv(alpha, a, op, &x, beta, &mut got);
+                    let mut want = y.clone();
+                    gemm_reference(
+                        alpha,
+                        a,
+                        op,
+                        MatRef::from_parts(&x, k, 1, k.max(1)),
+                        Op::None,
+                        beta,
+                        MatMut::from_parts(&mut want, m, 1, m.max(1)),
+                    );
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "gemv {rows}x{cols} {op:?} {beta:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_runs_the_reference_recipe_bitwise() {
+        check_gemv::<f64>(71);
+        check_gemv::<f32>(72);
+        check_gemv::<Complex64>(73);
+    }
+
+    /// No path skips a zero term: a zero in `B` against an infinity in `A`
+    /// makes a NaN, on the one-column kernels, the direct path (both
+    /// forms) and the blocked path, as in `gemm_reference`.  One infinity
+    /// sits in a full group of eight terms, one in the last, short group.
+    #[test]
+    fn zero_times_infinity_is_nan_on_every_path() {
+        for (m, n, k) in [(9, 1, 20), (2048, 1, 203), (9, 12, 20), (200, 12, 301)] {
+            for op_a in [Op::None, Op::Trans] {
+                let (ar, ac) = if op_a == Op::None { (m, k) } else { (k, m) };
+                let mut a = rand_mat(ar, ac, 81);
+                let b = DenseMatrix::<f64>::zeros(k, n);
+                let infinities = [(m / 2, k / 3), (m / 3, k - 1)];
+                for (i, p) in infinities {
+                    if op_a == Op::None {
+                        a[(i, p)] = f64::INFINITY;
+                    } else {
+                        a[(p, i)] = f64::INFINITY;
+                    }
+                }
+                let mut want = DenseMatrix::<f64>::zeros(m, n);
+                gemm_reference(
+                    1.0,
+                    a.as_ref(),
+                    op_a,
+                    b.as_ref(),
+                    Op::None,
+                    0.0,
+                    want.as_mut(),
+                );
+                let mut got = DenseMatrix::<f64>::zeros(m, n);
+                gemm(
+                    1.0,
+                    a.as_ref(),
+                    op_a,
+                    b.as_ref(),
+                    Op::None,
+                    0.0,
+                    got.as_mut(),
+                );
+                for j in 0..n {
+                    for (i, _) in infinities {
+                        assert!(
+                            want[(i, j)].is_nan() && got[(i, j)].is_nan(),
+                            "{m}x{n}x{k} {op_a:?}: entry ({i}, {j})"
+                        );
+                    }
+                }
+                assert_eq!(
+                    got.data().iter().filter(|v| v.is_nan()).count(),
+                    2 * n,
+                    "{m}x{n}x{k} {op_a:?}"
+                );
+            }
+        }
     }
 }

@@ -19,7 +19,8 @@ use crate::error::HodlrError;
 use crate::isa::multiversion;
 use crate::scalar::{RealScalar, Scalar};
 use crate::triangular::{
-    lane_columns, pack_lanes, solve_triangular_in_place, unpack_lanes, Diag, Triangle, LANES,
+    lane_columns, solve_in_lanes, solve_triangular_in_place, subtract_lanes, Diag, LaneSolve,
+    Triangle,
 };
 
 /// Error from a symmetric factorization.
@@ -194,7 +195,8 @@ pub(crate) fn potf2_unblocked_body<T: Scalar>(mut a: MatMut<'_, T>) -> Result<()
 /// Solve `L^H X = B` in place by backward substitution, where `L` is the
 /// lower-triangular factor (the transpose solve [`crate::triangular`] does
 /// not provide).  Groups of eight columns, the last one padded, are solved
-/// side by side, bitwise as one at a time (see [`crate::triangular`]).
+/// side by side, four groups per pass while they last, bitwise as one at a
+/// time (see [`crate::triangular`]).
 pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
     l: MatRef<'_, T>,
     diag: Diag,
@@ -207,18 +209,19 @@ pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
         return;
     }
 
-    let laned = lane_columns::<T>(b.cols());
+    let cols = b.cols();
+    let laned = lane_columns::<T>(cols);
     if laned > 0 {
         solve_conj_transpose_lower_lanes(l, diag, b.block_mut(0, 0, n, laned));
     }
-    for c in laned..b.cols() {
-        solve_conj_transpose_lower_col(l, diag, b.col_mut(c));
+    if laned < cols {
+        solve_conj_transpose_lower_columns(l, diag, b.block_mut(0, laned, n, cols - laned));
     }
 }
 
 multiversion! {
     /// The lane kernel of [`solve_conj_transpose_lower_in_place`]: solves
-    /// every column of `b` in groups of eight, the last one padded.
+    /// every column of `b` in lane groups, the last one padded.
     pub(crate) fn solve_conj_transpose_lower_lanes<T: Scalar>(
         l: MatRef<'_, T>,
         diag: Diag,
@@ -232,25 +235,26 @@ pub(crate) fn solve_conj_transpose_lower_lanes_body<T: Scalar>(
     diag: Diag,
     mut b: MatMut<'_, T>,
 ) {
-    let n = l.rows();
-    let mut x = vec![[T::zero(); LANES]; n];
-    for j0 in (0..b.cols()).step_by(LANES) {
-        pack_lanes(&b, j0, &mut x);
-        // Each lane runs `solve_conj_transpose_lower_col`'s steps.
-        for k in (0..n).rev() {
-            let lk = l.col(k);
-            let mut s = [T::zero(); LANES];
-            for (&lik, xi) in lk[k + 1..].iter().zip(&x[k + 1..]) {
-                let c = lik.conj();
-                for (sl, &xil) in s.iter_mut().zip(xi) {
-                    *sl += c * xil;
-                }
-            }
+    solve_in_lanes(&ConjTransposeLower { l, diag }, &mut b);
+}
+
+/// The `L^H` solve as a lane kernel.
+struct ConjTransposeLower<'a, T> {
+    l: MatRef<'a, T>,
+    diag: Diag,
+}
+
+impl<T: Scalar> LaneSolve<T> for ConjTransposeLower<'_, T> {
+    /// Each lane runs [`solve_conj_transpose_lower_col`]'s steps.
+    #[inline(always)]
+    fn solve_lanes<const W: usize>(&self, x: &mut [[T; W]]) {
+        for k in (0..x.len()).rev() {
+            let lk = self.l.col(k);
             let mut v = x[k];
-            for (vl, sl) in v.iter_mut().zip(s) {
-                *vl -= sl;
+            for (&lik, xi) in lk[k + 1..].iter().zip(&x[k + 1..]).rev() {
+                subtract_lanes(&mut v, lik.conj(), xi);
             }
-            if matches!(diag, Diag::NonUnit) {
+            if matches!(self.diag, Diag::NonUnit) {
                 let r = lk[k].conj().recip();
                 for vl in &mut v {
                     *vl *= r;
@@ -258,20 +262,47 @@ pub(crate) fn solve_conj_transpose_lower_lanes_body<T: Scalar>(
             }
             x[k] = v;
         }
-        unpack_lanes(&x, &mut b, j0);
     }
 }
 
-/// One column of [`solve_conj_transpose_lower_in_place`].
+multiversion! {
+    /// The per-column loop of [`solve_conj_transpose_lower_in_place`]:
+    /// solves every column of `b` on its own.
+    pub(crate) fn solve_conj_transpose_lower_columns<T: Scalar>(
+        l: MatRef<'_, T>,
+        diag: Diag,
+        b: MatMut<'_, T>,
+    ) = solve_conj_transpose_lower_columns_body;
+}
+
+#[inline(always)]
+pub(crate) fn solve_conj_transpose_lower_columns_body<T: Scalar>(
+    l: MatRef<'_, T>,
+    diag: Diag,
+    mut b: MatMut<'_, T>,
+) {
+    for c in 0..b.cols() {
+        solve_conj_transpose_lower_col(l, diag, b.col_mut(c));
+    }
+}
+
+/// One column of [`solve_conj_transpose_lower_in_place`], pushed row by
+/// row from the last: once `x[i]` is final, `x[k] <- fma(-conj(L[i, k]),
+/// x[i], x[k])` for every `k < i`, so each `x[k]` takes its subtractions
+/// in descending `i`, as its lane does, and then the scaling by the
+/// reciprocal of `conj(L[k, k])` unless the diagonal is unit.  No entry
+/// waits on a chain of its own terms.
+#[inline(always)]
 pub(crate) fn solve_conj_transpose_lower_col<T: Scalar>(l: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
-    for k in (0..x.len()).rev() {
-        let lk = l.col(k);
-        let s = crate::blas::dot_conj(&lk[k + 1..], &x[k + 1..]);
-        let mut v = x[k] - s;
+    for i in (0..x.len()).rev() {
+        let mut xi = x[i];
         if matches!(diag, Diag::NonUnit) {
-            v *= lk[k].conj().recip();
+            xi *= l.get(i, i).conj().recip();
         }
-        x[k] = v;
+        x[i] = xi;
+        for (k, xk) in x[..i].iter_mut().enumerate() {
+            *xk = (-l.get(i, k).conj()).mul_add(xi, *xk);
+        }
     }
 }
 
@@ -401,7 +432,7 @@ pub(crate) fn bunch_kaufman_in_place_body<T: Scalar>(
     let alpha = (T::Real::one() + T::Real::from_f64_real(17.0).sqrt_real())
         * (T::Real::one() / T::Real::from_f64_real(8.0));
     let mut piv = Vec::with_capacity(n);
-    let mut col: Vec<T> = Vec::with_capacity(n);
+    let (mut col, mut col1): (Vec<T>, Vec<T>) = (Vec::with_capacity(n), Vec::with_capacity(n));
 
     let mut k = 0;
     while k < n {
@@ -507,15 +538,27 @@ pub(crate) fn bunch_kaufman_in_place_body<T: Scalar>(
                 let tt = T::Real::one() / (d11 * d22 - T::Real::one());
                 let d21 = e.scale(T::Real::one() / d_abs);
                 let dd = tt * (T::Real::one() / d_abs);
+                // The eliminated columns, so the trailing updates run on
+                // contiguous slices while column `j` is written.
+                col.clear();
+                col.extend_from_slice(&a.col_mut(k)[k + 2..]);
+                col1.clear();
+                col1.extend_from_slice(&a.col_mut(k + 1)[k + 2..]);
                 for j in (k + 2)..n {
-                    let ajk = a.get(j, k);
-                    let ajk1 = a.get(j, k + 1);
+                    let ajk = col[j - k - 2];
+                    let ajk1 = col1[j - k - 2];
                     let wk = (ajk.scale(d11) - d21 * ajk1).scale(dd);
                     let wkp1 = (ajk1.scale(d22) - d21.conj() * ajk).scale(dd);
-                    for i in j..n {
-                        let v =
-                            a.get(i, j) - a.get(i, k) * wk.conj() - a.get(i, k + 1) * wkp1.conj();
-                        a.set(i, j, v);
+                    // A[i, j] -= A[i, k] conj(wk) + A[i, k + 1] conj(wkp1),
+                    // two fused multiply-adds per entry.
+                    let (nwk, nwkp1) = (-wk.conj(), -wkp1.conj());
+                    let col_j = &mut a.col_mut(j)[j..];
+                    for ((v, &aik), &aik1) in col_j
+                        .iter_mut()
+                        .zip(&col[j - k - 2..])
+                        .zip(&col1[j - k - 2..])
+                    {
+                        *v = aik1.mul_add(nwkp1, aik.mul_add(nwk, *v));
                     }
                     a.set(j, k, wk);
                     a.set(j, k + 1, wkp1);
@@ -555,13 +598,10 @@ pub(crate) fn bunch_kaufman_solve_in_place_body<T: Scalar>(
     assert_eq!(n, b.rows(), "bunch-kaufman solve: rhs has wrong row count");
     let laned = lane_columns::<T>(b.cols());
     if laned > 0 {
-        let mut lanes = b.block_mut(0, 0, n, laned);
-        let mut x = vec![[T::zero(); LANES]; n];
-        for j0 in (0..laned).step_by(LANES) {
-            pack_lanes(&lanes, j0, &mut x);
-            bunch_kaufman_solve_lanes(f, piv, &mut x);
-            unpack_lanes(&x, &mut lanes, j0);
-        }
+        solve_in_lanes(
+            &BunchKaufmanSolve { f, piv },
+            &mut b.block_mut(0, 0, n, laned),
+        );
     }
     let rest = b.cols() - laned;
     bunch_kaufman_solve_columns(f, piv, b.block_mut(0, laned, n, rest));
@@ -627,8 +667,11 @@ fn bunch_kaufman_solve_columns<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], mut
                 k -= 1;
                 for c in 0..b.cols() {
                     let x = b.col_mut(c);
-                    let s = crate::blas::dot_conj(&f.col(k)[k + 1..], &x[k + 1..]);
-                    x[k] -= s;
+                    let mut v = x[k];
+                    for (&a, &xi) in f.col(k)[k + 1..].iter().zip(&x[k + 1..]) {
+                        v = (-a.conj()).mul_add(xi, v);
+                    }
+                    x[k] = v;
                 }
                 if kp != k {
                     swap_b_rows(&mut b, k, kp);
@@ -636,12 +679,16 @@ fn bunch_kaufman_solve_columns<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], mut
             }
             BkPivot::Double(kp) => {
                 k -= 2;
+                let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
                 for c in 0..b.cols() {
                     let x = b.col_mut(c);
-                    let s0 = crate::blas::dot_conj(&f.col(k)[k + 2..], &x[k + 2..]);
-                    let s1 = crate::blas::dot_conj(&f.col(k + 1)[k + 2..], &x[k + 2..]);
-                    x[k] -= s0;
-                    x[k + 1] -= s1;
+                    let (mut v0, mut v1) = (x[k], x[k + 1]);
+                    for ((&a, &a1), &xi) in fk.iter().zip(fk1).zip(&x[k + 2..]) {
+                        v0 = (-a.conj()).mul_add(xi, v0);
+                        v1 = (-a1.conj()).mul_add(xi, v1);
+                    }
+                    x[k] = v0;
+                    x[k + 1] = v1;
                 }
                 if kp != k + 1 {
                     swap_b_rows(&mut b, k + 1, kp);
@@ -651,81 +698,79 @@ fn bunch_kaufman_solve_columns<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], mut
     }
 }
 
-/// One lane group of the Bunch-Kaufman solve: lane `l` of `x` runs
+/// The Bunch-Kaufman solve as a lane kernel: lane `l` of `x` runs
 /// [`bunch_kaufman_solve_columns`]'s operations on its column, row swaps
-/// included, with each fused update skipped where that column skips it.
+/// included, with each forward update skipped where that column skips it.
 /// The padding lanes of a last group repeat its last column, so they add
 /// no zero the real lanes do not have.
-#[inline(always)]
-fn bunch_kaufman_solve_lanes<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], x: &mut [[T; LANES]]) {
-    let n = x.len();
+struct BunchKaufmanSolve<'a, T> {
+    f: MatRef<'a, T>,
+    piv: &'a [BkPivot],
+}
 
-    let mut k = 0;
-    for p in piv {
-        match *p {
-            BkPivot::Single(kp) => {
-                x.swap(k, kp);
-                let d = T::Real::one() / f.get(k, k).real();
-                let xk = x[k];
-                update_lanes(&f.col(k)[k + 1..], xk, &mut x[k + 1..]);
-                x[k] = xk.map(|v| v.scale(d));
-                k += 1;
-            }
-            BkPivot::Double(kp) => {
-                x.swap(k + 1, kp);
-                let akm1k = f.get(k + 1, k);
-                let akm1 = f.get(k, k) * akm1k.conj().recip();
-                let ak = f.get(k + 1, k + 1) * akm1k.recip();
-                let denom = (akm1 * ak - T::one()).recip();
-                let (xk, xk1) = (x[k], x[k + 1]);
-                let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
-                update_lanes(fk, xk, &mut x[k + 2..]);
-                update_lanes(fk1, xk1, &mut x[k + 2..]);
-                let (rkm1, rk) = (akm1k.conj().recip(), akm1k.recip());
-                for l in 0..LANES {
-                    let bkm1 = xk[l] * rkm1;
-                    let bk = xk1[l] * rk;
-                    x[k][l] = (ak * bkm1 - bk) * denom;
-                    x[k + 1][l] = (akm1 * bk - bkm1) * denom;
+impl<T: Scalar> LaneSolve<T> for BunchKaufmanSolve<'_, T> {
+    #[inline(always)]
+    fn solve_lanes<const W: usize>(&self, x: &mut [[T; W]]) {
+        let (f, n) = (self.f, x.len());
+
+        let mut k = 0;
+        for p in self.piv {
+            match *p {
+                BkPivot::Single(kp) => {
+                    x.swap(k, kp);
+                    let d = T::Real::one() / f.get(k, k).real();
+                    let xk = x[k];
+                    update_lanes(&f.col(k)[k + 1..], xk, &mut x[k + 1..]);
+                    x[k] = xk.map(|v| v.scale(d));
+                    k += 1;
                 }
-                k += 2;
+                BkPivot::Double(kp) => {
+                    x.swap(k + 1, kp);
+                    let akm1k = f.get(k + 1, k);
+                    let akm1 = f.get(k, k) * akm1k.conj().recip();
+                    let ak = f.get(k + 1, k + 1) * akm1k.recip();
+                    let denom = (akm1 * ak - T::one()).recip();
+                    let (xk, xk1) = (x[k], x[k + 1]);
+                    let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
+                    update_lanes(fk, xk, &mut x[k + 2..]);
+                    update_lanes(fk1, xk1, &mut x[k + 2..]);
+                    let (rkm1, rk) = (akm1k.conj().recip(), akm1k.recip());
+                    for l in 0..W {
+                        let bkm1 = xk[l] * rkm1;
+                        let bk = xk1[l] * rk;
+                        x[k][l] = (ak * bkm1 - bk) * denom;
+                        x[k + 1][l] = (akm1 * bk - bkm1) * denom;
+                    }
+                    k += 2;
+                }
             }
         }
-    }
 
-    let mut k = n;
-    for p in piv.iter().rev() {
-        match *p {
-            BkPivot::Single(kp) => {
-                k -= 1;
-                let mut s = [T::zero(); LANES];
-                for (&a, xi) in f.col(k)[k + 1..].iter().zip(&x[k + 1..]) {
-                    let c = a.conj();
-                    for (sl, &v) in s.iter_mut().zip(xi) {
-                        *sl += c * v;
+        let mut k = n;
+        for p in self.piv.iter().rev() {
+            match *p {
+                BkPivot::Single(kp) => {
+                    k -= 1;
+                    let mut v = x[k];
+                    for (&a, xi) in f.col(k)[k + 1..].iter().zip(&x[k + 1..]) {
+                        subtract_lanes(&mut v, a.conj(), xi);
                     }
+                    x[k] = v;
+                    x.swap(k, kp);
                 }
-                for (v, sl) in x[k].iter_mut().zip(s) {
-                    *v -= sl;
-                }
-                x.swap(k, kp);
-            }
-            BkPivot::Double(kp) => {
-                k -= 2;
-                let (mut s0, mut s1) = ([T::zero(); LANES], [T::zero(); LANES]);
-                let (fk, fk1) = (&f.col(k)[k + 2..], &f.col(k + 1)[k + 2..]);
-                for ((&a, &a1), xi) in fk.iter().zip(fk1).zip(&x[k + 2..]) {
-                    let (c, c1) = (a.conj(), a1.conj());
-                    for l in 0..LANES {
-                        s0[l] += c * xi[l];
-                        s1[l] += c1 * xi[l];
+                BkPivot::Double(kp) => {
+                    k -= 2;
+                    // One chain at a time: two of `W` lanes each would
+                    // not fit the vector registers at four groups.
+                    for r in [k, k + 1] {
+                        let mut v = x[r];
+                        for (&a, xi) in f.col(r)[k + 2..].iter().zip(&x[k + 2..]) {
+                            subtract_lanes(&mut v, a.conj(), xi);
+                        }
+                        x[r] = v;
                     }
+                    x.swap(k + 1, kp);
                 }
-                for l in 0..LANES {
-                    x[k][l] -= s0[l];
-                    x[k + 1][l] -= s1[l];
-                }
-                x.swap(k + 1, kp);
             }
         }
     }
@@ -735,7 +780,7 @@ fn bunch_kaufman_solve_lanes<T: Scalar>(f: MatRef<'_, T>, piv: &[BkPivot], x: &m
 /// `axpy` its column runs, and skips it as the column does when `xk[l]` is
 /// zero.  Without a zero the lanes run branch-free.
 #[inline(always)]
-fn update_lanes<T: Scalar>(f: &[T], xk: [T; LANES], x: &mut [[T; LANES]]) {
+fn update_lanes<T: Scalar, const W: usize>(f: &[T], xk: [T; W], x: &mut [[T; W]]) {
     let neg = xk.map(|v| -v);
     if xk.iter().all(|&v| v != T::zero()) {
         for (xi, &a) in x.iter_mut().zip(f) {
@@ -744,7 +789,10 @@ fn update_lanes<T: Scalar>(f: &[T], xk: [T; LANES], x: &mut [[T; LANES]]) {
             }
         }
     } else {
-        for l in (0..LANES).filter(|&l| xk[l] != T::zero()) {
+        for l in 0..W {
+            if xk[l] == T::zero() {
+                continue;
+            }
             for (xi, &a) in x.iter_mut().zip(f) {
                 xi[l] = a.mul_add(neg[l], xi[l]);
             }
@@ -1019,7 +1067,7 @@ mod tests {
     use super::*;
     use crate::lu::LuFactor;
     use crate::random::random_matrix;
-    use crate::triangular::PADDED_GROUP_MIN;
+    use crate::triangular::{LANES, PADDED_GROUP_MIN, WIDE};
     use crate::Complex64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1224,8 +1272,10 @@ mod tests {
                 .filter(|p| matches!(p, BkPivot::Double(_)))
                 .count();
             // Every count from the first padded group to three groups, so
-            // the partial group follows zero, one and two full groups.
-            for cols in PADDED_GROUP_MIN..=3 * LANES {
+            // the partial group follows zero, one and two full groups; then
+            // a wide pass alone, with a padded group and with a full group
+            // and a padded one.
+            for cols in (PADDED_GROUP_MIN..=3 * LANES).chain([WIDE, WIDE + 5, WIDE + LANES + 3]) {
                 // Exact zeros where pivot steps read them, in every group
                 // (the partial one included): lane 2 is all -0.0, lane 5
                 // every third row, lane 6 its first half; the last column,

@@ -154,26 +154,21 @@ mod tests {
                 }
             }
         }
-        // The one-column kernels `gemm` sends `n = 1` to: the dot form in
-        // the direct regime (one slab of length k), then the blocked regime
-        // (GEMM_KC slabs) with leftover outputs and several row chunks.
+        // The one-column kernels `gemm` sends `n = 1` to, with leftover
+        // outputs, leftover columns and several row chunks.
         for (m, k) in [(9, 40), (177, 1200), (13, 20165), (1100, 300)] {
-            let blocked = m * k >= GEMM_DIRECT_THRESHOLD;
             let x: Vec<T> = random_vector(rng, k);
             let c: Vec<T> = random_vector(rng, m);
-            if blocked {
-                let a: DenseMatrix<T> = random_matrix(rng, m, k);
-                let (mut base, mut disp) = (c.clone(), c.clone());
-                blas::one_column_rows_body(alpha, &a.as_ref(), 0, &x, &mut base);
-                blas::one_column_rows(alpha, &a.as_ref(), 0, &x, &mut disp);
-                assert_eq!(bits(&base), bits(&disp), "one-column rows {m}x{k}");
-            }
+            let a: DenseMatrix<T> = random_matrix(rng, m, k);
+            let (mut base, mut disp) = (c.clone(), c.clone());
+            blas::one_column_rows_body(&a.as_ref(), 0, &x, &mut base);
+            blas::one_column_rows(&a.as_ref(), 0, &x, &mut disp);
+            assert_eq!(bits(&base), bits(&disp), "one-column rows {m}x{k}");
             let a: DenseMatrix<T> = random_matrix(rng, k, m);
-            let kc = if blocked { blas::GEMM_KC } else { k };
             for conj in [false, true] {
                 let (mut base, mut disp) = (c.clone(), c.clone());
-                blas::one_column_dots_body(alpha, &a.as_ref(), conj, 0, &x, kc, &mut base);
-                blas::one_column_dots(alpha, &a.as_ref(), conj, 0, &x, kc, &mut disp);
+                blas::one_column_dots_body(&a.as_ref(), conj, 0, &x, &mut base);
+                blas::one_column_dots(&a.as_ref(), conj, 0, &x, &mut disp);
                 assert_eq!(
                     bits(&base),
                     bits(&disp),
@@ -293,8 +288,8 @@ mod tests {
         );
 
         // A full lane group with one per-column leftover, then with a
-        // padded group of seven.
-        for w in [9, 15] {
+        // padded group of seven, then a wide pass and a padded group.
+        for w in [9, 15, 37] {
             let rhs: DenseMatrix<T> = random_matrix(rng, n, w);
             let (mut x_base, mut x_disp) = (rhs.clone(), rhs);
             cholesky::bunch_kaufman_solve_in_place_body(base.as_ref(), &piv, x_base.as_mut());
@@ -309,15 +304,17 @@ mod tests {
 
     /// The lane kernels of the triangular solves on a 64x64 LU leaf factor:
     /// no group, one padded group, one full group, a full and a padded one,
-    /// two full groups, and the laplace-surface-2d leaf width `W = 138`,
-    /// 17 full groups and a padded one of two (a kernel pads whatever it is
-    /// given; the cut-off is its caller's).
+    /// two full groups, one wide pass with a padded group after it, and the
+    /// laplace-surface-2d leaf width `W = 138`, four wide passes and one
+    /// pass of two groups, the second padded from two real columns (a
+    /// kernel pads whatever it is given; the cut-off is its caller's);
+    /// then the per-column loops.
     fn check_triangular<T: Scalar>(rng: &mut StdRng) {
         let n = 64;
         let mut f: DenseMatrix<T> = random_matrix(rng, n, n);
         lu::getrf_in_place(f.as_mut()).expect("nonsingular");
         let f = f.as_ref();
-        for w in [0, 5, 8, 13, 16, 138] {
+        for w in [0, 5, 8, 13, 16, 37, 138] {
             let rhs: DenseMatrix<T> = random_matrix(rng, n, w);
             for diag in [Diag::Unit, Diag::NonUnit] {
                 for triangle in [Triangle::Lower, Triangle::Upper] {
@@ -329,6 +326,14 @@ mod tests {
                         bits(disp.data()),
                         "trsm lanes {triangle:?} {diag:?}, {w} columns"
                     );
+                    let (mut base, mut disp) = (rhs.clone(), rhs.clone());
+                    triangular::solve_triangular_columns_body(f, triangle, diag, base.as_mut());
+                    triangular::solve_triangular_columns(f, triangle, diag, disp.as_mut());
+                    assert_eq!(
+                        bits(base.data()),
+                        bits(disp.data()),
+                        "trsm columns {triangle:?} {diag:?}, {w} columns"
+                    );
                 }
                 let (mut base, mut disp) = (rhs.clone(), rhs.clone());
                 cholesky::solve_conj_transpose_lower_lanes_body(f, diag, base.as_mut());
@@ -337,6 +342,14 @@ mod tests {
                     bits(base.data()),
                     bits(disp.data()),
                     "conj-transpose lanes {diag:?}, {w} columns"
+                );
+                let (mut base, mut disp) = (rhs.clone(), rhs.clone());
+                cholesky::solve_conj_transpose_lower_columns_body(f, diag, base.as_mut());
+                cholesky::solve_conj_transpose_lower_columns(f, diag, disp.as_mut());
+                assert_eq!(
+                    bits(base.data()),
+                    bits(disp.data()),
+                    "conj-transpose columns {diag:?}, {w} columns"
                 );
             }
         }

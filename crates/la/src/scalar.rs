@@ -178,8 +178,9 @@ pub trait Scalar:
     fn recip(self) -> Self;
     /// Multiply-add `self * a + b`: one correctly rounded fused operation
     /// for real fields, the unfused complex product and sum for complex
-    /// fields.  Used by [`axpy_slice`](crate::blas::axpy_slice); the GEMM
-    /// microkernel accumulates unfused (`acc += a * b`).
+    /// fields.  Every product and solve kernel in [`crate::blas`],
+    /// [`crate::triangular`] and [`crate::cholesky`] accumulates with it
+    /// (the per-entry recipe of [`crate::blas`]).
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// `true` when both parts are finite.
     fn is_finite(self) -> bool;

@@ -1,17 +1,25 @@
 //! Triangular solves (forward / backward substitution) on matrix views.
 //!
-//! # Eight-lane path
+//! # Fused lanes
 //!
 //! A substitution is one dependent chain per right-hand side: entry `i` of
 //! a column waits on every entry solved before it.  The solves here
-//! therefore run eight columns side by side.  Each group of eight columns
+//! therefore run many columns side by side.  Each group of eight columns
 //! is packed row by row into `[T; 8]`, and lane `l` runs exactly the
-//! operation sequence its column runs on its own: the same operands in the
-//! same order, unfused.  The lanes are independent chains that the CPU
-//! overlaps and the compiler vectorizes, and no column's reduction is
-//! reordered, so every entry is bitwise what the per-column loop produces
-//! (but for the sign and payload of a NaN, which Rust leaves unspecified
-//! and the two compiled paths do set differently).
+//! operation sequence its column runs on its own: the same operands, the
+//! same fused multiply-adds ([`Scalar::mul_add`]), in the same order.  The
+//! lanes are independent chains that the CPU overlaps and the compiler
+//! vectorizes, and no column's reduction is reordered, so every entry is
+//! bitwise what the per-column loop produces (but for the sign and payload
+//! of a NaN, which Rust leaves unspecified and the two compiled paths do
+//! set differently).
+//!
+//! A fused chain is as long as an unfused one, so eight lanes (two AVX2
+//! vectors of `f64`) leave most of the FMA units idle.  While at least
+//! [`GROUPS`] full groups of columns remain, a row pass therefore runs
+//! that many groups at once ([`WIDE`] lanes, eight `f64` vectors in
+//! flight); the rest go one group per pass.  Each lane still runs its own
+//! column's operations, so the pass width changes no bit.
 //!
 //! The leftover `cols % 8` columns run as one more, padded group when
 //! there are at least `PADDED_GROUP_MIN` of them (three; six for complex
@@ -23,47 +31,67 @@
 //! zero test) sees the real lanes' pattern.  Fewer leftover columns, and
 //! with them every single-right-hand-side solve, take the per-column loop
 //! (`lane_columns` draws the line); the lane buffer is allocated only
-//! when a group exists.  The lane kernels are ISA-dispatched
-//! ([`crate::isa_level`]); the per-column loops of the solves are not.
+//! when a group exists.  The lane kernels and the per-column loops are
+//! both ISA-dispatched ([`crate::isa_level`]), so neither pays an
+//! out-of-line `fma` call per multiply-add.
+//!
+//! Each column of a triangular solve subtracts `t[i, k] * x[k]` from
+//! `x[i]` over `k` in one order: ascending for the lower triangle,
+//! descending for the upper one, then scales by the reciprocal of
+//! `t[i, i]` unless the diagonal is unit.  The lanes run it row by row
+//! from a row-major copy of the triangle; the per-column loop runs it
+//! column by column as fused `axpy`s over contiguous columns, which gives
+//! every entry the same operations in the same order.
 //!
 //! Two kinds of lane kernels in the crate follow this contract.
-//! *Right-hand-side lanes* run eight columns of the right-hand side side
-//! by side: the solves here, the `L^H` solve and the Bunch-Kaufman solve
-//! in [`crate::cholesky`] (whose forward updates are fused `mul_add`s, as
-//! its columns' are, each skipped where its column skips it), and the dot
-//! form of `gemm`'s direct path (eight columns of `op_b(B)`); all four
-//! pad their last group.
+//! *Right-hand-side lanes* run columns of the right-hand side side by
+//! side: the solves here, the `L^H` solve and the Bunch-Kaufman solve in
+//! [`crate::cholesky`] (whose forward updates skip a lane where its column
+//! skips a zero), all through [`solve_in_lanes`], and the dot form of
+//! `gemm`'s direct path (eight columns of `alpha * op_b(B)`); all four pad
+//! their last group.
 //! *Output lanes* run eight entries of one output column side by side:
-//! `gemm`'s one-column path with transposed `A`, one stored column of `A`
-//! per lane (see "One column" in [`crate::blas`]); its leftover entries
-//! run one at a time.  Either way a lane's chain is the one its entry
-//! runs alone.
+//! `gemm`'s one-column kernel with transposed `A`, one stored column of
+//! `A` per lane (see "One column" in [`crate::blas`]); its leftover
+//! entries run one at a time.  Either way a lane's chain is the one its
+//! entry runs alone.
 
+use crate::blas::axpy_slice_body;
 use crate::dense::{MatMut, MatRef};
 use crate::isa::multiversion;
 use crate::scalar::Scalar;
 
-/// Right-hand sides the lane kernels solve side by side.
+/// Right-hand sides one lane group solves side by side.
 pub(crate) const LANES: usize = 8;
+
+/// Lane groups one row pass runs while at least that many full groups of
+/// right-hand sides remain (real scalars).  In a standalone copy of the
+/// lane kernel (64x64 lower triangle, 578 right-hand sides, Intel Xeon,
+/// AVX2 + FMA) fused lanes read 9.9 GFLOP/s at one group per pass, no
+/// faster than the 9.3-10.0 of unfused ones, and 14.5 at four.
+pub(crate) const GROUPS: usize = 4;
+
+/// Right-hand sides of one wide pass: [`GROUPS`] lane groups.
+pub(crate) const WIDE: usize = GROUPS * LANES;
 
 /// Fewest leftover columns (`cols % LANES`) that run as one more, padded
 /// lane group with real scalars; fewer take the per-column loop.
 /// Measured through the facade's `solve_block` on the n = 4096 GP and
 /// Laplace operators of the serve-mixed benchmark (Intel Xeon, 2 vCPUs,
-/// medians of 5 runs): padding two leftover columns read 3.02 -> 3.20 ms
-/// (GP) and 1.21 -> 1.68 ms (Laplace), and one leftover after a full group
-/// 5.39 -> 5.95 ms (GP, 9 columns); padding three read 3.87 -> 3.34 ms
-/// (GP) and 1.63 -> 1.59 ms (Laplace), and five to seven 0.71-0.76x (GP,
-/// 13-15 columns).
+/// medians of 5 runs, before the solves were fused): padding two leftover
+/// columns read 3.02 -> 3.20 ms (GP) and 1.21 -> 1.68 ms (Laplace), and
+/// one leftover after a full group 5.39 -> 5.95 ms (GP, 9 columns);
+/// padding three read 3.87 -> 3.34 ms (GP) and 1.63 -> 1.59 ms (Laplace),
+/// and five to seven 0.71-0.76x (GP, 13-15 columns).
 pub(crate) const PADDED_GROUP_MIN: usize = 3;
 
 /// [`PADDED_GROUP_MIN`] for complex scalars, whose eight-lane group costs
 /// about five to nine one-column solves where a real one costs two to
 /// four.  In the `kernels` bench's order-64 `c64` rows (same host, three
-/// alternating sweeps against the one-column loops), padding three
-/// leftover columns read 1.16-2.06x (`getrs`, `potrs`, `sytrs` and the
-/// dot form at 3 right-hand sides) and up to 1.22x at 11; six and seven
-/// read 0.57-0.96x at 14 and 15.
+/// alternating sweeps against the one-column loops, before the solves were
+/// fused), padding three leftover columns read 1.16-2.06x (`getrs`,
+/// `potrs`, `sytrs` and the dot form at 3 right-hand sides) and up to
+/// 1.22x at 11; six and seven read 0.57-0.96x at 14 and 15.
 pub(crate) const PADDED_GROUP_MIN_COMPLEX: usize = 6;
 
 /// How many of `cols` right-hand sides the lane kernels take: every full
@@ -81,6 +109,56 @@ pub(crate) fn lane_columns<T: Scalar>(cols: usize) -> usize {
         cols - rest
     } else {
         cols
+    }
+}
+
+/// A lane kernel: solves every lane of a packed group of `W` right-hand
+/// sides, `x[i][l]` being entry `i` of lane `l`, each lane running its
+/// column's operations.
+pub(crate) trait LaneSolve<T: Scalar> {
+    /// Solve the lanes of `x` in place.
+    fn solve_lanes<const W: usize>(&self, x: &mut [[T; W]]);
+}
+
+/// Solve every column of `b` with `kernel` (the module docs): with real
+/// scalars, passes of [`WIDE`] columns while that many remain, then one
+/// pass over the rest, padded to whole lane groups; with complex scalars,
+/// one lane group per pass, the last one padded.  A plain function over a
+/// trait, not a closure, so that a dispatched caller's whole loop nest
+/// runs in its ISA copy.
+#[inline(always)]
+pub(crate) fn solve_in_lanes<T: Scalar, K: LaneSolve<T>>(kernel: &K, b: &mut MatMut<'_, T>) {
+    let cols = b.cols();
+    if T::IS_COMPLEX {
+        solve_passes::<T, K, LANES>(kernel, b, 0..cols);
+        return;
+    }
+    let wide = cols - cols % WIDE;
+    solve_passes::<T, K, WIDE>(kernel, b, 0..wide);
+    match (cols - wide).div_ceil(LANES) {
+        0 => {}
+        1 => solve_passes::<T, K, LANES>(kernel, b, wide..cols),
+        2 => solve_passes::<T, K, { 2 * LANES }>(kernel, b, wide..cols),
+        _ => solve_passes::<T, K, { 3 * LANES }>(kernel, b, wide..cols),
+    }
+}
+
+/// Solve columns `cols` of `b` with `kernel`, `W` of them per pass, the
+/// last pass padded.
+#[inline(always)]
+fn solve_passes<T: Scalar, K: LaneSolve<T>, const W: usize>(
+    kernel: &K,
+    b: &mut MatMut<'_, T>,
+    cols: std::ops::Range<usize>,
+) {
+    if cols.is_empty() {
+        return;
+    }
+    let mut x = vec![[T::zero(); W]; b.rows()];
+    for j0 in cols.step_by(W) {
+        pack_lanes(b, j0, &mut x);
+        kernel.solve_lanes(&mut x);
+        unpack_lanes(&x, b, j0);
     }
 }
 
@@ -107,7 +185,8 @@ pub enum Diag {
 ///
 /// This corresponds to BLAS `trsm` with `side = Left`, `alpha = 1`.
 /// Groups of eight columns, the last one padded, are solved side by side,
-/// bitwise as one at a time (see the module docs).
+/// four groups per pass while they last, bitwise as one at a time (see the
+/// module docs).
 ///
 /// # Panics
 /// Panics if `t` is not square or shapes do not match.
@@ -124,22 +203,19 @@ pub fn solve_triangular_in_place<T: Scalar>(
         return;
     }
 
-    let laned = lane_columns::<T>(b.cols());
+    let cols = b.cols();
+    let laned = lane_columns::<T>(cols);
     if laned > 0 {
         solve_triangular_lanes(t, triangle, diag, b.block_mut(0, 0, n, laned));
     }
-    for j in laned..b.cols() {
-        let col = b.col_mut(j);
-        match triangle {
-            Triangle::Lower => solve_lower_col(t, diag, col),
-            Triangle::Upper => solve_upper_col(t, diag, col),
-        }
+    if laned < cols {
+        solve_triangular_columns(t, triangle, diag, b.block_mut(0, laned, n, cols - laned));
     }
 }
 
 multiversion! {
     /// The lane kernel of [`solve_triangular_in_place`]: solves every
-    /// column of `b` in groups of [`LANES`], the last one padded.
+    /// column of `b` in lane groups, the last one padded.
     pub(crate) fn solve_triangular_lanes<T: Scalar>(
         t: MatRef<'_, T>,
         triangle: Triangle,
@@ -156,136 +232,203 @@ pub(crate) fn solve_triangular_lanes_body<T: Scalar>(
     mut b: MatMut<'_, T>,
 ) {
     let n = t.rows();
-    // Row `i` of the referenced triangle is read once per lane group: copy
+    // Row `i` of the referenced triangle is read once per lane pass: copy
     // it row-major once, so those reads are contiguous rather than `ld`
-    // apart.  Row `i` holds `t[i, ..=i]` (lower) or `t[i, i..]` (upper),
-    // the diagonal included, and starts at `start(i)`.
-    let start = |i: usize| match triangle {
-        Triangle::Lower => i * (i + 1) / 2,
-        Triangle::Upper => i * n - i * i.saturating_sub(1) / 2,
+    // apart.
+    let mut kernel = TriangleRows {
+        rows: vec![T::zero(); n * (n + 1) / 2],
+        n,
+        triangle,
+        diag,
     };
-    let mut rows = vec![T::zero(); n * (n + 1) / 2];
     for k in 0..n {
         let col = t.col(k);
         match triangle {
             Triangle::Lower => {
                 for (i, &v) in col.iter().enumerate().skip(k) {
-                    rows[start(i) + k] = v;
+                    let at = kernel.start(i) + k;
+                    kernel.rows[at] = v;
                 }
             }
             Triangle::Upper => {
                 for (i, &v) in col[..=k].iter().enumerate() {
-                    rows[start(i) + k - i] = v;
+                    let at = kernel.start(i) + k - i;
+                    kernel.rows[at] = v;
                 }
             }
         }
     }
-    let mut x = vec![[T::zero(); LANES]; n];
-    for j0 in (0..b.cols()).step_by(LANES) {
-        pack_lanes(&b, j0, &mut x);
-        match triangle {
-            Triangle::Lower => (0..n).for_each(|i| {
-                let row = &rows[start(i)..=start(i) + i];
-                solve_lanes_row(&row[..i], row[i], diag, i, 0..i, &mut x);
-            }),
-            Triangle::Upper => (0..n).rev().for_each(|i| {
-                let row = &rows[start(i)..start(i) + n - i];
-                solve_lanes_row(&row[1..], row[0], diag, i, i + 1..n, &mut x);
-            }),
-        }
-        unpack_lanes(&x, &mut b, j0);
-    }
+    solve_in_lanes(&kernel, &mut b);
 }
 
-/// Copy columns `j0..` of `b`, at most [`LANES`] of them, into `x`, row
-/// `i` into `x[i]`.  When fewer than [`LANES`] columns are left, the
-/// lanes past the last one repeat it.
-#[inline(always)]
-pub(crate) fn pack_lanes<T: Scalar>(b: &MatMut<'_, T>, j0: usize, x: &mut [[T; LANES]]) {
-    let b = b.as_ref();
-    let last = b.cols().min(j0 + LANES) - 1;
-    for l in 0..LANES {
-        for (xi, &v) in x.iter_mut().zip(b.col((j0 + l).min(last))) {
-            xi[l] = v;
-        }
-    }
-}
-
-/// Copy the lanes of `x` that hold columns `j0..` of `b` (at most
-/// [`LANES`]) back into them; padding lanes are dropped.
-#[inline(always)]
-pub(crate) fn unpack_lanes<T: Scalar>(x: &[[T; LANES]], b: &mut MatMut<'_, T>, j0: usize) {
-    for l in 0..LANES.min(b.cols() - j0) {
-        for (v, xi) in b.col_mut(j0 + l).iter_mut().zip(x) {
-            *v = xi[l];
-        }
-    }
-}
-
-/// Row `i` of a lane solve: each lane runs [`solve_lower_col`]'s (or
-/// [`solve_upper_col`]'s) step for row `i`, subtracting `t[i, k] * x[k]`
-/// over the already solved rows `known` in ascending `k` (`coefs` holds
-/// those `t[i, k]`), then scaling by the reciprocal of `tii = t[i, i]`
-/// unless the diagonal is unit.
-#[inline(always)]
-fn solve_lanes_row<T: Scalar>(
-    coefs: &[T],
-    tii: T,
+/// A triangle copied row-major for the lane kernel: row `i` holds
+/// `t[i, ..=i]` (lower) or `t[i, i..]` (upper), the diagonal included,
+/// and starts at `start(i)`.
+struct TriangleRows<T> {
+    rows: Vec<T>,
+    n: usize,
+    triangle: Triangle,
     diag: Diag,
-    i: usize,
-    known: std::ops::Range<usize>,
-    x: &mut [[T; LANES]],
-) {
-    let mut acc = x[i];
-    for (&tik, xk) in coefs.iter().zip(&x[known]) {
-        for (a, &xkl) in acc.iter_mut().zip(xk) {
-            *a -= tik * xkl;
+}
+
+impl<T> TriangleRows<T> {
+    #[inline(always)]
+    fn start(&self, i: usize) -> usize {
+        match self.triangle {
+            Triangle::Lower => i * (i + 1) / 2,
+            Triangle::Upper => i * self.n - i * i.saturating_sub(1) / 2,
         }
     }
+}
+
+impl<T: Scalar> LaneSolve<T> for TriangleRows<T> {
+    #[inline(always)]
+    fn solve_lanes<const W: usize>(&self, x: &mut [[T; W]]) {
+        let n = self.n;
+        match self.triangle {
+            Triangle::Lower => {
+                for i in 0..n {
+                    let row = &self.rows[self.start(i)..=self.start(i) + i];
+                    let mut acc = x[i];
+                    for (&tik, xk) in row[..i].iter().zip(&x[..i]) {
+                        subtract_lanes(&mut acc, tik, xk);
+                    }
+                    x[i] = scale_lanes(acc, row[i], self.diag);
+                }
+            }
+            Triangle::Upper => {
+                for i in (0..n).rev() {
+                    let row = &self.rows[self.start(i)..self.start(i) + n - i];
+                    let mut acc = x[i];
+                    for (&tik, xk) in row[1..].iter().zip(&x[i + 1..]).rev() {
+                        subtract_lanes(&mut acc, tik, xk);
+                    }
+                    x[i] = scale_lanes(acc, row[0], self.diag);
+                }
+            }
+        }
+    }
+}
+
+/// `acc[l] <- fma(-c, x[l], acc[l])` in every lane: one subtraction of a
+/// substitution.
+#[inline(always)]
+pub(crate) fn subtract_lanes<T: Scalar, const W: usize>(acc: &mut [T; W], c: T, x: &[T; W]) {
+    let c = -c;
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a = c.mul_add(v, *a);
+    }
+}
+
+/// `acc` times the reciprocal of `tii` in every lane, or `acc` itself when
+/// the diagonal is unit.
+#[inline(always)]
+fn scale_lanes<T: Scalar, const W: usize>(mut acc: [T; W], tii: T, diag: Diag) -> [T; W] {
     if diag == Diag::NonUnit {
         let r = tii.recip();
         for a in &mut acc {
             *a *= r;
         }
     }
-    x[i] = acc;
+    acc
 }
 
-#[allow(clippy::needless_range_loop)] // k indexes both t and x
-pub(crate) fn solve_lower_col<T: Scalar>(t: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
-    let n = x.len();
-    for i in 0..n {
-        let mut acc = x[i];
-        for k in 0..i {
-            acc -= t.get(i, k) * x[k];
+/// Copy columns `j0..` of `b`, at most `W` of them, into `x`, row `i` into
+/// `x[i]`.  When fewer than `W` columns are left, the lanes past the last
+/// one repeat it.
+#[inline(always)]
+pub(crate) fn pack_lanes<T: Scalar, const W: usize>(
+    b: &MatMut<'_, T>,
+    j0: usize,
+    x: &mut [[T; W]],
+) {
+    let b = b.as_ref();
+    let last = b.cols().min(j0 + W) - 1;
+    for l in 0..W {
+        for (xi, &v) in x.iter_mut().zip(b.col((j0 + l).min(last))) {
+            xi[l] = v;
         }
-        x[i] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc * t.get(i, i).recip(),
-        };
     }
 }
 
-#[allow(clippy::needless_range_loop)] // k indexes both t and x
-pub(crate) fn solve_upper_col<T: Scalar>(t: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
-    let n = x.len();
-    for ii in 0..n {
-        let i = n - 1 - ii;
-        let mut acc = x[i];
-        for k in (i + 1)..n {
-            acc -= t.get(i, k) * x[k];
+/// Copy the lanes of `x` that hold columns `j0..` of `b` (at most `W`)
+/// back into them; padding lanes are dropped.
+#[inline(always)]
+pub(crate) fn unpack_lanes<T: Scalar, const W: usize>(
+    x: &[[T; W]],
+    b: &mut MatMut<'_, T>,
+    j0: usize,
+) {
+    for l in 0..W.min(b.cols() - j0) {
+        for (v, xi) in b.col_mut(j0 + l).iter_mut().zip(x) {
+            *v = xi[l];
         }
-        x[i] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc * t.get(i, i).recip(),
+    }
+}
+
+multiversion! {
+    /// The per-column loop of [`solve_triangular_in_place`]: solves every
+    /// column of `b` on its own.
+    pub(crate) fn solve_triangular_columns<T: Scalar>(
+        t: MatRef<'_, T>,
+        triangle: Triangle,
+        diag: Diag,
+        b: MatMut<'_, T>,
+    ) = solve_triangular_columns_body;
+}
+
+#[inline(always)]
+pub(crate) fn solve_triangular_columns_body<T: Scalar>(
+    t: MatRef<'_, T>,
+    triangle: Triangle,
+    diag: Diag,
+    mut b: MatMut<'_, T>,
+) {
+    for j in 0..b.cols() {
+        let col = b.col_mut(j);
+        match triangle {
+            Triangle::Lower => solve_lower_col(t, diag, col),
+            Triangle::Upper => solve_upper_col(t, diag, col),
+        }
+    }
+}
+
+/// One column of a lower solve, column by column: once `x[k]` is final,
+/// `x[k + 1..] <- fma(t[k + 1.., k], -x[k], x[k + 1..])`, so each entry
+/// takes its subtractions in ascending `k`, as its lane does.
+#[inline(always)]
+pub(crate) fn solve_lower_col<T: Scalar>(t: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
+    let n = x.len();
+    for k in 0..n {
+        let tk = t.col(k);
+        let xk = match diag {
+            Diag::Unit => x[k],
+            Diag::NonUnit => x[k] * tk[k].recip(),
         };
+        x[k] = xk;
+        axpy_slice_body(-xk, &tk[k + 1..n], &mut x[k + 1..]);
+    }
+}
+
+/// One column of an upper solve, column by column from the last: each
+/// entry takes its subtractions in descending `k`, as its lane does.
+#[inline(always)]
+pub(crate) fn solve_upper_col<T: Scalar>(t: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
+    for k in (0..x.len()).rev() {
+        let tk = t.col(k);
+        let xk = match diag {
+            Diag::Unit => x[k],
+            Diag::NonUnit => x[k] * tk[k].recip(),
+        };
+        x[k] = xk;
+        axpy_slice_body(-xk, &tk[..k], &mut x[..k]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas::{dot_form_columns, gemm_direct_body};
+    use crate::blas::gemm_direct_body;
     use crate::cholesky::{solve_conj_transpose_lower_col, solve_conj_transpose_lower_in_place};
     use crate::dense::DenseMatrix;
     use crate::random::random_matrix;
@@ -302,13 +445,13 @@ mod tests {
             .collect()
     }
 
-    /// Right-hand-side counts: every count up to three lane groups, so
-    /// each leftover count after zero, one and two full groups, on both
-    /// sides of [`PADDED_GROUP_MIN`] and [`PADDED_GROUP_MIN_COMPLEX`]; and
-    /// the leaf widths `W` of the laplace-surface-2d and gp-se-3d
-    /// benchmark matrices.
+    /// Right-hand-side counts: every count up to one wide pass and a lane
+    /// group past it, so each leftover count after zero to four full
+    /// groups, on both sides of [`PADDED_GROUP_MIN`] and
+    /// [`PADDED_GROUP_MIN_COMPLEX`]; and the leaf widths `W` of the
+    /// laplace-surface-2d and gp-se-3d benchmark matrices.
     fn widths() -> impl Iterator<Item = usize> {
-        (0..=3 * LANES).chain([138, 578])
+        (0..=WIDE + LANES).chain([138, 578])
     }
     /// Order of the triangle; rows of the taller buffers the views live in.
     const N: usize = 64;
@@ -405,9 +548,16 @@ mod tests {
                     };
                     let (mut lanes, mut columns) = (c.clone(), c.clone());
                     gemm_direct_body(alpha, &a, op_a, &bm, op_b, &mut lanes.block_mut(2, 0, m, w));
-                    let conj_a = op_a == Op::ConjTrans;
-                    let mut view = columns.block_mut(2, 0, m, w);
-                    dot_form_columns(alpha, &a, conj_a, &bm, op_b, &mut view, 0);
+                    // Each column alone: `gemm`'s one-column kernel.
+                    for j in 0..w {
+                        let bj = if op_b == Op::None {
+                            bm.block(0, j, N, 1)
+                        } else {
+                            bm.block(j, 0, 1, N)
+                        };
+                        let cj = columns.block_mut(2, j, m, 1);
+                        gemm(alpha, a, op_a, bj, op_b, T::one(), cj);
+                    }
                     assert_eq!(
                         bits(&lanes),
                         bits(&columns),

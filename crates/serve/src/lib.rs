@@ -142,10 +142,25 @@ mod tests {
         )
     }
 
+    /// Order of the tenant whose coalesced products reach gemm's blocked
+    /// path: its level-1 `V^H x` has 2048 rows, so one column stays under
+    /// `GEMM_DIRECT_THRESHOLD` multiply-adds and a burst of 16 crosses it.
+    const N_LARGE: usize = 4096;
+
     fn register_demo(service: &SolveService<f64>, name: &str, backend: Backend, shift: f64) {
+        register_demo_of_order(service, name, backend, shift, N);
+    }
+
+    fn register_demo_of_order(
+        service: &SolveService<f64>,
+        name: &str,
+        backend: Backend,
+        shift: f64,
+        n: usize,
+    ) {
         service.register_tenant(name, demo_key(name, backend), move || {
-            let source = ClosureSource::new(N, N, move |i, j| {
-                let d = (i as f64 - j as f64).abs() / N as f64;
+            let source = ClosureSource::new(n, n, move |i, j| {
+                let d = (i as f64 - j as f64).abs() / n as f64;
                 1.0 / (1.0 + 8.0 * d) + if i == j { 4.0 + shift } else { 0.0 }
             });
             Hodlr::builder()
@@ -158,7 +173,11 @@ mod tests {
     }
 
     fn rhs(seed: usize) -> Vec<f64> {
-        (0..N)
+        rhs_of_order(seed, N)
+    }
+
+    fn rhs_of_order(seed: usize, n: usize) -> Vec<f64> {
+        (0..n)
             .map(|i| ((i * 7 + seed * 13) as f64 * 0.01).sin())
             .collect()
     }
@@ -166,23 +185,28 @@ mod tests {
     #[test]
     fn coalesced_results_match_individual_solves_bitwise() {
         for backend in [Backend::Serial, Backend::Batched] {
-            let service = SolveService::<f64>::new(ServeConfig::default());
-            register_demo(&service, "a", backend, 0.0);
+            for (name, n, requests) in [("a", N, 6), ("large", N_LARGE, 16)] {
+                let service = SolveService::<f64>::new(ServeConfig::default());
+                register_demo_of_order(&service, name, backend, 0.0, n);
 
-            // Individual baseline, one request per drain.
-            let singles: Vec<Vec<f64>> = (0..6)
-                .map(|s| service.solve_now("a", &rhs(s)).unwrap())
-                .collect();
+                // Individual baseline, one request per drain.
+                let singles: Vec<Vec<f64>> = (0..requests)
+                    .map(|s| service.solve_now(name, &rhs_of_order(s, n)).unwrap())
+                    .collect();
 
-            // Coalesced: all six in one drain cycle.
-            let tickets: Vec<_> = (0..6)
-                .map(|s| service.submit("a", rhs(s)).unwrap())
-                .collect();
-            let report = service.drain();
-            assert_eq!((report.requests, report.groups), (6, 1));
-            for (ticket, single) in tickets.into_iter().zip(&singles) {
-                let coalesced = ticket.wait().unwrap();
-                assert_eq!(&coalesced, single, "{backend:?}: batching changed bits");
+                // Coalesced: every request in one drain cycle.
+                let tickets: Vec<_> = (0..requests)
+                    .map(|s| service.submit(name, rhs_of_order(s, n)).unwrap())
+                    .collect();
+                let report = service.drain();
+                assert_eq!((report.requests, report.groups), (requests, 1));
+                for (ticket, single) in tickets.into_iter().zip(&singles) {
+                    let coalesced = ticket.wait().unwrap();
+                    assert_eq!(
+                        &coalesced, single,
+                        "{backend:?}, n = {n}: batching changed bits"
+                    );
+                }
             }
         }
     }
