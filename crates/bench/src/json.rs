@@ -198,12 +198,6 @@ impl BenchRow for KernelRow {
                 self.op_a
                     .map_or_else(|| "null".to_string(), |op| text(&format!("{op:?}"))),
             ),
-            (
-                "tile",
-                self.tile
-                    .as_deref()
-                    .map_or_else(|| "null".to_string(), text),
-            ),
             ("bytes_per_s", opt_number(self.bytes_per_s)),
         ]
     }
@@ -423,7 +417,6 @@ mod tests {
             bitwise_vs_1thread: Some(true),
             isa: "x86-64-v3",
             op_a: Some(hodlr_la::Op::ConjTrans),
-            tile: Some("8x6".into()),
             bytes_per_s: None,
         };
         let json = rows_to_json(&[row]);
@@ -437,7 +430,6 @@ mod tests {
             "\"bitwise_vs_1thread\": true",
             "\"isa\": \"x86-64-v3\"",
             "\"op_a\": \"ConjTrans\"",
-            "\"tile\": \"8x6\"",
             "\"bytes_per_s\": null",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

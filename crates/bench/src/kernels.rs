@@ -9,8 +9,7 @@
 //! rates are read against.  The column-list rows (`sub_columns`,
 //! `dot_columns`, the per-cross passes of adaptive cross approximation)
 //! report the bytes of the columns they read per second the same way.
-//! The `gemm_rhs` rows time the blocked products of a coalesced solve, and
-//! every row that runs the packed microkernel names its register tile.
+//! The `gemm_rhs` rows time the blocked products of a coalesced solve.
 //!
 //! The `kernels` binary turns these rows into `BENCH_kernels.json`, the perf
 //! trajectory every kernel-touching PR is measured against: the headline
@@ -19,9 +18,7 @@
 //! ([`hodlr_la::blas::gemm_reference`]).
 
 use crate::harness::percentile;
-use hodlr_la::blas::{
-    gemm_flops, gemm_reference, GEMM_MR, GEMM_MR_COMPLEX, GEMM_NR, GEMM_NR_COMPLEX,
-};
+use hodlr_la::blas::{gemm_flops, gemm_reference};
 use hodlr_la::cholesky::{
     bunch_kaufman_in_place, bunch_kaufman_solve_in_place, potrf_in_place, potrs_in_place, BkPivot,
 };
@@ -72,10 +69,6 @@ pub struct KernelRow {
     pub isa: &'static str,
     /// `op_a` of a `gemm_1col` or `gemm_rhs` row.
     pub op_a: Option<Op>,
-    /// The register tile `MR x NR` of the packed microkernel, in a `gemm`
-    /// or `gemm_rhs` row (every such row runs it); `None` in every other
-    /// row.
-    pub tile: Option<String>,
     /// Bytes read per second: of `A` in a `gemm_1col` row, of the summed
     /// array in a `stream_read` row, of the columns in a `sub_columns` or
     /// `dot_columns` row; `None` in every other row.
@@ -88,15 +81,6 @@ fn flop_factor<T: Scalar>() -> f64 {
         4.0
     } else {
         1.0
-    }
-}
-
-/// The packed microkernel's register tile for `T`, as `"MRxNR"`.
-fn tile_name<T: Scalar>() -> String {
-    if T::IS_COMPLEX {
-        format!("{GEMM_MR_COMPLEX}x{GEMM_NR_COMPLEX}")
-    } else {
-        format!("{GEMM_MR}x{GEMM_NR}")
     }
 }
 
@@ -361,10 +345,11 @@ const SOLVE_COLUMNS: usize = 4096;
 
 /// Time one [`LEAF_ORDER`]-order leaf solve against `nrhs` right-hand
 /// sides; returns `(time per solve, solution)`.  Each call solves a fresh
-/// copy of the same right-hand sides.
+/// copy of the same right-hand sides.  The factor depends on `kind` and
+/// `T` only, so the rows of one kernel compare across `nrhs`.
 fn time_leaf_solve<T: Scalar>(kind: LeafSolve, nrhs: usize, reps: usize) -> (Timing, Vec<T>) {
     let order = LEAF_ORDER;
-    let mut rng = StdRng::seed_from_u64((order * 17 + nrhs) as u64);
+    let mut rng = StdRng::seed_from_u64((order * 17) as u64);
     let mut f: DenseMatrix<T> = random_matrix(&mut rng, order, order);
     let mut piv = Vec::new();
     let mut bk_piv = Vec::new();
@@ -478,10 +463,10 @@ impl KernelBenchConfig {
             qr_sizes: vec![(512, 256), (1024, 512)],
             // One column, one lane group, serve's coalesced group sizes
             // (13-15 pad a second group, 16 fills it; one pass of two
-            // groups each), one wide pass of four groups (32), and the
-            // leaf widths W of the laplace-surface-2d (138) and gp-se-3d
-            // (578) benchmarks.
-            solve_nrhs: vec![1, 8, 13, 14, 15, 16, 32, 138, 578],
+            // groups each), with real scalars a pass padded to four groups
+            // (31) and a full one (32), and the leaf widths W of the
+            // laplace-surface-2d (138) and gp-se-3d (578) benchmarks.
+            solve_nrhs: vec![1, 8, 13, 14, 15, 16, 31, 32, 138, 578],
             // gp-se-3d's top level (8192 child rows, max rank 177) read as
             // `V^H x` and as `Y w`, both blocked; a laplace-surface-2d
             // leaf-level `V^H x`, direct.
@@ -559,7 +544,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: None,
                 isa,
                 op_a: None,
-                tile: None,
                 bytes_per_s: None,
             });
             Some(t.median)
@@ -593,7 +577,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
-                tile: Some(tile_name::<T>()),
                 bytes_per_s: None,
             });
         }
@@ -628,7 +611,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: Some(op_a),
-                tile: Some(tile_name::<T>()),
                 bytes_per_s: None,
             });
         }
@@ -665,7 +647,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: Some(op_a),
-                tile: None,
                 bytes_per_s: Some((a_rows * a_cols * size) as f64 / t.median),
             });
         }
@@ -692,7 +673,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
-                tile: None,
                 bytes_per_s: Some((elements * size) as f64 / t.median),
             });
         }
@@ -727,7 +707,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     bitwise_vs_1thread: bitwise,
                     isa,
                     op_a: None,
-                    tile: None,
                     bytes_per_s: Some((len * cols * size) as f64 / t.median),
                 });
             }
@@ -757,7 +736,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
-                tile: None,
                 bytes_per_s: None,
             });
         }
@@ -786,7 +764,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                 bitwise_vs_1thread: bitwise,
                 isa,
                 op_a: None,
-                tile: None,
                 bytes_per_s: None,
             });
         }
@@ -822,7 +799,6 @@ fn sweep_scalar<T: Scalar>(config: &KernelBenchConfig, rows: &mut Vec<KernelRow>
                     bitwise_vs_1thread: bitwise,
                     isa,
                     op_a: None,
-                    tile: None,
                     bytes_per_s: None,
                 });
             }
@@ -945,8 +921,6 @@ mod tests {
             assert_eq!(r.bytes_per_s.is_some(), rated, "{}", r.kernel);
             let product = matches!(r.kernel.as_str(), "gemm_1col" | "gemm_rhs");
             assert_eq!(r.op_a.is_some(), product, "{}", r.kernel);
-            let packed = matches!(r.kernel.as_str(), "gemm" | "gemm_rhs");
-            assert_eq!(r.tile.is_some(), packed, "{}", r.kernel);
         }
         // Every multi-thread row must report a bitwise verdict, and it must
         // be "identical".

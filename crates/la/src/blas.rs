@@ -47,6 +47,9 @@
 //! **Tuning:** [`GEMM_MR`]`x`[`GEMM_NR`] sets the register footprint of the
 //! real microkernel: 8x6 `f64` accumulators take twelve of the sixteen
 //! AVX2 registers, leaving room for a column of `A` and a broadcast of `B`.
+//! Fused 8x6 beat a fused 8x4 at `1024^3` and matched it at the 14-column
+//! products of a coalesced solve (the `gemm` and `gemm_rhs` rows of the
+//! `kernels` bench), so one tile serves both.
 //! `GEMM_KC` bounds the packed panel depth so an `MR x KC` A-strip plus an
 //! `NR x KC` B-strip stay L1-resident; `GEMM_MC` (a multiple of `MR`) sizes
 //! the packed A panel for L2; `GEMM_NC` (a multiple of `NR`) sets the width

@@ -195,8 +195,8 @@ pub(crate) fn potf2_unblocked_body<T: Scalar>(mut a: MatMut<'_, T>) -> Result<()
 /// Solve `L^H X = B` in place by backward substitution, where `L` is the
 /// lower-triangular factor (the transpose solve [`crate::triangular`] does
 /// not provide).  Groups of eight columns, the last one padded, are solved
-/// side by side, four groups per pass while they last, bitwise as one at a
-/// time (see [`crate::triangular`]).
+/// side by side, four groups per pass with real scalars, bitwise as one at
+/// a time (see [`crate::triangular`]).
 pub fn solve_conj_transpose_lower_in_place<T: Scalar>(
     l: MatRef<'_, T>,
     diag: Diag,

@@ -15,11 +15,13 @@
 //! set differently).
 //!
 //! A fused chain is as long as an unfused one, so eight lanes (two AVX2
-//! vectors of `f64`) leave most of the FMA units idle.  While at least
-//! [`GROUPS`] full groups of columns remain, a row pass therefore runs
-//! that many groups at once ([`WIDE`] lanes, eight `f64` vectors in
-//! flight); the rest go one group per pass.  Each lane still runs its own
-//! column's operations, so the pass width changes no bit.
+//! vectors of `f64`) leave most of the FMA units idle.  With real scalars
+//! a row pass therefore runs `GROUPS` (four) groups at once (`WIDE`, 32
+//! lanes, eight `f64` vectors in flight) while that many full groups
+//! remain, and the columns left after those passes in one more pass,
+//! padded to whole groups; complex solves run one group per pass
+//! (`solve_in_lanes` gives the measurements).  Each lane still runs its
+//! own column's operations, so the pass width changes no bit.
 //!
 //! The leftover `cols % 8` columns run as one more, padded group when
 //! there are at least `PADDED_GROUP_MIN` of them (three; six for complex
@@ -47,7 +49,7 @@
 //! *Right-hand-side lanes* run columns of the right-hand side side by
 //! side: the solves here, the `L^H` solve and the Bunch-Kaufman solve in
 //! [`crate::cholesky`] (whose forward updates skip a lane where its column
-//! skips a zero), all through [`solve_in_lanes`], and the dot form of
+//! skips a zero), all through `solve_in_lanes`, and the dot form of
 //! `gemm`'s direct path (eight columns of `alpha * op_b(B)`); all four pad
 //! their last group.
 //! *Output lanes* run eight entries of one output column side by side:
@@ -68,7 +70,15 @@ pub(crate) const LANES: usize = 8;
 /// right-hand sides remain (real scalars).  In a standalone copy of the
 /// lane kernel (64x64 lower triangle, 578 right-hand sides, Intel Xeon,
 /// AVX2 + FMA) fused lanes read 9.9 GFLOP/s at one group per pass, no
-/// faster than the 9.3-10.0 of unfused ones, and 14.5 at four.
+/// faster than the 9.3-10.0 of unfused ones, and 14.5 at four.  In the
+/// `kernels` bench's order-64 f64 solves (one thread, one binary linking
+/// both builds, two runs of 41 interleaved samples), two groups per pass
+/// took 1.03-1.11x the time of four for `getrs` and `potrs` at 31 and 32
+/// right-hand sides.  For the Bunch-Kaufman solve (`sytrs`) the sign
+/// flipped between two such binaries (two groups 0.89-0.94x the time of
+/// four at 31 to 578 right-hand sides in one, 1.08-1.10x at 138 and 578
+/// and 1.36-1.56x at 31 in the other): code layout, not width, so it keeps
+/// four.
 pub(crate) const GROUPS: usize = 4;
 
 /// Right-hand sides of one wide pass: [`GROUPS`] lane groups.
@@ -122,10 +132,18 @@ pub(crate) trait LaneSolve<T: Scalar> {
 
 /// Solve every column of `b` with `kernel` (the module docs): with real
 /// scalars, passes of [`WIDE`] columns while that many remain, then one
-/// pass over the rest, padded to whole lane groups; with complex scalars,
-/// one lane group per pass, the last one padded.  A plain function over a
-/// trait, not a closure, so that a dispatched caller's whole loop nest
-/// runs in its ISA copy.
+/// pass over the rest, padded to whole lane groups (so 29 columns run one
+/// 32-lane pass); with complex scalars, one lane group per pass, the last
+/// one padded.  A plain function over a trait, not a closure, so that a
+/// dispatched caller's whole loop nest runs in its ISA copy.
+///
+/// Complex lanes gain nothing from width: a complex multiply-add ends in
+/// a plain add, and 32 complex lanes fill every vector register.  In the
+/// `kernels` bench's order-64 `c64` solves (one thread, one binary linking
+/// both builds, two runs of 41 interleaved samples), four groups per pass
+/// took 1.3-1.55x the time of one for `getrs` and `potrs` and 1.1-1.2x for
+/// `sytrs` at 31, 32, 138 and 578 right-hand sides; two groups took
+/// 1.0-1.5x.
 #[inline(always)]
 pub(crate) fn solve_in_lanes<T: Scalar, K: LaneSolve<T>>(kernel: &K, b: &mut MatMut<'_, T>) {
     let cols = b.cols();
@@ -139,7 +157,8 @@ pub(crate) fn solve_in_lanes<T: Scalar, K: LaneSolve<T>>(kernel: &K, b: &mut Mat
         0 => {}
         1 => solve_passes::<T, K, LANES>(kernel, b, wide..cols),
         2 => solve_passes::<T, K, { 2 * LANES }>(kernel, b, wide..cols),
-        _ => solve_passes::<T, K, { 3 * LANES }>(kernel, b, wide..cols),
+        3 => solve_passes::<T, K, { 3 * LANES }>(kernel, b, wide..cols),
+        _ => solve_passes::<T, K, WIDE>(kernel, b, wide..cols),
     }
 }
 
@@ -185,8 +204,8 @@ pub enum Diag {
 ///
 /// This corresponds to BLAS `trsm` with `side = Left`, `alpha = 1`.
 /// Groups of eight columns, the last one padded, are solved side by side,
-/// four groups per pass while they last, bitwise as one at a time (see the
-/// module docs).
+/// four groups per pass with real scalars, bitwise as one at a time (see
+/// the module docs).
 ///
 /// # Panics
 /// Panics if `t` is not square or shapes do not match.
@@ -583,6 +602,41 @@ mod tests {
         check_lanes::<f64>(11);
         check_lanes::<f32>(12);
         check_lanes::<Complex64>(13);
+    }
+
+    /// A lane kernel that solves nothing and records each pass's width.
+    #[derive(Default)]
+    struct PassWidths(std::cell::RefCell<Vec<usize>>);
+
+    impl<T: Scalar> LaneSolve<T> for PassWidths {
+        fn solve_lanes<const W: usize>(&self, _: &mut [[T; W]]) {
+            self.0.borrow_mut().push(W);
+        }
+    }
+
+    /// The pass widths `solve_in_lanes` runs on `cols` columns of `T`.
+    fn pass_widths<T: Scalar>(cols: usize) -> Vec<usize> {
+        let kernel = PassWidths::default();
+        let mut b = DenseMatrix::<T>::zeros(2, cols);
+        solve_in_lanes(&kernel, &mut b.as_mut());
+        kernel.0.into_inner()
+    }
+
+    /// Real scalars run full passes of [`GROUPS`] groups, then one pass
+    /// over the rest, padded to whole groups; complex scalars one group
+    /// per pass.
+    #[test]
+    fn lane_passes_run_full_widths_then_one_padded_pass() {
+        for cols in 0..=3 * WIDE {
+            let mut want = vec![WIDE; cols / WIDE];
+            if cols % WIDE > 0 {
+                want.push((cols % WIDE).div_ceil(LANES) * LANES);
+            }
+            assert_eq!(pass_widths::<f64>(cols), want, "f64, {cols} columns");
+            assert_eq!(pass_widths::<f32>(cols), want, "f32, {cols} columns");
+            let want = vec![LANES; cols.div_ceil(LANES)];
+            assert_eq!(pass_widths::<Complex64>(cols), want, "c64, {cols} columns");
+        }
     }
 
     #[test]
