@@ -56,7 +56,7 @@ pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     pub(crate) tree: ClusterTree,
     pub(crate) layout: LevelLayout,
     /// Row range of every leaf, in leaf order.
-    pub(crate) leaf_ranges: Vec<Range<usize>>,
+    leaf_ranges: Vec<Range<usize>>,
     /// Element offset of every leaf block inside `dbig`.
     diag_offsets: Vec<usize>,
     /// Leaf diagonal blocks, factorized in place by
@@ -65,13 +65,13 @@ pub struct BatchedSolver<'d, T: Scalar, K: FactorKind<T>> {
     /// The flattened bases; overwritten with `Ybig` by the factorization.
     pub(crate) ybig: DeviceBuffer<T>,
     /// The flattened right bases, read in place from the host matrix.
-    pub(crate) vbig: SharedBuffer<T>,
+    vbig: SharedBuffer<T>,
     /// Host-side metadata (pivots or ladder rungs) of the leaf factors.
     pub(crate) diag_meta: Vec<K::Meta>,
     /// Per level: the coupling matrices `Kbig` (factorized in place).
     k_bufs: Vec<DeviceBuffer<T>>,
     /// Per level: host-side metadata of every coupling factor.
-    pub(crate) k_meta: Vec<Vec<K::Meta>>,
+    k_meta: Vec<Vec<K::Meta>>,
     progress: Progress,
     streams: StreamPool,
     /// Vestigial: the solver borrows nothing.  `'d` stays only because
@@ -164,16 +164,22 @@ impl<'d, T: Scalar, K: FactorKind<T>> BatchedSolver<'d, T, K> {
         self.tree.n()
     }
 
-    /// Scalar entries resident in device buffers: the packed diagonal
-    /// blocks, both basis stacks, and (after factorization) the per-level
-    /// coupling factors, every factor square.  This is the device model's
-    /// count, so `Vbig` counts in full although the device reads it in
-    /// place from the host matrix.
+    /// Storage of the factorization in scalar entries (the `mem` column):
+    /// both basis stacks, and the leaf factors and (after factorization)
+    /// the per-level coupling factors, each counted by
+    /// [`FactorKind::factor_entries`] — square for LU, the lower triangle
+    /// for the symmetric kind, which is all its solve reads although its
+    /// device buffers hold the square.  This is the device model's count,
+    /// so `Vbig` counts in full although the device reads it in place from
+    /// the host matrix.
     pub fn storage_entries(&self) -> usize {
-        self.dbig.len()
-            + self.ybig.len()
-            + self.vbig.len()
-            + self.k_bufs.iter().map(|b| b.len()).sum::<usize>()
+        let leaves: usize = (self.leaf_ranges.iter())
+            .map(|r| K::factor_entries(r.len()))
+            .sum();
+        let coupling: usize = (self.k_meta.iter().enumerate())
+            .map(|(level, meta)| meta.len() * K::factor_entries(2 * self.layout.width(level + 1)))
+            .sum();
+        self.ybig.len() + self.vbig.len() + leaves + coupling
     }
 
     /// Stream to issue a launch of `batch` problems on: the default stream

@@ -1,10 +1,24 @@
 //! The [`HodlrMatrix`] storage type: flattened bases plus leaf diagonal
 //! blocks (Figs. 3–4 of the paper).
+//!
+//! Its products run one walk over the tree, written once for the forward
+//! and the adjoint apply and for either stored precision: a matrix stored
+//! in the working precision applies every block with the dispatched
+//! `gemv` ([`HodlrMatrix::apply_into`]), and one stored in the lower
+//! companion precision promotes each block a row panel at a time and
+//! applies the panels with the same `gemv`
+//! ([`HodlrMatrix::apply_promoted_into`]), bitwise the working-precision
+//! apply of the promoted matrix.
 
 use crate::layout::LevelLayout;
-use hodlr_la::{gemm, norms, DenseMatrix, HodlrError, MatRef, Op, RealScalar, Scalar};
+use hodlr_la::{gemm, norms, DemoteScalar, DenseMatrix, HodlrError, MatRef, Op, Scalar};
 use hodlr_tree::{ClusterTree, NodeId};
 use std::sync::Arc;
+
+/// Rows of a lower-precision block promoted at a time by
+/// [`HodlrMatrix::apply_promoted_into`]: a panel of the widest levels stays
+/// in cache while its `gemv` reads it.
+pub const PROMOTED_PANEL_ROWS: usize = 256;
 
 /// A HODLR matrix stored in the paper's flattened format.
 ///
@@ -282,47 +296,7 @@ impl<T: Scalar> HodlrMatrix<T> {
     /// In-place matrix-vector product `y = A x`, for callers (e.g. Krylov
     /// hot loops) that reuse the output buffer.
     pub fn matvec_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.n(), "matvec: x has the wrong length");
-        assert_eq!(y.len(), self.n(), "matvec: y has the wrong length");
-        y.fill(T::zero());
-        // Leaf diagonal blocks.
-        for (leaf_idx, leaf) in self.tree.leaves().enumerate() {
-            let range = self.tree.range(leaf);
-            let d = &self.diag[leaf_idx];
-            hodlr_la::gemv(
-                T::one(),
-                d.as_ref(),
-                Op::None,
-                &x[range.clone()],
-                T::one(),
-                &mut y[range],
-            );
-        }
-        // Off-diagonal low-rank blocks, one sibling pair per internal node.
-        for gamma in self.tree.internal_nodes() {
-            let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-            self.apply_off_diag(alpha, beta, x, y);
-            self.apply_off_diag(beta, alpha, x, y);
-        }
-    }
-
-    /// `y[I_row] += U_row (V_col^* x[I_col])`.
-    fn apply_off_diag(&self, row_node: NodeId, col_node: NodeId, x: &[T], y: &mut [T]) {
-        let row_range = self.tree.range(row_node);
-        let col_range = self.tree.range(col_node);
-        let u = self.u_block(row_node);
-        let v = self.v_block(col_node);
-        let width = u.cols();
-        let mut tmp = vec![T::zero(); width];
-        hodlr_la::gemv(
-            T::one(),
-            v,
-            Op::ConjTrans,
-            &x[col_range],
-            T::zero(),
-            &mut tmp,
-        );
-        hodlr_la::gemv(T::one(), u, Op::None, &tmp, T::one(), &mut y[row_range]);
+        self.apply_into(false, x, y);
     }
 
     /// Adjoint matrix-vector product `y = A^H x`, also `O(N log N)`: the
@@ -338,46 +312,17 @@ impl<T: Scalar> HodlrMatrix<T> {
 
     /// In-place adjoint matrix-vector product `y = A^H x`.
     pub fn matvec_adjoint_into(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.n(), "matvec_adjoint: x has the wrong length");
-        assert_eq!(y.len(), self.n(), "matvec_adjoint: y has the wrong length");
-        y.fill(T::zero());
-        for (leaf_idx, leaf) in self.tree.leaves().enumerate() {
-            let range = self.tree.range(leaf);
-            let d = &self.diag[leaf_idx];
-            hodlr_la::gemv(
-                T::one(),
-                d.as_ref(),
-                Op::ConjTrans,
-                &x[range.clone()],
-                T::one(),
-                &mut y[range],
-            );
-        }
-        for gamma in self.tree.internal_nodes() {
-            let (alpha, beta) = self.tree.children(gamma).expect("internal node");
-            self.apply_off_diag_adjoint(alpha, beta, x, y);
-            self.apply_off_diag_adjoint(beta, alpha, x, y);
-        }
+        self.apply_into(true, x, y);
     }
 
-    /// Adjoint of the `(row_node, col_node)` low-rank block:
-    /// `y[I_col] += V_col (U_row^H x[I_row])`.
-    fn apply_off_diag_adjoint(&self, row_node: NodeId, col_node: NodeId, x: &[T], y: &mut [T]) {
-        let row_range = self.tree.range(row_node);
-        let col_range = self.tree.range(col_node);
-        let u = self.u_block(row_node);
-        let v = self.v_block(col_node);
-        let width = u.cols();
-        let mut tmp = vec![T::zero(); width];
-        hodlr_la::gemv(
-            T::one(),
-            u,
-            Op::ConjTrans,
-            &x[row_range],
-            T::zero(),
-            &mut tmp,
-        );
-        hodlr_la::gemv(T::one(), v, Op::None, &tmp, T::one(), &mut y[col_range]);
+    /// `y = A x`, or `y = A^H x` when `adjoint`: the one HODLR walk (the
+    /// leaf diagonal blocks in leaf order, then every internal node's two
+    /// sibling blocks through one scratch vector) with every stored block
+    /// applied by `hodlr-la`'s dispatched [`gemv`](hodlr_la::gemv).
+    pub fn apply_into(&self, adjoint: bool, x: &[T], y: &mut [T]) {
+        self.walk(adjoint, x, y, |b, op, x, beta, y| {
+            hodlr_la::gemv(T::one(), b, op, x, beta, y)
+        });
     }
 
     /// Hager/Higham estimate of `‖A‖₁` from a handful of matvec /
@@ -445,15 +390,126 @@ impl<T: Scalar> HodlrMatrix<T> {
 
     /// Relative residual `||b - A x|| / ||b||` of a candidate solution
     /// (the `relres` column of the paper's tables).
+    ///
+    /// # Panics
+    /// Panics if `x` or `b` has the wrong length.
     pub fn relative_residual(&self, x: &[T], b: &[T]) -> T::Real {
-        let ax = self.matvec(x);
-        let mut diff = T::Real::zero();
-        let mut bnorm = T::Real::zero();
-        for i in 0..b.len() {
-            diff += (b[i] - ax[i]).abs_sqr();
-            bnorm += b[i].abs_sqr();
+        assert_eq!(
+            b.len(),
+            self.n(),
+            "relative_residual: b has the wrong length"
+        );
+        norms::relative_residual(norms::dist2(b, &self.matvec(x)), norms::norm2(b))
+    }
+
+    /// Every part of the matrix mapped entry by entry through `f` (the
+    /// tree, layout, ranks and basis sharing stay), e.g. to demote or
+    /// promote its stored precision.
+    pub fn map<U: Scalar>(&self, f: impl Fn(T) -> U) -> HodlrMatrix<U> {
+        let map = |a: &DenseMatrix<T>| {
+            DenseMatrix::from_col_major(
+                a.rows(),
+                a.cols(),
+                a.data().iter().map(|&v| f(v)).collect(),
+            )
+        };
+        HodlrMatrix::assemble(
+            self.tree.clone(),
+            self.layout.clone(),
+            self.node_ranks.clone(),
+            map(&self.ubig),
+            self.vbig.as_deref().map(map),
+            self.diag.iter().map(map).collect(),
+        )
+        .expect("mapping the entries keeps the shape of every part")
+    }
+}
+
+impl<S: Scalar> HodlrMatrix<S> {
+    /// The one HODLR apply: `y = A x`, or `y = A^H x` when `adjoint`, with
+    /// every stored block `B` applied by `product(B, op, x_part, beta,
+    /// y_part)` as `y_part <- op(B) x_part + beta y_part`, in the working
+    /// precision `T` of `x` and `y`.
+    ///
+    /// The leaf diagonal blocks come first, in leaf order; then, for every
+    /// internal node, its two sibling blocks `(alpha, beta)` and `(beta,
+    /// alpha)`, each as two products through one scratch vector `t`: `t =
+    /// V_col^H x[I_col]` and `y[I_row] += U_row t`, or for the adjoint `t =
+    /// U_row^H x[I_row]` and `y[I_col] += V_col t`.  The order of the terms
+    /// of every entry of `y` is therefore the product's alone.
+    fn walk<T: Scalar>(
+        &self,
+        adjoint: bool,
+        x: &[T],
+        y: &mut [T],
+        mut product: impl FnMut(MatRef<'_, S>, Op, &[T], T, &mut [T]),
+    ) {
+        let name = if adjoint { "matvec_adjoint" } else { "matvec" };
+        assert_eq!(x.len(), self.n(), "{name}: x has the wrong length");
+        assert_eq!(y.len(), self.n(), "{name}: y has the wrong length");
+        y.fill(T::zero());
+        let leaf_op = if adjoint { Op::ConjTrans } else { Op::None };
+        for (d, leaf) in self.diag.iter().zip(self.tree.leaves()) {
+            let range = self.tree.range(leaf);
+            product(
+                d.as_ref(),
+                leaf_op,
+                &x[range.clone()],
+                T::one(),
+                &mut y[range],
+            );
         }
-        norms::relative_residual(diff.sqrt_real(), bnorm.sqrt_real())
+        let mut t = Vec::new();
+        for gamma in self.tree.internal_nodes() {
+            let (alpha, beta) = self.tree.children(gamma).expect("internal node");
+            for (row, col) in [(alpha, beta), (beta, alpha)] {
+                let (from, into) = if adjoint { (row, col) } else { (col, row) };
+                let (read, write) = if adjoint {
+                    (self.u_block(row), self.v_block(col))
+                } else {
+                    (self.v_block(col), self.u_block(row))
+                };
+                t.clear();
+                t.resize(read.cols(), T::zero());
+                let x_from = &x[self.tree.range(from)];
+                product(read, Op::ConjTrans, x_from, T::zero(), &mut t);
+                product(write, Op::None, &t, T::one(), &mut y[self.tree.range(into)]);
+            }
+        }
+    }
+
+    /// `y = A x`, or `y = A^H x` when `adjoint`, in the working precision
+    /// `T` of a matrix stored in its lower companion `S`: the walk of
+    /// [`HodlrMatrix::apply_into`] with every block promoted, up to
+    /// [`PROMOTED_PANEL_ROWS`] rows at a time, into one reused buffer, and
+    /// each panel applied by the dispatched [`gemv`](hodlr_la::gemv).  Each
+    /// output row of `op(B) = B` is its own chain and each output of `B^H`
+    /// one chain over the rows, which the next panel continues with `beta
+    /// = 1`, so the result is bitwise that of `apply_into` on the matrix
+    /// with every entry promoted.
+    pub fn apply_promoted_into<T: DemoteScalar<Lower = S>>(
+        &self,
+        adjoint: bool,
+        x: &[T],
+        y: &mut [T],
+    ) {
+        let mut panel: Vec<T> = Vec::new();
+        self.walk(adjoint, x, y, |b, op, x, mut beta, y| {
+            for r0 in (0..b.rows()).step_by(PROMOTED_PANEL_ROWS) {
+                let rows = PROMOTED_PANEL_ROWS.min(b.rows() - r0);
+                panel.clear();
+                for j in 0..b.cols() {
+                    panel.extend(b.col(j)[r0..r0 + rows].iter().map(|&v| T::promote(v)));
+                }
+                let p = MatRef::from_parts(&panel, rows, b.cols(), rows);
+                if op == Op::None {
+                    hodlr_la::gemv(T::one(), p, op, x, beta, &mut y[r0..r0 + rows]);
+                } else {
+                    hodlr_la::gemv(T::one(), p, op, &x[r0..r0 + rows], beta, y);
+                    beta = T::one();
+                }
+            }
+        });
     }
 }
 

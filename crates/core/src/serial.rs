@@ -149,23 +149,9 @@ impl<T: Scalar, K: FactorKind<T>> SerialSolver<T, K> {
     }
 
     /// Storage used by the factorization in scalar entries (the `mem`
-    /// column): the transformed bases, the right bases, and the leaf and
-    /// coupling-matrix factors, each counted by
-    /// [`FactorKind::factor_entries`] — square for LU, the lower triangle
-    /// for the symmetric kind, which is all its solve reads.  This is the
-    /// device model's count: the right bases count in full although the
-    /// solver reads them in place from the host matrix.
+    /// column): [`BatchedSolver::storage_entries`] of the sweep it owns.
     pub fn storage_entries(&self) -> usize {
-        let b = &self.batched;
-        let leaves: usize = b
-            .leaf_ranges
-            .iter()
-            .map(|r| K::factor_entries(r.len()))
-            .sum();
-        let coupling: usize = (b.k_meta.iter().enumerate())
-            .map(|(level, meta)| meta.len() * K::factor_entries(2 * b.layout.width(level + 1)))
-            .sum();
-        b.ybig.len() + b.vbig.len() + leaves + coupling
+        self.batched.storage_entries()
     }
 
     /// Storage in GiB.

@@ -36,8 +36,8 @@
 //!
 //! The symmetric factors are held square, like LU's, but count as the
 //! `m(m+1)/2` entries of their lower triangle, which is all a solve reads:
-//! [`SerialSolver::storage_entries`] reports that count, and a cache layer
-//! budgets the serial backend by it.
+//! [`BatchedSolver::storage_entries`] reports that count on both backends,
+//! and a cache layer budgets factorizations by it.
 
 use crate::gpu::{BatchedSolver, GpuSolver, GpuSymmetricSolver};
 use crate::matrix::HodlrMatrix;

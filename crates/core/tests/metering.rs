@@ -243,7 +243,7 @@ solve_matrix: launches 10 entries 43 flops 88704 h2d 6144 d2h 6144 alloc 118272 
 log_det: launches 4 entries 15 flops 0 h2d 0 d2h 4872 alloc 118272 peak 125184
   extract_tridiagonals_batched/8@0 extract_tridiagonals_batched/1@4
   extract_tridiagonals_batched/2@1 extract_tridiagonals_batched/4@0
-storage: batched 14784 serial 10620
+storage: batched 10620 serial 10620
 storage: serial lu 14784
 ",
     );
@@ -270,7 +270,7 @@ solve_matrix: launches 10 entries 43 flops 354816 h2d 12288 d2h 12288 alloc 2365
 log_det: launches 4 entries 15 flops 0 h2d 0 d2h 9744 alloc 236544 peak 250368
   extract_tridiagonals_batched/8@0 extract_tridiagonals_batched/1@4
   extract_tridiagonals_batched/2@1 extract_tridiagonals_batched/4@0
-storage: batched 14784 serial 10620
+storage: batched 10620 serial 10620
 storage: serial lu 14784
 ",
     );
@@ -297,7 +297,7 @@ solve_matrix: launches 10 entries 43 flops 15606 h2d 2424 d2h 2424 alloc 20808 p
 log_det: launches 4 entries 15 flops 0 h2d 0 d2h 1944 alloc 20808 peak 23616
   extract_tridiagonals_batched/8@0 extract_tridiagonals_batched/1@4
   extract_tridiagonals_batched/2@1 extract_tridiagonals_batched/4@0
-storage: batched 2601 serial 1971
+storage: batched 1971 serial 1971
 storage: serial lu 2601
 ",
     );
@@ -324,7 +324,7 @@ solve_matrix: launches 10 entries 43 flops 62424 h2d 4848 d2h 4848 alloc 41616 p
 log_det: launches 4 entries 15 flops 0 h2d 0 d2h 3888 alloc 41616 peak 47232
   extract_tridiagonals_batched/8@0 extract_tridiagonals_batched/1@4
   extract_tridiagonals_batched/2@1 extract_tridiagonals_batched/4@0
-storage: batched 2601 serial 1971
+storage: batched 1971 serial 1971
 storage: serial lu 2601
 ",
     );

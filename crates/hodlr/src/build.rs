@@ -20,7 +20,7 @@
 //! assert!(hodlr.relative_residual(&x, &[1.0, 2.0, 3.0, 4.0]) < 1e-10);
 //! ```
 
-use crate::compact::{CompactConfig, CompactOps};
+use crate::compact::CompactOps;
 use crate::scalar::SolveScalar;
 use crate::solve::{Factorization, Factorize, Solve};
 use hodlr_batch::Device;
@@ -32,6 +32,7 @@ use hodlr_core::{
 use hodlr_la::{norms, AllocMeter, DenseMatrix, HodlrError, RealScalar, Scalar};
 use hodlr_solver::LinearOperator;
 use hodlr_tree::ClusterTree;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Which factorization backend serves this matrix.
@@ -55,11 +56,17 @@ pub enum Backend {
 ///
 /// Both lower-precision policies factorize in the companion lower
 /// precision (`f64 -> f32`, `Complex64 -> Complex32`; half the memory and
-/// flop width) and recover working-precision accuracy by iterative
-/// refinement — the paper's Table IV(b) regime.  They differ in what is
-/// stored: `MixedRefine` demotes an already-built working-precision
-/// matrix, while `CompactLower` never builds it in the first place.
-/// Both require an `f64`/`Complex64` scalar and [`Symmetry::General`].
+/// flop width) on the configured [`Backend`] and [`Symmetry`], and recover
+/// working-precision accuracy by iterative refinement — the paper's Table
+/// IV(b) regime.  They differ in what is stored: `MixedRefine` demotes an
+/// already-built working-precision matrix, while `CompactLower` never
+/// builds it in the first place.  Both require an `f64`/`Complex64`
+/// scalar.
+///
+/// Refinement improves solves, not determinants: under both, a
+/// factorization's [`log_det`](crate::Solve::log_det) — and with it the
+/// Gaussian-process log-likelihood that reads it — is the lower factors'
+/// value, promoted, with their ~`1e-7` relative accuracy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Store, factorize and solve in the working precision.
@@ -276,6 +283,35 @@ impl<'a, T: Scalar> HodlrBuilder<'a, T> {
         self.refine_max_iters = max_iters;
         self
     }
+
+    /// Compress `source` into a HODLR matrix of its own scalar `S` with this
+    /// builder's compression method, rank cap and symmetry (shared bases
+    /// for a symmetric structure), its tolerance raised to at least
+    /// `floor`.
+    pub(crate) fn compress<S: Scalar>(
+        &self,
+        source: &(dyn MatrixEntrySource<S> + '_),
+        tree: ClusterTree,
+        floor: f64,
+        options: BuildOptions<'_>,
+    ) -> Result<HodlrMatrix<S>, HodlrError> {
+        // Validate before the clamp, which would turn a zero, negative or
+        // NaN tolerance into the floor.
+        CompressionConfig::with_tol(self.tol).validate()?;
+        let tol = S::Real::from_f64_real(self.tol.max(floor));
+        let mut config = CompressionConfig::with_tol(tol).method(self.method);
+        if let Some(cap) = self.max_rank {
+            config = config.max_rank(cap);
+        }
+        if self.strict_rank {
+            config = config.strict_rank();
+        }
+        if self.symmetry.is_symmetric() {
+            build_from_source_symmetric_with(source, tree, &config, options)
+        } else {
+            build_from_source_with(source, tree, &config, options)
+        }
+    }
 }
 
 impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
@@ -289,17 +325,16 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
     /// # Errors
     /// [`HodlrError::InvalidConfig`] for a missing input, a zero-size
     /// problem, a non-positive tolerance, a zero leaf size or thread
-    /// count, a level count deeper than the index set, or an unsupported
-    /// combination (a lower [`Precision`] with a symmetric structure, or
-    /// [`Precision::CompactLower`] with an adopted matrix or a
-    /// single-precision scalar);
+    /// count, a level count deeper than the index set, a lower
+    /// [`Precision`] with a single-precision scalar, or
+    /// [`Precision::CompactLower`] with an adopted matrix;
     /// [`HodlrError::DimensionMismatch`] for a non-square input or a tree
     /// that does not match it; [`HodlrError::BudgetExceeded`] when a
     /// [`memory_budget`](HodlrBuilder::memory_budget) is crossed;
     /// compression errors (e.g. [`HodlrError::CompressionRankOverflow`]
     /// under a strict rank cap) propagate.
-    pub fn build(self) -> Result<Hodlr<T>, HodlrError> {
-        let input = self.input.ok_or_else(|| {
+    pub fn build(mut self) -> Result<Hodlr<T>, HodlrError> {
+        let input = self.input.take().ok_or_else(|| {
             HodlrError::config(
                 "no input given: call .source(..), .dense(..) or .matrix(..) before .build()",
             )
@@ -325,13 +360,6 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
             return Err(HodlrError::config(
                 "refinement sweep cap must be at least 1",
             ));
-        }
-        if self.precision != Precision::Full && self.symmetry.is_symmetric() {
-            return Err(HodlrError::config(format!(
-                "Precision::{:?} is not available for symmetric structures; use \
-                 Precision::Full with Symmetry::PositiveDefinite / Symmetry::Hermitian",
-                self.precision
-            )));
         }
         let compact = self.precision == Precision::CompactLower;
 
@@ -379,31 +407,11 @@ impl<'a, T: SolveScalar> HodlrBuilder<'a, T> {
                 }
             };
             let build = || {
-                if compact {
-                    let config = CompactConfig {
-                        tol: self.tol,
-                        max_rank: self.max_rank,
-                        strict_rank: self.strict_rank,
-                        method: self.method,
-                    };
-                    return Ok(Store::Compact(T::build_compact(
-                        source, tree, &config, options,
-                    )?));
-                }
-                let mut config = CompressionConfig::with_tol(T::Real::from_f64_real(self.tol))
-                    .method(self.method);
-                if let Some(cap) = self.max_rank {
-                    config = config.max_rank(cap);
-                }
-                if self.strict_rank {
-                    config = config.strict_rank();
-                }
-                let matrix = if self.symmetry.is_symmetric() {
-                    build_from_source_symmetric_with(source, tree, &config, options)
+                Ok(if compact {
+                    Store::Compact(T::build_compact(&self, source, tree, options)?)
                 } else {
-                    build_from_source_with(source, tree, &config, options)
-                }?;
-                Ok(Store::Full(Arc::new(matrix)))
+                    Store::Full(Arc::new(self.compress(source, tree, 0.0, options)?))
+                })
             };
             match &pool {
                 Some(pool) => pool.install(build),
@@ -465,22 +473,35 @@ pub(crate) enum Store<T: Scalar> {
     Compact(Arc<dyn CompactOps<T>>),
 }
 
-/// The stored representation as a working-precision operator: the
-/// residual side of the lower-precision policies' refinement, and the
-/// handle's own matvec.
-impl<T: Scalar> LinearOperator<T> for Store<T> {
-    fn dim(&self) -> usize {
+impl<T: Scalar> Store<T> {
+    /// The cluster tree of the stored matrix.
+    fn tree(&self) -> &ClusterTree {
         match self {
-            Store::Full(m) => m.n(),
-            Store::Compact(c) => c.n(),
+            Store::Full(m) => m.tree(),
+            Store::Compact(c) => c.tree(),
         }
     }
 
-    fn apply(&self, x: &[T], y: &mut [T]) {
+    /// `y = A x`, or `y = A^H x` when `adjoint`: `hodlr-core`'s one walk
+    /// over the stored matrix, its blocks promoted when they are stored in
+    /// the lower precision.  Every product of the handle runs it.
+    fn apply_into(&self, adjoint: bool, x: &[T], y: &mut [T]) {
         match self {
-            Store::Full(m) => m.matvec_into(x, y),
-            Store::Compact(c) => c.matvec_into(x, y),
+            Store::Full(m) => m.apply_into(adjoint, x, y),
+            Store::Compact(c) => c.apply_into(adjoint, x, y),
         }
+    }
+}
+
+/// The stored representation as a working-precision operator: the
+/// residual side of the lower-precision policies' refinement.
+impl<T: Scalar> LinearOperator<T> for Store<T> {
+    fn dim(&self) -> usize {
+        self.tree().n()
+    }
+
+    fn apply(&self, x: &[T], y: &mut [T]) {
+        self.apply_into(false, x, y);
     }
 }
 
@@ -598,10 +619,7 @@ impl<T: Scalar> Hodlr<T> {
 
     /// Number of tree levels.
     pub fn levels(&self) -> usize {
-        match &self.store {
-            Store::Full(m) => m.levels(),
-            Store::Compact(c) => c.levels(),
-        }
+        self.store.tree().levels()
     }
 
     /// Maximum off-diagonal rank.
@@ -626,7 +644,7 @@ impl<T: Scalar> Hodlr<T> {
 
     /// `y = A x` into a caller-owned buffer (no per-call allocation).
     pub fn matvec_into(&self, x: &[T], y: &mut [T]) {
-        self.run_in_pool(|| self.store.apply(x, y))
+        self.run_in_pool(|| self.store.apply_into(false, x, y))
     }
 
     /// `y = A^H x` in `O(N log N)`.
@@ -638,52 +656,49 @@ impl<T: Scalar> Hodlr<T> {
 
     /// `y = A^H x` into a caller-owned buffer (no per-call allocation).
     pub fn matvec_adjoint_into(&self, x: &[T], y: &mut [T]) {
-        self.run_in_pool(|| match &self.store {
-            Store::Full(m) => m.matvec_adjoint_into(x, y),
-            Store::Compact(c) => c.matvec_adjoint_into(x, y),
-        })
+        self.run_in_pool(|| self.store.apply_into(true, x, y))
     }
 
-    /// `Y = A X` for a block of vectors.
+    /// `Y = A X` for a block of vectors, column by column.
     pub fn matmat(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        self.run_in_pool(|| match &self.store {
-            Store::Full(m) => m.matmat(x),
-            Store::Compact(c) => {
-                assert_eq!(x.rows(), c.n(), "matmat: block has the wrong row count");
-                let mut y = DenseMatrix::zeros(c.n(), x.cols());
-                for j in 0..x.cols() {
-                    c.matvec_into(x.col(j), y.col_mut(j));
-                }
-                y
+        assert_eq!(x.rows(), self.n(), "matmat: block has the wrong row count");
+        let mut y = DenseMatrix::zeros(self.n(), x.cols());
+        self.run_in_pool(|| {
+            for j in 0..x.cols() {
+                self.store.apply_into(false, x.col(j), y.col_mut(j));
             }
-        })
+        });
+        y
     }
 
     /// Relative residual `||b - A x|| / ||b||` of a candidate solution.
+    ///
+    /// # Panics
+    /// Panics if `x` or `b` has the wrong length.
     pub fn relative_residual(&self, x: &[T], b: &[T]) -> T::Real {
-        self.run_in_pool(|| match &self.store {
-            Store::Full(m) => m.relative_residual(x, b),
-            Store::Compact(c) => {
-                let mut ax = vec![T::zero(); c.n()];
-                c.matvec_into(x, &mut ax);
-                let mut diff = T::Real::zero();
-                let mut bnorm = T::Real::zero();
-                for i in 0..b.len() {
-                    diff += (b[i] - ax[i]).abs_sqr();
-                    bnorm += b[i].abs_sqr();
-                }
-                norms::relative_residual(diff.sqrt_real(), bnorm.sqrt_real())
-            }
-        })
+        assert_eq!(
+            b.len(),
+            self.n(),
+            "relative_residual: b has the wrong length"
+        );
+        norms::relative_residual(norms::dist2(b, &self.matvec(x)), norms::norm2(b))
     }
 
     /// Hager/Higham estimate of `‖A‖₁` (a handful of `O(N log N)`
     /// matvec/adjoint-matvec pairs) — the operator-norm side of the
     /// verification layer's scaled residual.
     pub fn norm1_est(&self) -> f64 {
-        self.run_in_pool(|| match &self.store {
-            Store::Full(m) => m.norm1_est(),
-            Store::Compact(c) => c.norm1_est(),
+        let apply = |adjoint| {
+            move |x: &mut [T]| -> Result<(), Infallible> {
+                let mut y = vec![T::zero(); x.len()];
+                self.store.apply_into(adjoint, x, &mut y);
+                x.copy_from_slice(&y);
+                Ok(())
+            }
+        };
+        self.run_in_pool(|| {
+            let Ok(est) = hodlr_la::one_norm_est(self.n(), &mut apply(false), &mut apply(true));
+            est
         })
     }
 
@@ -695,6 +710,9 @@ impl<T: Scalar> Hodlr<T> {
     /// `hodlr-serve`'s cache entries do) and use
     /// [`verify::scaled_residual`](crate::verify::scaled_residual)
     /// directly.
+    ///
+    /// # Panics
+    /// Panics if `x` or `b` has the wrong length.
     pub fn verify_solve(
         &self,
         solver: &(impl Solve<T> + ?Sized),
@@ -702,15 +720,37 @@ impl<T: Scalar> Hodlr<T> {
         b: &[T],
         cfg: &crate::VerifyConfig,
     ) -> crate::SolveVerdict {
+        assert_eq!(b.len(), self.n(), "verify_solve: b has the wrong length");
         self.run_in_pool(|| {
-            let norm1 = match &self.store {
-                Store::Full(m) => m.norm1_est(),
-                Store::Compact(c) => c.norm1_est(),
-            };
-            let mut ax = vec![T::zero(); self.n()];
-            self.store.apply(x, &mut ax);
-            let residual = crate::scaled_residual(&ax, x, b, norm1);
+            let norm1 = self.norm1_est();
+            let residual = crate::scaled_residual(&self.matvec(x), x, b, norm1);
             solver.verify_solution(x, residual, norm1, cfg)
+        })
+    }
+
+    /// Factorize `matrix`, stored in this handle's scalar or in its lower
+    /// companion, on the handle's backend under its declared symmetry: the
+    /// one factor path of every factorization the handle makes.  Call it
+    /// inside the handle's pool; the batched upload's copies are pool
+    /// tasks too.
+    pub(crate) fn factorize_matrix<S: Scalar>(
+        &self,
+        matrix: &HodlrMatrix<S>,
+    ) -> Result<Box<dyn Solve<S> + Send + Sync>, HodlrError> {
+        let symmetry = self.symmetry;
+        Ok(match (self.backend, symmetry.is_symmetric()) {
+            (Backend::Serial, false) => Box::new(matrix.factorize_serial()?),
+            (Backend::Serial, true) => Box::new(matrix.factorize_symmetric(symmetry)?),
+            (Backend::Batched, false) => {
+                let mut solver = GpuSolver::new(&self.device, matrix);
+                solver.factorize()?;
+                Box::new(solver)
+            }
+            (Backend::Batched, true) => {
+                let mut solver = GpuSymmetricSolver::new(&self.device, matrix, symmetry)?;
+                solver.factorize()?;
+                Box::new(solver)
+            }
         })
     }
 
@@ -749,32 +789,17 @@ impl<T: Scalar> LinearOperator<T> for Hodlr<T> {
 }
 
 impl<T: SolveScalar> Factorize<T> for Hodlr<T> {
-    /// Factorize with the configured backend and precision policy: the
-    /// lower-precision policies factorize their lower-precision matrix and
-    /// refine against the stored operator.
+    /// Factorize with the configured backend, symmetry and precision
+    /// policy: the lower-precision policies factorize their lower-precision
+    /// matrix and refine against the stored operator.
     fn factorize(&self) -> Result<Factorization<T>, HodlrError> {
-        let symmetric = self.symmetry.is_symmetric();
-        let inner: Box<dyn crate::Solve<T> + Send + Sync> = match &self.store {
-            Store::Compact(c) => self.run_in_pool(|| c.factorize(self))?,
-            Store::Full(matrix) if self.precision == Precision::MixedRefine => {
-                self.run_in_pool(|| T::mixed_factorization(self, matrix))?
+        let inner = self.run_in_pool(|| match &self.store {
+            Store::Compact(c) => c.factorize(self),
+            Store::Full(m) if self.precision == Precision::MixedRefine => {
+                T::mixed_factorization(self, m)
             }
-            Store::Full(matrix) => match self.backend {
-                Backend::Serial if symmetric => {
-                    Box::new(self.run_in_pool(|| matrix.factorize_symmetric(self.symmetry))?)
-                }
-                Backend::Serial => Box::new(self.run_in_pool(|| matrix.factorize_serial())?),
-                // The upload runs in the pool too: its copies are pool tasks.
-                Backend::Batched if symmetric => Box::new(self.run_in_pool(|| {
-                    let mut solver = GpuSymmetricSolver::new(&self.device, matrix, self.symmetry)?;
-                    solver.factorize().map(|()| solver)
-                })?),
-                Backend::Batched => Box::new(self.run_in_pool(|| {
-                    let mut solver = GpuSolver::new(&self.device, matrix);
-                    solver.factorize().map(|()| solver)
-                })?),
-            },
-        };
+            Store::Full(m) => self.factorize_matrix(m),
+        })?;
         Ok(Factorization {
             inner,
             backend: self.backend,

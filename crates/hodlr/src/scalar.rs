@@ -3,9 +3,11 @@
 //! `CompactLower`.
 //!
 //! Both factorize a HODLR matrix in the *companion lower precision*
-//! (`f64 -> f32`, `Complex64 -> Complex32`) on whichever [`Backend`] the
-//! builder selected, and recover working-precision accuracy by iterative
-//! refinement.  `MixedRefine` demotes the built working-precision matrix
+//! (`f64 -> f32`, `Complex64 -> Complex32`) on whichever [`Backend`] and
+//! [`Symmetry`](crate::Symmetry) the builder selected — through the one
+//! factor path every factorization of the handle takes — and recover
+//! working-precision accuracy by iterative refinement.  `MixedRefine`
+//! demotes the built working-precision matrix (shared bases stay shared)
 //! and takes its residuals from it, so `Backend::Batched` +
 //! `Precision::MixedRefine` demotes, uploads and factorizes on the virtual
 //! device in `f32`.  `CompactLower` *builds* the representation in the
@@ -14,15 +16,15 @@
 //! *are* the lower precision (`f32`, `Complex32`) both policies are
 //! rejected with a typed error instead of a compile failure, keeping
 //! [`Hodlr`] generic over every [`Scalar`].
+//!
+//! [`Backend`]: crate::Backend
 
-use crate::build::{Backend, Hodlr, Precision, Store};
-use crate::compact::{build_compact_store, CompactConfig, CompactOps};
+use crate::build::{Hodlr, HodlrBuilder, Precision, Store};
+use crate::compact::{build_compact_store, CompactOps};
 use crate::solve::Solve;
 use hodlr_compress::MatrixEntrySource;
-use hodlr_core::{BuildOptions, GpuSolver, HodlrMatrix};
-use hodlr_la::{
-    demote_dense, Complex32, Complex64, DemoteScalar, DenseMatrix, HodlrError, RealScalar, Scalar,
-};
+use hodlr_core::{BuildOptions, HodlrMatrix};
+use hodlr_la::{Complex32, Complex64, DemoteScalar, DenseMatrix, HodlrError, RealScalar, Scalar};
 use hodlr_solver::{iterative_refinement, LinearOperator, RefinementOptions};
 use hodlr_tree::ClusterTree;
 use std::sync::Arc;
@@ -40,7 +42,7 @@ mod sealed {
 /// Sealed: implemented for exactly `f32`, `f64`, `Complex32` and
 /// `Complex64`.  The methods are implementation details of
 /// [`Factorize`](crate::Factorize) for [`Hodlr`] and of
-/// [`HodlrBuilder::build`](crate::HodlrBuilder::build).
+/// [`HodlrBuilder::build`].
 pub trait SolveScalar: Scalar + sealed::Sealed {
     /// Build the mixed-precision solver for `hodlr`'s working-precision
     /// `matrix`, or explain why the scalar cannot be demoted.
@@ -50,88 +52,66 @@ pub trait SolveScalar: Scalar + sealed::Sealed {
         matrix: &HodlrMatrix<Self>,
     ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError>;
 
-    /// Compress `source` straight into compact lower-precision storage, or
-    /// explain why the scalar cannot be demoted.
+    /// Compress `source` straight into compact lower-precision storage
+    /// with `builder`'s settings, or explain why the scalar cannot be
+    /// demoted.
     #[doc(hidden)]
     fn build_compact(
+        builder: &HodlrBuilder<'_, Self>,
         source: &(dyn MatrixEntrySource<Self> + '_),
         tree: ClusterTree,
-        config: &CompactConfig,
         options: BuildOptions<'_>,
     ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError>;
 }
 
-impl SolveScalar for f64 {
-    fn mixed_factorization(
-        hodlr: &Hodlr<Self>,
-        matrix: &HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
-        mixed_factorization_impl(hodlr, matrix)
-    }
+/// The two scalars with a lower companion: demote, or build demoted.
+macro_rules! demotable {
+    ($($t:ty),*) => {$(
+        impl SolveScalar for $t {
+            fn mixed_factorization(
+                hodlr: &Hodlr<Self>,
+                matrix: &HodlrMatrix<Self>,
+            ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
+                let low = matrix.map(Self::demote);
+                refined_factorization(hodlr, &low, "mixed-precision iterative refinement")
+            }
 
-    fn build_compact(
-        source: &(dyn MatrixEntrySource<Self> + '_),
-        tree: ClusterTree,
-        config: &CompactConfig,
-        options: BuildOptions<'_>,
-    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
-        build_compact_store(source, tree, config, options)
-    }
+            fn build_compact(
+                builder: &HodlrBuilder<'_, Self>,
+                source: &(dyn MatrixEntrySource<Self> + '_),
+                tree: ClusterTree,
+                options: BuildOptions<'_>,
+            ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
+                build_compact_store(builder, source, tree, options)
+            }
+        }
+    )*};
 }
+demotable!(f64, Complex64);
 
-impl SolveScalar for Complex64 {
-    fn mixed_factorization(
-        hodlr: &Hodlr<Self>,
-        matrix: &HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
-        mixed_factorization_impl(hodlr, matrix)
-    }
+/// The two scalars that are the lower precision: a typed rejection.
+macro_rules! lowest {
+    ($($t:ty),*) => {$(
+        impl SolveScalar for $t {
+            fn mixed_factorization(
+                _: &Hodlr<Self>,
+                _: &HodlrMatrix<Self>,
+            ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
+                Err(no_lower_precision(Precision::MixedRefine, stringify!($t)))
+            }
 
-    fn build_compact(
-        source: &(dyn MatrixEntrySource<Self> + '_),
-        tree: ClusterTree,
-        config: &CompactConfig,
-        options: BuildOptions<'_>,
-    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
-        build_compact_store(source, tree, config, options)
-    }
+            fn build_compact(
+                _: &HodlrBuilder<'_, Self>,
+                _: &(dyn MatrixEntrySource<Self> + '_),
+                _: ClusterTree,
+                _: BuildOptions<'_>,
+            ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
+                Err(no_lower_precision(Precision::CompactLower, stringify!($t)))
+            }
+        }
+    )*};
 }
-
-impl SolveScalar for f32 {
-    fn mixed_factorization(
-        _: &Hodlr<Self>,
-        _: &HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
-        Err(no_lower_precision(Precision::MixedRefine, "f32"))
-    }
-
-    fn build_compact(
-        _: &(dyn MatrixEntrySource<Self> + '_),
-        _: ClusterTree,
-        _: &CompactConfig,
-        _: BuildOptions<'_>,
-    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
-        Err(no_lower_precision(Precision::CompactLower, "f32"))
-    }
-}
-
-impl SolveScalar for Complex32 {
-    fn mixed_factorization(
-        _: &Hodlr<Self>,
-        _: &HodlrMatrix<Self>,
-    ) -> Result<Box<dyn Solve<Self> + Send + Sync>, HodlrError> {
-        Err(no_lower_precision(Precision::MixedRefine, "Complex32"))
-    }
-
-    fn build_compact(
-        _: &(dyn MatrixEntrySource<Self> + '_),
-        _: ClusterTree,
-        _: &CompactConfig,
-        _: BuildOptions<'_>,
-    ) -> Result<Arc<dyn CompactOps<Self>>, HodlrError> {
-        Err(no_lower_precision(Precision::CompactLower, "Complex32"))
-    }
-}
+lowest!(f32, Complex32);
 
 /// The typed rejection of a lower-precision policy on a scalar that already
 /// is the lower precision.
@@ -142,55 +122,18 @@ fn no_lower_precision(precision: Precision, scalar: &str) -> HodlrError {
     ))
 }
 
-/// Round every stored entry of a HODLR matrix to the lower precision,
-/// preserving the tree, layout and rank bookkeeping.
-fn demote_hodlr<T: DemoteScalar>(matrix: &HodlrMatrix<T>) -> HodlrMatrix<T::Lower> {
-    let tree = matrix.tree().clone();
-    let node_ranks = (0..=tree.num_nodes())
-        .map(|id| matrix.node_rank(id))
-        .collect();
-    HodlrMatrix::from_parts(
-        tree,
-        matrix.layout().clone(),
-        node_ranks,
-        demote_dense(matrix.ubig()),
-        demote_dense(matrix.vbig()),
-        matrix.diag_blocks().iter().map(demote_dense).collect(),
-    )
-    .expect("demotion preserves the shapes of every part")
-}
-
-/// Demote `matrix` and refine against it.
-fn mixed_factorization_impl<T: DemoteScalar>(
-    hodlr: &Hodlr<T>,
-    matrix: &HodlrMatrix<T>,
-) -> Result<Box<dyn Solve<T> + Send + Sync>, HodlrError> {
-    refined_factorization(
-        hodlr,
-        &demote_hodlr(matrix),
-        "mixed-precision iterative refinement",
-    )
-}
-
-/// Factorize the lower-precision `low` on `hodlr`'s backend and wrap it in
-/// working-precision refinement against `hodlr`'s stored representation
-/// (shared, not copied), to `hodlr`'s refinement tolerance and sweep cap.
+/// Factorize the lower-precision `low` through `hodlr`'s one factor path
+/// and wrap it in working-precision refinement against `hodlr`'s stored
+/// representation (shared, not copied), to `hodlr`'s refinement tolerance
+/// and sweep cap.
 pub(crate) fn refined_factorization<T: DemoteScalar>(
     hodlr: &Hodlr<T>,
     low: &HodlrMatrix<T::Lower>,
     context: &'static str,
 ) -> Result<Box<dyn Solve<T> + Send + Sync>, HodlrError> {
-    let inner: Box<dyn Solve<T::Lower> + Send + Sync> = match hodlr.backend() {
-        Backend::Serial => Box::new(low.factorize_serial()?),
-        Backend::Batched => {
-            let mut solver = GpuSolver::new(hodlr.device(), low);
-            solver.factorize()?;
-            Box::new(solver)
-        }
-    };
     Ok(Box::new(RefinedSolver {
         op: hodlr.store.clone(),
-        inner,
+        inner: hodlr.factorize_matrix(low)?,
         options: RefinementOptions {
             tol: hodlr.refine_tol(),
             max_iters: hodlr.refine_max_iters(),
@@ -307,7 +250,7 @@ mod tests {
     fn demoted_matrix_halves_storage_and_stays_close() {
         let mut rng = StdRng::seed_from_u64(40);
         let m = random_hodlr::<f64, _>(&mut rng, 64, 2, 2);
-        let lo = demote_hodlr(&m);
+        let lo = m.map(f64::demote);
         assert_eq!(lo.storage_bytes() * 2, m.storage_bytes());
         let x: Vec<f32> = (0..64).map(|i| (i as f64 * 0.2).sin() as f32).collect();
         let x64: Vec<f64> = x.iter().map(|&v| v as f64).collect();

@@ -186,9 +186,8 @@ pub trait Solve<T: Scalar> {
     }
 }
 
-/// The serial backend solves on the batched solver it owns; only its
-/// log-determinant (infallible) and its stored bytes (symmetric factors
-/// counted as triangles) are its own.
+/// The serial backend solves on the batched solver it owns, and counts its
+/// bytes; only its log-determinant (infallible) is its own.
 impl<T: Scalar, K: FactorKind<T>> Solve<T> for SerialSolver<T, K> {
     fn dim(&self) -> usize {
         self.batched().dim()
@@ -211,7 +210,7 @@ impl<T: Scalar, K: FactorKind<T>> Solve<T> for SerialSolver<T, K> {
     }
 
     fn factor_bytes(&self) -> u64 {
-        (self.storage_entries() * std::mem::size_of::<T>()) as u64
+        self.batched().factor_bytes()
     }
 }
 

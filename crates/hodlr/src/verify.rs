@@ -102,8 +102,12 @@ impl VerifyConfig {
 /// `0.0` regardless of scaling.  NaN anywhere propagates into a NaN
 /// result, which [`Solve::verify_solution`](crate::Solve::verify_solution)
 /// maps to [`SolveVerdict::NonFinite`].
+///
+/// # Panics
+/// Panics unless `ax`, `x` and `b` have one length.
 pub fn scaled_residual<T: Scalar>(ax: &[T], x: &[T], b: &[T], norm1_est: f64) -> f64 {
-    debug_assert_eq!(ax.len(), b.len());
+    assert_eq!(x.len(), ax.len(), "scaled_residual: x has the wrong length");
+    assert_eq!(b.len(), ax.len(), "scaled_residual: b has the wrong length");
     let mut rr = 0.0f64;
     for (&a, &bi) in ax.iter().zip(b.iter()) {
         rr += (a - bi).abs_sqr().to_f64();

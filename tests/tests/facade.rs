@@ -5,6 +5,9 @@
 //! rank caps, solving before factorizing).
 
 use hodlr::prelude::*;
+use hodlr_core::matrix::{random_hodlr_spd, PROMOTED_PANEL_ROWS};
+use hodlr_core::{build_from_source_symmetric_with, build_from_source_with, DemotedSource};
+use hodlr_la::DemoteScalar;
 
 /// A smooth, diagonally shifted 1-D kernel source: HODLR-compressible and
 /// well conditioned.
@@ -46,73 +49,77 @@ fn rhs_c64(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-/// Round trip through every backend × precision combination, real scalars.
-#[test]
-fn backend_precision_matrix_round_trips_f64() {
-    let n = 256;
-    let source = kernel_source(n);
-    let b = rhs_f64(n);
+/// Build, factorize and solve through every backend × precision ×
+/// symmetry combination, holding each residual to its precision's bound.
+/// The general structure compresses `source`; the symmetric ones compress
+/// `spd`, an exactly representable Hermitian positive-definite HODLR matrix
+/// over a 3-level tree, so a lower-precision store keeps its ranks and
+/// holds exactly half the bytes of its `Full` twin.
+fn round_trip_every_combination<T: SolveScalar>(
+    source: &impl MatrixEntrySource<T>,
+    spd: &DenseMatrix<T>,
+    b: &[T],
+) {
     for backend in [Backend::Serial, Backend::Batched] {
-        for precision in [
-            Precision::Full,
-            Precision::MixedRefine,
-            Precision::CompactLower,
+        for symmetry in [
+            Symmetry::General,
+            Symmetry::PositiveDefinite,
+            Symmetry::Hermitian,
         ] {
-            let hodlr = Hodlr::builder()
-                .source(&source)
-                .leaf_size(32)
-                .tolerance(1e-10)
-                .backend(backend)
-                .precision(precision)
-                .build()
-                .unwrap();
-            let f = hodlr.factorize().unwrap();
-            assert_eq!(f.backend(), backend);
-            assert_eq!(f.precision(), precision);
-            let x = f.solve(&b).unwrap();
-            let res = hodlr.relative_residual(&x, &b);
-            let tol = match precision {
-                Precision::Full => 1e-8,
-                Precision::MixedRefine => 1e-11,
-                Precision::CompactLower => 1e-9,
-            };
-            assert!(res < tol, "{backend:?} / {precision:?}: residual {res:.3e}");
+            let mut full_bytes = 0;
+            for precision in [
+                Precision::Full,
+                Precision::MixedRefine,
+                Precision::CompactLower,
+            ] {
+                let label = format!("{backend:?} / {precision:?} / {symmetry:?}");
+                let builder = Hodlr::builder()
+                    .tolerance(1e-10)
+                    .backend(backend)
+                    .precision(precision)
+                    .symmetry(symmetry);
+                let builder = match symmetry {
+                    Symmetry::General => builder.source(source).leaf_size(32),
+                    _ => builder.dense(spd).levels(3),
+                };
+                let hodlr = builder.build().unwrap();
+                let f = hodlr.factorize().unwrap();
+                assert_eq!(f.backend(), backend, "{label}");
+                assert_eq!(f.precision(), precision, "{label}");
+                let x = f.solve(b).unwrap();
+                let res = hodlr.relative_residual(&x, b).to_f64();
+                let tol = match precision {
+                    Precision::Full => 1e-8,
+                    Precision::MixedRefine => 1e-11,
+                    Precision::CompactLower => 1e-9,
+                };
+                assert!(res < tol, "{label}: residual {res:.3e}");
+                match precision {
+                    Precision::Full => full_bytes = hodlr.storage_bytes(),
+                    Precision::CompactLower if symmetry != Symmetry::General => {
+                        assert_eq!(2 * hodlr.storage_bytes(), full_bytes, "{label}")
+                    }
+                    _ => {}
+                }
+            }
         }
     }
 }
 
-/// The same matrix for complex scalars.
+/// Every backend × precision × symmetry combination, real scalars.
+#[test]
+fn backend_precision_matrix_round_trips_f64() {
+    let n = 256;
+    let spd = random_hodlr_spd::<f64, _>(&mut StdRng::seed_from_u64(61), n, 3, 4).to_dense();
+    round_trip_every_combination(&kernel_source(n), &spd, &rhs_f64(n));
+}
+
+/// The same combinations for complex scalars.
 #[test]
 fn backend_precision_matrix_round_trips_complex64() {
     let n = 192;
-    let source = complex_source(n);
-    let b = rhs_c64(n);
-    for backend in [Backend::Serial, Backend::Batched] {
-        for precision in [
-            Precision::Full,
-            Precision::MixedRefine,
-            Precision::CompactLower,
-        ] {
-            let hodlr = Hodlr::builder()
-                .source(&source)
-                .leaf_size(32)
-                .tolerance(1e-10)
-                .backend(backend)
-                .precision(precision)
-                .build()
-                .unwrap();
-            let f = hodlr.factorize().unwrap();
-            assert_eq!(f.precision(), precision);
-            let x = f.solve(&b).unwrap();
-            let res = hodlr.relative_residual(&x, &b).to_f64();
-            let tol = match precision {
-                Precision::Full => 1e-8,
-                Precision::MixedRefine => 1e-11,
-                Precision::CompactLower => 1e-9,
-            };
-            assert!(res < tol, "{backend:?} / {precision:?}: residual {res:.3e}");
-        }
-    }
+    let spd = random_hodlr_spd::<Complex64, _>(&mut StdRng::seed_from_u64(62), n, 3, 4).to_dense();
+    round_trip_every_combination(&complex_source(n), &spd, &rhs_c64(n));
 }
 
 /// Acceptance criterion: both backend paths through the `Solve` trait
@@ -629,8 +636,8 @@ fn compact_storage_halves_bytes_and_refines_to_working_accuracy() {
 }
 
 /// Compact storage is rejected, typed, where it cannot work: f32 scalars
-/// (no lower precision to demote to), symmetric structure-exploiting
-/// builds, and adopted working-precision matrices.
+/// (no lower precision to demote to) and adopted working-precision
+/// matrices.
 #[test]
 fn compact_storage_rejections_are_typed() {
     let n = 128;
@@ -653,17 +660,6 @@ fn compact_storage_rejections_are_typed() {
     assert!(matches!(err, HodlrError::InvalidConfig { .. }), "{err:?}");
 
     let source = kernel_source(n);
-    let err = Hodlr::builder()
-        .source(&source)
-        .leaf_size(32)
-        .tolerance(1e-10)
-        .symmetry(Symmetry::Hermitian)
-        .precision(Precision::CompactLower)
-        .build()
-        .err()
-        .expect("symmetric compact build must fail");
-    assert!(matches!(err, HodlrError::InvalidConfig { .. }), "{err:?}");
-
     let matrix = Hodlr::builder()
         .source(&source)
         .leaf_size(32)
@@ -762,7 +758,13 @@ fn factorization_outlives_its_handle() {
         ] {
             cases.push((backend, precision, Symmetry::General));
         }
-        cases.push((backend, Precision::Full, Symmetry::PositiveDefinite));
+        for precision in [
+            Precision::Full,
+            Precision::MixedRefine,
+            Precision::CompactLower,
+        ] {
+            cases.push((backend, precision, Symmetry::PositiveDefinite));
+        }
     }
     for (backend, precision, symmetry) in cases {
         let label = format!("{backend:?} / {precision:?} / {symmetry:?}");
@@ -799,6 +801,155 @@ fn factorization_outlives_its_handle() {
         match backend {
             Backend::Batched => assert!(c.kernel_launches > 0, "{label}: unmetered"),
             Backend::Serial => assert_eq!(c.kernel_launches, 0, "{label}"),
+        }
+    }
+}
+
+/// How many entries of `a` and `b` differ in their bits.
+fn bit_mismatches<T: Scalar>(a: &[T], b: &[T]) -> usize {
+    assert_eq!(a.len(), b.len());
+    let bits = |x: &T| (x.real().to_f64().to_bits(), x.imag().to_f64().to_bits());
+    a.iter().zip(b).filter(|(x, y)| bits(x) != bits(y)).count()
+}
+
+/// `entry` on the 1200 indices of a two-level tree, zeroed across the top
+/// split so that level 1 has rank zero; the level-2 blocks and the leaf
+/// blocks hold 300 rows, more than one promoted panel.
+fn split_source<T: Scalar>(
+    entry: impl Fn(usize, usize) -> T + Sync,
+) -> ClosureSource<T, impl Fn(usize, usize) -> T + Sync> {
+    ClosureSource::new(1200, 1200, move |i, j| {
+        if (i < 600) == (j < 600) {
+            entry(i, j)
+        } else {
+            T::zero()
+        }
+    })
+}
+
+/// A `CompactLower` handle's products against the working-precision walk
+/// over the same lower-precision store with every entry promoted, built
+/// here from the demoted source with the handle's settings: bitwise, with
+/// separate (`General`) and shared (`Hermitian`) bases, at 1, 2 and 8
+/// threads.
+fn check_compact_apply<T: SolveScalar + DemoteScalar>(source: &impl MatrixEntrySource<T>) {
+    let n = source.nrows();
+    let tree = ClusterTree::uniform(n, 2);
+    assert!(tree.node_size(tree.level_nodes(2).next().unwrap()) > PROMOTED_PANEL_ROWS);
+    let x: Vec<T> = hodlr_la::random::random_vector(&mut StdRng::seed_from_u64(71), n);
+    let b: Vec<T> = hodlr_la::random::random_vector(&mut StdRng::seed_from_u64(72), n);
+    let block: DenseMatrix<T> =
+        hodlr_la::random::random_matrix(&mut StdRng::seed_from_u64(73), n, 3);
+    let tol = 1e-5;
+    for symmetry in [Symmetry::General, Symmetry::Hermitian] {
+        let view = DemotedSource::<T, _>::new(source);
+        let config = CompressionConfig::with_tol(RealScalar::from_f64_real(tol));
+        let low = match symmetry {
+            Symmetry::General => {
+                build_from_source_with(&view, tree.clone(), &config, <_>::default())
+            }
+            _ => build_from_source_symmetric_with(&view, tree.clone(), &config, <_>::default()),
+        }
+        .unwrap();
+        assert_eq!(
+            low.layout().width(1),
+            0,
+            "{symmetry:?}: level 1 has rank zero"
+        );
+        assert!(low.layout().width(2) > 0, "{symmetry:?}");
+        assert_eq!(low.shares_bases(), symmetry != Symmetry::General);
+        let reference = low.map(T::promote);
+        for threads in [1, 2, 8] {
+            let label = format!("{symmetry:?} at {threads} threads");
+            let hodlr = Hodlr::builder()
+                .source(source)
+                .tree(tree.clone())
+                .tolerance(tol)
+                .symmetry(symmetry)
+                .precision(Precision::CompactLower)
+                .threads(threads)
+                .build()
+                .unwrap();
+            assert_eq!(hodlr.storage_bytes(), low.storage_bytes(), "{label}");
+            let same = |a: &[T], b: &[T], what: &str| {
+                let differ = bit_mismatches(a, b);
+                assert_eq!(differ, 0, "{label}: {what} differs in {differ} entries");
+            };
+            same(&hodlr.matvec(&x), &reference.matvec(&x), "matvec");
+            let adjoint = reference.matvec_adjoint(&x);
+            same(&hodlr.matvec_adjoint(&x), &adjoint, "matvec_adjoint");
+            let product = reference.matmat(&block);
+            same(hodlr.matmat(&block).data(), product.data(), "matmat");
+            let norm1 = reference.norm1_est().to_bits();
+            assert_eq!(hodlr.norm1_est().to_bits(), norm1, "{label}: norm1_est");
+            let relres = reference.relative_residual(&x, &b).to_f64().to_bits();
+            let got = hodlr.relative_residual(&x, &b).to_f64().to_bits();
+            assert_eq!(got, relres, "{label}: relative_residual");
+        }
+    }
+}
+
+/// The compact apply is `hodlr-core`'s walk over the promoted store, bit
+/// for bit, in both working precisions.
+#[test]
+fn compact_apply_is_the_promoted_walk_bitwise() {
+    check_compact_apply(&split_source(|i, j| {
+        let d = (i as f64 - j as f64).abs() / 1200.0;
+        1.0 / (1.0 + 40.0 * d) + if i == j { 4.0 } else { 0.0 }
+    }));
+    check_compact_apply(&split_source(|i, j| {
+        let (x, y) = (i as f64 / 1200.0, j as f64 / 1200.0);
+        let k = 1.0 / (1.0 + 40.0 * (x - y).abs());
+        let phase = 0.3 * (x - y);
+        let shift = if i == j { 6.0 } else { 0.0 };
+        Complex64::new(k * phase.cos() + shift, k * phase.sin())
+    }));
+}
+
+/// A right-hand side of the wrong length panics, naming `b`, in every
+/// residual: the handle's (both stores), the matrix's, the handle's
+/// verification and the scaled residual it computes.
+#[test]
+fn residuals_reject_a_wrong_length_b() {
+    fn panics_naming(what: &str, f: impl FnOnce()) {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains("b has the wrong length"), "{what}: {msg}");
+    }
+    let n = 256;
+    let source = kernel_source(n);
+    let x = rhs_f64(n);
+    for precision in [Precision::Full, Precision::CompactLower] {
+        let hodlr = Hodlr::builder()
+            .source(&source)
+            .leaf_size(32)
+            .tolerance(1e-10)
+            .precision(precision)
+            .build()
+            .unwrap();
+        let f = hodlr.factorize().unwrap();
+        let cfg = VerifyConfig::default();
+        for len in [n / 2, n + 1] {
+            let b = vec![1.0; len];
+            let label = format!("{precision:?}, b of {len}");
+            panics_naming(&label, || {
+                hodlr.relative_residual(&x, &b);
+            });
+            panics_naming(&label, || {
+                hodlr.verify_solve(&f, &x, &b, &cfg);
+            });
+            if let Some(m) = hodlr.matrix() {
+                panics_naming(&label, || {
+                    m.relative_residual(&x, &b);
+                });
+            }
+            panics_naming(&label, || {
+                hodlr::scaled_residual(&x, &x, &b, 1.0);
+            });
         }
     }
 }

@@ -509,14 +509,15 @@ fn threading_speedup_on_multicore() {
 
 /// The scale-out path end to end — shuffled 3-D surface cloud, spatial
 /// partitioning, streaming budgeted facade build, factorization, solve —
-/// is bitwise identical in 1-, 2- and 8-thread pools, at both storage
-/// precisions.
+/// is bitwise identical in 1-, 2- and 8-thread pools, under every
+/// precision policy, and under both lower precisions with a
+/// positive-definite structure too.
 #[test]
 fn surface_scale_pipeline_is_bitwise_deterministic_across_thread_counts() {
     use hodlr::prelude::*;
     use hodlr_bie::LaplaceSurfaceSource;
 
-    let run = |threads: usize, precision: Precision| -> Vec<u64> {
+    let run = |threads: usize, precision: Precision, symmetry: Symmetry| -> Vec<u64> {
         let cloud = hodlr_bie::fibonacci_sphere_cloud(400);
         let source = LaplaceSurfaceSource::new(&cloud, 32).unwrap();
         let tree = source.tree().clone();
@@ -526,6 +527,7 @@ fn surface_scale_pipeline_is_bitwise_deterministic_across_thread_counts() {
             .tolerance(1e-8)
             .memory_budget(256 << 20)
             .precision(precision)
+            .symmetry(symmetry)
             .threads(threads)
             .build()
             .unwrap();
@@ -537,9 +539,17 @@ fn surface_scale_pipeline_is_bitwise_deterministic_across_thread_counts() {
         sig.push(hodlr.build_peak_bytes());
         sig
     };
-    for precision in [Precision::Full, Precision::CompactLower] {
-        let sigs: Vec<Vec<u64>> = [1usize, 2, 8].map(|t| run(t, precision)).to_vec();
-        assert_eq!(sigs[0], sigs[1], "{precision:?}: 1 vs 2 threads");
-        assert_eq!(sigs[1], sigs[2], "{precision:?}: 2 vs 8 threads");
+    let cases = [
+        (Precision::Full, Symmetry::General),
+        (Precision::MixedRefine, Symmetry::General),
+        (Precision::CompactLower, Symmetry::General),
+        (Precision::MixedRefine, Symmetry::PositiveDefinite),
+        (Precision::CompactLower, Symmetry::PositiveDefinite),
+    ];
+    for (precision, symmetry) in cases {
+        let sigs: Vec<Vec<u64>> = [1usize, 2, 8].map(|t| run(t, precision, symmetry)).to_vec();
+        let label = format!("{precision:?} / {symmetry:?}");
+        assert_eq!(sigs[0], sigs[1], "{label}: 1 vs 2 threads");
+        assert_eq!(sigs[1], sigs[2], "{label}: 2 vs 8 threads");
     }
 }
